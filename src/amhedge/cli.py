@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -117,6 +118,12 @@ def build_driver(params: MarketParams, block: dict) -> Driver:
         missing = [k for k in ("alpha", "gamma_bar") if k not in dparams]
         if missing:
             raise ConfigError(f"driver.params: missing {missing} for 'large_trader'")
+        for key in ("alpha", "gamma_bar"):
+            value = dparams[key]
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ConfigError(f"driver.params.{key}: must be a finite number, "
+                                  f"got {value!r}")
         try:
             return large_trader_driver(params, dparams["alpha"], dparams["gamma_bar"])
         except ValueError as exc:
@@ -217,34 +224,28 @@ def report_to_dict(report: pricing.PricingReport) -> dict:
 # Verification checks
 # ---------------------------------------------------------------------------
 
-def _check_superhedge(tree, driver, obstacle, seed):
-    seller = pricing.seller_price(tree, driver, obstacle, gamma_check=False)
-    buyer = pricing.buyer_price(tree, driver, obstacle, gamma_check=False)
-    field = hedging.simulate_wealth(tree, seller.u0, seller.strategy, driver, seed=seed)
-    seller_rep = hedging.verify_superhedge_seller(field, obstacle)
-    bfield = hedging.simulate_wealth(tree, -buyer.v0, buyer.strategy, driver, seed=seed)
-    buyer_rep = hedging.verify_superhedge_buyer(bfield, obstacle, buyer.exercise)
+def _check_superhedge(seller_rep, buyer_rep):
     passed = (seller_rep.passed and buyer_rep.passed
               and buyer_rep.max_abs_at_stop <= hedging.SUPERHEDGE_TOL)
     return {"passed": passed,
             "seller_min_slack": seller_rep.min_slack,
             "buyer_min_slack": buyer_rep.min_slack,
-            "buyer_max_abs_at_stop": buyer_rep.max_abs_at_stop}, seller_rep, buyer_rep
+            "buyer_max_abs_at_stop": buyer_rep.max_abs_at_stop}
 
 
-def _check_duality(tree, driver, obstacle):
+def _check_duality(tree, driver, obstacle, seller):
     if tree.n_steps > oracle.MAX_ENUM_STEPS:
         raise ConfigError(
             f"grid.n_steps: duality check enumerates stopping rules and is "
             f"limited to {oracle.MAX_ENUM_STEPS} steps, got {tree.n_steps}")
-    solution = solve_rbsde_lower(tree, driver, obstacle)
+    u0 = seller().u0
     brute = oracle.brute_force_seller_value(tree, driver, obstacle)
-    gap = abs(solution.root_value - brute)
-    return {"passed": gap <= 1e-12, "solver_value": solution.root_value,
+    gap = abs(u0 - brute)
+    return {"passed": gap <= 1e-12, "solver_value": u0,
             "enumerated_value": brute, "gap": gap}
 
 
-def _check_apriori(tree, driver, obstacle):
+def _check_apriori(tree, driver, obstacle, solution):
     delta = 0.1
     shifted = Driver(name=f"{driver.name}+shift",
                      eval=lambda t, y, z, k, s: driver.eval(t, y, z, k, s) + delta,
@@ -252,7 +253,8 @@ def _check_apriori(tree, driver, obstacle):
     c = driver.lipschitz_C
     eta = 1.0 / (c * c + 1.0)
     beta = 3.0 / eta + 2.0 * c + 1.0
-    report = oracle.apriori_estimate_check(tree, driver, shifted, obstacle, eta, beta)
+    report = oracle.apriori_estimate(solution, solve_rbsde_lower(tree, shifted, obstacle),
+                                     eta, beta)
     return {"passed": report.passed(),
             "eta": eta, "beta": beta,
             "max_pointwise_violation": report.max_pointwise_violation,
@@ -260,8 +262,7 @@ def _check_apriori(tree, driver, obstacle):
             "zk_norm_violation": report.zk_norm_violation}
 
 
-def _check_skorokhod(tree, driver, obstacle):
-    solution = solve_rbsde_lower(tree, driver, obstacle)
+def _check_skorokhod(tree, obstacle, solution):
     residual = skorokhod_residual(solution, obstacle)
     min_da = min(solution.delta_a.values()) if solution.delta_a else 0.0
     min_gap = min(solution.y[n] - obstacle.values[n] for n in tree.nodes)
@@ -270,15 +271,13 @@ def _check_skorokhod(tree, driver, obstacle):
             "min_charge": min_da, "min_gap_to_obstacle": min_gap}
 
 
-def _check_martingale(tree, driver, obstacle, seed):
+def _check_martingale(tree, driver, seller_field):
+    # Within this guard simulate_wealth expands every path, as the residual needs.
     if tree.n_steps > hedging.MAX_EXACT_STEPS:
         raise ConfigError(
             f"grid.n_steps: martingale check needs the exact path expansion "
             f"and is limited to {hedging.MAX_EXACT_STEPS} steps, got {tree.n_steps}")
-    seller = pricing.seller_price(tree, driver, obstacle, gamma_check=False)
-    field = hedging.simulate_wealth(tree, seller.u0, seller.strategy, driver,
-                                    seed=seed, mode="exact")
-    residual = hedging.wealth_martingale_residual(field, driver)
+    residual = hedging.wealth_martingale_residual(seller_field(), driver)
     return {"passed": residual <= 1e-10, "residual": residual}
 
 
@@ -310,6 +309,51 @@ def _write_csv(path: Path, rows) -> None:
                              _fmt_float(slack)])
 
 
+def _run_jobs(job: dict, tree, obstacle, out: Path) -> dict:
+    """Run the requested jobs, solving and simulating each side at most once;
+    all of it is freed on return, before the report is serialised."""
+    driver, seed = job["driver"], job["seed"]
+    report = pricing.price_american(tree, driver, obstacle) if "price" in job["jobs"] else None
+    document = report_to_dict(report) if report else {}
+
+    @functools.cache
+    def seller():
+        return report.seller if report else pricing.seller_price(
+            tree, driver, obstacle, gamma_check=False)
+
+    @functools.cache
+    def seller_field():
+        return hedging.simulate_wealth(tree, seller().u0, seller().strategy, driver, seed=seed)
+
+    @functools.cache
+    def hedge():
+        buyer = report.buyer if report else pricing.buyer_price(
+            tree, driver, obstacle, gamma_check=False)
+        bfield = hedging.simulate_wealth(tree, -buyer.v0, buyer.strategy, driver, seed=seed)
+        return (hedging.verify_superhedge_seller(seller_field(), obstacle),
+                hedging.verify_superhedge_buyer(bfield, obstacle, buyer.exercise))
+
+    if "hedge" in job["jobs"]:
+        seller_rep, buyer_rep = hedge()
+        _write_csv(out / "wealth.csv", hedging.violation_rows(seller_rep))
+        _write_csv(out / "wealth_buyer.csv", hedging.violation_rows(buyer_rep))
+
+    if "verify" in job["jobs"]:
+        run_check = {
+            "superhedge": lambda: _check_superhedge(*hedge()),
+            "duality": lambda: _check_duality(tree, driver, obstacle, seller),
+            "apriori": lambda: _check_apriori(tree, driver, obstacle, seller().solution),
+            "skorokhod": lambda: _check_skorokhod(tree, obstacle, seller().solution),
+            "martingale": lambda: _check_martingale(tree, driver, seller_field),
+            "gamma": lambda: _check_gamma(tree, driver),
+            "admissible": lambda: _check_admissible(tree, driver),
+        }
+        checks = {name: run_check[name]() for name in job["checks"]}
+        all_passed = all(c["passed"] for c in checks.values())
+        document["verification"] = {"checks": checks, "all_passed": all_passed}
+    return document
+
+
 def run(config: dict, out_dir=None, strict: bool = False,
         dump_tree: bool = False) -> int:
     """Execute one job document; returns the process exit code."""
@@ -329,51 +373,9 @@ def run(config: dict, out_dir=None, strict: bool = False,
         print(f"config error: grid.n_steps: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     obstacle = Obstacle.from_payoff(tree, job["payoff"])
-    driver = job["driver"]
 
-    document = {}
     try:
-        if "price" in job["jobs"]:
-            report = pricing.price_american(tree, driver, obstacle)
-            document.update(report_to_dict(report))
-
-        if "hedge" in job["jobs"]:
-            seller = pricing.seller_price(tree, driver, obstacle, gamma_check=False)
-            field = hedging.simulate_wealth(tree, seller.u0, seller.strategy,
-                                            driver, seed=job["seed"])
-            seller_rep = hedging.verify_superhedge_seller(field, obstacle)
-            _write_csv(out / "wealth.csv", hedging.violation_rows(seller_rep))
-            buyer = pricing.buyer_price(tree, driver, obstacle, gamma_check=False)
-            bfield = hedging.simulate_wealth(tree, -buyer.v0, buyer.strategy,
-                                             driver, seed=job["seed"])
-            buyer_rep = hedging.verify_superhedge_buyer(bfield, obstacle,
-                                                        buyer.exercise)
-            _write_csv(out / "wealth_buyer.csv", hedging.violation_rows(buyer_rep))
-
-        if "verify" in job["jobs"]:
-            checks = {}
-            for name in job["checks"]:
-                if name == "superhedge":
-                    checks[name], _, _ = _check_superhedge(tree, driver, obstacle,
-                                                           job["seed"])
-                elif name == "duality":
-                    checks[name] = _check_duality(tree, driver, obstacle)
-                elif name == "apriori":
-                    checks[name] = _check_apriori(tree, driver, obstacle)
-                elif name == "skorokhod":
-                    checks[name] = _check_skorokhod(tree, driver, obstacle)
-                elif name == "martingale":
-                    checks[name] = _check_martingale(tree, driver, obstacle,
-                                                     job["seed"])
-                elif name == "gamma":
-                    checks[name] = _check_gamma(tree, driver)
-                elif name == "admissible":
-                    checks[name] = _check_admissible(tree, driver)
-            all_passed = all(c["passed"] for c in checks.values())
-            document["verification"] = {"checks": checks, "all_passed": all_passed}
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        document = _run_jobs(job, tree, obstacle, out)
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .bsde import PICARD_TOL, g_evaluation
+from .bsde import PICARD_TOL, Solution, g_evaluation
 from .drivers import Driver
 from .market import MarketParams, Tree
 from .pricing import StoppingRule
@@ -162,12 +162,21 @@ class AprioriReport:
 def apriori_estimate_check(tree: Tree, driver1: Driver, driver2: Driver,
                            obstacle: Obstacle, eta: float, beta: float,
                            tol: float = PICARD_TOL) -> AprioriReport:
+    """``apriori_estimate`` for the lower-reflected solves under two drivers."""
+    return apriori_estimate(solve_rbsde_lower(tree, driver1, obstacle, tol=tol),
+                            solve_rbsde_lower(tree, driver2, obstacle, tol=tol),
+                            eta, beta)
+
+
+def apriori_estimate(sol1: Solution, sol2: Solution, eta: float,
+                     beta: float) -> AprioriReport:
     """Numerically verify the weighted stability estimate for two solves.
 
-    Both reflected problems share the obstacle. With C the first driver's
-    declared constant, the hypotheses eta <= 1 / C^2 and
-    beta >= 3 / eta + 2 C are enforced. Writing fbar for the driver gap
-    evaluated along the second solution, the pointwise bound
+    Both lower-reflected solutions share the tree and the obstacle, each
+    under the driver it carries. With C the first driver's declared
+    constant, the hypotheses eta <= 1 / C^2 and beta >= 3 / eta + 2 C are
+    enforced. Writing fbar for the driver gap evaluated along the second
+    solution, the pointwise bound
 
         exp(beta t) (Y1 - Y2)^2 <= eta * E[ sum exp(beta s) fbar(s)^2 dt | node ]
 
@@ -177,6 +186,7 @@ def apriori_estimate_check(tree: Tree, driver1: Driver, driver2: Driver,
     checked with the exact node-reach probabilities. Reported violations
     are clipped at zero.
     """
+    tree, driver1, driver2 = sol1.tree, sol1.driver, sol2.driver
     c = driver1.lipschitz_C
     if eta <= 0.0 or beta <= 0.0:
         raise ValueError("eta and beta must be positive")
@@ -186,8 +196,6 @@ def apriori_estimate_check(tree: Tree, driver1: Driver, driver2: Driver,
         raise ValueError(f"beta = {beta:.6g} violates beta >= 3/eta + 2C = "
                          f"{3.0 / eta + 2.0 * c:.6g}")
 
-    sol1 = solve_rbsde_lower(tree, driver1, obstacle, tol=tol)
-    sol2 = solve_rbsde_lower(tree, driver2, obstacle, tol=tol)
     dt = tree.dt
 
     fbar = {}

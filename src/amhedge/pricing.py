@@ -21,7 +21,8 @@ from typing import NamedTuple
 from .bsde import PICARD_TOL, Solution, g_evaluation
 from .drivers import Driver, check_gamma_assumption, gamma_samples
 from .market import NodeId, Tree
-from .rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
+from .rbsde import (Obstacle, cumulative_charge, solve_rbsde_lower,
+                    solve_rbsde_upper)
 
 # Equality of the value and the obstacle is scale aware; the cumulative
 # charge is compared against an absolute floor.
@@ -67,7 +68,7 @@ class RationalityReport:
 
 @dataclass
 class PricingReport:
-    """Everything the front door returns for one configuration."""
+    """Everything the front door returns for one configuration, with both solves."""
 
     u0: float
     v0: float
@@ -77,6 +78,8 @@ class PricingReport:
     nu_star: StoppingRule
     nu_bar: StoppingRule
     interval_ok: bool
+    seller: SellerPrice
+    buyer: BuyerPrice
 
 
 def phi_map(z: float, k: float, sigma1: float, sigma2: float) -> tuple:
@@ -185,7 +188,7 @@ def is_rational(solution: Solution, obstacle: Obstacle, rule) -> RationalityRepo
     """
     tree = solution.tree
     stops = getattr(rule, "stop", rule)
-    reached = {tree.root: 0.0}
+    reached = cumulative_charge(tree, solution.delta_a, stops)
     for level in tree.levels:
         for node in level:
             if node not in reached:
@@ -200,15 +203,9 @@ def is_rational(solution: Solution, obstacle: Obstacle, rule) -> RationalityRepo
                 if a_in > A_ZERO_TOL:
                     return RationalityReport(ok=False, witness=node,
                                              reason=f"cumulative charge {a_in:.3g} on arrival")
-            else:
-                if tree.is_terminal(node):
-                    return RationalityReport(ok=False, witness=node,
-                                             reason="rule does not stop at the terminal step")
-                outgoing = a_in + solution.delta_a[node]
-                for b in tree.branches[node]:
-                    prev = reached.get(b.child)
-                    if prev is None or outgoing > prev:
-                        reached[b.child] = outgoing
+            elif tree.is_terminal(node):
+                return RationalityReport(ok=False, witness=node,
+                                         reason="rule does not stop at the terminal step")
     return RationalityReport(ok=True)
 
 
@@ -252,4 +249,6 @@ def price_american(tree: Tree, driver: Driver, obstacle: Obstacle,
         nu_star=nu_star,
         nu_bar=nu_bar,
         interval_ok=buyer.v0 <= seller.u0 + INTERVAL_TOL,
+        seller=seller,
+        buyer=buyer,
     )

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 from .bsde import PICARD_TOL, Solution, one_step
 from .drivers import Driver
-from .market import NodeId, Tree
+from .market import Tree
 
 
 @dataclass
@@ -35,16 +35,13 @@ class Obstacle:
                                         data.defaulted))
         return cls(values=values)
 
-    def at(self, node: NodeId) -> float:
-        return self.values[node]
 
-
-def _cumulative_a(tree: Tree, delta_a: Mapping) -> dict:
-    """Largest path-cumulative charge into each node (strictly before arrival)."""
+def cumulative_charge(tree: Tree, delta_a: Mapping, stop: Mapping = None) -> dict:
+    """Largest charge accrued before arriving at each node, over paths not yet stopped."""
     a = {tree.root: 0.0}
     for level in tree.levels[:-1]:
         for node in level:
-            if node not in a:
+            if node not in a or (stop is not None and stop[node]):
                 continue
             incoming = a[node] + delta_a[node]
             for b in tree.branches[node]:
@@ -79,7 +76,7 @@ def _solve_reflected(tree: Tree, driver: Driver, obstacle: Obstacle,
                     y[node], delta_a[node] = y_c, 0.0
             z[node], k[node] = z_n, k_n
     return Solution(tree=tree, driver=driver, kind=side, y=y, z=z, k=k,
-                    delta_a=delta_a, a=_cumulative_a(tree, delta_a))
+                    delta_a=delta_a, a=cumulative_charge(tree, delta_a))
 
 
 def solve_rbsde_lower(tree: Tree, driver: Driver, obstacle: Obstacle,

@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from amhedge import hedging, rbsde
 from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, canonical_json,
                          main, run)
 
@@ -66,6 +68,17 @@ class TestRun:
         assert run(cfg, out_dir=tmp_path) == EXIT_CONFIG
         assert "driver.name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params,field", [
+        ({"alpha": None, "gamma_bar": 0.0}, "alpha"),
+        ({"alpha": "x", "gamma_bar": 0.0}, "alpha"),
+        ({"alpha": 0.0, "gamma_bar": None}, "gamma_bar"),
+        ({"alpha": 0.0, "gamma_bar": "y"}, "gamma_bar"),
+    ])
+    def test_bad_large_trader_param_named(self, tmp_path, capsys, params, field):
+        cfg = minimal_config(driver={"name": "large_trader", "params": params})
+        assert run(cfg, out_dir=tmp_path) == EXIT_CONFIG
+        assert f"driver.params.{field}:" in capsys.readouterr().err
+
     def test_unknown_job_and_check_rejected(self, tmp_path, capsys):
         assert run(minimal_config(jobs=["simulate"]), out_dir=tmp_path) == EXIT_CONFIG
         assert "jobs" in capsys.readouterr().err
@@ -123,6 +136,42 @@ class TestRun:
         assert run(cfg, out_dir=a) == EXIT_OK
         assert run(cfg, out_dir=b) == EXIT_OK
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+class TestSharedSolves:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, inner):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            return counted
+
+        # Looked up at call time, so every caller goes through the counter.
+        for module, name in ((rbsde, "_solve_reflected"),
+                             (hedging, "_simulate_exact"),
+                             (hedging, "_simulate_sampled")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return counts
+
+    @pytest.mark.parametrize("jobs,checks,solves,simulations", [
+        # Seller, buyer and the apriori check's shifted seller; one wealth
+        # simulation per side.
+        (["price", "hedge", "verify"],
+         ["superhedge", "skorokhod", "apriori", "martingale"], 3, 2),
+        (["verify"], ["gamma", "admissible"], 0, 0),
+    ])
+    def test_each_side_solved_and_simulated_once(self, tmp_path, counts, jobs,
+                                                 checks, solves, simulations):
+        cfg = minimal_config(jobs=jobs, verify=checks)
+        cfg["market"]["lambda"] = 0.2
+        assert run(cfg, out_dir=tmp_path) == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["verification"]["all_passed"] is True
+        assert counts["_solve_reflected"] == solves
+        assert counts["_simulate_exact"] + counts["_simulate_sampled"] == simulations
 
 
 class TestMain:
