@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .drivers import Driver, GammaReport, check_gamma_assumption, gamma_samples
 from .market import NodeId, NodeState, Tree
 
@@ -121,18 +123,84 @@ def _values_on(tree: Tree, source, nodes: Iterable) -> dict:
     return out
 
 
+def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k,
+                  tol: float, nodes: list) -> np.ndarray:
+    """``implicit_value`` over a row; each element keeps the iterate at which
+    it first passes the stopping test, so it equals the scalar result."""
+    y = e
+    out = np.empty_like(e)
+    done = np.zeros(e.shape, dtype=bool)
+    for _ in range(PICARD_MAX_ITER):
+        y_new = e + driver.eval(state.t, y, z, k, state) * dt
+        residual = np.abs(y_new - y)
+        passed = residual <= tol * (1.0 + np.abs(y_new))
+        np.copyto(out, y_new, where=passed & ~done)
+        done |= passed
+        if done.all():
+            return out
+        y = y_new
+    j = int(np.argmin(done))
+    raise ConvergenceError(
+        f"implicit step did not converge in {PICARD_MAX_ITER} iterations at node "
+        f"{nodes[j]} (t={state.t:.6g}, last residual {residual[j]:.3g}); "
+        "the time step is too large for the driver's Lipschitz constant")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in one_step
+def backward_sweep(tree: Tree, driver: Driver, terminal: Mapping,
+                   tol: float = PICARD_TOL, barrier: Mapping = None,
+                   side: str = "lower") -> tuple:
+    """Backward solve one level row at a time; returns dicts (y, z, k, delta_a).
+
+    A level is an alive row and a defaulted row indexed by the up count j;
+    the children of a row are slices of the next level's rows (up j+1, down
+    j, default j of the defaulted row), and each element follows the
+    arithmetic of ``one_step`` exactly. With a ``barrier`` the continuation
+    is reflected from below (``side`` "lower") or above ("upper") and
+    ``delta_a`` holds the charges; without one it is empty.
+    """
+    y = dict(terminal)
+    z, k, delta_a = {}, {}, {}
+    last = tree.levels[tree.n_steps]
+    alive_next = np.array([y[n] for n in last[:tree.n_steps + 1]], dtype=float)
+    dead_next = np.array([y[n] for n in last[tree.n_steps + 1:]], dtype=float)
+    for i in range(tree.n_steps - 1, -1, -1):
+        level = tree.levels[i]
+        rows = []
+        for nodes, nxt in ((level[:i + 1], alive_next), (level[i + 1:], dead_next)):
+            m = len(nodes)
+            if not m:
+                rows.append(np.empty(0))
+                continue
+            branches = tree.branches[nodes[0]]
+            children = (nxt[1:m + 1], nxt[:m], dead_next[:m])[:len(branches)]
+            e, z_row, k_row = coefficients(branches, children, tree.sq)
+            k_row = np.broadcast_to(k_row, e.shape)
+            data = [tree.nodes[n] for n in nodes]
+            state = NodeState(tree.time(i), data[0].s0, np.array([d.s1 for d in data]),
+                              np.array([d.s2 for d in data]), data[0].lam, data[0].defaulted)
+            y_row = _implicit_row(driver, state, tree.dt, e, z_row, k_row, tol, nodes)
+            if barrier is not None:
+                b = np.array([barrier[n] for n in nodes], dtype=float)
+                bind = b > y_row if side == "lower" else b < y_row
+                delta_a.update(zip(nodes, np.where(bind, np.abs(b - y_row), 0.0).tolist()))
+                y_row = np.where(bind, b, y_row)
+            y.update(zip(nodes, y_row.tolist()))
+            z.update(zip(nodes, z_row.tolist()))
+            k.update(zip(nodes, k_row.tolist()))
+            rows.append(y_row)
+        alive_next, dead_next = rows
+    return y, z, k, delta_a
+
+
 def solve_bsde(tree: Tree, driver: Driver, terminal, tol: float = PICARD_TOL) -> Solution:
     """Backward solve with a terminal condition and no reflection.
 
     ``terminal`` maps terminal nodes to values (a dict, a callable on node
     ids, or any object with a ``values`` mapping covering the last level).
     """
-    y = _values_on(tree, terminal, tree.terminal_nodes())
-    z = {}
-    k = {}
-    for level in reversed(tree.levels[:-1]):
-        for node in level:
-            y[node], z[node], k[node] = one_step(tree, driver, node, y, tol=tol)
+    y, z, k, _ = backward_sweep(tree, driver,
+                                _values_on(tree, terminal, tree.terminal_nodes()), tol)
     zeros = {node: 0.0 for node in tree.nodes}
     return Solution(tree=tree, driver=driver, kind="bsde", y=y, z=z, k=k,
                     delta_a={node: 0.0 for node in z}, a=zeros)

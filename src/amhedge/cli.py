@@ -47,6 +47,9 @@ class ConfigError(ValueError):
 # Canonical JSON
 # ---------------------------------------------------------------------------
 
+_encode_str = json.encoder.encode_basestring_ascii  # equals json.dumps on a str
+
+
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
@@ -58,39 +61,45 @@ def _fmt_float(x: float) -> str:
 def canonical_json(obj) -> str:
     """Serialize with sorted keys and fixed float formatting."""
     out = []
+    append = out.append
 
     def emit(value):
-        if isinstance(value, bool):
-            out.append("true" if value else "false")
-        elif value is None:
-            out.append("null")
-        elif isinstance(value, int):
-            out.append(str(value))
-        elif isinstance(value, float):
-            out.append(_fmt_float(value))
-        elif isinstance(value, str):
-            out.append(json.dumps(value))
+        kind = type(value)  # exact types first: floats, strings and dicts dominate
+        if kind is float:
+            append(_fmt_float(value))
+        elif kind is str:
+            append(_encode_str(value))
         elif isinstance(value, dict):
-            out.append("{")
+            append("{")
             for i, key in enumerate(sorted(value)):
                 if i:
-                    out.append(", ")
-                out.append(json.dumps(str(key)))
-                out.append(": ")
+                    append(", ")
+                append(_encode_str(str(key)))
+                append(": ")
                 emit(value[key])
-            out.append("}")
+            append("}")
+        elif isinstance(value, bool):
+            append("true" if value else "false")
+        elif value is None:
+            append("null")
+        elif isinstance(value, int):
+            append(str(value))
+        elif isinstance(value, float):
+            append(_fmt_float(value))
+        elif isinstance(value, str):
+            append(_encode_str(value))
         elif isinstance(value, (list, tuple)):
-            out.append("[")
+            append("[")
             for i, item in enumerate(value):
                 if i:
-                    out.append(", ")
+                    append(", ")
                 emit(item)
-            out.append("]")
+            append("]")
         else:
             raise ValueError(f"cannot serialize {type(value).__name__}")
 
     emit(obj)
-    out.append("\n")
+    append("\n")
     return "".join(out)
 
 
@@ -112,7 +121,7 @@ def build_driver(params: MarketParams, block: dict) -> Driver:
             raise ConfigError("driver.params.R: required for 'borrow_lend'")
         try:
             return borrow_lend_driver(params, dparams["R"])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"driver.params.R: {exc}") from None
     if name == "large_trader":
         missing = [k for k in ("alpha", "gamma_bar") if k not in dparams]
@@ -120,8 +129,7 @@ def build_driver(params: MarketParams, block: dict) -> Driver:
             raise ConfigError(f"driver.params: missing {missing} for 'large_trader'")
         for key in ("alpha", "gamma_bar"):
             value = dparams[key]
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
+            if not _is_number(value):
                 raise ConfigError(f"driver.params.{key}: must be a finite number, "
                                   f"got {value!r}")
         try:
@@ -154,7 +162,7 @@ def parse_config(config: dict) -> dict:
     if not isinstance(grid, dict) or "n_steps" not in grid:
         raise ConfigError("grid.n_steps: required")
     n_steps = grid["n_steps"]
-    if int(n_steps) != n_steps or n_steps < 1:
+    if not (_is_number(n_steps) and int(n_steps) == n_steps >= 1):
         raise ConfigError(f"grid.n_steps: must be a positive integer, got {n_steps!r}")
     n_steps = int(n_steps)
     dt = params.T / n_steps
@@ -172,26 +180,44 @@ def parse_config(config: dict) -> dict:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    jobs = config.get("jobs", ["price"])
+    jobs = _list(config, "jobs", ["price"])
     for job in jobs:
         if job not in _JOBS:
             raise ConfigError(f"jobs: unknown job {job!r} (expected {list(_JOBS)})")
-    checks = config.get("verify", [])
+    checks = _list(config, "verify", [])
     for check in checks:
         if check not in _CHECKS:
             raise ConfigError(f"verify: unknown check {check!r} (expected {list(_CHECKS)})")
     seed = config.get("seed", 0)
-    if int(seed) != seed:
+    if not (_is_number(seed) and int(seed) == seed):
         raise ConfigError(f"seed: must be an integer, got {seed!r}")
+    strict = config.get("strict", False)
+    if not isinstance(strict, bool):
+        raise ConfigError(f"strict: must be true or false, got {strict!r}")
+    output_dir = config.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: must be a string, got {output_dir!r}")
 
     return {"params": params, "n_steps": n_steps, "driver": driver,
-            "payoff": payoff, "jobs": list(jobs), "checks": list(checks),
-            "strict": bool(config.get("strict", False)), "seed": int(seed),
-            "output_dir": config.get("output_dir")}
+            "payoff": payoff, "jobs": jobs, "checks": checks,
+            "strict": strict, "seed": int(seed), "output_dir": output_dir}
 
 
 def _bad(field: str):
     raise ConfigError(f"{field}: must be an object")
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _list(config: dict, key: str, default: list) -> list:
+    value = config.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: must be a list, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +396,13 @@ def run(config: dict, out_dir=None, strict: bool = False,
     try:
         tree = build_tree(job["params"], job["n_steps"])
     except ValueError as exc:
-        print(f"config error: grid.n_steps: {exc}", file=sys.stderr)
+        print(f"config error: market: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    obstacle = Obstacle.from_payoff(tree, job["payoff"])
+    try:
+        obstacle = Obstacle.from_payoff(tree, job["payoff"])
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         document = _run_jobs(job, tree, obstacle, out)

@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .market import (MarketParams, NodeState, as_piecewise,
                      merged_breakpoints)
@@ -28,10 +32,14 @@ RATIO_TOL = 1e-10
 class Driver:
     """A generator g with its declared Lipschitz constant.
 
-    ``eval`` has signature (t, y, z, k, state) -> float where ``state`` is a
-    ``NodeState``. ``lipschitz_C`` is the constant C in the bound
-    |dg| <= C * (|dy| + |dz| + sqrt(lam) * |dk|), declared by the factory
-    that built the driver.
+    ``eval`` has signature (t, y, z, k, state) -> value where ``state`` is a
+    ``NodeState``. It must be elementwise: the backward sweep and the
+    jump-monotonicity check call it once per level row, with numpy rows for
+    y, z and k (and for the state's s1 and s2), a scalar t and a state whose
+    s0, lam and defaulted are scalars, and use the row it returns (a scalar
+    broadcasts). Called with floats, it returns a float. ``lipschitz_C`` is
+    the constant C in the bound |dg| <= C * (|dy| + |dz| + sqrt(lam) * |dk|),
+    declared by the factory that built the driver.
     """
 
     name: str
@@ -107,9 +115,9 @@ def borrow_lend_driver(params: MarketParams, borrow_rate) -> Driver:
         phi1 = (z + sigma2.at(t) * k_eff) / sigma1.at(t)
         phi2 = -k_eff
         excess = phi1 + phi2 - y
-        if excess > 0.0:
-            val += (R.at(t) - r.at(t)) * excess
-        return val
+        # The charge is added only where the excess is positive; the mask
+        # keeps the arithmetic elementwise for rows and floats alike.
+        return val + (R.at(t) - r.at(t)) * (excess * (excess > 0.0))
 
     extra = 0.0
     for t in merged_breakpoints(R, r, sigma1, sigma2, params.lam):
@@ -221,6 +229,7 @@ def check_lambda_admissible(driver: Driver, samples: Iterable) -> AdmissibilityR
                                passed=passed, worst=worst)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in a scalar scan
 def check_gamma_assumption(driver: Driver, samples: Iterable) -> GammaReport:
     """Smallest sampled ratio (g(k1) - g(k2)) / ((k1 - k2) lam).
 
@@ -231,16 +240,24 @@ def check_gamma_assumption(driver: Driver, samples: Iterable) -> GammaReport:
     min_ratio = math.inf
     worst = None
     n = 0
-    for state, y, z, k1, k2 in samples:
-        if state.lam <= 0.0 or k1 == k2:
+    # Each run of consecutive samples at one state is evaluated as a row.
+    for state, run in groupby(samples, key=itemgetter(0)):
+        if state.lam <= 0.0:
             continue
-        n += 1
+        run = [s for s in run if s[3] != s[4]]
+        if not run:
+            continue
+        n += len(run)
+        _, y, z, k1, k2 = zip(*run)
+        y, z, k1, k2 = np.array(y), np.array(z), np.array(k1), np.array(k2)
         g1 = driver.eval(state.t, y, z, k1, state)
         g2 = driver.eval(state.t, y, z, k2, state)
         ratio = (g1 - g2) / ((k1 - k2) * state.lam)
-        if ratio < min_ratio:
-            min_ratio = ratio
-            worst = (state, y, z, k1, k2)
+        # NaN ratios never lower the minimum, as in a scalar scan.
+        i = int(np.argmin(np.where(np.isnan(ratio), math.inf, ratio)))
+        if ratio[i] < min_ratio:
+            min_ratio = float(ratio[i])
+            worst = run[i]
     passed = (n == 0) or (min_ratio > -1.0 + RATIO_TOL)
     return GammaReport(min_ratio=min_ratio, passed=passed, worst=worst, n_samples=n)
 

@@ -86,7 +86,7 @@ def as_piecewise(value) -> PiecewiseConstant:
     if isinstance(value, PiecewiseConstant):
         return value
     if isinstance(value, dict):
-        return PiecewiseConstant(value["values"], value.get("times"))
+        return PiecewiseConstant(value.get("values", ()), value.get("times"))
     return PiecewiseConstant(value)
 
 
@@ -122,11 +122,12 @@ class MarketParams:
     T: float
 
     def __post_init__(self):
-        for name in ("r", "mu1", "mu2", "sigma1", "sigma2", "lam"):
-            setattr(self, name, as_piecewise(getattr(self, name)))
-        self.s1_0 = float(self.s1_0)
-        self.s2_0 = float(self.s2_0)
-        self.T = float(self.T)
+        for name in ("r", "mu1", "mu2", "sigma1", "sigma2", "lam", "s1_0", "s2_0", "T"):
+            convert = float if name in ("s1_0", "s2_0", "T") else as_piecewise
+            try:
+                setattr(self, name, convert(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
         if not self.T > 0.0:
             raise ValueError("T must be positive")
         for name in ("r", "mu1", "mu2", "sigma1", "sigma2", "lam"):
@@ -253,8 +254,9 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
     """Build the lattice over [0, T] with ``n_steps`` time steps.
 
     Requires max_t lam(t) * dt < 1 so that the default branch carries a
-    genuine probability. A zero intensity everywhere yields the plain
-    recombining binomial tree (two branches per node, dM identically 0).
+    genuine probability, positive initial prices, and positive down factors
+    so that prices stay positive. A zero intensity everywhere yields the
+    plain recombining binomial tree (two branches per node, dM identically 0).
     """
     if int(n_steps) != n_steps or n_steps < 0:
         raise ValueError("n_steps must be a nonnegative integer")
@@ -262,6 +264,9 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
     dt = params.T / n_steps if n_steps > 0 else 0.0
     sq = math.sqrt(dt)
 
+    for name in ("s1_0", "s2_0"):
+        if not getattr(params, name) > 0.0:
+            raise ValueError(f"{name} must be positive, got {getattr(params, name)!r}")
     for i in range(n_steps):
         lam_i = params.lam.at(i * dt)
         if lam_i * dt >= 1.0:
@@ -299,6 +304,11 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
         up2 = 1.0 + (mu2_i + lam_i) * dt + sig2_i * sq
         dn2 = 1.0 + (mu2_i + lam_i) * dt - sig2_i * sq
         flat1 = 1.0 + mu1_i * dt  # default transition carries no dW
+        for name, down in (("sigma1", dn1), ("sigma2", dn2)):
+            if not down > 0.0:
+                raise ValueError(
+                    f"{name}: the down factor is {down:.6g} <= 0 at step {i}, so prices "
+                    f"would turn negative; n_steps = {n_steps} is too coarse for it")
 
         # Branches out of the alive row.
         for j in range(i + 1):

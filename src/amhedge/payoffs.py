@@ -9,6 +9,7 @@ Custom payoffs are written as arithmetic expressions over the names
 from __future__ import annotations
 
 import ast
+import math
 from typing import Callable
 
 _ALLOWED_NAMES = {"t", "S1", "S2", "defaulted"}
@@ -82,24 +83,42 @@ def compile_payoff(source: str) -> Callable:
         scope = {"t": t, "S1": s1, "S2": s2,
                  "defaulted": 1.0 if defaulted else 0.0,
                  "max": max, "min": min}
-        return float(eval(code, {"__builtins__": {}}, scope))
+        try:
+            value = float(eval(code, {"__builtins__": {}}, scope))
+            if math.isfinite(value):
+                return value
+            problem = f"the value {value}"
+        except ArithmeticError as exc:
+            problem = f"{type(exc).__name__} ({exc})"
+        raise ValueError(f"payoff.expr: {source!r} gives {problem} at t={t:.6g}, "
+                         f"S1={s1:.6g}, S2={s2:.6g}, defaulted={bool(defaulted)}")
 
     return payoff
 
 
+def _strike(cfg: dict) -> float:
+    if "strike" not in cfg:
+        raise ValueError(f"payoff.strike: required for kind {cfg['kind']!r}")
+    try:
+        strike = float(cfg["strike"])
+    except (TypeError, ValueError):
+        strike = math.nan
+    if not math.isfinite(strike):
+        raise ValueError(f"payoff.strike: must be a finite number, got {cfg['strike']!r}")
+    return strike
+
+
 def payoff_from_config(cfg: dict) -> Callable:
     """Resolve the CLI payoff block {kind, strike | expr} to a map."""
+    if not isinstance(cfg, dict):
+        raise ValueError("payoff: must be an object")
     kind = cfg.get("kind")
     if kind == "put":
-        if "strike" not in cfg:
-            raise ValueError("payoff.strike: required for kind 'put'")
-        return put(cfg["strike"])
+        return put(_strike(cfg))
     if kind == "call":
-        if "strike" not in cfg:
-            raise ValueError("payoff.strike: required for kind 'call'")
-        return call(cfg["strike"])
+        return call(_strike(cfg))
     if kind == "expr":
-        if "expr" not in cfg:
-            raise ValueError("payoff.expr: required for kind 'expr'")
+        if not isinstance(cfg.get("expr"), str):
+            raise ValueError("payoff.expr: a string is required for kind 'expr'")
         return compile_payoff(cfg["expr"])
     raise ValueError(f"payoff.kind: expected 'put', 'call' or 'expr', got {kind!r}")

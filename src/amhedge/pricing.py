@@ -97,16 +97,18 @@ def phi_inverse(phi1: float, phi2: float, sigma1: float, sigma2: float) -> tuple
 
 
 def strategy_from_solution(solution: Solution) -> Strategy:
-    """Apply the position map nodewise to (z, k)."""
+    """Apply the position map nodewise to (z, k), with volatilities read once per level."""
     tree = solution.tree
     params = tree.params
     phi1 = {}
     phi2 = {}
+    step = None
     for node, z in solution.z.items():
-        t = tree.time(node[0])
-        p1, p2 = phi_map(z, solution.k[node], params.sigma1.at(t), params.sigma2.at(t))
-        phi1[node] = p1
-        phi2[node] = p2
+        if node[0] != step:
+            step = node[0]
+            t = tree.time(step)
+            s1, s2 = params.sigma1.at(t), params.sigma2.at(t)
+        phi1[node], phi2[node] = phi_map(z, solution.k[node], s1, s2)
     return Strategy(phi1=phi1, phi2=phi2)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .bsde import PICARD_TOL, Solution, one_step
+from .bsde import PICARD_TOL, Solution, backward_sweep
 from .drivers import Driver
 from .market import Tree
 
@@ -54,27 +54,8 @@ def cumulative_charge(tree: Tree, delta_a: Mapping, stop: Mapping = None) -> dic
 def _solve_reflected(tree: Tree, driver: Driver, obstacle: Obstacle,
                      side: str, tol: float) -> Solution:
     barrier = obstacle.values
-    y = {}
-    z = {}
-    k = {}
-    delta_a = {}
-    for node in tree.terminal_nodes():
-        y[node] = float(barrier[node])
-    for level in reversed(tree.levels[:-1]):
-        for node in level:
-            y_c, z_n, k_n = one_step(tree, driver, node, y, tol=tol)
-            b = float(barrier[node])
-            if side == "lower":
-                if b > y_c:
-                    y[node], delta_a[node] = b, b - y_c
-                else:
-                    y[node], delta_a[node] = y_c, 0.0
-            else:
-                if b < y_c:
-                    y[node], delta_a[node] = b, y_c - b
-                else:
-                    y[node], delta_a[node] = y_c, 0.0
-            z[node], k[node] = z_n, k_n
+    terminal = {node: float(barrier[node]) for node in tree.terminal_nodes()}
+    y, z, k, delta_a = backward_sweep(tree, driver, terminal, tol, barrier, side)
     return Solution(tree=tree, driver=driver, kind=side, y=y, z=z, k=k,
                     delta_a=delta_a, a=cumulative_charge(tree, delta_a))
 

@@ -79,6 +79,32 @@ class TestRun:
         assert run(cfg, out_dir=tmp_path) == EXIT_CONFIG
         assert f"driver.params.{field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path,value,field", [
+        (("grid", "n_steps"), "abc", "grid.n_steps:"),
+        (("grid", "n_steps"), None, "grid.n_steps:"),
+        (("jobs",), None, "jobs:"),
+        (("jobs",), "price", "jobs:"),
+        (("verify",), None, "verify:"),
+        (("seed",), "a", "seed:"),
+        (("strict",), "no", "strict:"),
+        (("payoff",), [1], "payoff:"),
+        (("payoff",), {"kind": "expr", "expr": "1/(S1-S1)"}, "payoff.expr:"),
+        (("payoff", "strike"), "x", "payoff.strike:"),
+        (("market", "sigma1"), 50.0, "sigma1:"),
+        (("market", "sigma2"), 50.0, "sigma2:"),
+        (("market", "s1_0"), -5.0, "s1_0"),
+        (("market", "s2_0"), 0.0, "s2_0"),
+    ])
+    def test_malformed_job_exits_2_naming_field(self, tmp_path, capsys, path, value, field):
+        cfg = minimal_config()
+        cfg["grid"]["n_steps"] = 4
+        owner = cfg
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        assert run(cfg, out_dir=tmp_path) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_unknown_job_and_check_rejected(self, tmp_path, capsys):
         assert run(minimal_config(jobs=["simulate"]), out_dir=tmp_path) == EXIT_CONFIG
         assert "jobs" in capsys.readouterr().err

@@ -139,6 +139,24 @@ class TestBuildTree:
         with pytest.raises(ValueError, match="n_steps"):
             build_tree(flat_params(lam=2.5), 2)
 
+    @pytest.mark.parametrize("overrides,field", [
+        ({"sigma1": 50.0}, "sigma1"),
+        ({"sigma2": 50.0}, "sigma2"),
+        ({"s1_0": -5.0}, "s1_0"),
+        ({"s1_0": 0.0}, "s1_0"),
+        ({"s2_0": 0.0}, "s2_0"),
+    ])
+    def test_rejects_non_positive_prices(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            build_tree(flat_params(**overrides), 4)
+
+    def test_down_factor_guard_names_the_step(self):
+        params = flat_params(sigma1=PiecewiseConstant([0.2, 5.0], times=[0.0, 0.5]))
+        with pytest.raises(ValueError, match="sigma1.*step 2"):
+            build_tree(params, 4)  # 1 + mu1 dt - 5 sqrt(dt) < 0 once sigma1 jumps
+        tree = build_tree(params, 100)  # fine enough for the same market
+        assert min(data.s1 for data in tree.nodes.values()) > 0.0
+
     def test_price_updates_multiplicative_euler(self):
         params = flat_params(lam=0.2, mu1=0.04, mu2=-0.02)
         tree = build_tree(params, 4)

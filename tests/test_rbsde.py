@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from amhedge.bsde import solve_bsde
-from amhedge.drivers import Driver
-from amhedge.market import MarketParams, build_tree
+from amhedge.bsde import ConvergenceError, one_step, solve_bsde
+from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
+                             gamma_samples, large_trader_driver, perfect_driver)
+from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.rbsde import (Obstacle, skorokhod_residual, solve_rbsde_lower,
                            solve_rbsde_upper)
-from helpers import make_instance
+from helpers import make_instance, random_payoff
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 
@@ -176,3 +177,145 @@ class TestStructuralInvariants:
         y2 = solve_rbsde_lower(inst.tree, inst.driver, bumped).y
         for node in inst.tree.nodes:
             assert y1[node] <= y2[node] + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The row sweep against the scalar reference kernel
+# ---------------------------------------------------------------------------
+
+def row_test_params(style):
+    base = dict(r=0.03, mu1=0.06, mu2=0.01, sigma1=0.25, sigma2=0.3, lam=0.2,
+                s1_0=100.0, s2_0=90.0, T=1.0)
+    if style == "piecewise":
+        base.update(r=PiecewiseConstant([0.03, 0.05], times=[0.0, 0.4]),
+                    sigma1=PiecewiseConstant([0.25, 0.18], times=[0.0, 0.6]),
+                    lam=PiecewiseConstant([0.2, 0.35], times=[0.0, 0.5]))
+    elif style == "lam_drop":
+        # Alive rows lose their default branch mid-horizon, while the
+        # defaulted rows keep stepping on two branches.
+        base.update(lam=PiecewiseConstant([0.3, 0.0], times=[0.0, 0.5]))
+    return MarketParams(**base)
+
+
+def row_test_driver(kind, params):
+    if kind == "perfect":
+        return perfect_driver(params)
+    if kind == "borrow_lend":
+        return borrow_lend_driver(params, 0.09)
+    alpha = 0.0 if kind == "large_trader" else 0.0008
+    return large_trader_driver(params, alpha, 0.3)
+
+
+def scalar_reflected(tree, driver, obstacle, side):
+    """Node-by-node reference: the scalar one_step, then the reflection."""
+    y = {node: float(obstacle.values[node]) for node in tree.terminal_nodes()}
+    z, k, delta_a = {}, {}, {}
+    for level in reversed(tree.levels[:-1]):
+        for node in level:
+            y_c, z[node], k[node] = one_step(tree, driver, node, y)
+            b = obstacle.values[node]
+            if side == "lower" and b > y_c:
+                y[node], delta_a[node] = b, b - y_c
+            elif side == "upper" and b < y_c:
+                y[node], delta_a[node] = b, y_c - b
+            else:
+                y[node], delta_a[node] = y_c, 0.0
+    return y, z, k, delta_a
+
+
+@pytest.mark.parametrize("style", ["const", "piecewise", "lam_drop"])
+@pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader",
+                                  "large_trader_alpha"])
+class TestRowSweepMatchesScalar:
+    def test_every_node_equal(self, style, kind):
+        params = row_test_params(style)
+        driver = row_test_driver(kind, params)
+        rng = np.random.default_rng(7)
+        for n_steps in (1, 5, 12):
+            tree = build_tree(params, n_steps)
+            obstacle = Obstacle.from_payoff(tree, random_payoff(rng))
+            upper = Obstacle(values={n: -v for n, v in obstacle.values.items()})
+            for side, solve, barrier in (("lower", solve_rbsde_lower, obstacle),
+                                         ("upper", solve_rbsde_upper, upper)):
+                sol = solve(tree, driver, barrier)
+                expected = scalar_reflected(tree, driver, barrier, side)
+                for got, want in zip((sol.y, sol.z, sol.k, sol.delta_a), expected):
+                    assert list(got) == list(want)  # same nodes, same order
+                    assert all(got[node] == want[node] for node in want)
+
+    def test_plain_solve_equal(self, style, kind):
+        params = row_test_params(style)
+        tree = build_tree(params, 12)
+        driver = row_test_driver(kind, params)
+        terminal = {node: float(i % 7) - 2.0
+                    for i, node in enumerate(tree.terminal_nodes())}
+        sol = solve_bsde(tree, driver, terminal)
+        y = dict(terminal)
+        for level in reversed(tree.levels[:-1]):
+            for node in level:
+                y[node], z, k = one_step(tree, driver, node, y)
+                assert (sol.z[node], sol.k[node]) == (z, k)
+        assert list(sol.y) == list(y)
+        assert all(sol.y[node] == y[node] for node in y)
+
+
+def scalar_gamma_scan(driver, samples):
+    """Per-sample reference for check_gamma_assumption: (min, worst, count)."""
+    min_ratio, worst, n = math.inf, None, 0
+    for state, y, z, k1, k2 in samples:
+        if state.lam <= 0.0 or k1 == k2:
+            continue
+        n += 1
+        ratio = ((driver.eval(state.t, y, z, k1, state)
+                  - driver.eval(state.t, y, z, k2, state)) / ((k1 - k2) * state.lam))
+        if ratio < min_ratio:
+            min_ratio, worst = ratio, (state, y, z, k1, k2)
+    return min_ratio, worst, n
+
+
+@pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader_alpha"])
+def test_batched_gamma_check_equals_scalar_scan(kind):
+    params = row_test_params("piecewise")
+    driver = row_test_driver(kind, params)
+    points = (-101.0, -1.0, 0.0, 1.0, 101.0)
+    samples = gamma_samples(params, times=[0.0, 0.25, 0.5, 0.75], ys=points,
+                            zs=points, ks=points)
+    dead = NodeState(0.5, 1.0, 100.0, 0.0, 0.0, True)
+    alive = samples[0][0]
+    # Mix in samples the check skips, repeated states and runs that are
+    # split by other states.
+    mixed = ([(dead, 1.0, 2.0, 0.0, 1.0), (alive, 3.0, -2.0, 1.0, 1.0)]
+             + samples[:70] + [(dead, -1.0, 0.0, 1.0, 2.0)] + samples[70:]
+             + samples[:30] + [(alive, 5.0, 5.0, -3.0, 4.0)])
+    report = check_gamma_assumption(driver, mixed)
+    min_ratio, worst, n = scalar_gamma_scan(driver, mixed)
+    assert (report.min_ratio, report.worst, report.n_samples) == (min_ratio, worst, n)
+    assert type(report.min_ratio) is float
+
+
+def test_batched_gamma_check_keeps_first_of_tied_minima():
+    linear = Driver(name="linear", eval=lambda t, y, z, k, s: -0.5 * s.lam * k,
+                    lipschitz_C=1.0)
+    a = NodeState(0.0, 1.0, 100.0, 90.0, 0.5, False)
+    b = NodeState(0.5, 1.0, 100.0, 90.0, 0.5, False)
+    samples = [(a, 0.0, 0.0, 1.0, 1.0), (a, 1.0, 0.0, 2.0, 0.0),
+               (b, 2.0, 0.0, 4.0, -4.0), (a, 3.0, 0.0, 1.0, 3.0)]
+    report = check_gamma_assumption(linear, samples)  # every ratio is exactly -0.5
+    assert (report.min_ratio, report.n_samples) == (-0.5, 3)
+    assert report.worst == samples[1]
+
+
+def test_convergence_failure_names_node_and_residual():
+    tree = build_tree(flat_params(lam=0.0, T=1.0), 2)  # dt = 0.5
+    stiff = Driver(name="stiff", eval=lambda t, y, z, k, s: -50.0 * y,
+                   lipschitz_C=50.0)
+    obstacle = Obstacle(values={node: 1.0 for node in tree.nodes})
+    y, residual = 1.0, None
+    for _ in range(50):  # the scalar iteration at the first node swept
+        y_new = 1.0 + (-50.0 * y) * 0.5
+        y, residual = y_new, abs(y_new - y)
+    with pytest.raises(ConvergenceError) as failure:
+        solve_rbsde_lower(tree, stiff, obstacle)
+    message = str(failure.value)
+    assert "node (1, 0, 0)" in message
+    assert f"last residual {residual:.3g}" in message
