@@ -15,12 +15,13 @@ y-sensitivity of g).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .drivers import Driver, GammaReport, check_gamma_assumption, gamma_samples
-from .market import NodeId, NodeState, Tree
+from .market import NodeId, NodeState, Tree, row_view
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
@@ -30,30 +31,71 @@ class ConvergenceError(RuntimeError):
     """The implicit value update failed to converge (dt too large for C)."""
 
 
-@dataclass
-class Solution:
-    """Per-node output of a backward solve.
+@dataclass(frozen=True)
+class SolveStats:
+    """Work of one backward solve, counted on its rows; never part of a report.
 
-    ``y`` is defined at every node; ``z`` and ``k`` at every non-terminal
-    node (k is recorded as 0 where no default branch exists). ``delta_a`` is
-    the outgoing reflection charge of each non-terminal node and ``a`` the
-    largest cumulative charge over all paths into the node, counting
-    increments strictly before arrival; both are identically zero for plain
-    (non-reflected) solves.
+    ``nodes`` is the number of non-terminal nodes swept, ``picard_max`` and
+    ``picard_mean`` the Picard iterations per node (up to the iterate that
+    first passed the stopping test), ``driver_evals`` the elements handed to
+    the driver (a row is evaluated whole until its last element passes) and
+    ``bound`` the number of nodes where the obstacle binds (delta_a > 0).
+    """
+
+    nodes: int
+    picard_max: int
+    picard_mean: float
+    driver_evals: int
+    bound: int
+
+
+@dataclass(eq=False)
+class Solution:
+    """Level rows of a backward solve: y at every step, z, k (0 without a
+    default branch) and the outgoing reflection charge delta_a below the
+    last. Their node views, and ``a``, the largest charge accrued strictly
+    before arriving at a node, are built on first read; delta_a and a are
+    identically zero for plain (non-reflected) solves.
     """
 
     tree: Tree
     driver: Driver
     kind: str  # "bsde" | "lower" | "upper"
-    y: dict
-    z: dict
-    k: dict
-    delta_a: dict
-    a: dict
+    y_rows: list
+    z_rows: list
+    k_rows: list
+    da_rows: list
+    stats: SolveStats
+
+    y = row_view("y_rows", backward=True)
+    z = row_view("z_rows", backward=True)
+    k = row_view("k_rows", backward=True)
+    delta_a = row_view("da_rows", backward=True)
+
+    @cached_property
+    def a(self) -> dict:
+        if self.kind == "bsde":
+            return {node: 0.0 for node in self.tree.nodes}
+        return cumulative_charge(self.tree, self.delta_a)
 
     @property
     def root_value(self) -> float:
-        return self.y[self.tree.root]
+        return float(self.y_rows[0][0][0])
+
+
+def cumulative_charge(tree: Tree, delta_a: Mapping, stop: Mapping = None) -> dict:
+    """Largest charge accrued before arriving at each node, over paths not yet stopped."""
+    a = {tree.root: 0.0}
+    for level in tree.levels[:-1]:
+        for node in level:
+            if node not in a or (stop is not None and stop[node]):
+                continue
+            incoming = a[node] + delta_a[node]
+            for b in tree.branches[node]:
+                prev = a.get(b.child)
+                if prev is None or incoming > prev:
+                    a[b.child] = incoming
+    return a
 
 
 def coefficients(branches, child_values, sq: float) -> tuple:
@@ -124,73 +166,74 @@ def _values_on(tree: Tree, source, nodes: Iterable) -> dict:
 
 
 def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k,
-                  tol: float, nodes: list) -> np.ndarray:
-    """``implicit_value`` over a row; each element keeps the iterate at which
-    it first passes the stopping test, so it equals the scalar result."""
+                  tol: float, row: tuple) -> tuple:
+    """``implicit_value`` over the row ``(step, defaulted)``; each element
+    keeps the iterate at which it first passes the stopping test, so it
+    equals the scalar result. Also counts the iterations (max and sum)."""
     y = e
     out = np.empty_like(e)
     done = np.zeros(e.shape, dtype=bool)
-    for _ in range(PICARD_MAX_ITER):
+    pending, total = e.size, 0
+    for it in range(1, PICARD_MAX_ITER + 1):
+        total += pending
         y_new = e + driver.eval(state.t, y, z, k, state) * dt
         residual = np.abs(y_new - y)
         passed = residual <= tol * (1.0 + np.abs(y_new))
         np.copyto(out, y_new, where=passed & ~done)
         done |= passed
-        if done.all():
-            return out
+        pending = e.size - int(np.count_nonzero(done))
+        if not pending:
+            return out, it, total
         y = y_new
     j = int(np.argmin(done))
     raise ConvergenceError(
         f"implicit step did not converge in {PICARD_MAX_ITER} iterations at node "
-        f"{nodes[j]} (t={state.t:.6g}, last residual {residual[j]:.3g}); "
+        f"{(row[0], j, row[1])} (t={state.t:.6g}, last residual {residual[j]:.3g}); "
         "the time step is too large for the driver's Lipschitz constant")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in one_step
-def backward_sweep(tree: Tree, driver: Driver, terminal: Mapping,
-                   tol: float = PICARD_TOL, barrier: Mapping = None,
-                   side: str = "lower") -> tuple:
-    """Backward solve one level row at a time; returns dicts (y, z, k, delta_a).
+def backward_sweep(tree: Tree, driver: Driver, terminal: tuple,
+                   tol: float = PICARD_TOL, barrier: list = None,
+                   side: str = "lower") -> Solution:
+    """Backward solve one level row at a time from the terminal rows.
 
-    A level is an alive row and a defaulted row indexed by the up count j;
-    the children of a row are slices of the next level's rows (up j+1, down
-    j, default j of the defaulted row), and each element follows the
-    arithmetic of ``one_step`` exactly. With a ``barrier`` the continuation
-    is reflected from below (``side`` "lower") or above ("upper") and
-    ``delta_a`` holds the charges; without one it is empty.
+    The children of a row are slices of the next level's rows, and each
+    element follows the arithmetic of ``one_step`` exactly. With ``barrier``
+    rows the continuation is reflected from below (``side`` "lower") or
+    above ("upper") and ``da_rows`` holds the charges.
     """
-    y = dict(terminal)
-    z, k, delta_a = {}, {}, {}
-    last = tree.levels[tree.n_steps]
-    alive_next = np.array([y[n] for n in last[:tree.n_steps + 1]], dtype=float)
-    dead_next = np.array([y[n] for n in last[tree.n_steps + 1:]], dtype=float)
-    for i in range(tree.n_steps - 1, -1, -1):
-        level = tree.levels[i]
-        rows = []
-        for nodes, nxt in ((level[:i + 1], alive_next), (level[i + 1:], dead_next)):
-            m = len(nodes)
+    n = tree.n_steps
+    y, z, k, da = [None] * n + [terminal], [None] * n, [None] * n, [None] * n
+    nodes = picard_max = picard_sum = evals = bound = 0
+    for i in range(n - 1, -1, -1):
+        out = []
+        for d, branches in enumerate(tree.row_branches[i]):
+            s1, m = tree.s1[i][d], len(tree.s1[i][d])
             if not m:
-                rows.append(np.empty(0))
+                out.append((np.empty(0),) * 4)
                 continue
-            branches = tree.branches[nodes[0]]
-            children = (nxt[1:m + 1], nxt[:m], dead_next[:m])[:len(branches)]
+            children = [y[i + 1][dead][up:up + m] for _, up, dead in (b.child for b in branches)]
             e, z_row, k_row = coefficients(branches, children, tree.sq)
             k_row = np.broadcast_to(k_row, e.shape)
-            data = [tree.nodes[n] for n in nodes]
-            state = NodeState(tree.time(i), data[0].s0, np.array([d.s1 for d in data]),
-                              np.array([d.s2 for d in data]), data[0].lam, data[0].defaulted)
-            y_row = _implicit_row(driver, state, tree.dt, e, z_row, k_row, tol, nodes)
+            state = NodeState(tree.time(i), tree.s0[i], s1, tree.s2[i][d],
+                              0.0 if d else tree.lam[i], bool(d))
+            y_row, iters, total = _implicit_row(driver, state, tree.dt, e, z_row, k_row,
+                                                tol, (i, d))
+            nodes, picard_sum, evals = nodes + m, picard_sum + total, evals + iters * m
+            picard_max = max(picard_max, iters)
+            da_row = np.zeros(m)
             if barrier is not None:
-                b = np.array([barrier[n] for n in nodes], dtype=float)
+                b = barrier[i][d]
                 bind = b > y_row if side == "lower" else b < y_row
-                delta_a.update(zip(nodes, np.where(bind, np.abs(b - y_row), 0.0).tolist()))
+                da_row = np.where(bind, np.abs(b - y_row), 0.0)
                 y_row = np.where(bind, b, y_row)
-            y.update(zip(nodes, y_row.tolist()))
-            z.update(zip(nodes, z_row.tolist()))
-            k.update(zip(nodes, k_row.tolist()))
-            rows.append(y_row)
-        alive_next, dead_next = rows
-    return y, z, k, delta_a
+                bound += int(np.count_nonzero(bind))
+            out.append((y_row, z_row, k_row, da_row))
+        y[i], z[i], k[i], da[i] = zip(*out)
+    stats = SolveStats(nodes, picard_max, picard_sum / nodes if nodes else 0.0, evals, bound)
+    return Solution(tree=tree, driver=driver, kind="bsde" if barrier is None else side,
+                    y_rows=y, z_rows=z, k_rows=k, da_rows=da, stats=stats)
 
 
 def solve_bsde(tree: Tree, driver: Driver, terminal, tol: float = PICARD_TOL) -> Solution:
@@ -199,11 +242,8 @@ def solve_bsde(tree: Tree, driver: Driver, terminal, tol: float = PICARD_TOL) ->
     ``terminal`` maps terminal nodes to values (a dict, a callable on node
     ids, or any object with a ``values`` mapping covering the last level).
     """
-    y, z, k, _ = backward_sweep(tree, driver,
-                                _values_on(tree, terminal, tree.terminal_nodes()), tol)
-    zeros = {node: 0.0 for node in tree.nodes}
-    return Solution(tree=tree, driver=driver, kind="bsde", y=y, z=z, k=k,
-                    delta_a={node: 0.0 for node in z}, a=zeros)
+    values = _values_on(tree, terminal, tree.terminal_nodes())
+    return backward_sweep(tree, driver, tree.level_rows(values, tree.n_steps), tol)
 
 
 def g_evaluation(tree: Tree, driver: Driver, rule, payoff,

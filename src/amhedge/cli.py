@@ -16,14 +16,18 @@ import functools
 import json
 import math
 import sys
+from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from . import hedging, oracle, pricing
 from .bsde import ConvergenceError
 from .drivers import (Driver, admissibility_samples, borrow_lend_driver,
                       check_gamma_assumption, check_lambda_admissible,
                       gamma_samples, large_trader_driver, perfect_driver)
-from .market import MarketParams, build_tree, node_key
+from .market import MarketParams, build_tree
 from .payoffs import payoff_from_config
 from .rbsde import Obstacle, skorokhod_residual, solve_rbsde_lower
 
@@ -31,6 +35,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
+
+# Largest grid a job may ask for. A lattice of n steps has (n + 1)^2 nodes at
+# most (alive and defaulted rows), so the cap is about 16.8M nodes.
+MAX_STEPS = 4096
 
 _JOBS = ("price", "hedge", "verify")
 _CHECKS = ("superhedge", "duality", "apriori", "skorokhod", "martingale",
@@ -58,6 +66,25 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+class NodeTable(NamedTuple):
+    """Written as the dict {key: {column: value}}; keys and values in key order."""
+
+    keys: list
+    columns: dict
+
+
+def _table_json(table: NodeTable) -> str:
+    names = sorted(table.columns)
+    values = np.column_stack([table.columns[name] for name in names]).ravel()
+    bad = ~np.isfinite(values)
+    if bad.any():
+        _fmt_float(float(values[bad.argmax()]))  # raises, naming the first one
+    # "%.17g" formats as _fmt_float does; adding 0.0 turns -0.0 into 0.
+    entry = ": {" + ", ".join(f"{_encode_str(name)}: %.17g" for name in names) + "}"
+    body = (entry + ", ").join(map(_encode_str, table.keys)) + entry if table.keys else ""
+    return "{" + body % tuple((values + 0.0).tolist()) + "}"
+
+
 def canonical_json(obj) -> str:
     """Serialize with sorted keys and fixed float formatting."""
     out = []
@@ -69,6 +96,8 @@ def canonical_json(obj) -> str:
             append(_fmt_float(value))
         elif kind is str:
             append(_encode_str(value))
+        elif kind is NodeTable:
+            append(_table_json(value))
         elif isinstance(value, dict):
             append("{")
             for i, key in enumerate(sorted(value)):
@@ -88,6 +117,8 @@ def canonical_json(obj) -> str:
             append(_fmt_float(value))
         elif isinstance(value, str):
             append(_encode_str(value))
+        elif isinstance(value, (list, tuple)) and {*map(type, value)} <= {str}:
+            append("[" + ", ".join(map(_encode_str, value)) + "]")  # node key lists
         elif isinstance(value, (list, tuple)):
             append("[")
             for i, item in enumerate(value):
@@ -121,7 +152,7 @@ def build_driver(params: MarketParams, block: dict) -> Driver:
             raise ConfigError("driver.params.R: required for 'borrow_lend'")
         try:
             return borrow_lend_driver(params, dparams["R"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"driver.params.R: {exc}") from None
     if name == "large_trader":
         missing = [k for k in ("alpha", "gamma_bar") if k not in dparams]
@@ -165,6 +196,11 @@ def parse_config(config: dict) -> dict:
     if not (_is_number(n_steps) and int(n_steps) == n_steps >= 1):
         raise ConfigError(f"grid.n_steps: must be a positive integer, got {n_steps!r}")
     n_steps = int(n_steps)
+    if n_steps > MAX_STEPS:
+        raise ConfigError(
+            f"grid.n_steps: {Decimal(n_steps):.4g} steps make about "
+            f"{Decimal((n_steps + 1) ** 2):.3g} lattice nodes, over the cap of "
+            f"{MAX_STEPS} steps ({Decimal((MAX_STEPS + 1) ** 2):.3g} nodes)")
     dt = params.T / n_steps
     worst = max(params.lam.values)
     if worst * dt >= 1.0:
@@ -208,9 +244,12 @@ def _bad(field: str):
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; booleans are not numbers here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite JSON number within float range; booleans are not numbers here."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _list(config: dict, key: str, default: list) -> list:
@@ -224,25 +263,31 @@ def _list(config: dict, key: str, default: list) -> list:
 # Serialization of pricing results
 # ---------------------------------------------------------------------------
 
-def _strategy_dict(strategy: pricing.Strategy) -> dict:
-    return {node_key(node): {"phi1": strategy.phi1[node], "phi2": strategy.phi2[node]}
-            for node in strategy.phi1}
+def _strategy_table(tree, strategy: pricing.Strategy) -> NodeTable:
+    # Serialised like {key: {"phi1": .., "phi2": ..}} over the non-terminal nodes.
+    by_key = tree.orders[1]
+    order = by_key[by_key < len(tree.keys) - sum(map(len, tree.s1[-1]))]  # below the last step
+    phi1, phi2 = (tree.flat(rows)[order] for rows in strategy.rows(tree))
+    return NodeTable([tree.keys[p] for p in order.tolist()], {"phi1": phi1, "phi2": phi2})
 
 
-def _rule_dict(rule: pricing.StoppingRule) -> dict:
-    return {"stopped": [node_key(node) for node in sorted(rule.stop) if rule.stop[node]]}
+def _rule_dict(tree, rule: pricing.StoppingRule) -> dict:
+    by_id = tree.orders[0]
+    order = by_id[tree.flat(rule.rows)[by_id]]
+    return {"stopped": [tree.keys[p] for p in order.tolist()]}
 
 
 def report_to_dict(report: pricing.PricingReport) -> dict:
+    tree = report.seller.solution.tree
     return {
         "u0": report.u0,
         "v0": report.v0,
         "interval_ok": report.interval_ok,
-        "seller_strategy": _strategy_dict(report.seller_strategy),
-        "buyer_strategy": _strategy_dict(report.buyer_strategy),
-        "buyer_exercise": _rule_dict(report.buyer_exercise),
-        "nu_star": _rule_dict(report.nu_star),
-        "nu_bar": _rule_dict(report.nu_bar),
+        "seller_strategy": _strategy_table(tree, report.seller_strategy),
+        "buyer_strategy": _strategy_table(tree, report.buyer_strategy),
+        "buyer_exercise": _rule_dict(tree, report.buyer_exercise),
+        "nu_star": _rule_dict(tree, report.nu_star),
+        "nu_bar": _rule_dict(tree, report.nu_bar),
     }
 
 
@@ -445,7 +490,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8, or an over-long integer
         print(f"config error: {args.config} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return run(config, out_dir=args.out, strict=args.strict,

@@ -30,7 +30,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 NodeId = tuple  # (step, up_count, defaulted) with defaulted in {0, 1}
 
@@ -126,7 +129,7 @@ class MarketParams:
             convert = float if name in ("s1_0", "s2_0", "T") else as_piecewise
             try:
                 setattr(self, name, convert(getattr(self, name)))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{name}: {exc}") from None
         if not self.T > 0.0:
             raise ValueError("T must be positive")
@@ -184,17 +187,33 @@ class NodeState(NamedTuple):
     defaulted: bool
 
 
-@dataclass
+def row_view(rows: str, backward: bool = False) -> cached_property:
+    """Node dict of the level rows in attribute ``rows`` (on ``self.tree``),
+    built on first read; ``backward`` keys the levels last row first."""
+    def build(self):
+        values = getattr(self, rows)
+        return self.tree.node_dict(values, range(len(values))[::-1] if backward else None)
+    return cached_property(build)
+
+
+@dataclass(eq=False)
 class Tree:
-    """Recombining lattice. Immutable after construction; safe to share."""
+    """Recombining lattice of level rows: step i has prices ``s1[i]``,
+    ``s2[i]`` on its (alive, defaulted) rows, and ``row_branches[i]`` holds
+    the branches out of each row's first node; node (i, j, d) has the same
+    ones with children j up counts higher. ``levels``, ``nodes`` and
+    ``branches`` are views built on first read. Immutable after
+    construction; safe to share."""
 
     params: MarketParams
     n_steps: int
     dt: float
     sq: float  # sqrt(dt)
-    nodes: dict
-    branches: dict
-    levels: list
+    s0: list  # riskless price per step
+    lam: list  # intensity of each step's alive row (the defaulted row's is 0)
+    s1: list
+    s2: list
+    row_branches: list
 
     @property
     def root(self) -> NodeId:
@@ -224,6 +243,60 @@ class Tree:
         except (KeyError, TypeError):
             raise ValueError(f"unknown node id {node!r}")
         return (data.s0, data.s1, data.s2)
+
+    @cached_property
+    def levels(self) -> list:
+        return [[(i, j, d) for d, row in enumerate(rows) for j in range(len(row))]
+                for i, rows in enumerate(self.s1)]
+
+    @cached_property
+    def nodes(self) -> dict:
+        s1, s2 = self.node_dict(self.s1), self.node_dict(self.s2)
+        return {node: NodeData(self.s0[node[0]], s1[node], s2[node],
+                               0.0 if node[2] else self.lam[node[0]], bool(node[2]))
+                for node in s1}
+
+    @cached_property
+    def branches(self) -> dict:
+        return {(i, j, d): tuple(Branch((i + 1, j + b.child[1], b.child[2]), *b[1:])
+                                 for b in self.row_branches[i][d])
+                for i in range(self.n_steps) for _, j, d in self.levels[i]}
+
+    def flat(self, rows, steps=None) -> np.ndarray:
+        """The (alive, defaulted) rows of ``steps`` (default: all) end to end."""
+        parts = [row for i in (range(len(rows)) if steps is None else steps) for row in rows[i]]
+        return np.concatenate(parts) if parts else np.empty(0)
+
+    def node_dict(self, rows, steps=None) -> dict:
+        """Node -> value dict of the level rows of ``steps`` (default: all)."""
+        steps = range(len(rows)) if steps is None else steps
+        return dict(zip([node for i in steps for node in self.levels[i]],
+                        self.flat(rows, steps).tolist()))
+
+    def level_rows(self, values, step: int) -> tuple:
+        """The (alive, defaulted) rows of one step read from a node mapping."""
+        return tuple(np.array([values[(step, j, d)] for j in range(len(row))], dtype=float)
+                     for d, row in enumerate(self.s1[step]))
+
+    @cached_property
+    def keys(self) -> list:
+        """Every ``node_key``, in row order."""
+        tails = [[f"{j},{d}" for j in range(self.n_steps + 1)] for d in (0, 1)]
+        out = []
+        for i, rows in enumerate(self.s1):
+            for tail, row in zip(tails, rows):
+                out += map(f"{i},".__add__, tail[:len(row)])
+        return out
+
+    @cached_property
+    def orders(self) -> tuple:
+        """Row-order positions of every node, sorted by node id and by node key."""
+        sizes = [len(row) for rows in self.s1 for row in rows]
+        row = np.repeat(np.arange(len(sizes)), sizes)  # 2 * step + defaulted
+        up = np.arange(len(row)) - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        rank = np.argsort(sorted(range(self.n_steps + 1), key=str))  # place in key order
+        return (np.lexsort((row % 2, up, row // 2)),
+                np.lexsort((row % 2, rank[up], rank[row // 2])))
 
     def to_dict(self) -> dict:
         """JSON-ready document: step count, step size, node and branch tables."""
@@ -267,26 +340,17 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
     for name in ("s1_0", "s2_0"):
         if not getattr(params, name) > 0.0:
             raise ValueError(f"{name} must be positive, got {getattr(params, name)!r}")
+    lam = [params.lam.at(i * dt) for i in range(n_steps + 1)]
     for i in range(n_steps):
-        lam_i = params.lam.at(i * dt)
-        if lam_i * dt >= 1.0:
+        if lam[i] * dt >= 1.0:
             raise ValueError(
-                f"lambda*dt = {lam_i * dt:.6g} >= 1 at step {i}; "
+                f"lambda*dt = {lam[i] * dt:.6g} >= 1 at step {i}; "
                 f"n_steps = {n_steps} is too coarse for this intensity")
 
-    nodes = {}
-    branches = {}
-    levels = []
-
-    s0 = 1.0
-    alive_s1 = [params.s1_0]
-    alive_s2 = [params.s2_0]
-    def_s1: list = []
-    def_count = 0
-
-    lam0 = params.lam.at(0.0)
-    nodes[(0, 0, 0)] = NodeData(s0, alive_s1[0], alive_s2[0], lam0, False)
-    levels.append([(0, 0, 0)])
+    s0 = [1.0]
+    s1 = [(np.array([params.s1_0]), np.empty(0))]
+    s2 = [(np.array([params.s2_0]), np.empty(0))]
+    row_branches = []
 
     for i in range(n_steps):
         t = i * dt
@@ -295,14 +359,13 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
         mu2_i = params.mu2.at(t)
         sig1_i = params.sigma1.at(t)
         sig2_i = params.sigma2.at(t)
-        lam_i = params.lam.at(t)
-        lam_dt = lam_i * dt
+        lam_dt = lam[i] * dt
         one_minus = 1.0 - lam_dt
 
         up1 = 1.0 + mu1_i * dt + sig1_i * sq
         dn1 = 1.0 + mu1_i * dt - sig1_i * sq
-        up2 = 1.0 + (mu2_i + lam_i) * dt + sig2_i * sq
-        dn2 = 1.0 + (mu2_i + lam_i) * dt - sig2_i * sq
+        up2 = 1.0 + (mu2_i + lam[i]) * dt + sig2_i * sq
+        dn2 = 1.0 + (mu2_i + lam[i]) * dt - sig2_i * sq
         flat1 = 1.0 + mu1_i * dt  # default transition carries no dW
         for name, down in (("sigma1", dn1), ("sigma2", dn2)):
             if not down > 0.0:
@@ -310,52 +373,23 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
                     f"{name}: the down factor is {down:.6g} <= 0 at step {i}, so prices "
                     f"would turn negative; n_steps = {n_steps} is too coarse for it")
 
-        # Branches out of the alive row.
-        for j in range(i + 1):
-            nid = (i, j, 0)
-            if lam_dt > 0.0:
-                p = one_minus / 2.0
-                out = (Branch((i + 1, j + 1, 0), p, sq, -lam_dt, "up"),
-                       Branch((i + 1, j, 0), p, -sq, -lam_dt, "down"),
-                       Branch((i + 1, j, 1), lam_dt, 0.0, one_minus, "default"))
-            else:
-                out = (Branch((i + 1, j + 1, 0), 0.5, sq, 0.0, "up"),
-                       Branch((i + 1, j, 0), 0.5, -sq, 0.0, "down"))
-            branches[nid] = out
-
-        # Branches out of the defaulted row.
-        for j in range(def_count):
-            nid = (i, j, 1)
-            branches[nid] = (Branch((i + 1, j + 1, 1), 0.5, sq, 0.0, "up"),
-                             Branch((i + 1, j, 1), 0.5, -sq, 0.0, "down"))
+        if lam_dt > 0.0:
+            p = one_minus / 2.0
+            alive = (Branch((i + 1, 1, 0), p, sq, -lam_dt, "up"),
+                     Branch((i + 1, 0, 0), p, -sq, -lam_dt, "down"),
+                     Branch((i + 1, 0, 1), lam_dt, 0.0, one_minus, "default"))
+        else:
+            alive = (Branch((i + 1, 1, 0), 0.5, sq, 0.0, "up"),
+                     Branch((i + 1, 0, 0), 0.5, -sq, 0.0, "down"))
+        row_branches.append((alive, (Branch((i + 1, 1, 1), 0.5, sq, 0.0, "up"),
+                                     Branch((i + 1, 0, 1), 0.5, -sq, 0.0, "down"))))
 
         # Next-level prices along the canonical edges.
-        next_s1 = [alive_s1[0] * dn1] + [alive_s1[j] * up1 for j in range(i + 1)]
-        next_s2 = [alive_s2[0] * dn2] + [alive_s2[j] * up2 for j in range(i + 1)]
-        if lam_dt > 0.0:
-            next_def1 = [alive_s1[j] * flat1 for j in range(i + 1)]
-        elif def_count > 0:
-            next_def1 = [def_s1[0] * dn1] + [def_s1[j] * up1 for j in range(def_count)]
-        else:
-            next_def1 = []
+        (a1, d1), (a2, _) = s1[i], s2[i]
+        next_d1 = a1 * flat1 if lam_dt > 0.0 else np.concatenate((d1[:1] * dn1, d1 * up1))
+        s1.append((np.concatenate((a1[:1] * dn1, a1 * up1)), next_d1))
+        s2.append((np.concatenate((a2[:1] * dn2, a2 * up2)), np.zeros(len(next_d1))))
+        s0.append(s0[i] * (1.0 + r_i * dt))
 
-        s0 = s0 * (1.0 + r_i * dt)
-        t_next = (i + 1) * dt
-        lam_next = params.lam.at(t_next)
-
-        level = []
-        for j, s1v in enumerate(next_s1):
-            nid = (i + 1, j, 0)
-            nodes[nid] = NodeData(s0, s1v, next_s2[j], lam_next, False)
-            level.append(nid)
-        for j, s1v in enumerate(next_def1):
-            nid = (i + 1, j, 1)
-            nodes[nid] = NodeData(s0, s1v, 0.0, 0.0, True)
-            level.append(nid)
-        levels.append(level)
-
-        alive_s1, alive_s2, def_s1 = next_s1, next_s2, next_def1
-        def_count = len(next_def1)
-
-    return Tree(params=params, n_steps=n_steps, dt=dt, sq=sq, nodes=nodes,
-                branches=branches, levels=levels)
+    return Tree(params=params, n_steps=n_steps, dt=dt, sq=sq, s0=s0, lam=lam,
+                s1=s1, s2=s2, row_branches=row_branches)

@@ -101,7 +101,7 @@ def _strike(cfg: dict) -> float:
         raise ValueError(f"payoff.strike: required for kind {cfg['kind']!r}")
     try:
         strike = float(cfg["strike"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         strike = math.nan
     if not math.isfinite(strike):
         raise ValueError(f"payoff.strike: must be a finite number, got {cfg['strike']!r}")

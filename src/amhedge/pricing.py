@@ -18,11 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bsde import PICARD_TOL, Solution, g_evaluation
+import numpy as np
+
+from .bsde import PICARD_TOL, Solution, cumulative_charge, g_evaluation
 from .drivers import Driver, check_gamma_assumption, gamma_samples
-from .market import NodeId, Tree
-from .rbsde import (Obstacle, cumulative_charge, solve_rbsde_lower,
-                    solve_rbsde_upper)
+from .market import NodeId, Tree, row_view
+from .rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
 
 # Equality of the value and the obstacle is scale aware; the cumulative
 # charge is compared against an absolute floor.
@@ -31,19 +32,45 @@ A_ZERO_TOL = 1e-12
 INTERVAL_TOL = 1e-10
 
 
-@dataclass
 class Strategy:
-    """Per-node amounts held in the two risky assets."""
+    """Per-node amounts held in the two risky assets: level rows below the
+    last step with the dicts built on first read, or dicts whose rows are
+    derived once per tree."""
 
-    phi1: dict
-    phi2: dict
+    def __init__(self, phi1: dict = None, phi2: dict = None, *, tree: Tree = None,
+                 phi1_rows: list = None, phi2_rows: list = None):
+        if phi1 is not None:
+            self.phi1, self.phi2 = phi1, phi2
+        self.tree, self.phi1_rows, self.phi2_rows = tree, phi1_rows, phi2_rows
+
+    phi1 = row_view("phi1_rows", backward=True)
+    phi2 = row_view("phi2_rows", backward=True)
+
+    def rows(self, tree: Tree) -> tuple:
+        """The (phi1, phi2) level rows of the steps below n of ``tree``."""
+        if self.tree is not tree:
+            self.phi1_rows, self.phi2_rows = ([tree.level_rows(phi, i) for i in range(tree.n_steps)]
+                                              for phi in (self.phi1, self.phi2))
+            self.tree = tree
+        return self.phi1_rows, self.phi2_rows
 
 
-@dataclass
 class StoppingRule:
-    """Per-node stop flag; descendants of a stopped node are irrelevant."""
+    """Per-node stop flag; descendants of a stopped node are irrelevant.
+    A dict, or level rows with the dict built on first read."""
 
-    stop: dict
+    def __init__(self, stop: dict = None, *, tree: Tree = None, rows: list = None):
+        if stop is not None:
+            self.stop = stop
+        self.tree, self.rows = tree, rows
+
+    stop = row_view("rows")
+
+
+def _rule(tree: Tree, rows: list) -> StoppingRule:
+    """Rule from the flag rows of the steps below n; terminal nodes stop."""
+    return StoppingRule(tree=tree, rows=[*rows, tuple(np.ones(len(row), dtype=bool)
+                                                      for row in tree.s1[-1])])
 
 
 class SellerPrice(NamedTuple):
@@ -97,19 +124,14 @@ def phi_inverse(phi1: float, phi2: float, sigma1: float, sigma2: float) -> tuple
 
 
 def strategy_from_solution(solution: Solution) -> Strategy:
-    """Apply the position map nodewise to (z, k), with volatilities read once per level."""
-    tree = solution.tree
-    params = tree.params
-    phi1 = {}
-    phi2 = {}
-    step = None
-    for node, z in solution.z.items():
-        if node[0] != step:
-            step = node[0]
-            t = tree.time(step)
-            s1, s2 = params.sigma1.at(t), params.sigma2.at(t)
-        phi1[node], phi2[node] = phi_map(z, solution.k[node], s1, s2)
-    return Strategy(phi1=phi1, phi2=phi2)
+    """Apply the position map to the (z, k) rows, with volatilities read once per step."""
+    tree, params = solution.tree, solution.tree.params
+    phi1, phi2 = [], []
+    for i, (z, k) in enumerate(zip(solution.z_rows, solution.k_rows)):
+        s1, s2 = params.sigma1.at(tree.time(i)), params.sigma2.at(tree.time(i))
+        phi1.append(tuple((z_d + s2 * k_d) / s1 for z_d, k_d in zip(z, k)))  # as phi_map
+        phi2.append(tuple(-k_d for k_d in k))
+    return Strategy(tree=tree, phi1_rows=phi1, phi2_rows=phi2)
 
 
 def _require_gamma(tree: Tree, driver: Driver) -> None:
@@ -152,14 +174,13 @@ def buyer_price(tree: Tree, driver: Driver, obstacle: Obstacle,
     """
     if gamma_check:
         _require_gamma(tree, driver)
-    upper = Obstacle(values={node: -v for node, v in obstacle.values.items()})
+    upper = Obstacle(tree=tree, rows=[(-a, -d) for a, d in obstacle.rows(tree)])
     solution = solve_rbsde_upper(tree, driver, upper, tol=tol)
-    stop = {}
-    for node in tree.nodes:
-        stop[node] = tree.is_terminal(node) or solution.y[node] == upper.values[node]
+    stop = [(y_a == u_a, y_d == u_d)
+            for (y_a, y_d), (u_a, u_d) in zip(solution.y_rows[:-1], upper.rows(tree))]
     return BuyerPrice(v0=-solution.root_value, solution=solution,
                       strategy=strategy_from_solution(solution),
-                      exercise=StoppingRule(stop=stop))
+                      exercise=_rule(tree, stop))
 
 
 def rational_exercise_times(solution: Solution, obstacle: Obstacle) -> tuple:
@@ -171,13 +192,10 @@ def rational_exercise_times(solution: Solution, obstacle: Obstacle) -> tuple:
     earlier increments). Terminal nodes always stop.
     """
     tree = solution.tree
-    stop_star = {}
-    stop_bar = {}
-    for node in tree.nodes:
-        terminal = tree.is_terminal(node)
-        stop_star[node] = terminal or solution.y[node] == obstacle.values[node]
-        stop_bar[node] = terminal or solution.delta_a[node] > 0.0
-    return StoppingRule(stop=stop_star), StoppingRule(stop=stop_bar)
+    star = [(y_a == b_a, y_d == b_d)
+            for (y_a, y_d), (b_a, b_d) in zip(solution.y_rows[:-1], obstacle.rows(tree))]
+    bar = [(a > 0.0, d > 0.0) for a, d in solution.da_rows]
+    return _rule(tree, star), _rule(tree, bar)
 
 
 def is_rational(solution: Solution, obstacle: Obstacle, rule) -> RationalityReport:

@@ -12,52 +12,51 @@ the minimality condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
+
+import numpy as np
 
 from .bsde import PICARD_TOL, Solution, backward_sweep
 from .drivers import Driver
-from .market import Tree
+from .market import Tree, row_view
 
 
-@dataclass
 class Obstacle:
-    """Per-node payoff values; the terminal row doubles as the terminal condition."""
+    """Per-node payoff values; the terminal row doubles as the terminal condition.
+    Level rows with the dict ``values`` built on first read, or a dict whose
+    rows are derived once per tree."""
 
-    values: dict
+    def __init__(self, values: dict = None, *, tree: Tree = None, rows: list = None):
+        if values is not None:
+            self.values = values
+        self.tree, self._rows = tree, rows
+
+    values = row_view("_rows")
+
+    def rows(self, tree: Tree) -> list:
+        """The (alive, defaulted) rows of every step of ``tree``."""
+        if self.tree is not tree:
+            self._rows = [tree.level_rows(self.values, i) for i in range(tree.n_steps + 1)]
+            self.tree = tree
+        return self._rows
 
     @classmethod
     def from_payoff(cls, tree: Tree, payoff: Callable) -> "Obstacle":
-        """Evaluate a payoff map (t, s1, s2, defaulted) -> value at every node."""
-        values = {}
-        for node, data in tree.nodes.items():
-            values[node] = float(payoff(tree.time(node[0]), data.s1, data.s2,
-                                        data.defaulted))
-        return cls(values=values)
-
-
-def cumulative_charge(tree: Tree, delta_a: Mapping, stop: Mapping = None) -> dict:
-    """Largest charge accrued before arriving at each node, over paths not yet stopped."""
-    a = {tree.root: 0.0}
-    for level in tree.levels[:-1]:
-        for node in level:
-            if node not in a or (stop is not None and stop[node]):
-                continue
-            incoming = a[node] + delta_a[node]
-            for b in tree.branches[node]:
-                prev = a.get(b.child)
-                if prev is None or incoming > prev:
-                    a[b.child] = incoming
-    return a
+        """Evaluate a payoff map (t, s1, s2, defaulted) -> value at every node,
+        in node order."""
+        rows = []
+        for i, (s1, s2) in enumerate(zip(tree.s1, tree.s2)):
+            t = tree.time(i)
+            rows.append(tuple(np.array([float(payoff(t, x1, x2, bool(d)))
+                                        for x1, x2 in zip(s1[d].tolist(), s2[d].tolist())])
+                              for d in (0, 1)))
+        return cls(tree=tree, rows=rows)
 
 
 def _solve_reflected(tree: Tree, driver: Driver, obstacle: Obstacle,
                      side: str, tol: float) -> Solution:
-    barrier = obstacle.values
-    terminal = {node: float(barrier[node]) for node in tree.terminal_nodes()}
-    y, z, k, delta_a = backward_sweep(tree, driver, terminal, tol, barrier, side)
-    return Solution(tree=tree, driver=driver, kind=side, y=y, z=z, k=k,
-                    delta_a=delta_a, a=cumulative_charge(tree, delta_a))
+    barrier = obstacle.rows(tree)
+    return backward_sweep(tree, driver, barrier[tree.n_steps], tol, barrier, side)
 
 
 def solve_rbsde_lower(tree: Tree, driver: Driver, obstacle: Obstacle,

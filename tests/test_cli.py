@@ -1,11 +1,37 @@
+import contextlib
+import copy
+import hashlib
+import io
 import json
+import math
+import tempfile
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from amhedge import hedging, rbsde
-from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, canonical_json,
-                         main, run)
+from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, MAX_STEPS,
+                         ConfigError, NodeTable, canonical_json, main,
+                         parse_config, run)
+
+# The example job document of the README.
+README_JOB = {
+    "market": {"r": 0.05, "mu1": 0.07, "mu2": -0.02, "sigma1": 0.2,
+               "sigma2": 0.25, "lambda": 0.25, "s1_0": 100.0, "s2_0": 90.0,
+               "T": 1.0},
+    "grid": {"n_steps": 8},
+    "driver": {"name": "borrow_lend", "params": {"R": 0.07}},
+    "payoff": {"kind": "put", "strike": 105.0},
+    "jobs": ["price", "hedge", "verify"],
+    "verify": ["superhedge", "skorokhod", "martingale"],
+    "output_dir": "out",
+    "strict": False,
+    "seed": 0,
+}
 
 
 def minimal_config(**overrides):
@@ -35,6 +61,23 @@ class TestCanonicalJson:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             canonical_json(float("nan"))
+
+    @pytest.mark.parametrize("keys,phi1,phi2", [
+        (["0,0,0", "1,0,0", "1,0,1", "10,2,0"], [0.1, -0.0, 5e-324, -1e-300],
+         [1e300, -2.5, 0.0, 123456789.123]),
+        ([], [], []),
+    ])
+    def test_node_table_writes_like_its_dict(self, keys, phi1, phi2):
+        table = NodeTable(keys, {"phi2": np.array(phi2), "phi1": np.array(phi1)})
+        as_dict = {key: {"phi1": a, "phi2": b} for key, a, b in zip(keys, phi1, phi2)}
+        assert canonical_json({"t": table, "u": [table]}) == canonical_json(
+            {"t": as_dict, "u": [as_dict]})
+
+    def test_node_table_rejects_non_finite(self):
+        table = NodeTable(["0,0,0", "1,0,0"], {"phi1": np.array([1.0, math.inf]),
+                                               "phi2": np.array([math.nan, 0.0])})
+        with pytest.raises(ValueError, match="non-finite value nan"):
+            canonical_json(table)
 
 
 class TestRun:
@@ -220,3 +263,116 @@ class TestMain:
         path.write_text("{not json")
         assert main(["price", str(path)]) == EXIT_CONFIG
         assert "not valid JSON" in capsys.readouterr().err
+
+
+class TestStepCap:
+    @pytest.mark.parametrize("n_steps", [MAX_STEPS + 1, 10**9, 1e12])
+    def test_over_cap_rejected_before_any_allocation(self, n_steps):
+        cfg = minimal_config()
+        cfg["grid"]["n_steps"] = n_steps
+        with pytest.raises(ConfigError) as failure:
+            parse_config(cfg)
+        message = str(failure.value)
+        assert message.startswith("grid.n_steps:")
+        assert "lattice nodes" in message and f"cap of {MAX_STEPS} steps" in message
+
+    def test_cap_itself_accepted(self):
+        cfg = minimal_config()
+        cfg["grid"]["n_steps"] = MAX_STEPS
+        assert parse_config(cfg)["n_steps"] == MAX_STEPS  # parsed only, never built
+
+
+# ---------------------------------------------------------------------------
+# Junk in any single field of the README job ends in an exit code, never in
+# a traceback.
+# ---------------------------------------------------------------------------
+
+PROPERTY_JOB = copy.deepcopy(README_JOB)
+PROPERTY_JOB["grid"]["n_steps"] = 4  # every run stays small
+
+
+def _field_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+FIELD_PATHS = sorted(_field_paths(PROPERTY_JOB))
+
+JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6)
+    | st.floats(allow_nan=False) | st.integers(-10**40, 10**40)
+    | st.sampled_from([-1, -0.5, 10**400, -10**400]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=5)
+
+
+def _big_grid(value):
+    """A number that would be accepted as more than six steps."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 6 < value <= MAX_STEPS and value == int(value))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(path=st.sampled_from(FIELD_PATHS), data=st.data())
+def test_junk_field_exits_with_a_code(path, data):
+    junk = JSON_JUNK.filter(lambda v: not _big_grid(v)) if path[-1] == "n_steps" else JSON_JUNK
+    cfg = copy.deepcopy(PROPERTY_JOB)
+    owner = cfg
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = data.draw(junk)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        code = run(cfg, out_dir=out)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Output bytes pinned across versions
+# ---------------------------------------------------------------------------
+
+PIECEWISE_JOB = {
+    "market": {"r": {"values": [0.04, 0.06], "times": [0.0, 0.3]},
+               "mu1": 0.07, "mu2": -0.02,
+               "sigma1": {"values": [0.2, 0.25], "times": [0.0, 0.6]},
+               "sigma2": 0.25,
+               "lambda": {"values": [0.3, 0.0], "times": [0.0, 0.5]},
+               "s1_0": 100.0, "s2_0": 90.0, "T": 1.0},
+    "grid": {"n_steps": 32},
+    "driver": {"name": "borrow_lend", "params": {"R": 0.08}},
+    "payoff": {"kind": "put", "strike": 100.0},
+    "jobs": ["price"],
+}
+EXPR_JOB = {
+    "market": dict(README_JOB["market"]),
+    "grid": {"n_steps": 16},
+    "driver": {"name": "large_trader", "params": {"alpha": 0.0, "gamma_bar": 0.2}},
+    "payoff": {"kind": "expr", "expr": "max(105 - S1, 0) + S2 * defaulted"},
+    "jobs": ["price"],
+}
+HEADER_ONLY_CSV = "01d4a41f258bb8a00eceb035a67db30b125b200840329bf7df045466bb5a1753"
+
+
+@pytest.mark.parametrize("job,digests", [
+    (README_JOB, {
+        "report.json": "550a6846916be77811a0a87fc93c69956fa8990296d853ea16923a5cbf3797bd",
+        "wealth.csv": HEADER_ONLY_CSV, "wealth_buyer.csv": HEADER_ONLY_CSV}),
+    (PIECEWISE_JOB, {
+        "report.json": "da4da7fc9573c31af8eed29d7568f36e2dab7f674c3606f5571e0604f77c286e",
+        "wealth.csv": None, "wealth_buyer.csv": None}),
+    (EXPR_JOB, {
+        "report.json": "d3a7228f65b48ec49b0e812b60b3866dd867d9a85a404212ce2575a0971d405f",
+        "wealth.csv": None, "wealth_buyer.csv": None}),
+], ids=["readme", "borrow_lend_piecewise_lambda_to_0", "large_trader_expr"])
+def test_golden_bytes(tmp_path, job, digests):
+    """Output files are byte-identical to those of earlier versions (sha256)."""
+    assert run(copy.deepcopy(job), out_dir=tmp_path) == EXIT_OK
+    for name, digest in digests.items():
+        path = Path(tmp_path) / name
+        got = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+        assert got == digest, name

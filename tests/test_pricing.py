@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amhedge.bsde import g_evaluation
-from amhedge.drivers import Driver, perfect_driver
-from amhedge.market import MarketParams, build_tree
+from amhedge.cli import canonical_json, report_to_dict
+from amhedge.drivers import Driver, borrow_lend_driver, perfect_driver
+from amhedge.market import MarketParams, NodeData, PiecewiseConstant, build_tree
+from amhedge.payoffs import put
 from amhedge.oracle import brute_force_seller_value, enumerate_stopping_rules
 from amhedge.pricing import (buyer_price, epsilon_gap_bound, epsilon_rational,
                              is_rational, phi_inverse, phi_map, price_american,
@@ -264,3 +266,49 @@ class TestPriceAmerican:
             assert report.nu_star.stop[node]
             assert report.nu_bar.stop[node]
             assert report.buyer_exercise.stop[node]
+
+
+def _row_items(rows, steps, cast=float):
+    """(node, value) pairs of level rows, level by level, alive row first."""
+    return [((i, j, d), cast(v)) for i in steps for d, row in enumerate(rows[i])
+            for j, v in enumerate(row.tolist())]
+
+
+def test_price_path_stays_on_rows():
+    params = flat_params(mu1=0.07, mu2=-0.02, sigma2=0.25,
+                         lam=PiecewiseConstant([0.25, 0.0], times=[0.0, 0.5]))
+    tree = build_tree(params, 6)
+    obstacle = Obstacle.from_payoff(tree, put(105.0))
+    report = price_american(tree, borrow_lend_driver(params, 0.07), obstacle)
+    canonical_json(report_to_dict(report))
+
+    solutions = (report.seller.solution, report.buyer.solution)
+    strategies = (report.seller_strategy, report.buyer_strategy)
+    rules = (report.buyer_exercise, report.nu_star, report.nu_bar)
+    assert not {"nodes", "branches", "levels"} & set(vars(tree))
+    assert "values" not in vars(obstacle)
+    for sol in solutions:
+        assert not {"y", "z", "k", "delta_a", "a"} & set(vars(sol))
+    for strategy in strategies:
+        assert not {"phi1", "phi2"} & set(vars(strategy))
+    assert all("stop" not in vars(rule) for rule in rules)
+
+    # Each view, once read, holds its rows in the node-by-node order.
+    n = tree.n_steps
+    every, down = range(n + 1), range(n - 1, -1, -1)
+    assert list(tree.nodes.items()) == [
+        (node, NodeData(tree.s0[node[0]], s1, s2, tree.lam[node[0]] if not node[2] else 0.0,
+                        bool(node[2])))
+        for (node, s1), (_, s2) in zip(_row_items(tree.s1, every), _row_items(tree.s2, every))]
+    assert list(obstacle.values.items()) == _row_items(obstacle.rows(tree), every)
+    for sol in solutions:
+        assert list(sol.y.items()) == _row_items(sol.y_rows, range(n, -1, -1))
+        for view, rows in ((sol.z, sol.z_rows), (sol.k, sol.k_rows),
+                           (sol.delta_a, sol.da_rows)):
+            assert list(view.items()) == _row_items(rows, down)
+    for strategy in strategies:
+        assert list(strategy.phi1.items()) == _row_items(strategy.phi1_rows, down)
+        assert list(strategy.phi2.items()) == _row_items(strategy.phi2_rows, down)
+    for rule in rules:
+        assert list(rule.stop.items()) == _row_items(rule.rows, every, bool)
+        assert all(rule.stop[node] for node in tree.terminal_nodes())

@@ -319,3 +319,35 @@ def test_convergence_failure_names_node_and_residual():
     message = str(failure.value)
     assert "node (1, 0, 0)" in message
     assert f"last residual {residual:.3g}" in message
+
+
+@pytest.mark.parametrize("kind", ["borrow_lend", "large_trader_alpha"])
+def test_solve_stats_match_scalar_counts(kind):
+    params = row_test_params("lam_drop")
+    driver = row_test_driver(kind, params)
+    tree = build_tree(params, 6)
+    obstacle = Obstacle.from_payoff(tree, random_payoff(np.random.default_rng(11)))
+    calls = []  # elements per driver call
+
+    def counted(t, y, z, k, state):
+        calls.append(np.size(y))
+        return driver.eval(t, y, z, k, state)
+
+    counting = Driver(name=driver.name, eval=counted, lipschitz_C=driver.lipschitz_C)
+    sol = solve_rbsde_lower(tree, counting, obstacle)
+    evals = sum(calls)
+    # Picard iterations of each node, counted on the scalar reference sweep.
+    per_node = []
+    for level in reversed(tree.levels[:-1]):
+        for node in level:
+            calls.clear()
+            one_step(tree, counting, node, sol.y)
+            per_node.append(len(calls))
+    stats = sol.stats
+    assert stats.nodes == len(sol.delta_a) == len(per_node)
+    assert stats.picard_max == max(per_node)
+    assert stats.picard_mean == sum(per_node) / len(per_node)
+    assert stats.driver_evals == evals
+    assert stats.bound == sum(1 for charge in sol.delta_a.values() if charge > 0.0) > 0
+    plain = solve_bsde(tree, driver, {n: obstacle.values[n] for n in tree.terminal_nodes()})
+    assert plain.stats.nodes == stats.nodes and plain.stats.bound == 0
