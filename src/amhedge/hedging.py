@@ -9,21 +9,24 @@ node the arriving wealth depends on the incoming path whenever the driver
 is nonlinear, so states are kept per (node, path): the full path expansion
 is used up to ``max_exact_steps`` steps and a fixed-seed sample of paths
 beyond that. Each sampled path derives its own seed from (seed, path
-index), so results do not depend on scheduling or batching.
+index), so results do not depend on scheduling or batching. Every level
+is stepped at once, with one driver call per (alive, defaulted) group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import PICARD_TOL, coefficients, implicit_value
+from .bsde import PICARD_MAX_ITER, PICARD_TOL, ConvergenceError, _implicit_row, coefficients
 from .drivers import Driver
-from .market import Tree
-from .pricing import Strategy, phi_inverse
+from .market import NodeState, Tree
+from .pricing import Strategy, phi_inverse, strategy_from_solution
 from .rbsde import Obstacle, solve_rbsde_lower
 
 SUPERHEDGE_TOL = 1e-10
@@ -34,37 +37,66 @@ DEFAULT_SAMPLE_PATHS = 10_000
 _KIND_LETTER = {"up": "u", "down": "d", "default": "j"}
 
 
-@dataclass
-class WealthField:
-    """Per-step wealth states with parent links back to the root.
+class Paths(NamedTuple):
+    """Per-level arrays of the states of a path expansion or sample: the
+    node's up count ``j`` and defaulted flag ``d``, the parent state one
+    level up and the branch taken from it (-1 at the root level)."""
 
-    ``levels[i]`` holds parallel lists: the node of each state, its wealth,
-    the index of its parent state at step i - 1 and the branch index taken
-    from that parent. In sampled mode each path occupies one slot per level.
+    j: list  # int32
+    d: list  # int8
+    parent: list  # int32
+    branch: list  # int8
+
+    def at(self, rows: tuple, i: int) -> np.ndarray:
+        """Values of step i's (alive, defaulted) ``rows`` at each state of level i."""
+        return np.concatenate(rows)[np.where(self.d[i], self.j[i] + len(rows[0]), self.j[i])]
+
+
+def _lists(arrays) -> cached_property:
+    """Per-level lists of the arrays ``arrays(field)``, built on first read."""
+    return cached_property(lambda self: [row.tolist() for row in arrays(self)])
+
+
+@dataclass(eq=False)
+class WealthField:
+    """Per-level wealth (float64) of the states in ``paths``, which the
+    seller's and the buyer's field share. In sampled mode each path occupies
+    one slot per level. ``node_ids``, ``v``, ``parent`` and ``branch`` are
+    per-level lists (node tuples, floats, ints) built on first read.
     """
 
     tree: Tree
     x0: float
     mode: str  # "exact" | "sampled"
-    node_ids: list
-    v: list
-    parent: list
-    branch: list
+    paths: Paths
+    wealth: list
+
+    v = _lists(lambda self: self.wealth)
+    parent = _lists(lambda self: self.paths.parent)
+    branch = _lists(lambda self: self.paths.branch)
+
+    @cached_property
+    def node_ids(self) -> list:
+        return [list(zip([i] * len(j), j.tolist(), d.tolist()))
+                for i, (j, d) in enumerate(zip(self.paths.j, self.paths.d))]
 
     def n_states(self, level: int) -> int:
-        return len(self.node_ids[level])
+        return len(self.paths.j[level])
+
+    def node(self, level: int, idx: int) -> tuple:
+        return (level, int(self.paths.j[level][idx]), int(self.paths.d[level][idx]))
 
     def path_id(self, level: int, idx: int) -> str:
         """Branch-letter path into a state, e.g. 'udj'; sampled paths use their row."""
         if self.mode == "sampled":
             return str(idx)
-        letters = []
+        paths, letters = self.paths, []
         i, j = level, idx
         while i > 0:
-            node = self.node_ids[i - 1][self.parent[i][j]]
-            kind = self.tree.branches[node][self.branch[i][j]].kind
+            p = paths.parent[i][j]
+            kind = self.tree.row_branches[i - 1][paths.d[i - 1][p]][paths.branch[i][j]].kind
             letters.append(_KIND_LETTER[kind])
-            i, j = i - 1, self.parent[i][j]
+            i, j = i - 1, p
         return "".join(reversed(letters)) or "(root)"
 
 
@@ -85,15 +117,48 @@ class GainReport:
     min_gain: float = None
 
 
-def _node_exposures(tree: Tree, strategy: Strategy, level: int) -> dict:
-    params = tree.params
-    t = tree.time(level)
-    s1 = params.sigma1.at(t)
-    s2 = params.sigma2.at(t)
-    out = {}
-    for node in tree.levels[level]:
-        out[node] = phi_inverse(strategy.phi1[node], strategy.phi2[node], s1, s2)
-    return out
+def _table(branches: tuple, column, pad, dtype=float) -> np.ndarray:
+    """(defaulted, branch) table of ``column(row)`` per row of ``branches``."""
+    return np.array([[*column(row), *[pad] * (3 - len(row))] for row in branches], dtype=dtype)
+
+
+@lru_cache(maxsize=1)
+def _path_sample(tree: Tree, mode: str, n_paths: int, seed: int) -> Paths:
+    """The full path expansion from one root state (``n_paths`` = 1), or ``n_paths``
+    paths drawn with the generators ``default_rng([seed, p])``; kept for the last tree."""
+    j, d = [np.zeros(n_paths, np.int32)], [np.zeros(n_paths, np.int8)]
+    parent, branch = [np.full(n_paths, -1, np.int32)], [np.full(n_paths, -1, np.int8)]
+    if mode == "sampled":  # one column of draws per path; one parent index shared by the levels
+        draws, rows = np.empty((tree.n_steps, n_paths)), np.arange(n_paths, dtype=np.int32)
+        for p in range(n_paths):
+            draws[:, p] = np.random.default_rng([seed, p]).random(tree.n_steps)
+    for i, branches in enumerate(tree.row_branches):
+        last = np.array([len(row) - 1 for row in branches])[d[i]]
+        if mode == "exact":  # each state's branches in template order
+            par = np.repeat(np.arange(len(last), dtype=np.int32), last + 1)
+            br = np.arange(len(par)) - np.repeat(np.cumsum(last + 1) - last - 1, last + 1)
+        else:  # the first branch whose running sum of probabilities exceeds the draw
+            acc = _table(branches, lambda row: accumulate(b.prob for b in row), -math.inf)
+            par, br = rows, last
+            for b in (2, 1, 0):
+                br = np.where(draws[i] < acc[d[i], b], b, br)
+        child = _table(branches, lambda row: (b.child[1:] for b in row), (0, 0), np.int32)
+        up, dead = child[d[i][par], br].T
+        j.append(j[i][par] + up)
+        d.append(dead.astype(np.int8))
+        parent.append(par)
+        branch.append(br.astype(np.int8))
+    return Paths(j, d, parent, branch)
+
+
+def _groups(tree: Tree, paths: Paths, i: int):
+    """(defaulted, state indices, NodeState with gathered s1/s2) per group of level i."""
+    for g in (0, 1):
+        idx = np.flatnonzero(paths.d[i] == g)
+        if idx.size:
+            j = paths.j[i][idx]
+            yield g, idx, NodeState(tree.time(i), tree.s0[i], tree.s1[i][g][j], tree.s2[i][g][j],
+                                    0.0 if g else tree.lam[i], bool(g))
 
 
 def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
@@ -111,117 +176,92 @@ def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
     if mode == "exact":
         return _simulate_exact(tree, x0, strategy, driver)
     if mode == "sampled":
+        if not n_paths >= 1:
+            raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
         return _simulate_sampled(tree, x0, strategy, driver, n_paths, seed)
     raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
 
 
 def _simulate_exact(tree: Tree, x0: float, strategy: Strategy, driver: Driver) -> WealthField:
-    node_ids = [[tree.root]]
-    values = [[float(x0)]]
-    parent = [[-1]]
-    branch = [[-1]]
-    dt = tree.dt
-    for i in range(tree.n_steps):
-        zk = _node_exposures(tree, strategy, i)
-        t = tree.time(i)
-        ids_i, v_i = node_ids[i], values[i]
-        next_ids, next_v, next_p, next_b = [], [], [], []
-        for idx, node in enumerate(ids_i):
-            v = v_i[idx]
-            z, k = zk[node]
-            drift = v - driver.eval(t, v, z, k, tree.state(node)) * dt
-            for b_idx, b in enumerate(tree.branches[node]):
-                next_ids.append(b.child)
-                next_v.append(drift + z * b.dw + k * b.dm)
-                next_p.append(idx)
-                next_b.append(b_idx)
-        node_ids.append(next_ids)
-        values.append(next_v)
-        parent.append(next_p)
-        branch.append(next_b)
-    return WealthField(tree=tree, x0=float(x0), mode="exact", node_ids=node_ids,
-                       v=values, parent=parent, branch=branch)
+    return _simulate(tree, x0, strategy, driver, "exact", 1, 0)
 
 
 def _simulate_sampled(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
                       n_paths: int, seed: int) -> WealthField:
-    dt = tree.dt
-    zk_levels = [_node_exposures(tree, strategy, i) for i in range(tree.n_steps)]
-    node_ids = [[tree.root] * n_paths]
-    values = [[float(x0)] * n_paths]
-    parent = [[-1] * n_paths]
-    branch = [[-1] * n_paths]
-    for i in range(tree.n_steps):
-        node_ids.append([None] * n_paths)
-        values.append([0.0] * n_paths)
-        parent.append(list(range(n_paths)))
-        branch.append([0] * n_paths)
-    for p in range(n_paths):
-        rng = np.random.default_rng([seed, p])
-        draws = rng.random(tree.n_steps)
-        node = tree.root
-        v = float(x0)
-        for i in range(tree.n_steps):
-            z, k = zk_levels[i][node]
-            drift = v - driver.eval(tree.time(i), v, z, k, tree.state(node)) * dt
-            u = draws[i]
-            acc = 0.0
-            b_idx = len(tree.branches[node]) - 1
-            for j, b in enumerate(tree.branches[node]):
-                acc += b.prob
-                if u < acc:
-                    b_idx = j
-                    break
-            b = tree.branches[node][b_idx]
-            node = b.child
-            v = drift + z * b.dw + k * b.dm
-            node_ids[i + 1][p] = node
-            values[i + 1][p] = v
-            branch[i + 1][p] = b_idx
-    return WealthField(tree=tree, x0=float(x0), mode="sampled", node_ids=node_ids,
-                       v=values, parent=parent, branch=branch)
+    return _simulate(tree, x0, strategy, driver, "sampled", n_paths, seed)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in one_step
+def _simulate(tree: Tree, x0: float, strategy: Strategy, driver: Driver, mode: str,
+              n_paths: int, seed: int) -> WealthField:
+    paths = _path_sample(tree, mode, n_paths, seed)
+    phi1, phi2 = strategy.rows(tree)
+    sigma1, sigma2 = tree.params.sigma1, tree.params.sigma2
+    wealth = [np.full(len(paths.j[0]), float(x0))]
+    for i, branches in enumerate(tree.row_branches):
+        t = tree.time(i)
+        z, k = phi_inverse(paths.at(phi1[i], i), paths.at(phi2[i], i), sigma1.at(t), sigma2.at(t))
+        v, drift = wealth[i], np.empty_like(wealth[i])
+        for _, idx, state in _groups(tree, paths, i):
+            drift[idx] = v[idx] - driver.eval(t, v[idx], z[idx], k[idx], state) * tree.dt
+        p = paths.parent[i + 1]
+        dw, dm = _table(branches, lambda row: (b[2:4] for b in row), (0.0, 0.0))[
+            paths.d[i][p], paths.branch[i + 1]].T
+        wealth.append(drift[p] + z[p] * dw + k[p] * dm)
+    return WealthField(tree=tree, x0=float(x0), mode=mode, paths=paths, wealth=wealth)
+
+
+def _slack_report(field: WealthField, obstacle: Obstacle, side: str, states,
+                  tol: float) -> HedgeReport:
+    """Slack V - payoff (seller) or V + payoff (buyer) at ``states``, per level
+    the level and its state indices: the smallest (the first in level order),
+    the largest |slack|, the count and the violations below -tol."""
+    xi_rows = obstacle.rows(field.tree)
+    min_slack, max_abs, n, violations = math.inf, 0.0, 0, []
+    for level, idx in states:
+        v, xi = field.wealth[level][idx], field.paths.at(xi_rows[level], level)[idx]
+        slack = v - xi if side == "seller" else v + xi
+        bad = ~np.isfinite(slack)
+        if bad.any():
+            s = int(idx[bad.argmax()])
+            raise ValueError(
+                f"{side} superhedge slack is not finite ({float(slack[bad.argmax()])!r}) at "
+                f"step {level}, node {field.node(level, s)}, path {field.path_id(level, s)}")
+        if slack.size and slack[m := slack.argmin()] < min_slack:
+            min_slack = float(slack[m])
+        max_abs = max(max_abs, float(np.abs(slack).max(initial=0.0)))
+        n += slack.size
+        for m in np.flatnonzero(slack < -tol).tolist():
+            s = int(idx[m])
+            violations.append((field.path_id(level, s), level, field.node(level, s),
+                               float(v[m]), float(xi[m]), float(slack[m])))
+    return HedgeReport(side=side, passed=min_slack >= -tol, min_slack=min_slack, n_states=n,
+                       violations=violations, max_abs_at_stop=max_abs if side == "buyer" else None)
 
 
 def verify_superhedge_seller(field: WealthField, obstacle: Obstacle,
                              tol: float = SUPERHEDGE_TOL) -> HedgeReport:
     """Smallest slack V - payoff over every reached state; pass iff >= -tol."""
-    min_slack = math.inf
-    n = 0
-    violations = []
-    for level in range(len(field.node_ids)):
-        xi = obstacle.values
-        for idx, node in enumerate(field.node_ids[level]):
-            slack = field.v[level][idx] - xi[node]
-            n += 1
-            if slack < min_slack:
-                min_slack = slack
-            if slack < -tol:
-                violations.append((field.path_id(level, idx), level, node,
-                                   field.v[level][idx], xi[node], slack))
-    return HedgeReport(side="seller", passed=min_slack >= -tol,
-                       min_slack=min_slack, n_states=n, violations=violations)
+    states = ((level, np.arange(len(v))) for level, v in enumerate(field.wealth))
+    return _slack_report(field, obstacle, "seller", states, tol)
 
 
-def _stopped_states(field: WealthField, rule) -> Iterable:
-    """Yield (level, idx, node, v) at the first stop along each path."""
-    stops = getattr(rule, "stop", rule)
-    active = [True] * field.n_states(0)
-    n_levels = len(field.node_ids)
-    for level in range(n_levels):
-        for idx, node in enumerate(field.node_ids[level]):
-            if not active[idx]:
-                continue
-            if stops[node]:
-                yield level, idx, node, field.v[level][idx]
-            elif level == n_levels - 1:
-                raise ValueError(f"rule does not stop by the terminal step at {node}")
-        if level + 1 < n_levels:
-            next_active = [False] * field.n_states(level + 1)
-            for jdx in range(field.n_states(level + 1)):
-                pidx = field.parent[level + 1][jdx]
-                pnode = field.node_ids[level][pidx]
-                next_active[jdx] = active[pidx] and not stops[pnode]
-            active = next_active
+def _first_stops(field: WealthField, rule):
+    """(level, state indices) of the states where each path first stops."""
+    tree, paths, last = field.tree, field.paths, len(field.wealth) - 1
+    rows = rule.rows if getattr(rule, "tree", None) is tree else None
+    if rows is None:  # a node dict, read once per call
+        stops = getattr(rule, "stop", rule)
+        rows = [tuple(row != 0.0 for row in tree.level_rows(stops, i)) for i in range(last + 1)]
+    active = np.ones(field.n_states(0), dtype=bool)
+    for level in range(last + 1):
+        stop = paths.at(rows[level], level)
+        if level == last and not stop[active].all():
+            node = field.node(level, int(np.flatnonzero(active & ~stop)[0]))
+            raise ValueError(f"rule does not stop by the terminal step at {node}")
+        yield level, np.flatnonzero(active & stop)
+        if level < last:
+            active = (active & ~stop)[paths.parent[level + 1]]
 
 
 def verify_superhedge_buyer(field: WealthField, obstacle: Obstacle, rule,
@@ -232,24 +272,10 @@ def verify_superhedge_buyer(field: WealthField, obstacle: Obstacle, rule,
     at the stops is reported as well, since the buyer's wealth should match
     the debt exactly there.
     """
-    min_slack = math.inf
-    max_abs = 0.0
-    n = 0
-    violations = []
-    for level, idx, node, v in _stopped_states(field, rule):
-        slack = v + obstacle.values[node]
-        n += 1
-        min_slack = min(min_slack, slack)
-        max_abs = max(max_abs, abs(slack))
-        if slack < -tol:
-            violations.append((field.path_id(level, idx), level, node, v,
-                               obstacle.values[node], slack))
-    if n == 0:
-        min_slack = 0.0
-    return HedgeReport(side="buyer", passed=min_slack >= -tol, min_slack=min_slack,
-                       n_states=n, violations=violations, max_abs_at_stop=max_abs)
+    return _slack_report(field, obstacle, "buyer", _first_stops(field, rule), tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def wealth_martingale_residual(field: WealthField, driver: Driver,
                                tol: float = PICARD_TOL) -> float:
     """|root backward value - x0| when the terminal wealth is solved backward.
@@ -260,20 +286,24 @@ def wealth_martingale_residual(field: WealthField, driver: Driver,
     """
     if field.mode != "exact":
         raise ValueError("martingale residual requires the exact path expansion")
-    tree = field.tree
-    vals = list(field.v[-1])
-    for level in range(tree.n_steps - 1, -1, -1):
-        new_vals = []
-        offset = 0
-        for idx, node in enumerate(field.node_ids[level]):
-            branches = tree.branches[node]
-            child_vals = vals[offset:offset + len(branches)]
-            offset += len(branches)
-            e, z, k = coefficients(branches, child_vals, tree.sq)
-            new_vals.append(implicit_value(driver, tree.state(node), tree.dt,
-                                           e, z, k, tol=tol))
+    tree, paths = field.tree, field.paths
+    vals = field.wealth[-1]
+    for i in range(tree.n_steps - 1, -1, -1):
+        first = np.flatnonzero(paths.branch[i + 1] == 0)  # each state's first child
+        new_vals = np.empty(len(first))
+        for g, idx, state in _groups(tree, paths, i):
+            branches = tree.row_branches[i][g]
+            e, z, k = coefficients(branches, [vals[first[idx] + b] for b in range(len(branches))],
+                                   tree.sq)
+            try:
+                new_vals[idx], _, _ = _implicit_row(driver, state, tree.dt, e, z,
+                                                    np.broadcast_to(k, e.shape), tol, (i, g))
+            except ConvergenceError:  # with the message of the scalar implicit_value
+                raise ConvergenceError(f"implicit step did not converge in {PICARD_MAX_ITER} "
+                                       f"iterations at t={state.t:.6g}; the time step is too large "
+                                       "for the driver's Lipschitz constant") from None
         vals = new_vals
-    return abs(vals[0] - field.x0)
+    return abs(float(vals[0]) - field.x0)
 
 
 def strict_gain_after_nubar(tree: Tree, driver: Driver, obstacle: Obstacle,
@@ -285,30 +315,20 @@ def strict_gain_after_nubar(tree: Tree, driver: Driver, obstacle: Obstacle,
     incoming charge is positive reports the smallest V - Y. Vacuous pass
     when the obstacle never binds before the terminal step.
     """
-    from .pricing import strategy_from_solution
-
     solution = solve_rbsde_lower(tree, driver, obstacle, tol=tol)
-    strategy = strategy_from_solution(solution)
-    field = _simulate_exact(tree, solution.root_value, strategy, driver)
+    field = _simulate_exact(tree, solution.root_value, strategy_from_solution(solution), driver)
 
-    min_gain = math.inf
-    n = 0
-    a_in = [0.0]
-    for level in range(len(field.node_ids)):
-        for idx, node in enumerate(field.node_ids[level]):
-            if a_in[idx] > 0.0:
-                n += 1
-                min_gain = min(min_gain, field.v[level][idx] - solution.y[node])
-        if level + 1 < len(field.node_ids):
-            nxt = [0.0] * field.n_states(level + 1)
-            for jdx in range(field.n_states(level + 1)):
-                pidx = field.parent[level + 1][jdx]
-                pnode = field.node_ids[level][pidx]
-                nxt[jdx] = a_in[pidx] + solution.delta_a[pnode]
-            a_in = nxt
-    if n == 0:
+    paths, gains = field.paths, []
+    a_in = np.zeros(1)  # charge accrued along each path before its state
+    for level, v in enumerate(field.wealth):
+        gains.append((v - paths.at(solution.y_rows[level], level))[a_in > 0.0])
+        if level < tree.n_steps:
+            a_in = (a_in + paths.at(solution.da_rows[level], level))[paths.parent[level + 1]]
+    gains = np.concatenate(gains)
+    if not gains.size:
         return GainReport(passed=True, n_states=0, min_gain=None)
-    return GainReport(passed=min_gain >= STRICT_GAIN_MIN, n_states=n, min_gain=min_gain)
+    min_gain = float(gains[gains.argmin()])
+    return GainReport(passed=min_gain >= STRICT_GAIN_MIN, n_states=gains.size, min_gain=min_gain)
 
 
 def violation_rows(report: HedgeReport) -> list:

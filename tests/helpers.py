@@ -5,14 +5,24 @@ properties under test are actually in force: bounded market prices of
 risk, jump-monotonicity ratio well above -1 out to the price scale,
 moderate C * dt, and a directly verified monotone one-step map at the
 solved values (rejection sampling otherwise).
+
+The end of the file keeps the scalar reference of the forward wealth
+simulation and of the superhedge checks.
 """
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
-from amhedge.bsde import ConvergenceError, one_step
+import numpy as np
+
+from amhedge.bsde import (PICARD_TOL, ConvergenceError, coefficients, implicit_value,
+                          one_step)
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_samples, large_trader_driver, perfect_driver)
+from amhedge.hedging import SUPERHEDGE_TOL, HedgeReport
 from amhedge.market import MarketParams, PiecewiseConstant, build_tree
+from amhedge.pricing import phi_inverse
 from amhedge.rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
 
 DRIVER_KINDS = ("perfect", "borrow_lend", "large_trader")
@@ -141,3 +151,224 @@ def make_instance(rng, kind: str, n_steps: int, lam=None, T=None,
             continue
         return Instance(kind=kind, params=params, tree=tree, driver=driver,
                         obstacle=obstacle)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference for the forward simulation and the superhedge checks: the
+# per-path, per-node code that the level-array version in amhedge.hedging
+# replaced, kept so the two can be compared bit for bit.
+# ---------------------------------------------------------------------------
+
+_KIND_LETTER = {"up": "u", "down": "d", "default": "j"}
+
+
+@dataclass
+class ScalarWealthField:
+    """Per-step wealth states with parent links back to the root.
+
+    ``levels[i]`` holds parallel lists: the node of each state, its wealth,
+    the index of its parent state at step i - 1 and the branch index taken
+    from that parent. In sampled mode each path occupies one slot per level.
+    """
+
+    tree: object
+    x0: float
+    mode: str  # "exact" | "sampled"
+    node_ids: list
+    v: list
+    parent: list
+    branch: list
+
+    def n_states(self, level: int) -> int:
+        return len(self.node_ids[level])
+
+    def path_id(self, level: int, idx: int) -> str:
+        """Branch-letter path into a state, e.g. 'udj'; sampled paths use their row."""
+        if self.mode == "sampled":
+            return str(idx)
+        letters = []
+        i, j = level, idx
+        while i > 0:
+            node = self.node_ids[i - 1][self.parent[i][j]]
+            kind = self.tree.branches[node][self.branch[i][j]].kind
+            letters.append(_KIND_LETTER[kind])
+            i, j = i - 1, self.parent[i][j]
+        return "".join(reversed(letters)) or "(root)"
+
+
+def _node_exposures(tree, strategy, level: int) -> dict:
+    params = tree.params
+    t = tree.time(level)
+    s1 = params.sigma1.at(t)
+    s2 = params.sigma2.at(t)
+    out = {}
+    for node in tree.levels[level]:
+        out[node] = phi_inverse(strategy.phi1[node], strategy.phi2[node], s1, s2)
+    return out
+
+
+def scalar_simulate_exact(tree, x0: float, strategy, driver) -> ScalarWealthField:
+    node_ids = [[tree.root]]
+    values = [[float(x0)]]
+    parent = [[-1]]
+    branch = [[-1]]
+    dt = tree.dt
+    for i in range(tree.n_steps):
+        zk = _node_exposures(tree, strategy, i)
+        t = tree.time(i)
+        ids_i, v_i = node_ids[i], values[i]
+        next_ids, next_v, next_p, next_b = [], [], [], []
+        for idx, node in enumerate(ids_i):
+            v = v_i[idx]
+            z, k = zk[node]
+            drift = v - driver.eval(t, v, z, k, tree.state(node)) * dt
+            for b_idx, b in enumerate(tree.branches[node]):
+                next_ids.append(b.child)
+                next_v.append(drift + z * b.dw + k * b.dm)
+                next_p.append(idx)
+                next_b.append(b_idx)
+        node_ids.append(next_ids)
+        values.append(next_v)
+        parent.append(next_p)
+        branch.append(next_b)
+    return ScalarWealthField(tree=tree, x0=float(x0), mode="exact", node_ids=node_ids,
+                             v=values, parent=parent, branch=branch)
+
+
+def scalar_simulate_sampled(tree, x0: float, strategy, driver,
+                            n_paths: int, seed: int) -> ScalarWealthField:
+    dt = tree.dt
+    zk_levels = [_node_exposures(tree, strategy, i) for i in range(tree.n_steps)]
+    node_ids = [[tree.root] * n_paths]
+    values = [[float(x0)] * n_paths]
+    parent = [[-1] * n_paths]
+    branch = [[-1] * n_paths]
+    for i in range(tree.n_steps):
+        node_ids.append([None] * n_paths)
+        values.append([0.0] * n_paths)
+        parent.append(list(range(n_paths)))
+        branch.append([0] * n_paths)
+    for p in range(n_paths):
+        rng = np.random.default_rng([seed, p])
+        draws = rng.random(tree.n_steps)
+        node = tree.root
+        v = float(x0)
+        for i in range(tree.n_steps):
+            z, k = zk_levels[i][node]
+            drift = v - driver.eval(tree.time(i), v, z, k, tree.state(node)) * dt
+            u = draws[i]
+            acc = 0.0
+            b_idx = len(tree.branches[node]) - 1
+            for j, b in enumerate(tree.branches[node]):
+                acc += b.prob
+                if u < acc:
+                    b_idx = j
+                    break
+            b = tree.branches[node][b_idx]
+            node = b.child
+            v = drift + z * b.dw + k * b.dm
+            node_ids[i + 1][p] = node
+            values[i + 1][p] = v
+            branch[i + 1][p] = b_idx
+    return ScalarWealthField(tree=tree, x0=float(x0), mode="sampled", node_ids=node_ids,
+                             v=values, parent=parent, branch=branch)
+
+
+def scalar_verify_seller(field, obstacle, tol: float = SUPERHEDGE_TOL) -> HedgeReport:
+    """Smallest slack V - payoff over every reached state; pass iff >= -tol."""
+    min_slack = math.inf
+    n = 0
+    violations = []
+    for level in range(len(field.node_ids)):
+        xi = obstacle.values
+        for idx, node in enumerate(field.node_ids[level]):
+            slack = field.v[level][idx] - xi[node]
+            n += 1
+            if slack < min_slack:
+                min_slack = slack
+            if slack < -tol:
+                violations.append((field.path_id(level, idx), level, node,
+                                   field.v[level][idx], xi[node], slack))
+    return HedgeReport(side="seller", passed=min_slack >= -tol,
+                       min_slack=min_slack, n_states=n, violations=violations)
+
+
+def _stopped_states(field, rule) -> Iterable:
+    """Yield (level, idx, node, v) at the first stop along each path."""
+    stops = getattr(rule, "stop", rule)
+    active = [True] * field.n_states(0)
+    n_levels = len(field.node_ids)
+    for level in range(n_levels):
+        for idx, node in enumerate(field.node_ids[level]):
+            if not active[idx]:
+                continue
+            if stops[node]:
+                yield level, idx, node, field.v[level][idx]
+            elif level == n_levels - 1:
+                raise ValueError(f"rule does not stop by the terminal step at {node}")
+        if level + 1 < n_levels:
+            next_active = [False] * field.n_states(level + 1)
+            for jdx in range(field.n_states(level + 1)):
+                pidx = field.parent[level + 1][jdx]
+                pnode = field.node_ids[level][pidx]
+                next_active[jdx] = active[pidx] and not stops[pnode]
+            active = next_active
+
+
+def scalar_verify_buyer(field, obstacle, rule, tol: float = SUPERHEDGE_TOL) -> HedgeReport:
+    """Slack V + payoff at the states where the exercise rule first stops."""
+    min_slack = math.inf
+    max_abs = 0.0
+    n = 0
+    violations = []
+    for level, idx, node, v in _stopped_states(field, rule):
+        slack = v + obstacle.values[node]
+        n += 1
+        min_slack = min(min_slack, slack)
+        max_abs = max(max_abs, abs(slack))
+        if slack < -tol:
+            violations.append((field.path_id(level, idx), level, node, v,
+                               obstacle.values[node], slack))
+    if n == 0:
+        min_slack = 0.0
+    return HedgeReport(side="buyer", passed=min_slack >= -tol, min_slack=min_slack,
+                       n_states=n, violations=violations, max_abs_at_stop=max_abs)
+
+
+def scalar_martingale_residual(field, driver, tol: float = PICARD_TOL) -> float:
+    """|root backward value - x0| when the terminal wealth is solved backward."""
+    tree = field.tree
+    vals = list(field.v[-1])
+    for level in range(tree.n_steps - 1, -1, -1):
+        new_vals = []
+        offset = 0
+        for idx, node in enumerate(field.node_ids[level]):
+            branches = tree.branches[node]
+            child_vals = vals[offset:offset + len(branches)]
+            offset += len(branches)
+            e, z, k = coefficients(branches, child_vals, tree.sq)
+            new_vals.append(implicit_value(driver, tree.state(node), tree.dt,
+                                           e, z, k, tol=tol))
+        vals = new_vals
+    return abs(vals[0] - field.x0)
+
+
+def scalar_strict_gain(field, solution) -> tuple:
+    """(count, smallest V - Y) over the path states whose cumulative incoming
+    charge is positive."""
+    min_gain = math.inf
+    n = 0
+    a_in = [0.0]
+    for level in range(len(field.node_ids)):
+        for idx, node in enumerate(field.node_ids[level]):
+            if a_in[idx] > 0.0:
+                n += 1
+                min_gain = min(min_gain, field.v[level][idx] - solution.y[node])
+        if level + 1 < len(field.node_ids):
+            nxt = [0.0] * field.n_states(level + 1)
+            for jdx in range(field.n_states(level + 1)):
+                pidx = field.parent[level + 1][jdx]
+                pnode = field.node_ids[level][pidx]
+                nxt[jdx] = a_in[pidx] + solution.delta_a[pnode]
+            a_in = nxt
+    return n, min_gain

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from amhedge import hedging, rbsde
+from amhedge.drivers import Driver
 from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, MAX_STEPS,
                          ConfigError, NodeTable, canonical_json, main,
                          parse_config, run)
@@ -243,6 +244,43 @@ class TestSharedSolves:
         assert counts["_simulate_exact"] + counts["_simulate_sampled"] == simulations
 
 
+def _hedge_job(n_steps):
+    cfg = copy.deepcopy(README_JOB)
+    cfg["grid"]["n_steps"] = n_steps
+    cfg.update(jobs=["hedge", "verify"], verify=["superhedge"])
+    return cfg
+
+
+class TestHedgeOnArrays:
+    @pytest.mark.parametrize("n_steps", [8, 13])  # exact and sampled
+    def test_hedge_job_builds_no_view(self, tmp_path, monkeypatch, n_steps):
+        fields, simulate = [], hedging.simulate_wealth
+
+        def recording(*args, **kwargs):
+            fields.append(simulate(*args, **kwargs))
+            return fields[-1]
+
+        monkeypatch.setattr(hedging, "simulate_wealth", recording)
+        assert run(_hedge_job(n_steps), out_dir=tmp_path) == EXIT_OK
+        assert len(fields) == 2 and fields[0].paths is fields[1].paths
+        for field in fields:
+            assert not {"node_ids", "v", "parent", "branch"} & set(vars(field))
+        assert not {"nodes", "branches"} & set(vars(fields[0].tree))
+
+    def test_non_finite_wealth_exits_2_naming_the_state(self, tmp_path, capsys, monkeypatch):
+        nan = Driver(name="nan", eval=lambda t, y, z, k, s: math.nan, lipschitz_C=0.0)
+        simulate = hedging.simulate_wealth
+        monkeypatch.setattr(hedging, "simulate_wealth",
+                            lambda tree, x0, strategy, driver, **kw:
+                            simulate(tree, x0, strategy, nan, **kw))
+        cfg = _hedge_job(4)
+        cfg["jobs"] = ["hedge"]
+        assert run(cfg, out_dir=tmp_path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seller superhedge slack is not finite (nan) at step 1, node (1, " in err
+        assert "path " in err
+
+
 class TestMain:
     def test_price_subcommand_end_to_end(self, tmp_path):
         config_path = tmp_path / "job.json"
@@ -356,6 +394,8 @@ EXPR_JOB = {
     "jobs": ["price"],
 }
 HEADER_ONLY_CSV = "01d4a41f258bb8a00eceb035a67db30b125b200840329bf7df045466bb5a1753"
+# Past MAX_EXACT_STEPS, so both wealth fields are 10,000-path samples.
+SAMPLED_JOB = {**_hedge_job(13), "seed": 11}
 
 
 @pytest.mark.parametrize("job,digests", [
@@ -368,7 +408,10 @@ HEADER_ONLY_CSV = "01d4a41f258bb8a00eceb035a67db30b125b200840329bf7df045466bb5a1
     (EXPR_JOB, {
         "report.json": "d3a7228f65b48ec49b0e812b60b3866dd867d9a85a404212ce2575a0971d405f",
         "wealth.csv": None, "wealth_buyer.csv": None}),
-], ids=["readme", "borrow_lend_piecewise_lambda_to_0", "large_trader_expr"])
+    (SAMPLED_JOB, {
+        "report.json": "0aac01dc08a683e4760b558aeb21b77fa3fb474cf812741a8cb0dbff5e6cdf49",
+        "wealth.csv": HEADER_ONLY_CSV, "wealth_buyer.csv": HEADER_ONLY_CSV}),
+], ids=["readme", "borrow_lend_piecewise_lambda_to_0", "large_trader_expr", "sampled_hedge"])
 def test_golden_bytes(tmp_path, job, digests):
     """Output files are byte-identical to those of earlier versions (sha256)."""
     assert run(copy.deepcopy(job), out_dir=tmp_path) == EXIT_OK

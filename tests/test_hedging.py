@@ -1,16 +1,31 @@
+import math
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
-from amhedge.drivers import Driver, perfect_driver
+from amhedge.drivers import Driver, borrow_lend_driver, large_trader_driver, perfect_driver
 from amhedge.hedging import (simulate_wealth, strict_gain_after_nubar,
                              verify_superhedge_buyer, verify_superhedge_seller,
                              wealth_martingale_residual)
 from amhedge.market import MarketParams, build_tree
+from amhedge.payoffs import put
 from amhedge.pricing import Strategy, buyer_price, seller_price
 from amhedge.rbsde import Obstacle
-from helpers import make_instance
+from helpers import (make_instance, scalar_martingale_residual, scalar_simulate_exact,
+                     scalar_simulate_sampled, scalar_strict_gain, scalar_verify_buyer,
+                     scalar_verify_seller)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
+NAN = Driver(name="nan", eval=lambda t, y, z, k, s: math.nan, lipschitz_C=0.0)
+
+# The README market, and a piecewise one whose intensity drops to 0 at
+# t = 0.5 (two-branch alive rows from then on).
+README_MARKET = dict(r=0.05, mu1=0.07, mu2=-0.02, sigma1=0.2, sigma2=0.25, lam=0.25,
+                     s1_0=100.0, s2_0=90.0, T=1.0)
+PIECEWISE_MARKET = dict(README_MARKET, r={"values": [0.04, 0.06], "times": [0.0, 0.3]},
+                        sigma1={"values": [0.2, 0.25], "times": [0.0, 0.6]},
+                        lam={"values": [0.3, 0.0], "times": [0.0, 0.5]})
 
 
 def flat_params(**overrides):
@@ -254,3 +269,127 @@ class TestStrictGain:
         charge = 5.0 - 4.0 / 1.05
         assert report.n_states == 4
         assert report.min_gain == pytest.approx(charge * 1.05, rel=1e-12)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def report_bits(report):
+    assert type(report.min_slack) is float
+    return (report.side, report.passed, bits(report.min_slack), report.n_states,
+            [(pid, level, node, bits([v, xi, slack]))
+             for pid, level, node, v, xi, slack in report.violations],
+            None if report.max_abs_at_stop is None else bits(report.max_abs_at_stop))
+
+
+def assert_same_field(field, ref):
+    assert field.mode == ref.mode and field.x0 == ref.x0
+    assert field.node_ids == ref.node_ids
+    assert field.parent == ref.parent and field.branch == ref.branch
+    assert [bits(v) for v in field.v] == [bits(v) for v in ref.v]
+
+
+def reference_driver(kind, params):
+    if kind == "perfect":
+        return perfect_driver(params)
+    if kind == "borrow_lend":
+        return borrow_lend_driver(params, 0.08)
+    return large_trader_driver(params, 8e-4, 0.2)
+
+
+class TestMatchesScalarReference:
+    """The level-array simulation and checks equal the per-path scalar code
+    of tests/helpers.py bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("market", ["constant", "piecewise_lambda_to_0"])
+    @pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader"])
+    def test_fields_and_reports(self, kind, market, mode):
+        params = MarketParams(**(README_MARKET if market == "constant" else PIECEWISE_MARKET))
+        tree = build_tree(params, 7)
+        driver = reference_driver(kind, params)
+        obs = Obstacle.from_payoff(tree, put(105.0))
+        seller = seller_price(tree, driver, obs, gamma_check=False)
+        buyer = buyer_price(tree, driver, obs, gamma_check=False)
+        late = {node: tree.is_terminal(node) for node in tree.nodes}
+        # Funded and underfunded (by 0.01) capital for each side.
+        for x0, strategy in ((seller.u0, seller.strategy), (seller.u0 - 0.01, seller.strategy),
+                             (-buyer.v0, buyer.strategy), (-buyer.v0 - 0.01, buyer.strategy)):
+            field = simulate_wealth(tree, x0, strategy, driver, mode=mode, n_paths=200, seed=3)
+            ref = (scalar_simulate_exact(tree, x0, strategy, driver) if mode == "exact"
+                   else scalar_simulate_sampled(tree, x0, strategy, driver, 200, 3))
+            assert_same_field(field, ref)
+            assert (report_bits(verify_superhedge_seller(field, obs))
+                    == report_bits(scalar_verify_seller(ref, obs)))
+            for rule in (buyer.exercise, late):
+                assert (report_bits(verify_superhedge_buyer(field, obs, rule))
+                        == report_bits(scalar_verify_buyer(ref, obs, rule)))
+            if mode == "exact":
+                assert (bits(wealth_martingale_residual(field, driver))
+                        == bits(scalar_martingale_residual(ref, driver)))
+        # The underfunded seller compares violation lists and path ids.
+        ref = scalar_simulate_exact(tree, seller.u0 - 0.01, seller.strategy, driver)
+        assert scalar_verify_seller(ref, obs).violations
+        if mode == "exact":
+            gain = strict_gain_after_nubar(tree, driver, obs)
+            n, min_gain = scalar_strict_gain(
+                scalar_simulate_exact(tree, seller.u0, seller.strategy, driver), seller.solution)
+            assert gain.n_states == n
+            assert bits(gain.min_gain) == bits(min_gain) if n else gain.min_gain is None
+
+    def test_draws_on_probability_boundaries(self, monkeypatch):
+        params = MarketParams(**README_MARKET)
+        tree = build_tree(params, 6)
+        accs = [acc for row in tree.row_branches[0] for acc in accumulate(b.prob for b in row)]
+        edges = np.array(sorted({0.0, *accs, *(np.nextafter(a, 0.0) for a in accs)}))
+        assert 1.0 in edges  # past every running sum: the last branch is taken
+        real = np.random.default_rng
+
+        class EdgeRng:
+            def __init__(self, key):
+                self.inner = real(key)
+
+            def random(self, n):
+                return edges[self.inner.integers(len(edges), size=n)]
+
+        monkeypatch.setattr(np.random, "default_rng", EdgeRng)
+        driver = borrow_lend_driver(params, 0.08)
+        obs = Obstacle.from_payoff(tree, put(105.0))
+        seller = seller_price(tree, driver, obs, gamma_check=False)
+        field = simulate_wealth(tree, seller.u0, seller.strategy, driver, mode="sampled",
+                                n_paths=300, seed=5)
+        ref = scalar_simulate_sampled(tree, seller.u0, seller.strategy, driver, 300, 5)
+        assert_same_field(field, ref)
+        assert {b for level in field.branch[1:] for b in level} == {0, 1, 2}
+
+
+class TestBrokenWealth:
+    def setup_method(self):
+        params = MarketParams(**README_MARKET)
+        self.tree = build_tree(params, 4)
+        self.obs = Obstacle.from_payoff(self.tree, put(105.0))
+        self.driver = borrow_lend_driver(params, 0.07)
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_no_sample_paths_rejected(self, n_paths):
+        seller = seller_price(self.tree, self.driver, self.obs)
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate_wealth(self.tree, seller.u0, seller.strategy, self.driver,
+                            mode="sampled", n_paths=n_paths)
+
+    @pytest.mark.parametrize("mode,path", [("exact", "[udj]"), ("sampled", "0")])
+    def test_nan_wealth_fails_seller_naming_the_state(self, mode, path):
+        seller = seller_price(self.tree, self.driver, self.obs)
+        field = simulate_wealth(self.tree, seller.u0, seller.strategy, NAN, mode=mode,
+                                n_paths=20)
+        with pytest.raises(ValueError, match=r"seller superhedge slack is not finite \(nan\) "
+                                             rf"at step 1, node \(1, \d, \d\), path {path}$"):
+            verify_superhedge_seller(field, self.obs)
+
+    def test_nan_wealth_fails_buyer_naming_the_state(self):
+        buyer = buyer_price(self.tree, self.driver, self.obs)
+        field = simulate_wealth(self.tree, -buyer.v0, buyer.strategy, NAN)
+        with pytest.raises(ValueError, match=r"buyer superhedge slack is not finite \(nan\) "
+                                             r"at step \d, node \(\d, \d, \d\), path [udj]+$"):
+            verify_superhedge_buyer(field, self.obs, buyer.exercise)
