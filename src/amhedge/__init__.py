@@ -1,7 +1,7 @@
 """Pricing and superhedging of American options on a defaultable lattice."""
 
 from .bsde import (ConvergenceError, Solution, g_evaluation, martingale_check,
-                   one_step_monotone_report, solve_bsde)
+                   solve_bsde)
 from .drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                       check_lambda_admissible, large_trader_driver,
                       perfect_driver)

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .drivers import Driver, GammaReport, check_gamma_assumption, gamma_samples
+from .drivers import Driver
 from .market import NodeId, NodeState, Tree, row_view
 
 PICARD_TOL = 1e-12
@@ -216,8 +216,7 @@ def backward_sweep(tree: Tree, driver: Driver, terminal: tuple,
             children = [y[i + 1][dead][up:up + m] for _, up, dead in (b.child for b in branches)]
             e, z_row, k_row = coefficients(branches, children, tree.sq)
             k_row = np.broadcast_to(k_row, e.shape)
-            state = NodeState(tree.time(i), tree.s0[i], s1, tree.s2[i][d],
-                              0.0 if d else tree.lam[i], bool(d))
+            state = tree.row_state(i, d, s1, tree.s2[i][d])
             y_row, iters, total = _implicit_row(driver, state, tree.dt, e, z_row, k_row,
                                                 tol, (i, d))
             nodes, picard_sum, evals = nodes + m, picard_sum + total, evals + iters * m
@@ -288,27 +287,3 @@ def martingale_check(tree: Tree, driver: Driver, process: Mapping,
             worst = max(worst, abs(process[node] - y))
     return worst
 
-
-@dataclass
-class MonotoneReport:
-    c_dt: float
-    c_dt_ok: bool
-    gamma: GammaReport
-    ok: bool
-
-
-def one_step_monotone_report(tree: Tree, driver: Driver,
-                             gamma_samples_: Iterable = None) -> MonotoneReport:
-    """Report whether the one-step map is monotone in the child values.
-
-    Sufficient conditions checked: C * dt < 1 for the declared constant, and
-    the jump-monotonicity ratio above -1 on a sampled grid. Comparison-based
-    properties of the solvers are only meaningful when this report is clean.
-    """
-    c_dt = driver.lipschitz_C * tree.dt
-    if gamma_samples_ is None:
-        times = [tree.time(i) for i in range(max(tree.n_steps, 1))]
-        gamma_samples_ = gamma_samples(tree.params, times=times)
-    gamma = check_gamma_assumption(driver, gamma_samples_)
-    ok = c_dt < 1.0 and gamma.passed
-    return MonotoneReport(c_dt=c_dt, c_dt_ok=c_dt < 1.0, gamma=gamma, ok=ok)

@@ -201,12 +201,6 @@ def parse_config(config: dict) -> dict:
             f"grid.n_steps: {Decimal(n_steps):.4g} steps make about "
             f"{Decimal((n_steps + 1) ** 2):.3g} lattice nodes, over the cap of "
             f"{MAX_STEPS} steps ({Decimal((MAX_STEPS + 1) ** 2):.3g} nodes)")
-    dt = params.T / n_steps
-    worst = max(params.lam.values)
-    if worst * dt >= 1.0:
-        raise ConfigError(
-            f"grid.n_steps: lambda*dt = {worst * dt:.6g} >= 1 at n_steps = {n_steps}; "
-            "increase n_steps")
 
     driver = build_driver(params, config["driver"]
                           if isinstance(config["driver"], dict)
@@ -335,8 +329,9 @@ def _check_apriori(tree, driver, obstacle, solution):
 
 def _check_skorokhod(tree, obstacle, solution):
     residual = skorokhod_residual(solution, obstacle)
-    min_da = min(solution.delta_a.values()) if solution.delta_a else 0.0
-    min_gap = min(solution.y[n] - obstacle.values[n] for n in tree.nodes)
+    charge = tree.flat(solution.da_rows)
+    min_da = float(charge.min()) if charge.size else 0.0
+    min_gap = float((tree.flat(solution.y_rows) - tree.flat(obstacle.rows(tree))).min())
     passed = residual == 0.0 and min_da >= 0.0 and min_gap >= 0.0
     return {"passed": passed, "flatness_residual": residual,
             "min_charge": min_da, "min_gap_to_obstacle": min_gap}

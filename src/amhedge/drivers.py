@@ -36,8 +36,10 @@ class Driver:
     ``NodeState``. It must be elementwise: the backward sweep and the
     jump-monotonicity check call it once per level row, with numpy rows for
     y, z and k (and for the state's s1 and s2), a scalar t and a state whose
-    s0, lam and defaulted are scalars, and use the row it returns (a scalar
-    broadcasts). Called with floats, it returns a float. ``lipschitz_C`` is
+    s0, lam, defaulted and coef are shared by the row, and use the row it
+    returns (a scalar broadcasts). Called with floats, it returns a float.
+    The market coefficients of t are ``state.coef``; ``state.lam`` is the
+    effective intensity (0 after default). ``lipschitz_C`` is
     the constant C in the bound |dg| <= C * (|dy| + |dz| + sqrt(lam) * |dk|),
     declared by the factory that built the driver.
     """
@@ -61,33 +63,24 @@ def perfect_driver(params: MarketParams) -> Driver:
     so no division by the intensity is ever performed; the k term is dropped
     wherever the node intensity is zero.
     """
-    r = params.r
-    mu1 = params.mu1
-    mu2 = params.mu2
-    sigma1 = params.sigma1
-    sigma2 = params.sigma2
-    lam = params.lam
-
     def g(t, y, z, k, state):
-        r_t = r.at(t)
-        th1 = (mu1.at(t) - r_t) / sigma1.at(t)
-        val = -r_t * y - th1 * z
+        c = state.coef
+        th1 = (c.mu1 - c.r) / c.sigma1
+        val = -c.r * y - th1 * z
         if state.lam > 0.0:
-            ck = sigma2.at(t) * th1 - mu2.at(t) + r_t  # equals theta2 * lam
-            val -= ck * k
+            val -= (c.sigma2 * th1 - c.mu2 + c.r) * k  # theta2 * lam
         return val
 
-    c = 0.0
-    for t in merged_breakpoints(r, mu1, mu2, sigma1, sigma2, lam):
-        r_t = r.at(t)
-        th1 = (mu1.at(t) - r_t) / sigma1.at(t)
-        piece = abs(r_t) + abs(th1)
-        lam_t = lam.at(t)
-        if lam_t > 0.0:
-            ck = sigma2.at(t) * th1 - mu2.at(t) + r_t
-            piece += abs(ck) / math.sqrt(lam_t)  # |theta2| * sqrt(lam)
-        c = max(c, piece)
-    return Driver(name="perfect", eval=g, lipschitz_C=c)
+    bound = 0.0
+    for c in map(params.at, merged_breakpoints(params.r, params.mu1, params.mu2,
+                                               params.sigma1, params.sigma2, params.lam)):
+        th1 = (c.mu1 - c.r) / c.sigma1
+        piece = abs(c.r) + abs(th1)
+        if c.lam > 0.0:
+            ck = c.sigma2 * th1 - c.mu2 + c.r
+            piece += abs(ck) / math.sqrt(c.lam)  # |theta2| * sqrt(lam)
+        bound = max(bound, piece)
+    return Driver(name="perfect", eval=g, lipschitz_C=bound)
 
 
 def borrow_lend_driver(params: MarketParams, borrow_rate) -> Driver:
@@ -101,32 +94,27 @@ def borrow_lend_driver(params: MarketParams, borrow_rate) -> Driver:
     """
     base = perfect_driver(params)
     R = as_piecewise(borrow_rate)
-    r = params.r
-    sigma1 = params.sigma1
-    sigma2 = params.sigma2
-
-    for t in merged_breakpoints(R, r):
-        if R.at(t) < r.at(t):
-            raise ValueError(f"borrow rate {R.at(t)} below riskless rate {r.at(t)} at t={t}")
 
     def g(t, y, z, k, state):
+        c = state.coef
         val = base.eval(t, y, z, k, state)
         k_eff = _effective_k(k, state)
-        phi1 = (z + sigma2.at(t) * k_eff) / sigma1.at(t)
+        phi1 = (z + c.sigma2 * k_eff) / c.sigma1
         phi2 = -k_eff
         excess = phi1 + phi2 - y
         # The charge is added only where the excess is positive; the mask
         # keeps the arithmetic elementwise for rows and floats alike.
-        return val + (R.at(t) - r.at(t)) * (excess * (excess > 0.0))
+        return val + (R.at(t) - c.r) * (excess * (excess > 0.0))
 
     extra = 0.0
-    for t in merged_breakpoints(R, r, sigma1, sigma2, params.lam):
-        spread = R.at(t) - r.at(t)
-        s1 = sigma1.at(t)
-        piece = spread * (1.0 + 1.0 / s1)
-        lam_t = params.lam.at(t)
-        if lam_t > 0.0:
-            piece += spread * abs(sigma2.at(t) / s1 - 1.0) / math.sqrt(lam_t)
+    times = merged_breakpoints(R, params.r, params.sigma1, params.sigma2, params.lam)
+    for t, c in zip(times, map(params.at, times)):  # the earliest breach is a breakpoint of R or r
+        if R.at(t) < c.r:
+            raise ValueError(f"borrow rate {R.at(t)} below riskless rate {c.r} at t={t}")
+        spread = R.at(t) - c.r
+        piece = spread * (1.0 + 1.0 / c.sigma1)
+        if c.lam > 0.0:
+            piece += spread * abs(c.sigma2 / c.sigma1 - 1.0) / math.sqrt(c.lam)
         extra = max(extra, piece)
     return Driver(name="borrow_lend", eval=g, lipschitz_C=base.lipschitz_C + extra)
 
@@ -151,36 +139,30 @@ def large_trader_driver(params: MarketParams, alpha: float, gamma_bar: float,
         raise ValueError(f"gamma_bar must exceed -1, got {gamma_bar}")
     alpha = float(alpha)
     gamma_bar = float(gamma_bar)
-    r = params.r
-    mu1 = params.mu1
-    mu2 = params.mu2
-    sigma1 = params.sigma1
-    sigma2 = params.sigma2
 
     def g(t, y, z, k, state):
+        c = state.coef
         k_eff = _effective_k(k, state)
-        phi1 = (z + sigma2.at(t) * k_eff) / sigma1.at(t)
+        phi1 = (z + c.sigma2 * k_eff) / c.sigma1
         phi2 = -k_eff
-        rbar = r.at(t) + alpha * phi1
+        rbar = c.r + alpha * phi1
         return (-rbar * y
-                - phi1 * (mu1.at(t) - rbar)
-                - phi2 * (mu2.at(t) - rbar)
+                - phi1 * (c.mu1 - rbar)
+                - phi2 * (c.mu2 - rbar)
                 - gamma_bar * state.lam * phi2)
 
     a = abs(alpha)
     by, bp = float(wealth_bound), float(position_bound)
-    c = 0.0
-    for t in merged_breakpoints(r, mu1, mu2, sigma1, sigma2, params.lam):
-        r_t = r.at(t)
-        s1 = sigma1.at(t)
-        g1 = a * by + abs(mu1.at(t) - r_t) + 2.0 * a * bp + a * bp
-        g2 = abs(mu2.at(t) - r_t) + a * bp
-        piece = (abs(r_t) + a * bp) + g1 / s1
-        lam_t = params.lam.at(t)
-        if lam_t > 0.0:
-            piece += ((sigma2.at(t) / s1) * g1 + g2 + abs(gamma_bar) * lam_t) / math.sqrt(lam_t)
-        c = max(c, piece)
-    return Driver(name="large_trader", eval=g, lipschitz_C=c)
+    bound = 0.0
+    for c in map(params.at, merged_breakpoints(params.r, params.mu1, params.mu2,
+                                               params.sigma1, params.sigma2, params.lam)):
+        g1 = a * by + abs(c.mu1 - c.r) + 2.0 * a * bp + a * bp
+        g2 = abs(c.mu2 - c.r) + a * bp
+        piece = (abs(c.r) + a * bp) + g1 / c.sigma1
+        if c.lam > 0.0:
+            piece += ((c.sigma2 / c.sigma1) * g1 + g2 + abs(gamma_bar) * c.lam) / math.sqrt(c.lam)
+        bound = max(bound, piece)
+    return Driver(name="large_trader", eval=g, lipschitz_C=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +252,10 @@ def sample_states(params: MarketParams, times: Sequence = None,
         times = [params.T * i / k for i in range(k)]
     states = []
     for t in times:
-        states.append(NodeState(t, 1.0, params.s1_0, params.s2_0,
-                                params.lam.at(t), False))
+        coef = params.at(t)
+        states.append(NodeState(t, 1.0, params.s1_0, params.s2_0, coef.lam, False, coef))
         if include_defaulted:
-            states.append(NodeState(t, 1.0, params.s1_0, 0.0, 0.0, True))
+            states.append(NodeState(t, 1.0, params.s1_0, 0.0, 0.0, True, coef))
     return states
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bsde import PICARD_MAX_ITER, PICARD_TOL, ConvergenceError, _implicit_row, coefficients
 from .drivers import Driver
-from .market import NodeState, Tree
+from .market import Tree
 from .pricing import Strategy, phi_inverse, strategy_from_solution
 from .rbsde import Obstacle, solve_rbsde_lower
 
@@ -157,8 +157,7 @@ def _groups(tree: Tree, paths: Paths, i: int):
         idx = np.flatnonzero(paths.d[i] == g)
         if idx.size:
             j = paths.j[i][idx]
-            yield g, idx, NodeState(tree.time(i), tree.s0[i], tree.s1[i][g][j], tree.s2[i][g][j],
-                                    0.0 if g else tree.lam[i], bool(g))
+            yield g, idx, tree.row_state(i, g, tree.s1[i][g][j], tree.s2[i][g][j])
 
 
 def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
@@ -196,14 +195,13 @@ def _simulate(tree: Tree, x0: float, strategy: Strategy, driver: Driver, mode: s
               n_paths: int, seed: int) -> WealthField:
     paths = _path_sample(tree, mode, n_paths, seed)
     phi1, phi2 = strategy.rows(tree)
-    sigma1, sigma2 = tree.params.sigma1, tree.params.sigma2
     wealth = [np.full(len(paths.j[0]), float(x0))]
     for i, branches in enumerate(tree.row_branches):
-        t = tree.time(i)
-        z, k = phi_inverse(paths.at(phi1[i], i), paths.at(phi2[i], i), sigma1.at(t), sigma2.at(t))
+        c = tree.coef[i]
+        z, k = phi_inverse(paths.at(phi1[i], i), paths.at(phi2[i], i), c.sigma1, c.sigma2)
         v, drift = wealth[i], np.empty_like(wealth[i])
         for _, idx, state in _groups(tree, paths, i):
-            drift[idx] = v[idx] - driver.eval(t, v[idx], z[idx], k[idx], state) * tree.dt
+            drift[idx] = v[idx] - driver.eval(state.t, v[idx], z[idx], k[idx], state) * tree.dt
         p = paths.parent[i + 1]
         dw, dm = _table(branches, lambda row: (b[2:4] for b in row), (0.0, 0.0))[
             paths.d[i][p], paths.branch[i + 1]].T

@@ -73,8 +73,6 @@ class PiecewiseConstant:
             idx = 0
         return self.values[idx]
 
-    __call__ = at
-
     def max_abs(self) -> float:
         return max(abs(v) for v in self.values)
 
@@ -99,6 +97,17 @@ def merged_breakpoints(*functions: PiecewiseConstant) -> list:
     for fn in functions:
         points.update(fn.times)
     return sorted(points)
+
+
+class Coefs(NamedTuple):
+    """The market coefficients in force at one time (constant over a step)."""
+
+    r: float
+    mu1: float
+    mu2: float
+    sigma1: float
+    sigma2: float
+    lam: float  # the market's intensity, also on defaulted rows
 
 
 @dataclass
@@ -159,6 +168,10 @@ class MarketParams:
             raise ValueError(f"market: unknown field(s) {extra}")
         return cls(**{k: d[k] for k in required})
 
+    def at(self, t: float) -> Coefs:
+        """The coefficients in force at time t."""
+        return Coefs(*(getattr(self, name).at(t) for name in Coefs._fields))
+
 
 class Branch(NamedTuple):
     child: NodeId
@@ -168,16 +181,10 @@ class Branch(NamedTuple):
     kind: str  # "up" | "down" | "default"
 
 
-class NodeData(NamedTuple):
-    s0: float
-    s1: float
-    s2: float
-    lam: float  # effective intensity at the node; 0 after default
-    defaulted: bool
-
-
 class NodeState(NamedTuple):
-    """Per-node market data handed to drivers."""
+    """Per-node market data handed to drivers. ``lam`` is the effective
+    intensity (0 after default), ``coef`` the market's coefficients of the
+    node's step, so ``coef.lam`` stays the market's intensity."""
 
     t: float
     s0: float
@@ -185,6 +192,7 @@ class NodeState(NamedTuple):
     s2: float
     lam: float
     defaulted: bool
+    coef: Coefs
 
 
 def row_view(rows: str, backward: bool = False) -> cached_property:
@@ -198,19 +206,19 @@ def row_view(rows: str, backward: bool = False) -> cached_property:
 
 @dataclass(eq=False)
 class Tree:
-    """Recombining lattice of level rows: step i has prices ``s1[i]``,
-    ``s2[i]`` on its (alive, defaulted) rows, and ``row_branches[i]`` holds
-    the branches out of each row's first node; node (i, j, d) has the same
-    ones with children j up counts higher. ``levels``, ``nodes`` and
-    ``branches`` are views built on first read. Immutable after
-    construction; safe to share."""
+    """Recombining lattice of level rows: step i has the coefficients
+    ``coef[i]``, prices ``s1[i]``, ``s2[i]`` on its (alive, defaulted)
+    rows, and ``row_branches[i]`` holds the branches out of each row's first
+    node; node (i, j, d) has the same ones with children j up counts higher.
+    ``levels``, ``nodes`` (node -> ``NodeState``) and ``branches`` are views
+    built on first read. Immutable after construction; safe to share."""
 
     params: MarketParams
     n_steps: int
     dt: float
     sq: float  # sqrt(dt)
     s0: list  # riskless price per step
-    lam: list  # intensity of each step's alive row (the defaulted row's is 0)
+    coef: list  # Coefs of each step
     s1: list
     s2: list
     row_branches: list
@@ -232,9 +240,13 @@ class Tree:
         return self.levels[self.n_steps]
 
     def state(self, node: NodeId) -> NodeState:
-        data = self.nodes[node]
-        return NodeState(self.time(node[0]), data.s0, data.s1, data.s2,
-                         data.lam, data.defaulted)
+        return self.nodes[node]
+
+    def row_state(self, step: int, defaulted: int, s1, s2) -> NodeState:
+        """State of one step's alive or defaulted row at prices s1, s2."""
+        coef = self.coef[step]
+        return NodeState(self.time(step), self.s0[step], s1, s2,
+                         0.0 if defaulted else coef.lam, bool(defaulted), coef)
 
     def node_prices(self, node: NodeId) -> tuple:
         """Prices (S0, S1, S2) at a node; raises on an unknown node id."""
@@ -252,9 +264,7 @@ class Tree:
     @cached_property
     def nodes(self) -> dict:
         s1, s2 = self.node_dict(self.s1), self.node_dict(self.s2)
-        return {node: NodeData(self.s0[node[0]], s1[node], s2[node],
-                               0.0 if node[2] else self.lam[node[0]], bool(node[2]))
-                for node in s1}
+        return {node: self.row_state(node[0], node[2], s1[node], s2[node]) for node in s1}
 
     @cached_property
     def branches(self) -> dict:
@@ -340,11 +350,11 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
     for name in ("s1_0", "s2_0"):
         if not getattr(params, name) > 0.0:
             raise ValueError(f"{name} must be positive, got {getattr(params, name)!r}")
-    lam = [params.lam.at(i * dt) for i in range(n_steps + 1)]
+    coef = [params.at(i * dt) for i in range(n_steps + 1)]
     for i in range(n_steps):
-        if lam[i] * dt >= 1.0:
+        if coef[i].lam * dt >= 1.0:
             raise ValueError(
-                f"lambda*dt = {lam[i] * dt:.6g} >= 1 at step {i}; "
+                f"lambda*dt = {coef[i].lam * dt:.6g} >= 1 at step {i}; "
                 f"n_steps = {n_steps} is too coarse for this intensity")
 
     s0 = [1.0]
@@ -352,21 +362,15 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
     s2 = [(np.array([params.s2_0]), np.empty(0))]
     row_branches = []
 
-    for i in range(n_steps):
-        t = i * dt
-        r_i = params.r.at(t)
-        mu1_i = params.mu1.at(t)
-        mu2_i = params.mu2.at(t)
-        sig1_i = params.sigma1.at(t)
-        sig2_i = params.sigma2.at(t)
-        lam_dt = lam[i] * dt
+    for i, c in enumerate(coef[:-1]):
+        lam_dt = c.lam * dt
         one_minus = 1.0 - lam_dt
 
-        up1 = 1.0 + mu1_i * dt + sig1_i * sq
-        dn1 = 1.0 + mu1_i * dt - sig1_i * sq
-        up2 = 1.0 + (mu2_i + lam[i]) * dt + sig2_i * sq
-        dn2 = 1.0 + (mu2_i + lam[i]) * dt - sig2_i * sq
-        flat1 = 1.0 + mu1_i * dt  # default transition carries no dW
+        up1 = 1.0 + c.mu1 * dt + c.sigma1 * sq
+        dn1 = 1.0 + c.mu1 * dt - c.sigma1 * sq
+        up2 = 1.0 + (c.mu2 + c.lam) * dt + c.sigma2 * sq
+        dn2 = 1.0 + (c.mu2 + c.lam) * dt - c.sigma2 * sq
+        flat1 = 1.0 + c.mu1 * dt  # default transition carries no dW
         for name, down in (("sigma1", dn1), ("sigma2", dn2)):
             if not down > 0.0:
                 raise ValueError(
@@ -389,7 +393,7 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
         next_d1 = a1 * flat1 if lam_dt > 0.0 else np.concatenate((d1[:1] * dn1, d1 * up1))
         s1.append((np.concatenate((a1[:1] * dn1, a1 * up1)), next_d1))
         s2.append((np.concatenate((a2[:1] * dn2, a2 * up2)), np.zeros(len(next_d1))))
-        s0.append(s0[i] * (1.0 + r_i * dt))
+        s0.append(s0[i] * (1.0 + c.r * dt))
 
-    return Tree(params=params, n_steps=n_steps, dt=dt, sq=sq, s0=s0, lam=lam,
+    return Tree(params=params, n_steps=n_steps, dt=dt, sq=sq, s0=s0, coef=coef,
                 s1=s1, s2=s2, row_branches=row_branches)

@@ -124,12 +124,11 @@ def phi_inverse(phi1: float, phi2: float, sigma1: float, sigma2: float) -> tuple
 
 
 def strategy_from_solution(solution: Solution) -> Strategy:
-    """Apply the position map to the (z, k) rows, with volatilities read once per step."""
-    tree, params = solution.tree, solution.tree.params
+    """Apply the position map to the (z, k) rows with each step's volatilities."""
+    tree = solution.tree
     phi1, phi2 = [], []
-    for i, (z, k) in enumerate(zip(solution.z_rows, solution.k_rows)):
-        s1, s2 = params.sigma1.at(tree.time(i)), params.sigma2.at(tree.time(i))
-        phi1.append(tuple((z_d + s2 * k_d) / s1 for z_d, k_d in zip(z, k)))  # as phi_map
+    for z, k, c in zip(solution.z_rows, solution.k_rows, tree.coef):
+        phi1.append(tuple((z_d + c.sigma2 * k_d) / c.sigma1 for z_d, k_d in zip(z, k)))  # phi_map
         phi2.append(tuple(-k_d for k_d in k))
     return Strategy(tree=tree, phi1_rows=phi1, phi2_rows=phi2)
 

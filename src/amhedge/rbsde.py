@@ -87,7 +87,7 @@ def skorokhod_residual(solution: Solution, obstacle: Obstacle,
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     worst = 0.0
-    for node, da in solution.delta_a.items():
-        gap = abs(solution.y[node] - obstacle.values[node])
-        worst = max(worst, gap * da)
-    return worst
+    for y, da, xi in zip(solution.y_rows, solution.da_rows, obstacle.rows(solution.tree)):
+        for y_d, da_d, xi_d in zip(y, da, xi):
+            worst = np.fmax.reduce(np.abs(y_d - xi_d) * da_d, initial=worst)  # skips NaN
+    return float(worst)

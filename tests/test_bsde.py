@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from amhedge.bsde import (ConvergenceError, g_evaluation, martingale_check,
-                          one_step_monotone_report, solve_bsde)
+from amhedge.bsde import ConvergenceError, g_evaluation, martingale_check, solve_bsde
 from amhedge.drivers import Driver, perfect_driver
 from amhedge.market import MarketParams, build_tree
 from helpers import make_instance
@@ -203,20 +202,3 @@ class TestMartingaleCheck:
                 values[node] = sum(b.prob * values[b.child]
                                    for b in tree.branches[node])
         assert martingale_check(tree, ZERO, values) <= 1e-13
-
-
-class TestMonotoneReport:
-    def test_clean_instance_reports_ok(self):
-        rng = np.random.default_rng(53)
-        inst = make_instance(rng, "perfect", 4)
-        report = one_step_monotone_report(inst.tree, inst.driver)
-        assert report.ok
-        assert report.c_dt < 1.0
-
-    def test_bad_gamma_reported(self):
-        params = flat_params(r=0.0, mu1=0.1, sigma1=0.2, mu2=-0.1, sigma2=0.2,
-                             lam=0.1)
-        tree = build_tree(params, 4)
-        report = one_step_monotone_report(tree, perfect_driver(params))
-        assert not report.ok
-        assert not report.gamma.passed

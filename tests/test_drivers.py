@@ -14,11 +14,11 @@ def flat_params(**overrides):
 
 
 def alive_state(params, t=0.0):
-    return NodeState(t, 1.0, params.s1_0, params.s2_0, params.lam.at(t), False)
+    return NodeState(t, 1.0, params.s1_0, params.s2_0, params.lam.at(t), False, params.at(t))
 
 
 def defaulted_state(params, t=0.0):
-    return NodeState(t, 1.0, params.s1_0, 0.0, 0.0, True)
+    return NodeState(t, 1.0, params.s1_0, 0.0, 0.0, True, params.at(t))
 
 
 class TestPerfectDriver:

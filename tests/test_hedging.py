@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -8,9 +9,9 @@ from amhedge.drivers import Driver, borrow_lend_driver, large_trader_driver, per
 from amhedge.hedging import (simulate_wealth, strict_gain_after_nubar,
                              verify_superhedge_buyer, verify_superhedge_seller,
                              wealth_martingale_residual)
-from amhedge.market import MarketParams, build_tree
+from amhedge.market import Coefs, MarketParams, PiecewiseConstant, build_tree
 from amhedge.payoffs import put
-from amhedge.pricing import Strategy, buyer_price, seller_price
+from amhedge.pricing import Strategy, buyer_price, price_american, seller_price
 from amhedge.rbsde import Obstacle
 from helpers import (make_instance, scalar_martingale_residual, scalar_simulate_exact,
                      scalar_simulate_sampled, scalar_strict_gain, scalar_verify_buyer,
@@ -393,3 +394,33 @@ class TestBrokenWealth:
         with pytest.raises(ValueError, match=r"buyer superhedge slack is not finite \(nan\) "
                                              r"at step \d, node \(\d, \d, \d\), path [udj]+$"):
             verify_superhedge_buyer(field, self.obs, buyer.exercise)
+
+
+class CountingPiecewise(PiecewiseConstant):
+    """A piecewise-constant coefficient that counts its lookups by time."""
+
+    __slots__ = ()
+    calls = 0
+
+    def at(self, t):
+        CountingPiecewise.calls += 1
+        return super().at(t)
+
+
+@pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader"])
+def test_pricing_and_simulation_read_the_per_step_coefficients(kind):
+    market = MarketParams(**PIECEWISE_MARKET)
+    params = replace(market, **{name: CountingPiecewise(getattr(market, name).values,
+                                                        getattr(market, name).times)
+                                for name in Coefs._fields})
+    CountingPiecewise.calls = 0
+    tree = build_tree(params, 7)
+    driver = reference_driver(kind, params)
+    obstacle = Obstacle.from_payoff(tree, put(105.0))
+    assert CountingPiecewise.calls > 0  # the lattice resolves each step once
+    CountingPiecewise.calls = 0
+    report = price_american(tree, driver, obstacle, gamma_check=False)
+    for mode in ("exact", "sampled"):
+        simulate_wealth(tree, report.u0, report.seller_strategy, driver, mode=mode, n_paths=50)
+        simulate_wealth(tree, -report.v0, report.buyer_strategy, driver, mode=mode, n_paths=50)
+    assert CountingPiecewise.calls == 0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from amhedge.bsde import g_evaluation
 from amhedge.cli import canonical_json, report_to_dict
 from amhedge.drivers import Driver, borrow_lend_driver, perfect_driver
-from amhedge.market import MarketParams, NodeData, PiecewiseConstant, build_tree
+from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.payoffs import put
 from amhedge.oracle import brute_force_seller_value, enumerate_stopping_rules
 from amhedge.pricing import (buyer_price, epsilon_gap_bound, epsilon_rational,
@@ -297,8 +297,9 @@ def test_price_path_stays_on_rows():
     n = tree.n_steps
     every, down = range(n + 1), range(n - 1, -1, -1)
     assert list(tree.nodes.items()) == [
-        (node, NodeData(tree.s0[node[0]], s1, s2, tree.lam[node[0]] if not node[2] else 0.0,
-                        bool(node[2])))
+        (node, NodeState(tree.time(node[0]), tree.s0[node[0]], s1, s2,
+                         tree.coef[node[0]].lam if not node[2] else 0.0, bool(node[2]),
+                         tree.coef[node[0]]))
         for (node, s1), (_, s2) in zip(_row_items(tree.s1, every), _row_items(tree.s2, every))]
     assert list(obstacle.values.items()) == _row_items(obstacle.rows(tree), every)
     for sol in solutions:

@@ -130,7 +130,8 @@ class TestSkorokhod:
         sol = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle)
         node = max(sol.delta_a, key=lambda n: sol.y[n] - inst.obstacle.values[n])
         assert sol.y[node] > inst.obstacle.values[node]
-        sol.delta_a[node] = 0.5
+        i, j, d = node
+        sol.da_rows[i][d][j] = 0.5
         expected = 0.5 * (sol.y[node] - inst.obstacle.values[node])
         assert skorokhod_residual(sol, inst.obstacle) == pytest.approx(expected)
 
@@ -280,7 +281,7 @@ def test_batched_gamma_check_equals_scalar_scan(kind):
     points = (-101.0, -1.0, 0.0, 1.0, 101.0)
     samples = gamma_samples(params, times=[0.0, 0.25, 0.5, 0.75], ys=points,
                             zs=points, ks=points)
-    dead = NodeState(0.5, 1.0, 100.0, 0.0, 0.0, True)
+    dead = NodeState(0.5, 1.0, 100.0, 0.0, 0.0, True, params.at(0.5))
     alive = samples[0][0]
     # Mix in samples the check skips, repeated states and runs that are
     # split by other states.
@@ -296,8 +297,9 @@ def test_batched_gamma_check_equals_scalar_scan(kind):
 def test_batched_gamma_check_keeps_first_of_tied_minima():
     linear = Driver(name="linear", eval=lambda t, y, z, k, s: -0.5 * s.lam * k,
                     lipschitz_C=1.0)
-    a = NodeState(0.0, 1.0, 100.0, 90.0, 0.5, False)
-    b = NodeState(0.5, 1.0, 100.0, 90.0, 0.5, False)
+    params = flat_params(lam=0.5)
+    a = NodeState(0.0, 1.0, 100.0, 90.0, 0.5, False, params.at(0.0))
+    b = NodeState(0.5, 1.0, 100.0, 90.0, 0.5, False, params.at(0.5))
     samples = [(a, 0.0, 0.0, 1.0, 1.0), (a, 1.0, 0.0, 2.0, 0.0),
                (b, 2.0, 0.0, 4.0, -4.0), (a, 3.0, 0.0, 1.0, 3.0)]
     report = check_gamma_assumption(linear, samples)  # every ratio is exactly -0.5
