@@ -1,0 +1,85 @@
+"""Run the benchmark's job documents through two source trees and compare
+every output byte.
+
+    python scripts/compare_outputs.py PARENT_SRC CHANGE_SRC --seed 5 --rounds 2
+
+PARENT_SRC and CHANGE_SRC are directories holding the ``amhedge`` package
+(for example ``src`` of two checkouts). Every job of rounds 0 .. R-1 of the
+three workloads in ``perfbench/workloads.py`` runs as
+``amhedge price job.json --out out --dump-tree`` in a fresh Python process
+for each tree. The exit code, stderr, the set of output files and the bytes
+of ``report.json``, ``wealth.csv``, ``wealth_buyer.csv`` and ``tree.json``
+must be equal. The first difference is named and the exit code is 1;
+otherwise the exit code is 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True  # import the workloads without writing into perfbench/
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+OUTPUTS = ("report.json", "wealth.csv", "wealth_buyer.csv", "tree.json")
+RUN_CLI = "import sys; from amhedge.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_job(src: Path, job: dict, workdir: Path) -> dict:
+    """One job in a fresh process; its exit code, stderr and output bytes."""
+    workdir.mkdir(parents=True)
+    (workdir / "job.json").write_text(json.dumps(job))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, "price", "job.json", "--out", "out", "--dump-tree"],
+        cwd=workdir, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True)
+    out = workdir / "out"
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return {"exit code": proc.returncode,
+            "stderr": proc.stderr.replace(str(src), "<src>"),
+            "output files": sorted(files),
+            **{name: files.get(name) for name in OUTPUTS}}
+
+
+def first_difference(a: dict, b: dict):
+    return next((key for key in a if a[key] != b[key]), None)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--rounds", type=int, default=1, help="rounds 0 .. R-1")
+    args = parser.parse_args(argv)
+    srcs = [args.parent_src.resolve(), args.change_src.resolve()]
+    for src in srcs:
+        if not (src / "amhedge" / "cli.py").is_file():
+            parser.error(f"{src} does not hold the amhedge package")
+
+    jobs = [(f"{name} round {r} job {i}", job)
+            for name in workloads.WORKLOADS for r in range(args.rounds)
+            for i, job in enumerate(workloads.generate(name, args.seed, r))]
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, (label, job) in enumerate(jobs):
+            workdir = Path(tmp) / str(index)
+            diff = first_difference(*[run_job(src, job, workdir / side)
+                                      for side, src in zip(("parent", "change"), srcs)])
+            shutil.rmtree(workdir)
+            if diff is not None:
+                print(f"DIFFERENT: {label}: {diff}\n{json.dumps(job, sort_keys=True)}")
+                return 1
+    print(f"identical: {len(jobs)} jobs (seed {args.seed}, rounds 0..{args.rounds - 1}); "
+          f"exit codes, stderr and {', '.join(OUTPUTS)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

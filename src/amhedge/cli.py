@@ -24,9 +24,9 @@ import numpy as np
 
 from . import hedging, oracle, pricing
 from .bsde import ConvergenceError
-from .drivers import (Driver, admissibility_samples, borrow_lend_driver,
+from .drivers import (Driver, admissibility_rows, borrow_lend_driver,
                       check_gamma_assumption, check_lambda_admissible,
-                      gamma_samples, large_trader_driver, perfect_driver)
+                      gamma_rows, large_trader_driver, perfect_driver)
 from .market import MarketParams, build_tree
 from .payoffs import payoff_from_config
 from .rbsde import Obstacle, skorokhod_residual, solve_rbsde_lower
@@ -349,7 +349,7 @@ def _check_martingale(tree, driver, seller_field):
 
 def _check_gamma(tree, driver):
     times = [tree.time(i) for i in range(tree.n_steps)]
-    report = check_gamma_assumption(driver, gamma_samples(tree.params, times=times))
+    report = check_gamma_assumption(driver, gamma_rows(tree.params, times=times))
     min_ratio = None if math.isinf(report.min_ratio) else report.min_ratio
     return {"passed": report.passed, "min_ratio": min_ratio,
             "n_samples": report.n_samples}
@@ -357,7 +357,7 @@ def _check_gamma(tree, driver):
 
 def _check_admissible(tree, driver):
     times = [tree.time(i) for i in range(tree.n_steps)]
-    report = check_lambda_admissible(driver, admissibility_samples(tree.params, times=times))
+    report = check_lambda_admissible(driver, admissibility_rows(tree.params, times=times))
     return {"passed": report.passed, "max_ratio": report.max_ratio,
             "declared_C": report.lipschitz_C}
 

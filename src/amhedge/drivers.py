@@ -185,27 +185,38 @@ class GammaReport:
     n_samples: int = 0
 
 
+def _state_rows(samples: Iterable):
+    # Each run of samples at one state, as one float row per (float or row) entry.
+    for state, run in groupby(samples, key=itemgetter(0)):
+        yield state, [np.asarray(c[0], dtype=float).reshape(-1) if len(c) == 1 else
+                      np.concatenate([np.ravel(v) for v in c], dtype=float)
+                      for c in zip(*[s[1:] for s in run])]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in a scalar scan
 def check_lambda_admissible(driver: Driver, samples: Iterable) -> AdmissibilityReport:
     """Largest sampled ratio |dg| / (|dy| + |dz| + sqrt(lam) |dk|) vs the
     declared constant.
 
-    ``samples`` yields (state, (y1, z1, k1), (y2, z2, k2)) triples; both
-    points are evaluated at the same node state.
-    """
+    ``samples`` yields (state, (y1, z1, k1), (y2, z2, k2)) triples of floats
+    or of one state's equal-length rows; both points are evaluated at the same
+    node state, one row per state, skipping pairs with a zero denominator."""
     max_ratio = 0.0
     worst = None
-    for state, p1, p2 in samples:
-        y1, z1, k1 = p1
-        y2, z2, k2 = p2
+    for state, cols in _state_rows((s, *p1, *p2) for s, p1, p2 in samples):
+        y1, z1, k1, y2, z2, k2 = cols
         denom = abs(y1 - y2) + abs(z1 - z2) + math.sqrt(state.lam) * abs(k1 - k2)
-        if denom == 0.0:
+        keep = denom != 0.0
+        y1, z1, k1, y2, z2, k2 = cols = [c[keep] for c in cols]
+        if not len(y1):
             continue
-        diff = abs(driver.eval(state.t, y1, z1, k1, state)
-                   - driver.eval(state.t, y2, z2, k2, state))
-        ratio = diff / denom
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = (state, p1, p2)
+        ratio = abs(driver.eval(state.t, y1, z1, k1, state)
+                    - driver.eval(state.t, y2, z2, k2, state)) / denom[keep]
+        # The first largest ratio wins and NaN never does, as in a scalar scan.
+        i = int(np.argmax(np.where(np.isnan(ratio), -math.inf, ratio)))
+        if ratio[i] > max_ratio:
+            max_ratio = float(ratio[i])
+            worst = (state, *(tuple(float(c[i]) for c in p) for p in (cols[:3], cols[3:])))
     passed = max_ratio <= driver.lipschitz_C + RATIO_TOL
     return AdmissibilityReport(max_ratio=max_ratio, lipschitz_C=driver.lipschitz_C,
                                passed=passed, worst=worst)
@@ -215,31 +226,30 @@ def check_lambda_admissible(driver: Driver, samples: Iterable) -> AdmissibilityR
 def check_gamma_assumption(driver: Driver, samples: Iterable) -> GammaReport:
     """Smallest sampled ratio (g(k1) - g(k2)) / ((k1 - k2) lam).
 
-    ``samples`` yields (state, y, z, k1, k2) with k1 != k2 and a positive
-    node intensity. The check passes when the smallest ratio stays above -1;
-    an empty sample set passes vacuously (no jump risk to constrain).
+    ``samples`` yields (state, y, z, k1, k2), floats or one state's rows, with
+    k1 != k2 and a positive intensity; one row per state. The check passes when
+    the smallest ratio stays above -1; an empty sample set passes vacuously.
     """
     min_ratio = math.inf
     worst = None
     n = 0
-    # Each run of consecutive samples at one state is evaluated as a row.
-    for state, run in groupby(samples, key=itemgetter(0)):
+    for state, cols in _state_rows(samples):
         if state.lam <= 0.0:
             continue
-        run = [s for s in run if s[3] != s[4]]
-        if not run:
+        keep = cols[2] != cols[3]
+        y, z, k1, k2 = cols = cols if keep.all() else [c[keep] for c in cols]
+        if not len(y):
             continue
-        n += len(run)
-        _, y, z, k1, k2 = zip(*run)
-        y, z, k1, k2 = np.array(y), np.array(z), np.array(k1), np.array(k2)
+        n += len(y)
         g1 = driver.eval(state.t, y, z, k1, state)
         g2 = driver.eval(state.t, y, z, k2, state)
         ratio = (g1 - g2) / ((k1 - k2) * state.lam)
-        # NaN ratios never lower the minimum, as in a scalar scan.
-        i = int(np.argmin(np.where(np.isnan(ratio), math.inf, ratio)))
+        i = int(np.argmin(ratio))
+        if np.isnan(ratio[i]):  # NaN ratios never lower the minimum, as in a scalar scan
+            i = int(np.argmin(np.where(np.isnan(ratio), math.inf, ratio)))
         if ratio[i] < min_ratio:
             min_ratio = float(ratio[i])
-            worst = run[i]
+            worst = (state, *(float(c[i]) for c in cols))
     passed = (n == 0) or (min_ratio > -1.0 + RATIO_TOL)
     return GammaReport(min_ratio=min_ratio, passed=passed, worst=worst, n_samples=n)
 
@@ -259,31 +269,40 @@ def sample_states(params: MarketParams, times: Sequence = None,
     return states
 
 
-def admissibility_samples(params: MarketParams, times: Sequence = None,
-                          ys=(-1.0, 0.0, 1.0), zs=(-1.0, 0.0, 1.0),
-                          ks=(-1.0, 0.0, 1.0)) -> list:
-    """All distinct pairs of grid points, per sampled state."""
-    states = sample_states(params, times)
+def _columns(pairs: list, width: int) -> tuple:
+    return tuple(np.array(list(zip(*pairs)), dtype=float).reshape(width, -1))
+
+
+def _points(cols) -> list:
+    return list(zip(*(c.tolist() for c in cols)))
+
+
+def admissibility_rows(params: MarketParams, times: Sequence = None,
+                       ys=(-1.0, 0.0, 1.0), zs=(-1.0, 0.0, 1.0),
+                       ks=(-1.0, 0.0, 1.0)) -> list:
+    """All distinct pairs of grid points: per state, one sample of pair rows."""
     points = [(y, z, k) for y in ys for z in zs for k in ks]
-    out = []
-    for state in states:
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                out.append((state, points[i], points[j]))
-    return out
+    cols = _columns([p + q for i, p in enumerate(points) for q in points[i + 1:]], 6)
+    return [(state, cols[:3], cols[3:]) for state in sample_states(params, times)]
 
 
-def gamma_samples(params: MarketParams, times: Sequence = None,
-                  ys=(-1.0, 0.0, 1.0), zs=(-1.0, 0.0, 1.0),
-                  ks=(-1.0, 0.0, 1.0)) -> list:
-    """Jump-pair samples (state, y, z, k1, k2) at states with positive intensity."""
-    states = [s for s in sample_states(params, times, include_defaulted=False)
-              if s.lam > 0.0]
-    out = []
-    for state in states:
-        for y in ys:
-            for z in zs:
-                for i in range(len(ks)):
-                    for j in range(i + 1, len(ks)):
-                        out.append((state, y, z, ks[i], ks[j]))
-    return out
+def admissibility_samples(*args, **kwargs) -> list:
+    """``admissibility_rows`` (same arguments), one (state, p1, p2) tuple a pair."""
+    return [(state, p1, p2) for state, r1, r2 in admissibility_rows(*args, **kwargs)
+            for p1, p2 in zip(_points(r1), _points(r2))]
+
+
+def gamma_rows(params: MarketParams, times: Sequence = None,
+               ys=(-1.0, 0.0, 1.0), zs=(-1.0, 0.0, 1.0),
+               ks=(-1.0, 0.0, 1.0)) -> list:
+    """Jump-pair samples (state, y, z, k1, k2) at states with positive
+    intensity: one per state, with the grid's pairs as rows."""
+    cols = _columns([(y, z, a, b) for y in ys for z in zs
+                     for i, a in enumerate(ks) for b in ks[i + 1:]], 4)
+    return [(state, *cols) for state in sample_states(params, times, include_defaulted=False)
+            if state.lam > 0.0]
+
+
+def gamma_samples(*args, **kwargs) -> list:
+    """``gamma_rows`` (same arguments), one (state, y, z, k1, k2) tuple a sample."""
+    return [(state, *p) for state, *cols in gamma_rows(*args, **kwargs) for p in _points(cols)]

@@ -12,29 +12,38 @@ import ast
 import math
 from typing import Callable
 
+import numpy as np
+
 _ALLOWED_NAMES = {"t", "S1", "S2", "defaulted"}
 _ALLOWED_FUNCS = {"max", "min"}
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 _ALLOWED_UNARY = (ast.UAdd, ast.USub)
 
 
+def _max0(x):
+    # Python's max(x, 0.0) on a row: x unless 0.0 > x, so -0.0 and NaN pass.
+    return np.where(x < 0.0, 0.0, x)
+
+
 def put(strike: float) -> Callable:
-    """Right to sell the default-free asset at the strike."""
+    """Right to sell the default-free asset at the strike; ``.row`` maps rows."""
     strike = float(strike)
 
     def payoff(t, s1, s2, defaulted):
         return max(strike - s1, 0.0)
 
+    payoff.row = lambda t, s1, s2, defaulted: _max0(strike - s1)
     return payoff
 
 
 def call(strike: float) -> Callable:
-    """Right to buy the default-free asset at the strike."""
+    """Right to buy the default-free asset at the strike; ``.row`` maps rows."""
     strike = float(strike)
 
     def payoff(t, s1, s2, defaulted):
         return max(s1 - strike, 0.0)
 
+    payoff.row = lambda t, s1, s2, defaulted: _max0(s1 - strike)
     return payoff
 
 

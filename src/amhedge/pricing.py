@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bsde import PICARD_TOL, Solution, cumulative_charge, g_evaluation
-from .drivers import Driver, check_gamma_assumption, gamma_samples
+from .drivers import Driver, check_gamma_assumption, gamma_rows
 from .market import NodeId, Tree, row_view
 from .rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
 
@@ -140,8 +140,7 @@ def _require_gamma(tree: Tree, driver: Driver) -> None:
     times = [tree.time(i) for i in range(max(tree.n_steps, 1))]
     scale = 1.0 + max(abs(tree.params.s1_0), abs(tree.params.s2_0))
     points = (-scale, -1.0, 0.0, 1.0, scale)
-    samples = gamma_samples(tree.params, times=times, ys=points, zs=points,
-                            ks=points)
+    samples = gamma_rows(tree.params, times=times, ys=points, zs=points, ks=points)
     report = check_gamma_assumption(driver, samples)
     if not report.passed:
         raise ValueError(

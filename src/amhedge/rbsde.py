@@ -42,15 +42,12 @@ class Obstacle:
 
     @classmethod
     def from_payoff(cls, tree: Tree, payoff: Callable) -> "Obstacle":
-        """Evaluate a payoff map (t, s1, s2, defaulted) -> value at every node,
-        in node order."""
-        rows = []
-        for i, (s1, s2) in enumerate(zip(tree.s1, tree.s2)):
-            t = tree.time(i)
-            rows.append(tuple(np.array([float(payoff(t, x1, x2, bool(d)))
-                                        for x1, x2 in zip(s1[d].tolist(), s2[d].tolist())])
-                              for d in (0, 1)))
-        return cls(tree=tree, rows=rows)
+        """Evaluate a payoff map (t, s1, s2, defaulted) -> value at every node in
+        node order, a whole row per call through its ``row`` form if it has one."""
+        row = getattr(payoff, "row", None) or (lambda t, s1, s2, d: np.array(
+            [float(payoff(t, x1, x2, d)) for x1, x2 in zip(s1.tolist(), s2.tolist())]))
+        return cls(tree=tree, rows=[tuple(row(tree.time(i), s1[d], s2[d], bool(d)) for d in (0, 1))
+                                    for i, (s1, s2) in enumerate(zip(tree.s1, tree.s2))])
 
 
 def _solve_reflected(tree: Tree, driver: Driver, obstacle: Obstacle,

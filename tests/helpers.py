@@ -6,8 +6,9 @@ risk, jump-monotonicity ratio well above -1 out to the price scale,
 moderate C * dt, and a directly verified monotone one-step map at the
 solved values (rejection sampling otherwise).
 
-The end of the file keeps the scalar reference of the forward wealth
-simulation and of the superhedge checks.
+The end of the file keeps the scalar references of the forward wealth
+simulation, of the superhedge checks, of the obstacle and of the sampled
+driver checks.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 from amhedge.bsde import (PICARD_TOL, ConvergenceError, coefficients, implicit_value,
                           one_step)
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
-                             gamma_samples, large_trader_driver, perfect_driver)
+                             gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.hedging import SUPERHEDGE_TOL, HedgeReport
 from amhedge.market import MarketParams, PiecewiseConstant, build_tree
 from amhedge.pricing import phi_inverse
@@ -138,8 +139,7 @@ def make_instance(rng, kind: str, n_steps: int, lam=None, T=None,
         scale = 1.0 + max(abs(params.s1_0), abs(params.s2_0))
         points = (-scale, -1.0, 0.0, 1.0, scale)
         gamma = check_gamma_assumption(
-            driver, gamma_samples(params, times=times, ys=points, zs=points,
-                                  ks=points))
+            driver, gamma_rows(params, times=times, ys=points, zs=points, ks=points))
         if not gamma.passed:
             continue
         if gamma.n_samples and gamma.min_ratio <= -0.9:
@@ -372,3 +372,55 @@ def scalar_strict_gain(field, solution) -> tuple:
                 nxt[jdx] = a_in[pidx] + solution.delta_a[pnode]
             a_in = nxt
     return n, min_gain
+
+
+# ---------------------------------------------------------------------------
+# Scalar references for the obstacle and the sampled driver checks: the
+# per-node and per-sample code that the row versions in amhedge.rbsde and
+# amhedge.drivers replaced, kept so the two can be compared bit for bit.
+# ---------------------------------------------------------------------------
+
+def scalar_obstacle_rows(tree, payoff) -> list:
+    """The (alive, defaulted) payoff rows of every step, the payoff called
+    with floats once per node in node order."""
+    rows = []
+    for i, (s1, s2) in enumerate(zip(tree.s1, tree.s2)):
+        t = tree.time(i)
+        rows.append(tuple(np.array([float(payoff(t, x1, x2, bool(d)))
+                                    for x1, x2 in zip(s1[d].tolist(), s2[d].tolist())])
+                          for d in (0, 1)))
+    return rows
+
+
+def scalar_gamma_scan(driver, samples) -> tuple:
+    """Per-sample reference for check_gamma_assumption: (min, worst, count)."""
+    min_ratio, worst, n = math.inf, None, 0
+    for state, y, z, k1, k2 in samples:
+        if state.lam <= 0.0 or k1 == k2:
+            continue
+        n += 1
+        ratio = ((driver.eval(state.t, y, z, k1, state)
+                  - driver.eval(state.t, y, z, k2, state)) / ((k1 - k2) * state.lam))
+        if ratio < min_ratio:
+            min_ratio, worst = ratio, (state, y, z, k1, k2)
+    return min_ratio, worst, n
+
+
+def scalar_admissible_scan(driver, samples) -> tuple:
+    """Per-sample reference for check_lambda_admissible: (max, worst)."""
+    max_ratio, worst = 0.0, None
+    for state, p1, p2 in samples:
+        (y1, z1, k1), (y2, z2, k2) = p1, p2
+        denom = abs(y1 - y2) + abs(z1 - z2) + math.sqrt(state.lam) * abs(k1 - k2)
+        if denom == 0.0:
+            continue
+        ratio = abs(driver.eval(state.t, y1, z1, k1, state)
+                    - driver.eval(state.t, y2, z2, k2, state)) / denom
+        if ratio > max_ratio:
+            max_ratio, worst = ratio, (state, p1, p2)
+    return max_ratio, worst
+
+
+def float_bits(value) -> bytes:
+    """The IEEE bytes of a float, so that -0.0 and 0.0 differ and NaN equals NaN."""
+    return np.float64(value).tobytes()

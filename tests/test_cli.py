@@ -393,6 +393,21 @@ EXPR_JOB = {
     "payoff": {"kind": "expr", "expr": "max(105 - S1, 0) + S2 * defaulted"},
     "jobs": ["price"],
 }
+# Reaches the bytes of the sampled checks: gamma's min_ratio and n_samples,
+# admissible's max_ratio, on piecewise coefficients with lambda dropping to 0.
+CHECKS_JOB = {
+    "market": {"r": {"values": [0.03, 0.05], "times": [0.0, 0.4]},
+               "mu1": 0.08, "mu2": -0.01,
+               "sigma1": {"values": [0.3, 0.22], "times": [0.0, 0.7]},
+               "sigma2": 0.2,
+               "lambda": {"values": [0.2, 0.0], "times": [0.0, 0.55]},
+               "s1_0": 100.0, "s2_0": 80.0, "T": 1.0},
+    "grid": {"n_steps": 20},
+    "driver": {"name": "borrow_lend", "params": {"R": 0.07}},
+    "payoff": {"kind": "call", "strike": 100.0},
+    "jobs": ["price", "verify"],
+    "verify": ["gamma", "admissible", "skorokhod"],
+}
 HEADER_ONLY_CSV = "01d4a41f258bb8a00eceb035a67db30b125b200840329bf7df045466bb5a1753"
 # Past MAX_EXACT_STEPS, so both wealth fields are 10,000-path samples.
 SAMPLED_JOB = {**_hedge_job(13), "seed": 11}
@@ -411,7 +426,11 @@ SAMPLED_JOB = {**_hedge_job(13), "seed": 11}
     (SAMPLED_JOB, {
         "report.json": "0aac01dc08a683e4760b558aeb21b77fa3fb474cf812741a8cb0dbff5e6cdf49",
         "wealth.csv": HEADER_ONLY_CSV, "wealth_buyer.csv": HEADER_ONLY_CSV}),
-], ids=["readme", "borrow_lend_piecewise_lambda_to_0", "large_trader_expr", "sampled_hedge"])
+    (CHECKS_JOB, {
+        "report.json": "1e7914b0f24074020565f51f9309db29e06381205566b77a4efc2050c38f4846",
+        "wealth.csv": None, "wealth_buyer.csv": None}),
+], ids=["readme", "borrow_lend_piecewise_lambda_to_0", "large_trader_expr", "sampled_hedge",
+        "call_sampled_checks"])
 def test_golden_bytes(tmp_path, job, digests):
     """Output files are byte-identical to those of earlier versions (sha256)."""
     assert run(copy.deepcopy(job), out_dir=tmp_path) == EXIT_OK

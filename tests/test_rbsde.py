@@ -9,7 +9,7 @@ from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.rbsde import (Obstacle, skorokhod_residual, solve_rbsde_lower,
                            solve_rbsde_upper)
-from helpers import make_instance, random_payoff
+from helpers import make_instance, random_payoff, scalar_gamma_scan
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 
@@ -258,20 +258,6 @@ class TestRowSweepMatchesScalar:
                 assert (sol.z[node], sol.k[node]) == (z, k)
         assert list(sol.y) == list(y)
         assert all(sol.y[node] == y[node] for node in y)
-
-
-def scalar_gamma_scan(driver, samples):
-    """Per-sample reference for check_gamma_assumption: (min, worst, count)."""
-    min_ratio, worst, n = math.inf, None, 0
-    for state, y, z, k1, k2 in samples:
-        if state.lam <= 0.0 or k1 == k2:
-            continue
-        n += 1
-        ratio = ((driver.eval(state.t, y, z, k1, state)
-                  - driver.eval(state.t, y, z, k2, state)) / ((k1 - k2) * state.lam))
-        if ratio < min_ratio:
-            min_ratio, worst = ratio, (state, y, z, k1, k2)
-    return min_ratio, worst, n
 
 
 @pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader_alpha"])
