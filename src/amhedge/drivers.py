@@ -33,11 +33,13 @@ class Driver:
     """A generator g with its declared Lipschitz constant.
 
     ``eval`` has signature (t, y, z, k, state) -> value where ``state`` is a
-    ``NodeState``. It must be elementwise: the backward sweep and the
-    jump-monotonicity check call it once per level row, with numpy rows for
-    y, z and k (and for the state's s1 and s2), a scalar t and a state whose
-    s0, lam, defaulted and coef are shared by the row, and use the row it
-    returns (a scalar broadcasts). Called with floats, it returns a float.
+    ``NodeState``. It must be elementwise. The backward sweep and the forward
+    simulation call it per level row (the state's s1 and s2 are rows too), and
+    the three sampled checks (price precheck, ``gamma``, ``admissible``) twice
+    per sampled state (a state of scalars): y, z and k are numpy rows, t and
+    the other state fields are shared by the row, and the row it returns is
+    used (a scalar broadcasts). Only the oracles and the scalar ``one_step``
+    call it with floats, and then it returns a float.
     The market coefficients of t are ``state.coef``; ``state.lam`` is the
     effective intensity (0 after default). ``lipschitz_C`` is
     the constant C in the bound |dg| <= C * (|dy| + |dz| + sqrt(lam) * |dk|),
@@ -237,16 +239,15 @@ def check_gamma_assumption(driver: Driver, samples: Iterable) -> GammaReport:
         if state.lam <= 0.0:
             continue
         keep = cols[2] != cols[3]
-        y, z, k1, k2 = cols = cols if keep.all() else [c[keep] for c in cols]
+        y, z, k1, k2 = cols = [c[keep] for c in cols]
         if not len(y):
             continue
         n += len(y)
         g1 = driver.eval(state.t, y, z, k1, state)
         g2 = driver.eval(state.t, y, z, k2, state)
         ratio = (g1 - g2) / ((k1 - k2) * state.lam)
-        i = int(np.argmin(ratio))
-        if np.isnan(ratio[i]):  # NaN ratios never lower the minimum, as in a scalar scan
-            i = int(np.argmin(np.where(np.isnan(ratio), math.inf, ratio)))
+        # The first smallest ratio wins and NaN never does, as in a scalar scan.
+        i = int(np.argmin(np.where(np.isnan(ratio), math.inf, ratio)))
         if ratio[i] < min_ratio:
             min_ratio = float(ratio[i])
             worst = (state, *(float(c[i]) for c in cols))
