@@ -117,33 +117,31 @@ def coefficients(branches, child_values, sq: float) -> tuple:
 
 
 def implicit_value(driver: Driver, state: NodeState, dt: float, e: float,
-                   z: float, k: float, tol: float = PICARD_TOL,
-                   max_iter: int = PICARD_MAX_ITER) -> float:
+                   z: float, k: float) -> float:
     """Solve y = e + g(t, y, z, k) * dt by Picard iteration.
 
-    The stopping test is scale aware (tol * (1 + |y|)): below one unit in
+    The stopping test is scale aware (PICARD_TOL * (1 + |y|)): below one unit in
     the last place an absolute test can alternate between adjacent floats
     forever at large value scales.
     """
     t = state.t
     y = e
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         y_new = e + driver.eval(t, y, z, k, state) * dt
-        if abs(y_new - y) <= tol * (1.0 + abs(y_new)):
+        if abs(y_new - y) <= PICARD_TOL * (1.0 + abs(y_new)):
             return y_new
         y = y_new
     raise ConvergenceError(
-        f"implicit step did not converge in {max_iter} iterations at t={t:.6g}; "
+        f"implicit step did not converge in {PICARD_MAX_ITER} iterations at t={t:.6g}; "
         "the time step is too large for the driver's Lipschitz constant")
 
 
-def one_step(tree: Tree, driver: Driver, node: NodeId, values: Mapping,
-             tol: float = PICARD_TOL) -> tuple:
+def one_step(tree: Tree, driver: Driver, node: NodeId, values: Mapping) -> tuple:
     """One backward step from child values; returns (y, z, k)."""
     branches = tree.branches[node]
     child_values = [values[b.child] for b in branches]
     e, z, k = coefficients(branches, child_values, tree.sq)
-    y = implicit_value(driver, tree.state(node), tree.dt, e, z, k, tol=tol)
+    y = implicit_value(driver, tree.state(node), tree.dt, e, z, k)
     return y, z, k
 
 
@@ -166,7 +164,7 @@ def _values_on(tree: Tree, source, nodes: Iterable) -> dict:
 
 
 def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k,
-                  tol: float, row: tuple) -> tuple:
+                  row: tuple) -> tuple:
     """``implicit_value`` over the row ``(step, defaulted)``; each element
     keeps the iterate at which it first passes the stopping test, so it
     equals the scalar result. Also counts the iterations (max and sum)."""
@@ -178,7 +176,7 @@ def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k,
         total += pending
         y_new = e + driver.eval(state.t, y, z, k, state) * dt
         residual = np.abs(y_new - y)
-        passed = residual <= tol * (1.0 + np.abs(y_new))
+        passed = residual <= PICARD_TOL * (1.0 + np.abs(y_new))
         np.copyto(out, y_new, where=passed & ~done)
         done |= passed
         pending = e.size - int(np.count_nonzero(done))
@@ -194,8 +192,7 @@ def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k,
 
 @np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in one_step
 def backward_sweep(tree: Tree, driver: Driver, terminal: tuple,
-                   tol: float = PICARD_TOL, barrier: list = None,
-                   side: str = "lower") -> Solution:
+                   barrier: list = None, side: str = "lower") -> Solution:
     """Backward solve one level row at a time from the terminal rows.
 
     The children of a row are slices of the next level's rows, and each
@@ -217,8 +214,7 @@ def backward_sweep(tree: Tree, driver: Driver, terminal: tuple,
             e, z_row, k_row = coefficients(branches, children, tree.sq)
             k_row = np.broadcast_to(k_row, e.shape)
             state = tree.row_state(i, d, s1, tree.s2[i][d])
-            y_row, iters, total = _implicit_row(driver, state, tree.dt, e, z_row, k_row,
-                                                tol, (i, d))
+            y_row, iters, total = _implicit_row(driver, state, tree.dt, e, z_row, k_row, (i, d))
             nodes, picard_sum, evals = nodes + m, picard_sum + total, evals + iters * m
             picard_max = max(picard_max, iters)
             da_row = np.zeros(m)
@@ -235,18 +231,17 @@ def backward_sweep(tree: Tree, driver: Driver, terminal: tuple,
                     y_rows=y, z_rows=z, k_rows=k, da_rows=da, stats=stats)
 
 
-def solve_bsde(tree: Tree, driver: Driver, terminal, tol: float = PICARD_TOL) -> Solution:
+def solve_bsde(tree: Tree, driver: Driver, terminal) -> Solution:
     """Backward solve with a terminal condition and no reflection.
 
     ``terminal`` maps terminal nodes to values (a dict, a callable on node
     ids, or any object with a ``values`` mapping covering the last level).
     """
     values = _values_on(tree, terminal, tree.terminal_nodes())
-    return backward_sweep(tree, driver, tree.level_rows(values, tree.n_steps), tol)
+    return backward_sweep(tree, driver, tree.level_rows(values, tree.n_steps))
 
 
-def g_evaluation(tree: Tree, driver: Driver, rule, payoff,
-                 tol: float = PICARD_TOL) -> float:
+def g_evaluation(tree: Tree, driver: Driver, rule, payoff) -> float:
     """Root value of the payoff collected at an adapted stopping rule.
 
     The rule is a per-node boolean flag (anything with a ``stop`` mapping,
@@ -268,12 +263,11 @@ def g_evaluation(tree: Tree, driver: Driver, rule, payoff,
             if stops[node]:
                 w[node] = pay[node]
             else:
-                w[node], _, _ = one_step(tree, driver, node, w, tol=tol)
+                w[node], _, _ = one_step(tree, driver, node, w)
     return w[tree.root]
 
 
-def martingale_check(tree: Tree, driver: Driver, process: Mapping,
-                     tol: float = PICARD_TOL) -> float:
+def martingale_check(tree: Tree, driver: Driver, process: Mapping) -> float:
     """Largest one-step self-consistency residual of a per-node process.
 
     For each non-terminal node, the process value is compared with the
@@ -283,7 +277,7 @@ def martingale_check(tree: Tree, driver: Driver, process: Mapping,
     worst = 0.0
     for level in tree.levels[:-1]:
         for node in level:
-            y, _, _ = one_step(tree, driver, node, process, tol=tol)
+            y, _, _ = one_step(tree, driver, node, process)
             worst = max(worst, abs(process[node] - y))
     return worst
 

@@ -139,6 +139,7 @@ def canonical_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 def build_driver(params: MarketParams, block: dict) -> Driver:
+    _known(block, "driver", ("name", "params"))
     name = block.get("name")
     dparams = block.get("params", {})
     if not isinstance(dparams, dict):
@@ -148,6 +149,7 @@ def build_driver(params: MarketParams, block: dict) -> Driver:
             raise ConfigError(f"driver.params: 'perfect' takes none, got {sorted(dparams)}")
         return perfect_driver(params)
     if name == "borrow_lend":
+        _known(dparams, "driver.params", ("R",))
         if "R" not in dparams:
             raise ConfigError("driver.params.R: required for 'borrow_lend'")
         try:
@@ -155,6 +157,7 @@ def build_driver(params: MarketParams, block: dict) -> Driver:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"driver.params.R: {exc}") from None
     if name == "large_trader":
+        _known(dparams, "driver.params", ("alpha", "gamma_bar"))
         missing = [k for k in ("alpha", "gamma_bar") if k not in dparams]
         if missing:
             raise ConfigError(f"driver.params: missing {missing} for 'large_trader'")
@@ -175,11 +178,8 @@ def parse_config(config: dict) -> dict:
     """Validate the job document and build the runtime objects."""
     if not isinstance(config, dict):
         raise ConfigError("config: top level must be an object")
-    known = {"market", "grid", "driver", "payoff", "jobs", "verify",
-             "output_dir", "strict", "seed"}
-    extra = sorted(set(config) - known)
-    if extra:
-        raise ConfigError(f"config: unknown key(s) {extra}")
+    _known(config, "config", ("market", "grid", "driver", "payoff", "jobs", "verify",
+                              "output_dir", "strict", "seed"))
     for key in ("market", "grid", "driver", "payoff"):
         if key not in config:
             raise ConfigError(f"{key}: required")
@@ -192,6 +192,7 @@ def parse_config(config: dict) -> dict:
     grid = config["grid"]
     if not isinstance(grid, dict) or "n_steps" not in grid:
         raise ConfigError("grid.n_steps: required")
+    _known(grid, "grid", ("n_steps",))
     n_steps = grid["n_steps"]
     if not (_is_number(n_steps) and int(n_steps) == n_steps >= 1):
         raise ConfigError(f"grid.n_steps: must be a positive integer, got {n_steps!r}")
@@ -219,8 +220,8 @@ def parse_config(config: dict) -> dict:
         if check not in _CHECKS:
             raise ConfigError(f"verify: unknown check {check!r} (expected {list(_CHECKS)})")
     seed = config.get("seed", 0)
-    if not (_is_number(seed) and int(seed) == seed):
-        raise ConfigError(f"seed: must be an integer, got {seed!r}")
+    if not (_is_number(seed) and int(seed) == seed >= 0):
+        raise ConfigError(f"seed: must be a non-negative integer, got {seed!r}")
     strict = config.get("strict", False)
     if not isinstance(strict, bool):
         raise ConfigError(f"strict: must be true or false, got {strict!r}")
@@ -235,6 +236,12 @@ def parse_config(config: dict) -> dict:
 
 def _bad(field: str):
     raise ConfigError(f"{field}: must be an object")
+
+
+def _known(block: dict, field: str, keys: tuple) -> None:
+    extra = sorted(set(block) - set(keys))
+    if extra:
+        raise ConfigError(f"{field}: unknown key(s) {extra}")
 
 
 def _is_number(value) -> bool:

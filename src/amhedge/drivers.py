@@ -8,16 +8,16 @@ makes it admissible there.
 
 The two checks in this module are sampling based: the Lipschitz and the
 jump-monotonicity conditions are quantified over a continuum, so they are
-verified on caller-supplied grids with a fixed 1e-10 tolerance on the
-sampled ratios.
+verified on caller-supplied grids with the fixed tolerance ``RATIO_TOL`` on
+the sampled ratios. A sample is one node state with the grid as float rows
+(``gamma_rows`` and ``admissibility_rows`` build them), so the driver is
+called twice per state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -96,6 +96,8 @@ def borrow_lend_driver(params: MarketParams, borrow_rate) -> Driver:
     """
     base = perfect_driver(params)
     R = as_piecewise(borrow_rate)
+    if not all(map(math.isfinite, R.values)):
+        raise ValueError(f"borrow rate must be finite, got {list(R.values)}")
 
     def g(t, y, z, k, state):
         c = state.coef
@@ -187,26 +189,18 @@ class GammaReport:
     n_samples: int = 0
 
 
-def _state_rows(samples: Iterable):
-    # Each run of samples at one state, as one float row per (float or row) entry.
-    for state, run in groupby(samples, key=itemgetter(0)):
-        yield state, [np.asarray(c[0], dtype=float).reshape(-1) if len(c) == 1 else
-                      np.concatenate([np.ravel(v) for v in c], dtype=float)
-                      for c in zip(*[s[1:] for s in run])]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in a scalar scan
 def check_lambda_admissible(driver: Driver, samples: Iterable) -> AdmissibilityReport:
     """Largest sampled ratio |dg| / (|dy| + |dz| + sqrt(lam) |dk|) vs the
     declared constant.
 
-    ``samples`` yields (state, (y1, z1, k1), (y2, z2, k2)) triples of floats
-    or of one state's equal-length rows; both points are evaluated at the same
-    node state, one row per state, skipping pairs with a zero denominator."""
+    ``samples`` yields (state, (y1, z1, k1), (y2, z2, k2)), one per state with
+    six equal-length float rows; both points of a pair are evaluated at that
+    node state, skipping pairs with a zero denominator."""
     max_ratio = 0.0
     worst = None
-    for state, cols in _state_rows((s, *p1, *p2) for s, p1, p2 in samples):
-        y1, z1, k1, y2, z2, k2 = cols
+    for state, p1, p2 in samples:
+        y1, z1, k1, y2, z2, k2 = cols = (*p1, *p2)
         denom = abs(y1 - y2) + abs(z1 - z2) + math.sqrt(state.lam) * abs(k1 - k2)
         keep = denom != 0.0
         y1, z1, k1, y2, z2, k2 = cols = [c[keep] for c in cols]
@@ -228,14 +222,15 @@ def check_lambda_admissible(driver: Driver, samples: Iterable) -> AdmissibilityR
 def check_gamma_assumption(driver: Driver, samples: Iterable) -> GammaReport:
     """Smallest sampled ratio (g(k1) - g(k2)) / ((k1 - k2) lam).
 
-    ``samples`` yields (state, y, z, k1, k2), floats or one state's rows, with
-    k1 != k2 and a positive intensity; one row per state. The check passes when
-    the smallest ratio stays above -1; an empty sample set passes vacuously.
+    ``samples`` yields (state, y, z, k1, k2), one per state with four
+    equal-length float rows; states with a zero intensity and pairs with
+    k1 == k2 are skipped. The check passes when the smallest ratio stays above
+    -1; an empty sample set passes vacuously.
     """
     min_ratio = math.inf
     worst = None
     n = 0
-    for state, cols in _state_rows(samples):
+    for state, *cols in samples:
         if state.lam <= 0.0:
             continue
         keep = cols[2] != cols[3]
@@ -274,10 +269,6 @@ def _columns(pairs: list, width: int) -> tuple:
     return tuple(np.array(list(zip(*pairs)), dtype=float).reshape(width, -1))
 
 
-def _points(cols) -> list:
-    return list(zip(*(c.tolist() for c in cols)))
-
-
 def admissibility_rows(params: MarketParams, times: Sequence = None,
                        ys=(-1.0, 0.0, 1.0), zs=(-1.0, 0.0, 1.0),
                        ks=(-1.0, 0.0, 1.0)) -> list:
@@ -285,12 +276,6 @@ def admissibility_rows(params: MarketParams, times: Sequence = None,
     points = [(y, z, k) for y in ys for z in zs for k in ks]
     cols = _columns([p + q for i, p in enumerate(points) for q in points[i + 1:]], 6)
     return [(state, cols[:3], cols[3:]) for state in sample_states(params, times)]
-
-
-def admissibility_samples(*args, **kwargs) -> list:
-    """``admissibility_rows`` (same arguments), one (state, p1, p2) tuple a pair."""
-    return [(state, p1, p2) for state, r1, r2 in admissibility_rows(*args, **kwargs)
-            for p1, p2 in zip(_points(r1), _points(r2))]
 
 
 def gamma_rows(params: MarketParams, times: Sequence = None,
@@ -303,7 +288,3 @@ def gamma_rows(params: MarketParams, times: Sequence = None,
     return [(state, *cols) for state in sample_states(params, times, include_defaulted=False)
             if state.lam > 0.0]
 
-
-def gamma_samples(*args, **kwargs) -> list:
-    """``gamma_rows`` (same arguments), one (state, y, z, k1, k2) tuple a sample."""
-    return [(state, *p) for state, *cols in gamma_rows(*args, **kwargs) for p in _points(cols)]

@@ -7,7 +7,7 @@ Wealth is simulated branch by branch with the explicit update
 where (z, k) are read off the per-node positions. Through a recombining
 node the arriving wealth depends on the incoming path whenever the driver
 is nonlinear, so states are kept per (node, path): the full path expansion
-is used up to ``max_exact_steps`` steps and a fixed-seed sample of paths
+is used up to ``MAX_EXACT_STEPS`` steps and a fixed-seed sample of paths
 beyond that. Each sampled path derives its own seed from (seed, path
 index), so results do not depend on scheduling or batching. Every level
 is stepped at once, with one driver call per (alive, defaulted) group.
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import PICARD_MAX_ITER, PICARD_TOL, ConvergenceError, _implicit_row, coefficients
+from .bsde import PICARD_MAX_ITER, ConvergenceError, _implicit_row, coefficients
 from .drivers import Driver
 from .market import Tree
 from .pricing import Strategy, phi_inverse, strategy_from_solution
@@ -161,33 +161,23 @@ def _groups(tree: Tree, paths: Paths, i: int):
 
 
 def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
-                    max_exact_steps: int = MAX_EXACT_STEPS,
                     n_paths: int = DEFAULT_SAMPLE_PATHS, seed: int = 0,
                     mode: str = None) -> WealthField:
     """Simulate wealth from x0 under the given positions and driver.
 
-    The full path expansion is used for trees up to ``max_exact_steps``
+    The full path expansion is used for trees up to ``MAX_EXACT_STEPS``
     steps, a deterministic path sample beyond that; pass ``mode`` to force
     either representation.
     """
     if mode is None:
-        mode = "exact" if tree.n_steps <= max_exact_steps else "sampled"
+        mode = "exact" if tree.n_steps <= MAX_EXACT_STEPS else "sampled"
     if mode == "exact":
-        return _simulate_exact(tree, x0, strategy, driver)
+        return _simulate(tree, x0, strategy, driver, "exact", 1, 0)
     if mode == "sampled":
         if not n_paths >= 1:
             raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
-        return _simulate_sampled(tree, x0, strategy, driver, n_paths, seed)
+        return _simulate(tree, x0, strategy, driver, "sampled", n_paths, seed)
     raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-
-
-def _simulate_exact(tree: Tree, x0: float, strategy: Strategy, driver: Driver) -> WealthField:
-    return _simulate(tree, x0, strategy, driver, "exact", 1, 0)
-
-
-def _simulate_sampled(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
-                      n_paths: int, seed: int) -> WealthField:
-    return _simulate(tree, x0, strategy, driver, "sampled", n_paths, seed)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in one_step
@@ -209,11 +199,10 @@ def _simulate(tree: Tree, x0: float, strategy: Strategy, driver: Driver, mode: s
     return WealthField(tree=tree, x0=float(x0), mode=mode, paths=paths, wealth=wealth)
 
 
-def _slack_report(field: WealthField, obstacle: Obstacle, side: str, states,
-                  tol: float) -> HedgeReport:
+def _slack_report(field: WealthField, obstacle: Obstacle, side: str, states) -> HedgeReport:
     """Slack V - payoff (seller) or V + payoff (buyer) at ``states``, per level
     the level and its state indices: the smallest (the first in level order),
-    the largest |slack|, the count and the violations below -tol."""
+    the largest |slack|, the count and the violations below -SUPERHEDGE_TOL."""
     xi_rows = obstacle.rows(field.tree)
     min_slack, max_abs, n, violations = math.inf, 0.0, 0, []
     for level, idx in states:
@@ -229,19 +218,19 @@ def _slack_report(field: WealthField, obstacle: Obstacle, side: str, states,
             min_slack = float(slack[m])
         max_abs = max(max_abs, float(np.abs(slack).max(initial=0.0)))
         n += slack.size
-        for m in np.flatnonzero(slack < -tol).tolist():
+        for m in np.flatnonzero(slack < -SUPERHEDGE_TOL).tolist():
             s = int(idx[m])
             violations.append((field.path_id(level, s), level, field.node(level, s),
                                float(v[m]), float(xi[m]), float(slack[m])))
-    return HedgeReport(side=side, passed=min_slack >= -tol, min_slack=min_slack, n_states=n,
-                       violations=violations, max_abs_at_stop=max_abs if side == "buyer" else None)
+    return HedgeReport(side=side, passed=min_slack >= -SUPERHEDGE_TOL, min_slack=min_slack,
+                       n_states=n, violations=violations,
+                       max_abs_at_stop=max_abs if side == "buyer" else None)
 
 
-def verify_superhedge_seller(field: WealthField, obstacle: Obstacle,
-                             tol: float = SUPERHEDGE_TOL) -> HedgeReport:
-    """Smallest slack V - payoff over every reached state; pass iff >= -tol."""
+def verify_superhedge_seller(field: WealthField, obstacle: Obstacle) -> HedgeReport:
+    """Smallest slack V - payoff over every reached state; pass iff >= -SUPERHEDGE_TOL."""
     states = ((level, np.arange(len(v))) for level, v in enumerate(field.wealth))
-    return _slack_report(field, obstacle, "seller", states, tol)
+    return _slack_report(field, obstacle, "seller", states)
 
 
 def _first_stops(field: WealthField, rule):
@@ -262,20 +251,18 @@ def _first_stops(field: WealthField, rule):
             active = (active & ~stop)[paths.parent[level + 1]]
 
 
-def verify_superhedge_buyer(field: WealthField, obstacle: Obstacle, rule,
-                            tol: float = SUPERHEDGE_TOL) -> HedgeReport:
+def verify_superhedge_buyer(field: WealthField, obstacle: Obstacle, rule) -> HedgeReport:
     """Slack V + payoff at the states where the exercise rule first stops.
 
-    Passes when the smallest slack is above -tol; the largest |V + payoff|
+    Passes when the smallest slack is above -SUPERHEDGE_TOL; the largest |V + payoff|
     at the stops is reported as well, since the buyer's wealth should match
     the debt exactly there.
     """
-    return _slack_report(field, obstacle, "buyer", _first_stops(field, rule), tol)
+    return _slack_report(field, obstacle, "buyer", _first_stops(field, rule))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def wealth_martingale_residual(field: WealthField, driver: Driver,
-                               tol: float = PICARD_TOL) -> float:
+def wealth_martingale_residual(field: WealthField, driver: Driver) -> float:
     """|root backward value - x0| when the terminal wealth is solved backward.
 
     Runs on the exact path expansion: the backward step through every path
@@ -295,7 +282,7 @@ def wealth_martingale_residual(field: WealthField, driver: Driver,
                                    tree.sq)
             try:
                 new_vals[idx], _, _ = _implicit_row(driver, state, tree.dt, e, z,
-                                                    np.broadcast_to(k, e.shape), tol, (i, g))
+                                                    np.broadcast_to(k, e.shape), (i, g))
             except ConvergenceError:  # with the message of the scalar implicit_value
                 raise ConvergenceError(f"implicit step did not converge in {PICARD_MAX_ITER} "
                                        f"iterations at t={state.t:.6g}; the time step is too large "
@@ -304,8 +291,7 @@ def wealth_martingale_residual(field: WealthField, driver: Driver,
     return abs(float(vals[0]) - field.x0)
 
 
-def strict_gain_after_nubar(tree: Tree, driver: Driver, obstacle: Obstacle,
-                            tol: float = PICARD_TOL) -> GainReport:
+def strict_gain_after_nubar(tree: Tree, driver: Driver, obstacle: Obstacle) -> GainReport:
     """Wealth strictly beats the reflected value once a charge has accrued.
 
     Solves the seller problem, simulates wealth from its root value under
@@ -313,8 +299,9 @@ def strict_gain_after_nubar(tree: Tree, driver: Driver, obstacle: Obstacle,
     incoming charge is positive reports the smallest V - Y. Vacuous pass
     when the obstacle never binds before the terminal step.
     """
-    solution = solve_rbsde_lower(tree, driver, obstacle, tol=tol)
-    field = _simulate_exact(tree, solution.root_value, strategy_from_solution(solution), driver)
+    solution = solve_rbsde_lower(tree, driver, obstacle)
+    field = _simulate(tree, solution.root_value, strategy_from_solution(solution), driver,
+                      "exact", 1, 0)
 
     paths, gains = field.paths, []
     a_in = np.zeros(1)  # charge accrued along each path before its state

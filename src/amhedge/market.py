@@ -38,23 +38,34 @@ import numpy as np
 NodeId = tuple  # (step, up_count, defaulted) with defaulted in {0, 1}
 
 
+def _number(value) -> float:
+    """``float(value)``; a string or a boolean is not a number here."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 class PiecewiseConstant:
     """Right-continuous piecewise-constant function of time on [0, T]."""
 
     __slots__ = ("times", "values")
 
     def __init__(self, values, times=None):
+        if isinstance(values, str):
+            raise TypeError(f"expected a number or a list of numbers, got {values!r}")
         if isinstance(values, (int, float)):
-            values = [float(values)]
+            values = [_number(values)]
         else:
-            values = [float(v) for v in values]
+            values = [_number(v) for v in values]
         if not values:
             raise ValueError("piecewise-constant function needs at least one value")
         if times is None:
             if len(values) != 1:
                 raise ValueError("times required when more than one value is given")
             times = [0.0]
-        times = [float(t) for t in times]
+        if isinstance(times, str):
+            raise TypeError(f"times: expected a list of numbers, got {times!r}")
+        times = [_number(t) for t in times]
         if len(times) != len(values):
             raise ValueError("times and values must have the same length")
         if times[0] != 0.0:
@@ -135,7 +146,7 @@ class MarketParams:
 
     def __post_init__(self):
         for name in ("r", "mu1", "mu2", "sigma1", "sigma2", "lam", "s1_0", "s2_0", "T"):
-            convert = float if name in ("s1_0", "s2_0", "T") else as_piecewise
+            convert = _number if name in ("s1_0", "s2_0", "T") else as_piecewise
             try:
                 setattr(self, name, convert(getattr(self, name)))
             except (TypeError, ValueError, OverflowError) as exc:

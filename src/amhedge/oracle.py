@@ -13,13 +13,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .bsde import PICARD_TOL, Solution, g_evaluation
+from .bsde import Solution, g_evaluation
 from .drivers import Driver
 from .market import MarketParams, Tree
 from .pricing import StoppingRule
 from .rbsde import Obstacle, solve_rbsde_lower
 
 MAX_ENUM_STEPS = 4
+# Largest violation of a stability bound that still passes (rounding of the sums).
+APRIORI_TOL = 1e-10
 
 
 def enumerate_stopping_rules(tree: Tree) -> Iterator[StoppingRule]:
@@ -67,12 +69,11 @@ def enumerate_stopping_rules(tree: Tree) -> Iterator[StoppingRule]:
     yield from recurse(0, [tree.root], {})
 
 
-def brute_force_seller_value(tree: Tree, driver: Driver, obstacle: Obstacle,
-                             tol: float = PICARD_TOL) -> float:
+def brute_force_seller_value(tree: Tree, driver: Driver, obstacle: Obstacle) -> float:
     """Best root value over every enumerated stopping rule."""
     best = -math.inf
     for rule in enumerate_stopping_rules(tree):
-        value = g_evaluation(tree, driver, rule, obstacle, tol=tol)
+        value = g_evaluation(tree, driver, rule, obstacle)
         if value > best:
             best = value
     return best
@@ -152,20 +153,18 @@ class AprioriReport:
     zk_norm_rhs: float = None
     zk_norm_violation: float = None
 
-    def passed(self, tol: float = 1e-10) -> bool:
+    def passed(self) -> bool:
         checks = [self.max_pointwise_violation, self.y_norm_violation]
         if self.zk_norm_violation is not None:
             checks.append(self.zk_norm_violation)
-        return all(v <= tol for v in checks)
+        return all(v <= APRIORI_TOL for v in checks)
 
 
 def apriori_estimate_check(tree: Tree, driver1: Driver, driver2: Driver,
-                           obstacle: Obstacle, eta: float, beta: float,
-                           tol: float = PICARD_TOL) -> AprioriReport:
+                           obstacle: Obstacle, eta: float, beta: float) -> AprioriReport:
     """``apriori_estimate`` for the lower-reflected solves under two drivers."""
-    return apriori_estimate(solve_rbsde_lower(tree, driver1, obstacle, tol=tol),
-                            solve_rbsde_lower(tree, driver2, obstacle, tol=tol),
-                            eta, beta)
+    return apriori_estimate(solve_rbsde_lower(tree, driver1, obstacle),
+                            solve_rbsde_lower(tree, driver2, obstacle), eta, beta)
 
 
 def apriori_estimate(sol1: Solution, sol2: Solution, eta: float,

@@ -108,8 +108,8 @@ def compile_payoff(source: str) -> Callable:
 def _strike(cfg: dict) -> float:
     if "strike" not in cfg:
         raise ValueError(f"payoff.strike: required for kind {cfg['kind']!r}")
-    try:
-        strike = float(cfg["strike"])
+    try:  # a JSON number: float() would also read a string or a boolean
+        strike = math.nan if isinstance(cfg["strike"], (str, bool)) else float(cfg["strike"])
     except (TypeError, ValueError, OverflowError):
         strike = math.nan
     if not math.isfinite(strike):
@@ -122,12 +122,13 @@ def payoff_from_config(cfg: dict) -> Callable:
     if not isinstance(cfg, dict):
         raise ValueError("payoff: must be an object")
     kind = cfg.get("kind")
-    if kind == "put":
-        return put(_strike(cfg))
-    if kind == "call":
-        return call(_strike(cfg))
+    if kind not in ("put", "call", "expr"):
+        raise ValueError(f"payoff.kind: expected 'put', 'call' or 'expr', got {kind!r}")
+    extra = sorted(set(cfg) - {"kind", "expr" if kind == "expr" else "strike"})
+    if extra:
+        raise ValueError(f"payoff: unknown key(s) {extra} for kind {kind!r}")
     if kind == "expr":
         if not isinstance(cfg.get("expr"), str):
             raise ValueError("payoff.expr: a string is required for kind 'expr'")
         return compile_payoff(cfg["expr"])
-    raise ValueError(f"payoff.kind: expected 'put', 'call' or 'expr', got {kind!r}")
+    return (put if kind == "put" else call)(_strike(cfg))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import PICARD_TOL, Solution, cumulative_charge, g_evaluation
+from .bsde import Solution, cumulative_charge, g_evaluation
 from .drivers import Driver, check_gamma_assumption, gamma_rows
 from .market import NodeId, Tree, row_view
 from .rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
@@ -149,7 +149,7 @@ def _require_gamma(tree: Tree, driver: Driver) -> None:
 
 
 def seller_price(tree: Tree, driver: Driver, obstacle: Obstacle,
-                 gamma_check: bool = True, tol: float = PICARD_TOL) -> SellerPrice:
+                 gamma_check: bool = True) -> SellerPrice:
     """Least initial capital with a portfolio dominating the payoff throughout.
 
     Returns the root value of the lower-reflected solve together with the
@@ -157,13 +157,13 @@ def seller_price(tree: Tree, driver: Driver, obstacle: Obstacle,
     """
     if gamma_check:
         _require_gamma(tree, driver)
-    solution = solve_rbsde_lower(tree, driver, obstacle, tol=tol)
+    solution = solve_rbsde_lower(tree, driver, obstacle)
     return SellerPrice(u0=solution.root_value, solution=solution,
                        strategy=strategy_from_solution(solution))
 
 
 def buyer_price(tree: Tree, driver: Driver, obstacle: Obstacle,
-                gamma_check: bool = True, tol: float = PICARD_TOL) -> BuyerPrice:
+                gamma_check: bool = True) -> BuyerPrice:
     """Largest price the buyer can finance by borrowing and exercising well.
 
     Solves against the upper barrier given by the negated payoff; the
@@ -173,7 +173,7 @@ def buyer_price(tree: Tree, driver: Driver, obstacle: Obstacle,
     if gamma_check:
         _require_gamma(tree, driver)
     upper = Obstacle(tree=tree, rows=[(-a, -d) for a, d in obstacle.rows(tree)])
-    solution = solve_rbsde_upper(tree, driver, upper, tol=tol)
+    solution = solve_rbsde_upper(tree, driver, upper)
     stop = [(y_a == u_a, y_d == u_d)
             for (y_a, y_d), (u_a, u_d) in zip(solution.y_rows[:-1], upper.rows(tree))]
     return BuyerPrice(v0=-solution.root_value, solution=solution,
@@ -253,10 +253,10 @@ def epsilon_gap_bound(driver: Driver, T: float, eps: float) -> float:
 
 
 def price_american(tree: Tree, driver: Driver, obstacle: Obstacle,
-                   gamma_check: bool = True, tol: float = PICARD_TOL) -> PricingReport:
+                   gamma_check: bool = True) -> PricingReport:
     """Full pricing pass: both prices, both strategies, exercise rules."""
-    seller = seller_price(tree, driver, obstacle, gamma_check=gamma_check, tol=tol)
-    buyer = buyer_price(tree, driver, obstacle, gamma_check=False, tol=tol)
+    seller = seller_price(tree, driver, obstacle, gamma_check=gamma_check)
+    buyer = buyer_price(tree, driver, obstacle, gamma_check=False)
     nu_star, nu_bar = rational_exercise_times(seller.solution, obstacle)
     return PricingReport(
         u0=seller.u0,

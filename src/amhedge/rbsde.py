@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bsde import PICARD_TOL, Solution, backward_sweep
+from .bsde import Solution, backward_sweep
 from .drivers import Driver
 from .market import Tree, row_view
 
@@ -50,39 +50,35 @@ class Obstacle:
                                     for i, (s1, s2) in enumerate(zip(tree.s1, tree.s2))])
 
 
-def _solve_reflected(tree: Tree, driver: Driver, obstacle: Obstacle,
-                     side: str, tol: float) -> Solution:
+def _solve_reflected(tree: Tree, driver: Driver, obstacle: Obstacle, side: str) -> Solution:
     barrier = obstacle.rows(tree)
-    return backward_sweep(tree, driver, barrier[tree.n_steps], tol, barrier, side)
+    return backward_sweep(tree, driver, barrier[tree.n_steps], barrier, side)
 
 
-def solve_rbsde_lower(tree: Tree, driver: Driver, obstacle: Obstacle,
-                      tol: float = PICARD_TOL) -> Solution:
+def solve_rbsde_lower(tree: Tree, driver: Driver, obstacle: Obstacle) -> Solution:
     """Solve with a lower barrier: y = max(obstacle, continuation).
 
     The charge delta_a = y - continuation is nonnegative and strictly
     positive only at nodes where y equals the obstacle, so the discrete
     flatness product delta_a * (y - obstacle) vanishes identically.
     """
-    return _solve_reflected(tree, driver, obstacle, "lower", tol)
+    return _solve_reflected(tree, driver, obstacle, "lower")
 
 
-def solve_rbsde_upper(tree: Tree, driver: Driver, obstacle_upper: Obstacle,
-                      tol: float = PICARD_TOL) -> Solution:
+def solve_rbsde_upper(tree: Tree, driver: Driver, obstacle_upper: Obstacle) -> Solution:
     """Solve with an upper barrier: y = min(obstacle_upper, continuation)."""
-    return _solve_reflected(tree, driver, obstacle_upper, "upper", tol)
+    return _solve_reflected(tree, driver, obstacle_upper, "upper")
 
 
-def skorokhod_residual(solution: Solution, obstacle: Obstacle,
-                       side: str = None) -> float:
-    """Largest flatness product |y - barrier| * delta_a over all nodes.
+def skorokhod_residual(solution: Solution, obstacle: Obstacle) -> float:
+    """Largest flatness product |y - barrier| * delta_a over all nodes of a
+    reflected solve (either side).
 
     Zero by construction for solver output; a corrupted solution charging
     off the barrier shows up as a positive residual.
     """
-    side = side or solution.kind
-    if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    if solution.kind not in ("lower", "upper"):
+        raise ValueError(f"solution must be reflected ('lower' or 'upper'), got {solution.kind!r}")
     worst = 0.0
     for y, da, xi in zip(solution.y_rows, solution.da_rows, obstacle.rows(solution.tree)):
         for y_d, da_d, xi_d in zip(y, da, xi):

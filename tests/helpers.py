@@ -17,8 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from amhedge.bsde import (PICARD_TOL, ConvergenceError, coefficients, implicit_value,
-                          one_step)
+from amhedge.bsde import ConvergenceError, coefficients, implicit_value, one_step
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.hedging import SUPERHEDGE_TOL, HedgeReport
@@ -274,8 +273,8 @@ def scalar_simulate_sampled(tree, x0: float, strategy, driver,
                              v=values, parent=parent, branch=branch)
 
 
-def scalar_verify_seller(field, obstacle, tol: float = SUPERHEDGE_TOL) -> HedgeReport:
-    """Smallest slack V - payoff over every reached state; pass iff >= -tol."""
+def scalar_verify_seller(field, obstacle) -> HedgeReport:
+    """Smallest slack V - payoff over every reached state; pass iff >= -SUPERHEDGE_TOL."""
     min_slack = math.inf
     n = 0
     violations = []
@@ -286,10 +285,10 @@ def scalar_verify_seller(field, obstacle, tol: float = SUPERHEDGE_TOL) -> HedgeR
             n += 1
             if slack < min_slack:
                 min_slack = slack
-            if slack < -tol:
+            if slack < -SUPERHEDGE_TOL:
                 violations.append((field.path_id(level, idx), level, node,
                                    field.v[level][idx], xi[node], slack))
-    return HedgeReport(side="seller", passed=min_slack >= -tol,
+    return HedgeReport(side="seller", passed=min_slack >= -SUPERHEDGE_TOL,
                        min_slack=min_slack, n_states=n, violations=violations)
 
 
@@ -315,7 +314,7 @@ def _stopped_states(field, rule) -> Iterable:
             active = next_active
 
 
-def scalar_verify_buyer(field, obstacle, rule, tol: float = SUPERHEDGE_TOL) -> HedgeReport:
+def scalar_verify_buyer(field, obstacle, rule) -> HedgeReport:
     """Slack V + payoff at the states where the exercise rule first stops."""
     min_slack = math.inf
     max_abs = 0.0
@@ -326,16 +325,16 @@ def scalar_verify_buyer(field, obstacle, rule, tol: float = SUPERHEDGE_TOL) -> H
         n += 1
         min_slack = min(min_slack, slack)
         max_abs = max(max_abs, abs(slack))
-        if slack < -tol:
+        if slack < -SUPERHEDGE_TOL:
             violations.append((field.path_id(level, idx), level, node, v,
                                obstacle.values[node], slack))
     if n == 0:
         min_slack = 0.0
-    return HedgeReport(side="buyer", passed=min_slack >= -tol, min_slack=min_slack,
+    return HedgeReport(side="buyer", passed=min_slack >= -SUPERHEDGE_TOL, min_slack=min_slack,
                        n_states=n, violations=violations, max_abs_at_stop=max_abs)
 
 
-def scalar_martingale_residual(field, driver, tol: float = PICARD_TOL) -> float:
+def scalar_martingale_residual(field, driver) -> float:
     """|root backward value - x0| when the terminal wealth is solved backward."""
     tree = field.tree
     vals = list(field.v[-1])
@@ -347,8 +346,7 @@ def scalar_martingale_residual(field, driver, tol: float = PICARD_TOL) -> float:
             child_vals = vals[offset:offset + len(branches)]
             offset += len(branches)
             e, z, k = coefficients(branches, child_vals, tree.sq)
-            new_vals.append(implicit_value(driver, tree.state(node), tree.dt,
-                                           e, z, k, tol=tol))
+            new_vals.append(implicit_value(driver, tree.state(node), tree.dt, e, z, k))
         vals = new_vals
     return abs(vals[0] - field.x0)
 
@@ -392,10 +390,16 @@ def scalar_obstacle_rows(tree, payoff) -> list:
     return rows
 
 
+def _points(rows) -> list:
+    """The float tuples of equal-length rows, one per element."""
+    return list(zip(*(row.tolist() for row in rows)))
+
+
 def scalar_gamma_scan(driver, samples) -> tuple:
-    """Per-sample reference for check_gamma_assumption: (min, worst, count)."""
+    """Per-sample reference for check_gamma_assumption on its row samples,
+    flattened to one float tuple a grid point: (min, worst, count)."""
     min_ratio, worst, n = math.inf, None, 0
-    for state, y, z, k1, k2 in samples:
+    for state, y, z, k1, k2 in ((s, *p) for s, *rows in samples for p in _points(rows)):
         if state.lam <= 0.0 or k1 == k2:
             continue
         n += 1
@@ -407,9 +411,11 @@ def scalar_gamma_scan(driver, samples) -> tuple:
 
 
 def scalar_admissible_scan(driver, samples) -> tuple:
-    """Per-sample reference for check_lambda_admissible: (max, worst)."""
+    """Per-sample reference for check_lambda_admissible on its row samples,
+    flattened to one pair of float points a grid pair: (max, worst)."""
     max_ratio, worst = 0.0, None
-    for state, p1, p2 in samples:
+    for state, p1, p2 in ((s, *pq) for s, r1, r2 in samples
+                          for pq in zip(_points(r1), _points(r2))):
         (y1, z1, k1), (y2, z2, k2) = p1, p2
         denom = abs(y1 - y2) + abs(z1 - z2) + math.sqrt(state.lam) * abs(k1 - k2)
         if denom == 0.0:

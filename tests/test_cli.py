@@ -220,9 +220,7 @@ class TestSharedSolves:
             return counted
 
         # Looked up at call time, so every caller goes through the counter.
-        for module, name in ((rbsde, "_solve_reflected"),
-                             (hedging, "_simulate_exact"),
-                             (hedging, "_simulate_sampled")):
+        for module, name in ((rbsde, "_solve_reflected"), (hedging, "_simulate")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         return counts
 
@@ -241,7 +239,7 @@ class TestSharedSolves:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["verification"]["all_passed"] is True
         assert counts["_solve_reflected"] == solves
-        assert counts["_simulate_exact"] + counts["_simulate_sampled"] == simulations
+        assert counts["_simulate"] == simulations
 
 
 def _hedge_job(n_steps):
@@ -301,6 +299,42 @@ class TestMain:
         path.write_text("{not json")
         assert main(["price", str(path)]) == EXIT_CONFIG
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path,value,message", [
+        # Strings and booleans where a JSON number belongs; float() reads both.
+        (("market", "sigma1"), "2", "market: sigma1:"),
+        (("market", "r"), {"values": [0.05, 0.06], "times": "01"}, "market: r: times:"),
+        (("market", "s1_0"), "100", "market: s1_0:"),
+        (("market", "T"), True, "market: T:"),
+        (("payoff", "strike"), True, "payoff.strike:"),
+        (("payoff", "strike"), "105", "payoff.strike:"),
+        (("driver", "params", "R"), "7", "driver.params.R:"),
+        (("driver", "params", "R"), True, "driver.params.R:"),
+        # json reads NaN and Infinity.
+        (("driver", "params", "R"), math.nan, "driver.params.R:"),
+        (("driver", "params", "R"), math.inf, "driver.params.R:"),
+        # Unknown keys in the nested blocks.
+        (("grid", "dt"), 0.25, "grid: unknown key(s) ['dt']"),
+        (("driver", "paramz"), {}, "driver: unknown key(s) ['paramz']"),
+        (("driver", "params", "Rr"), 0.08, "driver.params: unknown key(s) ['Rr']"),
+        (("driver",), {"name": "large_trader",
+                       "params": {"alpha": 0.0, "gamma_bar": 0.0, "wealth_bound": 5}},
+         "driver.params: unknown key(s) ['wealth_bound']"),
+        (("payoff", "strke"), 105.0, "payoff: unknown key(s) ['strke']"),
+        (("seed",), -1, "seed: must be a non-negative integer, got -1"),
+    ])
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, path, value, message):
+        cfg = copy.deepcopy(README_JOB)
+        cfg.update(grid={"n_steps": 4}, jobs=["price"], verify=[])
+        owner = cfg
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(cfg))
+        assert main(["price", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 class TestStepCap:

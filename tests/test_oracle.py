@@ -173,7 +173,7 @@ class TestAprioriEstimate:
         g = perfect_driver(params)
         eta, beta = self.hypothesis_box(g)
         report = apriori_estimate_check(tree, g, self.shifted(g, 0.1), obs, eta, beta)
-        assert report.passed(1e-10)
+        assert report.passed()
         assert report.zk_norm_violation is not None
 
     def test_doubling_the_gap_at_most_quadruples_both_sides(self):

@@ -85,11 +85,11 @@ class TestSellerPrice:
     def test_gamma_precondition_samples_out_to_price_scale(self):
         # the impact driver's jump sensitivity is benign near the origin but
         # breaches the -1 floor at wealth levels the solver visits
-        from amhedge.drivers import check_gamma_assumption, gamma_samples, \
+        from amhedge.drivers import check_gamma_assumption, gamma_rows, \
             large_trader_driver
         params = flat_params(lam=0.1, sigma1=0.2, sigma2=0.27)
         driver = large_trader_driver(params, 0.002, 0.0)
-        unit = check_gamma_assumption(driver, gamma_samples(params))
+        unit = check_gamma_assumption(driver, gamma_rows(params))
         assert unit.passed
         tree = build_tree(params, 3)
         obs = Obstacle(values={node: 1.0 for node in tree.nodes})

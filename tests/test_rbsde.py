@@ -5,7 +5,7 @@ import pytest
 
 from amhedge.bsde import ConvergenceError, one_step, solve_bsde
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
-                             gamma_samples, large_trader_driver, perfect_driver)
+                             gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.rbsde import (Obstacle, skorokhod_residual, solve_rbsde_lower,
                            solve_rbsde_upper)
@@ -135,12 +135,12 @@ class TestSkorokhod:
         expected = 0.5 * (sol.y[node] - inst.obstacle.values[node])
         assert skorokhod_residual(sol, inst.obstacle) == pytest.approx(expected)
 
-    def test_rejects_unknown_side(self):
+    def test_rejects_plain_solve(self):
         rng = np.random.default_rng(97)
         inst = make_instance(rng, "perfect", 2)
-        sol = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle)
-        with pytest.raises(ValueError):
-            skorokhod_residual(sol, inst.obstacle, side="middle")
+        sol = solve_bsde(inst.tree, inst.driver, inst.obstacle)
+        with pytest.raises(ValueError, match="'bsde'"):
+            skorokhod_residual(sol, inst.obstacle)
 
 
 @pytest.mark.parametrize("seed,kind", [(101, "perfect"), (102, "borrow_lend"),
@@ -265,15 +265,24 @@ def test_batched_gamma_check_equals_scalar_scan(kind):
     params = row_test_params("piecewise")
     driver = row_test_driver(kind, params)
     points = (-101.0, -1.0, 0.0, 1.0, 101.0)
-    samples = gamma_samples(params, times=[0.0, 0.25, 0.5, 0.75], ys=points,
-                            zs=points, ks=points)
+    samples = gamma_rows(params, times=[0.0, 0.25, 0.5, 0.75], ys=points,
+                         zs=points, ks=points)
     dead = NodeState(0.5, 1.0, 100.0, 0.0, 0.0, True, params.at(0.5))
     alive = samples[0][0]
-    # Mix in samples the check skips, repeated states and runs that are
-    # split by other states.
-    mixed = ([(dead, 1.0, 2.0, 0.0, 1.0), (alive, 3.0, -2.0, 1.0, 1.0)]
-             + samples[:70] + [(dead, -1.0, 0.0, 1.0, 2.0)] + samples[70:]
-             + samples[:30] + [(alive, 5.0, 5.0, -3.0, 4.0)])
+
+    def part(sample, cut):
+        return (sample[0], *(row[cut] for row in sample[1:]))
+
+    def rows(state, *columns):
+        return (state, *(np.array(c, dtype=float) for c in columns))
+
+    # Mix in samples the check skips in whole or in part, repeated states and
+    # a state whose rows are split by another state.
+    mixed = ([rows(dead, [1.0], [2.0], [0.0], [1.0]),
+              rows(alive, [3.0, 4.0], [-2.0, -2.0], [1.0, 1.0], [1.0, 2.0]),
+              part(samples[0], slice(70)), rows(dead, [-1.0], [0.0], [1.0], [2.0]),
+              part(samples[0], slice(70, None)), *samples[1:], part(samples[0], slice(30)),
+              rows(alive, [5.0], [5.0], [-3.0], [4.0])])
     report = check_gamma_assumption(driver, mixed)
     min_ratio, worst, n = scalar_gamma_scan(driver, mixed)
     assert (report.min_ratio, report.worst, report.n_samples) == (min_ratio, worst, n)
@@ -286,11 +295,12 @@ def test_batched_gamma_check_keeps_first_of_tied_minima():
     params = flat_params(lam=0.5)
     a = NodeState(0.0, 1.0, 100.0, 90.0, 0.5, False, params.at(0.0))
     b = NodeState(0.5, 1.0, 100.0, 90.0, 0.5, False, params.at(0.5))
-    samples = [(a, 0.0, 0.0, 1.0, 1.0), (a, 1.0, 0.0, 2.0, 0.0),
-               (b, 2.0, 0.0, 4.0, -4.0), (a, 3.0, 0.0, 1.0, 3.0)]
+    samples = [(a, np.array([0.0, 1.0]), np.zeros(2), np.array([1.0, 2.0]), np.array([1.0, 0.0])),
+               (b, np.array([2.0]), np.zeros(1), np.array([4.0]), np.array([-4.0])),
+               (a, np.array([3.0]), np.zeros(1), np.array([1.0]), np.array([3.0]))]
     report = check_gamma_assumption(linear, samples)  # every ratio is exactly -0.5
     assert (report.min_ratio, report.n_samples) == (-0.5, 3)
-    assert report.worst == samples[1]
+    assert report.worst == (a, 1.0, 0.0, 2.0, 0.0)
 
 
 def test_convergence_failure_names_node_and_residual():

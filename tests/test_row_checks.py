@@ -1,6 +1,6 @@
 """The obstacle and the sampled driver checks on rows agree bit for bit with
-their scalar references in ``helpers``: per-node payoff calls and per-sample
-ratio scans."""
+their scalar references in ``helpers``: per-node payoff calls and ratio scans
+over the row samples flattened to one grid point at a time."""
 
 import math
 
@@ -10,10 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from amhedge import payoffs
-from amhedge.drivers import (Driver, admissibility_rows, admissibility_samples,
-                             borrow_lend_driver, check_gamma_assumption,
-                             check_lambda_admissible, gamma_rows, gamma_samples,
-                             large_trader_driver, perfect_driver)
+from amhedge.drivers import (Driver, admissibility_rows, borrow_lend_driver,
+                             check_gamma_assumption, check_lambda_admissible,
+                             gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.market import MarketParams, PiecewiseConstant, build_tree
 from amhedge.payoffs import call, put
 from amhedge.pricing import buyer_price, seller_price
@@ -141,7 +140,7 @@ TIMES = [0.0, 0.2, 0.4, 0.6, 0.8]
 def assert_gamma_matches_scan(driver, params, **grid):
     rows = gamma_rows(params, times=TIMES, **grid)
     report = check_gamma_assumption(driver, rows)
-    min_ratio, worst, n = scalar_gamma_scan(driver, gamma_samples(params, times=TIMES, **grid))
+    min_ratio, worst, n = scalar_gamma_scan(driver, rows)
     assert float_bits(report.min_ratio) == float_bits(min_ratio)
     assert type(report.min_ratio) is float and report.n_samples == n
     assert_same_worst(report.worst, worst)
@@ -151,8 +150,7 @@ def assert_gamma_matches_scan(driver, params, **grid):
 def assert_admissible_matches_scan(driver, params, **grid):
     rows = admissibility_rows(params, times=TIMES, **grid)
     report = check_lambda_admissible(driver, rows)
-    max_ratio, worst = scalar_admissible_scan(
-        driver, admissibility_samples(params, times=TIMES, **grid))
+    max_ratio, worst = scalar_admissible_scan(driver, rows)
     assert float_bits(report.max_ratio) == float_bits(max_ratio)
     assert type(report.max_ratio) is float
     assert_same_worst(report.worst, worst)
@@ -169,22 +167,21 @@ def test_row_checks_equal_the_scalar_scans(style, kind):
         assert_admissible_matches_scan(driver, params, **grid)
 
 
-def test_samples_flatten_the_rows_in_order():
+def test_rows_hold_the_grid_in_order():
     params = market("lam_drop")
-    states = []
-    expected = []
-    for state, y, z, k1, k2 in gamma_rows(params, times=TIMES, ys=POINTS, ks=(0.0, 2.0, -1.0)):
-        states.append(state)
-        expected += [(state, *v) for v in zip(y.tolist(), z.tolist(), k1.tolist(), k2.tolist())]
-    assert gamma_samples(params, times=TIMES, ys=POINTS, ks=(0.0, 2.0, -1.0)) == expected
-    assert [s.t for s in states] == [0.0, 0.2, 0.4]  # lambda is 0 from 0.5 on
-    assert gamma_samples(params, times=TIMES)[:3] == [
-        (states[0], -1.0, -1.0, -1.0, 0.0), (states[0], -1.0, -1.0, -1.0, 1.0),
-        (states[0], -1.0, -1.0, 0.0, 1.0)]
-    pairs = admissibility_samples(params, times=[0.0])
-    assert len(pairs) == 2 * 351
-    assert pairs[0][1:] == ((-1.0, -1.0, -1.0), (-1.0, -1.0, 0.0))
-    assert pairs[-1][1:] == ((1.0, 1.0, 0.0), (1.0, 1.0, 1.0))
+    samples = gamma_rows(params, times=TIMES, ys=POINTS, ks=(0.0, 2.0, -1.0))
+    assert [s.t for s, *_ in samples] == [0.0, 0.2, 0.4]  # lambda is 0 from 0.5 on
+    assert all(row.dtype == float and len(row) == 5 * 3 * 3 for _, *rows in samples
+               for row in rows)
+    state, *rows = gamma_rows(params, times=TIMES)[0]
+    assert [tuple(row[:3].tolist()) for row in rows] == [
+        (-1.0, -1.0, -1.0), (-1.0, -1.0, -1.0), (-1.0, -1.0, 0.0), (0.0, 1.0, 1.0)]
+    pairs = admissibility_rows(params, times=[0.0])
+    assert [s.defaulted for s, _, _ in pairs] == [False, True]
+    assert all(len(row) == 351 for _, p1, p2 in pairs for row in (*p1, *p2))
+    _, p1, p2 = pairs[0]
+    assert [tuple(float(row[i]) for row in p) for i in (0, -1) for p in (p1, p2)] == [
+        (-1.0, -1.0, -1.0), (-1.0, -1.0, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0)]
 
 
 @pytest.mark.parametrize("check,rows", [(check_gamma_assumption, gamma_rows),
@@ -216,8 +213,9 @@ def test_admissible_skips_k_only_pairs_on_defaulted_states():
                             admissibility_rows(params, times=TIMES))
     # Of the 351 pairs of a state, the 27 that differ in k only have a zero
     # denominator where lambda is 0, and the driver never sees them.
-    k_only = [p for _, p, q in admissibility_samples(params, times=[0.0]) if p[:2] == q[:2]]
-    assert len(k_only) == 2 * 27
+    k_only = [np.count_nonzero((p[0] == q[0]) & (p[1] == q[1]))
+              for _, p, q in admissibility_rows(params, times=[0.0])]
+    assert k_only == [27, 27]
     assert sorted(set(seen)) == [(False, 351), (True, 351 - 27)]
     # Twice as steep after default: the worst pair is on a masked row.
     steep = Driver(name="steep", eval=lambda t, y, z, k, s: -0.5 * y * (1.0 + s.defaulted),
