@@ -15,7 +15,6 @@ y-sensitivity of g).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -53,9 +52,8 @@ class SolveStats:
 class Solution:
     """Level rows of a backward solve: y at every step, z, k (0 without a
     default branch) and the outgoing reflection charge delta_a below the
-    last. Their node views, and ``a``, the largest charge accrued strictly
-    before arriving at a node, are built on first read; delta_a and a are
-    identically zero for plain (non-reflected) solves.
+    last. Their node views are built on first read; delta_a is identically
+    zero for plain (non-reflected) solves.
     """
 
     tree: Tree
@@ -71,12 +69,6 @@ class Solution:
     z = row_view("z_rows", backward=True)
     k = row_view("k_rows", backward=True)
     delta_a = row_view("da_rows", backward=True)
-
-    @cached_property
-    def a(self) -> dict:
-        if self.kind == "bsde":
-            return {node: 0.0 for node in self.tree.nodes}
-        return cumulative_charge(self.tree, self.delta_a)
 
     @property
     def root_value(self) -> float:
@@ -145,15 +137,10 @@ def one_step(tree: Tree, driver: Driver, node: NodeId, values: Mapping) -> tuple
     return y, z, k
 
 
-def _values_on(tree: Tree, source, nodes: Iterable) -> dict:
-    """Resolve a terminal/payoff description to a node -> value dict."""
-    if isinstance(source, Mapping):
-        values = source
-    elif hasattr(source, "values") and isinstance(source.values, Mapping):
-        values = source.values
-    elif callable(source):
-        return {node: float(source(node)) for node in nodes}
-    else:
+def _values_on(source, nodes: Iterable) -> dict:
+    """Node -> value dict of a mapping, or of an object's ``values`` mapping."""
+    values = source if isinstance(source, Mapping) else getattr(source, "values", None)
+    if not isinstance(values, Mapping):
         raise TypeError(f"cannot read node values from {type(source).__name__}")
     out = {}
     for node in nodes:
@@ -234,10 +221,10 @@ def backward_sweep(tree: Tree, driver: Driver, terminal: tuple,
 def solve_bsde(tree: Tree, driver: Driver, terminal) -> Solution:
     """Backward solve with a terminal condition and no reflection.
 
-    ``terminal`` maps terminal nodes to values (a dict, a callable on node
-    ids, or any object with a ``values`` mapping covering the last level).
+    ``terminal`` maps terminal nodes to values (a dict, or any object with a
+    ``values`` mapping covering the last level).
     """
-    values = _values_on(tree, terminal, tree.terminal_nodes())
+    values = _values_on(terminal, tree.terminal_nodes())
     return backward_sweep(tree, driver, tree.level_rows(values, tree.n_steps))
 
 
@@ -251,7 +238,7 @@ def g_evaluation(tree: Tree, driver: Driver, rule, payoff) -> float:
     step through the children.
     """
     stops = getattr(rule, "stop", rule)
-    pay = _values_on(tree, payoff, tree.nodes)
+    pay = _values_on(payoff, tree.nodes)
     for node in tree.terminal_nodes():
         if not stops.get(node, False):
             raise ValueError(f"stopping rule must stop at terminal node {node}")

@@ -268,7 +268,7 @@ def _strategy_table(tree, strategy: pricing.Strategy) -> NodeTable:
     # Serialised like {key: {"phi1": .., "phi2": ..}} over the non-terminal nodes.
     by_key = tree.orders[1]
     order = by_key[by_key < len(tree.keys) - sum(map(len, tree.s1[-1]))]  # below the last step
-    phi1, phi2 = (tree.flat(rows)[order] for rows in strategy.rows(tree))
+    phi1, phi2 = (tree.flat(rows)[order] for rows in (strategy.phi1_rows, strategy.phi2_rows))
     return NodeTable([tree.keys[p] for p in order.tolist()], {"phi1": phi1, "phi2": phi2})
 
 
@@ -279,14 +279,15 @@ def _rule_dict(tree, rule: pricing.StoppingRule) -> dict:
 
 
 def report_to_dict(report: pricing.PricingReport) -> dict:
-    tree = report.seller.solution.tree
+    seller, buyer = report.seller, report.buyer
+    tree = seller.solution.tree
     return {
-        "u0": report.u0,
-        "v0": report.v0,
+        "u0": seller.u0,
+        "v0": buyer.v0,
         "interval_ok": report.interval_ok,
-        "seller_strategy": _strategy_table(tree, report.seller_strategy),
-        "buyer_strategy": _strategy_table(tree, report.buyer_strategy),
-        "buyer_exercise": _rule_dict(tree, report.buyer_exercise),
+        "seller_strategy": _strategy_table(tree, seller.strategy),
+        "buyer_strategy": _strategy_table(tree, buyer.strategy),
+        "buyer_exercise": _rule_dict(tree, buyer.exercise),
         "nu_star": _rule_dict(tree, report.nu_star),
         "nu_bar": _rule_dict(tree, report.nu_bar),
     }
@@ -338,7 +339,7 @@ def _check_skorokhod(tree, obstacle, solution):
     residual = skorokhod_residual(solution, obstacle)
     charge = tree.flat(solution.da_rows)
     min_da = float(charge.min()) if charge.size else 0.0
-    min_gap = float((tree.flat(solution.y_rows) - tree.flat(obstacle.rows(tree))).min())
+    min_gap = float((tree.flat(solution.y_rows) - tree.flat(obstacle.rows)).min())
     passed = residual == 0.0 and min_da >= 0.0 and min_gap >= 0.0
     return {"passed": passed, "flatness_residual": residual,
             "min_charge": min_da, "min_gap_to_obstacle": min_gap}

@@ -26,7 +26,7 @@ import numpy as np
 from .bsde import PICARD_MAX_ITER, ConvergenceError, _implicit_row, coefficients
 from .drivers import Driver
 from .market import Tree
-from .pricing import Strategy, phi_inverse, strategy_from_solution
+from .pricing import StoppingRule, Strategy, phi_inverse, strategy_from_solution
 from .rbsde import Obstacle, solve_rbsde_lower
 
 SUPERHEDGE_TOL = 1e-10
@@ -184,7 +184,7 @@ def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
 def _simulate(tree: Tree, x0: float, strategy: Strategy, driver: Driver, mode: str,
               n_paths: int, seed: int) -> WealthField:
     paths = _path_sample(tree, mode, n_paths, seed)
-    phi1, phi2 = strategy.rows(tree)
+    phi1, phi2 = strategy.phi1_rows, strategy.phi2_rows
     wealth = [np.full(len(paths.j[0]), float(x0))]
     for i, branches in enumerate(tree.row_branches):
         c = tree.coef[i]
@@ -203,10 +203,9 @@ def _slack_report(field: WealthField, obstacle: Obstacle, side: str, states) -> 
     """Slack V - payoff (seller) or V + payoff (buyer) at ``states``, per level
     the level and its state indices: the smallest (the first in level order),
     the largest |slack|, the count and the violations below -SUPERHEDGE_TOL."""
-    xi_rows = obstacle.rows(field.tree)
     min_slack, max_abs, n, violations = math.inf, 0.0, 0, []
     for level, idx in states:
-        v, xi = field.wealth[level][idx], field.paths.at(xi_rows[level], level)[idx]
+        v, xi = field.wealth[level][idx], field.paths.at(obstacle.rows[level], level)[idx]
         slack = v - xi if side == "seller" else v + xi
         bad = ~np.isfinite(slack)
         if bad.any():
@@ -233,16 +232,12 @@ def verify_superhedge_seller(field: WealthField, obstacle: Obstacle) -> HedgeRep
     return _slack_report(field, obstacle, "seller", states)
 
 
-def _first_stops(field: WealthField, rule):
+def _first_stops(field: WealthField, rule: StoppingRule):
     """(level, state indices) of the states where each path first stops."""
-    tree, paths, last = field.tree, field.paths, len(field.wealth) - 1
-    rows = rule.rows if getattr(rule, "tree", None) is tree else None
-    if rows is None:  # a node dict, read once per call
-        stops = getattr(rule, "stop", rule)
-        rows = [tuple(row != 0.0 for row in tree.level_rows(stops, i)) for i in range(last + 1)]
+    paths, last = field.paths, len(field.wealth) - 1
     active = np.ones(field.n_states(0), dtype=bool)
     for level in range(last + 1):
-        stop = paths.at(rows[level], level)
+        stop = paths.at(rule.rows[level], level)
         if level == last and not stop[active].all():
             node = field.node(level, int(np.flatnonzero(active & ~stop)[0]))
             raise ValueError(f"rule does not stop by the terminal step at {node}")
@@ -251,7 +246,8 @@ def _first_stops(field: WealthField, rule):
             active = (active & ~stop)[paths.parent[level + 1]]
 
 
-def verify_superhedge_buyer(field: WealthField, obstacle: Obstacle, rule) -> HedgeReport:
+def verify_superhedge_buyer(field: WealthField, obstacle: Obstacle,
+                            rule: StoppingRule) -> HedgeReport:
     """Slack V + payoff at the states where the exercise rule first stops.
 
     Passes when the smallest slack is above -SUPERHEDGE_TOL; the largest |V + payoff|

@@ -98,6 +98,9 @@ def as_piecewise(value) -> PiecewiseConstant:
     if isinstance(value, PiecewiseConstant):
         return value
     if isinstance(value, dict):
+        extra = sorted(set(value) - {"values", "times"})
+        if extra:
+            raise ValueError(f"unknown key(s) {extra}")
         return PiecewiseConstant(value.get("values", ()), value.get("times"))
     return PiecewiseConstant(value)
 
@@ -244,9 +247,6 @@ class Tree:
     def is_terminal(self, node: NodeId) -> bool:
         return node[0] == self.n_steps
 
-    def children(self, node: NodeId) -> tuple:
-        return self.branches[node]
-
     def terminal_nodes(self) -> list:
         return self.levels[self.n_steps]
 
@@ -258,14 +258,6 @@ class Tree:
         coef = self.coef[step]
         return NodeState(self.time(step), self.s0[step], s1, s2,
                          0.0 if defaulted else coef.lam, bool(defaulted), coef)
-
-    def node_prices(self, node: NodeId) -> tuple:
-        """Prices (S0, S1, S2) at a node; raises on an unknown node id."""
-        try:
-            data = self.nodes[node]
-        except (KeyError, TypeError):
-            raise ValueError(f"unknown node id {node!r}")
-        return (data.s0, data.s1, data.s2)
 
     @cached_property
     def levels(self) -> list:

@@ -32,6 +32,13 @@ def enumerate_stopping_rules(tree: Tree) -> Iterator[StoppingRule]:
     that stop now. Terminal nodes always stop; flags on nodes that a rule
     never reaches are filled with True and carry no meaning.
     """
+    for stop in _stop_flags(tree):
+        yield StoppingRule(tree, [tuple(row != 0.0 for row in tree.level_rows(stop, i))
+                                  for i in range(tree.n_steps + 1)])
+
+
+def _stop_flags(tree: Tree) -> Iterator[dict]:
+    """The node -> flag dicts of ``enumerate_stopping_rules``, in its order."""
     if tree.n_steps > MAX_ENUM_STEPS:
         raise ValueError(
             f"stopping-rule enumeration is limited to {MAX_ENUM_STEPS} steps "
@@ -53,7 +60,7 @@ def enumerate_stopping_rules(tree: Tree) -> Iterator[StoppingRule]:
         if level == tree.n_steps or not frontier:
             rule = dict(filler)
             rule.update(flags)
-            yield StoppingRule(stop=rule)
+            yield rule
             return
         m = len(frontier)
         for mask in range(1 << m):
@@ -70,10 +77,10 @@ def enumerate_stopping_rules(tree: Tree) -> Iterator[StoppingRule]:
 
 
 def brute_force_seller_value(tree: Tree, driver: Driver, obstacle: Obstacle) -> float:
-    """Best root value over every enumerated stopping rule."""
+    """Best root value over every enumerated stopping rule (read as flag dicts)."""
     best = -math.inf
-    for rule in enumerate_stopping_rules(tree):
-        value = g_evaluation(tree, driver, rule, obstacle)
+    for stop in _stop_flags(tree):
+        value = g_evaluation(tree, driver, stop, obstacle)
         if value > best:
             best = value
     return best

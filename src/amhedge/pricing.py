@@ -15,6 +15,7 @@ convention (flags below a stopped node are never consulted).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,45 +33,35 @@ A_ZERO_TOL = 1e-12
 INTERVAL_TOL = 1e-10
 
 
+@dataclass(eq=False)
 class Strategy:
-    """Per-node amounts held in the two risky assets: level rows below the
-    last step with the dicts built on first read, or dicts whose rows are
-    derived once per tree."""
+    """Amounts held in the two risky assets: level rows of the steps below
+    the last of one tree, with the node dicts built on first read."""
 
-    def __init__(self, phi1: dict = None, phi2: dict = None, *, tree: Tree = None,
-                 phi1_rows: list = None, phi2_rows: list = None):
-        if phi1 is not None:
-            self.phi1, self.phi2 = phi1, phi2
-        self.tree, self.phi1_rows, self.phi2_rows = tree, phi1_rows, phi2_rows
+    tree: Tree
+    phi1_rows: list
+    phi2_rows: list
 
     phi1 = row_view("phi1_rows", backward=True)
     phi2 = row_view("phi2_rows", backward=True)
 
-    def rows(self, tree: Tree) -> tuple:
-        """The (phi1, phi2) level rows of the steps below n of ``tree``."""
-        if self.tree is not tree:
-            self.phi1_rows, self.phi2_rows = ([tree.level_rows(phi, i) for i in range(tree.n_steps)]
-                                              for phi in (self.phi1, self.phi2))
-            self.tree = tree
-        return self.phi1_rows, self.phi2_rows
 
-
+@dataclass(eq=False)
 class StoppingRule:
-    """Per-node stop flag; descendants of a stopped node are irrelevant.
-    A dict, or level rows with the dict built on first read."""
+    """Stop flags as level rows of every step of one tree, with the node dict
+    built on first read; descendants of a stopped node are irrelevant."""
 
-    def __init__(self, stop: dict = None, *, tree: Tree = None, rows: list = None):
-        if stop is not None:
-            self.stop = stop
-        self.tree, self.rows = tree, rows
+    tree: Tree
+    rows: list
 
     stop = row_view("rows")
 
 
-def _rule(tree: Tree, rows: list) -> StoppingRule:
-    """Rule from the flag rows of the steps below n; terminal nodes stop."""
-    return StoppingRule(tree=tree, rows=[*rows, tuple(np.ones(len(row), dtype=bool)
-                                                      for row in tree.s1[-1])])
+def _rule(tree: Tree, flag, *rows) -> StoppingRule:
+    """Rule stopping where ``flag`` holds elementwise on ``rows`` (level rows)
+    at the steps below n; terminal nodes stop."""
+    flags = [tuple(map(flag, *step)) for step in zip(*(r[:tree.n_steps] for r in rows))]
+    return StoppingRule(tree, [*flags, tuple(np.ones(len(r), dtype=bool) for r in tree.s1[-1])])
 
 
 class SellerPrice(NamedTuple):
@@ -95,18 +86,15 @@ class RationalityReport:
 
 @dataclass
 class PricingReport:
-    """Everything the front door returns for one configuration, with both solves."""
+    """Everything the front door returns for one configuration: both prices
+    with their solves, strategies and the buyer's exercise, and the rational
+    exercise rules of the seller's solve."""
 
-    u0: float
-    v0: float
-    seller_strategy: Strategy
-    buyer_strategy: Strategy
-    buyer_exercise: StoppingRule
+    seller: SellerPrice
+    buyer: BuyerPrice
     nu_star: StoppingRule
     nu_bar: StoppingRule
     interval_ok: bool
-    seller: SellerPrice
-    buyer: BuyerPrice
 
 
 def phi_map(z: float, k: float, sigma1: float, sigma2: float) -> tuple:
@@ -130,7 +118,7 @@ def strategy_from_solution(solution: Solution) -> Strategy:
     for z, k, c in zip(solution.z_rows, solution.k_rows, tree.coef):
         phi1.append(tuple((z_d + c.sigma2 * k_d) / c.sigma1 for z_d, k_d in zip(z, k)))  # phi_map
         phi2.append(tuple(-k_d for k_d in k))
-    return Strategy(tree=tree, phi1_rows=phi1, phi2_rows=phi2)
+    return Strategy(tree, phi1, phi2)
 
 
 def _require_gamma(tree: Tree, driver: Driver) -> None:
@@ -172,13 +160,11 @@ def buyer_price(tree: Tree, driver: Driver, obstacle: Obstacle,
     """
     if gamma_check:
         _require_gamma(tree, driver)
-    upper = Obstacle(tree=tree, rows=[(-a, -d) for a, d in obstacle.rows(tree)])
+    upper = Obstacle(obstacle.tree, [(-a, -d) for a, d in obstacle.rows])
     solution = solve_rbsde_upper(tree, driver, upper)
-    stop = [(y_a == u_a, y_d == u_d)
-            for (y_a, y_d), (u_a, u_d) in zip(solution.y_rows[:-1], upper.rows(tree))]
     return BuyerPrice(v0=-solution.root_value, solution=solution,
                       strategy=strategy_from_solution(solution),
-                      exercise=_rule(tree, stop))
+                      exercise=_rule(tree, operator.eq, solution.y_rows, upper.rows))
 
 
 def rational_exercise_times(solution: Solution, obstacle: Obstacle) -> tuple:
@@ -190,10 +176,8 @@ def rational_exercise_times(solution: Solution, obstacle: Obstacle) -> tuple:
     earlier increments). Terminal nodes always stop.
     """
     tree = solution.tree
-    star = [(y_a == b_a, y_d == b_d)
-            for (y_a, y_d), (b_a, b_d) in zip(solution.y_rows[:-1], obstacle.rows(tree))]
-    bar = [(a > 0.0, d > 0.0) for a, d in solution.da_rows]
-    return _rule(tree, star), _rule(tree, bar)
+    return (_rule(tree, operator.eq, solution.y_rows, obstacle.rows),
+            _rule(tree, lambda da: da > 0.0, solution.da_rows))
 
 
 def is_rational(solution: Solution, obstacle: Obstacle, rule) -> RationalityReport:
@@ -237,11 +221,7 @@ def epsilon_rational(solution: Solution, obstacle: Obstacle, eps: float) -> tupl
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     tree = solution.tree
-    stop = {}
-    for node in tree.nodes:
-        stop[node] = (tree.is_terminal(node)
-                      or solution.y[node] <= obstacle.values[node] + eps)
-    rule = StoppingRule(stop=stop)
+    rule = _rule(tree, lambda y, b: y <= b + eps, solution.y_rows, obstacle.rows)
     value = g_evaluation(tree, solution.driver, rule, obstacle)
     return rule, solution.root_value - value
 
@@ -258,15 +238,5 @@ def price_american(tree: Tree, driver: Driver, obstacle: Obstacle,
     seller = seller_price(tree, driver, obstacle, gamma_check=gamma_check)
     buyer = buyer_price(tree, driver, obstacle, gamma_check=False)
     nu_star, nu_bar = rational_exercise_times(seller.solution, obstacle)
-    return PricingReport(
-        u0=seller.u0,
-        v0=buyer.v0,
-        seller_strategy=seller.strategy,
-        buyer_strategy=buyer.strategy,
-        buyer_exercise=buyer.exercise,
-        nu_star=nu_star,
-        nu_bar=nu_bar,
-        interval_ok=buyer.v0 <= seller.u0 + INTERVAL_TOL,
-        seller=seller,
-        buyer=buyer,
-    )
+    return PricingReport(seller=seller, buyer=buyer, nu_star=nu_star, nu_bar=nu_bar,
+                         interval_ok=buyer.v0 <= seller.u0 + INTERVAL_TOL)

@@ -12,6 +12,7 @@ the minimality condition.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,24 +22,16 @@ from .drivers import Driver
 from .market import Tree, row_view
 
 
+@dataclass(eq=False)
 class Obstacle:
-    """Per-node payoff values; the terminal row doubles as the terminal condition.
-    Level rows with the dict ``values`` built on first read, or a dict whose
-    rows are derived once per tree."""
+    """Payoff values as the (alive, defaulted) level rows of every step of
+    one tree; the terminal rows double as the terminal condition. The node
+    dict ``values`` is built on first read."""
 
-    def __init__(self, values: dict = None, *, tree: Tree = None, rows: list = None):
-        if values is not None:
-            self.values = values
-        self.tree, self._rows = tree, rows
+    tree: Tree
+    rows: list
 
-    values = row_view("_rows")
-
-    def rows(self, tree: Tree) -> list:
-        """The (alive, defaulted) rows of every step of ``tree``."""
-        if self.tree is not tree:
-            self._rows = [tree.level_rows(self.values, i) for i in range(tree.n_steps + 1)]
-            self.tree = tree
-        return self._rows
+    values = row_view("rows")
 
     @classmethod
     def from_payoff(cls, tree: Tree, payoff: Callable) -> "Obstacle":
@@ -46,13 +39,14 @@ class Obstacle:
         node order, a whole row per call through its ``row`` form if it has one."""
         row = getattr(payoff, "row", None) or (lambda t, s1, s2, d: np.array(
             [float(payoff(t, x1, x2, d)) for x1, x2 in zip(s1.tolist(), s2.tolist())]))
-        return cls(tree=tree, rows=[tuple(row(tree.time(i), s1[d], s2[d], bool(d)) for d in (0, 1))
-                                    for i, (s1, s2) in enumerate(zip(tree.s1, tree.s2))])
+        return cls(tree, [tuple(row(tree.time(i), s1[d], s2[d], bool(d)) for d in (0, 1))
+                          for i, (s1, s2) in enumerate(zip(tree.s1, tree.s2))])
 
 
 def _solve_reflected(tree: Tree, driver: Driver, obstacle: Obstacle, side: str) -> Solution:
-    barrier = obstacle.rows(tree)
-    return backward_sweep(tree, driver, barrier[tree.n_steps], barrier, side)
+    if obstacle.tree is not tree:
+        raise ValueError("the obstacle's rows belong to another tree")
+    return backward_sweep(tree, driver, obstacle.rows[-1], obstacle.rows, side)
 
 
 def solve_rbsde_lower(tree: Tree, driver: Driver, obstacle: Obstacle) -> Solution:
@@ -80,7 +74,7 @@ def skorokhod_residual(solution: Solution, obstacle: Obstacle) -> float:
     if solution.kind not in ("lower", "upper"):
         raise ValueError(f"solution must be reflected ('lower' or 'upper'), got {solution.kind!r}")
     worst = 0.0
-    for y, da, xi in zip(solution.y_rows, solution.da_rows, obstacle.rows(solution.tree)):
+    for y, da, xi in zip(solution.y_rows, solution.da_rows, obstacle.rows):
         for y_d, da_d, xi_d in zip(y, da, xi):
             worst = np.fmax.reduce(np.abs(y_d - xi_d) * da_d, initial=worst)  # skips NaN
     return float(worst)

@@ -7,8 +7,8 @@ moderate C * dt, and a directly verified monotone one-step map at the
 solved values (rejection sampling otherwise).
 
 The end of the file keeps the scalar references of the forward wealth
-simulation, of the superhedge checks, of the obstacle and of the sampled
-driver checks.
+simulation, of the superhedge checks, of the obstacle, of the sampled
+driver checks and of the eps-triggered exercise rule.
 """
 
 import math
@@ -17,7 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
-from amhedge.bsde import ConvergenceError, coefficients, implicit_value, one_step
+from amhedge.bsde import (ConvergenceError, coefficients, g_evaluation, implicit_value,
+                          one_step)
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.hedging import SUPERHEDGE_TOL, HedgeReport
@@ -99,6 +100,19 @@ def make_driver(kind: str, params: MarketParams, rng=None, spread: float = 0.02)
     raise ValueError(kind)
 
 
+def dict_rows(tree, values: dict, n_steps: int = None) -> list:
+    """The level rows of a node dict through ``tree.level_rows``, of every step
+    or of the first ``n_steps`` (a strategy's); boolean rows for stop flags."""
+    flags = all(isinstance(v, (bool, np.bool_)) for v in values.values())
+    return [tuple(row != 0.0 if flags else row for row in tree.level_rows(values, i))
+            for i in range(tree.n_steps + 1 if n_steps is None else n_steps)]
+
+
+def negated(obstacle: Obstacle) -> Obstacle:
+    """The obstacle -xi of the buyer's upper-reflected solve."""
+    return Obstacle(obstacle.tree, [(-a, -d) for a, d in obstacle.rows])
+
+
 def min_one_step_weight(tree, driver, values) -> float:
     """Smallest finite-difference sensitivity of the backward step to a
     child-value bump, over all nodes and branches; negative means the
@@ -120,8 +134,7 @@ def min_one_step_weight(tree, driver, values) -> float:
 def _monotone_at_solution(tree, driver, obstacle) -> bool:
     try:
         low = solve_rbsde_lower(tree, driver, obstacle)
-        neg = Obstacle(values={n: -v for n, v in obstacle.values.items()})
-        up = solve_rbsde_upper(tree, driver, neg)
+        up = solve_rbsde_upper(tree, driver, negated(obstacle))
     except ConvergenceError:
         return False
     return (min_one_step_weight(tree, driver, low.y) > WEIGHT_MARGIN
@@ -373,9 +386,10 @@ def scalar_strict_gain(field, solution) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Scalar references for the obstacle and the sampled driver checks: the
-# per-node and per-sample code that the row versions in amhedge.rbsde and
-# amhedge.drivers replaced, kept so the two can be compared bit for bit.
+# Scalar references for the obstacle, the sampled driver checks and the
+# eps-triggered exercise rule: the per-node and per-sample code that the row
+# versions in amhedge.rbsde, amhedge.drivers and amhedge.pricing replaced,
+# kept so the two can be compared bit for bit.
 # ---------------------------------------------------------------------------
 
 def scalar_obstacle_rows(tree, payoff) -> list:
@@ -425,6 +439,20 @@ def scalar_admissible_scan(driver, samples) -> tuple:
         if ratio > max_ratio:
             max_ratio, worst = ratio, (state, p1, p2)
     return max_ratio, worst
+
+
+def scalar_epsilon_rational(solution, obstacle, eps: float) -> tuple:
+    """Per-node reference for pricing.epsilon_rational: the rule as a node
+    dict, built node by node, and the root value it gives up."""
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
+    tree = solution.tree
+    stop = {}
+    for node in tree.nodes:
+        stop[node] = (tree.is_terminal(node)
+                      or solution.y[node] <= obstacle.values[node] + eps)
+    value = g_evaluation(tree, solution.driver, stop, obstacle)
+    return stop, solution.root_value - value
 
 
 def float_bits(value) -> bytes:

@@ -25,7 +25,8 @@ from amhedge.pricing import (Strategy, buyer_price, epsilon_gap_bound,
                              rational_exercise_times, seller_price)
 from amhedge.rbsde import (Obstacle, solve_rbsde_lower, solve_rbsde_upper)
 from amhedge.bsde import g_evaluation
-from helpers import DRIVER_KINDS, call_payoff, make_instance, random_payoff
+from helpers import (DRIVER_KINDS, call_payoff, dict_rows, make_instance, negated,
+                     random_payoff)
 
 _STOCK = {}
 
@@ -248,7 +249,7 @@ def test_c08_skorokhod_and_structure():
     for inst in duality_instances() + linear_instances() + interval_instances():
         count += 1
         low = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle)
-        neg = Obstacle(values={n: -v for n, v in inst.obstacle.values.items()})
+        neg = negated(inst.obstacle)
         up = solve_rbsde_upper(inst.tree, inst.driver, neg)
         for node in inst.tree.nodes:
             ok = ok and low.y[node] >= inst.obstacle.values[node]
@@ -297,8 +298,8 @@ def test_c10_comparison_and_wealth_martingale():
     for i in range(20):
         kind = "perfect" if i % 2 == 0 else "borrow_lend"
         inst = make_instance(rng, kind, int(rng.integers(3, 6)))
-        bumped = Obstacle(values={n: v + float(rng.uniform(0.0, 2.0))
-                                  for n, v in inst.obstacle.values.items()})
+        bumped = Obstacle(inst.tree, dict_rows(inst.tree, {
+            n: v + float(rng.uniform(0.0, 2.0)) for n, v in inst.obstacle.values.items()}))
         y1 = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle).y
         y2 = solve_rbsde_lower(inst.tree, inst.driver, bumped).y
         ok = ok and all(y1[node] <= y2[node] + 1e-12 for node in y1)
@@ -306,9 +307,12 @@ def test_c10_comparison_and_wealth_martingale():
     for i in range(5):
         inst = make_instance(rng, DRIVER_KINDS[i % 3], 4)
         nodes = [n for n in inst.tree.nodes if not inst.tree.is_terminal(n)]
-        strat = Strategy(phi1={n: float(rng.uniform(-2, 2)) for n in nodes},
-                         phi2={n: 0.0 if inst.tree.nodes[n].defaulted
-                               else float(rng.uniform(-1, 1)) for n in nodes})
+        phi1 = {n: float(rng.uniform(-2, 2)) for n in nodes}
+        phi2 = {n: 0.0 if inst.tree.nodes[n].defaulted else float(rng.uniform(-1, 1))
+                for n in nodes}
+        n_steps = inst.tree.n_steps
+        strat = Strategy(inst.tree, dict_rows(inst.tree, phi1, n_steps),
+                         dict_rows(inst.tree, phi2, n_steps))
         field = simulate_wealth(inst.tree, float(rng.uniform(-5, 5)), strat,
                                 inst.driver)
         worst_residual = max(worst_residual,

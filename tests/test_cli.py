@@ -322,6 +322,11 @@ class TestMain:
          "driver.params: unknown key(s) ['wealth_bound']"),
         (("payoff", "strke"), 105.0, "payoff: unknown key(s) ['strke']"),
         (("seed",), -1, "seed: must be a non-negative integer, got -1"),
+        # Unknown keys in a piecewise block.
+        (("market", "r"), {"values": [0.05], "time": [0.0, 0.5]},
+         "market: r: unknown key(s) ['time']"),
+        (("driver", "params", "R"), {"values": [0.07], "tims": [0.0]},
+         "driver.params.R: unknown key(s) ['tims']"),
     ])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, path, value, message):
         cfg = copy.deepcopy(README_JOB)
@@ -361,9 +366,14 @@ class TestStepCap:
 
 PROPERTY_JOB = copy.deepcopy(README_JOB)
 PROPERTY_JOB["grid"]["n_steps"] = 4  # every run stays small
+# Piecewise blocks, so that their keys are fuzzed as well.
+PROPERTY_JOB["market"]["r"] = {"values": [0.05, 0.04], "times": [0.0, 0.5]}
+PROPERTY_JOB["driver"]["params"]["R"] = {"values": [0.07], "times": [0.0]}
+NEW_KEY = "<a key the object does not have>"
 
 
 def _field_paths(doc, prefix=()):
+    yield prefix + (NEW_KEY,)
     for key, value in doc.items():
         yield prefix + (key,)
         if isinstance(value, dict):
@@ -396,11 +406,14 @@ def test_junk_field_exits_with_a_code(path, data):
     owner = cfg
     for key in path[:-1]:
         owner = owner[key]
-    owner[path[-1]] = data.draw(junk)
+    key = path[-1]
+    if key == NEW_KEY:
+        key = data.draw(st.text(max_size=6).filter(lambda k: k not in owner))
+    owner[key] = data.draw(junk)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
         code = run(cfg, out_dir=out)
-    assert code in (0, 2, 3, 4)
+    assert code == EXIT_CONFIG if path[-1] == NEW_KEY else code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
 
 

@@ -11,9 +11,9 @@ from amhedge.hedging import (simulate_wealth, strict_gain_after_nubar,
                              wealth_martingale_residual)
 from amhedge.market import Coefs, MarketParams, PiecewiseConstant, build_tree
 from amhedge.payoffs import put
-from amhedge.pricing import Strategy, buyer_price, price_american, seller_price
+from amhedge.pricing import StoppingRule, Strategy, buyer_price, price_american, seller_price
 from amhedge.rbsde import Obstacle
-from helpers import (make_instance, scalar_martingale_residual, scalar_simulate_exact,
+from helpers import (dict_rows, make_instance, scalar_martingale_residual, scalar_simulate_exact,
                      scalar_simulate_sampled, scalar_strict_gain, scalar_verify_buyer,
                      scalar_verify_seller)
 
@@ -37,15 +37,20 @@ def flat_params(**overrides):
 
 
 def zero_strategy(tree):
-    phi = {node: 0.0 for node in tree.nodes if not tree.is_terminal(node)}
-    return Strategy(phi1=dict(phi), phi2=dict(phi))
+    phi = dict_rows(tree, {node: 0.0 for node in tree.nodes}, tree.n_steps)
+    return Strategy(tree, phi, phi)
+
+
+def terminal_rule(tree):
+    """The rule that stops at the terminal step only."""
+    return StoppingRule(tree, dict_rows(tree, {n: tree.is_terminal(n) for n in tree.nodes}))
 
 
 def random_strategy(tree, rng):
     nodes = [node for node in tree.nodes if not tree.is_terminal(node)]
-    return Strategy(phi1={n: float(rng.uniform(-2, 2)) for n in nodes},
-                    phi2={n: float(rng.uniform(-1, 1))
-                          if not tree.nodes[n].defaulted else 0.0 for n in nodes})
+    phi1 = {n: float(rng.uniform(-2, 2)) for n in nodes}
+    phi2 = {n: float(rng.uniform(-1, 1)) if not tree.nodes[n].defaulted else 0.0 for n in nodes}
+    return Strategy(tree, dict_rows(tree, phi1, tree.n_steps), dict_rows(tree, phi2, tree.n_steps))
 
 
 class TestSimulateWealth:
@@ -125,7 +130,7 @@ class TestSellerSuperhedge:
 
     def test_bottomless_obstacle_trivially_passes(self):
         tree = build_tree(flat_params(lam=0.2), 3)
-        obs = Obstacle(values={node: -1e9 for node in tree.nodes})
+        obs = Obstacle(tree, dict_rows(tree, {node: -1e9 for node in tree.nodes}))
         field = simulate_wealth(tree, 0.0, zero_strategy(tree), ZERO)
         report = verify_superhedge_seller(field, obs)
         assert report.passed and not report.violations
@@ -151,15 +156,15 @@ class TestBuyerSuperhedge:
         result = buyer_price(tree, g, obs)
         assert any(da > 0.0 for da in result.solution.delta_a.values())
         field = simulate_wealth(tree, -result.v0, result.strategy, g)
-        late = {node: tree.is_terminal(node) for node in tree.nodes}
+        late = terminal_rule(tree)
         report = verify_superhedge_buyer(field, obs, late)
         assert not report.passed
 
     def test_zero_everything_passes_with_zero_slack(self):
         tree = build_tree(flat_params(lam=0.2), 3)
-        obs = Obstacle(values={node: 0.0 for node in tree.nodes})
+        obs = Obstacle(tree, dict_rows(tree, {node: 0.0 for node in tree.nodes}))
         field = simulate_wealth(tree, 0.0, zero_strategy(tree), ZERO)
-        rule = {node: tree.is_terminal(node) for node in tree.nodes}
+        rule = terminal_rule(tree)
         report = verify_superhedge_buyer(field, obs, rule)
         assert report.passed
         assert report.min_slack == 0.0 and report.max_abs_at_stop == 0.0
@@ -241,9 +246,9 @@ class TestStrictGain:
     def test_vacuous_without_binding(self):
         rng = np.random.default_rng(351)
         inst = make_instance(rng, "perfect", 3)
-        low = Obstacle(values={n: (inst.obstacle.values[n]
-                                   if inst.tree.is_terminal(n) else -1e9)
-                               for n in inst.tree.nodes})
+        low = Obstacle(inst.tree, dict_rows(inst.tree, {
+            n: inst.obstacle.values[n] if inst.tree.is_terminal(n) else -1e9
+            for n in inst.tree.nodes}))
         report = strict_gain_after_nubar(inst.tree, inst.driver, low)
         assert report.passed and report.n_states == 0 and report.min_gain is None
 
@@ -264,7 +269,7 @@ class TestStrictGain:
             values[node] = 5.0
         for node in tree.levels[2]:
             values[node] = 4.0
-        obs = Obstacle(values=values)
+        obs = Obstacle(tree, dict_rows(tree, values))
         g = perfect_driver(params)
         report = strict_gain_after_nubar(tree, g, obs)
         charge = 5.0 - 4.0 / 1.05
@@ -313,7 +318,7 @@ class TestMatchesScalarReference:
         obs = Obstacle.from_payoff(tree, put(105.0))
         seller = seller_price(tree, driver, obs, gamma_check=False)
         buyer = buyer_price(tree, driver, obs, gamma_check=False)
-        late = {node: tree.is_terminal(node) for node in tree.nodes}
+        late = terminal_rule(tree)
         # Funded and underfunded (by 0.01) capital for each side.
         for x0, strategy in ((seller.u0, seller.strategy), (seller.u0 - 0.01, seller.strategy),
                              (-buyer.v0, buyer.strategy), (-buyer.v0 - 0.01, buyer.strategy)):
@@ -421,6 +426,7 @@ def test_pricing_and_simulation_read_the_per_step_coefficients(kind):
     CountingPiecewise.calls = 0
     report = price_american(tree, driver, obstacle, gamma_check=False)
     for mode in ("exact", "sampled"):
-        simulate_wealth(tree, report.u0, report.seller_strategy, driver, mode=mode, n_paths=50)
-        simulate_wealth(tree, -report.v0, report.buyer_strategy, driver, mode=mode, n_paths=50)
+        seller, buyer = report.seller, report.buyer
+        simulate_wealth(tree, seller.u0, seller.strategy, driver, mode=mode, n_paths=50)
+        simulate_wealth(tree, -buyer.v0, buyer.strategy, driver, mode=mode, n_paths=50)
     assert CountingPiecewise.calls == 0

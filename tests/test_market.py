@@ -194,22 +194,16 @@ class TestBuildTree:
 class TestNodePrices:
     def test_root_prices(self):
         tree = build_tree(flat_params(), 2)
-        assert tree.node_prices(tree.root) == (1.0, 100.0, 90.0)
+        root = tree.nodes[tree.root]
+        assert (root.s0, root.s1, root.s2) == (1.0, 100.0, 90.0)
 
     def test_riskless_compounding(self):
         tree = build_tree(flat_params(r=0.1, T=1.0), 2)  # dt = 0.5
-        s0, _, _ = tree.node_prices((2, 1, 0))
-        assert s0 == pytest.approx(1.05 ** 2, rel=1e-14)
+        assert tree.nodes[(2, 1, 0)].s0 == pytest.approx(1.05 ** 2, rel=1e-14)
 
     def test_defaulted_price_is_zero(self):
         tree = build_tree(flat_params(lam=0.3), 3)
-        _, _, s2 = tree.node_prices((2, 1, 1))
-        assert s2 == 0.0
-
-    def test_unknown_node_rejected(self):
-        tree = build_tree(flat_params(), 2)
-        with pytest.raises(ValueError, match="unknown node"):
-            tree.node_prices((9, 9, 0))
+        assert tree.nodes[(2, 1, 1)].s2 == 0.0
 
 
 class TestSerialization:

@@ -10,7 +10,7 @@ from amhedge.oracle import (apriori_estimate_check, brute_force_seller_value,
                             crr_american_oracle, enumerate_stopping_rules)
 from amhedge.pricing import seller_price
 from amhedge.rbsde import Obstacle, solve_rbsde_lower
-from helpers import make_instance
+from helpers import dict_rows, make_instance
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 
@@ -71,7 +71,7 @@ class TestEnumeration:
 class TestBruteForce:
     def test_single_node_tree_returns_root_payoff(self):
         tree = build_tree(flat_params(), 0)
-        obs = Obstacle(values={tree.root: 3.5})
+        obs = Obstacle(tree, dict_rows(tree, {tree.root: 3.5}))
         assert brute_force_seller_value(tree, ZERO, obs) == 3.5
 
     def test_terminal_only_payoff_equals_plain_solve(self):
@@ -81,7 +81,7 @@ class TestBruteForce:
         low = {node: -1e9 for node in tree.nodes}
         for node in tree.terminal_nodes():
             low[node] = inst.obstacle.values[node]
-        value = brute_force_seller_value(tree, inst.driver, Obstacle(values=low))
+        value = brute_force_seller_value(tree, inst.driver, Obstacle(tree, dict_rows(tree, low)))
         terminal = {node: inst.obstacle.values[node] for node in tree.terminal_nodes()}
         plain = solve_bsde(tree, inst.driver, terminal)
         assert value == pytest.approx(plain.root_value, abs=1e-12)

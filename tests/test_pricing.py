@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from amhedge.bsde import g_evaluation
 from amhedge.cli import canonical_json, report_to_dict
-from amhedge.drivers import Driver, borrow_lend_driver, perfect_driver
+from amhedge.drivers import Driver, borrow_lend_driver, large_trader_driver, perfect_driver
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.payoffs import put
 from amhedge.oracle import brute_force_seller_value, enumerate_stopping_rules
@@ -13,9 +13,12 @@ from amhedge.pricing import (buyer_price, epsilon_gap_bound, epsilon_rational,
                              is_rational, phi_inverse, phi_map, price_american,
                              rational_exercise_times, seller_price)
 from amhedge.rbsde import Obstacle
-from helpers import make_instance
+from helpers import (dict_rows, float_bits, make_instance, negated,
+                     scalar_epsilon_rational)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
+README_MARKET = dict(r=0.05, mu1=0.07, mu2=-0.02, sigma1=0.2, sigma2=0.25, lam=0.25,
+                     s1_0=100.0, s2_0=90.0, T=1.0)
 
 
 def flat_params(**overrides):
@@ -52,7 +55,7 @@ class TestPhiMap:
 class TestSellerPrice:
     def test_zero_payoff_zero_price_and_strategy(self):
         tree = build_tree(flat_params(lam=0.2), 3)
-        obs = Obstacle(values={node: 0.0 for node in tree.nodes})
+        obs = Obstacle(tree, dict_rows(tree, {node: 0.0 for node in tree.nodes}))
         result = seller_price(tree, ZERO, obs)
         assert result.u0 == 0.0
         assert all(v == 0.0 for v in result.strategy.phi1.values())
@@ -76,7 +79,7 @@ class TestSellerPrice:
         params = flat_params(r=0.0, mu1=0.1, sigma1=0.2, mu2=-0.1, sigma2=0.2,
                              lam=0.1)
         tree = build_tree(params, 3)
-        obs = Obstacle(values={node: 1.0 for node in tree.nodes})
+        obs = Obstacle(tree, dict_rows(tree, {node: 1.0 for node in tree.nodes}))
         with pytest.raises(ValueError, match="monotonicity"):
             seller_price(tree, perfect_driver(params), obs)
         assert seller_price(tree, perfect_driver(params), obs,
@@ -92,7 +95,7 @@ class TestSellerPrice:
         unit = check_gamma_assumption(driver, gamma_rows(params))
         assert unit.passed
         tree = build_tree(params, 3)
-        obs = Obstacle(values={node: 1.0 for node in tree.nodes})
+        obs = Obstacle(tree, dict_rows(tree, {node: 1.0 for node in tree.nodes}))
         with pytest.raises(ValueError, match="monotonicity"):
             seller_price(tree, driver, obs)
 
@@ -115,7 +118,7 @@ class TestBuyerPrice:
 
     def test_constant_payoff_stops_at_root(self):
         tree = build_tree(flat_params(lam=0.2), 3)
-        obs = Obstacle(values={node: 7.0 for node in tree.nodes})
+        obs = Obstacle(tree, dict_rows(tree, {node: 7.0 for node in tree.nodes}))
         result = buyer_price(tree, ZERO, obs)
         assert result.v0 == 7.0
         assert result.exercise.stop[tree.root]
@@ -124,7 +127,7 @@ class TestBuyerPrice:
         rng = np.random.default_rng(212)
         inst = make_instance(rng, "borrow_lend", 3)
         v0 = buyer_price(inst.tree, inst.driver, inst.obstacle).v0
-        neg = Obstacle(values={n: -v for n, v in inst.obstacle.values.items()})
+        neg = negated(inst.obstacle)
         worst = min(g_evaluation(inst.tree, inst.driver, rule, neg)
                     for rule in enumerate_stopping_rules(inst.tree))
         assert v0 == pytest.approx(-worst, abs=1e-12)
@@ -156,9 +159,9 @@ class TestRationalExercise:
     def test_non_binding_stops_only_at_terminal(self):
         rng = np.random.default_rng(221)
         inst = make_instance(rng, "perfect", 3)
-        low = Obstacle(values={n: (inst.obstacle.values[n]
-                                   if inst.tree.is_terminal(n) else -1e9)
-                               for n in inst.tree.nodes})
+        low = Obstacle(inst.tree, dict_rows(inst.tree, {
+            n: inst.obstacle.values[n] if inst.tree.is_terminal(n) else -1e9
+            for n in inst.tree.nodes}))
         sol = seller_price(inst.tree, inst.driver, low).solution
         nu_star, nu_bar = rational_exercise_times(sol, low)
         for node in inst.tree.nodes:
@@ -243,6 +246,28 @@ class TestEpsilonRational:
         assert gaps[2] <= gaps[1] + 1e-10
         assert gaps[1] <= gaps[0] + 1e-10
 
+    @pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader"])
+    def test_row_rule_equals_the_per_node_rule(self, kind):
+        params = MarketParams(**README_MARKET)
+        tree = build_tree(params, 6)
+        driver = {"perfect": perfect_driver(params),
+                  "borrow_lend": borrow_lend_driver(params, 0.07),
+                  "large_trader": large_trader_driver(params, 8e-4, 0.2)}[kind]
+        obs = Obstacle.from_payoff(tree, put(105.0))
+        sol = seller_price(tree, driver, obs, gamma_check=False).solution
+        # Gaps y - payoff of inner nodes that, added back to the payoff,
+        # give y exactly, so that the rule's comparison ties there.
+        ties = sorted({y - obs.values[node] for node, y in sol.y.items()
+                       if not tree.is_terminal(node) and y > obs.values[node]
+                       and obs.values[node] + (y - obs.values[node]) == y})
+        assert len(ties) >= 3
+        for eps in (*ties[::max(1, len(ties) // 4)], 1e-13, 0.1, 1e6):
+            rule, gap = epsilon_rational(sol, obs, eps)
+            stop, want = scalar_epsilon_rational(sol, obs, eps)
+            assert list(rule.stop.items()) == list(stop.items())
+            assert all(type(flag) is bool for flag in rule.stop.values())
+            assert float_bits(gap) == float_bits(want)
+
     def test_rejects_nonpositive_eps(self):
         params, tree, obs = binding_put_instance()
         sol = seller_price(tree, perfect_driver(params), obs).solution
@@ -255,17 +280,18 @@ class TestPriceAmerican:
         rng = np.random.default_rng(241)
         inst = make_instance(rng, "borrow_lend", 3)
         report = price_american(inst.tree, inst.driver, inst.obstacle)
-        assert report.u0 == seller_price(inst.tree, inst.driver, inst.obstacle).u0
-        assert report.v0 == buyer_price(inst.tree, inst.driver, inst.obstacle).v0
-        assert report.interval_ok == (report.v0 <= report.u0 + 1e-10)
+        u0, v0 = report.seller.u0, report.buyer.v0
+        assert u0 == seller_price(inst.tree, inst.driver, inst.obstacle).u0
+        assert v0 == buyer_price(inst.tree, inst.driver, inst.obstacle).v0
+        assert report.interval_ok == (v0 <= u0 + 1e-10)
         n_nonterminal = sum(1 for n in inst.tree.nodes
                             if not inst.tree.is_terminal(n))
-        assert len(report.seller_strategy.phi1) == n_nonterminal
-        assert len(report.buyer_strategy.phi1) == n_nonterminal
+        assert len(report.seller.strategy.phi1) == n_nonterminal
+        assert len(report.buyer.strategy.phi1) == n_nonterminal
         for node in inst.tree.terminal_nodes():
             assert report.nu_star.stop[node]
             assert report.nu_bar.stop[node]
-            assert report.buyer_exercise.stop[node]
+            assert report.buyer.exercise.stop[node]
 
 
 def _row_items(rows, steps, cast=float):
@@ -283,12 +309,12 @@ def test_price_path_stays_on_rows():
     canonical_json(report_to_dict(report))
 
     solutions = (report.seller.solution, report.buyer.solution)
-    strategies = (report.seller_strategy, report.buyer_strategy)
-    rules = (report.buyer_exercise, report.nu_star, report.nu_bar)
+    strategies = (report.seller.strategy, report.buyer.strategy)
+    rules = (report.buyer.exercise, report.nu_star, report.nu_bar)
     assert not {"nodes", "branches", "levels"} & set(vars(tree))
     assert "values" not in vars(obstacle)
     for sol in solutions:
-        assert not {"y", "z", "k", "delta_a", "a"} & set(vars(sol))
+        assert not {"y", "z", "k", "delta_a"} & set(vars(sol))
     for strategy in strategies:
         assert not {"phi1", "phi2"} & set(vars(strategy))
     assert all("stop" not in vars(rule) for rule in rules)
@@ -301,7 +327,7 @@ def test_price_path_stays_on_rows():
                          tree.coef[node[0]].lam if not node[2] else 0.0, bool(node[2]),
                          tree.coef[node[0]]))
         for (node, s1), (_, s2) in zip(_row_items(tree.s1, every), _row_items(tree.s2, every))]
-    assert list(obstacle.values.items()) == _row_items(obstacle.rows(tree), every)
+    assert list(obstacle.values.items()) == _row_items(obstacle.rows, every)
     for sol in solutions:
         assert list(sol.y.items()) == _row_items(sol.y_rows, range(n, -1, -1))
         for view, rows in ((sol.z, sol.z_rows), (sol.k, sol.k_rows),

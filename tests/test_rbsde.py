@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from amhedge.bsde import ConvergenceError, one_step, solve_bsde
+from amhedge.bsde import ConvergenceError, cumulative_charge, one_step, solve_bsde
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.rbsde import (Obstacle, skorokhod_residual, solve_rbsde_lower,
                            solve_rbsde_upper)
-from helpers import make_instance, random_payoff, scalar_gamma_scan
+from helpers import dict_rows, make_instance, negated, random_payoff, scalar_gamma_scan
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 
@@ -48,7 +48,7 @@ class TestLowerReflection:
         low = {node: -1e9 for node in tree.nodes}
         for node in tree.terminal_nodes():
             low[node] = inst.obstacle.values[node]
-        sol = solve_rbsde_lower(tree, inst.driver, Obstacle(values=low))
+        sol = solve_rbsde_lower(tree, inst.driver, Obstacle(tree, dict_rows(tree, low)))
         terminal = {node: inst.obstacle.values[node] for node in tree.terminal_nodes()}
         plain = solve_bsde(tree, inst.driver, terminal)
         assert all(sol.y[node] == plain.y[node] for node in tree.nodes)
@@ -87,7 +87,7 @@ class TestUpperReflection:
         high = {node: 1e9 for node in tree.nodes}
         for node in tree.terminal_nodes():
             high[node] = inst.obstacle.values[node]
-        sol = solve_rbsde_upper(tree, inst.driver, Obstacle(values=high))
+        sol = solve_rbsde_upper(tree, inst.driver, Obstacle(tree, dict_rows(tree, high)))
         terminal = {node: inst.obstacle.values[node] for node in tree.terminal_nodes()}
         plain = solve_bsde(tree, inst.driver, terminal)
         assert all(sol.y[node] == plain.y[node] for node in tree.nodes)
@@ -98,7 +98,7 @@ class TestUpperReflection:
         inst = make_instance(rng, "perfect", 4)
         tree = inst.tree
         lower = solve_rbsde_lower(tree, inst.driver, inst.obstacle)
-        neg = Obstacle(values={n: -v for n, v in inst.obstacle.values.items()})
+        neg = negated(inst.obstacle)
         upper = solve_rbsde_upper(tree, inst.driver, neg)
         for node in tree.nodes:
             assert upper.y[node] == -lower.y[node]
@@ -109,7 +109,7 @@ class TestUpperReflection:
         tree = build_tree(flat_params(T=1.0), 2)
         values = {(2, 0, 0): 4.0, (2, 1, 0): 6.0, (2, 2, 0): 8.0,
                   (1, 0, 0): 3.0, (1, 1, 0): 100.0, (0, 0, 0): 100.0}
-        sol = solve_rbsde_upper(tree, ZERO, Obstacle(values=values))
+        sol = solve_rbsde_upper(tree, ZERO, Obstacle(tree, dict_rows(tree, values)))
         assert sol.y[(1, 1, 0)] == 7.0
         assert sol.y[(1, 0, 0)] == 3.0
         assert sol.delta_a[(1, 0, 0)] == 2.0
@@ -156,12 +156,12 @@ class TestStructuralInvariants:
         for node, da in sol.delta_a.items():
             assert da >= 0.0
             assert da * (sol.y[node] - inst.obstacle.values[node]) == 0.0
-        assert sol.a[inst.tree.root] == 0.0
+        assert cumulative_charge(inst.tree, sol.delta_a)[inst.tree.root] == 0.0
 
     def test_upper_structure(self, seed, kind):
         rng = np.random.default_rng(seed)
         inst = make_instance(rng, kind, 4)
-        neg = Obstacle(values={n: -v for n, v in inst.obstacle.values.items()})
+        neg = negated(inst.obstacle)
         sol = solve_rbsde_upper(inst.tree, inst.driver, neg)
         for node in inst.tree.nodes:
             assert sol.y[node] <= neg.values[node]
@@ -172,8 +172,8 @@ class TestStructuralInvariants:
     def test_monotone_in_obstacle(self, seed, kind):
         rng = np.random.default_rng(seed)
         inst = make_instance(rng, kind, 3)
-        bumped = Obstacle(values={n: v + float(rng.uniform(0, 2))
-                                  for n, v in inst.obstacle.values.items()})
+        bumped = Obstacle(inst.tree, dict_rows(inst.tree, {
+            n: v + float(rng.uniform(0, 2)) for n, v in inst.obstacle.values.items()}))
         y1 = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle).y
         y2 = solve_rbsde_lower(inst.tree, inst.driver, bumped).y
         for node in inst.tree.nodes:
@@ -235,7 +235,7 @@ class TestRowSweepMatchesScalar:
         for n_steps in (1, 5, 12):
             tree = build_tree(params, n_steps)
             obstacle = Obstacle.from_payoff(tree, random_payoff(rng))
-            upper = Obstacle(values={n: -v for n, v in obstacle.values.items()})
+            upper = negated(obstacle)
             for side, solve, barrier in (("lower", solve_rbsde_lower, obstacle),
                                          ("upper", solve_rbsde_upper, upper)):
                 sol = solve(tree, driver, barrier)
@@ -303,11 +303,20 @@ def test_batched_gamma_check_keeps_first_of_tied_minima():
     assert report.worst == (a, 1.0, 0.0, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("solve", [solve_rbsde_lower, solve_rbsde_upper])
+def test_obstacle_of_another_tree_rejected(solve):
+    tree = build_tree(flat_params(), 3)
+    for other in (build_tree(flat_params(), 4), build_tree(flat_params(), 3)):
+        obstacle = Obstacle.from_payoff(other, lambda t, s1, s2, d: 1.0)
+        with pytest.raises(ValueError, match="another tree"):
+            solve(tree, ZERO, obstacle)
+
+
 def test_convergence_failure_names_node_and_residual():
     tree = build_tree(flat_params(lam=0.0, T=1.0), 2)  # dt = 0.5
     stiff = Driver(name="stiff", eval=lambda t, y, z, k, s: -50.0 * y,
                    lipschitz_C=50.0)
-    obstacle = Obstacle(values={node: 1.0 for node in tree.nodes})
+    obstacle = Obstacle(tree, dict_rows(tree, {node: 1.0 for node in tree.nodes}))
     y, residual = 1.0, None
     for _ in range(50):  # the scalar iteration at the first node swept
         y_new = 1.0 + (-50.0 * y) * 0.5

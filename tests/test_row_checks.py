@@ -77,7 +77,7 @@ def test_obstacle_rows_equal_the_scalar_payoff(style, make):
     for strike in (100.0, float(tree.s1[6][0][2]), 93.7):
         payoff = make(strike)
         obstacle = Obstacle.from_payoff(tree, payoff)
-        assert_same_rows(obstacle.rows(tree), scalar_obstacle_rows(tree, payoff))
+        assert_same_rows(obstacle.rows, scalar_obstacle_rows(tree, payoff))
 
 
 def test_put_and_call_obstacles_make_no_scalar_payoff_call(monkeypatch):
@@ -110,7 +110,7 @@ def test_row_payoffs_keep_the_zero_sign_and_nan_of_max():
     assert tree.s1[1][0][0] == 0.0
     obstacle = Obstacle.from_payoff(tree, put(-0.0))
     assert math.copysign(1.0, obstacle.values[(1, 0, 0)]) == -1.0
-    assert_same_rows(obstacle.rows(tree), scalar_obstacle_rows(tree, put(-0.0)))
+    assert_same_rows(obstacle.rows, scalar_obstacle_rows(tree, put(-0.0)))
 
 
 @pytest.mark.parametrize("style", MARKETS)
@@ -122,7 +122,7 @@ def test_prices_on_row_obstacles_equal_the_scalar_obstacle(style, kind):
     check = kind != "large_trader"  # alpha 8e-4 fails the jump-monotonicity floor
     for payoff in (put(103.0), call(100.0)):
         rows = Obstacle.from_payoff(tree, payoff)
-        scalar = Obstacle(tree=tree, rows=scalar_obstacle_rows(tree, payoff))
+        scalar = Obstacle(tree, scalar_obstacle_rows(tree, payoff))
         for price, field in ((seller_price, "u0"), (buyer_price, "v0")):
             got = getattr(price(tree, driver, rows, gamma_check=check), field)
             want = getattr(price(tree, driver, scalar, gamma_check=check), field)
@@ -263,7 +263,7 @@ def test_rows_equal_the_scalar_references_on_random_markets(style, kind, r, sigm
         strike = float(tree.s1[i][0][node % (i + 1)])
     for make in (put, call):
         payoff = make(strike)
-        assert_same_rows(Obstacle.from_payoff(tree, payoff).rows(tree),
+        assert_same_rows(Obstacle.from_payoff(tree, payoff).rows,
                          scalar_obstacle_rows(tree, payoff))
     driver = driver_of(kind, params)
     grid = {"ys": (-strike, 0.0, 1.0), "zs": (-1.0, strike), "ks": (-strike, 0.0, 1.0)}
