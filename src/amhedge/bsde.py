@@ -14,8 +14,9 @@ y-sensitivity of g).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -237,21 +238,40 @@ def g_evaluation(tree: Tree, driver: Driver, rule, payoff) -> float:
     At stopped nodes the value is the payoff; elsewhere it is the backward
     step through the children.
     """
-    stops = getattr(rule, "stop", rule)
+    return next(g_evaluations(tree, driver, (rule,), payoff))
+
+
+def g_evaluations(tree: Tree, driver: Driver, rules: Iterable, payoff) -> Iterator[float]:
+    """``g_evaluation`` of each rule in turn, reading the payoff once.
+
+    A continuation value is a function of the node and its children's exact
+    values alone, so each distinct (node, child value bits) is stepped once
+    per call and shared by every rule that meets it; the bits keep -0.0
+    apart from 0.0, which compare equal.
+    """
     pay = _values_on(payoff, tree.nodes)
-    for node in tree.terminal_nodes():
-        if not stops.get(node, False):
-            raise ValueError(f"stopping rule must stop at terminal node {node}")
-    w = {}
-    for level in reversed(tree.levels):
-        for node in level:
-            if node not in stops:
-                raise ValueError(f"stopping rule undefined at node {node}")
-            if stops[node]:
-                w[node] = pay[node]
-            else:
-                w[node], _, _ = one_step(tree, driver, node, w)
-    return w[tree.root]
+    stepped = {}
+    packers = {m: struct.Struct(f"{m}d").pack for m in (2, 3)}  # up, down[, default]
+    kids = {node: (packers[len(bs)], [b.child for b in bs]) for node, bs in tree.branches.items()}
+    for rule in rules:
+        stops = getattr(rule, "stop", rule)
+        for node in tree.terminal_nodes():
+            if not stops.get(node, False):
+                raise ValueError(f"stopping rule must stop at terminal node {node}")
+        w = {}
+        for level in reversed(tree.levels):
+            for node in level:
+                if node not in stops:
+                    raise ValueError(f"stopping rule undefined at node {node}")
+                if stops[node]:
+                    w[node] = pay[node]
+                    continue
+                pack, children = kids[node]
+                key = (node, pack(*[w[c] for c in children]))
+                if key not in stepped:
+                    stepped[key], _, _ = one_step(tree, driver, node, w)
+                w[node] = stepped[key]
+        yield w[tree.root]
 
 
 def martingale_check(tree: Tree, driver: Driver, process: Mapping) -> float:

@@ -314,7 +314,7 @@ def _check_duality(tree, driver, obstacle, seller):
     u0 = seller().u0
     brute = oracle.brute_force_seller_value(tree, driver, obstacle)
     gap = abs(u0 - brute)
-    return {"passed": gap <= 1e-12, "solver_value": u0,
+    return {"passed": gap <= oracle.DUALITY_TOL, "solver_value": u0,
             "enumerated_value": brute, "gap": gap}
 
 
@@ -352,20 +352,20 @@ def _check_martingale(tree, driver, seller_field):
             f"grid.n_steps: martingale check needs the exact path expansion "
             f"and is limited to {hedging.MAX_EXACT_STEPS} steps, got {tree.n_steps}")
     residual = hedging.wealth_martingale_residual(seller_field(), driver)
-    return {"passed": residual <= 1e-10, "residual": residual}
+    return {"passed": residual <= hedging.MARTINGALE_TOL, "residual": residual}
 
 
 def _check_gamma(tree, driver):
-    times = [tree.time(i) for i in range(tree.n_steps)]
-    report = check_gamma_assumption(driver, gamma_rows(tree.params, times=times))
+    steps = [(tree.time(i), tree.coef[i]) for i in range(tree.n_steps)]
+    report = check_gamma_assumption(driver, gamma_rows(tree.params, steps=steps))
     min_ratio = None if math.isinf(report.min_ratio) else report.min_ratio
     return {"passed": report.passed, "min_ratio": min_ratio,
             "n_samples": report.n_samples}
 
 
 def _check_admissible(tree, driver):
-    times = [tree.time(i) for i in range(tree.n_steps)]
-    report = check_lambda_admissible(driver, admissibility_rows(tree.params, times=times))
+    steps = [(tree.time(i), tree.coef[i]) for i in range(tree.n_steps)]
+    report = check_lambda_admissible(driver, admissibility_rows(tree.params, steps=steps))
     return {"passed": report.passed, "max_ratio": report.max_ratio,
             "declared_C": report.lipschitz_C}
 

@@ -250,15 +250,15 @@ def check_gamma_assumption(driver: Driver, samples: Iterable) -> GammaReport:
     return GammaReport(min_ratio=min_ratio, passed=passed, worst=worst, n_samples=n)
 
 
-def sample_states(params: MarketParams, times: Sequence = None,
+def sample_states(params: MarketParams, steps: Sequence = None,
                   include_defaulted: bool = True) -> list:
-    """Representative node states across time, alive and (optionally) defaulted."""
-    if times is None:
-        k = 8
-        times = [params.T * i / k for i in range(k)]
+    """Representative node states, alive and (optionally) defaulted, at each
+    ``(t, Coefs)`` of ``steps`` (a tree's ``tree.time(i)``, ``tree.coef[i]``);
+    by default at eight evenly spaced times of ``params``."""
+    if steps is None:
+        steps = [(t, params.at(t)) for t in (params.T * i / 8 for i in range(8))]
     states = []
-    for t in times:
-        coef = params.at(t)
+    for t, coef in steps:
         states.append(NodeState(t, 1.0, params.s1_0, params.s2_0, coef.lam, False, coef))
         if include_defaulted:
             states.append(NodeState(t, 1.0, params.s1_0, 0.0, 0.0, True, coef))
@@ -269,22 +269,22 @@ def _columns(pairs: list, width: int) -> tuple:
     return tuple(np.array(list(zip(*pairs)), dtype=float).reshape(width, -1))
 
 
-def admissibility_rows(params: MarketParams, times: Sequence = None,
+def admissibility_rows(params: MarketParams, steps: Sequence = None,
                        ys=(-1.0, 0.0, 1.0), zs=(-1.0, 0.0, 1.0),
                        ks=(-1.0, 0.0, 1.0)) -> list:
     """All distinct pairs of grid points: per state, one sample of pair rows."""
     points = [(y, z, k) for y in ys for z in zs for k in ks]
     cols = _columns([p + q for i, p in enumerate(points) for q in points[i + 1:]], 6)
-    return [(state, cols[:3], cols[3:]) for state in sample_states(params, times)]
+    return [(state, cols[:3], cols[3:]) for state in sample_states(params, steps)]
 
 
-def gamma_rows(params: MarketParams, times: Sequence = None,
+def gamma_rows(params: MarketParams, steps: Sequence = None,
                ys=(-1.0, 0.0, 1.0), zs=(-1.0, 0.0, 1.0),
                ks=(-1.0, 0.0, 1.0)) -> list:
     """Jump-pair samples (state, y, z, k1, k2) at states with positive
     intensity: one per state, with the grid's pairs as rows."""
     cols = _columns([(y, z, a, b) for y in ys for z in zs
                      for i, a in enumerate(ks) for b in ks[i + 1:]], 4)
-    return [(state, *cols) for state in sample_states(params, times, include_defaulted=False)
+    return [(state, *cols) for state in sample_states(params, steps, include_defaulted=False)
             if state.lam > 0.0]
 

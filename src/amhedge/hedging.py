@@ -30,6 +30,7 @@ from .pricing import StoppingRule, Strategy, phi_inverse, strategy_from_solution
 from .rbsde import Obstacle, solve_rbsde_lower
 
 SUPERHEDGE_TOL = 1e-10
+MARTINGALE_TOL = 1e-10  # largest wealth martingale residual that passes
 STRICT_GAIN_MIN = 1e-14
 MAX_EXACT_STEPS = 12
 DEFAULT_SAMPLE_PATHS = 10_000

@@ -4,7 +4,9 @@ binomial American pricer, and a numerical stability-estimate check.
 Everything here deliberately avoids the reflected solvers so that
 agreement between the two routes is evidence, not tautology. The rule
 enumeration doubles exponentially in the number of steps, hence the hard
-guard on tree depth.
+guard on tree depth (4209 rules on a 4-step tree with default); the
+scalar g-evaluation of every rule runs as one walk that steps each
+distinct (node, child values) once and shares it between rules.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .bsde import Solution, g_evaluation
+# g_evaluation stays a name of this module: the benchmark's tracer wraps it here.
+from .bsde import Solution, g_evaluation, g_evaluations  # noqa: F401
 from .drivers import Driver
 from .market import MarketParams, Tree
 from .pricing import StoppingRule
 from .rbsde import Obstacle, solve_rbsde_lower
 
 MAX_ENUM_STEPS = 4
+DUALITY_TOL = 1e-12  # largest |u0 - enumerated value| that passes
 # Largest violation of a stability bound that still passes (rounding of the sums).
 APRIORI_TOL = 1e-10
 
@@ -38,7 +42,8 @@ def enumerate_stopping_rules(tree: Tree) -> Iterator[StoppingRule]:
 
 
 def _stop_flags(tree: Tree) -> Iterator[dict]:
-    """The node -> flag dicts of ``enumerate_stopping_rules``, in its order."""
+    """The node -> flag dicts of ``enumerate_stopping_rules``, in its order;
+    the depth guard raises on the call, before any rule is read."""
     if tree.n_steps > MAX_ENUM_STEPS:
         raise ValueError(
             f"stopping-rule enumeration is limited to {MAX_ENUM_STEPS} steps "
@@ -46,41 +51,24 @@ def _stop_flags(tree: Tree) -> Iterator[dict]:
 
     filler = {node: True for node in tree.nodes}
 
-    def frontier_children(frontier, chosen_continue):
-        out = []
-        seen = set()
-        for node in chosen_continue:
-            for b in tree.branches[node]:
-                if b.child not in seen:
-                    seen.add(b.child)
-                    out.append(b.child)
-        return out
-
     def recurse(level, frontier, flags):
         if level == tree.n_steps or not frontier:
-            rule = dict(filler)
-            rule.update(flags)
-            yield rule
+            yield {**filler, **flags}
             return
-        m = len(frontier)
-        for mask in range(1 << m):
-            new_flags = dict(flags)
-            cont = []
-            for idx, node in enumerate(frontier):
-                stop_here = bool(mask & (1 << idx))
-                new_flags[node] = stop_here
-                if not stop_here:
-                    cont.append(node)
-            yield from recurse(level + 1, frontier_children(frontier, cont), new_flags)
+        for mask in range(1 << len(frontier)):
+            stop = {node: bool(mask & (1 << idx)) for idx, node in enumerate(frontier)}
+            children = dict.fromkeys(b.child for node in frontier if not stop[node]
+                                     for b in tree.branches[node])
+            yield from recurse(level + 1, list(children), {**flags, **stop})
 
-    yield from recurse(0, [tree.root], {})
+    return recurse(0, [tree.root], {})
 
 
 def brute_force_seller_value(tree: Tree, driver: Driver, obstacle: Obstacle) -> float:
-    """Best root value over every enumerated stopping rule (read as flag dicts)."""
+    """Best root value over every enumerated stopping rule (read as flag dicts);
+    the first strict maximum wins."""
     best = -math.inf
-    for stop in _stop_flags(tree):
-        value = g_evaluation(tree, driver, stop, obstacle)
+    for value in g_evaluations(tree, driver, _stop_flags(tree), obstacle):
         if value > best:
             best = value
     return best

@@ -125,10 +125,10 @@ def _require_gamma(tree: Tree, driver: Driver) -> None:
     # Sample out to the price scale: a driver whose jump sensitivity is
     # state dependent can satisfy the floor near the origin yet breach it
     # at the wealth and exposure levels the solver actually visits.
-    times = [tree.time(i) for i in range(max(tree.n_steps, 1))]
+    steps = [(tree.time(i), tree.coef[i]) for i in range(max(tree.n_steps, 1))]
     scale = 1.0 + max(abs(tree.params.s1_0), abs(tree.params.s2_0))
     points = (-scale, -1.0, 0.0, 1.0, scale)
-    samples = gamma_rows(tree.params, times=times, ys=points, zs=points, ks=points)
+    samples = gamma_rows(tree.params, steps=steps, ys=points, zs=points, ks=points)
     report = check_gamma_assumption(driver, samples)
     if not report.passed:
         raise ValueError(

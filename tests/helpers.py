@@ -8,9 +8,11 @@ solved values (rejection sampling otherwise).
 
 The end of the file keeps the scalar references of the forward wealth
 simulation, of the superhedge checks, of the obstacle, of the sampled
-driver checks and of the eps-triggered exercise rule.
+driver checks, of the eps-triggered exercise rule and of the rule
+enumeration's best value.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -23,6 +25,7 @@ from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.hedging import SUPERHEDGE_TOL, HedgeReport
 from amhedge.market import MarketParams, PiecewiseConstant, build_tree
+from amhedge.oracle import _stop_flags
 from amhedge.pricing import phi_inverse
 from amhedge.rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
 
@@ -38,6 +41,11 @@ class Instance:
     tree: object
     driver: Driver
     obstacle: Obstacle
+
+
+def at_times(params: MarketParams, times) -> list:
+    """The ``(t, Coefs)`` sample steps of the driver checks at given times."""
+    return [(t, params.at(t)) for t in times]
 
 
 def random_params(rng, lam=None, T=None) -> MarketParams:
@@ -147,11 +155,11 @@ def make_instance(rng, kind: str, n_steps: int, lam=None, T=None,
         params = random_params(rng, lam=lam, T=T)
         driver = make_driver(kind, params, rng)
         tree = build_tree(params, n_steps)
-        times = [tree.time(i) for i in range(n_steps)]
+        steps = [(tree.time(i), tree.coef[i]) for i in range(n_steps)]
         scale = 1.0 + max(abs(params.s1_0), abs(params.s2_0))
         points = (-scale, -1.0, 0.0, 1.0, scale)
         gamma = check_gamma_assumption(
-            driver, gamma_rows(params, times=times, ys=points, zs=points, ks=points))
+            driver, gamma_rows(params, steps=steps, ys=points, zs=points, ks=points))
         if not gamma.passed:
             continue
         if gamma.n_samples and gamma.min_ratio <= -0.9:
@@ -163,6 +171,18 @@ def make_instance(rng, kind: str, n_steps: int, lam=None, T=None,
             continue
         return Instance(kind=kind, params=params, tree=tree, driver=driver,
                         obstacle=obstacle)
+
+
+@functools.cache
+def duality_instances() -> list:
+    """21 instances: 2-4 steps, every shipped driver, random payoffs."""
+    rng = np.random.default_rng(1001)
+    instances = []
+    for kind in DRIVER_KINDS:
+        for n, lam in [(2, None), (2, None), (3, None), (3, None),
+                       (3, None), (4, 0.0), (4, 0.0)]:
+            instances.append(make_instance(rng, kind, n, lam=lam))
+    return instances
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +473,18 @@ def scalar_epsilon_rational(solution, obstacle, eps: float) -> tuple:
                       or solution.y[node] <= obstacle.values[node] + eps)
     value = g_evaluation(tree, solution.driver, stop, obstacle)
     return stop, solution.root_value - value
+
+
+def scalar_brute_force_seller_value(tree, driver, obstacle) -> float:
+    """Per-rule reference for oracle.brute_force_seller_value: one
+    ``g_evaluation`` of every enumerated rule, nothing shared between rules;
+    the first strict maximum wins."""
+    best = -math.inf
+    for stop in _stop_flags(tree):
+        value = g_evaluation(tree, driver, stop, obstacle)
+        if value > best:
+            best = value
+    return best
 
 
 def float_bits(value) -> bytes:

@@ -25,8 +25,8 @@ from amhedge.pricing import (Strategy, buyer_price, epsilon_gap_bound,
                              rational_exercise_times, seller_price)
 from amhedge.rbsde import (Obstacle, solve_rbsde_lower, solve_rbsde_upper)
 from amhedge.bsde import g_evaluation
-from helpers import (DRIVER_KINDS, call_payoff, dict_rows, make_instance, negated,
-                     random_payoff)
+from helpers import (DRIVER_KINDS, call_payoff, dict_rows, duality_instances,
+                     make_instance, negated, random_payoff)
 
 _STOCK = {}
 
@@ -37,19 +37,6 @@ def _criterion(label, ok, detail=""):
         line += f"  ({detail})"
     print(line)
     assert ok, f"{label}: {detail}"
-
-
-def duality_instances():
-    """21 instances: 2-4 steps, every shipped driver, random payoffs."""
-    if "duality" not in _STOCK:
-        rng = np.random.default_rng(1001)
-        instances = []
-        for kind in DRIVER_KINDS:
-            for n, lam in [(2, None), (2, None), (3, None), (3, None),
-                           (3, None), (4, 0.0), (4, 0.0)]:
-                instances.append(make_instance(rng, kind, n, lam=lam))
-        _STOCK["duality"] = instances
-    return _STOCK["duality"]
 
 
 def linear_instances():

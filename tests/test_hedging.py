@@ -1,3 +1,4 @@
+import contextlib
 import math
 from dataclasses import replace
 from itertools import accumulate
@@ -5,6 +6,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
+from amhedge import cli, pricing
 from amhedge.drivers import Driver, borrow_lend_driver, large_trader_driver, perfect_driver
 from amhedge.hedging import (simulate_wealth, strict_gain_after_nubar,
                              verify_superhedge_buyer, verify_superhedge_seller,
@@ -412,12 +414,16 @@ class CountingPiecewise(PiecewiseConstant):
         return super().at(t)
 
 
+def counting_params() -> MarketParams:
+    market = MarketParams(**PIECEWISE_MARKET)
+    return replace(market, **{name: CountingPiecewise(getattr(market, name).values,
+                                                      getattr(market, name).times)
+                              for name in Coefs._fields})
+
+
 @pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader"])
 def test_pricing_and_simulation_read_the_per_step_coefficients(kind):
-    market = MarketParams(**PIECEWISE_MARKET)
-    params = replace(market, **{name: CountingPiecewise(getattr(market, name).values,
-                                                        getattr(market, name).times)
-                                for name in Coefs._fields})
+    params = counting_params()
     CountingPiecewise.calls = 0
     tree = build_tree(params, 7)
     driver = reference_driver(kind, params)
@@ -429,4 +435,17 @@ def test_pricing_and_simulation_read_the_per_step_coefficients(kind):
         seller, buyer = report.seller, report.buyer
         simulate_wealth(tree, seller.u0, seller.strategy, driver, mode=mode, n_paths=50)
         simulate_wealth(tree, -buyer.v0, buyer.strategy, driver, mode=mode, n_paths=50)
+    assert CountingPiecewise.calls == 0
+
+
+@pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader"])
+def test_sampled_driver_checks_read_the_per_step_coefficients(kind):
+    params = counting_params()
+    tree = build_tree(params, 7)
+    driver = reference_driver(kind, params)
+    CountingPiecewise.calls = 0
+    with contextlib.suppress(ValueError):  # large_trader fails the precheck after sampling
+        pricing._require_gamma(tree, driver)
+    cli._check_gamma(tree, driver)
+    cli._check_admissible(tree, driver)
     assert CountingPiecewise.calls == 0

@@ -1,18 +1,25 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from amhedge.bsde import solve_bsde
-from amhedge.drivers import Driver, perfect_driver
-from amhedge.market import MarketParams, build_tree
-from amhedge.oracle import (apriori_estimate_check, brute_force_seller_value,
+from amhedge.bsde import ConvergenceError, g_evaluation, g_evaluations, solve_bsde
+from amhedge.drivers import Driver, borrow_lend_driver, perfect_driver
+from amhedge.market import MarketParams, PiecewiseConstant, build_tree
+from amhedge.oracle import (_stop_flags, apriori_estimate_check, brute_force_seller_value,
                             crr_american_oracle, enumerate_stopping_rules)
+from amhedge.payoffs import call, payoff_from_config, put
 from amhedge.pricing import seller_price
 from amhedge.rbsde import Obstacle, solve_rbsde_lower
-from helpers import dict_rows, make_instance
+from helpers import (DRIVER_KINDS, dict_rows, duality_instances, float_bits, make_driver,
+                     make_instance, scalar_brute_force_seller_value)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
+# y = e + (-0.0) * dt is e itself, so a child value's zero sign reaches the root.
+SIGNED_ZERO = Driver(name="signed zero", eval=lambda t, y, z, k, s: -0.0, lipschitz_C=0.0)
 
 
 def flat_params(**overrides):
@@ -94,6 +101,105 @@ class TestBruteForce:
         solver = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle)
         brute = brute_force_seller_value(inst.tree, inst.driver, inst.obstacle)
         assert abs(solver.root_value - brute) <= 1e-12
+
+
+def counting(driver):
+    """The driver and a one-element list that counts its calls."""
+    calls = [0]
+
+    def counted(t, y, z, k, state):
+        calls[0] += 1
+        return driver.eval(t, y, z, k, state)
+
+    return dataclasses.replace(driver, eval=counted), calls
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+def assert_shared_equals_per_rule(tree, driver, obstacle):
+    """Each rule's value from the shared walk and the best of them equal the
+    per-rule walks bit for bit, or both raise the same solver error."""
+    shared = _outcome(lambda: [float_bits(v) for v in
+                               g_evaluations(tree, driver, _stop_flags(tree), obstacle)])
+    per_rule = _outcome(lambda: [float_bits(g_evaluation(tree, driver, stop, obstacle))
+                                 for stop in _stop_flags(tree)])
+    assert shared == per_rule
+    assert (_outcome(lambda: float_bits(brute_force_seller_value(tree, driver, obstacle)))
+            == _outcome(lambda: float_bits(
+                scalar_brute_force_seller_value(tree, driver, obstacle))))
+
+
+class TestSharedContinuationValues:
+    README_MARKET = flat_params(mu1=0.07, mu2=-0.02, sigma2=0.25, lam=0.25)
+
+    def test_duality_instances_equal_the_per_rule_reference(self):
+        for inst in duality_instances():
+            assert_shared_equals_per_rule(inst.tree, inst.driver, inst.obstacle)
+
+    @pytest.mark.parametrize("kind", DRIVER_KINDS + ("signed_zero",))
+    def test_zero_child_values_keep_their_sign(self, kind):
+        # 0 * (S1 - 120) is -0.0 below the strike, which lies above every step-1
+        # price, and 0.0 above it; the two compare equal, so a cache keyed on ==
+        # would hand the step of one sign to the other.
+        tree = build_tree(self.README_MARKET, 3)
+        payoff = payoff_from_config({"kind": "expr", "expr": "0 * (S1 - 120)"})
+        obstacle = Obstacle.from_payoff(tree, payoff)
+        assert ({float_bits(v) for v in obstacle.values.values()}
+                == {float_bits(0.0), float_bits(-0.0)})
+        driver = SIGNED_ZERO if kind == "signed_zero" else make_driver(kind, self.README_MARKET)
+        assert_shared_equals_per_rule(tree, driver, obstacle)
+
+    def test_a_solver_error_first_met_at_a_later_rule_is_the_same(self):
+        tree = build_tree(flat_params(), 3)
+        pay = {node: 1000.0 if node == (2, 0, 0) else 0.0 for node in tree.nodes}
+        obstacle = Obstacle(tree, dict_rows(tree, pay))
+        # Contracts on small values and diverges once the 1000 is collected,
+        # which the first rule (continue everywhere) never does.
+        steep = Driver(name="steep", eval=lambda t, y, z, k, s: 3.0 * y if abs(y) > 100.0 else 0.0,
+                       lipschitz_C=3.0)
+        assert g_evaluation(tree, steep, next(_stop_flags(tree)), obstacle) == 0.0
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            brute_force_seller_value(tree, steep, obstacle)
+        assert_shared_equals_per_rule(tree, steep, obstacle)
+
+    def test_driver_calls_are_shared_between_rules(self):
+        # The README job at n=4: borrow_lend R=0.07, put K=105, 4209 rules.
+        tree = build_tree(self.README_MARKET, 4)
+        obstacle = Obstacle.from_payoff(tree, put(105.0))
+        driver = borrow_lend_driver(self.README_MARKET, 0.07)
+        shared, shared_calls = counting(driver)
+        per_rule, per_rule_calls = counting(driver)
+        assert (brute_force_seller_value(tree, shared, obstacle)
+                == scalar_brute_force_seller_value(tree, per_rule, obstacle))
+        assert shared_calls[0] == 4994
+        assert per_rule_calls[0] == 226128
+        assert 10 * shared_calls[0] < per_rule_calls[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(style=st.sampled_from(("const", "piecewise", "lam_zero")),
+       kind=st.sampled_from(DRIVER_KINDS), payoff=st.sampled_from(("put", "call", "expr")),
+       n_steps=st.integers(1, 3), r=st.floats(0.0, 0.06), sigma1=st.floats(0.1, 0.5),
+       strike=st.floats(70.0, 130.0))
+def test_shared_walk_equals_the_per_rule_reference_on_random_markets(
+        style, kind, payoff, n_steps, r, sigma1, strike):
+    if style == "piecewise":
+        params = flat_params(r=PiecewiseConstant([r, r + 0.02], times=[0.0, 0.4]),
+                             sigma1=PiecewiseConstant([sigma1, 0.2], times=[0.0, 0.6]),
+                             lam=PiecewiseConstant([0.2, 0.0], times=[0.0, 0.5]))
+    else:
+        params = flat_params(r=r, sigma1=sigma1, lam=0.2 if style == "const" else 0.0)
+    tree = build_tree(params, n_steps)
+    expr = f"0 * (S1 - {strike!r}) + max(S1 - {strike!r}, 0) * defaulted"
+    pay = {"put": put(strike), "call": call(strike),
+           "expr": payoff_from_config({"kind": "expr", "expr": expr})}[payoff]
+    assert_shared_equals_per_rule(tree, make_driver(kind, params), Obstacle.from_payoff(tree, pay))
 
 
 class TestCrrOracle:

@@ -9,7 +9,8 @@ from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.rbsde import (Obstacle, skorokhod_residual, solve_rbsde_lower,
                            solve_rbsde_upper)
-from helpers import dict_rows, make_instance, negated, random_payoff, scalar_gamma_scan
+from helpers import (at_times, dict_rows, make_instance, negated, random_payoff,
+                     scalar_gamma_scan)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 
@@ -265,7 +266,7 @@ def test_batched_gamma_check_equals_scalar_scan(kind):
     params = row_test_params("piecewise")
     driver = row_test_driver(kind, params)
     points = (-101.0, -1.0, 0.0, 1.0, 101.0)
-    samples = gamma_rows(params, times=[0.0, 0.25, 0.5, 0.75], ys=points,
+    samples = gamma_rows(params, steps=at_times(params, [0.0, 0.25, 0.5, 0.75]), ys=points,
                          zs=points, ks=points)
     dead = NodeState(0.5, 1.0, 100.0, 0.0, 0.0, True, params.at(0.5))
     alive = samples[0][0]

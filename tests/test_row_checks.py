@@ -17,7 +17,7 @@ from amhedge.market import MarketParams, PiecewiseConstant, build_tree
 from amhedge.payoffs import call, put
 from amhedge.pricing import buyer_price, seller_price
 from amhedge.rbsde import Obstacle
-from helpers import (float_bits, scalar_admissible_scan, scalar_gamma_scan,
+from helpers import (at_times, float_bits, scalar_admissible_scan, scalar_gamma_scan,
                      scalar_obstacle_rows)
 
 MARKETS = ("const", "piecewise", "lam_drop")
@@ -138,7 +138,7 @@ TIMES = [0.0, 0.2, 0.4, 0.6, 0.8]
 
 
 def assert_gamma_matches_scan(driver, params, **grid):
-    rows = gamma_rows(params, times=TIMES, **grid)
+    rows = gamma_rows(params, steps=at_times(params, TIMES), **grid)
     report = check_gamma_assumption(driver, rows)
     min_ratio, worst, n = scalar_gamma_scan(driver, rows)
     assert float_bits(report.min_ratio) == float_bits(min_ratio)
@@ -148,7 +148,7 @@ def assert_gamma_matches_scan(driver, params, **grid):
 
 
 def assert_admissible_matches_scan(driver, params, **grid):
-    rows = admissibility_rows(params, times=TIMES, **grid)
+    rows = admissibility_rows(params, steps=at_times(params, TIMES), **grid)
     report = check_lambda_admissible(driver, rows)
     max_ratio, worst = scalar_admissible_scan(driver, rows)
     assert float_bits(report.max_ratio) == float_bits(max_ratio)
@@ -169,14 +169,14 @@ def test_row_checks_equal_the_scalar_scans(style, kind):
 
 def test_rows_hold_the_grid_in_order():
     params = market("lam_drop")
-    samples = gamma_rows(params, times=TIMES, ys=POINTS, ks=(0.0, 2.0, -1.0))
+    samples = gamma_rows(params, steps=at_times(params, TIMES), ys=POINTS, ks=(0.0, 2.0, -1.0))
     assert [s.t for s, *_ in samples] == [0.0, 0.2, 0.4]  # lambda is 0 from 0.5 on
     assert all(row.dtype == float and len(row) == 5 * 3 * 3 for _, *rows in samples
                for row in rows)
-    state, *rows = gamma_rows(params, times=TIMES)[0]
+    state, *rows = gamma_rows(params, steps=at_times(params, TIMES))[0]
     assert [tuple(row[:3].tolist()) for row in rows] == [
         (-1.0, -1.0, -1.0), (-1.0, -1.0, -1.0), (-1.0, -1.0, 0.0), (0.0, 1.0, 1.0)]
-    pairs = admissibility_rows(params, times=[0.0])
+    pairs = admissibility_rows(params, steps=at_times(params, [0.0]))
     assert [s.defaulted for s, _, _ in pairs] == [False, True]
     assert all(len(row) == 351 for _, p1, p2 in pairs for row in (*p1, *p2))
     _, p1, p2 = pairs[0]
@@ -196,7 +196,7 @@ def test_row_checks_call_the_driver_twice_per_state(check, rows):
         return driver.eval(t, y, z, k, state)
 
     counting = Driver(name="counted", eval=counted, lipschitz_C=driver.lipschitz_C)
-    samples = rows(params, times=TIMES)
+    samples = rows(params, steps=at_times(params, TIMES))
     check(counting, samples)
     assert len(sizes) == 2 * len(samples) and min(sizes) > 1
 
@@ -210,11 +210,11 @@ def test_admissible_skips_k_only_pairs_on_defaulted_states():
         return -0.5 * y
 
     check_lambda_admissible(Driver(name="half", eval=recording, lipschitz_C=0.5),
-                            admissibility_rows(params, times=TIMES))
+                            admissibility_rows(params, steps=at_times(params, TIMES)))
     # Of the 351 pairs of a state, the 27 that differ in k only have a zero
     # denominator where lambda is 0, and the driver never sees them.
     k_only = [np.count_nonzero((p[0] == q[0]) & (p[1] == q[1]))
-              for _, p, q in admissibility_rows(params, times=[0.0])]
+              for _, p, q in admissibility_rows(params, steps=at_times(params, [0.0]))]
     assert k_only == [27, 27]
     assert sorted(set(seen)) == [(False, 351), (True, 351 - 27)]
     # Twice as steep after default: the worst pair is on a masked row.
