@@ -76,21 +76,6 @@ class Solution:
         return float(self.y_rows[0][0][0])
 
 
-def cumulative_charge(tree: Tree, delta_a: Mapping, stop: Mapping = None) -> dict:
-    """Largest charge accrued before arriving at each node, over paths not yet stopped."""
-    a = {tree.root: 0.0}
-    for level in tree.levels[:-1]:
-        for node in level:
-            if node not in a or (stop is not None and stop[node]):
-                continue
-            incoming = a[node] + delta_a[node]
-            for b in tree.branches[node]:
-                prev = a.get(b.child)
-                if prev is None or incoming > prev:
-                    a[b.child] = incoming
-    return a
-
-
 def coefficients(branches, child_values, sq: float) -> tuple:
     """Exact (e, z, k) of the one-step representation from child values.
 

@@ -27,7 +27,7 @@ from .bsde import ConvergenceError
 from .drivers import (Driver, admissibility_rows, borrow_lend_driver,
                       check_gamma_assumption, check_lambda_admissible,
                       gamma_rows, large_trader_driver, perfect_driver)
-from .market import MarketParams, build_tree
+from .market import MarketParams, build_tree, is_finite_number
 from .payoffs import payoff_from_config
 from .rbsde import Obstacle, skorokhod_residual, solve_rbsde_lower
 
@@ -163,7 +163,7 @@ def build_driver(params: MarketParams, block: dict) -> Driver:
             raise ConfigError(f"driver.params: missing {missing} for 'large_trader'")
         for key in ("alpha", "gamma_bar"):
             value = dparams[key]
-            if not _is_number(value):
+            if not is_finite_number(value):
                 raise ConfigError(f"driver.params.{key}: must be a finite number, "
                                   f"got {value!r}")
         try:
@@ -194,7 +194,7 @@ def parse_config(config: dict) -> dict:
         raise ConfigError("grid.n_steps: required")
     _known(grid, "grid", ("n_steps",))
     n_steps = grid["n_steps"]
-    if not (_is_number(n_steps) and int(n_steps) == n_steps >= 1):
+    if not (is_finite_number(n_steps) and int(n_steps) == n_steps >= 1):
         raise ConfigError(f"grid.n_steps: must be a positive integer, got {n_steps!r}")
     n_steps = int(n_steps)
     if n_steps > MAX_STEPS:
@@ -220,7 +220,7 @@ def parse_config(config: dict) -> dict:
         if check not in _CHECKS:
             raise ConfigError(f"verify: unknown check {check!r} (expected {list(_CHECKS)})")
     seed = config.get("seed", 0)
-    if not (_is_number(seed) and int(seed) == seed >= 0):
+    if not (is_finite_number(seed) and int(seed) == seed >= 0):
         raise ConfigError(f"seed: must be a non-negative integer, got {seed!r}")
     strict = config.get("strict", False)
     if not isinstance(strict, bool):
@@ -242,15 +242,6 @@ def _known(block: dict, field: str, keys: tuple) -> None:
     extra = sorted(set(block) - set(keys))
     if extra:
         raise ConfigError(f"{field}: unknown key(s) {extra}")
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number within float range; booleans are not numbers here."""
-    try:
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 def _list(config: dict, key: str, default: list) -> list:

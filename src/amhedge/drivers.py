@@ -26,6 +26,9 @@ from .market import (MarketParams, NodeState, as_piecewise,
                      merged_breakpoints)
 
 RATIO_TOL = 1e-10
+# The reference box on which large_trader's declared Lipschitz constant holds.
+WEALTH_BOUND = 200.0
+POSITION_BOUND = 500.0
 
 
 @dataclass(frozen=True)
@@ -123,9 +126,7 @@ def borrow_lend_driver(params: MarketParams, borrow_rate) -> Driver:
     return Driver(name="borrow_lend", eval=g, lipschitz_C=base.lipschitz_C + extra)
 
 
-def large_trader_driver(params: MarketParams, alpha: float, gamma_bar: float,
-                        *, wealth_bound: float = 200.0,
-                        position_bound: float = 500.0) -> Driver:
+def large_trader_driver(params: MarketParams, alpha: float, gamma_bar: float) -> Driver:
     """Generator of a seller whose position moves the short rate and whose
     jump exposure moves the default compensation.
 
@@ -136,7 +137,7 @@ def large_trader_driver(params: MarketParams, alpha: float, gamma_bar: float,
     to the frictionless generator.
 
     The declared Lipschitz constant is valid on the reference box
-    |y| <= wealth_bound, |phi1|, |phi2| <= position_bound; the generator is
+    |y| <= WEALTH_BOUND, |phi1|, |phi2| <= POSITION_BOUND; the generator is
     bilinear in (y, phi1) and therefore only locally Lipschitz.
     """
     if not gamma_bar > -1.0:
@@ -155,8 +156,7 @@ def large_trader_driver(params: MarketParams, alpha: float, gamma_bar: float,
                 - phi2 * (c.mu2 - rbar)
                 - gamma_bar * state.lam * phi2)
 
-    a = abs(alpha)
-    by, bp = float(wealth_bound), float(position_bound)
+    a, by, bp = abs(alpha), WEALTH_BOUND, POSITION_BOUND
     bound = 0.0
     for c in map(params.at, merged_breakpoints(params.r, params.mu1, params.mu2,
                                                params.sigma1, params.sigma2, params.lam)):
@@ -250,13 +250,10 @@ def check_gamma_assumption(driver: Driver, samples: Iterable) -> GammaReport:
     return GammaReport(min_ratio=min_ratio, passed=passed, worst=worst, n_samples=n)
 
 
-def sample_states(params: MarketParams, steps: Sequence = None,
+def sample_states(params: MarketParams, steps: Sequence,
                   include_defaulted: bool = True) -> list:
     """Representative node states, alive and (optionally) defaulted, at each
-    ``(t, Coefs)`` of ``steps`` (a tree's ``tree.time(i)``, ``tree.coef[i]``);
-    by default at eight evenly spaced times of ``params``."""
-    if steps is None:
-        steps = [(t, params.at(t)) for t in (params.T * i / 8 for i in range(8))]
+    ``(t, Coefs)`` of ``steps`` (a tree's ``tree.time(i)``, ``tree.coef[i]``)."""
     states = []
     for t, coef in steps:
         states.append(NodeState(t, 1.0, params.s1_0, params.s2_0, coef.lam, False, coef))
@@ -269,7 +266,7 @@ def _columns(pairs: list, width: int) -> tuple:
     return tuple(np.array(list(zip(*pairs)), dtype=float).reshape(width, -1))
 
 
-def admissibility_rows(params: MarketParams, steps: Sequence = None,
+def admissibility_rows(params: MarketParams, steps: Sequence,
                        ys=(-1.0, 0.0, 1.0), zs=(-1.0, 0.0, 1.0),
                        ks=(-1.0, 0.0, 1.0)) -> list:
     """All distinct pairs of grid points: per state, one sample of pair rows."""
@@ -278,7 +275,7 @@ def admissibility_rows(params: MarketParams, steps: Sequence = None,
     return [(state, cols[:3], cols[3:]) for state in sample_states(params, steps)]
 
 
-def gamma_rows(params: MarketParams, steps: Sequence = None,
+def gamma_rows(params: MarketParams, steps: Sequence,
                ys=(-1.0, 0.0, 1.0), zs=(-1.0, 0.0, 1.0),
                ks=(-1.0, 0.0, 1.0)) -> list:
     """Jump-pair samples (state, y, z, k1, k2) at states with positive

@@ -23,11 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import PICARD_MAX_ITER, ConvergenceError, _implicit_row, coefficients
+from .bsde import PICARD_MAX_ITER, ConvergenceError, Solution, _implicit_row, coefficients
 from .drivers import Driver
-from .market import Tree
-from .pricing import StoppingRule, Strategy, phi_inverse, strategy_from_solution
-from .rbsde import Obstacle, solve_rbsde_lower
+from .market import Tree, node_key
+from .pricing import StoppingRule, Strategy, phi_inverse
+# solve_rbsde_lower stays a name of this module: the benchmark's tracer wraps it here.
+from .rbsde import Obstacle, solve_rbsde_lower  # noqa: F401
 
 SUPERHEDGE_TOL = 1e-10
 MARTINGALE_TOL = 1e-10  # largest wealth martingale residual that passes
@@ -288,23 +289,22 @@ def wealth_martingale_residual(field: WealthField, driver: Driver) -> float:
     return abs(float(vals[0]) - field.x0)
 
 
-def strict_gain_after_nubar(tree: Tree, driver: Driver, obstacle: Obstacle) -> GainReport:
+def strict_gain_after_nubar(field: WealthField, solution: Solution) -> GainReport:
     """Wealth strictly beats the reflected value once a charge has accrued.
 
-    Solves the seller problem, simulates wealth from its root value under
-    the superhedging positions, and over every path state whose cumulative
-    incoming charge is positive reports the smallest V - Y. Vacuous pass
-    when the obstacle never binds before the terminal step.
+    ``field`` is the seller's wealth, simulated (exact or sampled) from the
+    root value of the lower-reflected ``solution`` under its positions. Over
+    every path state whose cumulative incoming charge is positive, reports
+    the smallest V - Y. Vacuous pass when the obstacle never binds before
+    the terminal step.
     """
-    solution = solve_rbsde_lower(tree, driver, obstacle)
-    field = _simulate(tree, solution.root_value, strategy_from_solution(solution), driver,
-                      "exact", 1, 0)
-
+    if field.tree is not solution.tree:
+        raise ValueError("the wealth field and the solution belong to different trees")
     paths, gains = field.paths, []
-    a_in = np.zeros(1)  # charge accrued along each path before its state
+    a_in = np.zeros(field.n_states(0))  # charge accrued along each path before its state
     for level, v in enumerate(field.wealth):
         gains.append((v - paths.at(solution.y_rows[level], level))[a_in > 0.0])
-        if level < tree.n_steps:
+        if level < field.tree.n_steps:
             a_in = (a_in + paths.at(solution.da_rows[level], level))[paths.parent[level + 1]]
     gains = np.concatenate(gains)
     if not gains.size:
@@ -315,6 +315,5 @@ def strict_gain_after_nubar(tree: Tree, driver: Driver, obstacle: Obstacle) -> G
 
 def violation_rows(report: HedgeReport) -> list:
     """CSV-ready rows (path id, step, node, V, payoff, slack)."""
-    from .market import node_key
     return [(pid, level, node_key(node), v, xi, slack)
             for pid, level, node, v, xi, slack in report.violations]

@@ -45,6 +45,14 @@ def _number(value) -> float:
     return float(value)
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``_number`` reads a finite float from ``value`` (a JSON number)."""
+    try:
+        return math.isfinite(_number(value))
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
+        return False
+
+
 class PiecewiseConstant:
     """Right-continuous piecewise-constant function of time on [0, T]."""
 
@@ -83,9 +91,6 @@ class PiecewiseConstant:
         if idx < 0:
             idx = 0
         return self.values[idx]
-
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.values)
 
     def __repr__(self):
         if len(self.values) == 1:

@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .market import is_finite_number
+
 _ALLOWED_NAMES = {"t", "S1", "S2", "defaulted"}
 _ALLOWED_FUNCS = {"max", "min"}
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
@@ -108,13 +110,9 @@ def compile_payoff(source: str) -> Callable:
 def _strike(cfg: dict) -> float:
     if "strike" not in cfg:
         raise ValueError(f"payoff.strike: required for kind {cfg['kind']!r}")
-    try:  # a JSON number: float() would also read a string or a boolean
-        strike = math.nan if isinstance(cfg["strike"], (str, bool)) else float(cfg["strike"])
-    except (TypeError, ValueError, OverflowError):
-        strike = math.nan
-    if not math.isfinite(strike):
+    if not is_finite_number(cfg["strike"]):
         raise ValueError(f"payoff.strike: must be a finite number, got {cfg['strike']!r}")
-    return strike
+    return float(cfg["strike"])
 
 
 def payoff_from_config(cfg: dict) -> Callable:

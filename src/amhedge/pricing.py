@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import Solution, cumulative_charge, g_evaluation
+from .bsde import Solution, g_evaluation
 from .drivers import Driver, check_gamma_assumption, gamma_rows
 from .market import NodeId, Tree, row_view
 from .rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
@@ -116,8 +116,9 @@ def strategy_from_solution(solution: Solution) -> Strategy:
     tree = solution.tree
     phi1, phi2 = [], []
     for z, k, c in zip(solution.z_rows, solution.k_rows, tree.coef):
-        phi1.append(tuple((z_d + c.sigma2 * k_d) / c.sigma1 for z_d, k_d in zip(z, k)))  # phi_map
-        phi2.append(tuple(-k_d for k_d in k))
+        p1, p2 = zip(*(phi_map(z_d, k_d, c.sigma1, c.sigma2) for z_d, k_d in zip(z, k)))
+        phi1.append(p1)
+        phi2.append(p2)
     return Strategy(tree, phi1, phi2)
 
 
@@ -180,34 +181,44 @@ def rational_exercise_times(solution: Solution, obstacle: Obstacle) -> tuple:
             _rule(tree, lambda da: da > 0.0, solution.da_rows))
 
 
-def is_rational(solution: Solution, obstacle: Obstacle, rule) -> RationalityReport:
+@np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in a scalar walk
+def is_rational(solution: Solution, obstacle: Obstacle, rule: StoppingRule) -> RationalityReport:
     """Check that a rule stops only on the payoff and before any charge.
 
-    Walks every path reached under the rule, carrying the largest cumulative
-    charge; at each stopped node the value must equal the payoff within a
-    scale-aware tolerance and the incoming charge must be zero within an
-    absolute floor. The first violating node is returned as a witness.
+    Walks the level rows forward, carrying which nodes the rule reaches and
+    the largest charge accrued before arrival over the incoming paths; the
+    children of a row are slices of the next level's rows. At each reached
+    stop the value must equal the payoff within a scale-aware tolerance and
+    the charge on arrival must be zero within an absolute floor. The first
+    violating node in level order is returned as a witness.
     """
     tree = solution.tree
-    stops = getattr(rule, "stop", rule)
-    reached = cumulative_charge(tree, solution.delta_a, stops)
-    for level in tree.levels:
-        for node in level:
-            if node not in reached:
-                continue
-            a_in = reached[node]
-            if stops[node]:
-                gap = solution.y[node] - obstacle.values[node]
-                scale = 1.0 + abs(obstacle.values[node])
-                if abs(gap) > EQUALITY_RTOL * scale:
-                    return RationalityReport(ok=False, witness=node,
-                                             reason=f"value off the payoff by {gap:.3g}")
-                if a_in > A_ZERO_TOL:
-                    return RationalityReport(ok=False, witness=node,
-                                             reason=f"cumulative charge {a_in:.3g} on arrival")
-            elif tree.is_terminal(node):
-                return RationalityReport(ok=False, witness=node,
-                                         reason="rule does not stop at the terminal step")
+    reached, a_in = [np.ones(1, dtype=bool), np.zeros(0, dtype=bool)], [np.zeros(1), np.zeros(0)]
+    for i in range(tree.n_steps + 1):
+        stops = rule.rows[i]
+        for d, (stop, y, xi) in enumerate(zip(stops, solution.y_rows[i], obstacle.rows[i])):
+            gap = y - xi
+            off = np.abs(gap) > EQUALITY_RTOL * (1.0 + np.abs(xi))
+            bad = reached[d] & np.where(stop, off | (a_in[d] > A_ZERO_TOL), i == tree.n_steps)
+            if bad.any():
+                j = int(bad.argmax())
+                reason = ("rule does not stop at the terminal step" if not stop[j]
+                          else f"value off the payoff by {gap[j]:.3g}" if off[j]
+                          else f"cumulative charge {a_in[d][j]:.3g} on arrival")
+                return RationalityReport(ok=False, witness=(i, j, d), reason=reason)
+        if i == tree.n_steps:
+            break
+        # Each child takes the first arrival in level order, then any strictly larger one.
+        reached_next = [np.zeros(len(row), dtype=bool) for row in tree.s1[i + 1]]
+        a_next = [np.zeros(len(row)) for row in tree.s1[i + 1]]
+        for d, branches in enumerate(tree.row_branches[i]):
+            go, incoming = reached[d] & ~stops[d], a_in[d] + solution.da_rows[i][d]
+            for _, up, dead in (b.child for b in branches):
+                seen, a = reached_next[dead][up:up + len(go)], a_next[dead][up:up + len(go)]
+                take = go & (~seen | (incoming > a))
+                a[take] = incoming[take]
+                seen |= go
+        reached, a_in = reached_next, a_next
     return RationalityReport(ok=True)
 
 

@@ -8,8 +8,8 @@ solved values (rejection sampling otherwise).
 
 The end of the file keeps the scalar references of the forward wealth
 simulation, of the superhedge checks, of the obstacle, of the sampled
-driver checks, of the eps-triggered exercise rule and of the rule
-enumeration's best value.
+driver checks, of the eps-triggered exercise rule, of the rule
+enumeration's best value and of the rationality check.
 """
 
 import functools
@@ -26,7 +26,8 @@ from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
 from amhedge.hedging import SUPERHEDGE_TOL, HedgeReport
 from amhedge.market import MarketParams, PiecewiseConstant, build_tree
 from amhedge.oracle import _stop_flags
-from amhedge.pricing import phi_inverse
+from amhedge.payoffs import call, payoff_from_config, put
+from amhedge.pricing import A_ZERO_TOL, EQUALITY_RTOL, RationalityReport, phi_inverse
 from amhedge.rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
 
 DRIVER_KINDS = ("perfect", "borrow_lend", "large_trader")
@@ -46,6 +47,11 @@ class Instance:
 def at_times(params: MarketParams, times) -> list:
     """The ``(t, Coefs)`` sample steps of the driver checks at given times."""
     return [(t, params.at(t)) for t in times]
+
+
+def eight_steps(params: MarketParams) -> list:
+    """The sample steps of the driver checks at eight evenly spaced times."""
+    return at_times(params, [params.T * i / 8 for i in range(8)])
 
 
 def random_params(rng, lam=None, T=None) -> MarketParams:
@@ -89,6 +95,26 @@ def call_payoff(rng):
         return max(s1 - k1, 0.0)
 
     return payoff
+
+
+def style_params(style: str, r: float, sigma1: float) -> MarketParams:
+    """A market of the differential tests: constant coefficients with an
+    intensity of 0.2 ("const") or 0 ("lam_zero"), or piecewise r and sigma1
+    with an intensity dropping from 0.2 to 0 at t = 0.5 ("piecewise")."""
+    base = dict(r=0.05, mu1=0.05, mu2=0.0, sigma1=0.2, sigma2=0.3, lam=0.0,
+                s1_0=100.0, s2_0=90.0, T=1.0)
+    if style == "piecewise":
+        return MarketParams(**dict(base, r=PiecewiseConstant([r, r + 0.02], times=[0.0, 0.4]),
+                                   sigma1=PiecewiseConstant([sigma1, 0.2], times=[0.0, 0.6]),
+                                   lam=PiecewiseConstant([0.2, 0.0], times=[0.0, 0.5])))
+    return MarketParams(**dict(base, r=r, sigma1=sigma1, lam=0.2 if style == "const" else 0.0))
+
+
+def named_payoff(name: str, strike: float):
+    """put, call or an ``expr`` payoff whose zeros carry the sign of S1 - strike."""
+    expr = f"0 * (S1 - {strike!r}) + max(S1 - {strike!r}, 0) * defaulted"
+    return {"put": lambda: put(strike), "call": lambda: call(strike),
+            "expr": lambda: payoff_from_config({"kind": "expr", "expr": expr})}[name]()
 
 
 def shifted_rate(params: MarketParams, spread: float) -> PiecewiseConstant:
@@ -389,7 +415,7 @@ def scalar_strict_gain(field, solution) -> tuple:
     charge is positive."""
     min_gain = math.inf
     n = 0
-    a_in = [0.0]
+    a_in = [0.0] * field.n_states(0)
     for level in range(len(field.node_ids)):
         for idx, node in enumerate(field.node_ids[level]):
             if a_in[idx] > 0.0:
@@ -490,3 +516,54 @@ def scalar_brute_force_seller_value(tree, driver, obstacle) -> float:
 def float_bits(value) -> bytes:
     """The IEEE bytes of a float, so that -0.0 and 0.0 differ and NaN equals NaN."""
     return np.float64(value).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference for the rationality check: the node-dict walk that the row
+# recurrence of amhedge.pricing.is_rational replaced.
+# ---------------------------------------------------------------------------
+
+def scalar_cumulative_charge(tree, delta_a, stop=None) -> dict:
+    """Largest charge accrued before arriving at each node, over paths not yet stopped."""
+    a = {tree.root: 0.0}
+    for level in tree.levels[:-1]:
+        for node in level:
+            if node not in a or (stop is not None and stop[node]):
+                continue
+            incoming = a[node] + delta_a[node]
+            for b in tree.branches[node]:
+                prev = a.get(b.child)
+                if prev is None or incoming > prev:
+                    a[b.child] = incoming
+    return a
+
+
+def scalar_is_rational(solution, obstacle, rule) -> RationalityReport:
+    """Check that a rule stops only on the payoff and before any charge.
+
+    Walks every path reached under the rule, carrying the largest cumulative
+    charge; at each stopped node the value must equal the payoff within a
+    scale-aware tolerance and the incoming charge must be zero within an
+    absolute floor. The first violating node is returned as a witness.
+    """
+    tree = solution.tree
+    stops = getattr(rule, "stop", rule)
+    reached = scalar_cumulative_charge(tree, solution.delta_a, stops)
+    for level in tree.levels:
+        for node in level:
+            if node not in reached:
+                continue
+            a_in = reached[node]
+            if stops[node]:
+                gap = solution.y[node] - obstacle.values[node]
+                scale = 1.0 + abs(obstacle.values[node])
+                if abs(gap) > EQUALITY_RTOL * scale:
+                    return RationalityReport(ok=False, witness=node,
+                                             reason=f"value off the payoff by {gap:.3g}")
+                if a_in > A_ZERO_TOL:
+                    return RationalityReport(ok=False, witness=node,
+                                             reason=f"cumulative charge {a_in:.3g} on arrival")
+            elif tree.is_terminal(node):
+                return RationalityReport(ok=False, witness=node,
+                                         reason="rule does not stop at the terminal step")
+    return RationalityReport(ok=True)

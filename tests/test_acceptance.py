@@ -20,7 +20,7 @@ from amhedge.hedging import (simulate_wealth, verify_superhedge_buyer,
 from amhedge.market import MarketParams, build_tree
 from amhedge.oracle import (apriori_estimate_check, brute_force_seller_value,
                             crr_american_oracle)
-from amhedge.pricing import (Strategy, buyer_price, epsilon_gap_bound,
+from amhedge.pricing import (StoppingRule, Strategy, buyer_price, epsilon_gap_bound,
                              epsilon_rational, is_rational,
                              rational_exercise_times, seller_price)
 from amhedge.rbsde import (Obstacle, solve_rbsde_lower, solve_rbsde_upper)
@@ -199,7 +199,8 @@ def test_c06_rational_exercise_characterization():
         r_bar = is_rational(solution, obstacle, nu_bar)
         v_star = g_evaluation(tree, driver, nu_star, obstacle)
         v_bar = g_evaluation(tree, driver, nu_bar, obstacle)
-        late = {node: tree.is_terminal(node) for node in tree.nodes}
+        late = StoppingRule(tree, dict_rows(tree, {node: tree.is_terminal(node)
+                                                   for node in tree.nodes}))
         r_late = is_rational(solution, obstacle, late)
         ok = ok and interior and r_star.ok and r_bar.ok and not r_late.ok
         ok = ok and r_late.witness is not None

@@ -1,9 +1,11 @@
 import pytest
 
-from amhedge.drivers import (Driver, admissibility_rows, borrow_lend_driver,
-                             check_gamma_assumption, check_lambda_admissible,
-                             gamma_rows, large_trader_driver, perfect_driver)
+from amhedge.drivers import (POSITION_BOUND, WEALTH_BOUND, Driver, admissibility_rows,
+                             borrow_lend_driver, check_gamma_assumption,
+                             check_lambda_admissible, gamma_rows, large_trader_driver,
+                             perfect_driver)
 from amhedge.market import MarketParams, NodeState
+from helpers import eight_steps
 
 
 def flat_params(**overrides):
@@ -145,14 +147,14 @@ class TestLambdaAdmissible:
     def test_zero_driver_passes_any_constant(self):
         params = flat_params()
         g = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
-        report = check_lambda_admissible(g, admissibility_rows(params))
+        report = check_lambda_admissible(g, admissibility_rows(params, eight_steps(params)))
         assert report.max_ratio == 0.0
         assert report.passed
 
     def test_perfect_driver_passes_declared_constant(self):
         params = flat_params()
         g = perfect_driver(params)
-        report = check_lambda_admissible(g, admissibility_rows(params))
+        report = check_lambda_admissible(g, admissibility_rows(params, eight_steps(params)))
         assert report.passed
         assert report.max_ratio <= g.lipschitz_C + 1e-10
 
@@ -160,25 +162,25 @@ class TestLambdaAdmissible:
         params = flat_params()
         g = Driver(name="square", eval=lambda t, y, z, k, s: k * k, lipschitz_C=5.0)
         report = check_lambda_admissible(
-            g, admissibility_rows(params, ks=(-100.0, 0.0, 100.0)))
+            g, admissibility_rows(params, eight_steps(params), ks=(-100.0, 0.0, 100.0)))
         assert not report.passed
         assert report.max_ratio > 5.0
 
     def test_borrow_lend_passes_declared_constant(self):
         params = flat_params()
         g = borrow_lend_driver(params, 0.08)
-        samples = admissibility_rows(params, ys=(-20.0, 0.0, 20.0),
+        samples = admissibility_rows(params, eight_steps(params), ys=(-20.0, 0.0, 20.0),
                                      zs=(-20.0, 0.0, 20.0), ks=(-20.0, 0.0, 20.0))
         report = check_lambda_admissible(g, samples)
         assert report.passed
 
     def test_large_trader_passes_on_its_reference_box(self):
         params = flat_params()
-        g = large_trader_driver(params, 0.005, 0.2, wealth_bound=50.0,
-                                position_bound=60.0)
-        # positions stay inside the box for |z|, |k| <= 8 with these sigmas
-        samples = admissibility_rows(params, ys=(-50.0, 0.0, 50.0),
-                                     zs=(-8.0, 0.0, 8.0), ks=(-8.0, 0.0, 8.0))
+        g = large_trader_driver(params, 0.005, 0.2)
+        # positions stay inside the box: |phi1| = |z + 0.3 k| / 0.2 <= 6.5 x for |z|, |k| <= x
+        y, x = WEALTH_BOUND, POSITION_BOUND / 6.5
+        samples = admissibility_rows(params, eight_steps(params), ys=(-y, 0.0, y),
+                                     zs=(-x, 0.0, x), ks=(-x, 0.0, x))
         report = check_lambda_admissible(g, samples)
         assert report.passed
 
@@ -187,7 +189,7 @@ class TestGammaAssumption:
     def test_perfect_driver_ratio_is_minus_theta2(self):
         params = flat_params(r=0.0, mu1=0.1, sigma1=0.2, mu2=0.0, sigma2=0.3, lam=0.5)
         g = perfect_driver(params)
-        report = check_gamma_assumption(g, gamma_rows(params))
+        report = check_gamma_assumption(g, gamma_rows(params, eight_steps(params)))
         assert report.passed
         assert report.min_ratio == pytest.approx(-0.3, abs=1e-12)
 
@@ -196,14 +198,14 @@ class TestGammaAssumption:
         params = flat_params(r=0.0, mu1=0.1, sigma1=0.2, mu2=-0.1, sigma2=0.2,
                              lam=0.1)
         g = perfect_driver(params)
-        report = check_gamma_assumption(g, gamma_rows(params))
+        report = check_gamma_assumption(g, gamma_rows(params, eight_steps(params)))
         assert not report.passed
         assert report.min_ratio == pytest.approx(-2.0, abs=1e-12)
 
     def test_k_independent_driver_passes_with_zero_ratio(self):
         params = flat_params()
         g = Driver(name="flat", eval=lambda t, y, z, k, s: -0.1 * y, lipschitz_C=0.1)
-        report = check_gamma_assumption(g, gamma_rows(params))
+        report = check_gamma_assumption(g, gamma_rows(params, eight_steps(params)))
         assert report.passed
         assert report.min_ratio == 0.0
 
@@ -211,14 +213,14 @@ class TestGammaAssumption:
         params = flat_params()
         g = Driver(name="bad", eval=lambda t, y, z, k, s: -2.0 * s.lam * k,
                    lipschitz_C=2.0)
-        report = check_gamma_assumption(g, gamma_rows(params))
+        report = check_gamma_assumption(g, gamma_rows(params, eight_steps(params)))
         assert not report.passed
         assert report.min_ratio == pytest.approx(-2.0, abs=1e-12)
 
     def test_empty_sample_set_passes_vacuously(self):
         params = flat_params(lam=0.0)
         g = perfect_driver(params)
-        report = check_gamma_assumption(g, gamma_rows(params))
+        report = check_gamma_assumption(g, gamma_rows(params, eight_steps(params)))
         assert report.passed
         assert report.n_samples == 0
 

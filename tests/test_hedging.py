@@ -13,11 +13,12 @@ from amhedge.hedging import (simulate_wealth, strict_gain_after_nubar,
                              wealth_martingale_residual)
 from amhedge.market import Coefs, MarketParams, PiecewiseConstant, build_tree
 from amhedge.payoffs import put
-from amhedge.pricing import StoppingRule, Strategy, buyer_price, price_american, seller_price
-from amhedge.rbsde import Obstacle
-from helpers import (dict_rows, make_instance, scalar_martingale_residual, scalar_simulate_exact,
-                     scalar_simulate_sampled, scalar_strict_gain, scalar_verify_buyer,
-                     scalar_verify_seller)
+from amhedge.pricing import (StoppingRule, Strategy, buyer_price, price_american, seller_price,
+                             strategy_from_solution)
+from amhedge.rbsde import Obstacle, solve_rbsde_lower
+from helpers import (dict_rows, float_bits, make_instance, scalar_martingale_residual,
+                     scalar_simulate_exact, scalar_simulate_sampled, scalar_strict_gain,
+                     scalar_verify_buyer, scalar_verify_seller)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 NAN = Driver(name="nan", eval=lambda t, y, z, k, s: math.nan, lipschitz_C=0.0)
@@ -244,6 +245,14 @@ class TestForwardBackwardConsistency:
                 a_in = nxt
 
 
+def strict_gain(tree, driver, obstacle):
+    """strict_gain_after_nubar on the seller's solve and its exact wealth field."""
+    solution = solve_rbsde_lower(tree, driver, obstacle)
+    field = simulate_wealth(tree, solution.root_value, strategy_from_solution(solution), driver,
+                            mode="exact")
+    return strict_gain_after_nubar(field, solution)
+
+
 class TestStrictGain:
     def test_vacuous_without_binding(self):
         rng = np.random.default_rng(351)
@@ -251,14 +260,14 @@ class TestStrictGain:
         low = Obstacle(inst.tree, dict_rows(inst.tree, {
             n: inst.obstacle.values[n] if inst.tree.is_terminal(n) else -1e9
             for n in inst.tree.nodes}))
-        report = strict_gain_after_nubar(inst.tree, inst.driver, low)
+        report = strict_gain(inst.tree, inst.driver, low)
         assert report.passed and report.n_states == 0 and report.min_gain is None
 
     def test_put_with_early_exercise_gains(self):
         params = flat_params(r=0.06, mu1=0.06)
         tree = build_tree(params, 6)
         obs = Obstacle.from_payoff(tree, lambda t, s1, s2, d: max(110.0 - s1, 0.0))
-        report = strict_gain_after_nubar(tree, perfect_driver(params), obs)
+        report = strict_gain(tree, perfect_driver(params), obs)
         assert report.n_states > 0
         assert report.passed
         assert report.min_gain > 1e-6
@@ -273,10 +282,20 @@ class TestStrictGain:
             values[node] = 4.0
         obs = Obstacle(tree, dict_rows(tree, values))
         g = perfect_driver(params)
-        report = strict_gain_after_nubar(tree, g, obs)
+        report = strict_gain(tree, g, obs)
         charge = 5.0 - 4.0 / 1.05
         assert report.n_states == 4
         assert report.min_gain == pytest.approx(charge * 1.05, rel=1e-12)
+
+    def test_field_of_another_tree_rejected(self):
+        params = flat_params()
+        tree = build_tree(params, 3)
+        obs = Obstacle.from_payoff(tree, put(100.0))
+        solution = solve_rbsde_lower(tree, perfect_driver(params), obs)
+        other = build_tree(params, 3)
+        field = simulate_wealth(other, solution.root_value, zero_strategy(other), ZERO)
+        with pytest.raises(ValueError, match="different trees"):
+            strict_gain_after_nubar(field, solution)
 
 
 def bits(values):
@@ -336,15 +355,14 @@ class TestMatchesScalarReference:
             if mode == "exact":
                 assert (bits(wealth_martingale_residual(field, driver))
                         == bits(scalar_martingale_residual(ref, driver)))
+            gain = strict_gain_after_nubar(field, seller.solution)
+            n, min_gain = scalar_strict_gain(ref, seller.solution)
+            assert gain.n_states == n
+            assert (float_bits(gain.min_gain) == float_bits(min_gain) if n
+                    else gain.min_gain is None)
         # The underfunded seller compares violation lists and path ids.
         ref = scalar_simulate_exact(tree, seller.u0 - 0.01, seller.strategy, driver)
         assert scalar_verify_seller(ref, obs).violations
-        if mode == "exact":
-            gain = strict_gain_after_nubar(tree, driver, obs)
-            n, min_gain = scalar_strict_gain(
-                scalar_simulate_exact(tree, seller.u0, seller.strategy, driver), seller.solution)
-            assert gain.n_states == n
-            assert bits(gain.min_gain) == bits(min_gain) if n else gain.min_gain is None
 
     def test_draws_on_probability_boundaries(self, monkeypatch):
         params = MarketParams(**README_MARKET)

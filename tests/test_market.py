@@ -1,7 +1,7 @@
 import pytest
 
 from amhedge.market import (MarketParams, PiecewiseConstant, as_piecewise,
-                            build_tree)
+                            build_tree, is_finite_number)
 
 
 def flat_params(**overrides):
@@ -24,6 +24,14 @@ def enumerate_nodes_by_walk(tree):
 
     walk(tree.root)
     return seen
+
+
+@pytest.mark.parametrize("value,expected", [
+    (0, True), (-3, True), (1.5, True), (1e308, True),
+    (float("nan"), False), (float("inf"), False), (10**400, False),
+    ("1", False), (True, False), (None, False), ([1.0], False), ({"v": 1}, False)])
+def test_finite_number_is_a_json_number_in_float_range(value, expected):
+    assert is_finite_number(value) is expected
 
 
 class TestPiecewiseConstant:

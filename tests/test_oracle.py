@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from amhedge.bsde import ConvergenceError, g_evaluation, g_evaluations, solve_bsde
 from amhedge.drivers import Driver, borrow_lend_driver, perfect_driver
-from amhedge.market import MarketParams, PiecewiseConstant, build_tree
+from amhedge.market import MarketParams, build_tree
 from amhedge.oracle import (_stop_flags, apriori_estimate_check, brute_force_seller_value,
                             crr_american_oracle, enumerate_stopping_rules)
-from amhedge.payoffs import call, payoff_from_config, put
+from amhedge.payoffs import payoff_from_config, put
 from amhedge.pricing import seller_price
 from amhedge.rbsde import Obstacle, solve_rbsde_lower
 from helpers import (DRIVER_KINDS, dict_rows, duality_instances, float_bits, make_driver,
-                     make_instance, scalar_brute_force_seller_value)
+                     make_instance, named_payoff, scalar_brute_force_seller_value,
+                     style_params)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 # y = e + (-0.0) * dt is e itself, so a child value's zero sign reaches the root.
@@ -189,17 +190,10 @@ class TestSharedContinuationValues:
        strike=st.floats(70.0, 130.0))
 def test_shared_walk_equals_the_per_rule_reference_on_random_markets(
         style, kind, payoff, n_steps, r, sigma1, strike):
-    if style == "piecewise":
-        params = flat_params(r=PiecewiseConstant([r, r + 0.02], times=[0.0, 0.4]),
-                             sigma1=PiecewiseConstant([sigma1, 0.2], times=[0.0, 0.6]),
-                             lam=PiecewiseConstant([0.2, 0.0], times=[0.0, 0.5]))
-    else:
-        params = flat_params(r=r, sigma1=sigma1, lam=0.2 if style == "const" else 0.0)
+    params = style_params(style, r, sigma1)
     tree = build_tree(params, n_steps)
-    expr = f"0 * (S1 - {strike!r}) + max(S1 - {strike!r}, 0) * defaulted"
-    pay = {"put": put(strike), "call": call(strike),
-           "expr": payoff_from_config({"kind": "expr", "expr": expr})}[payoff]
-    assert_shared_equals_per_rule(tree, make_driver(kind, params), Obstacle.from_payoff(tree, pay))
+    obstacle = Obstacle.from_payoff(tree, named_payoff(payoff, strike))
+    assert_shared_equals_per_rule(tree, make_driver(kind, params), obstacle)
 
 
 class TestCrrOracle:

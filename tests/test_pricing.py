@@ -1,20 +1,25 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amhedge.bsde import g_evaluation
+from amhedge import hedging
+from amhedge.bsde import ConvergenceError, g_evaluation
 from amhedge.cli import canonical_json, report_to_dict
 from amhedge.drivers import Driver, borrow_lend_driver, large_trader_driver, perfect_driver
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.payoffs import put
 from amhedge.oracle import brute_force_seller_value, enumerate_stopping_rules
-from amhedge.pricing import (buyer_price, epsilon_gap_bound, epsilon_rational,
-                             is_rational, phi_inverse, phi_map, price_american,
-                             rational_exercise_times, seller_price)
-from amhedge.rbsde import Obstacle
-from helpers import (dict_rows, float_bits, make_instance, negated,
-                     scalar_epsilon_rational)
+from amhedge.pricing import (StoppingRule, buyer_price, epsilon_gap_bound,
+                             epsilon_rational, is_rational, phi_inverse, phi_map,
+                             price_american, rational_exercise_times, seller_price)
+from amhedge.rbsde import Obstacle, solve_rbsde_lower
+from helpers import (DRIVER_KINDS, dict_rows, duality_instances, eight_steps, float_bits,
+                     make_driver, make_instance, named_payoff, negated, scalar_epsilon_rational,
+                     scalar_is_rational, style_params)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 README_MARKET = dict(r=0.05, mu1=0.07, mu2=-0.02, sigma1=0.2, sigma2=0.25, lam=0.25,
@@ -92,7 +97,7 @@ class TestSellerPrice:
             large_trader_driver
         params = flat_params(lam=0.1, sigma1=0.2, sigma2=0.27)
         driver = large_trader_driver(params, 0.002, 0.0)
-        unit = check_gamma_assumption(driver, gamma_rows(params))
+        unit = check_gamma_assumption(driver, gamma_rows(params, eight_steps(params)))
         assert unit.passed
         tree = build_tree(params, 3)
         obs = Obstacle(tree, dict_rows(tree, {node: 1.0 for node in tree.nodes}))
@@ -192,7 +197,8 @@ class TestRationalExercise:
     def test_terminal_rule_rejected_with_witness(self):
         params, tree, obs = binding_put_instance()
         result = seller_price(tree, perfect_driver(params), obs)
-        rule = {node: tree.is_terminal(node) for node in tree.nodes}
+        rule = StoppingRule(tree, dict_rows(tree, {node: tree.is_terminal(node)
+                                                   for node in tree.nodes}))
         report = is_rational(result.solution, obs, rule)
         assert not report.ok
         assert report.witness is not None
@@ -202,7 +208,7 @@ class TestRationalExercise:
         params, tree, obs = binding_put_instance()
         result = seller_price(tree, perfect_driver(params), obs)
         assert result.solution.y[tree.root] > obs.values[tree.root]
-        rule = {node: True for node in tree.nodes}
+        rule = StoppingRule(tree, dict_rows(tree, {node: True for node in tree.nodes}))
         report = is_rational(result.solution, obs, rule)
         assert not report.ok
         assert report.witness == tree.root
@@ -339,3 +345,111 @@ def test_price_path_stays_on_rows():
     for rule in rules:
         assert list(rule.stop.items()) == _row_items(rule.rows, every, bool)
         assert all(rule.stop[node] for node in tree.terminal_nodes())
+
+
+def test_rationality_and_strict_gain_stay_on_rows(monkeypatch):
+    params = flat_params(mu1=0.07, mu2=-0.02, sigma2=0.25,
+                         lam=PiecewiseConstant([0.25, 0.0], times=[0.0, 0.5]))
+    tree = build_tree(params, 6)
+    obstacle = Obstacle.from_payoff(tree, put(105.0))
+    report = price_american(tree, borrow_lend_driver(params, 0.07), obstacle)
+    seller = report.seller
+    field = hedging.simulate_wealth(tree, seller.u0, seller.strategy, seller.solution.driver)
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("the check solved or simulated again")
+
+    for name in ("solve_rbsde_lower", "simulate_wealth", "_simulate"):
+        monkeypatch.setattr(hedging, name, no_call)
+    rules = (report.nu_star, report.nu_bar, report.buyer.exercise)
+    assert [is_rational(seller.solution, obstacle, rule).ok for rule in rules[:2]] == [True, True]
+    assert is_rational(report.buyer.solution, negated(obstacle), report.buyer.exercise).ok
+    gain = hedging.strict_gain_after_nubar(field, seller.solution)
+    assert gain.passed and gain.n_states > 0
+
+    assert not {"nodes", "branches", "levels"} & set(vars(tree))
+    assert "values" not in vars(obstacle)
+    for sol in (seller.solution, report.buyer.solution):
+        assert not {"y", "delta_a"} & set(vars(sol))
+    assert all("stop" not in vars(rule) for rule in rules)
+    assert "node_ids" not in vars(field)
+
+
+# ---------------------------------------------------------------------------
+# The row recurrence of is_rational against the node-dict walk of
+# helpers.scalar_is_rational
+# ---------------------------------------------------------------------------
+
+def assert_rational_matches_scalar(solution, obstacle, rule):
+    """The same (ok, witness, reason), the witness a tuple of Python ints."""
+    got = is_rational(solution, obstacle, rule)
+    want = scalar_is_rational(solution, obstacle, rule)
+    assert (got.ok, got.witness, got.reason) == (want.ok, want.witness, want.reason)
+    assert got.witness is None or {type(x) for x in got.witness} == {int}
+    return got
+
+
+def random_rule(tree, rng, p_stop):
+    """Stop flags drawn independently per node, terminal nodes included, so
+    the rule can also fail to stop at the terminal step."""
+    return StoppingRule(tree, [tuple(rng.random(len(row)) < p_stop for row in rows)
+                               for rows in tree.s1])
+
+
+def test_row_is_rational_equals_the_scalar_walk_on_every_enumerated_rule():
+    reasons = []
+    for inst in duality_instances():
+        solution = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle)
+        for rule in enumerate_stopping_rules(inst.tree):
+            reasons.append(assert_rational_matches_scalar(solution, inst.obstacle, rule).reason)
+    assert len(reasons) == 1698
+    assert {reason.split(" ")[0] for reason in reasons} == {"", "value", "cumulative"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(style=st.sampled_from(("const", "piecewise", "lam_zero")),
+       kind=st.sampled_from(DRIVER_KINDS), payoff=st.sampled_from(("put", "call", "expr")),
+       n_steps=st.integers(1, 16), r=st.floats(0.0, 0.06), sigma1=st.floats(0.1, 0.5),
+       strike=st.floats(70.0, 130.0), seed=st.integers(0, 2**32 - 1))
+def test_row_is_rational_equals_the_scalar_walk_on_random_markets(
+        style, kind, payoff, n_steps, r, sigma1, strike, seed):
+    params = style_params(style, r, sigma1)
+    tree = build_tree(params, n_steps)
+    obstacle = Obstacle.from_payoff(tree, named_payoff(payoff, strike))
+    try:
+        report = price_american(tree, make_driver(kind, params), obstacle, gamma_check=False)
+    except ConvergenceError:
+        return
+    rng = np.random.default_rng(seed)
+    seller = report.seller.solution
+    for rule in (report.nu_star, report.nu_bar, report.buyer.exercise,
+                 random_rule(tree, rng, 0.2), random_rule(tree, rng, 0.7)):
+        assert_rational_matches_scalar(seller, obstacle, rule)
+    assert_rational_matches_scalar(report.buyer.solution, negated(obstacle),
+                                   report.buyer.exercise)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_is_rational_equals_the_scalar_walk_on_nan_charges(seed):
+    # A NaN charge reaches a child first or after a number; the walk keeps the
+    # first arrival unless a later one is strictly larger, so either stays.
+    rng = np.random.default_rng(seed)
+    params = style_params("piecewise", 0.03, 0.25)
+    tree = build_tree(params, 7)
+    obstacle = Obstacle.from_payoff(tree, put(float(rng.uniform(95.0, 115.0))))
+    solution = solve_rbsde_lower(tree, make_driver("borrow_lend", params), obstacle)
+    nu_star, nu_bar = rational_exercise_times(solution, obstacle)
+    # Stops on the payoff but not where a charge leaves, so charges accrue.
+    through = StoppingRule(tree, [tuple((y == xi) & ~(a > 0.0) for y, xi, a in zip(*rows))
+                                  for rows in zip(solution.y_rows, obstacle.rows,
+                                                  solution.da_rows)] + [nu_bar.rows[-1]])
+    da = [tuple(np.where(rng.random(len(row)) < 0.3, math.nan, row) for row in rows)
+          for rows in solution.da_rows]
+    nan_y = [tuple(np.where(rng.random(len(row)) < 0.1, math.nan, row) for row in rows)
+             for rows in solution.y_rows]
+    for changes in ({"da_rows": da}, {"da_rows": da, "y_rows": nan_y}):
+        broken = dataclasses.replace(solution, **changes)
+        for rule in (nu_star, nu_bar, through, random_rule(tree, rng, 0.1),
+                     random_rule(tree, rng, 0.5)):
+            assert_rational_matches_scalar(broken, obstacle, rule)

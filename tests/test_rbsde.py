@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from amhedge.bsde import ConvergenceError, cumulative_charge, one_step, solve_bsde
+from amhedge.bsde import ConvergenceError, one_step, solve_bsde
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.rbsde import (Obstacle, skorokhod_residual, solve_rbsde_lower,
                            solve_rbsde_upper)
-from helpers import (at_times, dict_rows, make_instance, negated, random_payoff,
-                     scalar_gamma_scan)
+from helpers import (DRIVER_KINDS, at_times, dict_rows, float_bits, make_driver, make_instance,
+                     named_payoff, negated, random_payoff, scalar_cumulative_charge,
+                     scalar_gamma_scan, style_params)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 
@@ -157,7 +160,7 @@ class TestStructuralInvariants:
         for node, da in sol.delta_a.items():
             assert da >= 0.0
             assert da * (sol.y[node] - inst.obstacle.values[node]) == 0.0
-        assert cumulative_charge(inst.tree, sol.delta_a)[inst.tree.root] == 0.0
+        assert scalar_cumulative_charge(inst.tree, sol.delta_a)[inst.tree.root] == 0.0
 
     def test_upper_structure(self, seed, kind):
         rng = np.random.default_rng(seed)
@@ -259,6 +262,54 @@ class TestRowSweepMatchesScalar:
                 assert (sol.z[node], sol.k[node]) == (z, k)
         assert list(sol.y) == list(y)
         assert all(sol.y[node] == y[node] for node in y)
+
+
+def node_bits(*views):
+    """(node, value bits) of node dicts in their order, so that -0.0 is not 0.0."""
+    return [[(node, float_bits(v)) for node, v in view.items()] for view in views]
+
+
+def _bits_or_error(compute):
+    try:
+        return compute()
+    except ConvergenceError:
+        return ConvergenceError
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(style=st.sampled_from(("const", "piecewise", "lam_zero")),
+       kind=st.sampled_from(DRIVER_KINDS), payoff=st.sampled_from(("put", "call", "expr")),
+       n_steps=st.integers(1, 16), r=st.floats(0.0, 0.06), sigma1=st.floats(0.1, 0.5),
+       strike=st.floats(70.0, 130.0))
+def test_row_sweep_equals_the_scalar_kernel_on_random_markets(
+        style, kind, payoff, n_steps, r, sigma1, strike):
+    params = style_params(style, r, sigma1)
+    tree = build_tree(params, n_steps)
+    driver = make_driver(kind, params)
+    obstacle = Obstacle.from_payoff(tree, named_payoff(payoff, strike))
+    for side, solve, barrier in (("lower", solve_rbsde_lower, obstacle),
+                                 ("upper", solve_rbsde_upper, negated(obstacle))):
+        def rows():
+            sol = solve(tree, driver, barrier)
+            return node_bits(sol.y, sol.z, sol.k, sol.delta_a)
+        assert (_bits_or_error(rows)
+                == _bits_or_error(lambda: node_bits(*scalar_reflected(tree, driver, barrier, side))))
+
+    terminal = {node: obstacle.values[node] for node in tree.terminal_nodes()}
+
+    def plain():
+        sol = solve_bsde(tree, driver, terminal)
+        return node_bits(sol.y, sol.z, sol.k)
+
+    def scalar_plain():
+        y, z, k = dict(terminal), {}, {}
+        for level in reversed(tree.levels[:-1]):
+            for node in level:
+                y[node], z[node], k[node] = one_step(tree, driver, node, y)
+        return node_bits(y, z, k)
+
+    assert _bits_or_error(plain) == _bits_or_error(scalar_plain)
 
 
 @pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader_alpha"])

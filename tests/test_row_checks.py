@@ -17,7 +17,7 @@ from amhedge.market import MarketParams, PiecewiseConstant, build_tree
 from amhedge.payoffs import call, put
 from amhedge.pricing import buyer_price, seller_price
 from amhedge.rbsde import Obstacle
-from helpers import (at_times, float_bits, scalar_admissible_scan, scalar_gamma_scan,
+from helpers import (at_times, eight_steps, float_bits, scalar_admissible_scan, scalar_gamma_scan,
                      scalar_obstacle_rows)
 
 MARKETS = ("const", "piecewise", "lam_drop")
@@ -243,8 +243,8 @@ def test_nan_ratios_never_win_and_ties_keep_the_first():
         report = assert_admissible_matches_scan(nan_lipschitz, params)
     assert report.max_ratio == 0.5
     all_nan = Driver(name="nan", lipschitz_C=1.0, eval=lambda t, y, z, k, s: y * math.nan)
-    assert check_lambda_admissible(all_nan, admissibility_rows(params)).worst is None
-    gamma = check_gamma_assumption(all_nan, gamma_rows(params))
+    assert check_lambda_admissible(all_nan, admissibility_rows(params, eight_steps(params))).worst is None
+    gamma = check_gamma_assumption(all_nan, gamma_rows(params, eight_steps(params)))
     assert (gamma.min_ratio, gamma.worst, gamma.n_samples) == (math.inf, None, 8 * 9 * 3)
 
 
