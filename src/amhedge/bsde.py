@@ -10,6 +10,13 @@ y = e + g(t, y, z, k) * dt is implicit. That fixed point is found by
 Picard iteration, which contracts whenever C * dt < 1 for the driver's
 Lipschitz constant C (in practice the relevant constant is the local
 y-sensitivity of g).
+
+``backward_sweep`` runs this step a level row at a time for K sides at
+once: each row is a (K, m) block, side h in block row h, with its own
+terminal rows and, on a reflected side, its own barrier. A price job's two
+reflected solves (the seller's lower and the buyer's upper) share one such
+sweep; a single solve is the case K = 1. Each side's work counts
+(``SolveStats``) are those of its solve on its own.
 """
 
 from __future__ import annotations
@@ -138,70 +145,113 @@ def _values_on(source, nodes: Iterable) -> dict:
 
 def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k,
                   row: tuple) -> tuple:
-    """``implicit_value`` over the row ``(step, defaulted)``; each element
-    keeps the iterate at which it first passes the stopping test, so it
-    equals the scalar result. Also counts the iterations (max and sum)."""
+    """``implicit_value`` over a (K, m) block (or a 1-D row) of the row
+    ``(step, defaulted)``, handed to the driver flattened. Each element keeps
+    the iterate at which it first passes the stopping test, so it equals the
+    scalar result; also returns that iteration of each element."""
+    shape = e.shape
+    e, z, k = e.ravel(), z.ravel(), k.ravel()
     y = e
     out = np.empty_like(e)
-    done = np.zeros(e.shape, dtype=bool)
-    pending, total = e.size, 0
-    for it in range(1, PICARD_MAX_ITER + 1):
-        total += pending
+    pending = np.ones(e.shape, dtype=bool)
+    first = np.zeros(e.shape, dtype=np.int8)
+    for _ in range(PICARD_MAX_ITER):
+        first += pending
         y_new = e + driver.eval(state.t, y, z, k, state) * dt
         residual = np.abs(y_new - y)
-        passed = residual <= PICARD_TOL * (1.0 + np.abs(y_new))
-        np.copyto(out, y_new, where=passed & ~done)
-        done |= passed
-        pending = e.size - int(np.count_nonzero(done))
-        if not pending:
-            return out, it, total
+        passed = (residual <= PICARD_TOL * (1.0 + np.abs(y_new))) & pending
+        np.copyto(out, y_new, where=passed)
+        pending ^= passed
+        if not np.count_nonzero(pending):
+            return out.reshape(shape), first.reshape(shape)
         y = y_new
-    j = int(np.argmin(done))
+    j = int(np.argmax(pending))
     raise ConvergenceError(
         f"implicit step did not converge in {PICARD_MAX_ITER} iterations at node "
-        f"{(row[0], j, row[1])} (t={state.t:.6g}, last residual {residual[j]:.3g}); "
+        f"{(row[0], j % shape[-1], row[1])} (t={state.t:.6g}, last residual {residual[j]:.3g}); "
         "the time step is too large for the driver's Lipschitz constant")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in one_step
-def backward_sweep(tree: Tree, driver: Driver, terminal: tuple,
-                   barrier: list = None, side: str = "lower") -> Solution:
-    """Backward solve one level row at a time from the terminal rows.
+def _side_stats(K: int, firsts: list, binds: list) -> list:
+    """``SolveStats`` of each of K sides from the (K, m) blocks of every
+    swept row: the iteration at which each element first passed and, on
+    reflected sides, where the barrier bound."""
+    if not firsts:
+        return [SolveStats(0, 0, 0.0, 0, 0)] * K
+    widths = np.array([block.shape[1] for block in firsts])
+    first = np.concatenate(firsts, axis=1)
+    bound = np.concatenate(binds, axis=1).sum(axis=1) if binds else [0] * K
+    row_iters = np.maximum.reduceat(first, np.cumsum(widths) - widths, axis=1)
+    nodes = first.shape[1]
+    return [SolveStats(nodes, int(top), int(total) / nodes, int(work), int(count))
+            for top, total, work, count in zip(first.max(axis=1), first.sum(axis=1),
+                                               row_iters @ widths, bound)]
 
-    The children of a row are slices of the next level's rows, and each
-    element follows the arithmetic of ``one_step`` exactly. With ``barrier``
-    rows the continuation is reflected from below (``side`` "lower") or
-    above ("upper") and ``da_rows`` holds the charges.
+
+@np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in one_step
+def backward_sweep(tree: Tree, driver: Driver, sides: list) -> list:
+    """Backward solve of K sides together, one level row at a time.
+
+    ``sides`` holds one ``(kind, rows)`` pair per side: "bsde" (solved
+    alone) with rows ending in the terminal rows, or "lower"/"upper" with
+    the barrier rows of every step, whose last doubles as the terminal
+    condition. A row is solved as a (K, m) block, side h in block row h: the
+    children are column slices of the next level's blocks, and each element
+    follows the arithmetic of ``one_step`` exactly, then is reflected from
+    below ("lower") or above ("upper") at its side's barrier. Returns one
+    ``Solution`` per side, with that side's own work counts. If the block
+    sweep fails, the sides are swept again one at a time, so the error
+    raised is the one of the first side that fails on its own.
     """
-    n = tree.n_steps
-    y, z, k, da = [None] * n + [terminal], [None] * n, [None] * n, [None] * n
-    nodes = picard_max = picard_sum = evals = bound = 0
-    for i in range(n - 1, -1, -1):
-        out = []
-        for d, branches in enumerate(tree.row_branches[i]):
-            s1, m = tree.s1[i][d], len(tree.s1[i][d])
-            if not m:
-                out.append((np.empty(0),) * 4)
-                continue
-            children = [y[i + 1][dead][up:up + m] for _, up, dead in (b.child for b in branches)]
-            e, z_row, k_row = coefficients(branches, children, tree.sq)
-            k_row = np.broadcast_to(k_row, e.shape)
-            state = tree.row_state(i, d, s1, tree.s2[i][d])
-            y_row, iters, total = _implicit_row(driver, state, tree.dt, e, z_row, k_row, (i, d))
-            nodes, picard_sum, evals = nodes + m, picard_sum + total, evals + iters * m
-            picard_max = max(picard_max, iters)
-            da_row = np.zeros(m)
-            if barrier is not None:
-                b = barrier[i][d]
-                bind = b > y_row if side == "lower" else b < y_row
-                da_row = np.where(bind, np.abs(b - y_row), 0.0)
-                y_row = np.where(bind, b, y_row)
-                bound += int(np.count_nonzero(bind))
-            out.append((y_row, z_row, k_row, da_row))
-        y[i], z[i], k[i], da[i] = zip(*out)
-    stats = SolveStats(nodes, picard_max, picard_sum / nodes if nodes else 0.0, evals, bound)
-    return Solution(tree=tree, driver=driver, kind="bsde" if barrier is None else side,
-                    y_rows=y, z_rows=z, k_rows=k, da_rows=da, stats=stats)
+    n, K = tree.n_steps, len(sides)
+    kinds = [kind for kind, _ in sides]
+    reflected = kinds != ["bsde"]
+    orient = np.array([[1.0 if kind == "lower" else -1.0] for kind in kinds])
+    zero = np.zeros((K, n + 1))  # k without a default branch, delta_a without reflection
+    zero.flags.writeable = False
+    y = [None] * n + [tuple(np.array([rows[-1][d] for _, rows in sides]) for d in (0, 1))]
+    z, k, da, firsts, binds = [None] * n, [None] * n, [None] * n, [], []
+    try:
+        for i in range(n - 1, -1, -1):
+            out = []
+            for d, branches in enumerate(tree.row_branches[i]):
+                s1, m = tree.s1[i][d], len(tree.s1[i][d])
+                if not m:
+                    out.append((zero[:, :0],) * 4)
+                    continue
+                children = [y[i + 1][dead][:, up:up + m]
+                            for _, up, dead in (b.child for b in branches)]
+                e, z_row, k_row = coefficients(branches, children, tree.sq)
+                if len(branches) == 2:
+                    k_row = zero[:, :m]
+                state = tree.row_state(i, d, np.concatenate([s1] * K),
+                                       np.concatenate([tree.s2[i][d]] * K))
+                y_row, first = _implicit_row(driver, state, tree.dt, e, z_row, k_row, (i, d))
+                firsts.append(first)
+                da_row = zero[:, :m]
+                if reflected:
+                    b = np.array([rows[i][d] for _, rows in sides])
+                    gap = b - y_row
+                    bind = gap * orient > 0.0  # b > y on a lower side, b < y on an upper one
+                    da_row = np.where(bind, np.abs(gap), 0.0)
+                    y_row = np.where(bind, b, y_row)
+                    binds.append(bind)
+                out.append((y_row, z_row, k_row, da_row))
+            y[i], z[i], k[i], da[i] = zip(*out)
+    except Exception:  # a driver may fail on one side's values alone
+        if K == 1:
+            raise
+        for side in sides:
+            backward_sweep(tree, driver, [side])
+        raise
+
+    def rows_of(h, blocks):
+        return [(alive[h], dead[h]) for alive, dead in blocks]
+
+    return [Solution(tree=tree, driver=driver, kind=kind, y_rows=rows_of(h, y),
+                     z_rows=rows_of(h, z), k_rows=rows_of(h, k), da_rows=rows_of(h, da),
+                     stats=stats)
+            for h, (kind, stats) in enumerate(zip(kinds, _side_stats(K, firsts, binds)))]
 
 
 def solve_bsde(tree: Tree, driver: Driver, terminal) -> Solution:
@@ -211,7 +261,7 @@ def solve_bsde(tree: Tree, driver: Driver, terminal) -> Solution:
     ``values`` mapping covering the last level).
     """
     values = _values_on(terminal, tree.terminal_nodes())
-    return backward_sweep(tree, driver, tree.level_rows(values, tree.n_steps))
+    return backward_sweep(tree, driver, [("bsde", [tree.level_rows(values, tree.n_steps)])])[0]
 
 
 def g_evaluation(tree: Tree, driver: Driver, rule, payoff) -> float:

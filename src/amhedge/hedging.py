@@ -279,8 +279,8 @@ def wealth_martingale_residual(field: WealthField, driver: Driver) -> float:
             e, z, k = coefficients(branches, [vals[first[idx] + b] for b in range(len(branches))],
                                    tree.sq)
             try:
-                new_vals[idx], _, _ = _implicit_row(driver, state, tree.dt, e, z,
-                                                    np.broadcast_to(k, e.shape), (i, g))
+                new_vals[idx], _ = _implicit_row(driver, state, tree.dt, e, z,
+                                                 np.broadcast_to(k, e.shape), (i, g))
             except ConvergenceError:  # with the message of the scalar implicit_value
                 raise ConvergenceError(f"implicit step did not converge in {PICARD_MAX_ITER} "
                                        f"iterations at t={state.t:.6g}; the time step is too large "
@@ -296,14 +296,22 @@ def strict_gain_after_nubar(field: WealthField, solution: Solution) -> GainRepor
     root value of the lower-reflected ``solution`` under its positions. Over
     every path state whose cumulative incoming charge is positive, reports
     the smallest V - Y. Vacuous pass when the obstacle never binds before
-    the terminal step.
+    the terminal step; a gain that is not finite raises, naming its state.
     """
     if field.tree is not solution.tree:
         raise ValueError("the wealth field and the solution belong to different trees")
     paths, gains = field.paths, []
     a_in = np.zeros(field.n_states(0))  # charge accrued along each path before its state
     for level, v in enumerate(field.wealth):
-        gains.append((v - paths.at(solution.y_rows[level], level))[a_in > 0.0])
+        charged = np.flatnonzero(a_in > 0.0)
+        gain = (v - paths.at(solution.y_rows[level], level))[charged]
+        bad = ~np.isfinite(gain)
+        if bad.any():
+            s = int(charged[bad.argmax()])
+            raise ValueError(
+                f"strict gain is not finite ({float(gain[bad.argmax()])!r}) at step {level}, "
+                f"node {field.node(level, s)}, path {field.path_id(level, s)}")
+        gains.append(gain)
         if level < field.tree.n_steps:
             a_in = (a_in + paths.at(solution.da_rows[level], level))[paths.parent[level + 1]]
     gains = np.concatenate(gains)

@@ -24,7 +24,7 @@ import numpy as np
 from .bsde import Solution, g_evaluation
 from .drivers import Driver, check_gamma_assumption, gamma_rows
 from .market import NodeId, Tree, row_view
-from .rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
+from .rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper, solve_reflected
 
 # Equality of the value and the obstacle is scale aware; the cumulative
 # charge is compared against an absolute floor.
@@ -137,6 +137,19 @@ def _require_gamma(tree: Tree, driver: Driver) -> None:
             f"(min sampled ratio {report.min_ratio:.6g} <= -1)")
 
 
+def _negated(obstacle: Obstacle) -> Obstacle:
+    return Obstacle(obstacle.tree, [(-a, -d) for a, d in obstacle.rows])
+
+
+def _seller(solution: Solution) -> SellerPrice:
+    return SellerPrice(solution.root_value, solution, strategy_from_solution(solution))
+
+
+def _buyer(solution: Solution, upper: Obstacle) -> BuyerPrice:
+    return BuyerPrice(-solution.root_value, solution, strategy_from_solution(solution),
+                      _rule(solution.tree, operator.eq, solution.y_rows, upper.rows))
+
+
 def seller_price(tree: Tree, driver: Driver, obstacle: Obstacle,
                  gamma_check: bool = True) -> SellerPrice:
     """Least initial capital with a portfolio dominating the payoff throughout.
@@ -146,9 +159,7 @@ def seller_price(tree: Tree, driver: Driver, obstacle: Obstacle,
     """
     if gamma_check:
         _require_gamma(tree, driver)
-    solution = solve_rbsde_lower(tree, driver, obstacle)
-    return SellerPrice(u0=solution.root_value, solution=solution,
-                       strategy=strategy_from_solution(solution))
+    return _seller(solve_rbsde_lower(tree, driver, obstacle))
 
 
 def buyer_price(tree: Tree, driver: Driver, obstacle: Obstacle,
@@ -161,11 +172,8 @@ def buyer_price(tree: Tree, driver: Driver, obstacle: Obstacle,
     """
     if gamma_check:
         _require_gamma(tree, driver)
-    upper = Obstacle(obstacle.tree, [(-a, -d) for a, d in obstacle.rows])
-    solution = solve_rbsde_upper(tree, driver, upper)
-    return BuyerPrice(v0=-solution.root_value, solution=solution,
-                      strategy=strategy_from_solution(solution),
-                      exercise=_rule(tree, operator.eq, solution.y_rows, upper.rows))
+    upper = _negated(obstacle)
+    return _buyer(solve_rbsde_upper(tree, driver, upper), upper)
 
 
 def rational_exercise_times(solution: Solution, obstacle: Obstacle) -> tuple:
@@ -245,9 +253,18 @@ def epsilon_gap_bound(driver: Driver, T: float, eps: float) -> float:
 
 def price_american(tree: Tree, driver: Driver, obstacle: Obstacle,
                    gamma_check: bool = True) -> PricingReport:
-    """Full pricing pass: both prices, both strategies, exercise rules."""
-    seller = seller_price(tree, driver, obstacle, gamma_check=gamma_check)
-    buyer = buyer_price(tree, driver, obstacle, gamma_check=False)
+    """Full pricing pass: both prices, both strategies, exercise rules.
+
+    The seller's and the buyer's reflected solves share one backward sweep;
+    each equals its standalone solve, and a failure raises the error of the
+    seller's solve, else the buyer's, as ``seller_price`` then
+    ``buyer_price`` would.
+    """
+    if gamma_check:
+        _require_gamma(tree, driver)
+    upper = _negated(obstacle)
+    lower_sol, upper_sol = solve_reflected(tree, driver, [(obstacle, "lower"), (upper, "upper")])
+    seller, buyer = _seller(lower_sol), _buyer(upper_sol, upper)
     nu_star, nu_bar = rational_exercise_times(seller.solution, obstacle)
     return PricingReport(seller=seller, buyer=buyer, nu_star=nu_star, nu_bar=nu_bar,
                          interval_ok=buyer.v0 <= seller.u0 + INTERVAL_TOL)

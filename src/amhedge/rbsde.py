@@ -43,10 +43,13 @@ class Obstacle:
                           for i, (s1, s2) in enumerate(zip(tree.s1, tree.s2))])
 
 
-def _solve_reflected(tree: Tree, driver: Driver, obstacle: Obstacle, side: str) -> Solution:
-    if obstacle.tree is not tree:
+def solve_reflected(tree: Tree, driver: Driver, sides: list) -> list:
+    """Reflected solves of one driver against each ``(obstacle, side)`` of
+    ``sides`` ("lower" or "upper"), all in one backward sweep; returns one
+    solution per side, each equal to that side's solve on its own."""
+    if any(obstacle.tree is not tree for obstacle, _ in sides):
         raise ValueError("the obstacle's rows belong to another tree")
-    return backward_sweep(tree, driver, obstacle.rows[-1], obstacle.rows, side)
+    return backward_sweep(tree, driver, [(side, obstacle.rows) for obstacle, side in sides])
 
 
 def solve_rbsde_lower(tree: Tree, driver: Driver, obstacle: Obstacle) -> Solution:
@@ -56,12 +59,12 @@ def solve_rbsde_lower(tree: Tree, driver: Driver, obstacle: Obstacle) -> Solutio
     positive only at nodes where y equals the obstacle, so the discrete
     flatness product delta_a * (y - obstacle) vanishes identically.
     """
-    return _solve_reflected(tree, driver, obstacle, "lower")
+    return solve_reflected(tree, driver, [(obstacle, "lower")])[0]
 
 
 def solve_rbsde_upper(tree: Tree, driver: Driver, obstacle_upper: Obstacle) -> Solution:
     """Solve with an upper barrier: y = min(obstacle_upper, continuation)."""
-    return _solve_reflected(tree, driver, obstacle_upper, "upper")
+    return solve_reflected(tree, driver, [(obstacle_upper, "upper")])[0]
 
 
 def skorokhod_residual(solution: Solution, obstacle: Obstacle) -> float:

@@ -412,15 +412,19 @@ def scalar_martingale_residual(field, driver) -> float:
 
 def scalar_strict_gain(field, solution) -> tuple:
     """(count, smallest V - Y) over the path states whose cumulative incoming
-    charge is positive."""
+    charge is positive; a gain that is not finite raises, naming its state."""
     min_gain = math.inf
     n = 0
     a_in = [0.0] * field.n_states(0)
     for level in range(len(field.node_ids)):
         for idx, node in enumerate(field.node_ids[level]):
             if a_in[idx] > 0.0:
+                gain = field.v[level][idx] - solution.y[node]
+                if not math.isfinite(gain):
+                    raise ValueError(f"strict gain is not finite ({gain!r}) at step {level}, "
+                                     f"node {node}, path {field.path_id(level, idx)}")
                 n += 1
-                min_gain = min(min_gain, field.v[level][idx] - solution.y[node])
+                min_gain = min(min_gain, gain)
         if level + 1 < len(field.node_ids):
             nxt = [0.0] * field.n_states(level + 1)
             for jdx in range(field.n_states(level + 1)):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from amhedge import hedging, rbsde
 from amhedge.drivers import Driver
-from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, MAX_STEPS,
+from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, MAX_STEPS,
                          ConfigError, NodeTable, canonical_json, main,
                          parse_config, run)
 
@@ -212,34 +212,61 @@ class TestSharedSolves:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = Counter()
+        sweep, simulate = rbsde.backward_sweep, hedging._simulate
 
-        def counting(name, inner):
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return inner(*args, **kwargs)
-            return counted
+        def counted_sweep(tree, driver, sides):
+            counts["sweeps"] += 1
+            counts["sides"] += len(sides)
+            return sweep(tree, driver, sides)
+
+        def counted_simulate(*args, **kwargs):
+            counts["simulations"] += 1
+            return simulate(*args, **kwargs)
 
         # Looked up at call time, so every caller goes through the counter.
-        for module, name in ((rbsde, "_solve_reflected"), (hedging, "_simulate")):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(rbsde, "backward_sweep", counted_sweep)
+        monkeypatch.setattr(hedging, "_simulate", counted_simulate)
         return counts
 
-    @pytest.mark.parametrize("jobs,checks,solves,simulations", [
-        # Seller, buyer and the apriori check's shifted seller; one wealth
-        # simulation per side.
+    @pytest.mark.parametrize("jobs,checks,sweeps,sides,simulations", [
+        # The seller and the buyer in one sweep, then the apriori check's
+        # shifted seller; one wealth simulation per side.
         (["price", "hedge", "verify"],
-         ["superhedge", "skorokhod", "apriori", "martingale"], 3, 2),
-        (["verify"], ["gamma", "admissible"], 0, 0),
+         ["superhedge", "skorokhod", "apriori", "martingale"], 2, 3, 2),
+        (["verify"], ["gamma", "admissible"], 0, 0, 0),
     ])
-    def test_each_side_solved_and_simulated_once(self, tmp_path, counts, jobs,
-                                                 checks, solves, simulations):
+    def test_each_side_solved_and_simulated_once(self, tmp_path, counts, jobs, checks,
+                                                 sweeps, sides, simulations):
         cfg = minimal_config(jobs=jobs, verify=checks)
         cfg["market"]["lambda"] = 0.2
         assert run(cfg, out_dir=tmp_path) == EXIT_OK
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["verification"]["all_passed"] is True
-        assert counts["_solve_reflected"] == solves
-        assert counts["_simulate"] == simulations
+        assert (counts["sweeps"], counts["sides"], counts["simulations"]) == (
+            sweeps, sides, simulations)
+
+
+# A borrowing rate of 40 makes the implicit step diverge: the README put's
+# first failing node at each grid, with its last residual.
+SOLVER_FAILURES = [
+    (1, "(0, 0, 0) (t=0, last residual 7.7e+10)"),
+    (2, "(1, 0, 0) (t=0.5, last residual 4.18e+03)"),
+    (4, "(3, 0, 0) (t=0.75, last residual 1.2e+03)"),
+]
+
+
+@pytest.mark.parametrize("n_steps,where", SOLVER_FAILURES)
+def test_diverging_solve_exits_3_naming_the_node(tmp_path, capsys, n_steps, where):
+    cfg = copy.deepcopy(README_JOB)
+    cfg["grid"]["n_steps"] = n_steps
+    cfg["driver"]["params"]["R"] = 40
+    cfg["output_dir"] = str(tmp_path)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["price", str(path)]) == EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        f"solver error: implicit step did not converge in 50 iterations at node {where}; "
+        "the time step is too large for the driver's Lipschitz constant\n")
 
 
 def _hedge_job(n_steps):

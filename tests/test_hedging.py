@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 from dataclasses import replace
 from itertools import accumulate
 
@@ -286,6 +287,24 @@ class TestStrictGain:
         charge = 5.0 - 4.0 / 1.05
         assert report.n_states == 4
         assert report.min_gain == pytest.approx(charge * 1.05, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_wealth_at_a_charged_state_raises_naming_it(self, value):
+        params = flat_params(r=0.06, mu1=0.06)
+        tree = build_tree(params, 6)
+        obs = Obstacle.from_payoff(tree, put(110.0))
+        solution = solve_rbsde_lower(tree, perfect_driver(params), obs)
+        field = simulate_wealth(tree, solution.root_value, strategy_from_solution(solution),
+                                perfect_driver(params), mode="exact")
+        assert scalar_strict_gain(field, solution)[0] == 80  # charged states exist
+        field = replace(field, wealth=[*field.wealth[:-1], np.full_like(field.wealth[-1], value)])
+        with pytest.raises(ValueError) as row:
+            strict_gain_after_nubar(field, solution)
+        with pytest.raises(ValueError) as ref:
+            scalar_strict_gain(field, solution)
+        assert str(row.value) == str(ref.value)
+        assert re.fullmatch(rf"strict gain is not finite \({value!r}\) at step 6, "
+                            r"node \(6, \d, 0\), path [ud]{6}", str(row.value))
 
     def test_field_of_another_tree_rejected(self):
         params = flat_params()

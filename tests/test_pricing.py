@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amhedge import hedging
+from amhedge import hedging, rbsde
 from amhedge.bsde import ConvergenceError, g_evaluation
 from amhedge.cli import canonical_json, report_to_dict
 from amhedge.drivers import Driver, borrow_lend_driver, large_trader_driver, perfect_driver
@@ -15,8 +15,9 @@ from amhedge.payoffs import put
 from amhedge.oracle import brute_force_seller_value, enumerate_stopping_rules
 from amhedge.pricing import (StoppingRule, buyer_price, epsilon_gap_bound,
                              epsilon_rational, is_rational, phi_inverse, phi_map,
-                             price_american, rational_exercise_times, seller_price)
-from amhedge.rbsde import Obstacle, solve_rbsde_lower
+                             price_american, rational_exercise_times, seller_price,
+                             strategy_from_solution)
+from amhedge.rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
 from helpers import (DRIVER_KINDS, dict_rows, duality_instances, eight_steps, float_bits,
                      make_driver, make_instance, named_payoff, negated, scalar_epsilon_rational,
                      scalar_is_rational, style_params)
@@ -453,3 +454,125 @@ def test_row_is_rational_equals_the_scalar_walk_on_nan_charges(seed):
         for rule in (nu_star, nu_bar, through, random_rule(tree, rng, 0.1),
                      random_rule(tree, rng, 0.5)):
             assert_rational_matches_scalar(broken, obstacle, rule)
+
+
+def _rows_bits(rows):
+    return [[[float_bits(v) for v in row] for row in step] for step in rows]
+
+
+def _rule_rows(rule):
+    return [[row.tolist() for row in step] for step in rule.rows]
+
+
+def _side(solution, strategy):
+    return (solution.kind, solution.stats, *map(_rows_bits, (
+        solution.y_rows, solution.z_rows, solution.k_rows, solution.da_rows,
+        strategy.phi1_rows, strategy.phi2_rows)))
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(style=st.sampled_from(("const", "piecewise", "lam_zero")),
+       kind=st.sampled_from(DRIVER_KINDS), payoff=st.sampled_from(("put", "call", "expr")),
+       n_steps=st.integers(1, 16), r=st.floats(0.0, 0.06), sigma1=st.floats(0.1, 0.5),
+       strike=st.floats(70.0, 130.0))
+def test_shared_sweep_equals_the_standalone_solves_on_random_markets(
+        style, kind, payoff, n_steps, r, sigma1, strike):
+    params = style_params(style, r, sigma1)
+    tree = build_tree(params, n_steps)
+    driver = make_driver(kind, params)
+    obstacle = Obstacle.from_payoff(tree, named_payoff(payoff, strike))
+
+    def shared():
+        report = price_american(tree, driver, obstacle, gamma_check=False)
+        return (_side(report.seller.solution, report.seller.strategy),
+                _side(report.buyer.solution, report.buyer.strategy),
+                *map(_rule_rows, (report.buyer.exercise, report.nu_star, report.nu_bar)))
+
+    def standalone():
+        upper = negated(obstacle)
+        lower_sol = solve_rbsde_lower(tree, driver, obstacle)
+        upper_sol = solve_rbsde_upper(tree, driver, upper)
+        exercise = rational_exercise_times(upper_sol, upper)[0]
+        return (_side(lower_sol, strategy_from_solution(lower_sol)),
+                _side(upper_sol, strategy_from_solution(upper_sol)),
+                *map(_rule_rows, (exercise, *rational_exercise_times(lower_sol, obstacle))))
+
+    assert _outcome(shared) == _outcome(standalone)
+
+
+def test_price_american_solves_both_sides_in_one_sweep(monkeypatch):
+    sweep, calls = rbsde.backward_sweep, []
+
+    def recording(tree, driver, sides):
+        calls.append([kind for kind, _ in sides])
+        return sweep(tree, driver, sides)
+
+    monkeypatch.setattr(rbsde, "backward_sweep", recording)
+    params = MarketParams(**README_MARKET)
+    tree = build_tree(params, 8)
+    price_american(tree, borrow_lend_driver(params, 0.07), Obstacle.from_payoff(tree, put(105.0)))
+    assert calls == [["lower", "upper"]]
+
+
+def _side_by_side_error(tree, driver, obstacle) -> str:
+    with pytest.raises(ConvergenceError) as exc:
+        seller_price(tree, driver, obstacle, gamma_check=False)
+        buyer_price(tree, driver, obstacle, gamma_check=False)
+    return str(exc.value)
+
+
+class TestSharedSweepFailure:
+    """A failure of the shared sweep raises what the two standalone solves,
+    seller first, would."""
+
+    def setup_method(self):
+        params = MarketParams(**README_MARKET)
+        self.tree = build_tree(params, 4)  # dt = 0.25
+        self.obstacle = Obstacle.from_payoff(self.tree, put(105.0))
+
+    def test_only_the_buyer_fails(self):
+        # Picard on y = e - 12.5 y for y < 0 cycles, and only the buyer's
+        # values are negative.
+        driver = Driver(name="negative", eval=lambda t, y, z, k, s: -50.0 * y * (y < 0.0),
+                        lipschitz_C=50.0)
+        seller_price(self.tree, driver, self.obstacle, gamma_check=False)
+        expected = _side_by_side_error(self.tree, driver, self.obstacle)
+        assert "at node (3, " in expected
+        with pytest.raises(ConvergenceError) as exc:
+            price_american(self.tree, driver, self.obstacle, gamma_check=False)
+        assert str(exc.value) == expected
+
+    def test_the_seller_fails_below_the_buyer(self):
+        # The buyer's values cycle from t = 0.5 on, the seller's at t = 0 only;
+        # the backward sweep meets the buyer's failure first.
+        def g(t, y, z, k, s):
+            return -50.0 * y * (((y < 0.0) & (t >= 0.5)) | ((y > 0.0) & (t < 0.25)))
+
+        driver = Driver(name="split", eval=g, lipschitz_C=50.0)
+        expected = _side_by_side_error(self.tree, driver, self.obstacle)
+        assert "at node (0, 0, 0)" in expected
+        with pytest.raises(ConvergenceError, match=r"at node \(3, "):
+            buyer_price(self.tree, driver, self.obstacle, gamma_check=False)
+        with pytest.raises(ConvergenceError) as exc:
+            price_american(self.tree, driver, self.obstacle, gamma_check=False)
+        assert str(exc.value) == expected
+
+    def test_a_driver_error_is_the_seller_first(self):
+        def g(t, y, z, k, s):
+            if np.any(((y < 0.0) & (t >= 0.5)) | ((y > 0.0) & (t < 0.25))):
+                raise ValueError(f"driver refuses t={t}")
+            return 0.0 * y
+
+        driver = Driver(name="refusing", eval=g, lipschitz_C=0.0)
+        with pytest.raises(ValueError, match="driver refuses t=0.75"):
+            buyer_price(self.tree, driver, self.obstacle, gamma_check=False)
+        with pytest.raises(ValueError, match="driver refuses t=0.0$"):
+            price_american(self.tree, driver, self.obstacle, gamma_check=False)

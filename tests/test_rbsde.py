@@ -9,11 +9,12 @@ from amhedge.bsde import ConvergenceError, one_step, solve_bsde
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
+from amhedge.pricing import rational_exercise_times
 from amhedge.rbsde import (Obstacle, skorokhod_residual, solve_rbsde_lower,
                            solve_rbsde_upper)
 from helpers import (DRIVER_KINDS, at_times, dict_rows, float_bits, make_driver, make_instance,
                      named_payoff, negated, random_payoff, scalar_cumulative_charge,
-                     scalar_gamma_scan, style_params)
+                     scalar_gamma_scan, scalar_is_rational, style_params)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 
@@ -160,7 +161,14 @@ class TestStructuralInvariants:
         for node, da in sol.delta_a.items():
             assert da >= 0.0
             assert da * (sol.y[node] - inst.obstacle.values[node]) == 0.0
-        assert scalar_cumulative_charge(inst.tree, sol.delta_a)[inst.tree.root] == 0.0
+        # The latest rational rule of the solve is rational, and the charge
+        # accrued on arrival never falls along a branch.
+        nu_bar = rational_exercise_times(sol, inst.obstacle)[1]
+        assert scalar_is_rational(sol, inst.obstacle, nu_bar).ok
+        charge = scalar_cumulative_charge(inst.tree, sol.delta_a)
+        for node, branches in inst.tree.branches.items():
+            for b in branches:
+                assert charge[b.child] >= charge[node] + sol.delta_a[node] >= charge[node]
 
     def test_upper_structure(self, seed, kind):
         rng = np.random.default_rng(seed)
@@ -380,8 +388,7 @@ def test_convergence_failure_names_node_and_residual():
     assert f"last residual {residual:.3g}" in message
 
 
-@pytest.mark.parametrize("kind", ["borrow_lend", "large_trader_alpha"])
-def test_solve_stats_match_scalar_counts(kind):
+def assert_stats_match_scalar_counts(kind, side):
     params = row_test_params("lam_drop")
     driver = row_test_driver(kind, params)
     tree = build_tree(params, 6)
@@ -393,7 +400,8 @@ def test_solve_stats_match_scalar_counts(kind):
         return driver.eval(t, y, z, k, state)
 
     counting = Driver(name=driver.name, eval=counted, lipschitz_C=driver.lipschitz_C)
-    sol = solve_rbsde_lower(tree, counting, obstacle)
+    sol = (solve_rbsde_lower(tree, counting, obstacle) if side == "lower"
+           else solve_rbsde_upper(tree, counting, negated(obstacle)))
     evals = sum(calls)
     # Picard iterations of each node, counted on the scalar reference sweep.
     per_node = []
@@ -410,3 +418,13 @@ def test_solve_stats_match_scalar_counts(kind):
     assert stats.bound == sum(1 for charge in sol.delta_a.values() if charge > 0.0) > 0
     plain = solve_bsde(tree, driver, {n: obstacle.values[n] for n in tree.terminal_nodes()})
     assert plain.stats.nodes == stats.nodes and plain.stats.bound == 0
+
+
+@pytest.mark.parametrize("kind", ["borrow_lend", "large_trader_alpha"])
+def test_solve_stats_match_scalar_counts(kind):
+    assert_stats_match_scalar_counts(kind, "lower")
+
+
+@pytest.mark.parametrize("kind", ["borrow_lend", "large_trader_alpha"])
+def test_upper_solve_stats_match_scalar_counts(kind):
+    assert_stats_match_scalar_counts(kind, "upper")
