@@ -5,11 +5,14 @@ every output byte.
 
 PARENT_SRC and CHANGE_SRC are directories holding the ``amhedge`` package
 (for example ``src`` of two checkouts). Every job of rounds 0 .. R-1 of the
-three workloads in ``perfbench/workloads.py`` runs as
-``amhedge price job.json --out out --dump-tree`` in a fresh Python process
-for each tree. The exit code, stderr, the set of output files and the bytes
-of ``report.json``, ``wealth.csv``, ``wealth_buyer.csv`` and ``tree.json``
-must be equal. The first difference is named and the exit code is 1;
+three workloads in ``perfbench/workloads.py`` runs, and after them the
+fixed ``EDGE_JOBS``: hedge and verify jobs on the README market whose
+stability-estimate check fails with a finite violation, which the
+workloads (they draw only jobs whose checks pass) never reach. Each job
+runs as ``amhedge price job.json --out out --dump-tree`` in a fresh Python
+process for each tree. The exit code, stderr, the set of output files and
+the bytes of ``report.json``, ``wealth.csv``, ``wealth_buyer.csv`` and
+``tree.json`` must be equal. The first difference is named and the exit code is 1;
 otherwise the exit code is 0.
 """
 
@@ -30,6 +33,22 @@ import workloads  # noqa: E402
 
 OUTPUTS = ("report.json", "wealth.csv", "wealth_buyer.csv", "tree.json")
 RUN_CLI = "import sys; from amhedge.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def edge_job(name: str, params: dict, n_steps: int) -> dict:
+    """A README-market put hedged and verified under one driver."""
+    return {"market": {"r": 0.05, "mu1": 0.07, "mu2": -0.02, "sigma1": 0.2, "sigma2": 0.25,
+                       "lambda": 0.25, "s1_0": 100.0, "s2_0": 90.0, "T": 1.0},
+            "grid": {"n_steps": n_steps}, "driver": {"name": name, "params": params},
+            "payoff": {"kind": "put", "strike": 105.0}, "jobs": ["hedge", "verify"],
+            "verify": ["superhedge", "apriori", "skorokhod"], "seed": 0}
+
+
+EDGE_JOBS = [
+    *(edge_job("large_trader", {"alpha": 5e-4, "gamma_bar": 0.2}, n) for n in (8, 12)),
+    edge_job("borrow_lend", {"R": 1.0}, 16),
+    *(edge_job("borrow_lend", {"R": rate}, 32) for rate in (2.0, 2.3)),
+]
 
 
 def run_job(src: Path, job: dict, workdir: Path) -> dict:
@@ -67,6 +86,7 @@ def main(argv=None) -> int:
     jobs = [(f"{name} round {r} job {i}", job)
             for name in workloads.WORKLOADS for r in range(args.rounds)
             for i, job in enumerate(workloads.generate(name, args.seed, r))]
+    jobs += [(f"edge job {i}", job) for i, job in enumerate(EDGE_JOBS)]
     with tempfile.TemporaryDirectory() as tmp:
         for index, (label, job) in enumerate(jobs):
             workdir = Path(tmp) / str(index)
@@ -76,7 +96,8 @@ def main(argv=None) -> int:
             if diff is not None:
                 print(f"DIFFERENT: {label}: {diff}\n{json.dumps(job, sort_keys=True)}")
                 return 1
-    print(f"identical: {len(jobs)} jobs (seed {args.seed}, rounds 0..{args.rounds - 1}); "
+    print(f"identical: {len(jobs)} jobs ({len(jobs) - len(EDGE_JOBS)} of seed {args.seed}, "
+          f"rounds 0..{args.rounds - 1}, and {len(EDGE_JOBS)} edge jobs); "
           f"exit codes, stderr and {', '.join(OUTPUTS)}")
     return 0
 

@@ -316,9 +316,15 @@ def _check_apriori(tree, driver, obstacle, solution):
                      lipschitz_C=driver.lipschitz_C)
     c = driver.lipschitz_C
     eta = 1.0 / (c * c + 1.0)
+    if eta == 0.0:
+        raise ConfigError(f"verify: apriori: eta = 1/(C^2 + 1) is 0, so beta = 3/eta + 2C + 1 "
+                          f"is infinite (the driver's lipschitz_C = {c:.6g})")
     beta = 3.0 / eta + 2.0 * c + 1.0
-    report = oracle.apriori_estimate(solution, solve_rbsde_lower(tree, shifted, obstacle),
-                                     eta, beta)
+    shifted_solution = solve_rbsde_lower(tree, shifted, obstacle)
+    try:
+        report = oracle.apriori_estimate(solution, shifted_solution, eta, beta)
+    except ValueError as exc:
+        raise ConfigError(f"verify: apriori: {exc}") from None
     return {"passed": report.passed(),
             "eta": eta, "beta": beta,
             "max_pointwise_violation": report.max_pointwise_violation,

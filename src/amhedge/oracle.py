@@ -6,7 +6,9 @@ agreement between the two routes is evidence, not tautology. The rule
 enumeration doubles exponentially in the number of steps, hence the hard
 guard on tree depth (4209 rules on a 4-step tree with default); the
 scalar g-evaluation of every rule runs as one walk that steps each
-distinct (node, child values) once and shares it between rules.
+distinct (node, child values) once and shares it between rules. The
+stability estimate walks the tree once backward (driver gap, conditional
+sums) and once forward (pointwise bound, reach probabilities, norms).
 """
 
 from __future__ import annotations
@@ -92,45 +94,27 @@ def crr_american_oracle(params: MarketParams, payoff: Callable, n_steps: int) ->
     dt = params.T / n_steps
     sq = math.sqrt(dt)
 
-    s1 = [params.s1_0]
-    s2 = [params.s2_0]
-    levels_s1 = [s1]
-    levels_s2 = [s2]
-    qs = []
-    discounts = []
+    prices = [([params.s1_0], [params.s2_0])]  # (s1, s2) of each level
+    steps = []  # (q, growth) of each step
     for i in range(n_steps):
-        t = i * dt
-        r_i = params.r.at(t)
-        mu1_i = params.mu1.at(t)
-        sig1_i = params.sigma1.at(t)
-        mu2_i = params.mu2.at(t)
-        sig2_i = params.sigma2.at(t)
-        up1 = 1.0 + mu1_i * dt + sig1_i * sq
-        dn1 = 1.0 + mu1_i * dt - sig1_i * sq
-        up2 = 1.0 + mu2_i * dt + sig2_i * sq
-        dn2 = 1.0 + mu2_i * dt - sig2_i * sq
-        growth = 1.0 + r_i * dt
+        c = params.at(i * dt)
+        up1, dn1 = 1.0 + c.mu1 * dt + c.sigma1 * sq, 1.0 + c.mu1 * dt - c.sigma1 * sq
+        up2, dn2 = 1.0 + c.mu2 * dt + c.sigma2 * sq, 1.0 + c.mu2 * dt - c.sigma2 * sq
+        growth = 1.0 + c.r * dt
         q = (growth - dn1) / (up1 - dn1)
         if not 0.0 < q < 1.0:
             raise ValueError(f"risk-neutral weight {q:.6g} outside (0, 1) at step {i}")
-        qs.append(q)
-        discounts.append(growth)
-        s1 = [s1[0] * dn1] + [s1[j] * up1 for j in range(i + 1)]
-        s2 = [s2[0] * dn2] + [s2[j] * up2 for j in range(i + 1)]
-        levels_s1.append(s1)
-        levels_s2.append(s2)
+        steps.append((q, growth))
+        s1, s2 = prices[-1]
+        prices.append(([s1[0] * dn1] + [x * up1 for x in s1],
+                       [s2[0] * dn2] + [x * up2 for x in s2]))
 
-    values = [payoff(params.T, levels_s1[n_steps][j], levels_s2[n_steps][j], False)
-              for j in range(n_steps + 1)]
-    for i in range(n_steps - 1, -1, -1):
+    values = [payoff(params.T, x1, x2, False) for x1, x2 in zip(*prices[-1])]
+    for i, (q, growth) in reversed(list(enumerate(steps))):
         t = i * dt
-        q = qs[i]
-        growth = discounts[i]
-        values = [
-            max(payoff(t, levels_s1[i][j], levels_s2[i][j], False),
-                (q * values[j + 1] + (1.0 - q) * values[j]) / growth)
-            for j in range(i + 1)
-        ]
+        values = [max(payoff(t, x1, x2, False),
+                      (q * values[j + 1] + (1.0 - q) * values[j]) / growth)
+                  for j, x1, x2 in zip(range(i + 1), *prices[i])]
     return values[0]
 
 
@@ -149,10 +133,8 @@ class AprioriReport:
     zk_norm_violation: float = None
 
     def passed(self) -> bool:
-        checks = [self.max_pointwise_violation, self.y_norm_violation]
-        if self.zk_norm_violation is not None:
-            checks.append(self.zk_norm_violation)
-        return all(v <= APRIORI_TOL for v in checks)
+        return all(v is None or v <= APRIORI_TOL for v in (
+            self.max_pointwise_violation, self.y_norm_violation, self.zk_norm_violation))
 
 
 def apriori_estimate_check(tree: Tree, driver1: Driver, driver2: Driver,
@@ -169,8 +151,8 @@ def apriori_estimate(sol1: Solution, sol2: Solution, eta: float,
     Both lower-reflected solutions share the tree and the obstacle, each
     under the driver it carries. With C the first driver's declared
     constant, the hypotheses eta <= 1 / C^2 and beta >= 3 / eta + 2 C are
-    enforced. Writing fbar for the driver gap evaluated along the second
-    solution, the pointwise bound
+    enforced, and exp(beta T) must be a float. Writing fbar for the driver
+    gap evaluated along the second solution, the pointwise bound
 
         exp(beta t) (Y1 - Y2)^2 <= eta * E[ sum exp(beta s) fbar(s)^2 dt | node ]
 
@@ -189,59 +171,46 @@ def apriori_estimate(sol1: Solution, sol2: Solution, eta: float,
     if beta < 3.0 / eta + 2.0 * c:
         raise ValueError(f"beta = {beta:.6g} violates beta >= 3/eta + 2C = "
                          f"{3.0 / eta + 2.0 * c:.6g}")
+    try:
+        math.exp(beta * tree.time(tree.n_steps))
+    except OverflowError:
+        raise ValueError(f"beta = {beta:.6g} overflows exp(beta t) on [0, {tree.params.T:.6g}] "
+                         f"(the driver's lipschitz_C = {c:.6g})") from None
 
-    dt = tree.dt
-
-    fbar = {}
-    for level in tree.levels[:-1]:
-        for node in level:
-            t = tree.time(node[0])
-            state = tree.state(node)
-            y2, z2, k2 = sol2.y[node], sol2.z[node], sol2.k[node]
-            fbar[node] = (driver1.eval(t, y2, z2, k2, state)
-                          - driver2.eval(t, y2, z2, k2, state))
-
-    # Conditional sums of exp(beta s) fbar^2 dt from each node to the end.
-    rhs = {node: 0.0 for node in tree.terminal_nodes()}
+    dt, y1, z1, k1, y2, z2, k2 = tree.dt, sol1.y, sol1.z, sol1.k, sol2.y, sol2.z, sol2.k
+    # fbar^2, and the conditional sums of exp(beta s) fbar^2 dt from each node to the end.
+    fbar2 = {}
+    rhs = dict.fromkeys(tree.terminal_nodes(), 0.0)
     for level in reversed(tree.levels[:-1]):
         for node in level:
-            w = math.exp(beta * tree.time(node[0])) * fbar[node] ** 2 * dt
-            cond = sum(b.prob * rhs[b.child] for b in tree.branches[node])
-            rhs[node] = w + cond
+            t = tree.time(node[0])
+            args = y2[node], z2[node], k2[node], tree.nodes[node]
+            fbar2[node] = (driver1.eval(t, *args) - driver2.eval(t, *args)) ** 2
+            rhs[node] = (math.exp(beta * t) * fbar2[node] * dt
+                         + sum(b.prob * rhs[b.child] for b in tree.branches[node]))
 
-    max_violation = 0.0
-    for node in tree.nodes:
-        lhs = math.exp(beta * tree.time(node[0])) * (sol1.y[node] - sol2.y[node]) ** 2
-        max_violation = max(max_violation, lhs - eta * rhs[node])
-
+    max_violation = y_norm = f_norm = zk_norm = 0.0
     prob = {tree.root: 1.0}
-    for level in tree.levels[:-1]:
+    for level in tree.levels:
         for node in level:
-            p = prob.get(node, 0.0)
-            for b in tree.branches[node]:
-                prob[b.child] = prob.get(b.child, 0.0) + p * b.prob
-
-    y_norm = 0.0
-    f_norm = 0.0
-    zk_norm = 0.0
-    for level in tree.levels[:-1]:
-        for node in level:
-            w = prob[node] * math.exp(beta * tree.time(node[0])) * dt
-            y_norm += w * (sol1.y[node] - sol2.y[node]) ** 2
-            f_norm += w * fbar[node] ** 2
-            zbar = sol1.z[node] - sol2.z[node]
-            kbar = sol1.k[node] - sol2.k[node]
-            zk_norm += w * (zbar ** 2 + tree.nodes[node].lam * kbar ** 2)
+            weight = math.exp(beta * tree.time(node[0]))
+            dy2 = (y1[node] - y2[node]) ** 2
+            max_violation = max(max_violation, weight * dy2 - eta * rhs[node])
+            if node[0] < tree.n_steps:
+                w = prob[node] * weight * dt
+                y_norm += w * dy2
+                f_norm += w * fbar2[node]
+                zk_norm += w * ((z1[node] - z2[node]) ** 2
+                                + tree.nodes[node].lam * (k1[node] - k2[node]) ** 2)
+                for b in tree.branches[node]:
+                    prob[b.child] = prob.get(b.child, 0.0) + prob[node] * b.prob
 
     y_rhs = tree.params.T * eta * f_norm
-    report = AprioriReport(eta=eta, beta=beta,
-                           max_pointwise_violation=max(0.0, max_violation),
-                           y_norm_lhs=y_norm, y_norm_rhs=y_rhs,
-                           y_norm_violation=max(0.0, y_norm - y_rhs))
+    zk = {}
     if c == 0.0 or eta < 1.0 / (c * c):
-        denom = 1.0 - eta * c * c
-        zk_rhs = eta / denom * f_norm
-        report.zk_norm_lhs = zk_norm
-        report.zk_norm_rhs = zk_rhs
-        report.zk_norm_violation = max(0.0, zk_norm - zk_rhs)
-    return report
+        zk_rhs = eta / (1.0 - eta * c * c) * f_norm
+        zk = dict(zk_norm_lhs=zk_norm, zk_norm_rhs=zk_rhs,
+                  zk_norm_violation=max(0.0, zk_norm - zk_rhs))
+    return AprioriReport(eta=eta, beta=beta, max_pointwise_violation=max(0.0, max_violation),
+                         y_norm_lhs=y_norm, y_norm_rhs=y_rhs,
+                         y_norm_violation=max(0.0, y_norm - y_rhs), **zk)

@@ -9,7 +9,8 @@ solved values (rejection sampling otherwise).
 The end of the file keeps the scalar references of the forward wealth
 simulation, of the superhedge checks, of the obstacle, of the sampled
 driver checks, of the eps-triggered exercise rule, of the rule
-enumeration's best value and of the rationality check.
+enumeration's best value, of the rationality check and of the stability
+estimate.
 """
 
 import functools
@@ -25,7 +26,7 @@ from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.hedging import SUPERHEDGE_TOL, HedgeReport
 from amhedge.market import MarketParams, PiecewiseConstant, build_tree
-from amhedge.oracle import _stop_flags
+from amhedge.oracle import AprioriReport, _stop_flags
 from amhedge.payoffs import call, payoff_from_config, put
 from amhedge.pricing import A_ZERO_TOL, EQUALITY_RTOL, RationalityReport, phi_inverse
 from amhedge.rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
@@ -571,3 +572,72 @@ def scalar_is_rational(solution, obstacle, rule) -> RationalityReport:
                 return RationalityReport(ok=False, witness=node,
                                          reason="rule does not stop at the terminal step")
     return RationalityReport(ok=True)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference for the stability estimate: the five node walks (driver
+# gap, conditional sums, pointwise bound, reach probabilities, norms) that
+# the one backward and one forward walk of amhedge.oracle.apriori_estimate
+# replaced.
+# ---------------------------------------------------------------------------
+
+def scalar_apriori_estimate(sol1, sol2, eta: float, beta: float) -> AprioriReport:
+    """Weighted stability estimate for two lower-reflected solves, one walk
+    per quantity; the hypotheses on eta and beta are not checked here."""
+    tree, driver1, driver2 = sol1.tree, sol1.driver, sol2.driver
+    c = driver1.lipschitz_C
+    dt = tree.dt
+
+    fbar = {}
+    for level in tree.levels[:-1]:
+        for node in level:
+            t = tree.time(node[0])
+            state = tree.state(node)
+            y2, z2, k2 = sol2.y[node], sol2.z[node], sol2.k[node]
+            fbar[node] = (driver1.eval(t, y2, z2, k2, state)
+                          - driver2.eval(t, y2, z2, k2, state))
+
+    # Conditional sums of exp(beta s) fbar^2 dt from each node to the end.
+    rhs = {node: 0.0 for node in tree.terminal_nodes()}
+    for level in reversed(tree.levels[:-1]):
+        for node in level:
+            w = math.exp(beta * tree.time(node[0])) * fbar[node] ** 2 * dt
+            cond = sum(b.prob * rhs[b.child] for b in tree.branches[node])
+            rhs[node] = w + cond
+
+    max_violation = 0.0
+    for node in tree.nodes:
+        lhs = math.exp(beta * tree.time(node[0])) * (sol1.y[node] - sol2.y[node]) ** 2
+        max_violation = max(max_violation, lhs - eta * rhs[node])
+
+    prob = {tree.root: 1.0}
+    for level in tree.levels[:-1]:
+        for node in level:
+            p = prob.get(node, 0.0)
+            for b in tree.branches[node]:
+                prob[b.child] = prob.get(b.child, 0.0) + p * b.prob
+
+    y_norm = 0.0
+    f_norm = 0.0
+    zk_norm = 0.0
+    for level in tree.levels[:-1]:
+        for node in level:
+            w = prob[node] * math.exp(beta * tree.time(node[0])) * dt
+            y_norm += w * (sol1.y[node] - sol2.y[node]) ** 2
+            f_norm += w * fbar[node] ** 2
+            zbar = sol1.z[node] - sol2.z[node]
+            kbar = sol1.k[node] - sol2.k[node]
+            zk_norm += w * (zbar ** 2 + tree.nodes[node].lam * kbar ** 2)
+
+    y_rhs = tree.params.T * eta * f_norm
+    report = AprioriReport(eta=eta, beta=beta,
+                           max_pointwise_violation=max(0.0, max_violation),
+                           y_norm_lhs=y_norm, y_norm_rhs=y_rhs,
+                           y_norm_violation=max(0.0, y_norm - y_rhs))
+    if c == 0.0 or eta < 1.0 / (c * c):
+        denom = 1.0 - eta * c * c
+        zk_rhs = eta / denom * f_norm
+        report.zk_norm_lhs = zk_norm
+        report.zk_norm_rhs = zk_rhs
+        report.zk_norm_violation = max(0.0, zk_norm - zk_rhs)
+    return report

@@ -445,6 +445,87 @@ def test_junk_field_exits_with_a_code(path, data):
 
 
 # ---------------------------------------------------------------------------
+# The stability-estimate check out of floating-point range
+# ---------------------------------------------------------------------------
+
+def _apriori_job(driver, n_steps, jobs, checks, **market):
+    cfg = copy.deepcopy(README_JOB)
+    cfg["market"].update(market)
+    cfg.update(grid={"n_steps": n_steps}, driver=driver, jobs=jobs, verify=checks)
+    return cfg
+
+
+APRIORI_OUT_OF_RANGE = [
+    # C = 19.5 gives a beta of about 1186, so exp(beta T) overflows.
+    (_apriori_job({"name": "borrow_lend", "params": {"R": 3}}, 32, ["price", "verify"],
+                  ["apriori"]),
+     "beta = 1185.54 overflows exp(beta t) on [0, 1] (the driver's lipschitz_C = 19.515)"),
+    # C^2 overflows, so eta = 1 / (C^2 + 1) is 0.
+    (_apriori_job({"name": "borrow_lend", "params": {"R": 0.07}}, 8, ["verify"],
+                  ["apriori"], mu2=1e154),
+     "eta = 1/(C^2 + 1) is 0, so beta = 3/eta + 2C + 1 is infinite "
+     "(the driver's lipschitz_C = 2e+154)"),
+    # The wealth files are written before the check fails.
+    (_apriori_job({"name": "large_trader", "params": {"alpha": 0.002, "gamma_bar": 0.0}}, 64,
+                  ["hedge", "verify"], ["superhedge", "apriori"]),
+     "beta = 2556.92 overflows exp(beta t) on [0, 1] (the driver's lipschitz_C = 28.84)"),
+]
+
+
+@pytest.mark.parametrize("cfg,message", APRIORI_OUT_OF_RANGE,
+                         ids=["beta_overflows", "eta_underflows", "after_the_hedge"])
+def test_apriori_out_of_range_exits_2_naming_beta_and_C(tmp_path, capsys, cfg, message):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["price", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: verify: apriori: {message}\n"
+
+
+def test_apriori_still_reports_just_below_the_overflow(tmp_path):
+    cfg = _apriori_job({"name": "borrow_lend", "params": {"R": 2.3}}, 32,
+                       ["price", "verify"], ["apriori"])
+    assert run(cfg, out_dir=tmp_path) == EXIT_OK
+    check = json.loads((tmp_path / "report.json").read_text())["verification"]["checks"]
+    assert round(check["apriori"]["beta"], 1) == 705.8
+
+
+# One coefficient of the README job set to an extreme value: every run ends
+# in an exit code, never in a traceback.
+EXTREME_VALUES = (0, 1e-8, 2, 10, 1e154)
+EXTREME_FIELDS = [("market", name) for name in ("r", "mu1", "mu2", "sigma1", "sigma2", "lambda")]
+EXTREME_FIELDS += [("driver", "R"), ("driver", "alpha"), ("driver", "gamma_bar")]
+EXTREME_DRIVERS = {
+    "borrow_lend": {"R": 0.07},
+    "large_trader": {"alpha": 5e-4, "gamma_bar": 0.2},
+    "perfect": {},
+}
+EXTREME_JOBS = (["price", "verify"], ["hedge", "verify"], ["price", "hedge", "verify"])
+OTHER_CHECKS = ("superhedge", "skorokhod", "martingale", "gamma", "admissible", "duality")
+
+
+@pytest.mark.parametrize("field", EXTREME_FIELDS, ids=[name for _, name in EXTREME_FIELDS])
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(value=st.sampled_from(EXTREME_VALUES),
+       driver=st.sampled_from(sorted(EXTREME_DRIVERS)), jobs=st.sampled_from(EXTREME_JOBS),
+       checks=st.lists(st.sampled_from(OTHER_CHECKS), unique=True, max_size=2),
+       n_steps=st.integers(1, 8))
+def test_extreme_coefficient_exits_with_a_code(field, value, driver, jobs, checks, n_steps):
+    block, name = field
+    if block == "driver":  # the driver that has the parameter
+        driver = "borrow_lend" if name == "R" else "large_trader"
+    cfg = copy.deepcopy(README_JOB)
+    cfg.update(grid={"n_steps": n_steps}, jobs=jobs, verify=["apriori", *checks],
+               driver={"name": driver, "params": dict(EXTREME_DRIVERS[driver])})
+    (cfg["market"] if block == "market" else cfg["driver"]["params"])[name] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        code = run(cfg, out_dir=out)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
 # Output bytes pinned across versions
 # ---------------------------------------------------------------------------
 
@@ -485,6 +566,10 @@ CHECKS_JOB = {
 HEADER_ONLY_CSV = "01d4a41f258bb8a00eceb035a67db30b125b200840329bf7df045466bb5a1753"
 # Past MAX_EXACT_STEPS, so both wealth fields are 10,000-path samples.
 SAMPLED_JOB = {**_hedge_job(13), "seed": 11}
+# The stability estimate fails with a finite pointwise violation (about 4.4e68).
+APRIORI_FAILING_JOB = _apriori_job({"name": "large_trader",
+                                    "params": {"alpha": 5e-4, "gamma_bar": 0.2}}, 8,
+                                   ["hedge", "verify"], ["apriori", "skorokhod"])
 
 
 @pytest.mark.parametrize("job,digests", [
@@ -503,8 +588,11 @@ SAMPLED_JOB = {**_hedge_job(13), "seed": 11}
     (CHECKS_JOB, {
         "report.json": "1e7914b0f24074020565f51f9309db29e06381205566b77a4efc2050c38f4846",
         "wealth.csv": None, "wealth_buyer.csv": None}),
+    (APRIORI_FAILING_JOB, {
+        "report.json": "b8ff336920645258eb8154e6181a2831ec7b94704668fc690c4e62e9b8aedaa3",
+        "wealth.csv": HEADER_ONLY_CSV, "wealth_buyer.csv": HEADER_ONLY_CSV}),
 ], ids=["readme", "borrow_lend_piecewise_lambda_to_0", "large_trader_expr", "sampled_hedge",
-        "call_sampled_checks"])
+        "call_sampled_checks", "apriori_violated"])
 def test_golden_bytes(tmp_path, job, digests):
     """Output files are byte-identical to those of earlier versions (sha256)."""
     assert run(copy.deepcopy(job), out_dir=tmp_path) == EXIT_OK

@@ -6,8 +6,11 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from amhedge import cli, pricing
+from amhedge.bsde import ConvergenceError
 from amhedge.drivers import Driver, borrow_lend_driver, large_trader_driver, perfect_driver
 from amhedge.hedging import (simulate_wealth, strict_gain_after_nubar,
                              verify_superhedge_buyer, verify_superhedge_seller,
@@ -17,9 +20,10 @@ from amhedge.payoffs import put
 from amhedge.pricing import (StoppingRule, Strategy, buyer_price, price_american, seller_price,
                              strategy_from_solution)
 from amhedge.rbsde import Obstacle, solve_rbsde_lower
-from helpers import (dict_rows, float_bits, make_instance, scalar_martingale_residual,
+from helpers import (DRIVER_KINDS, dict_rows, float_bits, make_driver, make_instance,
+                     named_payoff, scalar_martingale_residual, scalar_obstacle_rows,
                      scalar_simulate_exact, scalar_simulate_sampled, scalar_strict_gain,
-                     scalar_verify_buyer, scalar_verify_seller)
+                     scalar_verify_buyer, scalar_verify_seller, style_params)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 NAN = Driver(name="nan", eval=lambda t, y, z, k, s: math.nan, lipschitz_C=0.0)
@@ -407,6 +411,44 @@ class TestMatchesScalarReference:
         ref = scalar_simulate_sampled(tree, seller.u0, seller.strategy, driver, 300, 5)
         assert_same_field(field, ref)
         assert {b for level in field.branch[1:] for b in level} == {0, 1, 2}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(style=st.sampled_from(("const", "piecewise", "lam_zero")),
+       kind=st.sampled_from(DRIVER_KINDS), payoff=st.sampled_from(("put", "call", "expr")),
+       n_steps=st.integers(1, 6), r=st.floats(0.0, 0.06), sigma1=st.floats(0.1, 0.5),
+       strike=st.floats(70.0, 130.0), seed=st.integers(0, 2**16),
+       shortfall=st.sampled_from((0.0, 0.01)))
+def test_rows_equal_the_scalar_references_on_random_markets(style, kind, payoff, n_steps, r,
+                                                              sigma1, strike, seed, shortfall):
+    """The obstacle rows, both wealth fields (exact and sampled) and both
+    superhedge checks equal their scalar references bit for bit, from each
+    side's price or ``shortfall`` below it."""
+    params = style_params(style, r, sigma1)
+    tree = build_tree(params, n_steps)
+    payoff = named_payoff(payoff, strike)
+    obs = Obstacle.from_payoff(tree, payoff)
+    assert [[row.tobytes() for row in pair] for pair in obs.rows] == \
+        [[row.tobytes() for row in pair] for pair in scalar_obstacle_rows(tree, payoff)]
+    driver = make_driver(kind, params)
+    try:
+        seller = seller_price(tree, driver, obs, gamma_check=False)
+        buyer = buyer_price(tree, driver, obs, gamma_check=False)
+    except ConvergenceError:
+        reject()
+    for x0, strategy in ((seller.u0 - shortfall, seller.strategy),
+                         (-buyer.v0 - shortfall, buyer.strategy)):
+        for mode in ("exact", "sampled"):
+            field = simulate_wealth(tree, x0, strategy, driver, mode=mode, n_paths=50,
+                                    seed=seed)
+            ref = (scalar_simulate_exact(tree, x0, strategy, driver) if mode == "exact"
+                   else scalar_simulate_sampled(tree, x0, strategy, driver, 50, seed))
+            assert_same_field(field, ref)
+            assert (report_bits(verify_superhedge_seller(field, obs))
+                    == report_bits(scalar_verify_seller(ref, obs)))
+            assert (report_bits(verify_superhedge_buyer(field, obs, buyer.exercise))
+                    == report_bits(scalar_verify_buyer(ref, obs, buyer.exercise)))
 
 
 class TestBrokenWealth:

@@ -3,20 +3,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from amhedge.bsde import ConvergenceError, g_evaluation, g_evaluations, solve_bsde
 from amhedge.drivers import Driver, borrow_lend_driver, perfect_driver
-from amhedge.market import MarketParams, build_tree
-from amhedge.oracle import (_stop_flags, apriori_estimate_check, brute_force_seller_value,
-                            crr_american_oracle, enumerate_stopping_rules)
-from amhedge.payoffs import payoff_from_config, put
+from amhedge.market import MarketParams, PiecewiseConstant, build_tree
+from amhedge.oracle import (_stop_flags, apriori_estimate, apriori_estimate_check,
+                            brute_force_seller_value, crr_american_oracle,
+                            enumerate_stopping_rules)
+from amhedge.payoffs import call, payoff_from_config, put
 from amhedge.pricing import seller_price
 from amhedge.rbsde import Obstacle, solve_rbsde_lower
 from helpers import (DRIVER_KINDS, dict_rows, duality_instances, float_bits, make_driver,
-                     make_instance, named_payoff, scalar_brute_force_seller_value,
-                     style_params)
+                     make_instance, named_payoff, scalar_apriori_estimate,
+                     scalar_brute_force_seller_value, style_params)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 # y = e + (-0.0) * dt is e itself, so a child value's zero sign reaches the root.
@@ -244,22 +245,82 @@ class TestCrrOracle:
             crr_american_oracle(params, self.put(100.0), 16)
 
 
+# Values of crr_american_oracle as float.hex, pinned from the version that
+# read each coefficient field by field at every step.
+CRR_MARKET = dict(r=0.05, mu1=0.07, mu2=-0.02, sigma1=0.2, sigma2=0.25, lam=0.0,
+                  s1_0=100.0, s2_0=90.0, T=1.0)
+CRR_MARKETS = {
+    "constant": CRR_MARKET,
+    "piecewise": dict(CRR_MARKET, r=PiecewiseConstant([0.04, 0.06], times=[0.0, 0.3]),
+                      mu2=PiecewiseConstant([-0.02, 0.03], times=[0.0, 0.5]),
+                      sigma1=PiecewiseConstant([0.2, 0.25], times=[0.0, 0.6]),
+                      sigma2=PiecewiseConstant([0.25, 0.35], times=[0.0, 0.45])),
+}
+CRR_PAYOFFS = {
+    "put": lambda: put(105.0),
+    "call": lambda: call(95.0),
+    "expr": lambda: payoff_from_config({"kind": "expr",
+                                        "expr": "max(100 - S1, 0) + max(S2 - 88, 0) / 2"}),
+}
+CRR_HEX = {
+    ("constant", "put", 1): "0x1.2db6db6db6db3p+3",
+    ("constant", "put", 7): "0x1.1ba7196a1d587p+3",
+    ("constant", "put", 64): "0x1.17029b0159ec6p+3",
+    ("constant", "call", 1): "0x1.b6db6db6db6dap+3",
+    ("constant", "call", 7): "0x1.a8e7511d55920p+3",
+    ("constant", "call", 64): "0x1.aa216e149f7c1p+3",
+    ("constant", "expr", 1): "0x1.758fd8fd8fd8cp+3",
+    ("constant", "expr", 7): "0x1.44a0884c092b0p+3",
+    ("constant", "expr", 64): "0x1.3f17a079a8b77p+3",
+    ("piecewise", "put", 1): "0x1.3e76276276272p+3",
+    ("piecewise", "put", 7): "0x1.147c80f7da557p+3",
+    ("piecewise", "put", 64): "0x1.0104fa08058f2p+3",
+    ("piecewise", "call", 1): "0x1.a276276276275p+3",
+    ("piecewise", "call", 7): "0x1.03be40d684d98p+4",
+    ("piecewise", "call", 64): "0x1.b63c71d0352cep+4",
+    ("piecewise", "expr", 1): "0x1.7a6c4ec4ec4e7p+3",
+    ("piecewise", "expr", 7): "0x1.8b4c5f0017af4p+3",
+    ("piecewise", "expr", 64): "0x1.6b2e40dccbfcfp+4",
+}
+
+
+@pytest.mark.parametrize("market,payoff,n_steps", sorted(CRR_HEX))
+def test_crr_values_are_pinned_bit_for_bit(market, payoff, n_steps):
+    value = crr_american_oracle(MarketParams(**CRR_MARKETS[market]), CRR_PAYOFFS[payoff](),
+                                n_steps)
+    assert value.hex() == CRR_HEX[market, payoff, n_steps]
+
+
+@pytest.mark.parametrize("overrides,n_steps,message", [
+    ({"lam": 0.1}, 8, "the binomial oracle requires a zero default intensity"),
+    ({"mu1": 3.0, "sigma1": 0.15}, 16, "risk-neutral weight -1.95833 outside (0, 1) at step 0"),
+    ({}, 0, "n_steps must be a positive integer"),
+    ({}, 2.5, "n_steps must be a positive integer"),
+])
+def test_crr_errors_are_pinned(overrides, n_steps, message):
+    with pytest.raises(ValueError) as failure:
+        crr_american_oracle(MarketParams(**dict(CRR_MARKET, **overrides)), put(100.0), n_steps)
+    assert str(failure.value) == message
+
+
+def shifted(base, delta):
+    return Driver(name=f"{base.name}+{delta}",
+                  eval=lambda t, y, z, k, s: base.eval(t, y, z, k, s) + delta,
+                  lipschitz_C=base.lipschitz_C)
+
+
+def hypothesis_box(driver):
+    """The CLI's (eta, beta) for a driver."""
+    c = driver.lipschitz_C
+    eta = 1.0 / (c * c + 1.0)
+    return eta, 3.0 / eta + 2.0 * c + 1.0
+
+
 class TestAprioriEstimate:
-    def shifted(self, base, delta):
-        return Driver(name=f"{base.name}+{delta}",
-                      eval=lambda t, y, z, k, s: base.eval(t, y, z, k, s) + delta,
-                      lipschitz_C=base.lipschitz_C)
-
-    def hypothesis_box(self, driver):
-        c = driver.lipschitz_C
-        eta = 1.0 / (c * c + 1.0)
-        beta = 3.0 / eta + 2.0 * c + 1.0
-        return eta, beta
-
     def test_identical_drivers_bind_with_zero(self):
         rng = np.random.default_rng(411)
         inst = make_instance(rng, "perfect", 4)
-        eta, beta = self.hypothesis_box(inst.driver)
+        eta, beta = hypothesis_box(inst.driver)
         report = apriori_estimate_check(inst.tree, inst.driver, inst.driver,
                                         inst.obstacle, eta, beta)
         assert report.max_pointwise_violation == 0.0
@@ -271,8 +332,8 @@ class TestAprioriEstimate:
         tree = build_tree(params, 6)
         obs = Obstacle.from_payoff(tree, lambda t, s1, s2, d: max(105.0 - s1, 0.0))
         g = perfect_driver(params)
-        eta, beta = self.hypothesis_box(g)
-        report = apriori_estimate_check(tree, g, self.shifted(g, 0.1), obs, eta, beta)
+        eta, beta = hypothesis_box(g)
+        report = apriori_estimate_check(tree, g, shifted(g, 0.1), obs, eta, beta)
         assert report.passed()
         assert report.zk_norm_violation is not None
 
@@ -281,9 +342,9 @@ class TestAprioriEstimate:
         tree = build_tree(params, 6)
         obs = Obstacle.from_payoff(tree, lambda t, s1, s2, d: max(105.0 - s1, 0.0))
         g = perfect_driver(params)
-        eta, beta = self.hypothesis_box(g)
-        small = apriori_estimate_check(tree, g, self.shifted(g, 0.1), obs, eta, beta)
-        large = apriori_estimate_check(tree, g, self.shifted(g, 0.2), obs, eta, beta)
+        eta, beta = hypothesis_box(g)
+        small = apriori_estimate_check(tree, g, shifted(g, 0.1), obs, eta, beta)
+        large = apriori_estimate_check(tree, g, shifted(g, 0.2), obs, eta, beta)
         assert large.y_norm_rhs == pytest.approx(4.0 * small.y_norm_rhs, rel=1e-12)
         assert large.y_norm_lhs <= 4.0 * small.y_norm_lhs * (1.0 + 1e-8) + 1e-15
 
@@ -300,3 +361,57 @@ class TestAprioriEstimate:
         with pytest.raises(ValueError):
             apriori_estimate_check(inst.tree, inst.driver, inst.driver,
                                    inst.obstacle, -1.0, 10.0)
+
+
+def assert_apriori_equals_the_reference(tree, driver, obstacle, delta):
+    """apriori_estimate equals the five-walk reference in every field, bit for
+    bit, on the CLI's (eta, beta) for the driver and its shift by delta, and
+    returns its report; where the reference overflows it raises ValueError."""
+    c = driver.lipschitz_C
+    eta, beta = hypothesis_box(driver)
+    sol1 = solve_rbsde_lower(tree, driver, obstacle)
+    sol2 = solve_rbsde_lower(tree, shifted(driver, delta), obstacle)
+    try:
+        want = scalar_apriori_estimate(sol1, sol2, eta, beta)
+    except OverflowError:  # exp(beta t) out of range: a named error instead
+        with pytest.raises(ValueError) as failure:
+            apriori_estimate(sol1, sol2, eta, beta)
+        assert f"beta = {beta:.6g}" in str(failure.value)
+        assert f"lipschitz_C = {c:.6g}" in str(failure.value)
+        return None
+    report = apriori_estimate(sol1, sol2, eta, beta)
+    for field in dataclasses.fields(report):
+        got, ref = getattr(report, field.name), getattr(want, field.name)
+        assert (got is None) == (ref is None), field.name
+        assert got is None or float_bits(got) == float_bits(ref), field.name
+    assert report.passed() == want.passed()
+    return report
+
+
+@pytest.mark.parametrize("kind,delta,passed", [
+    ("perfect", 0.5, True),
+    ("large_trader", 0.1, False),
+])
+def test_apriori_equals_the_five_walk_reference_passing_and_failing(kind, delta, passed):
+    params = style_params("const", 0.05, 0.2)
+    tree = build_tree(params, 8)
+    obstacle = Obstacle.from_payoff(tree, put(105.0))
+    report = assert_apriori_equals_the_reference(tree, make_driver(kind, params), obstacle,
+                                                 delta)
+    assert report.passed() is passed
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(style=st.sampled_from(("const", "piecewise", "lam_zero")),
+       kind=st.sampled_from(DRIVER_KINDS), payoff=st.sampled_from(("put", "call", "expr")),
+       n_steps=st.integers(1, 16), r=st.floats(0.0, 0.06), sigma1=st.floats(0.1, 0.5),
+       strike=st.floats(70.0, 130.0), delta=st.sampled_from((0.1, 0.5, 3.0)))
+def test_apriori_equals_the_five_walk_reference_on_random_markets(
+        style, kind, payoff, n_steps, r, sigma1, strike, delta):
+    params = style_params(style, r, sigma1)
+    tree = build_tree(params, n_steps)
+    obstacle = Obstacle.from_payoff(tree, named_payoff(payoff, strike))
+    report = assert_apriori_equals_the_reference(tree, make_driver(kind, params), obstacle,
+                                                 delta)
+    event("out of range" if report is None else "passed" if report.passed() else "failed")
