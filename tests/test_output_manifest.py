@@ -2,10 +2,10 @@
 benchmark workloads matches a committed manifest of sha256 hashes.
 
 Each job of ``perfbench/workloads.py`` runs in process as
-``amhedge price job.json --out out``; its exit code, stderr and the bytes
-of ``report.json``, ``wealth.csv`` and ``wealth_buyer.csv`` are hashed. A
-deliberate output change regenerates the manifest (and says so in
-CHANGES.md):
+``amhedge price job.json --out out --dump-tree``; its exit code, stderr and
+the bytes of ``report.json``, ``tree.json``, ``wealth.csv`` and
+``wealth_buyer.csv`` are hashed. A deliberate output change regenerates the
+manifest (and says so in CHANGES.md):
 
     PYTHONPATH=src python tests/test_output_manifest.py
 """
@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("output_manifest.json")
 SEED = 5
 WORKLOADS = ("strip_small", "hedge_verify")
-OUTPUTS = ("report.json", "wealth.csv", "wealth_buyer.csv")
+OUTPUTS = ("report.json", "tree.json", "wealth.csv", "wealth_buyer.csv")
 
 
 def _workloads():
@@ -53,7 +53,8 @@ def job_hashes(job: dict) -> dict:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         tmp = Path(tmp)
         (tmp / "job.json").write_text(json.dumps(job, sort_keys=True))
-        code = main(["price", str(tmp / "job.json"), "--out", str(tmp / "out")])
+        code = main(["price", str(tmp / "job.json"), "--out", str(tmp / "out"),
+                     "--dump-tree"])
         out = tmp / "out"
         files = sorted(p.name for p in out.iterdir()) if out.is_dir() else []
         hashes = {name: _sha((out / name).read_bytes()) if name in files else None
