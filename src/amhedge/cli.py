@@ -4,8 +4,8 @@ Output is deterministic: report keys are emitted in sorted order and every
 float is rendered with 17 significant digits, so identical configurations
 produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration or guard error, 3 solver failure,
-4 failed verification under --strict.
+Exit codes: 0 success, 2 configuration or guard error (an unusable output
+location included), 3 solver failure, 4 failed verification under --strict.
 """
 
 from __future__ import annotations
@@ -381,8 +381,8 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def _run_jobs(job: dict, tree, obstacle, out: Path) -> dict:
-    """Run the requested jobs, solving and simulating each side at most once;
-    all of it is freed on return, before the report is serialised."""
+    """Run the requested jobs, solving and simulating each side at most once; all of it
+    is freed on return but the last tree and paths, which ``hedging._path_sample`` keeps."""
     driver, seed = job["driver"], job["seed"]
     report = pricing.price_american(tree, driver, obstacle) if "price" in job["jobs"] else None
     document = report_to_dict(report) if report else {}
@@ -427,45 +427,33 @@ def _run_jobs(job: dict, tree, obstacle, out: Path) -> dict:
 
 def run(config: dict, out_dir=None, strict: bool = False,
         dump_tree: bool = False) -> int:
-    """Execute one job document; returns the process exit code."""
+    """Execute one job document; returns the process exit code. Every failure,
+    from the document to the last byte written, maps to its code here."""
     try:
         job = parse_config(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = Path(out_dir or job["output_dir"] or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    strict = strict or job["strict"]
-
-    try:
-        tree = build_tree(job["params"], job["n_steps"])
-    except ValueError as exc:
-        print(f"config error: market: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        obstacle = Obstacle.from_payoff(tree, job["payoff"])
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        document = _run_jobs(job, tree, obstacle, out)
+        out = Path(out_dir or job["output_dir"] or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        try:
+            tree = build_tree(job["params"], job["n_steps"])
+        except ValueError as exc:
+            raise ConfigError(f"market: {exc}") from None
+        document = _run_jobs(job, tree, Obstacle.from_payoff(tree, job["payoff"]), out)
+        if dump_tree:
+            (out / "tree.json").write_text(canonical_json(tree.to_dict()))
+        (out / "report.json").write_text(canonical_json(document))
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"config error: {'--out' if out_dir else 'output_dir'}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
-    if dump_tree:
-        (out / "tree.json").write_text(canonical_json(tree.to_dict()))
-    (out / "report.json").write_text(canonical_json(document))
-
-    verification = document.get("verification")
-    if strict and verification is not None and not verification["all_passed"]:
-        failed = sorted(name for name, c in verification["checks"].items()
-                        if not c["passed"])
+    checks = document.get("verification", {"checks": {}})["checks"]
+    failed = sorted(name for name, c in checks.items() if not c["passed"])
+    if failed and (strict or job["strict"]):
         print(f"verification failed: {failed}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK

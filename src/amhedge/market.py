@@ -341,13 +341,15 @@ def node_key(node: NodeId) -> str:
     return f"{node[0]},{node[1]},{node[2]}"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing prices are rejected below
 def build_tree(params: MarketParams, n_steps: int) -> Tree:
     """Build the lattice over [0, T] with ``n_steps`` time steps.
 
     Requires max_t lam(t) * dt < 1 so that the default branch carries a
-    genuine probability, positive initial prices, and positive down factors
-    so that prices stay positive. A zero intensity everywhere yields the
-    plain recombining binomial tree (two branches per node, dM identically 0).
+    genuine probability, positive initial prices, positive down factors so
+    that prices stay positive, and prices that stay finite. A zero intensity
+    everywhere yields the plain recombining binomial tree (two branches per
+    node, dM identically 0).
     """
     if int(n_steps) != n_steps or n_steps < 0:
         raise ValueError("n_steps must be a nonnegative integer")
@@ -403,5 +405,13 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
         s2.append((np.concatenate((a2[:1] * dn2, a2 * up2)), np.zeros(len(next_d1))))
         s0.append(s0[i] * (1.0 + c.r * dt))
 
+    if not np.isfinite(np.concatenate([s0, *(part for row in s1 + s2 for part in row)])).all():
+        for name, fields, rows in (("s0", "r", [(x,) for x in s0]),
+                                   ("s1", "s1_0, mu1 and sigma1", s1),
+                                   ("s2", "s2_0, mu2 and sigma2", s2)):
+            bad = [i for i, row in enumerate(rows) if not np.isfinite(np.hstack(row)).all()]
+            if bad:
+                raise ValueError(f"{name}: the price built from {fields} overflows at step "
+                                 f"{bad[0]}")
     return Tree(params=params, n_steps=n_steps, dt=dt, sq=sq, s0=s0, coef=coef,
                 s1=s1, s2=s2, row_branches=row_branches)

@@ -1,16 +1,19 @@
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from amhedge import hedging, rbsde
@@ -368,6 +371,45 @@ class TestMain:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    # A file or a directory (a trailing "/") in the way of the outputs; the
+    # location given by output_dir or --out, and the path the OS error names.
+    @pytest.mark.parametrize("blocker,location,flag,code,failing", [
+        ("file", "file", False, errno.EEXIST, "file"),
+        ("out/report.json/", "out", True, errno.EISDIR, "out/report.json"),
+        ("out/wealth.csv/", "out", False, errno.EISDIR, "out/wealth.csv"),
+        ("file", "file/sub", True, errno.ENOTDIR, "file/sub"),
+    ])
+    def test_unusable_output_path_exits_2_naming_it(self, tmp_path, capsys, blocker, location,
+                                                    flag, code, failing):
+        if blocker.endswith("/"):
+            (tmp_path / blocker).mkdir(parents=True)
+        else:
+            (tmp_path / blocker).write_text("")
+        cfg = copy.deepcopy(README_JOB)
+        cfg["output_dir"] = str(tmp_path / location)
+        argv = ["--out", cfg.pop("output_dir")] if flag else []
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(cfg))
+        assert main(["price", str(config_path), *argv]) == EXIT_CONFIG
+        field = "--out" if flag else "output_dir"
+        assert capsys.readouterr().err == (f"config error: {field}: [Errno {code}] "
+                                           f"{os.strerror(code)}: {str(tmp_path / failing)!r}\n")
+
+    @pytest.mark.parametrize("dump_tree", [False, True])
+    def test_overflowing_lattice_exits_2_naming_the_price(self, tmp_path, capsys, dump_tree):
+        cfg = copy.deepcopy(README_JOB)
+        cfg["market"]["s2_0"] = 1e308
+        cfg.update(jobs=["price"], verify=[])
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(cfg))
+        argv = ["price", str(config_path), "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the test
+            assert main(argv + ["--dump-tree"] * dump_tree) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: market: s2: the price built from "
+                                           "s2_0, mu2 and sigma2 overflows at step 6\n")
+        assert not list((tmp_path / "out").iterdir())
+
 
 class TestStepCap:
     @pytest.mark.parametrize("n_steps", [MAX_STEPS + 1, 10**9, 1e12])
@@ -460,11 +502,11 @@ APRIORI_OUT_OF_RANGE = [
     (_apriori_job({"name": "borrow_lend", "params": {"R": 3}}, 32, ["price", "verify"],
                   ["apriori"]),
      "beta = 1185.54 overflows exp(beta t) on [0, 1] (the driver's lipschitz_C = 19.515)"),
-    # C^2 overflows, so eta = 1 / (C^2 + 1) is 0.
+    # C^2 overflows, so eta = 1 / (C^2 + 1) is 0; the lattice prices stay finite.
     (_apriori_job({"name": "borrow_lend", "params": {"R": 0.07}}, 8, ["verify"],
-                  ["apriori"], mu2=1e154),
+                  ["apriori"], sigma1=1e-160),
      "eta = 1/(C^2 + 1) is 0, so beta = 3/eta + 2C + 1 is infinite "
-     "(the driver's lipschitz_C = 2e+154)"),
+     "(the driver's lipschitz_C = 6e+158)"),
     # The wealth files are written before the check fails.
     (_apriori_job({"name": "large_trader", "params": {"alpha": 0.002, "gamma_bar": 0.0}}, 64,
                   ["hedge", "verify"], ["superhedge", "apriori"]),
@@ -489,10 +531,12 @@ def test_apriori_still_reports_just_below_the_overflow(tmp_path):
     assert round(check["apriori"]["beta"], 1) == 705.8
 
 
-# One coefficient of the README job set to an extreme value: every run ends
-# in an exit code, never in a traceback.
-EXTREME_VALUES = (0, 1e-8, 2, 10, 1e154)
-EXTREME_FIELDS = [("market", name) for name in ("r", "mu1", "mu2", "sigma1", "sigma2", "lambda")]
+# One coefficient, initial price or horizon of the README job set to an
+# extreme value, with or without tree.json: every run ends in an exit code,
+# never in a traceback or a warning.
+EXTREME_VALUES = (0, 1e-300, 1e-8, 2, 10, 1e154, 1e300, 1.7e308)
+EXTREME_FIELDS = [("market", name) for name in ("r", "mu1", "mu2", "sigma1", "sigma2", "lambda",
+                                               "s1_0", "s2_0", "T")]
 EXTREME_FIELDS += [("driver", "R"), ("driver", "alpha"), ("driver", "gamma_bar")]
 EXTREME_DRIVERS = {
     "borrow_lend": {"R": 0.07},
@@ -509,8 +553,11 @@ OTHER_CHECKS = ("superhedge", "skorokhod", "martingale", "gamma", "admissible", 
 @given(value=st.sampled_from(EXTREME_VALUES),
        driver=st.sampled_from(sorted(EXTREME_DRIVERS)), jobs=st.sampled_from(EXTREME_JOBS),
        checks=st.lists(st.sampled_from(OTHER_CHECKS), unique=True, max_size=2),
-       n_steps=st.integers(1, 8))
-def test_extreme_coefficient_exits_with_a_code(field, value, driver, jobs, checks, n_steps):
+       n_steps=st.integers(1, 8), dump_tree=st.booleans())
+@example(value=1.7e308, driver="borrow_lend", jobs=["price", "verify"], checks=[], n_steps=8,
+         dump_tree=True)  # s1_0 and s2_0 overflow the lattice that tree.json writes
+def test_extreme_coefficient_exits_with_a_code(field, value, driver, jobs, checks, n_steps,
+                                               dump_tree):
     block, name = field
     if block == "driver":  # the driver that has the parameter
         driver = "borrow_lend" if name == "R" else "large_trader"
@@ -519,10 +566,13 @@ def test_extreme_coefficient_exits_with_a_code(field, value, driver, jobs, check
                driver={"name": driver, "params": dict(EXTREME_DRIVERS[driver])})
     (cfg["market"] if block == "market" else cfg["driver"]["params"])[name] = value
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
-        code = run(cfg, out_dir=out)
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(cfg, out_dir=out, dump_tree=dump_tree)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
 
 
 # ---------------------------------------------------------------------------

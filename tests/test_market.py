@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from amhedge.market import (MarketParams, PiecewiseConstant, as_piecewise,
@@ -157,6 +159,20 @@ class TestBuildTree:
     def test_rejects_non_positive_prices(self, overrides, field):
         with pytest.raises(ValueError, match=field):
             build_tree(flat_params(**overrides), 4)
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"r": 1e300}, "s0: the price built from r overflows at step 2"),
+        ({"mu1": 1e300}, "s1: the price built from s1_0, mu1 and sigma1 overflows at step 2"),
+        ({"s2_0": 1e308}, "s2: the price built from s2_0, mu2 and sigma2 overflows at step 6"),
+    ])
+    def test_overflowing_prices_rejected_naming_price_and_step(self, overrides, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning on the way
+            with pytest.raises(ValueError) as failure:
+                build_tree(flat_params(**overrides), 8)
+        assert str(failure.value) == message
+        tree = build_tree(flat_params(s2_0=1e307), 8)  # large but finite
+        assert max(tree.s2[-1][0]) < float("inf")
 
     def test_down_factor_guard_names_the_step(self):
         params = flat_params(sigma1=PiecewiseConstant([0.2, 5.0], times=[0.0, 0.5]))
