@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .drivers import Driver
+from .drivers import Driver, split_of
 from .market import NodeId, NodeState, Tree, row_view
 
 PICARD_TOL = 1e-12
@@ -88,17 +88,12 @@ def coefficients(branches, child_values, sq: float) -> tuple:
 
     ``child_values`` is ordered like ``branches`` (up, down[, default]).
     """
-    if len(branches) == 3:
-        f_u, f_d, f_j = child_values
-        e = branches[0].prob * f_u + branches[1].prob * f_d + branches[2].prob * f_j
-        z = (f_u - f_d) / (2.0 * sq)
-        k = f_j - 0.5 * (f_u + f_d)
-    else:
-        f_u, f_d = child_values
-        e = branches[0].prob * f_u + branches[1].prob * f_d
-        z = (f_u - f_d) / (2.0 * sq)
-        k = 0.0
-    return e, z, k
+    f_u, f_d, *f_j = child_values
+    e = branches[0].prob * f_u + branches[1].prob * f_d
+    z = (f_u - f_d) / (2.0 * sq)
+    if not f_j:
+        return e, z, 0.0
+    return e + branches[2].prob * f_j[0], z, f_j[0] - 0.5 * (f_u + f_d)
 
 
 def implicit_value(driver: Driver, state: NodeState, dt: float, e: float,
@@ -110,9 +105,10 @@ def implicit_value(driver: Driver, state: NodeState, dt: float, e: float,
     forever at large value scales.
     """
     t = state.t
+    g = split_of(driver)(t, z, k, state)
     y = e
     for _ in range(PICARD_MAX_ITER):
-        y_new = e + driver.eval(t, y, z, k, state) * dt
+        y_new = e + g(y) * dt
         if abs(y_new - y) <= PICARD_TOL * (1.0 + abs(y_new)):
             return y_new
         y = y_new
@@ -143,27 +139,32 @@ def _values_on(source, nodes: Iterable) -> dict:
     return out
 
 
-def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k,
-                  row: tuple) -> tuple:
+def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k, row: tuple,
+                  first=None) -> tuple:
     """``implicit_value`` over a (K, m) block (or a 1-D row) of the row
     ``(step, defaulted)``, handed to the driver flattened. Each element keeps
     the iterate at which it first passes the stopping test, so it equals the
-    scalar result; also returns that iteration of each element."""
+    scalar result. Returns the block, the iterations and their sum over the
+    elements, and counts each element's iterations in ``first`` (flat) if given."""
     shape = e.shape
-    e, z, k = e.ravel(), z.ravel(), k.ravel()
+    e = e.ravel()
+    g = split_of(driver)(state.t, z.ravel(), k.ravel(), state)
     y = e
     out = np.empty_like(e)
     pending = np.ones(e.shape, dtype=bool)
-    first = np.zeros(e.shape, dtype=np.int8)
-    for _ in range(PICARD_MAX_ITER):
-        first += pending
-        y_new = e + driver.eval(state.t, y, z, k, state) * dt
+    left, total = e.size, 0
+    for it in range(1, PICARD_MAX_ITER + 1):
+        total += left
+        if first is not None:
+            first += pending
+        y_new = e + g(y) * dt
         residual = np.abs(y_new - y)
         passed = (residual <= PICARD_TOL * (1.0 + np.abs(y_new))) & pending
         np.copyto(out, y_new, where=passed)
         pending ^= passed
-        if not np.count_nonzero(pending):
-            return out.reshape(shape), first.reshape(shape)
+        left = np.count_nonzero(pending)
+        if not left:
+            return out.reshape(shape), it, total
         y = y_new
     j = int(np.argmax(pending))
     raise ConvergenceError(
@@ -172,14 +173,19 @@ def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k,
         "the time step is too large for the driver's Lipschitz constant")
 
 
-def _side_stats(K: int, firsts: list, binds: list) -> list:
-    """``SolveStats`` of each of K sides from the (K, m) blocks of every
-    swept row: the iteration at which each element first passed and, on
-    reflected sides, where the barrier bound."""
-    if not firsts:
+def _side_stats(K: int, rows: list, binds: list) -> list:
+    """``SolveStats`` of each of K sides from the ``(width, iterations,
+    iteration sum, first)`` of every swept row and, on reflected sides, where
+    the barrier bound. At K > 1 each side's counts are read from ``first``,
+    the iteration at which each element of the row's (K, m) block passed."""
+    if not rows:
         return [SolveStats(0, 0, 0.0, 0, 0)] * K
-    widths = np.array([block.shape[1] for block in firsts])
-    first = np.concatenate(firsts, axis=1)
+    widths, iters, totals, firsts = zip(*rows)
+    if K == 1:
+        return [SolveStats(sum(widths), max(iters), sum(totals) / sum(widths),
+                           sum(map(int.__mul__, iters, widths)), sum(map(np.count_nonzero, binds)))]
+    widths = np.array(widths)
+    first = np.concatenate([block.reshape(K, -1) for block in firsts], axis=1)
     bound = np.concatenate(binds, axis=1).sum(axis=1) if binds else [0] * K
     row_iters = np.maximum.reduceat(first, np.cumsum(widths) - widths, axis=1)
     nodes = first.shape[1]
@@ -210,7 +216,7 @@ def backward_sweep(tree: Tree, driver: Driver, sides: list) -> list:
     zero = np.zeros((K, n + 1))  # k without a default branch, delta_a without reflection
     zero.flags.writeable = False
     y = [None] * n + [tuple(np.array([rows[-1][d] for _, rows in sides]) for d in (0, 1))]
-    z, k, da, firsts, binds = [None] * n, [None] * n, [None] * n, [], []
+    z, k, da, work, binds = [None] * n, [None] * n, [None] * n, [], []
     try:
         for i in range(n - 1, -1, -1):
             out = []
@@ -224,13 +230,16 @@ def backward_sweep(tree: Tree, driver: Driver, sides: list) -> list:
                 e, z_row, k_row = coefficients(branches, children, tree.sq)
                 if len(branches) == 2:
                     k_row = zero[:, :m]
-                state = tree.row_state(i, d, np.concatenate([s1] * K),
-                                       np.concatenate([tree.s2[i][d]] * K))
-                y_row, first = _implicit_row(driver, state, tree.dt, e, z_row, k_row, (i, d))
-                firsts.append(first)
+                state = tree.row_state(i, d, *(np.concatenate([r] * K) if K > 1 else r
+                                               for r in (s1, tree.s2[i][d])))
+                first = np.zeros(K * m, dtype=np.int8) if K > 1 else None  # for the stats
+                y_row, iters, total = _implicit_row(driver, state, tree.dt, e, z_row, k_row,
+                                                    (i, d), first)
+                work.append((m, iters, total, first))
                 da_row = zero[:, :m]
                 if reflected:
-                    b = np.array([rows[i][d] for _, rows in sides])
+                    b = (sides[0][1][i][d][None] if K == 1
+                         else np.array([rows[i][d] for _, rows in sides]))
                     gap = b - y_row
                     bind = gap * orient > 0.0  # b > y on a lower side, b < y on an upper one
                     da_row = np.where(bind, np.abs(gap), 0.0)
@@ -251,7 +260,7 @@ def backward_sweep(tree: Tree, driver: Driver, sides: list) -> list:
     return [Solution(tree=tree, driver=driver, kind=kind, y_rows=rows_of(h, y),
                      z_rows=rows_of(h, z), k_rows=rows_of(h, k), da_rows=rows_of(h, da),
                      stats=stats)
-            for h, (kind, stats) in enumerate(zip(kinds, _side_stats(K, firsts, binds)))]
+            for h, (kind, stats) in enumerate(zip(kinds, _side_stats(K, work, binds)))]
 
 
 def solve_bsde(tree: Tree, driver: Driver, terminal) -> Solution:

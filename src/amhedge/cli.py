@@ -26,7 +26,8 @@ from . import hedging, oracle, pricing
 from .bsde import ConvergenceError
 from .drivers import (Driver, admissibility_rows, borrow_lend_driver,
                       check_gamma_assumption, check_lambda_admissible,
-                      gamma_rows, large_trader_driver, perfect_driver)
+                      gamma_rows, large_trader_driver, perfect_driver, split_eval,
+                      split_of)
 from .market import MarketParams, build_tree, is_finite_number
 from .payoffs import payoff_from_config
 from .rbsde import Obstacle, skorokhod_residual, solve_rbsde_lower
@@ -310,10 +311,13 @@ def _check_duality(tree, driver, obstacle, seller):
 
 
 def _check_apriori(tree, driver, obstacle, solution):
-    delta = 0.1
-    shifted = Driver(name=f"{driver.name}+shift",
-                     eval=lambda t, y, z, k, s: driver.eval(t, y, z, k, s) + delta,
-                     lipschitz_C=driver.lipschitz_C)
+    delta, split = 0.1, split_of(driver)
+
+    def shifted_split(t, z, k, state):  # g + delta, with g's own operations first
+        g = split(t, z, k, state)
+        return lambda y: g(y) + delta
+    shifted = Driver(name=f"{driver.name}+shift", lipschitz_C=driver.lipschitz_C,
+                     eval=split_eval(shifted_split, getattr(driver.eval, "times", None)))
     c = driver.lipschitz_C
     eta = 1.0 / (c * c + 1.0)
     if eta == 0.0:
@@ -459,7 +463,8 @@ def run(config: dict, out_dir=None, strict: bool = False,
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="amhedge",
                                      description="Price and superhedge American "
                                                  "options on a defaultable lattice.")
@@ -471,7 +476,11 @@ def main(argv=None) -> int:
     price.add_argument("--dump-tree", action="store_true",
                        help="also write tree.json")
     price.add_argument("--out", default=None, help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         config = json.loads(Path(args.config).read_text())

@@ -46,7 +46,8 @@ class Driver:
     The market coefficients of t are ``state.coef``; ``state.lam`` is the
     effective intensity (0 after default). ``lipschitz_C`` is
     the constant C in the bound |dg| <= C * (|dy| + |dz| + sqrt(lam) * |dk|),
-    declared by the factory that built the driver.
+    declared by the factory that built the driver. The shipped drivers'
+    ``eval`` carries ``split`` and ``times`` (``split_eval``; see the README).
     """
 
     name: str
@@ -54,9 +55,20 @@ class Driver:
     lipschitz_C: float
 
 
-def _effective_k(k: float, state: NodeState) -> float:
-    # Jump exposure is meaningless where no default can occur.
-    return k if state.lam > 0.0 else 0.0
+def split_eval(split: Callable, times) -> Callable:
+    """The ``eval`` g(t, y, z, k, state) = split(t, z, k, state)(y), with
+    ``split`` and ``times`` (the breakpoints of g's own dependence on t beyond
+    ``state.coef``; None: unknown) attached."""
+    def g(t, y, z, k, state):
+        return split(t, z, k, state)(y)
+    g.split, g.times = split, times
+    return g
+
+
+def split_of(driver: Driver) -> Callable:
+    """``driver.eval.split``, or a split form that calls ``eval`` on each y."""
+    g = driver.eval
+    return getattr(g, "split", None) or (lambda t, z, k, state: lambda y: g(t, y, z, k, state))
 
 
 def perfect_driver(params: MarketParams) -> Driver:
@@ -68,13 +80,14 @@ def perfect_driver(params: MarketParams) -> Driver:
     so no division by the intensity is ever performed; the k term is dropped
     wherever the node intensity is zero.
     """
-    def g(t, y, z, k, state):
+    def split(t, z, k, state):
         c = state.coef
         th1 = (c.mu1 - c.r) / c.sigma1
-        val = -c.r * y - th1 * z
+        neg_r, z_term = -c.r, th1 * z
         if state.lam > 0.0:
-            val -= (c.sigma2 * th1 - c.mu2 + c.r) * k  # theta2 * lam
-        return val
+            k_term = (c.sigma2 * th1 - c.mu2 + c.r) * k  # theta2 * lam
+            return lambda y: neg_r * y - z_term - k_term
+        return lambda y: neg_r * y - z_term
 
     bound = 0.0
     for c in map(params.at, merged_breakpoints(params.r, params.mu1, params.mu2,
@@ -85,7 +98,7 @@ def perfect_driver(params: MarketParams) -> Driver:
             ck = c.sigma2 * th1 - c.mu2 + c.r
             piece += abs(ck) / math.sqrt(c.lam)  # |theta2| * sqrt(lam)
         bound = max(bound, piece)
-    return Driver(name="perfect", eval=g, lipschitz_C=bound)
+    return Driver(name="perfect", eval=split_eval(split, ()), lipschitz_C=bound)
 
 
 def borrow_lend_driver(params: MarketParams, borrow_rate) -> Driver:
@@ -102,16 +115,19 @@ def borrow_lend_driver(params: MarketParams, borrow_rate) -> Driver:
     if not all(map(math.isfinite, R.values)):
         raise ValueError(f"borrow rate must be finite, got {list(R.values)}")
 
-    def g(t, y, z, k, state):
+    def split(t, z, k, state):
         c = state.coef
-        val = base.eval(t, y, z, k, state)
-        k_eff = _effective_k(k, state)
-        phi1 = (z + c.sigma2 * k_eff) / c.sigma1
-        phi2 = -k_eff
-        excess = phi1 + phi2 - y
-        # The charge is added only where the excess is positive; the mask
-        # keeps the arithmetic elementwise for rows and floats alike.
-        return val + (R.at(t) - c.r) * (excess * (excess > 0.0))
+        base_y = base.eval.split(t, z, k, state)
+        k_eff = k if state.lam > 0.0 else 0.0  # no jump exposure where no default can occur
+        held = (z + c.sigma2 * k_eff) / c.sigma1 + -k_eff  # phi1 + phi2
+        spread = R.at(t) - c.r
+
+        def g(y):
+            excess = held - y
+            # The charge is added only where the excess is positive; the mask
+            # keeps the arithmetic elementwise for rows and floats alike.
+            return base_y(y) + spread * (excess * (excess > 0.0))
+        return g
 
     extra = 0.0
     times = merged_breakpoints(R, params.r, params.sigma1, params.sigma2, params.lam)
@@ -123,7 +139,8 @@ def borrow_lend_driver(params: MarketParams, borrow_rate) -> Driver:
         if c.lam > 0.0:
             piece += spread * abs(c.sigma2 / c.sigma1 - 1.0) / math.sqrt(c.lam)
         extra = max(extra, piece)
-    return Driver(name="borrow_lend", eval=g, lipschitz_C=base.lipschitz_C + extra)
+    return Driver(name="borrow_lend", eval=split_eval(split, R.times),
+                  lipschitz_C=base.lipschitz_C + extra)
 
 
 def large_trader_driver(params: MarketParams, alpha: float, gamma_bar: float) -> Driver:
@@ -145,16 +162,15 @@ def large_trader_driver(params: MarketParams, alpha: float, gamma_bar: float) ->
     alpha = float(alpha)
     gamma_bar = float(gamma_bar)
 
-    def g(t, y, z, k, state):
+    def split(t, z, k, state):
         c = state.coef
-        k_eff = _effective_k(k, state)
+        k_eff = k if state.lam > 0.0 else 0.0
         phi1 = (z + c.sigma2 * k_eff) / c.sigma1
         phi2 = -k_eff
         rbar = c.r + alpha * phi1
-        return (-rbar * y
-                - phi1 * (c.mu1 - rbar)
-                - phi2 * (c.mu2 - rbar)
-                - gamma_bar * state.lam * phi2)
+        neg_rbar, t1, t2 = -rbar, phi1 * (c.mu1 - rbar), phi2 * (c.mu2 - rbar)
+        t3 = gamma_bar * state.lam * phi2
+        return lambda y: neg_rbar * y - t1 - t2 - t3
 
     a, by, bp = abs(alpha), WEALTH_BOUND, POSITION_BOUND
     bound = 0.0
@@ -166,7 +182,7 @@ def large_trader_driver(params: MarketParams, alpha: float, gamma_bar: float) ->
         if c.lam > 0.0:
             piece += ((c.sigma2 / c.sigma1) * g1 + g2 + abs(gamma_bar) * c.lam) / math.sqrt(c.lam)
         bound = max(bound, piece)
-    return Driver(name="large_trader", eval=g, lipschitz_C=bound)
+    return Driver(name="large_trader", eval=split_eval(split, ()), lipschitz_C=bound)
 
 
 # ---------------------------------------------------------------------------

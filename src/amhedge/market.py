@@ -161,10 +161,10 @@ class MarketParams:
                 raise ValueError(f"{name}: {exc}") from None
         if not self.T > 0.0:
             raise ValueError("T must be positive")
-        for name in ("r", "mu1", "mu2", "sigma1", "sigma2", "lam"):
-            for v in getattr(self, name).values:
-                if not math.isfinite(v):
-                    raise ValueError(f"{name} must be bounded (finite values)")
+        for name in ("r", "mu1", "mu2", "sigma1", "sigma2", "lam", "s1_0", "s2_0", "T"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, getattr(value, "values", [value]))):
+                raise ValueError(f"{name} must be bounded (finite values)")
         if any(v <= 0.0 for v in self.sigma1.values):
             raise ValueError("sigma1 must be positive everywhere")
         if any(v <= 0.0 for v in self.sigma2.values):

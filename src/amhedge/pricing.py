@@ -14,8 +14,10 @@ convention (flags below a stopped node are never consulted).
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -127,6 +129,10 @@ def _require_gamma(tree: Tree, driver: Driver) -> None:
     # state dependent can satisfy the floor near the origin yet breach it
     # at the wealth and exposure levels the solver actually visits.
     steps = [(tree.time(i), tree.coef[i]) for i in range(max(tree.n_steps, 1))]
+    if (times := getattr(driver.eval, "times", None)) is not None:
+        # g moves with t only through the Coefs record and ``times``: sample each piece once
+        steps = sorted({(struct.pack("6d", *c), bisect.bisect_right(times, t)): (t, c)
+                        for t, c in reversed(steps)}.values())
     scale = 1.0 + max(abs(tree.params.s1_0), abs(tree.params.s2_0))
     points = (-scale, -1.0, 0.0, 1.0, scale)
     samples = gamma_rows(tree.params, steps=steps, ys=points, zs=points, ks=points)

@@ -10,7 +10,8 @@ The end of the file keeps the scalar references of the forward wealth
 simulation, of the superhedge checks, of the obstacle, of the sampled
 driver checks, of the eps-triggered exercise rule, of the rule
 enumeration's best value, of the rationality check and of the stability
-estimate.
+estimate, and the shipped generators' formulas as single functions of
+(t, y, z, k, state).
 """
 
 import functools
@@ -25,7 +26,7 @@ from amhedge.bsde import (ConvergenceError, coefficients, g_evaluation, implicit
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.hedging import SUPERHEDGE_TOL, HedgeReport
-from amhedge.market import MarketParams, PiecewiseConstant, build_tree
+from amhedge.market import MarketParams, PiecewiseConstant, as_piecewise, build_tree
 from amhedge.oracle import AprioriReport, _stop_flags
 from amhedge.payoffs import call, payoff_from_config, put
 from amhedge.pricing import A_ZERO_TOL, EQUALITY_RTOL, RationalityReport, phi_inverse
@@ -641,3 +642,59 @@ def scalar_apriori_estimate(sol1, sol2, eta: float, beta: float) -> AprioriRepor
         report.zk_norm_rhs = zk_rhs
         report.zk_norm_violation = max(0.0, zk_norm - zk_rhs)
     return report
+
+
+# ---------------------------------------------------------------------------
+# Reference generators: the formulas of the shipped drivers as they read
+# before their split forms, one function g(t, y, z, k, state) each. The
+# split forms must give the same bits.
+# ---------------------------------------------------------------------------
+
+def _effective_k(k: float, state) -> float:
+    # Jump exposure is meaningless where no default can occur.
+    return k if state.lam > 0.0 else 0.0
+
+
+def reference_perfect_g(params: MarketParams):
+    def g(t, y, z, k, state):
+        c = state.coef
+        th1 = (c.mu1 - c.r) / c.sigma1
+        val = -c.r * y - th1 * z
+        if state.lam > 0.0:
+            val -= (c.sigma2 * th1 - c.mu2 + c.r) * k  # theta2 * lam
+        return val
+    return g
+
+
+def reference_borrow_lend_g(params: MarketParams, borrow_rate):
+    base = Driver(name="perfect", eval=reference_perfect_g(params), lipschitz_C=0.0)
+    R = as_piecewise(borrow_rate)
+
+    def g(t, y, z, k, state):
+        c = state.coef
+        val = base.eval(t, y, z, k, state)
+        k_eff = _effective_k(k, state)
+        phi1 = (z + c.sigma2 * k_eff) / c.sigma1
+        phi2 = -k_eff
+        excess = phi1 + phi2 - y
+        # The charge is added only where the excess is positive; the mask
+        # keeps the arithmetic elementwise for rows and floats alike.
+        return val + (R.at(t) - c.r) * (excess * (excess > 0.0))
+    return g
+
+
+def reference_large_trader_g(params: MarketParams, alpha: float, gamma_bar: float):
+    alpha = float(alpha)
+    gamma_bar = float(gamma_bar)
+
+    def g(t, y, z, k, state):
+        c = state.coef
+        k_eff = _effective_k(k, state)
+        phi1 = (z + c.sigma2 * k_eff) / c.sigma1
+        phi2 = -k_eff
+        rbar = c.r + alpha * phi1
+        return (-rbar * y
+                - phi1 * (c.mu1 - rbar)
+                - phi2 * (c.mu2 - rbar)
+                - gamma_bar * state.lam * phi2)
+    return g

@@ -395,6 +395,29 @@ class TestMain:
         assert capsys.readouterr().err == (f"config error: {field}: [Errno {code}] "
                                            f"{os.strerror(code)}: {str(tmp_path / failing)!r}\n")
 
+    @pytest.mark.parametrize("argv,code", [([], 2), (["price"], 2), (["price", "a", "--bogus"], 2),
+                                           (["--help"], 0), (["price", "--help"], 0)])
+    def test_usage_errors_and_help_repeat_on_every_call(self, capsys, argv, code):
+        # The parser is built once per process and reused by every call.
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                main(list(argv))
+            assert stop.value.code == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert (outputs[0].out if code == 0 else outputs[0].err).startswith("usage: amhedge")
+
+    @pytest.mark.parametrize("field", ["s1_0", "s2_0", "T"])
+    def test_non_finite_price_or_horizon_exits_2_naming_it(self, tmp_path, capsys, field):
+        cfg = copy.deepcopy(README_JOB)
+        cfg["market"][field] = math.inf  # json writes and reads Infinity
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(cfg))
+        assert main(["price", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: market: {field} must be bounded "
+                                           "(finite values)\n")
+
     @pytest.mark.parametrize("dump_tree", [False, True])
     def test_overflowing_lattice_exits_2_naming_the_price(self, tmp_path, capsys, dump_tree):
         cfg = copy.deepcopy(README_JOB)

@@ -1,11 +1,17 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amhedge.drivers import (POSITION_BOUND, WEALTH_BOUND, Driver, admissibility_rows,
                              borrow_lend_driver, check_gamma_assumption,
                              check_lambda_admissible, gamma_rows, large_trader_driver,
                              perfect_driver)
-from amhedge.market import MarketParams, NodeState
-from helpers import eight_steps
+from amhedge.market import MarketParams, NodeState, PiecewiseConstant
+from helpers import (eight_steps, float_bits, reference_borrow_lend_g, reference_large_trader_g,
+                     reference_perfect_g)
 
 
 def flat_params(**overrides):
@@ -235,3 +241,77 @@ class TestDefaultIndependenceInvariant:
         for g in drivers:
             for k in (-3.0, -1.0, 2.0, 10.0):
                 assert g.eval(0.4, 1.5, -0.7, k, s) == g.eval(0.4, 1.5, -0.7, 0.0, s)
+
+
+# ---------------------------------------------------------------------------
+# Split forms: eval and eval.split give the bits of the reference formulas
+# ---------------------------------------------------------------------------
+
+SPLIT_MARKETS = ("const", "lam_zero", "piecewise")
+PIECEWISE_R = PiecewiseConstant([0.07, 0.1, 0.08], times=[0.0, 0.25, 0.7])
+SPLIT_DRIVERS = {  # factory, reference, times
+    "perfect": (perfect_driver, reference_perfect_g, lambda p: ()),
+    "borrow_lend": (lambda p: borrow_lend_driver(p, 0.07),
+                    lambda p: reference_borrow_lend_g(p, 0.07), lambda p: (0.0,)),
+    "borrow_lend_piecewise_R": (lambda p: borrow_lend_driver(p, PIECEWISE_R),
+                                lambda p: reference_borrow_lend_g(p, PIECEWISE_R),
+                                lambda p: PIECEWISE_R.times),
+    "large_trader": (lambda p: large_trader_driver(p, 8e-4, 0.3),
+                     lambda p: reference_large_trader_g(p, 8e-4, 0.3), lambda p: ()),
+    "large_trader_flat": (lambda p: large_trader_driver(p, 0.0, -0.0),
+                          lambda p: reference_large_trader_g(p, 0.0, -0.0), lambda p: ()),
+}
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 1e308, -5e-324)
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def split_market(style) -> MarketParams:
+    base = dict(r=0.05, mu1=0.07, mu2=-0.0, sigma1=0.2, sigma2=0.25, lam=0.2,
+                s1_0=100.0, s2_0=80.0, T=1.0)
+    if style == "lam_zero":
+        base.update(lam=0.0)
+    elif style == "piecewise":
+        base.update(r=PiecewiseConstant([0.05, -0.0, 0.03], times=[0.0, 0.3, 0.6]),
+                    sigma1=PiecewiseConstant([0.2, 0.3], times=[0.0, 0.5]),
+                    lam=PiecewiseConstant([0.2, 0.0, 0.4], times=[0.0, 0.4, 0.8]))
+    return MarketParams(**base)
+
+
+def value_bits(value) -> tuple:
+    """The type and, elementwise, the IEEE bytes of a driver's value. A float
+    NaN counts as one value: which NaN CPython's float arithmetic returns
+    (sign and payload) changes once the interpreter specialises the
+    operation, so the same formula gives different NaN bits from call to call."""
+    if isinstance(value, np.ndarray):
+        return np.ndarray, value.dtype, value.shape, value.tobytes()
+    return type(value), "nan" if math.isnan(value) else float_bits(value)
+
+
+class TestSplitForms:
+    @pytest.mark.parametrize("kind", sorted(SPLIT_DRIVERS))
+    def test_times_declare_the_drivers_own_breakpoints(self, kind):
+        factory, _, times = SPLIT_DRIVERS[kind]
+        params = split_market("piecewise")
+        assert factory(params).eval.times == times(params)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(sorted(SPLIT_DRIVERS)), style=st.sampled_from(SPLIT_MARKETS),
+           t=st.sampled_from([0.0, 0.25, 0.3, 0.4, 0.5, 0.65, 0.7, 0.8, 0.99]),
+           defaulted=st.booleans(), data=st.data())
+    def test_eval_and_split_equal_the_reference_bit_for_bit(self, kind, style, t, defaulted,
+                                                            data):
+        factory, reference, _ = SPLIT_DRIVERS[kind]
+        params = split_market(style)
+        driver, g = factory(params), reference(params)
+        coef = params.at(t)
+        state = NodeState(t, 1.0, 100.0, 0.0 if defaulted else 80.0,
+                          0.0 if defaulted else coef.lam, defaulted, coef)
+        m = data.draw(st.integers(1, 6), label="m")
+        y, z, k = (data.draw(st.lists(VALUES, min_size=m, max_size=m), label=name)
+                   for name in "yzk")
+        rows = tuple(np.array(v) for v in (y, z, k))
+        with np.errstate(all="ignore"):
+            for y_, z_, k_ in (rows, (y[0], z[0], k[0])):  # rows, then floats
+                want = value_bits(g(t, y_, z_, k_, state))
+                assert value_bits(driver.eval(t, y_, z_, k_, state)) == want
+                assert value_bits(driver.eval.split(t, z_, k_, state)(y_)) == want

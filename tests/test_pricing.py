@@ -6,10 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amhedge import hedging, rbsde
+from amhedge import hedging, pricing, rbsde
 from amhedge.bsde import ConvergenceError, g_evaluation
 from amhedge.cli import canonical_json, report_to_dict
-from amhedge.drivers import Driver, borrow_lend_driver, large_trader_driver, perfect_driver
+from amhedge.drivers import (Driver, borrow_lend_driver, large_trader_driver, perfect_driver,
+                             split_eval)
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.payoffs import put
 from amhedge.oracle import brute_force_seller_value, enumerate_stopping_rules
@@ -112,6 +113,86 @@ class TestSellerPrice:
         for node, phi2 in result.strategy.phi2.items():
             if inst.tree.nodes[node].defaulted:
                 assert phi2 == 0.0
+
+
+class TestPrecheckSampling:
+    """The price precheck samples one state per distinct (coefficient record,
+    piece of ``eval.times``), at its first step, and every step of a driver
+    that declares no ``times``."""
+
+    STEPWISE_R = PiecewiseConstant([0.07, 0.08, 0.09], times=[0.0, 0.25, 0.75])
+
+    @staticmethod
+    def precheck(monkeypatch, tree, driver) -> tuple:
+        """The samples handed to the check and its report (or the error raised)."""
+        handed = []
+
+        def spy(d, samples):
+            handed.append(list(samples))
+            return check(d, handed[-1])
+
+        check = pricing.check_gamma_assumption
+        monkeypatch.setattr(pricing, "check_gamma_assumption", spy)
+        try:
+            pricing._require_gamma(tree, driver)
+        except ValueError as exc:
+            return handed[0], exc
+        return handed[0], None
+
+    @pytest.mark.parametrize("market,kind,first_steps", [
+        ("const", "perfect", [0]), ("const", "borrow_lend", [0]), ("const", "large_trader", [0]),
+        ("piecewise", "perfect", [0, 4]), ("piecewise", "borrow_lend", [0, 4]),
+        ("piecewise", "large_trader", [0, 4]), ("const", "borrow_lend_stepwise_R", [0, 3, 8]),
+        ("signed_zero_r", "perfect", [0, 5])])
+    def test_shipped_drivers_are_sampled_once_per_piece(self, monkeypatch, market, kind,
+                                                         first_steps):
+        # The piecewise market's intensity is 0 from t = 0.5, where no state is
+        # sampled; a rate of 0.0 then -0.0 makes two records, which compare equal.
+        params = (flat_params(r=PiecewiseConstant([0.0, -0.0], times=[0.0, 0.5]), lam=0.2)
+                  if market == "signed_zero_r" else style_params(market, 0.05, 0.25))
+        driver = {"perfect": lambda: perfect_driver(params),
+                  "borrow_lend": lambda: borrow_lend_driver(params, 0.08),
+                  "borrow_lend_stepwise_R": lambda: borrow_lend_driver(params, self.STEPWISE_R),
+                  "large_trader": lambda: large_trader_driver(params, 0.0, 0.3)}[kind]()
+        tree = build_tree(params, 10)
+        samples, error = self.precheck(monkeypatch, tree, driver)
+        assert error is None
+        assert [round(state.t / tree.dt) for state, *_ in samples] == first_steps
+        # The smallest ratio and its state are those of sampling every step.
+        every = dataclasses.replace(driver, eval=split_eval(driver.eval.split, None))
+        all_samples, _ = self.precheck(monkeypatch, tree, every)
+        assert len(all_samples) == sum(c.lam > 0.0 for c in tree.coef[:-1]) > len(samples)
+        want = pricing.check_gamma_assumption(every, all_samples)
+        got = pricing.check_gamma_assumption(driver, samples)
+        assert (got.min_ratio, got.worst[0]) == (want.min_ratio, want.worst[0])
+
+    def test_a_driver_without_times_is_sampled_at_every_step(self, monkeypatch):
+        params = style_params("const", 0.05, 0.25)
+        tree = build_tree(params, 10)
+        plain = Driver(name="plain", eval=lambda t, y, z, k, s: -0.5 * s.lam * k + 0.0 * y,
+                       lipschitz_C=1.0)
+        split = perfect_driver(params).eval.split
+        for driver in (plain, Driver(name="split", eval=split_eval(split, None),
+                                     lipschitz_C=1.0)):
+            samples, error = self.precheck(monkeypatch, tree, driver)
+            assert error is None and len(samples) == 10
+
+    def test_a_breach_at_one_step_inside_a_piece_is_rejected(self, monkeypatch):
+        params = style_params("const", 0.05, 0.25)
+        tree = build_tree(params, 10)
+        t5, t6 = tree.time(5), tree.time(6)
+
+        def split(t, z, k, s):
+            w = -2.0 if t5 <= t < t6 else 0.0  # ratio -2 at step 5 alone
+            return lambda y: w * s.lam * k + 0.0 * y
+
+        undeclared = Driver(name="undeclared", eval=lambda t, y, z, k, s: split(t, z, k, s)(y),
+                            lipschitz_C=1.0)
+        declared = Driver(name="declared", eval=split_eval(split, (t5, t6)), lipschitz_C=1.0)
+        for driver, count in ((undeclared, 10), (declared, 3)):
+            samples, error = self.precheck(monkeypatch, tree, driver)
+            assert len(samples) == count
+            assert "min sampled ratio -2 <= -1" in str(error)
 
 
 class TestBuyerPrice:

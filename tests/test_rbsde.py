@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amhedge.bsde import ConvergenceError, one_step, solve_bsde
+from amhedge.bsde import ConvergenceError, implicit_value, one_step, solve_bsde
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.pricing import rational_exercise_times
 from amhedge.rbsde import (Obstacle, skorokhod_residual, solve_rbsde_lower,
-                           solve_rbsde_upper)
+                           solve_rbsde_upper, solve_reflected)
 from helpers import (DRIVER_KINDS, at_times, dict_rows, float_bits, make_driver, make_instance,
                      named_payoff, negated, random_payoff, scalar_cumulative_charge,
                      scalar_gamma_scan, scalar_is_rational, style_params)
@@ -418,6 +419,40 @@ def assert_stats_match_scalar_counts(kind, side):
     assert stats.bound == sum(1 for charge in sol.delta_a.values() if charge > 0.0) > 0
     plain = solve_bsde(tree, driver, {n: obstacle.values[n] for n in tree.terminal_nodes()})
     assert plain.stats.nodes == stats.nodes and plain.stats.bound == 0
+
+
+@pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader_alpha"])
+def test_a_replaced_eval_is_the_one_the_solvers_call(kind):
+    # A split form belongs to the eval that carries it: replacing eval drops it,
+    # so the solvers call the new eval on each iterate, with the same results.
+    params = row_test_params("lam_drop")
+    driver = row_test_driver(kind, params)
+    tree = build_tree(params, 6)
+    obstacle = Obstacle.from_payoff(tree, random_payoff(np.random.default_rng(5)))
+    calls = []
+
+    def counted(t, y, z, k, state):
+        calls.append(np.size(y))
+        return driver.eval(t, y, z, k, state)
+
+    replaced = dataclasses.replace(driver, eval=counted)
+    assert not hasattr(replaced.eval, "split")
+    for solve in (lambda d: solve_reflected(tree, d, [(obstacle, "lower"),
+                                                      (negated(obstacle), "upper")]),
+                  lambda d: [solve_rbsde_lower(tree, d, obstacle)]):
+        calls.clear()
+        got = solve(replaced)
+        assert calls
+        for sol, ref in zip(got, solve(driver), strict=True):
+            assert sol.stats == ref.stats and sum(calls) >= sol.stats.driver_evals
+            for name in ("y_rows", "z_rows", "k_rows", "da_rows"):
+                for pair, ref_pair in zip(getattr(sol, name), getattr(ref, name), strict=True):
+                    assert [row.tobytes() for row in pair] == [row.tobytes() for row in ref_pair]
+    calls.clear()
+    state = tree.state((2, 1, 0))
+    got = implicit_value(replaced, state, tree.dt, 1.5, 0.3, -0.2)
+    assert calls and float_bits(got) == float_bits(implicit_value(driver, state, tree.dt, 1.5,
+                                                                  0.3, -0.2))
 
 
 @pytest.mark.parametrize("kind", ["borrow_lend", "large_trader_alpha"])
