@@ -8,8 +8,11 @@ PARENT_SRC and CHANGE_SRC are directories holding the ``amhedge`` package
 three workloads in ``perfbench/workloads.py`` runs, and after them the
 fixed ``EDGE_JOBS``: hedge and verify jobs on the README market whose
 stability-estimate check fails with a finite violation, which the
-workloads (they draw only jobs whose checks pass) never reach. Each job
-runs as ``amhedge price job.json --out out --dump-tree`` in a fresh Python
+workloads (they draw only jobs whose checks pass) never reach, and two
+price jobs whose intensity steps from 0.25 to 0 and from 0 to 0.25 at
+t = 0.5, so that ``tree.json`` holds alive rows whose branch count changes
+partway down the tree, which no workload job has. Each job runs as
+``amhedge price job.json --out out --dump-tree`` in a fresh Python
 process for each tree. The exit code, stderr, the set of output files and
 the bytes of ``report.json``, ``wealth.csv``, ``wealth_buyer.csv`` and
 ``tree.json`` must be equal. The first difference is named and the exit code is 1;
@@ -35,12 +38,14 @@ OUTPUTS = ("report.json", "wealth.csv", "wealth_buyer.csv", "tree.json")
 RUN_CLI = "import sys; from amhedge.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def edge_job(name: str, params: dict, n_steps: int) -> dict:
-    """A README-market put hedged and verified under one driver."""
+def edge_job(name: str, params: dict, n_steps: int, lam=0.25,
+             jobs=("hedge", "verify")) -> dict:
+    """A README-market put under one driver, hedged and verified unless ``jobs`` says
+    otherwise; ``lam`` is the intensity, a number or a piecewise block."""
     return {"market": {"r": 0.05, "mu1": 0.07, "mu2": -0.02, "sigma1": 0.2, "sigma2": 0.25,
-                       "lambda": 0.25, "s1_0": 100.0, "s2_0": 90.0, "T": 1.0},
+                       "lambda": lam, "s1_0": 100.0, "s2_0": 90.0, "T": 1.0},
             "grid": {"n_steps": n_steps}, "driver": {"name": name, "params": params},
-            "payoff": {"kind": "put", "strike": 105.0}, "jobs": ["hedge", "verify"],
+            "payoff": {"kind": "put", "strike": 105.0}, "jobs": list(jobs),
             "verify": ["superhedge", "apriori", "skorokhod"], "seed": 0}
 
 
@@ -48,6 +53,8 @@ EDGE_JOBS = [
     *(edge_job("large_trader", {"alpha": 5e-4, "gamma_bar": 0.2}, n) for n in (8, 12)),
     edge_job("borrow_lend", {"R": 1.0}, 16),
     *(edge_job("borrow_lend", {"R": rate}, 32) for rate in (2.0, 2.3)),
+    *(edge_job("borrow_lend", {"R": 0.07}, 16, {"values": values, "times": [0.0, 0.5]},
+               ["price"]) for values in ([0.25, 0.0], [0.0, 0.25])),
 ]
 
 

@@ -77,13 +77,33 @@ class NodeTable(NamedTuple):
 def _table_json(table: NodeTable) -> str:
     names = sorted(table.columns)
     values = np.column_stack([table.columns[name] for name in names]).ravel()
-    bad = ~np.isfinite(values)
-    if bad.any():
-        _fmt_float(float(values[bad.argmax()]))  # raises, naming the first one
+    for bad in values[~np.isfinite(values)][:1]:
+        _fmt_float(float(bad))  # raises, naming the first one
     # "%.17g" formats as _fmt_float does; adding 0.0 turns -0.0 into 0.
     entry = ": {" + ", ".join(f"{_encode_str(name)}: %.17g" for name in names) + "}"
     body = (entry + ", ").join(map(_encode_str, table.keys)) + entry if table.keys else ""
     return "{" + body % tuple((values + 0.0).tolist()) + "}"
+
+
+def _tree_json(tree) -> str:
+    """tree.json from the level rows: each row's constants formatted once, then its nodes."""
+    entries = []  # row order; %d and %.17g: each node's up count, child up counts, s1, s2
+    for i, rows in enumerate(tree.row_branches + [((), ())]):
+        for d, branches in enumerate(rows):
+            links = ", ".join('{"child": "%d,%%d,%d", "dm": %s, "dw": %s, "kind": "%s", "prob": %s}'
+                              % (i + 1, b.child[2], _fmt_float(b.dm), _fmt_float(b.dw), b.kind,
+                                 _fmt_float(b.prob)) for b in branches)
+            entry = ('"%d,%%d,%d": {%s"defaulted": %s, "lam": %s, "s0": %s, "s1": %%.17g, '
+                     '"s2": %%.17g}' % (i, d, f'"branches": [{links}], ' if branches else "",
+                     "true" if d else "false", _fmt_float(0.0 if d else tree.coef[i].lam),
+                     _fmt_float(tree.s0[i])))
+            values = np.concatenate((tree.s1[i][d], tree.s2[i][d])) + 0.0
+            for bad in values[~np.isfinite(values)][:1]:
+                _fmt_float(float(bad))  # raises, naming the first one
+            entries += [entry % (j, *(j + b.child[1] for b in branches), x, y)
+                        for j, (x, y) in enumerate(zip(*values.reshape(2, -1).tolist()))]
+    nodes = ", ".join([entries[p] for p in tree.orders[1].tolist()])
+    return f'{{"dt": {_fmt_float(tree.dt)}, "n_steps": {tree.n_steps}, "nodes": {{{nodes}}}}}\n'
 
 
 def canonical_json(obj) -> str:
@@ -185,8 +205,9 @@ def parse_config(config: dict) -> dict:
         if key not in config:
             raise ConfigError(f"{key}: required")
 
+    market = config["market"] if isinstance(config["market"], dict) else _bad("market")
     try:
-        params = MarketParams.from_dict(config["market"])
+        params = MarketParams.from_dict(market)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"market: {exc}") from None
 
@@ -204,9 +225,8 @@ def parse_config(config: dict) -> dict:
             f"{Decimal((n_steps + 1) ** 2):.3g} lattice nodes, over the cap of "
             f"{MAX_STEPS} steps ({Decimal((MAX_STEPS + 1) ** 2):.3g} nodes)")
 
-    driver = build_driver(params, config["driver"]
-                          if isinstance(config["driver"], dict)
-                          else _bad("driver"))
+    driver = config["driver"] if isinstance(config["driver"], dict) else _bad("driver")
+    driver = build_driver(params, driver)
     try:
         payoff = payoff_from_config(config["payoff"])
     except ValueError as exc:
@@ -443,7 +463,7 @@ def run(config: dict, out_dir=None, strict: bool = False,
             raise ConfigError(f"market: {exc}") from None
         document = _run_jobs(job, tree, Obstacle.from_payoff(tree, job["payoff"]), out)
         if dump_tree:
-            (out / "tree.json").write_text(canonical_json(tree.to_dict()))
+            (out / "tree.json").write_text(_tree_json(tree))
         (out / "report.json").write_text(canonical_json(document))
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

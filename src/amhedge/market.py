@@ -181,10 +181,10 @@ class MarketParams:
         required = ["r", "mu1", "mu2", "sigma1", "sigma2", "lam", "s1_0", "s2_0", "T"]
         missing = [k for k in required if k not in d]
         if missing:
-            raise ValueError(f"market: missing field(s) {missing}")
+            raise ValueError(f"missing field(s) {missing}")
         extra = [k for k in d if k not in required]
         if extra:
-            raise ValueError(f"market: unknown field(s) {extra}")
+            raise ValueError(f"unknown field(s) {extra}")
         return cls(**{k: d[k] for k in required})
 
     def at(self, t: float) -> Coefs:
@@ -315,26 +315,6 @@ class Tree:
         rank = np.argsort(sorted(range(self.n_steps + 1), key=str))  # place in key order
         return (np.lexsort((row % 2, up, row // 2)),
                 np.lexsort((row % 2, rank[up], rank[row // 2])))
-
-    def to_dict(self) -> dict:
-        """JSON-ready document: step count, step size, node and branch tables."""
-        table = {}
-        for node, data in self.nodes.items():
-            entry = {
-                "s0": data.s0,
-                "s1": data.s1,
-                "s2": data.s2,
-                "lam": data.lam,
-                "defaulted": bool(data.defaulted),
-            }
-            if node in self.branches:
-                entry["branches"] = [
-                    {"child": node_key(b.child), "prob": b.prob, "dw": b.dw,
-                     "dm": b.dm, "kind": b.kind}
-                    for b in self.branches[node]
-                ]
-            table[node_key(node)] = entry
-        return {"n_steps": self.n_steps, "dt": self.dt, "nodes": table}
 
 
 def node_key(node: NodeId) -> str:

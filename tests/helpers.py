@@ -10,8 +10,8 @@ The end of the file keeps the scalar references of the forward wealth
 simulation, of the superhedge checks, of the obstacle, of the sampled
 driver checks, of the eps-triggered exercise rule, of the rule
 enumeration's best value, of the rationality check and of the stability
-estimate, and the shipped generators' formulas as single functions of
-(t, y, z, k, state).
+estimate, the shipped generators' formulas as single functions of
+(t, y, z, k, state), and the node-dict document of ``tree.json``.
 """
 
 import functools
@@ -26,7 +26,8 @@ from amhedge.bsde import (ConvergenceError, coefficients, g_evaluation, implicit
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.hedging import SUPERHEDGE_TOL, HedgeReport
-from amhedge.market import MarketParams, PiecewiseConstant, as_piecewise, build_tree
+from amhedge.market import (MarketParams, PiecewiseConstant, as_piecewise, build_tree,
+                            node_key)
 from amhedge.oracle import AprioriReport, _stop_flags
 from amhedge.payoffs import call, payoff_from_config, put
 from amhedge.pricing import A_ZERO_TOL, EQUALITY_RTOL, RationalityReport, phi_inverse
@@ -698,3 +699,30 @@ def reference_large_trader_g(params: MarketParams, alpha: float, gamma_bar: floa
                 - phi2 * (c.mu2 - rbar)
                 - gamma_bar * state.lam * phi2)
     return g
+
+
+# ---------------------------------------------------------------------------
+# Reference for tree.json: the node-dict document that ``canonical_json``
+# serialised before amhedge.cli wrote the file from the level rows. The two
+# must give the same bytes.
+# ---------------------------------------------------------------------------
+
+def reference_tree_dict(tree) -> dict:
+    """JSON-ready document: step count, step size, node and branch tables."""
+    table = {}
+    for node, data in tree.nodes.items():
+        entry = {
+            "s0": data.s0,
+            "s1": data.s1,
+            "s2": data.s2,
+            "lam": data.lam,
+            "defaulted": bool(data.defaulted),
+        }
+        if node in tree.branches:
+            entry["branches"] = [
+                {"child": node_key(b.child), "prob": b.prob, "dw": b.dw,
+                 "dm": b.dm, "kind": b.kind}
+                for b in tree.branches[node]
+            ]
+        table[node_key(node)] = entry
+    return {"n_steps": tree.n_steps, "dt": tree.dt, "nodes": table}

@@ -16,11 +16,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from amhedge import hedging, rbsde
+from amhedge import cli, hedging, rbsde
 from amhedge.drivers import Driver
 from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, MAX_STEPS,
-                         ConfigError, NodeTable, canonical_json, main,
+                         ConfigError, NodeTable, _tree_json, canonical_json, main,
                          parse_config, run)
+from amhedge.market import MarketParams, build_tree, node_key
+from helpers import reference_tree_dict
 
 # The example job document of the README.
 README_JOB = {
@@ -82,6 +84,61 @@ class TestCanonicalJson:
                                                "phi2": np.array([math.nan, 0.0])})
         with pytest.raises(ValueError, match="non-finite value nan"):
             canonical_json(table)
+
+
+# The intensity of a tree.json market: none, constant, or a step at t = 0.5
+# that turns the default branch off or on partway down the tree.
+DUMP_LAMBDAS = {"zero": 0.0, "constant": 0.25,
+                "to_zero": {"values": [0.25, 0.0], "times": [0.0, 0.5]},
+                "from_zero": {"values": [0.0, 0.25], "times": [0.0, 0.5]}}
+
+
+class TestTreeJson:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lam=st.sampled_from(sorted(DUMP_LAMBDAS)), r=st.sampled_from([0.05, 0.0, -0.0]),
+           mu2=st.floats(-0.1, 0.1), sigma1=st.floats(0.1, 0.4),
+           s1_0=st.floats(50.0, 150.0), n_steps=st.integers(1, 12))
+    @example(lam="to_zero", r=-0.0, mu2=0.0, sigma1=0.2, s1_0=100.0, n_steps=12)
+    @example(lam="from_zero", r=0.05, mu2=-0.02, sigma1=0.2, s1_0=100.0, n_steps=3)
+    def test_dump_equals_the_node_dict_document(self, lam, r, mu2, sigma1, s1_0, n_steps):
+        params = MarketParams(r=r, mu1=0.07, mu2=mu2, sigma1=sigma1, sigma2=0.25,
+                              lam=DUMP_LAMBDAS[lam], s1_0=s1_0, s2_0=90.0, T=1.0)
+        tree = build_tree(params, n_steps)
+        assert _tree_json(tree) == canonical_json(reference_tree_dict(tree))
+
+    def test_round_trips_structure(self, tmp_path):
+        cfg = minimal_config(grid={"n_steps": 3})
+        cfg["market"]["lambda"] = 0.2
+        assert run(cfg, out_dir=tmp_path, dump_tree=True) == EXIT_OK
+        doc = json.loads((tmp_path / "tree.json").read_text())
+        assert doc["n_steps"] == 3
+        tree = build_tree(MarketParams.from_dict(cfg["market"]), 3)
+        assert doc["dt"] == tree.dt
+        assert sorted(doc["nodes"]) == sorted(map(node_key, tree.nodes)) and len(tree.nodes) == 16
+        root = doc["nodes"]["0,0,0"]
+        assert root["s1"] == 100.0
+        assert len(root["branches"]) == 3
+        assert root["branches"][2]["kind"] == "default"
+        terminal = doc["nodes"]["3,0,0"]
+        assert "branches" not in terminal
+
+    def test_rejects_non_finite(self):
+        tree = build_tree(MarketParams.from_dict(minimal_config()["market"]), 2)
+        tree.s2[2][0][1] = math.inf
+        with pytest.raises(ValueError, match="non-finite value inf"):
+            _tree_json(tree)
+
+    def test_price_job_builds_no_node_view(self, tmp_path, monkeypatch):
+        trees, build = [], cli.build_tree
+
+        def recording(*args):
+            trees.append(build(*args))
+            return trees[-1]
+
+        monkeypatch.setattr(cli, "build_tree", recording)
+        assert run(minimal_config(), out_dir=tmp_path, dump_tree=True) == EXIT_OK
+        assert (tmp_path / "tree.json").exists() and len(trees) == 1
+        assert not {"nodes", "branches", "levels"} & set(vars(trees[0]))
 
 
 class TestRun:
@@ -371,6 +428,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("market,message", [
+        (list(README_JOB["market"].items()), "must be an object"),  # [name, value] pairs
+        ("ab", "must be an object"),
+        (5, "must be an object"),
+        (None, "must be an object"),
+        ({k: v for k, v in README_JOB["market"].items() if k != "T"}, "missing field(s) ['T']"),
+        ({**README_JOB["market"], "rate": 0.05}, "unknown field(s) ['rate']"),
+    ], ids=["pairs", "string", "number", "null", "missing", "unknown"])
+    def test_bad_market_block_exits_2_naming_it_once(self, tmp_path, capsys, market, message):
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps({**README_JOB, "market": market}))
+        assert main(["price", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: market: {message}\n"
+
     # A file or a directory (a trailing "/") in the way of the outputs; the
     # location given by output_dir or --out, and the path the OS error names.
     @pytest.mark.parametrize("blocker,location,flag,code,failing", [
@@ -648,27 +719,33 @@ APRIORI_FAILING_JOB = _apriori_job({"name": "large_trader",
 @pytest.mark.parametrize("job,digests", [
     (README_JOB, {
         "report.json": "550a6846916be77811a0a87fc93c69956fa8990296d853ea16923a5cbf3797bd",
-        "wealth.csv": HEADER_ONLY_CSV, "wealth_buyer.csv": HEADER_ONLY_CSV}),
+        "wealth.csv": HEADER_ONLY_CSV, "wealth_buyer.csv": HEADER_ONLY_CSV,
+        "tree.json": "fd009eb564bf3b24d08a7ef0ff821b85b163957f237081b1a8da4848e37ff57f"}),
     (PIECEWISE_JOB, {
         "report.json": "da4da7fc9573c31af8eed29d7568f36e2dab7f674c3606f5571e0604f77c286e",
-        "wealth.csv": None, "wealth_buyer.csv": None}),
+        "wealth.csv": None, "wealth_buyer.csv": None,
+        "tree.json": "16470a31062bdd025185573d760d631da0823a308cbbf5668ec87df4c0a8a062"}),
     (EXPR_JOB, {
         "report.json": "d3a7228f65b48ec49b0e812b60b3866dd867d9a85a404212ce2575a0971d405f",
-        "wealth.csv": None, "wealth_buyer.csv": None}),
+        "wealth.csv": None, "wealth_buyer.csv": None,
+        "tree.json": "fae47f05077bbb75e4aa5b7d4b4ed9c20155e13676322d90cb4e1794fb7f8f28"}),
     (SAMPLED_JOB, {
         "report.json": "0aac01dc08a683e4760b558aeb21b77fa3fb474cf812741a8cb0dbff5e6cdf49",
-        "wealth.csv": HEADER_ONLY_CSV, "wealth_buyer.csv": HEADER_ONLY_CSV}),
+        "wealth.csv": HEADER_ONLY_CSV, "wealth_buyer.csv": HEADER_ONLY_CSV,
+        "tree.json": "82894a7b8f90cf15c53e217432762e68ba6621b2b6d208416478f8cfa23d732f"}),
     (CHECKS_JOB, {
         "report.json": "1e7914b0f24074020565f51f9309db29e06381205566b77a4efc2050c38f4846",
-        "wealth.csv": None, "wealth_buyer.csv": None}),
+        "wealth.csv": None, "wealth_buyer.csv": None,
+        "tree.json": "0be77b7d4d9e446470be600c40e138464e7beaa980e6347a0fbbe0da752fc292"}),
     (APRIORI_FAILING_JOB, {
         "report.json": "b8ff336920645258eb8154e6181a2831ec7b94704668fc690c4e62e9b8aedaa3",
-        "wealth.csv": HEADER_ONLY_CSV, "wealth_buyer.csv": HEADER_ONLY_CSV}),
+        "wealth.csv": HEADER_ONLY_CSV, "wealth_buyer.csv": HEADER_ONLY_CSV,
+        "tree.json": "fd009eb564bf3b24d08a7ef0ff821b85b163957f237081b1a8da4848e37ff57f"}),
 ], ids=["readme", "borrow_lend_piecewise_lambda_to_0", "large_trader_expr", "sampled_hedge",
         "call_sampled_checks", "apriori_violated"])
 def test_golden_bytes(tmp_path, job, digests):
     """Output files are byte-identical to those of earlier versions (sha256)."""
-    assert run(copy.deepcopy(job), out_dir=tmp_path) == EXIT_OK
+    assert run(copy.deepcopy(job), out_dir=tmp_path, dump_tree=True) == EXIT_OK
     for name, digest in digests.items():
         path = Path(tmp_path) / name
         got = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None

@@ -228,18 +228,3 @@ class TestNodePrices:
     def test_defaulted_price_is_zero(self):
         tree = build_tree(flat_params(lam=0.3), 3)
         assert tree.nodes[(2, 1, 1)].s2 == 0.0
-
-
-class TestSerialization:
-    def test_to_dict_round_trips_structure(self):
-        tree = build_tree(flat_params(lam=0.2), 3)
-        doc = tree.to_dict()
-        assert doc["n_steps"] == 3
-        assert doc["dt"] == tree.dt
-        assert len(doc["nodes"]) == len(tree.nodes)
-        root = doc["nodes"]["0,0,0"]
-        assert root["s1"] == 100.0
-        assert len(root["branches"]) == 3
-        assert root["branches"][2]["kind"] == "default"
-        terminal = doc["nodes"]["3,0,0"]
-        assert "branches" not in terminal
