@@ -6,12 +6,26 @@ every output byte.
 PARENT_SRC and CHANGE_SRC are directories holding the ``amhedge`` package
 (for example ``src`` of two checkouts). Every job of rounds 0 .. R-1 of the
 three workloads in ``perfbench/workloads.py`` runs, and after them the
-fixed ``EDGE_JOBS``: hedge and verify jobs on the README market whose
-stability-estimate check fails with a finite violation, which the
-workloads (they draw only jobs whose checks pass) never reach, and two
-price jobs whose intensity steps from 0.25 to 0 and from 0 to 0.25 at
-t = 0.5, so that ``tree.json`` holds alive rows whose branch count changes
-partway down the tree, which no workload job has. Each job runs as
+fixed ``EDGE_JOBS``, which reach what no workload job does:
+
+* hedge and verify jobs on the README market whose stability-estimate
+  check fails with a finite violation (the workloads draw only jobs whose
+  checks pass);
+* two price jobs whose intensity steps from 0.25 to 0 and from 0 to 0.25
+  at t = 0.5, so that ``tree.json`` holds alive rows whose branch count
+  changes partway down the tree;
+* a verify-only job (skorokhod, apriori, martingale, duality) at n = 4,
+  which solves the seller and the stability check's shifted seller each
+  in a sweep of one side;
+* the README put under ``borrow_lend`` R = 40 at n = 4, as a
+  price+hedge+verify and as a hedge+verify job: the buyer's solve
+  diverges at node (3, 0, 0) while the seller's alone converges, and both
+  exit 3;
+* a verify-only skorokhod job on a call K = 95 with no default
+  (lambda = 0), R = 2 and n = 2, whose seller alone diverges at node
+  (1, 0, 0) and exits 3.
+
+Each job runs as
 ``amhedge price job.json --out out --dump-tree`` in a fresh Python
 process for each tree. The exit code, stderr, the set of output files and
 the bytes of ``report.json``, ``wealth.csv``, ``wealth_buyer.csv`` and
@@ -38,15 +52,16 @@ OUTPUTS = ("report.json", "wealth.csv", "wealth_buyer.csv", "tree.json")
 RUN_CLI = "import sys; from amhedge.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def edge_job(name: str, params: dict, n_steps: int, lam=0.25,
-             jobs=("hedge", "verify")) -> dict:
-    """A README-market put under one driver, hedged and verified unless ``jobs`` says
-    otherwise; ``lam`` is the intensity, a number or a piecewise block."""
+def edge_job(name: str, params: dict, n_steps: int, lam=0.25, jobs=("hedge", "verify"),
+             payoff=("put", 105.0), verify=("superhedge", "apriori", "skorokhod")) -> dict:
+    """A README-market option under one driver, hedged and verified unless ``jobs`` says
+    otherwise; ``lam`` is the intensity, a number or a piecewise block, ``payoff`` the
+    ``(kind, strike)`` and ``verify`` the checks."""
     return {"market": {"r": 0.05, "mu1": 0.07, "mu2": -0.02, "sigma1": 0.2, "sigma2": 0.25,
                        "lambda": lam, "s1_0": 100.0, "s2_0": 90.0, "T": 1.0},
             "grid": {"n_steps": n_steps}, "driver": {"name": name, "params": params},
-            "payoff": {"kind": "put", "strike": 105.0}, "jobs": list(jobs),
-            "verify": ["superhedge", "apriori", "skorokhod"], "seed": 0}
+            "payoff": dict(zip(("kind", "strike"), payoff)), "jobs": list(jobs),
+            "verify": list(verify), "seed": 0}
 
 
 EDGE_JOBS = [
@@ -55,6 +70,12 @@ EDGE_JOBS = [
     *(edge_job("borrow_lend", {"R": rate}, 32) for rate in (2.0, 2.3)),
     *(edge_job("borrow_lend", {"R": 0.07}, 16, {"values": values, "times": [0.0, 0.5]},
                ["price"]) for values in ([0.25, 0.0], [0.0, 0.25])),
+    edge_job("borrow_lend", {"R": 0.07}, 4, jobs=["verify"],
+             verify=["skorokhod", "apriori", "martingale", "duality"]),
+    *(edge_job("borrow_lend", {"R": 40.0}, 4, jobs=jobs)
+      for jobs in (["price", "hedge", "verify"], ["hedge", "verify"])),
+    edge_job("borrow_lend", {"R": 2.0}, 2, lam=0.0, jobs=["verify"], payoff=("call", 95.0),
+             verify=["skorokhod"]),
 ]
 
 

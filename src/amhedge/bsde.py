@@ -140,21 +140,19 @@ def _values_on(source, nodes: Iterable) -> dict:
 
 
 def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k, row: tuple,
-                  first=None) -> tuple:
+                  first=None) -> np.ndarray:
     """``implicit_value`` over a (K, m) block (or a 1-D row) of the row
     ``(step, defaulted)``, handed to the driver flattened. Each element keeps
     the iterate at which it first passes the stopping test, so it equals the
-    scalar result. Returns the block, the iterations and their sum over the
-    elements, and counts each element's iterations in ``first`` (flat) if given."""
+    scalar result. Returns the block, and counts each element's iterations in
+    ``first`` (flat) if given."""
     shape = e.shape
     e = e.ravel()
     g = split_of(driver)(state.t, z.ravel(), k.ravel(), state)
     y = e
     out = np.empty_like(e)
     pending = np.ones(e.shape, dtype=bool)
-    left, total = e.size, 0
-    for it in range(1, PICARD_MAX_ITER + 1):
-        total += left
+    for _ in range(PICARD_MAX_ITER):
         if first is not None:
             first += pending
         y_new = e + g(y) * dt
@@ -162,9 +160,8 @@ def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k, row: tup
         passed = (residual <= PICARD_TOL * (1.0 + np.abs(y_new))) & pending
         np.copyto(out, y_new, where=passed)
         pending ^= passed
-        left = np.count_nonzero(pending)
-        if not left:
-            return out.reshape(shape), it, total
+        if not np.count_nonzero(pending):
+            return out.reshape(shape)
         y = y_new
     j = int(np.argmax(pending))
     raise ConvergenceError(
@@ -174,16 +171,13 @@ def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k, row: tup
 
 
 def _side_stats(K: int, rows: list, binds: list) -> list:
-    """``SolveStats`` of each of K sides from the ``(width, iterations,
-    iteration sum, first)`` of every swept row and, on reflected sides, where
-    the barrier bound. At K > 1 each side's counts are read from ``first``,
-    the iteration at which each element of the row's (K, m) block passed."""
+    """``SolveStats`` of each of K sides from the ``(width, first)`` of every
+    swept row and, on reflected sides, where the barrier bound. ``first``
+    holds the iteration at which each element of the row's (K, m) block
+    passed, so each side's counts are read from its block row."""
     if not rows:
         return [SolveStats(0, 0, 0.0, 0, 0)] * K
-    widths, iters, totals, firsts = zip(*rows)
-    if K == 1:
-        return [SolveStats(sum(widths), max(iters), sum(totals) / sum(widths),
-                           sum(map(int.__mul__, iters, widths)), sum(map(np.count_nonzero, binds)))]
+    widths, firsts = zip(*rows)
     widths = np.array(widths)
     first = np.concatenate([block.reshape(K, -1) for block in firsts], axis=1)
     bound = np.concatenate(binds, axis=1).sum(axis=1) if binds else [0] * K
@@ -230,16 +224,14 @@ def backward_sweep(tree: Tree, driver: Driver, sides: list) -> list:
                 e, z_row, k_row = coefficients(branches, children, tree.sq)
                 if len(branches) == 2:
                     k_row = zero[:, :m]
-                state = tree.row_state(i, d, *(np.concatenate([r] * K) if K > 1 else r
+                state = tree.row_state(i, d, *(np.concatenate([r] * K)
                                                for r in (s1, tree.s2[i][d])))
-                first = np.zeros(K * m, dtype=np.int8) if K > 1 else None  # for the stats
-                y_row, iters, total = _implicit_row(driver, state, tree.dt, e, z_row, k_row,
-                                                    (i, d), first)
-                work.append((m, iters, total, first))
+                first = np.zeros(K * m, dtype=np.int8)  # for the stats
+                y_row = _implicit_row(driver, state, tree.dt, e, z_row, k_row, (i, d), first)
+                work.append((m, first))
                 da_row = zero[:, :m]
                 if reflected:
-                    b = (sides[0][1][i][d][None] if K == 1
-                         else np.array([rows[i][d] for _, rows in sides]))
+                    b = np.array([rows[i][d] for _, rows in sides])
                     gap = b - y_row
                     bind = gap * orient > 0.0  # b > y on a lower side, b < y on an upper one
                     da_row = np.where(bind, np.abs(gap), 0.0)

@@ -112,12 +112,7 @@ def canonical_json(obj) -> str:
     append = out.append
 
     def emit(value):
-        kind = type(value)  # exact types first: floats, strings and dicts dominate
-        if kind is float:
-            append(_fmt_float(value))
-        elif kind is str:
-            append(_encode_str(value))
-        elif kind is NodeTable:
+        if isinstance(value, NodeTable):  # before the tuples
             append(_table_json(value))
         elif isinstance(value, dict):
             append("{")
@@ -128,6 +123,15 @@ def canonical_json(obj) -> str:
                 append(": ")
                 emit(value[key])
             append("}")
+        elif isinstance(value, (list, tuple)) and {*map(type, value)} <= {str}:
+            append("[" + ", ".join(map(_encode_str, value)) + "]")  # node key lists
+        elif isinstance(value, (list, tuple)):
+            append("[")
+            for i, item in enumerate(value):
+                if i:
+                    append(", ")
+                emit(item)
+            append("]")
         elif isinstance(value, bool):
             append("true" if value else "false")
         elif value is None:
@@ -138,15 +142,6 @@ def canonical_json(obj) -> str:
             append(_fmt_float(value))
         elif isinstance(value, str):
             append(_encode_str(value))
-        elif isinstance(value, (list, tuple)) and {*map(type, value)} <= {str}:
-            append("[" + ", ".join(map(_encode_str, value)) + "]")  # node key lists
-        elif isinstance(value, (list, tuple)):
-            append("[")
-            for i, item in enumerate(value):
-                if i:
-                    append(", ")
-                emit(item)
-            append("]")
         else:
             raise ValueError(f"cannot serialize {type(value).__name__}")
 
@@ -205,9 +200,8 @@ def parse_config(config: dict) -> dict:
         if key not in config:
             raise ConfigError(f"{key}: required")
 
-    market = config["market"] if isinstance(config["market"], dict) else _bad("market")
     try:
-        params = MarketParams.from_dict(market)
+        params = MarketParams.from_dict(config["market"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"market: {exc}") from None
 

@@ -279,8 +279,8 @@ def wealth_martingale_residual(field: WealthField, driver: Driver) -> float:
             e, z, k = coefficients(branches, [vals[first[idx] + b] for b in range(len(branches))],
                                    tree.sq)
             try:
-                new_vals[idx], *_ = _implicit_row(driver, state, tree.dt, e, z,
-                                                  np.broadcast_to(k, e.shape), (i, g))
+                new_vals[idx] = _implicit_row(driver, state, tree.dt, e, z,
+                                              np.broadcast_to(k, e.shape), (i, g))
             except ConvergenceError:  # with the message of the scalar implicit_value
                 raise ConvergenceError(f"implicit step did not converge in {PICARD_MAX_ITER} "
                                        f"iterations at t={state.t:.6g}; the time step is too large "

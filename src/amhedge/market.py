@@ -31,7 +31,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -173,8 +173,10 @@ class MarketParams:
             raise ValueError("lam must be nonnegative")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MarketParams":
-        """Build from a plain dict; the intensity key may be 'lam' or 'lambda'."""
+    def from_dict(cls, data: Mapping) -> "MarketParams":
+        """Build from a mapping; the intensity key may be 'lam' or 'lambda'."""
+        if not isinstance(data, Mapping):
+            raise ValueError("must be an object")
         d = dict(data)
         if "lambda" in d and "lam" not in d:
             d["lam"] = d.pop("lambda")

@@ -14,7 +14,9 @@ estimate, the shipped generators' formulas as single functions of
 (t, y, z, k, state), and the node-dict document of ``tree.json``.
 """
 
+import dataclasses
 import functools
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -148,6 +150,13 @@ def dict_rows(tree, values: dict, n_steps: int = None) -> list:
 def negated(obstacle: Obstacle) -> Obstacle:
     """The obstacle -xi of the buyer's upper-reflected solve."""
     return Obstacle(obstacle.tree, [(-a, -d) for a, d in obstacle.rows])
+
+
+def assert_plain_stats(stats) -> None:
+    """Every ``SolveStats`` field is an exact int or float (no numpy scalar),
+    so the stats dump to JSON as they are."""
+    assert [type(v) for v in dataclasses.astuple(stats)] == [int, int, float, int, int]
+    json.dumps(dataclasses.asdict(stats))
 
 
 def min_one_step_weight(tree, driver, values) -> float:

@@ -60,6 +60,12 @@ class TestCanonicalJson:
         text = canonical_json(doc)
         assert text == ('{"a": [1, true, null, "x"], '
                         '"b": 0.10000000000000001, "z": 0}\n')
+        # float subclasses, a tuple and dicts nested in a list
+        doc = {"f": np.float64(0.1), "m": np.float64(-0.0), "t": (1, "x", 2.5),
+               "n": [{"b": 1, "a": ["k"]}, {"c": None}]}
+        assert canonical_json(doc) == ('{"f": 0.10000000000000001, "m": 0, '
+                                       '"n": [{"a": ["k"], "b": 1}, {"c": null}], '
+                                       '"t": [1, "x", 2.5]}\n')
 
     def test_negative_zero_normalized(self):
         assert canonical_json(-0.0) == "0\n"

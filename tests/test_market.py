@@ -76,6 +76,15 @@ class TestMarketParams:
                                         **{"lambda": 0.1}))
         assert p.lam.at(0.0) == 0.1
 
+    @pytest.mark.parametrize("data", [
+        [("r", 0.0), ("mu1", 0.0), ("mu2", 0.0), ("sigma1", 0.2), ("sigma2", 0.3),
+         ("lambda", 0.1), ("s1_0", 1.0), ("s2_0", 1.0), ("T", 1.0)],  # [name, value] pairs
+        "ab", 5, None,
+    ], ids=["pairs", "string", "number", "null"])
+    def test_from_dict_rejects_what_is_not_a_mapping(self, data):
+        with pytest.raises(ValueError, match="^must be an object$"):
+            MarketParams.from_dict(data)
+
 
 class TestBuildTree:
     def test_no_default_single_step_is_binomial(self):

@@ -19,9 +19,9 @@ from amhedge.pricing import (StoppingRule, buyer_price, epsilon_gap_bound,
                              price_american, rational_exercise_times, seller_price,
                              strategy_from_solution)
 from amhedge.rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
-from helpers import (DRIVER_KINDS, dict_rows, duality_instances, eight_steps, float_bits,
-                     make_driver, make_instance, named_payoff, negated, scalar_epsilon_rational,
-                     scalar_is_rational, style_params)
+from helpers import (DRIVER_KINDS, assert_plain_stats, dict_rows, duality_instances,
+                     eight_steps, float_bits, make_driver, make_instance, named_payoff, negated,
+                     scalar_epsilon_rational, scalar_is_rational, style_params)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 README_MARKET = dict(r=0.05, mu1=0.07, mu2=-0.02, sigma1=0.2, sigma2=0.25, lam=0.25,
@@ -546,6 +546,7 @@ def _rule_rows(rule):
 
 
 def _side(solution, strategy):
+    assert_plain_stats(solution.stats)
     return (solution.kind, solution.stats, *map(_rows_bits, (
         solution.y_rows, solution.z_rows, solution.k_rows, solution.da_rows,
         strategy.phi1_rows, strategy.phi2_rows)))

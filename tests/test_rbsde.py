@@ -13,9 +13,10 @@ from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tre
 from amhedge.pricing import rational_exercise_times
 from amhedge.rbsde import (Obstacle, skorokhod_residual, solve_rbsde_lower,
                            solve_rbsde_upper, solve_reflected)
-from helpers import (DRIVER_KINDS, at_times, dict_rows, float_bits, make_driver, make_instance,
-                     named_payoff, negated, random_payoff, scalar_cumulative_charge,
-                     scalar_gamma_scan, scalar_is_rational, style_params)
+from helpers import (DRIVER_KINDS, assert_plain_stats, at_times, dict_rows, float_bits,
+                     make_driver, make_instance, named_payoff, negated, random_payoff,
+                     scalar_cumulative_charge, scalar_gamma_scan, scalar_is_rational,
+                     style_params)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 
@@ -419,6 +420,13 @@ def assert_stats_match_scalar_counts(kind, side):
     assert stats.bound == sum(1 for charge in sol.delta_a.values() if charge > 0.0) > 0
     plain = solve_bsde(tree, driver, {n: obstacle.values[n] for n in tree.terminal_nodes()})
     assert plain.stats.nodes == stats.nodes and plain.stats.bound == 0
+    # The same types at K = 1 and in a K = 3 sweep, whose sides count as on their own.
+    sides = [(obstacle, "lower"), (negated(obstacle), "upper"), (negated(obstacle), "lower")]
+    shared = solve_reflected(tree, driver, sides)
+    for solution in (sol, plain, *shared):
+        assert_plain_stats(solution.stats)
+    for solution, side in zip(shared, sides, strict=True):
+        assert solution.stats == solve_reflected(tree, driver, [side])[0].stats
 
 
 @pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader_alpha"])
