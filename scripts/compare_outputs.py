@@ -23,7 +23,11 @@ fixed ``EDGE_JOBS``, which reach what no workload job does:
   exit 3;
 * a verify-only skorokhod job on a call K = 95 with no default
   (lambda = 0), R = 2 and n = 2, whose seller alone diverges at node
-  (1, 0, 0) and exits 3.
+  (1, 0, 0) and exits 3;
+* a verify-only job running the ``gamma`` and ``admissible`` checks at
+  n = 16 on a market whose intensity steps from 0.25 to 0 at t = 0.5, so
+  that the jump-monotonicity check skips the steps without default (no
+  workload job runs ``gamma``).
 
 Each job runs as
 ``amhedge price job.json --out out --dump-tree`` in a fresh Python
@@ -76,6 +80,8 @@ EDGE_JOBS = [
       for jobs in (["price", "hedge", "verify"], ["hedge", "verify"])),
     edge_job("borrow_lend", {"R": 2.0}, 2, lam=0.0, jobs=["verify"], payoff=("call", 95.0),
              verify=["skorokhod"]),
+    edge_job("borrow_lend", {"R": 0.07}, 16, {"values": [0.25, 0.0], "times": [0.0, 0.5]},
+             ["verify"], verify=["gamma", "admissible"]),
 ]
 
 

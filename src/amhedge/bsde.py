@@ -175,8 +175,6 @@ def _side_stats(K: int, rows: list, binds: list) -> list:
     swept row and, on reflected sides, where the barrier bound. ``first``
     holds the iteration at which each element of the row's (K, m) block
     passed, so each side's counts are read from its block row."""
-    if not rows:
-        return [SolveStats(0, 0, 0.0, 0, 0)] * K
     widths, firsts = zip(*rows)
     widths = np.array(widths)
     first = np.concatenate([block.reshape(K, -1) for block in firsts], axis=1)

@@ -155,6 +155,8 @@ def canonical_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 def build_driver(params: MarketParams, block: dict) -> Driver:
+    if not isinstance(block, dict):
+        raise ConfigError("driver: must be an object")
     _known(block, "driver", ("name", "params"))
     name = block.get("name")
     dparams = block.get("params", {})
@@ -219,8 +221,7 @@ def parse_config(config: dict) -> dict:
             f"{Decimal((n_steps + 1) ** 2):.3g} lattice nodes, over the cap of "
             f"{MAX_STEPS} steps ({Decimal((MAX_STEPS + 1) ** 2):.3g} nodes)")
 
-    driver = config["driver"] if isinstance(config["driver"], dict) else _bad("driver")
-    driver = build_driver(params, driver)
+    driver = build_driver(params, config["driver"])
     try:
         payoff = payoff_from_config(config["payoff"])
     except ValueError as exc:
@@ -247,10 +248,6 @@ def parse_config(config: dict) -> dict:
     return {"params": params, "n_steps": n_steps, "driver": driver,
             "payoff": payoff, "jobs": jobs, "checks": checks,
             "strict": strict, "seed": int(seed), "output_dir": output_dir}
-
-
-def _bad(field: str):
-    raise ConfigError(f"{field}: must be an object")
 
 
 def _known(block: dict, field: str, keys: tuple) -> None:
@@ -352,8 +349,7 @@ def _check_apriori(tree, driver, obstacle, solution):
 
 def _check_skorokhod(tree, obstacle, solution):
     residual = skorokhod_residual(solution, obstacle)
-    charge = tree.flat(solution.da_rows)
-    min_da = float(charge.min()) if charge.size else 0.0
+    min_da = float(tree.flat(solution.da_rows).min())
     min_gap = float((tree.flat(solution.y_rows) - tree.flat(obstacle.rows)).min())
     passed = residual == 0.0 and min_da >= 0.0 and min_gap >= 0.0
     return {"passed": passed, "flatness_residual": residual,

@@ -157,10 +157,12 @@ def large_trader_driver(params: MarketParams, alpha: float, gamma_bar: float) ->
     |y| <= WEALTH_BOUND, |phi1|, |phi2| <= POSITION_BOUND; the generator is
     bilinear in (y, phi1) and therefore only locally Lipschitz.
     """
+    for name, value in (("alpha", alpha), ("gamma_bar", gamma_bar)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not gamma_bar > -1.0:
         raise ValueError(f"gamma_bar must exceed -1, got {gamma_bar}")
-    alpha = float(alpha)
-    gamma_bar = float(gamma_bar)
+    alpha, gamma_bar = float(alpha), float(gamma_bar)
 
     def split(t, z, k, state):
         c = state.coef

@@ -162,6 +162,7 @@ def _groups(tree: Tree, paths: Paths, i: int):
             yield g, idx, tree.row_state(i, g, tree.s1[i][g][j], tree.s2[i][g][j])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in one_step
 def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
                     n_paths: int = DEFAULT_SAMPLE_PATHS, seed: int = 0,
                     mode: str = None) -> WealthField:
@@ -174,17 +175,11 @@ def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
     if mode is None:
         mode = "exact" if tree.n_steps <= MAX_EXACT_STEPS else "sampled"
     if mode == "exact":
-        return _simulate(tree, x0, strategy, driver, "exact", 1, 0)
-    if mode == "sampled":
-        if not n_paths >= 1:
-            raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
-        return _simulate(tree, x0, strategy, driver, "sampled", n_paths, seed)
-    raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-
-
-@np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in one_step
-def _simulate(tree: Tree, x0: float, strategy: Strategy, driver: Driver, mode: str,
-              n_paths: int, seed: int) -> WealthField:
+        n_paths, seed = 1, 0  # one root state; the expansion draws nothing
+    elif mode != "sampled":
+        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    elif not n_paths >= 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
     paths = _path_sample(tree, mode, n_paths, seed)
     phi1, phi2 = strategy.phi1_rows, strategy.phi2_rows
     wealth = [np.full(len(paths.j[0]), float(x0))]

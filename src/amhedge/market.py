@@ -85,8 +85,6 @@ class PiecewiseConstant:
 
     def at(self, t: float) -> float:
         """Value of the piece containing time t (last piece for t past the end)."""
-        if len(self.values) == 1:
-            return self.values[0]
         idx = bisect.bisect_right(self.times, t) - 1
         if idx < 0:
             idx = 0
@@ -285,7 +283,7 @@ class Tree:
     def flat(self, rows, steps=None) -> np.ndarray:
         """The (alive, defaulted) rows of ``steps`` (default: all) end to end."""
         parts = [row for i in (range(len(rows)) if steps is None else steps) for row in rows[i]]
-        return np.concatenate(parts) if parts else np.empty(0)
+        return np.concatenate(parts)
 
     def node_dict(self, rows, steps=None) -> dict:
         """Node -> value dict of the level rows of ``steps`` (default: all)."""
@@ -325,7 +323,7 @@ def node_key(node: NodeId) -> str:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing prices are rejected below
 def build_tree(params: MarketParams, n_steps: int) -> Tree:
-    """Build the lattice over [0, T] with ``n_steps`` time steps.
+    """Build the lattice over [0, T] with ``n_steps`` (at least 1) time steps.
 
     Requires max_t lam(t) * dt < 1 so that the default branch carries a
     genuine probability, positive initial prices, positive down factors so
@@ -333,10 +331,10 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
     everywhere yields the plain recombining binomial tree (two branches per
     node, dM identically 0).
     """
-    if int(n_steps) != n_steps or n_steps < 0:
-        raise ValueError("n_steps must be a nonnegative integer")
+    if int(n_steps) != n_steps or n_steps < 1:
+        raise ValueError("n_steps must be a positive integer")
     n_steps = int(n_steps)
-    dt = params.T / n_steps if n_steps > 0 else 0.0
+    dt = params.T / n_steps
     sq = math.sqrt(dt)
 
     for name in ("s1_0", "s2_0"):

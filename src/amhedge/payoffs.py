@@ -85,10 +85,13 @@ def compile_payoff(source: str) -> Callable:
     outside the documented grammar."""
     try:
         parsed = ast.parse(source, mode="eval")
+        _validate(parsed, source)
+        code = compile(parsed, "<payoff>", "eval")
     except SyntaxError as exc:
         raise ValueError(f"payoff expression: cannot parse {source!r}: {exc}") from None
-    _validate(parsed, source)
-    code = compile(parsed, "<payoff>", "eval")
+    except RecursionError:  # from the parser, _validate or the compiler
+        raise ValueError(f"payoff expression: nested too deeply ({len(source)} "
+                         "characters)") from None
 
     def payoff(t, s1, s2, defaulted):
         scope = {"t": t, "S1": s1, "S2": s2,

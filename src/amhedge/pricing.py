@@ -128,7 +128,7 @@ def _require_gamma(tree: Tree, driver: Driver) -> None:
     # Sample out to the price scale: a driver whose jump sensitivity is
     # state dependent can satisfy the floor near the origin yet breach it
     # at the wealth and exposure levels the solver actually visits.
-    steps = [(tree.time(i), tree.coef[i]) for i in range(max(tree.n_steps, 1))]
+    steps = [(tree.time(i), tree.coef[i]) for i in range(tree.n_steps)]
     if (times := getattr(driver.eval, "times", None)) is not None:
         # g moves with t only through the Coefs record and ``times``: sample each piece once
         steps = sorted({(struct.pack("6d", *c), bisect.bisect_right(times, t)): (t, c)

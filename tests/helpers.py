@@ -11,7 +11,8 @@ simulation, of the superhedge checks, of the obstacle, of the sampled
 driver checks, of the eps-triggered exercise rule, of the rule
 enumeration's best value, of the rationality check and of the stability
 estimate, the shipped generators' formulas as single functions of
-(t, y, z, k, state), and the node-dict document of ``tree.json``.
+(t, y, z, k, state), the node-dict document of ``tree.json`` and the
+Black-Scholes call, a reference that does not share the lattice.
 """
 
 import dataclasses
@@ -735,3 +736,27 @@ def reference_tree_dict(tree) -> dict:
             ]
         table[node_key(node)] = entry
     return {"n_steps": tree.n_steps, "dt": tree.dt, "nodes": table}
+
+
+# ---------------------------------------------------------------------------
+# Off-lattice reference: the Black-Scholes call under deterministic
+# piecewise-constant r and sigma. It shares no code with the lattice.
+# ---------------------------------------------------------------------------
+
+def black_scholes_call(s0: float, strike: float, r, sigma, T: float) -> float:
+    """European call on an asset without dividends when r and sigma are
+    deterministic (``PiecewiseConstant``): the Black-Scholes formula with the
+    integrated rate and variance. With r >= 0 throughout, it is also the
+    American call."""
+    def integral(fn, power):
+        edges = [t for t in fn.times if t < T] + [T]
+        return sum(v ** power * (b - a) for v, a, b in zip(fn.values, edges, edges[1:]))
+
+    rate, var = integral(r, 1), integral(sigma, 2)
+    d1 = (math.log(s0 / strike) + rate + var / 2.0) / math.sqrt(var)
+    d2 = d1 - math.sqrt(var)
+
+    def normal_cdf(x):
+        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+    return s0 * normal_cdf(d1) - strike * math.exp(-rate) * normal_cdf(d2)

@@ -54,6 +54,13 @@ def minimal_config(**overrides):
     return cfg
 
 
+def _job(**fields):
+    """The README job at n = 4, price only, with ``fields`` set; None removes a field."""
+    job = {**copy.deepcopy(README_JOB), "grid": {"n_steps": 4}, "jobs": ["price"],
+           "verify": [], **fields}
+    return {key: value for key, value in job.items() if value is not None}
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_17_digit_floats(self):
         doc = {"b": 0.1, "a": [1, True, None, "x"], "z": 0.0}
@@ -278,7 +285,7 @@ class TestSharedSolves:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = Counter()
-        sweep, simulate = rbsde.backward_sweep, hedging._simulate
+        sweep, simulate = rbsde.backward_sweep, hedging.simulate_wealth
 
         def counted_sweep(tree, driver, sides):
             counts["sweeps"] += 1
@@ -291,7 +298,7 @@ class TestSharedSolves:
 
         # Looked up at call time, so every caller goes through the counter.
         monkeypatch.setattr(rbsde, "backward_sweep", counted_sweep)
-        monkeypatch.setattr(hedging, "_simulate", counted_simulate)
+        monkeypatch.setattr(hedging, "simulate_wealth", counted_simulate)
         return counts
 
     @pytest.mark.parametrize("jobs,checks,sweeps,sides,simulations", [
@@ -447,6 +454,50 @@ class TestMain:
         config_path.write_text(json.dumps({**README_JOB, "market": market}))
         assert main(["price", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: market: {message}\n"
+
+    @pytest.mark.parametrize("job,message", [
+        ([1], "config: top level must be an object"),
+        (_job(payoff=None), "payoff: required"),
+        (_job(output_dir=5), "output_dir: must be a string, got 5"),
+        (_job(driver=[1]), "driver: must be an object"),
+        (_job(driver={"name": "perfect", "params": {"x": 1}}),
+         "driver.params: 'perfect' takes none, got ['x']"),
+        (_job(driver={"name": "borrow_lend", "params": {}}),
+         "driver.params.R: required for 'borrow_lend'"),
+        (_job(driver={"name": "large_trader", "params": {"alpha": 0.0}}),
+         "driver.params: missing ['gamma_bar'] for 'large_trader'"),
+        (_job(driver={"name": "large_trader", "params": {"alpha": 0.0, "gamma_bar": -2}}),
+         "driver.params.gamma_bar: gamma_bar must exceed -1, got -2"),
+        (_job(payoff={"kind": "expr", "expr": "S1 ** 2"}),
+         "payoff expression: operator not allowed in 'S1 ** 2'"),
+        (_job(payoff={"kind": "expr", "expr": "S1 + True"}),
+         "payoff expression: literal True not allowed"),
+        (_job(payoff={"kind": "expr", "expr": 5}),
+         "payoff.expr: a string is required for kind 'expr'"),
+        (_job(payoff={"kind": "expr", "expr": "S1 * 1e308 * 10"}),
+         "payoff.expr: 'S1 * 1e308 * 10' gives the value inf at t=0, S1=100, S2=90, "
+         "defaulted=False"),
+    ], ids=["top_level", "payoff_missing", "output_dir", "driver_block", "perfect_params",
+            "R_missing", "gamma_bar_missing", "gamma_bar_low", "operator", "literal",
+            "expr_not_string", "expr_inf"])
+    def test_front_door_error_exits_2_with_its_message(self, tmp_path, capsys, job, message):
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(job))
+        assert main(["price", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("expr,code", [
+        ("+".join(["S1"] * 1000), EXIT_CONFIG),  # too deep for the validator
+        ("-" * 5000 + "S1", EXIT_CONFIG),  # too deep for the parser
+        ("+".join(["S1"] * 300), EXIT_OK),
+    ], ids=["sum_of_1000", "5000_signs", "sum_of_300"])
+    def test_deeply_nested_expression_exits_2_in_one_line(self, tmp_path, capsys, expr, code):
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(_job(payoff={"kind": "expr", "expr": expr})))
+        assert main(["price", str(config_path), "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == ("" if code == EXIT_OK else
+                                           "config error: payoff expression: nested too deeply "
+                                           f"({len(expr)} characters)\n")
 
     # A file or a directory (a trailing "/") in the way of the outputs; the
     # location given by output_dir or --out, and the path the OS error names.

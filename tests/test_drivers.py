@@ -125,6 +125,15 @@ class TestLargeTraderDriver:
         with pytest.raises(ValueError):
             large_trader_driver(flat_params(), 0.01, -1.0)
 
+    @pytest.mark.parametrize("alpha,gamma_bar,name", [
+        (math.nan, 0.2, "alpha"), (math.inf, 0.2, "alpha"), (-math.inf, 0.2, "alpha"),
+        (0.01, math.inf, "gamma_bar"), (0.01, math.nan, "gamma_bar"),
+    ])
+    def test_rejects_non_finite_parameters_naming_them(self, alpha, gamma_bar, name):
+        # Unchecked, NaN drops out of the max that makes lipschitz_C (0.0) and inf makes it inf.
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got -?(nan|inf)$"):
+            large_trader_driver(flat_params(), alpha, gamma_bar)
+
     def test_no_impact_reduces_to_perfect(self):
         params = flat_params()
         g0 = perfect_driver(params)

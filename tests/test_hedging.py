@@ -219,6 +219,23 @@ class TestMartingaleResidual:
             field = simulate_wealth(inst.tree, 2.5, strat, inst.driver)
             assert wealth_martingale_residual(field, inst.driver) <= 1e-10
 
+    def test_diverging_resolve_raises_as_the_scalar_walk(self):
+        # Zero positions and g = -3y/dt: V grows 4-fold a step, and the implicit
+        # step y = e - 3y has a Picard map with slope -3, so the re-solve diverges.
+        params = flat_params(lam=0.3)
+        tree = build_tree(params, 6)
+        driver = Driver(name="diverging", eval=lambda t, y, z, k, s: -3.0 * y / tree.dt,
+                        lipschitz_C=3.0 / tree.dt)
+        field = simulate_wealth(tree, 1.5, zero_strategy(tree), driver)
+        assert field.mode == "exact"
+        ref = scalar_simulate_exact(tree, 1.5, zero_strategy(tree), driver)
+        with pytest.raises(ConvergenceError) as want:
+            scalar_martingale_residual(ref, driver)
+        with pytest.raises(ConvergenceError) as got:
+            wealth_martingale_residual(field, driver)
+        assert str(got.value) == str(want.value)
+        assert "at t=0.833333;" in str(got.value)
+
     def test_requires_exact_mode(self):
         tree = build_tree(flat_params(), 4)
         field = simulate_wealth(tree, 1.0, zero_strategy(tree), ZERO,

@@ -19,7 +19,6 @@ from helpers import (DRIVER_KINDS, dict_rows, duality_instances, float_bits, mak
                      make_instance, named_payoff, scalar_apriori_estimate,
                      scalar_brute_force_seller_value, style_params)
 
-ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 # y = e + (-0.0) * dt is e itself, so a child value's zero sign reaches the root.
 SIGNED_ZERO = Driver(name="signed zero", eval=lambda t, y, z, k, s: -0.0, lipschitz_C=0.0)
 
@@ -46,11 +45,10 @@ def reached_signature(tree, rule):
 
 
 class TestEnumeration:
-    def test_zero_step_tree_has_one_rule(self):
-        tree = build_tree(flat_params(), 0)
-        rules = list(enumerate_stopping_rules(tree))
-        assert len(rules) == 1
-        assert rules[0].stop[tree.root]
+    @pytest.mark.parametrize("n_steps", [0, -1, 2.5])
+    def test_a_lattice_needs_a_positive_whole_number_of_steps(self, n_steps):
+        with pytest.raises(ValueError, match=r"^n_steps must be a positive integer$"):
+            build_tree(flat_params(), n_steps)
 
     def test_one_step_binomial_has_two_rules(self):
         tree = build_tree(flat_params(), 1)
@@ -78,11 +76,6 @@ class TestEnumeration:
 
 
 class TestBruteForce:
-    def test_single_node_tree_returns_root_payoff(self):
-        tree = build_tree(flat_params(), 0)
-        obs = Obstacle(tree, dict_rows(tree, {tree.root: 3.5}))
-        assert brute_force_seller_value(tree, ZERO, obs) == 3.5
-
     def test_terminal_only_payoff_equals_plain_solve(self):
         rng = np.random.default_rng(401)
         inst = make_instance(rng, "perfect", 3)
