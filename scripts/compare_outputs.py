@@ -27,7 +27,10 @@ fixed ``EDGE_JOBS``, which reach what no workload job does:
 * a verify-only job running the ``gamma`` and ``admissible`` checks at
   n = 16 on a market whose intensity steps from 0.25 to 0 at t = 0.5, so
   that the jump-monotonicity check skips the steps without default (no
-  workload job runs ``gamma``).
+  workload job runs ``gamma``);
+* a hedge and verify job at n = 16 with seed 2**32 + 5, whose 10,000
+  sampled paths are seeded from two 32-bit words of the seed (the
+  workloads draw seeds below 1000, which take one).
 
 Each job runs as
 ``amhedge price job.json --out out --dump-tree`` in a fresh Python
@@ -57,15 +60,16 @@ RUN_CLI = "import sys; from amhedge.cli import main; sys.exit(main(sys.argv[1:])
 
 
 def edge_job(name: str, params: dict, n_steps: int, lam=0.25, jobs=("hedge", "verify"),
-             payoff=("put", 105.0), verify=("superhedge", "apriori", "skorokhod")) -> dict:
+             payoff=("put", 105.0), verify=("superhedge", "apriori", "skorokhod"),
+             seed=0) -> dict:
     """A README-market option under one driver, hedged and verified unless ``jobs`` says
     otherwise; ``lam`` is the intensity, a number or a piecewise block, ``payoff`` the
-    ``(kind, strike)`` and ``verify`` the checks."""
+    ``(kind, strike)``, ``verify`` the checks and ``seed`` the path sample's seed."""
     return {"market": {"r": 0.05, "mu1": 0.07, "mu2": -0.02, "sigma1": 0.2, "sigma2": 0.25,
                        "lambda": lam, "s1_0": 100.0, "s2_0": 90.0, "T": 1.0},
             "grid": {"n_steps": n_steps}, "driver": {"name": name, "params": params},
             "payoff": dict(zip(("kind", "strike"), payoff)), "jobs": list(jobs),
-            "verify": list(verify), "seed": 0}
+            "verify": list(verify), "seed": seed}
 
 
 EDGE_JOBS = [
@@ -82,6 +86,7 @@ EDGE_JOBS = [
              verify=["skorokhod"]),
     edge_job("borrow_lend", {"R": 0.07}, 16, {"values": [0.25, 0.0], "times": [0.0, 0.5]},
              ["verify"], verify=["gamma", "admissible"]),
+    edge_job("borrow_lend", {"R": 0.07}, 16, seed=2**32 + 5),
 ]
 
 

@@ -8,9 +8,11 @@ where (z, k) are read off the per-node positions. Through a recombining
 node the arriving wealth depends on the incoming path whenever the driver
 is nonlinear, so states are kept per (node, path): the full path expansion
 is used up to ``MAX_EXACT_STEPS`` steps and a fixed-seed sample of paths
-beyond that. Each sampled path derives its own seed from (seed, path
-index), so results do not depend on scheduling or batching. Every level
-is stepped at once, with one driver call per (alive, defaulted) group.
+beyond that. Sampled path p takes its draws from the stream of
+``numpy.random.default_rng([seed, p])``, so results do not depend on
+scheduling or batching; ``_draws`` computes every path's stream in one
+vectorised pass, bit for bit. Every level is stepped at once, with one
+driver call per (alive, defaulted) group.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, pairwise, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -124,16 +126,80 @@ def _table(branches: tuple, column, pad, dtype=float) -> np.ndarray:
     return np.array([[*column(row), *[pad] * (3 - len(row))] for row in branches], dtype=dtype)
 
 
+_M32 = 0xFFFFFFFF
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341  # PCG64's multiplier
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hash of uint32 arrays: call k xors in init * mult**k and
+    multiplies by init * mult**(k + 1), modulo 2**32."""
+    consts = pairwise(accumulate(repeat(mult), lambda c, m: c * m & _M32, initial=init))
+
+    def hash_(v):
+        a, b = next(consts)
+        v = (v ^ a) * b
+        return v ^ (v >> 16)
+    return hash_
+
+
+def _mix(x, y):
+    r = x * 0xca01f9dd - y * 0x4973f715
+    return r ^ (r >> 16)
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """PCG64's 128-bit LCG step, state * multiplier + inc, on (hi, lo) uint64 halves;
+    the high 64 bits of lo times the multiplier's low half come from 32-bit limbs."""
+    a0, a1, b0, b1 = lo & _M32, lo >> 32, _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
+    t = a1 * b0 + ((a0 * b0) >> 32)
+    u = a0 * b1 + (t & _M32)
+    hi = a1 * b1 + (t >> 32) + (u >> 32) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _draws(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
+    """(n_steps, n_paths) draws whose column p equals
+    ``np.random.default_rng([seed, p]).random(n_steps)`` bit for bit: numpy's
+    SeedSequence seeds PCG64 (XSL-RR output), for every path at once. Each path
+    index must fit in one uint32 word."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, 4), n_paths), np.uint32)  # zero-padded to the pool
+    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)] = np.arange(n_paths, dtype=np.uint32)
+    hash_ = _hasher(0x43b0d7e5, 0x931e8875)
+    pool = [hash_(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hash_(w))
+    hash_ = _hasher(0x8b51f9dd, 0x58f38ded)  # generate_state(4, uint64), little-endian pairs
+    w = [hash_(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    s_hi, s_lo, q_hi, q_lo = (w[k] | w[k + 1] << 32 for k in (0, 2, 4, 6))
+    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    lo = inc_lo + s_lo  # state 0 stepped is inc; add the initial state, step
+    hi, lo = _step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
+    draws = np.empty((n_steps, n_paths))
+    for i in range(n_steps):
+        hi, lo = _step(hi, lo, inc_hi, inc_lo)
+        v, rot = hi ^ lo, hi >> 58
+        draws[i] = (v >> rot | v << (-rot & 63)) >> 11
+    draws *= 2.0**-53
+    return draws
+
+
 @lru_cache(maxsize=1)
 def _path_sample(tree: Tree, mode: str, n_paths: int, seed: int) -> Paths:
     """The full path expansion from one root state (``n_paths`` = 1), or ``n_paths``
-    paths drawn with the generators ``default_rng([seed, p])``; kept for the last tree."""
+    paths whose path p draws from the stream of ``default_rng([seed, p])`` (see
+    ``_draws``); kept for the last tree."""
     j, d = [np.zeros(n_paths, np.int32)], [np.zeros(n_paths, np.int8)]
     parent, branch = [np.full(n_paths, -1, np.int32)], [np.full(n_paths, -1, np.int8)]
     if mode == "sampled":  # one column of draws per path; one parent index shared by the levels
-        draws, rows = np.empty((tree.n_steps, n_paths)), np.arange(n_paths, dtype=np.int32)
-        for p in range(n_paths):
-            draws[:, p] = np.random.default_rng([seed, p]).random(tree.n_steps)
+        draws, rows = _draws(seed, n_paths, tree.n_steps), np.arange(n_paths, dtype=np.int32)
     for i, branches in enumerate(tree.row_branches):
         last = np.array([len(row) - 1 for row in branches])[d[i]]
         if mode == "exact":  # each state's branches in template order
@@ -178,9 +244,11 @@ def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
         n_paths, seed = 1, 0  # one root state; the expansion draws nothing
     elif mode != "sampled":
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    elif not n_paths >= 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
-    paths = _path_sample(tree, mode, n_paths, seed)
+    elif not 1 <= n_paths < 2**32:  # _draws takes each path index as one uint32 word
+        raise ValueError(f"n_paths must be at least 1 and below 2**32, got {n_paths!r}")
+    elif not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    paths = _path_sample(tree, mode, n_paths, int(seed))
     phi1, phi2 = strategy.phi1_rows, strategy.phi2_rows
     wealth = [np.full(len(paths.j[0]), float(x0))]
     for i, branches in enumerate(tree.row_branches):

@@ -3,7 +3,8 @@
 Custom payoffs are written as arithmetic expressions over the names
 ``t``, ``S1``, ``S2`` and ``defaulted`` (0 or 1), the operators
 ``+ - * /``, unary signs, parentheses, numeric literals and calls to
-``max`` / ``min``. Anything else is rejected at compile time.
+``max`` / ``min``. Anything else is rejected at compile time, and so is
+an expression nested more than ``MAX_EXPR_DEPTH`` deep.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ _ALLOWED_NAMES = {"t", "S1", "S2", "defaulted"}
 _ALLOWED_FUNCS = {"max", "min"}
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 _ALLOWED_UNARY = (ast.UAdd, ast.USub)
+# Deepest nesting of expression nodes a payoff may have ("S1" is 1, a sum of
+# n terms is n). Checked without recursion, it keeps the recursive grammar check
+# and the compiler well inside Python's recursion limit wherever compile_payoff
+# is called from, so every caller gets the same answer.
+MAX_EXPR_DEPTH = 300
 
 
 def _max0(x):
@@ -47,6 +53,17 @@ def call(strike: float) -> Callable:
 
     payoff.row = lambda t, s1, s2, defaulted: _max0(s1 - strike)
     return payoff
+
+
+def _depth(parsed: ast.Expression) -> int:
+    """Deepest nesting of expression nodes in ``parsed``, by an explicit-stack walk."""
+    deepest, stack = 0, [(parsed.body, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in ast.iter_child_nodes(node)
+                     if isinstance(child, ast.expr))
+    return deepest
 
 
 def _validate(node: ast.AST, source: str) -> None:
@@ -85,13 +102,17 @@ def compile_payoff(source: str) -> Callable:
     outside the documented grammar."""
     try:
         parsed = ast.parse(source, mode="eval")
-        _validate(parsed, source)
-        code = compile(parsed, "<payoff>", "eval")
     except SyntaxError as exc:
         raise ValueError(f"payoff expression: cannot parse {source!r}: {exc}") from None
-    except RecursionError:  # from the parser, _validate or the compiler
+    except RecursionError:  # the parser's own limit, before there is a tree to measure
         raise ValueError(f"payoff expression: nested too deeply ({len(source)} "
                          "characters)") from None
+    depth = _depth(parsed)
+    if depth > MAX_EXPR_DEPTH:
+        raise ValueError(f"payoff expression: nested {depth} deep, beyond the limit of "
+                         f"{MAX_EXPR_DEPTH}")
+    _validate(parsed, source)
+    code = compile(parsed, "<payoff>", "eval")
 
     def payoff(t, s1, s2, defaulted):
         scope = {"t": t, "S1": s1, "S2": s2,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from amhedge import cli, pricing
+from amhedge import cli, hedging, pricing
 from amhedge.bsde import ConvergenceError
 from amhedge.drivers import Driver, borrow_lend_driver, large_trader_driver, perfect_driver
 from amhedge.hedging import (simulate_wealth, strict_gain_after_nubar,
@@ -419,7 +419,9 @@ class TestMatchesScalarReference:
             def random(self, n):
                 return edges[self.inner.integers(len(edges), size=n)]
 
-        monkeypatch.setattr(np.random, "default_rng", EdgeRng)
+        monkeypatch.setattr(np.random, "default_rng", EdgeRng)  # the scalar reference's draws
+        monkeypatch.setattr(hedging, "_draws", lambda seed, n_paths, n_steps: np.column_stack(
+            [EdgeRng([seed, p]).random(n_steps) for p in range(n_paths)]))
         driver = borrow_lend_driver(params, 0.08)
         obs = Obstacle.from_payoff(tree, put(105.0))
         seller = seller_price(tree, driver, obs, gamma_check=False)
@@ -428,6 +430,34 @@ class TestMatchesScalarReference:
         ref = scalar_simulate_sampled(tree, seller.u0, seller.strategy, driver, 300, 5)
         assert_same_field(field, ref)
         assert {b for level in field.branch[1:] for b in level} == {0, 1, 2}
+
+    def test_sampled_field_at_a_two_word_seed(self):
+        params = MarketParams(**README_MARKET)
+        tree = build_tree(params, 7)
+        driver = borrow_lend_driver(params, 0.08)
+        seller = seller_price(tree, driver, Obstacle.from_payoff(tree, put(105.0)),
+                              gamma_check=False)
+        seed = 2**32 + 5
+        field = simulate_wealth(tree, seller.u0, seller.strategy, driver, mode="sampled",
+                                n_paths=200, seed=seed)
+        assert_same_field(field, scalar_simulate_sampled(tree, seller.u0, seller.strategy,
+                                                         driver, 200, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 999, 2**32 - 1, 2**32, 2**64 + 7])
+def test_draws_are_the_default_rng_streams(seed):
+    """Column p of ``_draws`` is ``default_rng([seed, p]).random(n_steps)`` bit for bit;
+    the seeds from 2**32 on take more than one SeedSequence entropy word."""
+    def streams(n_paths, n_steps):
+        return np.column_stack([np.random.default_rng([seed, p]).random(n_steps)
+                                for p in range(n_paths)]).view(np.uint64)
+
+    ref = streams(10_000, 16)
+    np.testing.assert_array_equal(ref[:1, :3], streams(3, 1))
+    for n_paths in (1, 3, 10_000):
+        for n_steps in (1, 16):
+            np.testing.assert_array_equal(hedging._draws(seed, n_paths, n_steps).view(np.uint64),
+                                          ref[:n_steps, :n_paths])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,
@@ -475,12 +505,19 @@ class TestBrokenWealth:
         self.obs = Obstacle.from_payoff(self.tree, put(105.0))
         self.driver = borrow_lend_driver(params, 0.07)
 
-    @pytest.mark.parametrize("n_paths", [0, -1])
+    @pytest.mark.parametrize("n_paths", [0, -1, 2**32])  # 2**32: rejected before any draw
     def test_no_sample_paths_rejected(self, n_paths):
         seller = seller_price(self.tree, self.driver, self.obs)
         with pytest.raises(ValueError, match="n_paths"):
             simulate_wealth(self.tree, seller.u0, seller.strategy, self.driver,
                             mode="sampled", n_paths=n_paths)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        seller = seller_price(self.tree, self.driver, self.obs)
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            simulate_wealth(self.tree, seller.u0, seller.strategy, self.driver,
+                            mode="sampled", n_paths=5, seed=seed)
 
     @pytest.mark.parametrize("mode,path", [("exact", "[udj]"), ("sampled", "0")])
     def test_nan_wealth_fails_seller_naming_the_state(self, mode, path):

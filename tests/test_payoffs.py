@@ -1,6 +1,6 @@
 import pytest
 
-from amhedge.payoffs import call, compile_payoff, payoff_from_config, put
+from amhedge.payoffs import MAX_EXPR_DEPTH, call, compile_payoff, payoff_from_config, put
 
 
 class TestStandardPayoffs:
@@ -50,6 +50,30 @@ class TestExpressionLanguage:
     def test_rejects_unparseable(self):
         with pytest.raises(ValueError, match="cannot parse"):
             compile_payoff("max(S1, ")
+
+    @pytest.mark.parametrize("depth", [MAX_EXPR_DEPTH, MAX_EXPR_DEPTH + 1])
+    @pytest.mark.parametrize("shape", ["sum", "signs"])
+    def test_depth_limit_gives_every_caller_the_same_answer(self, shape, depth):
+        """A sum of ``depth`` terms, or ``depth - 1`` signs before S1, compiled at the
+        top of the stack and 400 frames deeper: both compile at the limit and both are
+        rejected one level beyond it."""
+        source = "+".join(["S1"] * depth) if shape == "sum" else "-" * (depth - 1) + "S1"
+
+        def outcome(frames):
+            if frames:
+                return outcome(frames - 1)
+            try:
+                return compile_payoff(source)(0.0, 2.0, 0.0, False)
+            except ValueError as exc:
+                return str(exc)
+
+        top = outcome(0)
+        assert outcome(400) == top
+        if depth <= MAX_EXPR_DEPTH:
+            assert top == (2.0 * depth if shape == "sum" else (-1) ** (depth - 1) * 2.0)
+        else:
+            assert top == (f"payoff expression: nested {depth} deep, beyond the limit of "
+                           f"{MAX_EXPR_DEPTH}")
 
 
 class TestPayoffFromConfig:
