@@ -17,6 +17,10 @@ fixed ``EDGE_JOBS``, which reach what no workload job does:
 * a verify-only job (skorokhod, apriori, martingale, duality) at n = 4,
   which solves the seller and the stability check's shifted seller each
   in a sweep of one side;
+* verify-only ``duality`` jobs at n = 1 and n = 3, and at n = 4 with no
+  default (lambda = 0, two branches per node) under ``perfect`` and
+  ``large_trader``, so that the rule enumeration meets short trees and
+  two-branch frontiers (the workloads run it only at n = 4 with default);
 * the README put under ``borrow_lend`` R = 40 at n = 4, as a
   price+hedge+verify and as a hedge+verify job: the buyer's solve
   diverges at node (3, 0, 0) while the seller's alone converges, and both
@@ -80,6 +84,10 @@ EDGE_JOBS = [
                ["price"]) for values in ([0.25, 0.0], [0.0, 0.25])),
     edge_job("borrow_lend", {"R": 0.07}, 4, jobs=["verify"],
              verify=["skorokhod", "apriori", "martingale", "duality"]),
+    *(edge_job("borrow_lend", {"R": 0.07}, n, jobs=["verify"], verify=["duality"])
+      for n in (1, 3)),
+    *(edge_job(name, params, 4, lam=0.0, jobs=["verify"], verify=["duality"])
+      for name, params in (("perfect", {}), ("large_trader", {"alpha": 5e-4, "gamma_bar": 0.2}))),
     *(edge_job("borrow_lend", {"R": 40.0}, 4, jobs=jobs)
       for jobs in (["price", "hedge", "verify"], ["hedge", "verify"])),
     edge_job("borrow_lend", {"R": 2.0}, 2, lam=0.0, jobs=["verify"], payoff=("call", 95.0),

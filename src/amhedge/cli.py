@@ -395,8 +395,9 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def _run_jobs(job: dict, tree, obstacle, out: Path) -> dict:
-    """Run the requested jobs, solving and simulating each side at most once; all of it
-    is freed on return but the last tree and paths, which ``hedging._path_sample`` keeps."""
+    """Run the requested jobs, solving and simulating each side at most once and each
+    named check once, in first-occurrence order; all of it is freed on return but the
+    last tree and paths, which ``hedging._path_sample`` keeps."""
     driver, seed = job["driver"], job["seed"]
     report = pricing.price_american(tree, driver, obstacle) if "price" in job["jobs"] else None
     document = report_to_dict(report) if report else {}
@@ -433,7 +434,7 @@ def _run_jobs(job: dict, tree, obstacle, out: Path) -> dict:
             "gamma": lambda: _check_gamma(tree, driver),
             "admissible": lambda: _check_admissible(tree, driver),
         }
-        checks = {name: run_check[name]() for name in job["checks"]}
+        checks = {name: run_check[name]() for name in dict.fromkeys(job["checks"])}
         all_passed = all(c["passed"] for c in checks.values())
         document["verification"] = {"checks": checks, "all_passed": all_passed}
     return document

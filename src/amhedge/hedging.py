@@ -43,17 +43,19 @@ _KIND_LETTER = {"up": "u", "down": "d", "default": "j"}
 
 class Paths(NamedTuple):
     """Per-level arrays of the states of a path expansion or sample: the
-    node's up count ``j`` and defaulted flag ``d``, the parent state one
-    level up and the branch taken from it (-1 at the root level)."""
+    node's place ``index`` in the level's (alive, defaulted) rows end to end
+    (its up count, plus the alive row's length if defaulted) and its
+    defaulted flag ``d``, the parent state one level up and the branch taken
+    from it (-1 at the root level)."""
 
-    j: list  # int32
+    index: list  # int32
     d: list  # int8
     parent: list  # int32
     branch: list  # int8
 
     def at(self, rows: tuple, i: int) -> np.ndarray:
         """Values of step i's (alive, defaulted) ``rows`` at each state of level i."""
-        return np.concatenate(rows)[np.where(self.d[i], self.j[i] + len(rows[0]), self.j[i])]
+        return np.concatenate(rows)[self.index[i]]
 
 
 def _lists(arrays) -> cached_property:
@@ -81,14 +83,17 @@ class WealthField:
 
     @cached_property
     def node_ids(self) -> list:
-        return [list(zip([i] * len(j), j.tolist(), d.tolist()))
-                for i, (j, d) in enumerate(zip(self.paths.j, self.paths.d))]
+        paths = self.paths
+        return [list(zip([i] * len(d), np.where(d, index - len(alive), index).tolist(),
+                         d.tolist()))
+                for i, (index, d, (alive, _)) in enumerate(zip(paths.index, paths.d, self.tree.s1))]
 
     def n_states(self, level: int) -> int:
-        return len(self.paths.j[level])
+        return len(self.paths.index[level])
 
     def node(self, level: int, idx: int) -> tuple:
-        return (level, int(self.paths.j[level][idx]), int(self.paths.d[level][idx]))
+        d = int(self.paths.d[level][idx])
+        return (level, int(self.paths.index[level][idx]) - d * len(self.tree.s1[level][0]), d)
 
     def path_id(self, level: int, idx: int) -> str:
         """Branch-letter path into a state, e.g. 'udj'; sampled paths use their row."""
@@ -196,7 +201,8 @@ def _path_sample(tree: Tree, mode: str, n_paths: int, seed: int) -> Paths:
     """The full path expansion from one root state (``n_paths`` = 1), or ``n_paths``
     paths whose path p draws from the stream of ``default_rng([seed, p])`` (see
     ``_draws``); kept for the last tree."""
-    j, d = [np.zeros(n_paths, np.int32)], [np.zeros(n_paths, np.int8)]
+    j = np.zeros(n_paths, np.int32)  # the up counts of level i
+    index, d = [j], [np.zeros(n_paths, np.int8)]
     parent, branch = [np.full(n_paths, -1, np.int32)], [np.full(n_paths, -1, np.int8)]
     if mode == "sampled":  # one column of draws per path; one parent index shared by the levels
         draws, rows = _draws(seed, n_paths, tree.n_steps), np.arange(n_paths, dtype=np.int32)
@@ -212,11 +218,12 @@ def _path_sample(tree: Tree, mode: str, n_paths: int, seed: int) -> Paths:
                 br = np.where(draws[i] < acc[d[i], b], b, br)
         child = _table(branches, lambda row: (b.child[1:] for b in row), (0, 0), np.int32)
         up, dead = child[d[i][par], br].T
-        j.append(j[i][par] + up)
+        j = j[par] + up
+        index.append(np.where(dead, j + len(tree.s1[i + 1][0]), j))
         d.append(dead.astype(np.int8))
         parent.append(par)
         branch.append(br.astype(np.int8))
-    return Paths(j, d, parent, branch)
+    return Paths(index, d, parent, branch)
 
 
 def _groups(tree: Tree, paths: Paths, i: int):
@@ -224,7 +231,7 @@ def _groups(tree: Tree, paths: Paths, i: int):
     for g in (0, 1):
         idx = np.flatnonzero(paths.d[i] == g)
         if idx.size:
-            j = paths.j[i][idx]
+            j = paths.index[i][idx] - g * len(tree.s1[i][0])
             yield g, idx, tree.row_state(i, g, tree.s1[i][g][j], tree.s2[i][g][j])
 
 
@@ -250,7 +257,7 @@ def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     paths = _path_sample(tree, mode, n_paths, int(seed))
     phi1, phi2 = strategy.phi1_rows, strategy.phi2_rows
-    wealth = [np.full(len(paths.j[0]), float(x0))]
+    wealth = [np.full(len(paths.index[0]), float(x0))]
     for i, branches in enumerate(tree.row_branches):
         c = tree.coef[i]
         z, k = phi_inverse(paths.at(phi1[i], i), paths.at(phi2[i], i), c.sigma1, c.sigma2)

@@ -4,21 +4,28 @@ binomial American pricer, and a numerical stability-estimate check.
 Everything here deliberately avoids the reflected solvers so that
 agreement between the two routes is evidence, not tautology. The rule
 enumeration doubles exponentially in the number of steps, hence the hard
-guard on tree depth (4209 rules on a 4-step tree with default); the
-scalar g-evaluation of every rule runs as one walk that steps each
-distinct (node, child values) once and shares it between rules. The
-stability estimate walks the tree once backward (driver gap, conditional
-sums) and once forward (pointwise bound, reach probabilities, norms).
+guard on tree depth (4209 rules on a 4-step tree with default). The
+enumeration below a frontier (the reached nodes of one level) depends on
+that frontier alone, so the rules' values are built as one table per
+distinct frontier: its values under each of its sub-rules, in enumeration
+order, from the table of each set of children that it continues to. Each
+distinct (node, child values) is stepped once with the scalar
+``one_step`` and shared; nodes a rule never reaches are never visited.
+The stability estimate walks the tree once backward (driver gap,
+conditional sums) and once forward (pointwise bound, reach probabilities,
+norms).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator
 
 # g_evaluation stays a name of this module: the benchmark's tracer wraps it here.
-from .bsde import Solution, g_evaluation, g_evaluations  # noqa: F401
+from .bsde import Solution, _values_on, g_evaluation, g_evaluations, one_step  # noqa: F401
 from .drivers import Driver
 from .market import MarketParams, Tree
 from .pricing import StoppingRule
@@ -43,14 +50,17 @@ def enumerate_stopping_rules(tree: Tree) -> Iterator[StoppingRule]:
                                   for i in range(tree.n_steps + 1)])
 
 
-def _stop_flags(tree: Tree) -> Iterator[dict]:
-    """The node -> flag dicts of ``enumerate_stopping_rules``, in its order;
-    the depth guard raises on the call, before any rule is read."""
+def _require_depth(tree: Tree) -> None:
     if tree.n_steps > MAX_ENUM_STEPS:
         raise ValueError(
             f"stopping-rule enumeration is limited to {MAX_ENUM_STEPS} steps "
             f"(got {tree.n_steps}); the rule count grows doubly exponentially")
 
+
+def _stop_flags(tree: Tree) -> Iterator[dict]:
+    """The node -> flag dicts of ``enumerate_stopping_rules``, in its order;
+    the depth guard raises on the call, before any rule is read."""
+    _require_depth(tree)
     filler = {node: True for node in tree.nodes}
 
     def recurse(level, frontier, flags):
@@ -66,11 +76,79 @@ def _stop_flags(tree: Tree) -> Iterator[dict]:
     return recurse(0, [tree.root], {})
 
 
+def rule_values(tree: Tree, driver: Driver, obstacle: Obstacle) -> list:
+    """Root value of every enumerated stopping rule, in enumeration order, equal
+    bit for bit to ``g_evaluations`` over ``_stop_flags`` and with the same
+    driver calls. The tables meet new steps in another order than the per-rule
+    walk, so on an error the per-rule walk runs and raises its first error."""
+    _require_depth(tree)
+    try:
+        return _frontier_tables(tree, driver, obstacle)
+    except Exception:
+        for _ in g_evaluations(tree, driver, _stop_flags(tree), obstacle):
+            pass
+        raise
+
+
+def _frontier_tables(tree: Tree, driver: Driver, obstacle: Obstacle) -> list:
+    """The root's column of the root frontier's table. A frontier's table holds
+    one column per node: its values under each of the frontier's sub-rules, in
+    ``_stop_flags`` order. Per subset that stops, a node that stops holds its
+    payoff, and a node that goes on holds its column over the table of the
+    next frontier (the children of the nodes that go on). Such a column
+    depends on the node and the set that goes on alone, so frontiers share
+    it. Each distinct (node, packed child bits) is stepped once; the bits
+    keep -0.0 apart from 0.0."""
+    pay = _values_on(obstacle, tree.nodes)
+    packers = {m: struct.Struct(f"{m}d").pack for m in (2, 3)}  # up, down[, default]
+    stepped, belows, columns, tables = {}, {}, {}, {}
+
+    def below(go: tuple) -> tuple:
+        if go not in belows:
+            belows[go] = tuple(dict.fromkeys(b.child for node in go for b in tree.branches[node]))
+        return belows[go]
+
+    def column(node, go: tuple) -> list:
+        if (node, go) not in columns:
+            children = [b.child for b in tree.branches[node]]
+            frontier, pack, out = below(go), packers[len(children)], []
+            sub = table(frontier)
+            for values in zip(*[sub[frontier.index(child)] for child in children]):
+                key = node, pack(*values)
+                if key not in stepped:
+                    stepped[key], _, _ = one_step(tree, driver, node, dict(zip(children, values)))
+                out.append(stepped[key])
+            columns[node, go] = out
+        return columns[node, go]
+
+    def table(frontier: tuple) -> list:
+        if frontier in tables:
+            return tables[frontier]
+        if frontier[0][0] == tree.n_steps:  # terminal nodes always stop
+            cols = [[pay[node]] for node in frontier]
+        else:
+            cols = [[] for _ in frontier]
+            for mask in range(1 << len(frontier)):
+                stops = [mask >> idx & 1 for idx in range(len(frontier))]
+                go = tuple(node for node, stop in zip(frontier, stops) if not stop)
+                size = len(column(go[0], go)) if go else 1  # sub-rules below ``go``
+                for col, node, stop in zip(cols, frontier, stops):
+                    col += repeat(pay[node], size) if stop else column(node, go)
+        tables[frontier] = cols
+        return cols
+
+    try:
+        return table((tree.root,))[0]
+    finally:  # the nested functions hold themselves in a cycle: free the tables now
+        for cache in (stepped, belows, columns, tables):
+            cache.clear()
+
+
 def brute_force_seller_value(tree: Tree, driver: Driver, obstacle: Obstacle) -> float:
-    """Best root value over every enumerated stopping rule (read as flag dicts);
+    """Best root value over every enumerated stopping rule (``rule_values``);
     the first strict maximum wins."""
     best = -math.inf
-    for value in g_evaluations(tree, driver, _stop_flags(tree), obstacle):
+    for value in rule_values(tree, driver, obstacle):
         if value > best:
             best = value
     return best

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from amhedge import cli, hedging, rbsde
+from amhedge import cli, hedging, oracle, rbsde
 from amhedge.drivers import Driver
 from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, MAX_STEPS,
                          ConfigError, NodeTable, _tree_json, canonical_json, main,
@@ -317,6 +317,22 @@ class TestSharedSolves:
         assert report["verification"]["all_passed"] is True
         assert (counts["sweeps"], counts["sides"], counts["simulations"]) == (
             sweeps, sides, simulations)
+
+    def test_a_check_named_twice_runs_once(self, tmp_path, monkeypatch):
+        calls, brute = [], oracle.brute_force_seller_value
+
+        def counted_brute(*args):
+            calls.append(args)
+            return brute(*args)
+
+        cfg = _job(jobs=["verify"], verify=["duality", "skorokhod"])
+        assert run(cfg, out_dir=tmp_path / "once") == EXIT_OK
+        monkeypatch.setattr(oracle, "brute_force_seller_value", counted_brute)
+        cfg["verify"] = ["duality", "skorokhod", "duality"]
+        assert run(cfg, out_dir=tmp_path / "twice") == EXIT_OK
+        assert len(calls) == 1
+        assert ((tmp_path / "twice" / "report.json").read_bytes()
+                == (tmp_path / "once" / "report.json").read_bytes())
 
 
 # A borrowing rate of 40 makes the implicit step diverge: the README put's

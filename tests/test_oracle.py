@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from amhedge.bsde import ConvergenceError, g_evaluation, g_evaluations, solve_bsde
 from amhedge.drivers import Driver, borrow_lend_driver, perfect_driver
 from amhedge.market import MarketParams, PiecewiseConstant, build_tree
-from amhedge.oracle import (_stop_flags, apriori_estimate, apriori_estimate_check,
-                            brute_force_seller_value, crr_american_oracle,
-                            enumerate_stopping_rules)
+from amhedge.oracle import (_frontier_tables, _stop_flags, apriori_estimate,
+                            apriori_estimate_check, brute_force_seller_value,
+                            crr_american_oracle, enumerate_stopping_rules, rule_values)
 from amhedge.payoffs import call, payoff_from_config, put
 from amhedge.pricing import seller_price
 from amhedge.rbsde import Obstacle, solve_rbsde_lower
@@ -116,17 +116,21 @@ def _outcome(evaluate):
         return str(exc)
 
 
-def assert_shared_equals_per_rule(tree, driver, obstacle):
-    """Each rule's value from the shared walk and the best of them equal the
-    per-rule walks bit for bit, or both raise the same solver error."""
+def assert_shared_equals_per_rule(tree, driver, obstacle, per_rule=True):
+    """Each rule's value from the frontier tables and from the shared walk, and
+    the best of them, equal the per-rule walks bit for bit, or all raise the
+    same solver error; ``per_rule=False`` leaves out the walk of one
+    ``g_evaluation`` per rule."""
+    tables = _outcome(lambda: [float_bits(v) for v in rule_values(tree, driver, obstacle)])
     shared = _outcome(lambda: [float_bits(v) for v in
                                g_evaluations(tree, driver, _stop_flags(tree), obstacle)])
-    per_rule = _outcome(lambda: [float_bits(g_evaluation(tree, driver, stop, obstacle))
-                                 for stop in _stop_flags(tree)])
-    assert shared == per_rule
-    assert (_outcome(lambda: float_bits(brute_force_seller_value(tree, driver, obstacle)))
-            == _outcome(lambda: float_bits(
-                scalar_brute_force_seller_value(tree, driver, obstacle))))
+    assert tables == shared
+    if per_rule:
+        assert shared == _outcome(lambda: [float_bits(g_evaluation(tree, driver, stop, obstacle))
+                                           for stop in _stop_flags(tree)])
+        assert (_outcome(lambda: float_bits(brute_force_seller_value(tree, driver, obstacle)))
+                == _outcome(lambda: float_bits(
+                    scalar_brute_force_seller_value(tree, driver, obstacle))))
 
 
 class TestSharedContinuationValues:
@@ -161,6 +165,55 @@ class TestSharedContinuationValues:
         with pytest.raises(ConvergenceError, match="did not converge"):
             brute_force_seller_value(tree, steep, obstacle)
         assert_shared_equals_per_rule(tree, steep, obstacle)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lam", [0.0, 0.25])
+    @pytest.mark.parametrize("kind", DRIVER_KINDS)
+    def test_frontier_tables_equal_the_shared_walk(self, kind, lam, n_steps):
+        # lambda = 0 has two-branch nodes only (97 rules at n = 4); the per-rule
+        # walk of the 4209 rules at lambda > 0 and n = 4 is left to the README job.
+        params = dataclasses.replace(self.README_MARKET, lam=lam)
+        tree = build_tree(params, n_steps)
+        obstacle = Obstacle.from_payoff(tree, put(105.0))
+        assert_shared_equals_per_rule(tree, make_driver(kind, params), obstacle,
+                                      per_rule=lam == 0.0 or n_steps < 4)
+
+    def test_a_solver_error_is_the_first_of_the_per_rule_walk(self):
+        # Diverges at t = dt for every value, which the first rule (continue
+        # everywhere) meets after its steps at t = 2 dt. At t = 2 dt it diverges
+        # only once a later rule collects the 1000 at a level-3 node, and the
+        # tables step every rule below a frontier before the frontier itself.
+        tree = build_tree(flat_params(), 4)
+        dt = tree.dt
+        pay = {node: 1000.0 if node == (3, 1, 0) else 0.0 for node in tree.nodes}
+        obstacle = Obstacle(tree, dict_rows(tree, pay))
+
+        def eval_(t, y, z, k, s):
+            if t == dt:
+                return 10.0 * abs(y) + 1.0
+            return 10.0 * abs(y) + 1.0 if t == 2 * dt and abs(y) > 100.0 else 0.0
+
+        driver = Driver(name="diverging", eval=eval_, lipschitz_C=10.0)
+        # Continue down to (2, 0, 0), which steps from the 1000 at (3, 1, 0).
+        collects = {node: node[0] > 2 or node[1] > 0 for node in tree.nodes}
+        with pytest.raises(ConvergenceError, match=r"at t=0\.5;"):
+            g_evaluation(tree, driver, collects, obstacle)
+        with pytest.raises(ConvergenceError, match=r"at t=0\.5;"):
+            _frontier_tables(tree, driver, obstacle)
+        with pytest.raises(ConvergenceError, match=r"at t=0\.25;"):
+            brute_force_seller_value(tree, driver, obstacle)
+        assert_shared_equals_per_rule(tree, driver, obstacle)
+
+    @pytest.mark.parametrize("evaluate", [brute_force_seller_value, rule_values])
+    def test_depth_guard_raises_before_any_step(self, evaluate):
+        tree = build_tree(self.README_MARKET, 5)
+        obstacle = Obstacle.from_payoff(tree, put(105.0))
+        driver, calls = counting(perfect_driver(self.README_MARKET))
+        with pytest.raises(ValueError, match=r"^stopping-rule enumeration is limited to 4 "
+                                             r"steps \(got 5\); the rule count grows doubly "
+                                             r"exponentially$"):
+            evaluate(tree, driver, obstacle)
+        assert calls[0] == 0
 
     def test_driver_calls_are_shared_between_rules(self):
         # The README job at n=4: borrow_lend R=0.07, put K=105, 4209 rules.
