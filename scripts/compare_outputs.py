@@ -25,6 +25,10 @@ fixed ``EDGE_JOBS``, which reach what no workload job does:
   price+hedge+verify and as a hedge+verify job: the buyer's solve
   diverges at node (3, 0, 0) while the seller's alone converges, and both
   exit 3;
+* a verify-only ``duality`` job on a call K = 95 with no default
+  (lambda = 0) under ``large_trader`` alpha = 0.01 at n = 3: the seller's
+  solve converges, but the rule enumeration diverges at t = 1/3, so the
+  duality oracle walks the rules one at a time and the job exits 3;
 * a verify-only skorokhod job on a call K = 95 with no default
   (lambda = 0), R = 2 and n = 2, whose seller alone diverges at node
   (1, 0, 0) and exits 3;
@@ -90,6 +94,8 @@ EDGE_JOBS = [
       for name, params in (("perfect", {}), ("large_trader", {"alpha": 5e-4, "gamma_bar": 0.2}))),
     *(edge_job("borrow_lend", {"R": 40.0}, 4, jobs=jobs)
       for jobs in (["price", "hedge", "verify"], ["hedge", "verify"])),
+    edge_job("large_trader", {"alpha": 0.01, "gamma_bar": 0.2}, 3, lam=0.0, jobs=["verify"],
+             payoff=("call", 95.0), verify=["duality"]),
     edge_job("borrow_lend", {"R": 2.0}, 2, lam=0.0, jobs=["verify"], payoff=("call", 95.0),
              verify=["skorokhod"]),
     edge_job("borrow_lend", {"R": 0.07}, 16, {"values": [0.25, 0.0], "times": [0.0, 0.5]},

@@ -21,9 +21,8 @@ sweep; a single solve is the case K = 1. Each side's work counts
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -272,40 +271,18 @@ def g_evaluation(tree: Tree, driver: Driver, rule, payoff) -> float:
     At stopped nodes the value is the payoff; elsewhere it is the backward
     step through the children.
     """
-    return next(g_evaluations(tree, driver, (rule,), payoff))
-
-
-def g_evaluations(tree: Tree, driver: Driver, rules: Iterable, payoff) -> Iterator[float]:
-    """``g_evaluation`` of each rule in turn, reading the payoff once.
-
-    A continuation value is a function of the node and its children's exact
-    values alone, so each distinct (node, child value bits) is stepped once
-    per call and shared by every rule that meets it; the bits keep -0.0
-    apart from 0.0, which compare equal.
-    """
     pay = _values_on(payoff, tree.nodes)
-    stepped = {}
-    packers = {m: struct.Struct(f"{m}d").pack for m in (2, 3)}  # up, down[, default]
-    kids = {node: (packers[len(bs)], [b.child for b in bs]) for node, bs in tree.branches.items()}
-    for rule in rules:
-        stops = getattr(rule, "stop", rule)
-        for node in tree.terminal_nodes():
-            if not stops.get(node, False):
-                raise ValueError(f"stopping rule must stop at terminal node {node}")
-        w = {}
-        for level in reversed(tree.levels):
-            for node in level:
-                if node not in stops:
-                    raise ValueError(f"stopping rule undefined at node {node}")
-                if stops[node]:
-                    w[node] = pay[node]
-                    continue
-                pack, children = kids[node]
-                key = (node, pack(*[w[c] for c in children]))
-                if key not in stepped:
-                    stepped[key], _, _ = one_step(tree, driver, node, w)
-                w[node] = stepped[key]
-        yield w[tree.root]
+    stops = getattr(rule, "stop", rule)
+    for node in tree.terminal_nodes():
+        if not stops.get(node, False):
+            raise ValueError(f"stopping rule must stop at terminal node {node}")
+    w = {}
+    for level in reversed(tree.levels):
+        for node in level:
+            if node not in stops:
+                raise ValueError(f"stopping rule undefined at node {node}")
+            w[node] = pay[node] if stops[node] else one_step(tree, driver, node, w)[0]
+    return w[tree.root]
 
 
 def martingale_check(tree: Tree, driver: Driver, process: Mapping) -> float:

@@ -235,6 +235,11 @@ def _groups(tree: Tree, paths: Paths, i: int):
             yield g, idx, tree.row_state(i, g, tree.s1[i][g][j], tree.s2[i][g][j])
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer other than a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in one_step
 def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
                     n_paths: int = DEFAULT_SAMPLE_PATHS, seed: int = 0,
@@ -251,9 +256,9 @@ def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
         n_paths, seed = 1, 0  # one root state; the expansion draws nothing
     elif mode != "sampled":
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    elif not 1 <= n_paths < 2**32:  # _draws takes each path index as one uint32 word
+    elif not (_is_int(n_paths) and 1 <= n_paths < 2**32):  # a path index is one uint32 word
         raise ValueError(f"n_paths must be at least 1 and below 2**32, got {n_paths!r}")
-    elif not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    elif not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     paths = _path_sample(tree, mode, n_paths, int(seed))
     phi1, phi2 = strategy.phi1_rows, strategy.phi2_rows

@@ -331,7 +331,7 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
     everywhere yields the plain recombining binomial tree (two branches per
     node, dM identically 0).
     """
-    if int(n_steps) != n_steps or n_steps < 1:
+    if not (is_finite_number(n_steps) and int(n_steps) == n_steps >= 1):
         raise ValueError("n_steps must be a positive integer")
     n_steps = int(n_steps)
     dt = params.T / n_steps

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterator
 
-# g_evaluation stays a name of this module: the benchmark's tracer wraps it here.
-from .bsde import Solution, _values_on, g_evaluation, g_evaluations, one_step  # noqa: F401
+from .bsde import Solution, _values_on, g_evaluation, one_step
 from .drivers import Driver
-from .market import MarketParams, Tree
+from .market import MarketParams, Tree, is_finite_number
 from .pricing import StoppingRule
 from .rbsde import Obstacle, solve_rbsde_lower
 
@@ -78,15 +77,15 @@ def _stop_flags(tree: Tree) -> Iterator[dict]:
 
 def rule_values(tree: Tree, driver: Driver, obstacle: Obstacle) -> list:
     """Root value of every enumerated stopping rule, in enumeration order, equal
-    bit for bit to ``g_evaluations`` over ``_stop_flags`` and with the same
-    driver calls. The tables meet new steps in another order than the per-rule
-    walk, so on an error the per-rule walk runs and raises its first error."""
+    bit for bit to one ``g_evaluation`` per rule of ``_stop_flags``. The tables
+    meet new steps in another order than that walk, so on an error the rules
+    are walked one at a time and the first error of that walk is raised."""
     _require_depth(tree)
     try:
         return _frontier_tables(tree, driver, obstacle)
     except Exception:
-        for _ in g_evaluations(tree, driver, _stop_flags(tree), obstacle):
-            pass
+        for stop in _stop_flags(tree):
+            g_evaluation(tree, driver, stop, obstacle)
         raise
 
 
@@ -166,7 +165,7 @@ def crr_american_oracle(params: MarketParams, payoff: Callable, n_steps: int) ->
     """
     if any(v != 0.0 for v in params.lam.values):
         raise ValueError("the binomial oracle requires a zero default intensity")
-    if int(n_steps) != n_steps or n_steps < 1:
+    if not (is_finite_number(n_steps) and int(n_steps) == n_steps >= 1):
         raise ValueError("n_steps must be a positive integer")
     n_steps = int(n_steps)
     dt = params.T / n_steps

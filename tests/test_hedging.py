@@ -505,14 +505,15 @@ class TestBrokenWealth:
         self.obs = Obstacle.from_payoff(self.tree, put(105.0))
         self.driver = borrow_lend_driver(params, 0.07)
 
-    @pytest.mark.parametrize("n_paths", [0, -1, 2**32])  # 2**32: rejected before any draw
+    # 2**32: rejected before any draw; 2.5 and True: rejected before numpy sees them
+    @pytest.mark.parametrize("n_paths", [0, -1, 2**32, 2.5, True])
     def test_no_sample_paths_rejected(self, n_paths):
         seller = seller_price(self.tree, self.driver, self.obs)
         with pytest.raises(ValueError, match="n_paths"):
             simulate_wealth(self.tree, seller.u0, seller.strategy, self.driver,
                             mode="sampled", n_paths=n_paths)
 
-    @pytest.mark.parametrize("seed", [-1, 2.0])
+    @pytest.mark.parametrize("seed", [-1, 2.0, True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         seller = seller_price(self.tree, self.driver, self.obs)
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from amhedge.bsde import ConvergenceError, g_evaluation, g_evaluations, solve_bsde
+from amhedge.bsde import ConvergenceError, g_evaluation, solve_bsde
 from amhedge.drivers import Driver, borrow_lend_driver, perfect_driver
 from amhedge.market import MarketParams, PiecewiseConstant, build_tree
 from amhedge.oracle import (_frontier_tables, _stop_flags, apriori_estimate,
@@ -45,7 +45,7 @@ def reached_signature(tree, rule):
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n_steps", [0, -1, 2.5])
+    @pytest.mark.parametrize("n_steps", [0, -1, 2.5, math.inf, math.nan, True])
     def test_a_lattice_needs_a_positive_whole_number_of_steps(self, n_steps):
         with pytest.raises(ValueError, match=r"^n_steps must be a positive integer$"):
             build_tree(flat_params(), n_steps)
@@ -116,29 +116,24 @@ def _outcome(evaluate):
         return str(exc)
 
 
-def assert_shared_equals_per_rule(tree, driver, obstacle, per_rule=True):
-    """Each rule's value from the frontier tables and from the shared walk, and
-    the best of them, equal the per-rule walks bit for bit, or all raise the
-    same solver error; ``per_rule=False`` leaves out the walk of one
-    ``g_evaluation`` per rule."""
+def assert_tables_equal_per_rule(tree, driver, obstacle):
+    """Each rule's value from the frontier tables, and the best of them, equal
+    one ``g_evaluation`` per rule and the per-rule maximum bit for bit, or all
+    raise the same solver error."""
     tables = _outcome(lambda: [float_bits(v) for v in rule_values(tree, driver, obstacle)])
-    shared = _outcome(lambda: [float_bits(v) for v in
-                               g_evaluations(tree, driver, _stop_flags(tree), obstacle)])
-    assert tables == shared
-    if per_rule:
-        assert shared == _outcome(lambda: [float_bits(g_evaluation(tree, driver, stop, obstacle))
-                                           for stop in _stop_flags(tree)])
-        assert (_outcome(lambda: float_bits(brute_force_seller_value(tree, driver, obstacle)))
-                == _outcome(lambda: float_bits(
-                    scalar_brute_force_seller_value(tree, driver, obstacle))))
+    assert tables == _outcome(lambda: [float_bits(g_evaluation(tree, driver, stop, obstacle))
+                                       for stop in _stop_flags(tree)])
+    assert (_outcome(lambda: float_bits(brute_force_seller_value(tree, driver, obstacle)))
+            == _outcome(lambda: float_bits(
+                scalar_brute_force_seller_value(tree, driver, obstacle))))
 
 
-class TestSharedContinuationValues:
+class TestFrontierTables:
     README_MARKET = flat_params(mu1=0.07, mu2=-0.02, sigma2=0.25, lam=0.25)
 
     def test_duality_instances_equal_the_per_rule_reference(self):
         for inst in duality_instances():
-            assert_shared_equals_per_rule(inst.tree, inst.driver, inst.obstacle)
+            assert_tables_equal_per_rule(inst.tree, inst.driver, inst.obstacle)
 
     @pytest.mark.parametrize("kind", DRIVER_KINDS + ("signed_zero",))
     def test_zero_child_values_keep_their_sign(self, kind):
@@ -151,7 +146,7 @@ class TestSharedContinuationValues:
         assert ({float_bits(v) for v in obstacle.values.values()}
                 == {float_bits(0.0), float_bits(-0.0)})
         driver = SIGNED_ZERO if kind == "signed_zero" else make_driver(kind, self.README_MARKET)
-        assert_shared_equals_per_rule(tree, driver, obstacle)
+        assert_tables_equal_per_rule(tree, driver, obstacle)
 
     def test_a_solver_error_first_met_at_a_later_rule_is_the_same(self):
         tree = build_tree(flat_params(), 3)
@@ -164,19 +159,18 @@ class TestSharedContinuationValues:
         assert g_evaluation(tree, steep, next(_stop_flags(tree)), obstacle) == 0.0
         with pytest.raises(ConvergenceError, match="did not converge"):
             brute_force_seller_value(tree, steep, obstacle)
-        assert_shared_equals_per_rule(tree, steep, obstacle)
+        assert_tables_equal_per_rule(tree, steep, obstacle)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 4])
     @pytest.mark.parametrize("lam", [0.0, 0.25])
     @pytest.mark.parametrize("kind", DRIVER_KINDS)
-    def test_frontier_tables_equal_the_shared_walk(self, kind, lam, n_steps):
-        # lambda = 0 has two-branch nodes only (97 rules at n = 4); the per-rule
-        # walk of the 4209 rules at lambda > 0 and n = 4 is left to the README job.
+    def test_frontier_tables_equal_the_per_rule_walk(self, kind, lam, n_steps):
+        # lambda = 0 has two-branch nodes only (97 rules at n = 4), lambda > 0
+        # three-branch ones (4209 rules at n = 4).
         params = dataclasses.replace(self.README_MARKET, lam=lam)
         tree = build_tree(params, n_steps)
         obstacle = Obstacle.from_payoff(tree, put(105.0))
-        assert_shared_equals_per_rule(tree, make_driver(kind, params), obstacle,
-                                      per_rule=lam == 0.0 or n_steps < 4)
+        assert_tables_equal_per_rule(tree, make_driver(kind, params), obstacle)
 
     def test_a_solver_error_is_the_first_of_the_per_rule_walk(self):
         # Diverges at t = dt for every value, which the first rule (continue
@@ -202,7 +196,7 @@ class TestSharedContinuationValues:
             _frontier_tables(tree, driver, obstacle)
         with pytest.raises(ConvergenceError, match=r"at t=0\.25;"):
             brute_force_seller_value(tree, driver, obstacle)
-        assert_shared_equals_per_rule(tree, driver, obstacle)
+        assert_tables_equal_per_rule(tree, driver, obstacle)
 
     @pytest.mark.parametrize("evaluate", [brute_force_seller_value, rule_values])
     def test_depth_guard_raises_before_any_step(self, evaluate):
@@ -235,12 +229,12 @@ class TestSharedContinuationValues:
        kind=st.sampled_from(DRIVER_KINDS), payoff=st.sampled_from(("put", "call", "expr")),
        n_steps=st.integers(1, 3), r=st.floats(0.0, 0.06), sigma1=st.floats(0.1, 0.5),
        strike=st.floats(70.0, 130.0))
-def test_shared_walk_equals_the_per_rule_reference_on_random_markets(
+def test_frontier_tables_equal_the_per_rule_walk_on_random_markets(
         style, kind, payoff, n_steps, r, sigma1, strike):
     params = style_params(style, r, sigma1)
     tree = build_tree(params, n_steps)
     obstacle = Obstacle.from_payoff(tree, named_payoff(payoff, strike))
-    assert_shared_equals_per_rule(tree, make_driver(kind, params), obstacle)
+    assert_tables_equal_per_rule(tree, make_driver(kind, params), obstacle)
 
 
 class TestCrrOracle:
@@ -342,6 +336,8 @@ def test_crr_values_are_pinned_bit_for_bit(market, payoff, n_steps):
     ({"mu1": 3.0, "sigma1": 0.15}, 16, "risk-neutral weight -1.95833 outside (0, 1) at step 0"),
     ({}, 0, "n_steps must be a positive integer"),
     ({}, 2.5, "n_steps must be a positive integer"),
+    *(({}, n_steps, "n_steps must be a positive integer")
+      for n_steps in (math.inf, math.nan, True)),
 ])
 def test_crr_errors_are_pinned(overrides, n_steps, message):
     with pytest.raises(ValueError) as failure:
