@@ -38,7 +38,9 @@ fixed ``EDGE_JOBS``, which reach what no workload job does:
   workload job runs ``gamma``);
 * a hedge and verify job at n = 16 with seed 2**32 + 5, whose 10,000
   sampled paths are seeded from two 32-bit words of the seed (the
-  workloads draw seeds below 1000, which take one).
+  workloads draw seeds below 1000, which take one);
+* the same job with seed 2**200 + 7, whose seven words overflow numpy's
+  four-word entropy pool, so that the words beyond it are mixed in.
 
 Each job runs as
 ``amhedge price job.json --out out --dump-tree`` in a fresh Python
@@ -100,7 +102,7 @@ EDGE_JOBS = [
              verify=["skorokhod"]),
     edge_job("borrow_lend", {"R": 0.07}, 16, {"values": [0.25, 0.0], "times": [0.0, 0.5]},
              ["verify"], verify=["gamma", "admissible"]),
-    edge_job("borrow_lend", {"R": 0.07}, 16, seed=2**32 + 5),
+    *(edge_job("borrow_lend", {"R": 0.07}, 16, seed=seed) for seed in (2**32 + 5, 2**200 + 7)),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Backward solvers on the lattice and the induced nonlinear evaluation.
+"""The backward sweep on the lattice's level rows.
 
 The backward step at a node with child values f is exact in (z, k): the
 branch increments make the system
@@ -22,12 +22,11 @@ sweep; a single solve is the case K = 1. Each side's work counts
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from .drivers import Driver, split_of
-from .market import NodeId, NodeState, Tree, row_view
+from .market import NodeState, Tree, row_view
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
@@ -95,52 +94,9 @@ def coefficients(branches, child_values, sq: float) -> tuple:
     return e + branches[2].prob * f_j[0], z, f_j[0] - 0.5 * (f_u + f_d)
 
 
-def implicit_value(driver: Driver, state: NodeState, dt: float, e: float,
-                   z: float, k: float) -> float:
-    """Solve y = e + g(t, y, z, k) * dt by Picard iteration.
-
-    The stopping test is scale aware (PICARD_TOL * (1 + |y|)): below one unit in
-    the last place an absolute test can alternate between adjacent floats
-    forever at large value scales.
-    """
-    t = state.t
-    g = split_of(driver)(t, z, k, state)
-    y = e
-    for _ in range(PICARD_MAX_ITER):
-        y_new = e + g(y) * dt
-        if abs(y_new - y) <= PICARD_TOL * (1.0 + abs(y_new)):
-            return y_new
-        y = y_new
-    raise ConvergenceError(
-        f"implicit step did not converge in {PICARD_MAX_ITER} iterations at t={t:.6g}; "
-        "the time step is too large for the driver's Lipschitz constant")
-
-
-def one_step(tree: Tree, driver: Driver, node: NodeId, values: Mapping) -> tuple:
-    """One backward step from child values; returns (y, z, k)."""
-    branches = tree.branches[node]
-    child_values = [values[b.child] for b in branches]
-    e, z, k = coefficients(branches, child_values, tree.sq)
-    y = implicit_value(driver, tree.state(node), tree.dt, e, z, k)
-    return y, z, k
-
-
-def _values_on(source, nodes: Iterable) -> dict:
-    """Node -> value dict of a mapping, or of an object's ``values`` mapping."""
-    values = source if isinstance(source, Mapping) else getattr(source, "values", None)
-    if not isinstance(values, Mapping):
-        raise TypeError(f"cannot read node values from {type(source).__name__}")
-    out = {}
-    for node in nodes:
-        if node not in values:
-            raise ValueError(f"value missing at node {node}")
-        out[node] = float(values[node])
-    return out
-
-
 def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k, row: tuple,
                   first=None) -> np.ndarray:
-    """``implicit_value`` over a (K, m) block (or a 1-D row) of the row
+    """``oracle.implicit_value`` over a (K, m) block (or a 1-D row) of the row
     ``(step, defaulted)``, handed to the driver flattened. Each element keeps
     the iterate at which it first passes the stopping test, so it equals the
     scalar result. Returns the block, and counts each element's iterations in
@@ -185,7 +141,7 @@ def _side_stats(K: int, rows: list, binds: list) -> list:
                                                row_iters @ widths, bound)]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in one_step
+@np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in a scalar step
 def backward_sweep(tree: Tree, driver: Driver, sides: list) -> list:
     """Backward solve of K sides together, one level row at a time.
 
@@ -194,7 +150,7 @@ def backward_sweep(tree: Tree, driver: Driver, sides: list) -> list:
     the barrier rows of every step, whose last doubles as the terminal
     condition. A row is solved as a (K, m) block, side h in block row h: the
     children are column slices of the next level's blocks, and each element
-    follows the arithmetic of ``one_step`` exactly, then is reflected from
+    follows the arithmetic of the scalar step exactly, then is reflected from
     below ("lower") or above ("upper") at its side's barrier. Returns one
     ``Solution`` per side, with that side's own work counts. If the block
     sweep fails, the sides are swept again one at a time, so the error
@@ -250,52 +206,3 @@ def backward_sweep(tree: Tree, driver: Driver, sides: list) -> list:
                      z_rows=rows_of(h, z), k_rows=rows_of(h, k), da_rows=rows_of(h, da),
                      stats=stats)
             for h, (kind, stats) in enumerate(zip(kinds, _side_stats(K, work, binds)))]
-
-
-def solve_bsde(tree: Tree, driver: Driver, terminal) -> Solution:
-    """Backward solve with a terminal condition and no reflection.
-
-    ``terminal`` maps terminal nodes to values (a dict, or any object with a
-    ``values`` mapping covering the last level).
-    """
-    values = _values_on(terminal, tree.terminal_nodes())
-    return backward_sweep(tree, driver, [("bsde", [tree.level_rows(values, tree.n_steps)])])[0]
-
-
-def g_evaluation(tree: Tree, driver: Driver, rule, payoff) -> float:
-    """Root value of the payoff collected at an adapted stopping rule.
-
-    The rule is a per-node boolean flag (anything with a ``stop`` mapping,
-    or the mapping itself); adaptedness is structural since flags are
-    functions of the node alone. Every terminal node must be flagged.
-    At stopped nodes the value is the payoff; elsewhere it is the backward
-    step through the children.
-    """
-    pay = _values_on(payoff, tree.nodes)
-    stops = getattr(rule, "stop", rule)
-    for node in tree.terminal_nodes():
-        if not stops.get(node, False):
-            raise ValueError(f"stopping rule must stop at terminal node {node}")
-    w = {}
-    for level in reversed(tree.levels):
-        for node in level:
-            if node not in stops:
-                raise ValueError(f"stopping rule undefined at node {node}")
-            w[node] = pay[node] if stops[node] else one_step(tree, driver, node, w)[0]
-    return w[tree.root]
-
-
-def martingale_check(tree: Tree, driver: Driver, process: Mapping) -> float:
-    """Largest one-step self-consistency residual of a per-node process.
-
-    For each non-terminal node, the process value is compared with the
-    backward step applied to its child values; a process that solves the
-    backward equation returns a residual at solver tolerance.
-    """
-    worst = 0.0
-    for level in tree.levels[:-1]:
-        for node in level:
-            y, _, _ = one_step(tree, driver, node, process)
-            worst = max(worst, abs(process[node] - y))
-    return worst
-

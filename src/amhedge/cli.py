@@ -212,7 +212,7 @@ def parse_config(config: dict) -> dict:
         raise ConfigError("grid.n_steps: required")
     _known(grid, "grid", ("n_steps",))
     n_steps = grid["n_steps"]
-    if not (is_finite_number(n_steps) and int(n_steps) == n_steps >= 1):
+    if not (_is_whole(n_steps) and n_steps >= 1):
         raise ConfigError(f"grid.n_steps: must be a positive integer, got {n_steps!r}")
     n_steps = int(n_steps)
     if n_steps > MAX_STEPS:
@@ -236,7 +236,7 @@ def parse_config(config: dict) -> dict:
         if check not in _CHECKS:
             raise ConfigError(f"verify: unknown check {check!r} (expected {list(_CHECKS)})")
     seed = config.get("seed", 0)
-    if not (is_finite_number(seed) and int(seed) == seed >= 0):
+    if not (_is_whole(seed) and seed >= 0):
         raise ConfigError(f"seed: must be a non-negative integer, got {seed!r}")
     strict = config.get("strict", False)
     if not isinstance(strict, bool):
@@ -261,6 +261,13 @@ def _list(config: dict, key: str, default: list) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{key}: must be a list, got {value!r}")
     return value
+
+
+def _is_whole(value) -> bool:
+    """An int other than a bool, of any size (its ``float()`` overflows from
+    2**1024 on), or a finite float of integral value."""
+    return (value.is_integer() if isinstance(value, float)
+            else isinstance(value, int) and not isinstance(value, bool))
 
 
 # ---------------------------------------------------------------------------

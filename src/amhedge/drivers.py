@@ -268,15 +268,13 @@ def check_gamma_assumption(driver: Driver, samples: Iterable) -> GammaReport:
     return GammaReport(min_ratio=min_ratio, passed=passed, worst=worst, n_samples=n)
 
 
-def sample_states(params: MarketParams, steps: Sequence,
-                  include_defaulted: bool = True) -> list:
-    """Representative node states, alive and (optionally) defaulted, at each
-    ``(t, Coefs)`` of ``steps`` (a tree's ``tree.time(i)``, ``tree.coef[i]``)."""
+def sample_states(params: MarketParams, steps: Sequence) -> list:
+    """Representative node states, alive and defaulted, at each ``(t, Coefs)``
+    of ``steps`` (a tree's ``tree.time(i)``, ``tree.coef[i]``)."""
     states = []
     for t, coef in steps:
         states.append(NodeState(t, 1.0, params.s1_0, params.s2_0, coef.lam, False, coef))
-        if include_defaulted:
-            states.append(NodeState(t, 1.0, params.s1_0, 0.0, 0.0, True, coef))
+        states.append(NodeState(t, 1.0, params.s1_0, 0.0, 0.0, True, coef))
     return states
 
 
@@ -300,6 +298,5 @@ def gamma_rows(params: MarketParams, steps: Sequence,
     intensity: one per state, with the grid's pairs as rows."""
     cols = _columns([(y, z, a, b) for y in ys for z in zs
                      for i, a in enumerate(ks) for b in ks[i + 1:]], 4)
-    return [(state, *cols) for state in sample_states(params, steps, include_defaulted=False)
-            if state.lam > 0.0]
+    return [(state, *cols) for state in sample_states(params, steps) if state.lam > 0.0]
 

@@ -28,9 +28,9 @@ import numpy as np
 from .bsde import PICARD_MAX_ITER, ConvergenceError, Solution, _implicit_row, coefficients
 from .drivers import Driver
 from .market import Tree, node_key
-from .pricing import StoppingRule, Strategy, phi_inverse
+from .pricing import Strategy, phi_inverse
 # solve_rbsde_lower stays a name of this module: the benchmark's tracer wraps it here.
-from .rbsde import Obstacle, solve_rbsde_lower  # noqa: F401
+from .rbsde import Obstacle, StoppingRule, solve_rbsde_lower  # noqa: F401
 
 SUPERHEDGE_TOL = 1e-10
 MARTINGALE_TOL = 1e-10  # largest wealth martingale residual that passes

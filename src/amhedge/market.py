@@ -255,9 +255,6 @@ class Tree:
     def terminal_nodes(self) -> list:
         return self.levels[self.n_steps]
 
-    def state(self, node: NodeId) -> NodeState:
-        return self.nodes[node]
-
     def row_state(self, step: int, defaulted: int, s1, s2) -> NodeState:
         """State of one step's alive or defaulted row at prices s1, s2."""
         coef = self.coef[step]

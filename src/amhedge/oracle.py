@@ -1,19 +1,19 @@
-"""Independent references: exhaustive stopping-rule search, a classical
-binomial American pricer, and a numerical stability-estimate check.
+"""Independent references on the node views: the scalar backward step and its
+E^g evaluations, stopping-rule search, a binomial pricer and a stability check.
 
-Everything here deliberately avoids the reflected solvers so that
-agreement between the two routes is evidence, not tautology. The rule
-enumeration doubles exponentially in the number of steps, hence the hard
-guard on tree depth (4209 rules on a 4-step tree with default). The
-enumeration below a frontier (the reached nodes of one level) depends on
-that frontier alone, so the rules' values are built as one table per
-distinct frontier: its values under each of its sub-rules, in enumeration
-order, from the table of each set of children that it continues to. Each
-distinct (node, child values) is stepped once with the scalar
-``one_step`` and shared; nodes a rule never reaches are never visited.
-The stability estimate walks the tree once backward (driver gap,
-conditional sums) and once forward (pointwise bound, reach probabilities,
-norms).
+The scalar step walks node dicts and shares only ``bsde.coefficients`` with
+the row sweep, so agreement is evidence, not tautology; ``solve_bsde`` and
+``apriori_estimate_check`` run the sweep itself. The rule enumeration
+doubles exponentially in the number of steps, hence the hard guard on tree
+depth (4209 rules on a 4-step tree with default). The enumeration below a
+frontier (the reached nodes of one level) depends on that frontier alone, so
+the rules' values are built as one table per distinct frontier: its values
+under each of its sub-rules, in enumeration order, from the table of each
+set of children that it continues to. Each distinct (node, child values) is
+stepped once with the scalar ``one_step`` and shared; nodes a rule never
+reaches are never visited. The stability estimate walks the tree once
+backward (driver gap, conditional sums) and once forward (pointwise bound,
+reach probabilities, norms).
 """
 
 from __future__ import annotations
@@ -22,18 +22,109 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .bsde import Solution, _values_on, g_evaluation, one_step
-from .drivers import Driver
-from .market import MarketParams, Tree, is_finite_number
-from .pricing import StoppingRule
-from .rbsde import Obstacle, solve_rbsde_lower
+from .bsde import (PICARD_MAX_ITER, PICARD_TOL, ConvergenceError, Solution, backward_sweep,
+                   coefficients)
+from .drivers import Driver, split_of
+from .market import MarketParams, NodeId, NodeState, Tree, is_finite_number
+from .rbsde import Obstacle, StoppingRule, solve_rbsde_lower
 
 MAX_ENUM_STEPS = 4
 DUALITY_TOL = 1e-12  # largest |u0 - enumerated value| that passes
 # Largest violation of a stability bound that still passes (rounding of the sums).
 APRIORI_TOL = 1e-10
+
+
+def implicit_value(driver: Driver, state: NodeState, dt: float, e: float,
+                   z: float, k: float) -> float:
+    """Solve y = e + g(t, y, z, k) * dt by Picard iteration.
+
+    The stopping test is scale aware (PICARD_TOL * (1 + |y|)): below one unit in
+    the last place an absolute test can alternate between adjacent floats
+    forever at large value scales.
+    """
+    t = state.t
+    g = split_of(driver)(t, z, k, state)
+    y = e
+    for _ in range(PICARD_MAX_ITER):
+        y_new = e + g(y) * dt
+        if abs(y_new - y) <= PICARD_TOL * (1.0 + abs(y_new)):
+            return y_new
+        y = y_new
+    raise ConvergenceError(
+        f"implicit step did not converge in {PICARD_MAX_ITER} iterations at t={t:.6g}; "
+        "the time step is too large for the driver's Lipschitz constant")
+
+
+def one_step(tree: Tree, driver: Driver, node: NodeId, values: Mapping) -> tuple:
+    """One backward step from child values; returns (y, z, k)."""
+    branches = tree.branches[node]
+    child_values = [values[b.child] for b in branches]
+    e, z, k = coefficients(branches, child_values, tree.sq)
+    y = implicit_value(driver, tree.nodes[node], tree.dt, e, z, k)
+    return y, z, k
+
+
+def _values_on(source, nodes: Iterable) -> dict:
+    """Node -> value dict of a mapping, or of an object's ``values`` mapping."""
+    values = source if isinstance(source, Mapping) else getattr(source, "values", None)
+    if not isinstance(values, Mapping):
+        raise TypeError(f"cannot read node values from {type(source).__name__}")
+    out = {}
+    for node in nodes:
+        if node not in values:
+            raise ValueError(f"value missing at node {node}")
+        out[node] = float(values[node])
+    return out
+
+
+def solve_bsde(tree: Tree, driver: Driver, terminal) -> Solution:
+    """Backward solve with a terminal condition and no reflection.
+
+    ``terminal`` maps terminal nodes to values (a dict, or any object with a
+    ``values`` mapping covering the last level).
+    """
+    values = _values_on(terminal, tree.terminal_nodes())
+    return backward_sweep(tree, driver, [("bsde", [tree.level_rows(values, tree.n_steps)])])[0]
+
+
+def g_evaluation(tree: Tree, driver: Driver, rule, payoff) -> float:
+    """Root value of the payoff collected at an adapted stopping rule.
+
+    The rule is a per-node boolean flag (anything with a ``stop`` mapping,
+    or the mapping itself); adaptedness is structural since flags are
+    functions of the node alone. Every terminal node must be flagged.
+    At stopped nodes the value is the payoff; elsewhere it is the backward
+    step through the children.
+    """
+    pay = _values_on(payoff, tree.nodes)
+    stops = getattr(rule, "stop", rule)
+    for node in tree.terminal_nodes():
+        if not stops.get(node, False):
+            raise ValueError(f"stopping rule must stop at terminal node {node}")
+    w = {}
+    for level in reversed(tree.levels):
+        for node in level:
+            if node not in stops:
+                raise ValueError(f"stopping rule undefined at node {node}")
+            w[node] = pay[node] if stops[node] else one_step(tree, driver, node, w)[0]
+    return w[tree.root]
+
+
+def martingale_check(tree: Tree, driver: Driver, process: Mapping) -> float:
+    """Largest one-step self-consistency residual of a per-node process.
+
+    For each non-terminal node, the process value is compared with the
+    backward step applied to its child values; a process that solves the
+    backward equation returns a residual at solver tolerance.
+    """
+    worst = 0.0
+    for level in tree.levels[:-1]:
+        for node in level:
+            y, _, _ = one_step(tree, driver, node, process)
+            worst = max(worst, abs(process[node] - y))
+    return worst
 
 
 def enumerate_stopping_rules(tree: Tree) -> Iterator[StoppingRule]:

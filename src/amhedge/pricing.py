@@ -23,10 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import Solution, g_evaluation
+from .bsde import Solution
 from .drivers import Driver, check_gamma_assumption, gamma_rows
 from .market import NodeId, Tree, row_view
-from .rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper, solve_reflected
+from .oracle import g_evaluation
+from .rbsde import Obstacle, StoppingRule, solve_rbsde_lower, solve_rbsde_upper, solve_reflected
 
 # Equality of the value and the obstacle is scale aware; the cumulative
 # charge is compared against an absolute floor.
@@ -46,17 +47,6 @@ class Strategy:
 
     phi1 = row_view("phi1_rows", backward=True)
     phi2 = row_view("phi2_rows", backward=True)
-
-
-@dataclass(eq=False)
-class StoppingRule:
-    """Stop flags as level rows of every step of one tree, with the node dict
-    built on first read; descendants of a stopped node are irrelevant."""
-
-    tree: Tree
-    rows: list
-
-    stop = row_view("rows")
 
 
 def _rule(tree: Tree, flag, *rows) -> StoppingRule:

@@ -43,6 +43,17 @@ class Obstacle:
                           for i, (s1, s2) in enumerate(zip(tree.s1, tree.s2))])
 
 
+@dataclass(eq=False)
+class StoppingRule:
+    """Stop flags as level rows of every step of one tree, with the node dict
+    built on first read; descendants of a stopped node are irrelevant."""
+
+    tree: Tree
+    rows: list
+
+    stop = row_view("rows")
+
+
 def solve_reflected(tree: Tree, driver: Driver, sides: list) -> list:
     """Reflected solves of one driver against each ``(obstacle, side)`` of
     ``sides`` ("lower" or "upper"), all in one backward sweep; returns one

@@ -24,14 +24,13 @@ from typing import Iterable
 
 import numpy as np
 
-from amhedge.bsde import (ConvergenceError, coefficients, g_evaluation, implicit_value,
-                          one_step)
+from amhedge.bsde import ConvergenceError, coefficients
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.hedging import SUPERHEDGE_TOL, HedgeReport
 from amhedge.market import (MarketParams, PiecewiseConstant, as_piecewise, build_tree,
                             node_key)
-from amhedge.oracle import AprioriReport, _stop_flags
+from amhedge.oracle import AprioriReport, _stop_flags, g_evaluation, implicit_value, one_step
 from amhedge.payoffs import call, payoff_from_config, put
 from amhedge.pricing import A_ZERO_TOL, EQUALITY_RTOL, RationalityReport, phi_inverse
 from amhedge.rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
@@ -292,7 +291,7 @@ def scalar_simulate_exact(tree, x0: float, strategy, driver) -> ScalarWealthFiel
         for idx, node in enumerate(ids_i):
             v = v_i[idx]
             z, k = zk[node]
-            drift = v - driver.eval(t, v, z, k, tree.state(node)) * dt
+            drift = v - driver.eval(t, v, z, k, tree.nodes[node]) * dt
             for b_idx, b in enumerate(tree.branches[node]):
                 next_ids.append(b.child)
                 next_v.append(drift + z * b.dw + k * b.dm)
@@ -326,7 +325,7 @@ def scalar_simulate_sampled(tree, x0: float, strategy, driver,
         v = float(x0)
         for i in range(tree.n_steps):
             z, k = zk_levels[i][node]
-            drift = v - driver.eval(tree.time(i), v, z, k, tree.state(node)) * dt
+            drift = v - driver.eval(tree.time(i), v, z, k, tree.nodes[node]) * dt
             u = draws[i]
             acc = 0.0
             b_idx = len(tree.branches[node]) - 1
@@ -418,7 +417,7 @@ def scalar_martingale_residual(field, driver) -> float:
             child_vals = vals[offset:offset + len(branches)]
             offset += len(branches)
             e, z, k = coefficients(branches, child_vals, tree.sq)
-            new_vals.append(implicit_value(driver, tree.state(node), tree.dt, e, z, k))
+            new_vals.append(implicit_value(driver, tree.nodes[node], tree.dt, e, z, k))
         vals = new_vals
     return abs(vals[0] - field.x0)
 
@@ -604,7 +603,7 @@ def scalar_apriori_estimate(sol1, sol2, eta: float, beta: float) -> AprioriRepor
     for level in tree.levels[:-1]:
         for node in level:
             t = tree.time(node[0])
-            state = tree.state(node)
+            state = tree.nodes[node]
             y2, z2, k2 = sol2.y[node], sol2.z[node], sol2.k[node]
             fbar[node] = (driver1.eval(t, y2, z2, k2, state)
                           - driver2.eval(t, y2, z2, k2, state))

@@ -19,12 +19,11 @@ from amhedge.hedging import (simulate_wealth, verify_superhedge_buyer,
                              wealth_martingale_residual)
 from amhedge.market import MarketParams, build_tree
 from amhedge.oracle import (apriori_estimate_check, brute_force_seller_value,
-                            crr_american_oracle)
+                            crr_american_oracle, g_evaluation)
 from amhedge.pricing import (StoppingRule, Strategy, buyer_price, epsilon_gap_bound,
                              epsilon_rational, is_rational,
                              rational_exercise_times, seller_price)
 from amhedge.rbsde import (Obstacle, solve_rbsde_lower, solve_rbsde_upper)
-from amhedge.bsde import g_evaluation
 from helpers import (DRIVER_KINDS, call_payoff, dict_rows, duality_instances,
                      make_instance, negated, random_payoff)
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from amhedge.bsde import ConvergenceError, g_evaluation, martingale_check, solve_bsde
+from amhedge.bsde import ConvergenceError
 from amhedge.drivers import Driver, perfect_driver
 from amhedge.market import MarketParams, build_tree
+from amhedge.oracle import g_evaluation, martingale_check, solve_bsde
 from helpers import make_instance
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)

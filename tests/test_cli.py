@@ -457,6 +457,13 @@ class TestMain:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_a_seed_beyond_the_float_range_runs(self, tmp_path, capsys):
+        # float() of 2**1024 overflows; the 10,000 sampled paths take any integer seed.
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps({**_hedge_job(16), "seed": 2**1024}))
+        assert main(["price", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("market,message", [
         (list(README_JOB["market"].items()), "must be an object"),  # [name, value] pairs
         ("ab", "must be an object"),
@@ -486,6 +493,8 @@ class TestMain:
          "driver.params.gamma_bar: gamma_bar must exceed -1, got -2"),
         (_job(payoff={"kind": "expr", "expr": "S1 ** 2"}),
          "payoff expression: operator not allowed in 'S1 ** 2'"),
+        (_job(payoff={"kind": "expr", "expr": "~S1"}),
+         "payoff expression: operator not allowed in '~S1'"),
         (_job(payoff={"kind": "expr", "expr": "S1 + True"}),
          "payoff expression: literal True not allowed"),
         (_job(payoff={"kind": "expr", "expr": 5}),
@@ -494,7 +503,8 @@ class TestMain:
          "payoff.expr: 'S1 * 1e308 * 10' gives the value inf at t=0, S1=100, S2=90, "
          "defaulted=False"),
     ], ids=["top_level", "payoff_missing", "output_dir", "driver_block", "perfect_params",
-            "R_missing", "gamma_bar_missing", "gamma_bar_low", "operator", "literal",
+            "R_missing", "gamma_bar_missing", "gamma_bar_low", "operator", "unary_operator",
+            "literal",
             "expr_not_string", "expr_inf"])
     def test_front_door_error_exits_2_with_its_message(self, tmp_path, capsys, job, message):
         config_path = tmp_path / "job.json"
@@ -594,6 +604,14 @@ class TestStepCap:
         cfg = minimal_config()
         cfg["grid"]["n_steps"] = MAX_STEPS
         assert parse_config(cfg)["n_steps"] == MAX_STEPS  # parsed only, never built
+
+    def test_a_count_beyond_the_float_range_gets_the_cap_message(self, tmp_path, capsys):
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps({**_job(), "grid": {"n_steps": 2**1024}}))
+        assert main(["price", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: grid.n_steps: 1.798e+308 steps make about 3.23e+616 lattice nodes, "
+            "over the cap of 4096 steps (1.68e+7 nodes)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,19 @@ class TestBuyerSuperhedge:
         assert report.passed
         assert report.min_slack == 0.0 and report.max_abs_at_stop == 0.0
 
+    def test_a_rule_that_never_stops_is_rejected_naming_a_terminal_node(self):
+        params = MarketParams(**README_MARKET)
+        tree = build_tree(params, 3)
+        obs = Obstacle.from_payoff(tree, put(105.0))
+        g = perfect_driver(params)
+        buyer = buyer_price(tree, g, obs)
+        field = simulate_wealth(tree, -buyer.v0, buyer.strategy, g)
+        never = StoppingRule(tree, [tuple(np.zeros(len(row), dtype=bool) for row in rows)
+                                    for rows in tree.s1])
+        with pytest.raises(ValueError) as failure:
+            verify_superhedge_buyer(field, obs, never)
+        assert str(failure.value) == "rule does not stop by the terminal step at (3, 3, 0)"
+
 
 class TestViolationRows:
     def test_rows_describe_states(self):
@@ -444,10 +457,11 @@ class TestMatchesScalarReference:
                                                          driver, 200, seed))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 999, 2**32 - 1, 2**32, 2**64 + 7])
+@pytest.mark.parametrize("seed", [0, 1, 999, 2**32 - 1, 2**32, 2**64 + 7, 2**96, 2**1024 + 1])
 def test_draws_are_the_default_rng_streams(seed):
     """Column p of ``_draws`` is ``default_rng([seed, p]).random(n_steps)`` bit for bit;
-    the seeds from 2**32 on take more than one SeedSequence entropy word."""
+    the seeds from 2**32 on take more than one SeedSequence entropy word, and from
+    2**96 on the words with the path index overflow the four-word pool."""
     def streams(n_paths, n_steps):
         return np.column_stack([np.random.default_rng([seed, p]).random(n_steps)
                                 for p in range(n_paths)]).view(np.uint64)

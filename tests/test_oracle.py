@@ -6,12 +6,13 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from amhedge.bsde import ConvergenceError, g_evaluation, solve_bsde
+from amhedge.bsde import ConvergenceError
 from amhedge.drivers import Driver, borrow_lend_driver, perfect_driver
 from amhedge.market import MarketParams, PiecewiseConstant, build_tree
 from amhedge.oracle import (_frontier_tables, _stop_flags, apriori_estimate,
                             apriori_estimate_check, brute_force_seller_value,
-                            crr_american_oracle, enumerate_stopping_rules, rule_values)
+                            crr_american_oracle, enumerate_stopping_rules, g_evaluation,
+                            rule_values, solve_bsde)
 from amhedge.payoffs import call, payoff_from_config, put
 from amhedge.pricing import seller_price
 from amhedge.rbsde import Obstacle, solve_rbsde_lower

@@ -7,13 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from amhedge import hedging, pricing, rbsde
-from amhedge.bsde import ConvergenceError, g_evaluation
+from amhedge.bsde import ConvergenceError
 from amhedge.cli import canonical_json, report_to_dict
 from amhedge.drivers import (Driver, borrow_lend_driver, large_trader_driver, perfect_driver,
                              split_eval)
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.payoffs import call, put
-from amhedge.oracle import brute_force_seller_value, enumerate_stopping_rules
+from amhedge.oracle import brute_force_seller_value, enumerate_stopping_rules, g_evaluation
 from amhedge.pricing import (StoppingRule, buyer_price, epsilon_gap_bound,
                              epsilon_rational, is_rational, phi_inverse, phi_map,
                              price_american, rational_exercise_times, seller_price,

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amhedge.bsde import ConvergenceError, implicit_value, one_step, solve_bsde
+from amhedge.bsde import ConvergenceError
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
+from amhedge.oracle import implicit_value, one_step, solve_bsde
 from amhedge.pricing import rational_exercise_times
 from amhedge.rbsde import (Obstacle, skorokhod_residual, solve_rbsde_lower,
                            solve_rbsde_upper, solve_reflected)
@@ -457,7 +458,7 @@ def test_a_replaced_eval_is_the_one_the_solvers_call(kind):
                 for pair, ref_pair in zip(getattr(sol, name), getattr(ref, name), strict=True):
                     assert [row.tobytes() for row in pair] == [row.tobytes() for row in ref_pair]
     calls.clear()
-    state = tree.state((2, 1, 0))
+    state = tree.nodes[(2, 1, 0)]
     got = implicit_value(replaced, state, tree.dt, 1.5, 0.3, -0.2)
     assert calls and float_bits(got) == float_bits(implicit_value(driver, state, tree.dt, 1.5,
                                                                   0.3, -0.2))
