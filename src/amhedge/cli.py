@@ -28,7 +28,7 @@ from .drivers import (Driver, admissibility_rows, borrow_lend_driver,
                       check_gamma_assumption, check_lambda_admissible,
                       gamma_rows, large_trader_driver, perfect_driver, split_eval,
                       split_of)
-from .market import MarketParams, build_tree, is_finite_number
+from .market import MarketParams, Tree, build_tree, is_finite_number
 from .payoffs import payoff_from_config
 from .rbsde import Obstacle, skorokhod_residual, solve_rbsde_lower
 
@@ -58,6 +58,10 @@ class ConfigError(ValueError):
 
 _encode_str = json.encoder.encode_basestring_ascii  # equals json.dumps on a str
 
+# Keys per piece: node tables, key lists and tree.json's nodes are written this
+# many keys at a time, so no string of a whole document is built.
+_CHUNK = 4096
+
 
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
@@ -67,87 +71,124 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _require_finite(values: np.ndarray) -> None:
+    for bad in values[~np.isfinite(values)][:1]:
+        _fmt_float(float(bad))  # raises, naming the first one
+
+
 class NodeTable(NamedTuple):
-    """Written as the dict {key: {column: value}}; keys and values in key order."""
+    """Written as the dict {key: {column: value}}; keys and values in key order.
+    The keys are node keys (digits and commas), written without escaping."""
 
     keys: list
     columns: dict
 
 
-def _table_json(table: NodeTable) -> str:
-    names = sorted(table.columns)
-    values = np.column_stack([table.columns[name] for name in names]).ravel()
-    for bad in values[~np.isfinite(values)][:1]:
-        _fmt_float(float(bad))  # raises, naming the first one
+class NodeKeys(list):
+    """A list of node keys, written without escaping like a ``NodeTable``'s."""
+
+
+def _keyed_json(keys: list, write, columns=None) -> None:
+    """A node-key list, or with ``columns`` the table {key: {name: value}}, written
+    _CHUNK keys per piece: each piece one format string and one % over its values."""
+    names = sorted(columns or ())
     # "%.17g" formats as _fmt_float does; adding 0.0 turns -0.0 into 0.
-    entry = ": {" + ", ".join(f"{_encode_str(name)}: %.17g" for name in names) + "}"
-    body = (entry + ", ").join(map(_encode_str, table.keys)) + entry if table.keys else ""
-    return "{" + body % tuple((values + 0.0).tolist()) + "}"
+    tail = ('"' if columns is None
+            else '": {' + ", ".join(f"{_encode_str(name)}: %.17g" for name in names) + "}")
+    write("[" if columns is None else "{")
+    for a in range(0, len(keys), _CHUNK):
+        text = (', "' if a else '"') + (tail + ', "').join(keys[a:a + _CHUNK]) + tail
+        if names:
+            values = np.column_stack([columns[name][a:a + _CHUNK] for name in names]).ravel()
+            _require_finite(values)
+            text %= tuple((values + 0.0).tolist())
+        write(text)
+    write("]" if columns is None else "}")
 
 
-def _tree_json(tree) -> str:
-    """tree.json from the level rows: each row's constants formatted once, then its nodes."""
-    entries = []  # row order; %d and %.17g: each node's up count, child up counts, s1, s2
+def _tree_json(tree: Tree, write) -> None:
+    """tree.json from the level rows: each row's constants formatted once, then
+    the nodes in key order, _CHUNK per piece."""
+    entries, ups = [], []  # per row; %d and %.17g: a node's up count, its children's, s1, s2
     for i, rows in enumerate(tree.row_branches + [((), ())]):
         for d, branches in enumerate(rows):
             links = ", ".join('{"child": "%d,%%d,%d", "dm": %s, "dw": %s, "kind": "%s", "prob": %s}'
                               % (i + 1, b.child[2], _fmt_float(b.dm), _fmt_float(b.dw), b.kind,
                                  _fmt_float(b.prob)) for b in branches)
-            entry = ('"%d,%%d,%d": {%s"defaulted": %s, "lam": %s, "s0": %s, "s1": %%.17g, '
-                     '"s2": %%.17g}' % (i, d, f'"branches": [{links}], ' if branches else "",
-                     "true" if d else "false", _fmt_float(0.0 if d else tree.coef[i].lam),
-                     _fmt_float(tree.s0[i])))
-            values = np.concatenate((tree.s1[i][d], tree.s2[i][d])) + 0.0
-            for bad in values[~np.isfinite(values)][:1]:
-                _fmt_float(float(bad))  # raises, naming the first one
-            entries += [entry % (j, *(j + b.child[1] for b in branches), x, y)
-                        for j, (x, y) in enumerate(zip(*values.reshape(2, -1).tolist()))]
-    nodes = ", ".join([entries[p] for p in tree.orders[1].tolist()])
-    return f'{{"dt": {_fmt_float(tree.dt)}, "n_steps": {tree.n_steps}, "nodes": {{{nodes}}}}}\n'
+            entries.append('"%d,%%d,%d": {%s"defaulted": %s, "lam": %s, "s0": %s, "s1": %%.17g, '
+                           '"s2": %%.17g}' % (i, d, f'"branches": [{links}], ' if branches else "",
+                           "true" if d else "false", _fmt_float(0.0 if d else tree.coef[i].lam),
+                           _fmt_float(tree.s0[i])))
+            ups.append([b.child[1] for b in branches])
+            _require_finite(np.concatenate((tree.s1[i][d], tree.s2[i][d])))
+    columns = (*tree.row_index(), tree.flat(tree.s1) + 0.0, tree.flat(tree.s2) + 0.0)
+    by_key = tree.orders[1]
+    write(f'{{"dt": {_fmt_float(tree.dt)}, "n_steps": {tree.n_steps}, "nodes": {{')
+    for a in range(0, len(by_key), _CHUNK):
+        at = by_key[a:a + _CHUNK]
+        write((", " if a else "") + ", ".join([
+            entries[r] % (j, *[j + up for up in ups[r]], x, y)
+            for r, j, x, y in zip(*(column[at].tolist() for column in columns))]))
+    write("}}")
 
 
-def canonical_json(obj) -> str:
-    """Serialize with sorted keys and fixed float formatting."""
-    out = []
-    append = out.append
+def _emit(value, write) -> None:
+    if isinstance(value, NodeTable):  # before the tuples
+        _keyed_json(value.keys, write, value.columns)
+    elif isinstance(value, NodeKeys):  # before the lists
+        _keyed_json(value, write)
+    elif isinstance(value, Tree):
+        _tree_json(value, write)
+    elif isinstance(value, dict):
+        write("{")
+        for i, key in enumerate(sorted(value)):
+            write((", " if i else "") + _encode_str(str(key)) + ": ")
+            _emit(value[key], write)
+        write("}")
+    elif isinstance(value, (list, tuple)):
+        write("[")
+        for i, item in enumerate(value):
+            if i:
+                write(", ")
+            _emit(item, write)
+        write("]")
+    elif isinstance(value, bool):
+        write("true" if value else "false")
+    elif value is None:
+        write("null")
+    elif isinstance(value, int):
+        write(str(value))
+    elif isinstance(value, float):
+        write(_fmt_float(value))
+    elif isinstance(value, str):
+        write(_encode_str(value))
+    else:
+        raise ValueError(f"cannot serialize {type(value).__name__}")
 
-    def emit(value):
-        if isinstance(value, NodeTable):  # before the tuples
-            append(_table_json(value))
-        elif isinstance(value, dict):
-            append("{")
-            for i, key in enumerate(sorted(value)):
-                if i:
-                    append(", ")
-                append(_encode_str(str(key)))
-                append(": ")
-                emit(value[key])
-            append("}")
-        elif isinstance(value, (list, tuple)) and {*map(type, value)} <= {str}:
-            append("[" + ", ".join(map(_encode_str, value)) + "]")  # node key lists
-        elif isinstance(value, (list, tuple)):
-            append("[")
-            for i, item in enumerate(value):
-                if i:
-                    append(", ")
-                emit(item)
-            append("]")
-        elif isinstance(value, bool):
-            append("true" if value else "false")
-        elif value is None:
-            append("null")
-        elif isinstance(value, int):
-            append(str(value))
-        elif isinstance(value, float):
-            append(_fmt_float(value))
-        elif isinstance(value, str):
-            append(_encode_str(value))
-        else:
-            raise ValueError(f"cannot serialize {type(value).__name__}")
 
-    emit(obj)
-    append("\n")
-    return "".join(out)
+def _check(value) -> None:
+    """Raise the ValueError that writing ``value`` would, before anything is written."""
+    if isinstance(value, NodeTable):
+        columns = [value.columns[name] for name in sorted(value.columns)]
+        if not all(np.isfinite(column).all() for column in columns):
+            _require_finite(np.column_stack(columns).ravel())
+    elif isinstance(value, (dict, list, tuple)) and not isinstance(value, NodeKeys):
+        for item in map(value.get, sorted(value)) if isinstance(value, dict) else value:
+            _check(item)
+    elif not isinstance(value, (NodeKeys, int, str, type(None))):
+        _emit(value, len)  # a float or an unknown type raises here; len keeps nothing
+
+
+def canonical_json(obj, write=None):
+    """Serialize with sorted keys and fixed float formatting (a ``Tree`` as
+    tree.json), piece by piece to ``write``, or returned as one string without it.
+    A bad value raises ValueError once the pieces before it are written; ``_check``
+    raises it first."""
+    parts = []
+    sink = write or parts.append
+    _emit(obj, sink)
+    sink("\n")
+    return None if write else "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -274,32 +315,40 @@ def _is_whole(value) -> bool:
 # Serialization of pricing results
 # ---------------------------------------------------------------------------
 
-def _strategy_table(tree, strategy: pricing.Strategy) -> NodeTable:
+def _row_keys(tree) -> np.ndarray:
+    """Every node key in row order, as an object array to select from."""
+    row, up = tree.row_index()
+    steps = np.array([str(i) for i in range(tree.n_steps + 1)], dtype=object)
+    tails = np.array([[f",{j},{d}" for j in range(tree.n_steps + 1)] for d in (0, 1)], dtype=object)
+    return steps[row >> 1] + tails[row & 1, up]
+
+
+def _strategy_table(tree, keys, strategy: pricing.Strategy) -> NodeTable:
     # Serialised like {key: {"phi1": .., "phi2": ..}} over the non-terminal nodes.
     by_key = tree.orders[1]
-    order = by_key[by_key < len(tree.keys) - sum(map(len, tree.s1[-1]))]  # below the last step
+    order = by_key[by_key < len(by_key) - sum(map(len, tree.s1[-1]))]  # below the last step
     phi1, phi2 = (tree.flat(rows)[order] for rows in (strategy.phi1_rows, strategy.phi2_rows))
-    return NodeTable([tree.keys[p] for p in order.tolist()], {"phi1": phi1, "phi2": phi2})
+    return NodeTable(keys[order].tolist(), {"phi1": phi1, "phi2": phi2})
 
 
-def _rule_dict(tree, rule: pricing.StoppingRule) -> dict:
+def _rule_dict(tree, keys, rule: pricing.StoppingRule) -> dict:
     by_id = tree.orders[0]
-    order = by_id[tree.flat(rule.rows)[by_id]]
-    return {"stopped": [tree.keys[p] for p in order.tolist()]}
+    return {"stopped": NodeKeys(keys[by_id[tree.flat(rule.rows)[by_id]]].tolist())}
 
 
 def report_to_dict(report: pricing.PricingReport) -> dict:
     seller, buyer = report.seller, report.buyer
     tree = seller.solution.tree
+    keys = _row_keys(tree)
     return {
         "u0": seller.u0,
         "v0": buyer.v0,
         "interval_ok": report.interval_ok,
-        "seller_strategy": _strategy_table(tree, seller.strategy),
-        "buyer_strategy": _strategy_table(tree, buyer.strategy),
-        "buyer_exercise": _rule_dict(tree, buyer.exercise),
-        "nu_star": _rule_dict(tree, report.nu_star),
-        "nu_bar": _rule_dict(tree, report.nu_bar),
+        "seller_strategy": _strategy_table(tree, keys, seller.strategy),
+        "buyer_strategy": _strategy_table(tree, keys, buyer.strategy),
+        "buyer_exercise": _rule_dict(tree, keys, buyer.exercise),
+        "nu_star": _rule_dict(tree, keys, report.nu_star),
+        "nu_bar": _rule_dict(tree, keys, report.nu_bar),
     }
 
 
@@ -461,8 +510,11 @@ def run(config: dict, out_dir=None, strict: bool = False,
             raise ConfigError(f"market: {exc}") from None
         document = _run_jobs(job, tree, Obstacle.from_payoff(tree, job["payoff"]), out)
         if dump_tree:
-            (out / "tree.json").write_text(_tree_json(tree))
-        (out / "report.json").write_text(canonical_json(document))
+            with open(out / "tree.json", "w") as handle:
+                canonical_json(tree, handle.write)
+        _check(document)  # before report.json is opened, so a bad document leaves it as it was
+        with open(out / "report.json", "w") as handle:
+            canonical_json(document, handle.write)
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -293,22 +293,16 @@ class Tree:
         return tuple(np.array([values[(step, j, d)] for j in range(len(row))], dtype=float)
                      for d, row in enumerate(self.s1[step]))
 
-    @cached_property
-    def keys(self) -> list:
-        """Every ``node_key``, in row order."""
-        tails = [[f"{j},{d}" for j in range(self.n_steps + 1)] for d in (0, 1)]
-        out = []
-        for i, rows in enumerate(self.s1):
-            for tail, row in zip(tails, rows):
-                out += map(f"{i},".__add__, tail[:len(row)])
-        return out
+    def row_index(self) -> tuple:
+        """Row (2 * step + defaulted) and up count of every node, in row order."""
+        sizes = [len(row) for rows in self.s1 for row in rows]
+        row = np.repeat(np.arange(len(sizes)), sizes)
+        return row, np.arange(len(row)) - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
 
     @cached_property
     def orders(self) -> tuple:
         """Row-order positions of every node, sorted by node id and by node key."""
-        sizes = [len(row) for rows in self.s1 for row in rows]
-        row = np.repeat(np.arange(len(sizes)), sizes)  # 2 * step + defaulted
-        up = np.arange(len(row)) - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        row, up = self.row_index()
         rank = np.argsort(sorted(range(self.n_steps + 1), key=str))  # place in key order
         return (np.lexsort((row % 2, up, row // 2)),
                 np.lexsort((row % 2, rank[up], rank[row // 2])))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from amhedge import cli, hedging, oracle, rbsde
 from amhedge.drivers import Driver
 from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, MAX_STEPS,
-                         ConfigError, NodeTable, _tree_json, canonical_json, main,
+                         ConfigError, NodeTable, canonical_json, main,
                          parse_config, run)
 from amhedge.market import MarketParams, build_tree, node_key
 from helpers import reference_tree_dict
@@ -117,7 +117,7 @@ class TestTreeJson:
         params = MarketParams(r=r, mu1=0.07, mu2=mu2, sigma1=sigma1, sigma2=0.25,
                               lam=DUMP_LAMBDAS[lam], s1_0=s1_0, s2_0=90.0, T=1.0)
         tree = build_tree(params, n_steps)
-        assert _tree_json(tree) == canonical_json(reference_tree_dict(tree))
+        assert canonical_json(tree) == canonical_json(reference_tree_dict(tree))
 
     def test_round_trips_structure(self, tmp_path):
         cfg = minimal_config(grid={"n_steps": 3})
@@ -139,7 +139,7 @@ class TestTreeJson:
         tree = build_tree(MarketParams.from_dict(minimal_config()["market"]), 2)
         tree.s2[2][0][1] = math.inf
         with pytest.raises(ValueError, match="non-finite value inf"):
-            _tree_json(tree)
+            canonical_json(tree)
 
     def test_price_job_builds_no_node_view(self, tmp_path, monkeypatch):
         trees, build = [], cli.build_tree
@@ -152,6 +152,68 @@ class TestTreeJson:
         assert run(minimal_config(), out_dir=tmp_path, dump_tree=True) == EXIT_OK
         assert (tmp_path / "tree.json").exists() and len(trees) == 1
         assert not {"nodes", "branches", "levels"} & set(vars(trees[0]))
+
+
+class TestChunks:
+    """Node tables, key lists and tree.json go out _CHUNK keys per piece."""
+
+    CHUNK = 4
+
+    @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_pieces_join_to_the_text_and_the_json_module_document(self, monkeypatch, size):
+        monkeypatch.setattr(cli, "_CHUNK", self.CHUNK)
+        keys = [f"{i},{i % 3},{i % 2}" for i in range(size)]
+        # Dyadic, nonzero floats: "%.17g" and json.dumps write them alike.
+        phi1, phi2 = np.arange(size) + 0.5, -np.arange(size) - 0.25
+        pieces = -(-size // self.CHUNK)
+        for obj, plain in ((NodeTable(keys, {"phi2": phi2, "phi1": phi1}),
+                            {k: {"phi1": a, "phi2": b} for k, a, b in zip(keys, phi1, phi2)}),
+                           (cli.NodeKeys(keys), keys)):
+            parts = []
+            assert canonical_json(obj, parts.append) is None
+            assert len(parts) == pieces + 3  # the brackets, the pieces, the newline
+            assert "".join(parts) == canonical_json(obj) == canonical_json(plain)
+            assert canonical_json(obj) == json.dumps(plain, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("chunk", [1, 5, 24, 25, 26])
+    def test_tree_json_in_pieces_equals_the_node_dict_document(self, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        params = MarketParams(r=0.05, mu1=0.07, mu2=-0.02, sigma1=0.2, sigma2=0.25,
+                              lam=DUMP_LAMBDAS["to_zero"], s1_0=100.0, s2_0=90.0, T=1.0)
+        tree = build_tree(params, 4)  # 25 nodes
+        parts = []
+        canonical_json(tree, parts.append)
+        assert len(parts) == 3 + -(-25 // chunk)
+        assert "".join(parts) == canonical_json(reference_tree_dict(tree))
+
+    def test_node_keys_need_no_escaping(self):
+        # Steps and up counts of two digits reach every digit.
+        params = MarketParams.from_dict(README_JOB["market"])
+        tree = build_tree(params, 12)
+        keys = cli._row_keys(tree).tolist()
+        assert keys == [node_key(node) for level in tree.levels for node in level]
+        assert all(cli._encode_str(key) == '"' + key + '"' for key in keys)
+
+    @pytest.mark.parametrize("earlier", [None, b'{"u0": "an earlier report"}\n'])
+    def test_non_finite_report_exits_2_and_leaves_report_json(self, tmp_path, capsys,
+                                                              monkeypatch, earlier):
+        monkeypatch.setattr(cli, "_CHUNK", 5)
+        table = cli._strategy_table
+
+        def poisoned(tree, keys, strategy):
+            out = table(tree, keys, strategy)
+            out.columns["phi2"][-1] = math.nan  # in the last piece
+            return out
+
+        monkeypatch.setattr(cli, "_strategy_table", poisoned)
+        if earlier is not None:
+            (tmp_path / "report.json").write_bytes(earlier)
+        assert run(minimal_config(), out_dir=tmp_path) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: cannot serialize non-finite value nan\n"
+        if earlier is None:
+            assert not (tmp_path / "report.json").exists()
+        else:
+            assert (tmp_path / "report.json").read_bytes() == earlier
 
 
 class TestRun:
