@@ -1,5 +1,8 @@
 """Batch front door: read a JSON job, run the pipelines, write reports.
 
+The document alone decides the work: ``parse_config`` rejects a grid beyond a
+check's limit before the lattice is built; ``_run_jobs`` does each part once.
+
 Output is deterministic: report keys are emitted in sorted order and every
 float is rendered with 17 significant digits, so identical configurations
 produce byte-identical files.
@@ -44,6 +47,9 @@ MAX_STEPS = 4096
 _JOBS = ("price", "hedge", "verify")
 _CHECKS = ("superhedge", "duality", "apriori", "skorokhod", "martingale",
            "gamma", "admissible")
+# The largest grid of each check that has one, and why, checked by parse_config.
+_CHECK_LIMITS = {"duality": (oracle.MAX_ENUM_STEPS, "enumerates stopping rules"),
+                 "martingale": (hedging.MAX_EXACT_STEPS, "needs the exact path expansion")}
 
 WEALTH_CSV_HEADER = ("path_id", "step", "node", "V", "xi", "slack")
 
@@ -285,6 +291,12 @@ def parse_config(config: dict) -> dict:
     output_dir = config.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: must be a string, got {output_dir!r}")
+    checks = list(dict.fromkeys(checks)) if "verify" in jobs else []  # each once, as named
+    for check in checks:
+        limit, need = _CHECK_LIMITS.get(check, (math.inf, ""))
+        if n_steps > limit:
+            raise ConfigError(f"grid.n_steps: {check} check {need} and is limited to "
+                              f"{limit} steps, got {n_steps}")
 
     return {"params": params, "n_steps": n_steps, "driver": driver,
             "payoff": payoff, "jobs": jobs, "checks": checks,
@@ -365,12 +377,7 @@ def _check_superhedge(seller_rep, buyer_rep):
             "buyer_max_abs_at_stop": buyer_rep.max_abs_at_stop}
 
 
-def _check_duality(tree, driver, obstacle, seller):
-    if tree.n_steps > oracle.MAX_ENUM_STEPS:
-        raise ConfigError(
-            f"grid.n_steps: duality check enumerates stopping rules and is "
-            f"limited to {oracle.MAX_ENUM_STEPS} steps, got {tree.n_steps}")
-    u0 = seller().u0
+def _check_duality(tree, driver, obstacle, u0):
     brute = oracle.brute_force_seller_value(tree, driver, obstacle)
     gap = abs(u0 - brute)
     return {"passed": gap <= oracle.DUALITY_TOL, "solver_value": u0,
@@ -412,13 +419,9 @@ def _check_skorokhod(tree, obstacle, solution):
             "min_charge": min_da, "min_gap_to_obstacle": min_gap}
 
 
-def _check_martingale(tree, driver, seller_field):
-    # Within this guard simulate_wealth expands every path, as the residual needs.
-    if tree.n_steps > hedging.MAX_EXACT_STEPS:
-        raise ConfigError(
-            f"grid.n_steps: martingale check needs the exact path expansion "
-            f"and is limited to {hedging.MAX_EXACT_STEPS} steps, got {tree.n_steps}")
-    residual = hedging.wealth_martingale_residual(seller_field(), driver)
+def _check_martingale(driver, field):
+    # Within parse_config's limit the field expands every path, as the residual needs.
+    residual = hedging.wealth_martingale_residual(field, driver)
     return {"passed": residual <= hedging.MARTINGALE_TOL, "residual": residual}
 
 
@@ -450,49 +453,46 @@ def _write_csv(path: Path, rows) -> None:
                              _fmt_float(slack)])
 
 
+def _hedge(job: dict, obstacle, field, buyer) -> tuple:
+    """Superhedge reports of the seller's wealth ``field`` and of the buyer (solved if None)."""
+    tree, driver = field.tree, job["driver"]
+    buyer = buyer or pricing.buyer_price(tree, driver, obstacle, gamma_check=False)
+    bfield = hedging.simulate_wealth(tree, -buyer.v0, buyer.strategy, driver, seed=job["seed"])
+    return (hedging.verify_superhedge_seller(field, obstacle),
+            hedging.verify_superhedge_buyer(bfield, obstacle, buyer.exercise))
+
+
 def _run_jobs(job: dict, tree, obstacle, out: Path) -> dict:
-    """Run the requested jobs, solving and simulating each side at most once and each
-    named check once, in first-occurrence order; all of it is freed on return but the
-    last tree and paths, which ``hedging._path_sample`` keeps."""
-    driver, seed = job["driver"], job["seed"]
-    report = pricing.price_american(tree, driver, obstacle) if "price" in job["jobs"] else None
-    document = report_to_dict(report) if report else {}
+    """The solve, the seller's wealth, the hedge and its files, then the checks in order;
+    all freed on return but the last tree and paths, which ``hedging._path_sample`` keeps."""
+    jobs, checks, driver, seed = job["jobs"], job["checks"], job["driver"], job["seed"]
+    report = seller = buyer = field = hedge = None
+    if "price" in jobs or "hedge" in jobs:  # both sides in one sweep, the seller's error first
+        report = pricing.price_american(tree, driver, obstacle, gamma_check="price" in jobs)
+        seller, buyer = report.seller, report.buyer
+    elif set(checks) - {"gamma", "admissible"}:  # the other checks read the seller
+        seller = pricing.seller_price(tree, driver, obstacle, gamma_check=False)
+    document = report_to_dict(report) if "price" in jobs else {}
+    if "hedge" in jobs or {"superhedge", "martingale"} & set(checks):
+        field = hedging.simulate_wealth(tree, seller.u0, seller.strategy, driver, seed=seed)
+    if "hedge" in jobs:
+        hedge = _hedge(job, obstacle, field, buyer)
+        _write_csv(out / "wealth.csv", hedging.violation_rows(hedge[0]))
+        _write_csv(out / "wealth_buyer.csv", hedging.violation_rows(hedge[1]))
 
-    @functools.cache
-    def seller():
-        return report.seller if report else pricing.seller_price(
-            tree, driver, obstacle, gamma_check=False)
-
-    @functools.cache
-    def seller_field():
-        return hedging.simulate_wealth(tree, seller().u0, seller().strategy, driver, seed=seed)
-
-    @functools.cache
-    def hedge():
-        buyer = report.buyer if report else pricing.buyer_price(
-            tree, driver, obstacle, gamma_check=False)
-        bfield = hedging.simulate_wealth(tree, -buyer.v0, buyer.strategy, driver, seed=seed)
-        return (hedging.verify_superhedge_seller(seller_field(), obstacle),
-                hedging.verify_superhedge_buyer(bfield, obstacle, buyer.exercise))
-
-    if "hedge" in job["jobs"]:
-        seller_rep, buyer_rep = hedge()
-        _write_csv(out / "wealth.csv", hedging.violation_rows(seller_rep))
-        _write_csv(out / "wealth_buyer.csv", hedging.violation_rows(buyer_rep))
-
-    if "verify" in job["jobs"]:
-        run_check = {
-            "superhedge": lambda: _check_superhedge(*hedge()),
-            "duality": lambda: _check_duality(tree, driver, obstacle, seller),
-            "apriori": lambda: _check_apriori(tree, driver, obstacle, seller().solution),
-            "skorokhod": lambda: _check_skorokhod(tree, obstacle, seller().solution),
-            "martingale": lambda: _check_martingale(tree, driver, seller_field),
+    if "verify" in jobs:
+        run_check = {  # without a hedge job the buyer is simulated (solved if need be) here
+            "superhedge": lambda: _check_superhedge(*hedge or _hedge(job, obstacle, field, buyer)),
+            "duality": lambda: _check_duality(tree, driver, obstacle, seller.u0),
+            "apriori": lambda: _check_apriori(tree, driver, obstacle, seller.solution),
+            "skorokhod": lambda: _check_skorokhod(tree, obstacle, seller.solution),
+            "martingale": lambda: _check_martingale(driver, field),
             "gamma": lambda: _check_gamma(tree, driver),
             "admissible": lambda: _check_admissible(tree, driver),
         }
-        checks = {name: run_check[name]() for name in dict.fromkeys(job["checks"])}
-        all_passed = all(c["passed"] for c in checks.values())
-        document["verification"] = {"checks": checks, "all_passed": all_passed}
+        results = {name: run_check[name]() for name in checks}
+        document["verification"] = {"checks": results,
+                                    "all_passed": all(c["passed"] for c in results.values())}
     return document
 
 

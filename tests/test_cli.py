@@ -369,6 +369,10 @@ class TestSharedSolves:
         (["price", "hedge", "verify"],
          ["superhedge", "skorokhod", "apriori", "martingale"], 2, 3, 2),
         (["verify"], ["gamma", "admissible"], 0, 0, 0),
+        # A hedge without a price sweeps both sides at once as well.
+        (["hedge", "verify"], ["superhedge", "skorokhod", "apriori"], 2, 3, 2),
+        # Without a hedge job the buyer is solved alone, at its check.
+        (["verify"], ["skorokhod", "superhedge"], 2, 2, 2),
     ])
     def test_each_side_solved_and_simulated_once(self, tmp_path, counts, jobs, checks,
                                                  sweeps, sides, simulations):
@@ -400,17 +404,24 @@ class TestSharedSolves:
 # A borrowing rate of 40 makes the implicit step diverge: the README put's
 # first failing node at each grid, with its last residual.
 SOLVER_FAILURES = [
-    (1, "(0, 0, 0) (t=0, last residual 7.7e+10)"),
-    (2, "(1, 0, 0) (t=0.5, last residual 4.18e+03)"),
-    (4, "(3, 0, 0) (t=0.75, last residual 1.2e+03)"),
+    (1, "(0, 0, 0) (t=0, last residual 7.7e+10)", {}),
+    (2, "(1, 0, 0) (t=0.5, last residual 4.18e+03)", {}),
+    (4, "(3, 0, 0) (t=0.75, last residual 1.2e+03)", {}),
+    # A hedge without a price sweeps both sides at once as well: the put's
+    # buyer diverges, and on a call K = 95 without default the seller does.
+    (4, "(3, 0, 0) (t=0.75, last residual 1.2e+03)", {"jobs": ["hedge", "verify"]}),
+    (4, "(3, 1, 0) (t=0.75, last residual 530)",
+     {"jobs": ["hedge", "verify"], "payoff": {"kind": "call", "strike": 95.0}, "lambda": 0.0}),
 ]
 
 
-@pytest.mark.parametrize("n_steps,where", SOLVER_FAILURES)
-def test_diverging_solve_exits_3_naming_the_node(tmp_path, capsys, n_steps, where):
+@pytest.mark.parametrize("n_steps,where,fields", SOLVER_FAILURES)
+def test_diverging_solve_exits_3_naming_the_node(tmp_path, capsys, n_steps, where, fields):
     cfg = copy.deepcopy(README_JOB)
     cfg["grid"]["n_steps"] = n_steps
     cfg["driver"]["params"]["R"] = 40
+    for key, value in fields.items():
+        (cfg["market"] if key == "lambda" else cfg)[key] = value
     cfg["output_dir"] = str(tmp_path)
     path = tmp_path / "job.json"
     path.write_text(json.dumps(cfg))
@@ -676,6 +687,47 @@ class TestStepCap:
             "over the cap of 4096 steps (1.68e+7 nodes)\n")
 
 
+# A check over its grid limit, with the error it exits with.
+CHECK_LIMITS = [
+    (["duality"], 5, "duality check enumerates stopping rules and is limited to 4 steps, got 5"),
+    (["martingale"], 13, "martingale check needs the exact path expansion and is limited to "
+                         "12 steps, got 13"),
+    # Both over their limits: the one named first is reported.
+    (["skorokhod", "martingale", "duality"], 13, "martingale check needs the exact path "
+                                                 "expansion and is limited to 12 steps, got 13"),
+    (["duality", "martingale"], 13, "duality check enumerates stopping rules and is limited "
+                                    "to 4 steps, got 13"),
+]
+
+
+class TestCheckLimits:
+    @pytest.mark.parametrize("checks,n_steps,message", CHECK_LIMITS,
+                             ids=["duality", "martingale", "martingale_first", "duality_first"])
+    def test_over_the_limit_exits_2_before_the_lattice(self, tmp_path, capsys, monkeypatch,
+                                                       checks, n_steps, message):
+        def no_lattice(*args):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(cli, "build_tree", no_lattice)
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(_job(grid={"n_steps": n_steps},
+                                               jobs=["price", "hedge", "verify"], verify=checks)))
+        assert main(["price", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: grid.n_steps: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_checks_that_do_not_run_have_no_limit(self, tmp_path):
+        cfg = _job(grid={"n_steps": 13}, verify=["duality", "martingale"])  # jobs: price
+        assert run(cfg, out_dir=tmp_path) == EXIT_OK
+        assert "verification" not in json.loads((tmp_path / "report.json").read_text())
+
+    def test_checks_listed_once_in_first_order_and_only_under_verify(self):
+        cfg = _job(jobs=["verify"], verify=["skorokhod", "duality", "skorokhod", "gamma"])
+        assert parse_config(cfg)["checks"] == ["skorokhod", "duality", "gamma"]
+        cfg["jobs"] = ["price", "hedge"]
+        assert parse_config(cfg)["checks"] == []
+
+
 # ---------------------------------------------------------------------------
 # Junk in any single field of the README job ends in an exit code, never in
 # a traceback.
@@ -759,11 +811,17 @@ APRIORI_OUT_OF_RANGE = [
     (_apriori_job({"name": "large_trader", "params": {"alpha": 0.002, "gamma_bar": 0.0}}, 64,
                   ["hedge", "verify"], ["superhedge", "apriori"]),
      "beta = 2556.92 overflows exp(beta t) on [0, 1] (the driver's lipschitz_C = 28.84)"),
+    # Without a hedge job the buyer, whose solve diverges at R = 40, is solved
+    # at the superhedge check, after this one fails.
+    (_apriori_job({"name": "borrow_lend", "params": {"R": 40}}, 4, ["verify"],
+                  ["apriori", "superhedge"]),
+     "beta = 203347 overflows exp(beta t) on [0, 1] (the driver's lipschitz_C = 260.015)"),
 ]
 
 
 @pytest.mark.parametrize("cfg,message", APRIORI_OUT_OF_RANGE,
-                         ids=["beta_overflows", "eta_underflows", "after_the_hedge"])
+                         ids=["beta_overflows", "eta_underflows", "after_the_hedge",
+                              "before_the_buyer"])
 def test_apriori_out_of_range_exits_2_naming_beta_and_C(tmp_path, capsys, cfg, message):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(cfg))
