@@ -5,7 +5,7 @@ check's limit before the lattice is built; ``_run_jobs`` does each part once.
 
 Output is deterministic: report keys are emitted in sorted order and every
 float is rendered with 17 significant digits, so identical configurations
-produce byte-identical files.
+produce byte-identical files, and ``_write`` replaces each one only whole.
 
 Exit codes: 0 success, 2 configuration or guard error (an unusable output
 location included), 3 solver failure, 4 failed verification under --strict.
@@ -172,24 +172,10 @@ def _emit(value, write) -> None:
         raise ValueError(f"cannot serialize {type(value).__name__}")
 
 
-def _check(value) -> None:
-    """Raise the ValueError that writing ``value`` would, before anything is written."""
-    if isinstance(value, NodeTable):
-        columns = [value.columns[name] for name in sorted(value.columns)]
-        if not all(np.isfinite(column).all() for column in columns):
-            _require_finite(np.column_stack(columns).ravel())
-    elif isinstance(value, (dict, list, tuple)) and not isinstance(value, NodeKeys):
-        for item in map(value.get, sorted(value)) if isinstance(value, dict) else value:
-            _check(item)
-    elif not isinstance(value, (NodeKeys, int, str, type(None))):
-        _emit(value, len)  # a float or an unknown type raises here; len keeps nothing
-
-
 def canonical_json(obj, write=None):
     """Serialize with sorted keys and fixed float formatting (a ``Tree`` as
     tree.json), piece by piece to ``write``, or returned as one string without it.
-    A bad value raises ValueError once the pieces before it are written; ``_check``
-    raises it first."""
+    A bad value raises ValueError after the pieces before it; ``_write`` drops them."""
     parts = []
     sink = write or parts.append
     _emit(obj, sink)
@@ -444,13 +430,29 @@ def _check_admissible(tree, driver):
 # Job runner
 # ---------------------------------------------------------------------------
 
+def _write(path: Path, emit) -> None:
+    """Publish an artifact whole: ``emit(handle)`` fills ``<name>.part``, which then
+    replaces ``path``. Any failure deletes the .part file and leaves ``path`` as it was."""
+    part, handle = path.with_name(path.name + ".part"), None
+    try:
+        with open(part, "w", newline="") as handle:
+            emit(handle)
+        part.replace(path)
+    except BaseException as exc:
+        if handle is not None:
+            part.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:  # from open or the replace
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
+
+
 def _write_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as handle:
+    def emit(handle):
         writer = csv.writer(handle)
         writer.writerow(WEALTH_CSV_HEADER)
-        for pid, step, node, v, xi, slack in rows:
-            writer.writerow([pid, step, node, _fmt_float(v), _fmt_float(xi),
-                             _fmt_float(slack)])
+        writer.writerows([pid, step, node, _fmt_float(v), _fmt_float(xi), _fmt_float(slack)]
+                         for pid, step, node, v, xi, slack in rows)
+    _write(path, emit)
 
 
 def _hedge(job: dict, obstacle, field, buyer) -> tuple:
@@ -510,11 +512,8 @@ def run(config: dict, out_dir=None, strict: bool = False,
             raise ConfigError(f"market: {exc}") from None
         document = _run_jobs(job, tree, Obstacle.from_payoff(tree, job["payoff"]), out)
         if dump_tree:
-            with open(out / "tree.json", "w") as handle:
-                canonical_json(tree, handle.write)
-        _check(document)  # before report.json is opened, so a bad document leaves it as it was
-        with open(out / "report.json", "w") as handle:
-            canonical_json(document, handle.write)
+            _write(out / "tree.json", lambda handle: canonical_json(tree, handle.write))
+        _write(out / "report.json", lambda handle: canonical_json(document, handle.write))
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -522,7 +521,8 @@ def run(config: dict, out_dir=None, strict: bool = False,
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
-        print(f"config error: {'--out' if out_dir else 'output_dir'}: {exc}", file=sys.stderr)
+        where = "output_dir" if not out_dir and job["output_dir"] else "--out"  # "." by default
+        print(f"config error: {where}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     checks = document.get("verification", {"checks": {}})["checks"]

@@ -149,6 +149,12 @@ class TestGEvaluation:
         with pytest.raises(ValueError, match="terminal"):
             g_evaluation(tree, ZERO, rule, {node: 0.0 for node in tree.nodes})
 
+    def test_payoff_without_node_values_rejected(self):
+        tree = build_tree(flat_params(), 2)
+        rule = {node: True for node in tree.nodes}
+        with pytest.raises(TypeError, match="^cannot read node values from float$"):
+            g_evaluation(tree, ZERO, rule, 3.0)
+
     def test_rule_missing_flags_rejected(self):
         tree = build_tree(flat_params(), 2)
         rule = {node: True for node in tree.terminal_nodes()}

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from collections import Counter
@@ -77,9 +79,11 @@ class TestCanonicalJson:
     def test_negative_zero_normalized(self):
         assert canonical_json(-0.0) == "0\n"
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            canonical_json(float("nan"))
+    @pytest.mark.parametrize("value,message", [(float("nan"), "non-finite value nan"),
+                                               (object(), "cannot serialize object")])
+    def test_rejects_non_finite(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            canonical_json(value)
 
     @pytest.mark.parametrize("keys,phi1,phi2", [
         (["0,0,0", "1,0,0", "1,0,1", "10,2,0"], [0.1, -0.0, 5e-324, -1e-300],
@@ -194,10 +198,16 @@ class TestChunks:
         assert keys == [node_key(node) for level in tree.levels for node in level]
         assert all(cli._encode_str(key) == '"' + key + '"' for key in keys)
 
-    @pytest.mark.parametrize("earlier", [None, b'{"u0": "an earlier report"}\n'])
-    def test_non_finite_report_exits_2_and_leaves_report_json(self, tmp_path, capsys,
-                                                              monkeypatch, earlier):
+    # How the write fails: a NaN in the last piece of a table, or ENOSPC after the
+    # first piece of an artifact, as a write to a full disk raises it.
+    @pytest.mark.parametrize("failure,artifact", [("nan", "report.json"), ("full", "report.json"),
+                                                  ("full", "tree.json"), ("full", "wealth.csv")])
+    @pytest.mark.parametrize("earlier", [None, b'{"u0": "an earlier file"}\n'],
+                             ids=["absent", "earlier"])
+    def test_non_finite_report_exits_2_and_leaves_report_json(self, tmp_path, capsys, monkeypatch,
+                                                              failure, artifact, earlier):
         monkeypatch.setattr(cli, "_CHUNK", 5)
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         table = cli._strategy_table
 
         def poisoned(tree, keys, strategy):
@@ -205,15 +215,39 @@ class TestChunks:
             out.columns["phi2"][-1] = math.nan  # in the last piece
             return out
 
-        monkeypatch.setattr(cli, "_strategy_table", poisoned)
-        if earlier is not None:
-            (tmp_path / "report.json").write_bytes(earlier)
-        assert run(minimal_config(), out_dir=tmp_path) == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: cannot serialize non-finite value nan\n"
-        if earlier is None:
-            assert not (tmp_path / "report.json").exists()
+        def after_first_piece(emit):  # an emitter whose second write raises ENOSPC
+            def failing(value, write, *args):
+                pieces = []
+
+                def limited(text):
+                    if pieces:
+                        raise full
+                    pieces.append(text)
+                    write(text)
+                emit(value, limited, *args)
+            return failing
+
+        def rows(report):
+            yield 0, 1, "1,1,0", 1.0, 2.0, -1.0
+            raise full
+
+        if failure == "nan":
+            monkeypatch.setattr(cli, "_strategy_table", poisoned)
+        elif artifact == "wealth.csv":
+            monkeypatch.setattr(hedging, "violation_rows", rows)
         else:
-            assert (tmp_path / "report.json").read_bytes() == earlier
+            emitter = "_tree_json" if artifact == "tree.json" else "_keyed_json"
+            monkeypatch.setattr(cli, emitter, after_first_piece(getattr(cli, emitter)))
+        if earlier is not None:
+            (tmp_path / artifact).write_bytes(earlier)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        config = minimal_config(jobs=["hedge"] if artifact == "wealth.csv" else ["price"])
+        assert run(config, out_dir=tmp_path, dump_tree=artifact == "tree.json") == EXIT_CONFIG
+        message = ("cannot serialize non-finite value nan" if failure == "nan"
+                   else "--out: [Errno 28] No space left on device")
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        # The earlier file, or its absence, as it was, and no .part file left
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 class TestRun:
@@ -606,22 +640,28 @@ class TestMain:
         ("out/report.json/", "out", True, errno.EISDIR, "out/report.json"),
         ("out/wealth.csv/", "out", False, errno.EISDIR, "out/wealth.csv"),
         ("file", "file/sub", True, errno.ENOTDIR, "file/sub"),
+        # Neither: --out's default, the working directory, named by a relative path.
+        ("report.json/", None, False, errno.EISDIR, "report.json"),
     ])
-    def test_unusable_output_path_exits_2_naming_it(self, tmp_path, capsys, blocker, location,
-                                                    flag, code, failing):
+    def test_unusable_output_path_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, blocker,
+                                                    location, flag, code, failing):
+        monkeypatch.chdir(tmp_path)
         if blocker.endswith("/"):
             (tmp_path / blocker).mkdir(parents=True)
         else:
             (tmp_path / blocker).write_text("")
         cfg = copy.deepcopy(README_JOB)
-        cfg["output_dir"] = str(tmp_path / location)
+        del cfg["output_dir"]
+        if location:
+            cfg["output_dir"] = str(tmp_path / location)
         argv = ["--out", cfg.pop("output_dir")] if flag else []
         config_path = tmp_path / "job.json"
         config_path.write_text(json.dumps(cfg))
         assert main(["price", str(config_path), *argv]) == EXIT_CONFIG
-        field = "--out" if flag else "output_dir"
+        field = "output_dir" if location and not flag else "--out"
+        named = str(tmp_path / failing) if location else failing
         assert capsys.readouterr().err == (f"config error: {field}: [Errno {code}] "
-                                           f"{os.strerror(code)}: {str(tmp_path / failing)!r}\n")
+                                           f"{os.strerror(code)}: {named!r}\n")
 
     @pytest.mark.parametrize("argv,code", [([], 2), (["price"], 2), (["price", "a", "--bogus"], 2),
                                            (["--help"], 0), (["price", "--help"], 0)])
@@ -635,6 +675,14 @@ class TestMain:
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
         assert (outputs[0].out if code == 0 else outputs[0].err).startswith("usage: amhedge")
+
+    def test_the_module_runs_as_a_program(self):
+        # The README's entry point, python -m amhedge.cli, in a process of its own.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "amhedge.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: amhedge")
 
     @pytest.mark.parametrize("field", ["s1_0", "s2_0", "T"])
     def test_non_finite_price_or_horizon_exits_2_naming_it(self, tmp_path, capsys, field):

@@ -181,6 +181,13 @@ class TestLambdaAdmissible:
         assert not report.passed
         assert report.max_ratio > 5.0
 
+    def test_a_pair_of_equal_points_is_skipped(self):
+        params = flat_params()
+        point = tuple(np.array([1.0, -2.0]) for _ in range(3))
+        report = check_lambda_admissible(perfect_driver(params),
+                                         [(alive_state(params), point, point)])
+        assert (report.max_ratio, report.passed, report.worst) == (0.0, True, None)
+
     def test_borrow_lend_passes_declared_constant(self):
         params = flat_params()
         g = borrow_lend_driver(params, 0.08)
@@ -238,6 +245,12 @@ class TestGammaAssumption:
         report = check_gamma_assumption(g, gamma_rows(params, eight_steps(params)))
         assert report.passed
         assert report.n_samples == 0
+        # With default possible but k1 == k2 in every pair, no pair is a sample either.
+        params = flat_params()
+        rows = [(state, y, z, k1, k1) for state, y, z, k1, _ in
+                gamma_rows(params, eight_steps(params))]
+        report = check_gamma_assumption(perfect_driver(params), rows)
+        assert (report.n_samples, report.min_ratio, report.passed) == (0, math.inf, True)
 
 
 class TestDefaultIndependenceInvariant:

@@ -527,6 +527,11 @@ class TestBrokenWealth:
             simulate_wealth(self.tree, seller.u0, seller.strategy, self.driver,
                             mode="sampled", n_paths=n_paths)
 
+    def test_an_unknown_mode_is_rejected(self):
+        seller = seller_price(self.tree, self.driver, self.obs)
+        with pytest.raises(ValueError, match=r"^mode must be 'exact' or 'sampled', got 'both'$"):
+            simulate_wealth(self.tree, seller.u0, seller.strategy, self.driver, mode="both")
+
     @pytest.mark.parametrize("seed", [-1, 2.0, True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         seller = seller_price(self.tree, self.driver, self.obs)

@@ -41,12 +41,15 @@ class TestPiecewiseConstant:
         f = PiecewiseConstant(0.05)
         assert f.at(0.0) == 0.05
         assert f.at(0.7) == 0.05
+        assert repr(f) == "PiecewiseConstant(0.05)"
 
     def test_pieces_right_continuous(self):
         f = PiecewiseConstant([0.1, 0.2], times=[0.0, 0.5])
+        assert f.at(-0.1) == 0.1  # before the first breakpoint: the first piece
         assert f.at(0.49) == 0.1
         assert f.at(0.5) == 0.2
         assert f.at(2.0) == 0.2
+        assert repr(f) == "PiecewiseConstant([0.1, 0.2], times=[0.0, 0.5])"
 
     def test_coercion_from_dict(self):
         f = as_piecewise({"values": [1.0, 2.0], "times": [0.0, 1.0]})

@@ -1,7 +1,8 @@
 """The node-keyed reference route stays in ``oracle``. Outside ``market.py``,
 which defines the lattice's node views, only ``oracle.py`` reads one; the
 fast-path modules import nothing from ``oracle``, and ``oracle`` imports
-nothing from the layers that consume it."""
+nothing from the layers that consume it. One writer, ``cli._write``, opens
+every file the package writes."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,27 @@ def _imported_modules(module: str) -> set:
             base = ".".join(filter(None, ["amhedge" if node.level else "", node.module]))
             names += [base] + [f"{base}.{alias.name}" for alias in node.names]
     return {name.split(".")[1] for name in names if name.startswith("amhedge.")}
+
+
+def _open_calls(module: str) -> list:
+    """The enclosing function, as ``module.function``, of every call to ``open``
+    (a name or an attribute) in ``module``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "open" in (getattr(child.func, "id", None),
+                                                          getattr(child.func, "attr", None)):
+                found.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+    visit(_parse(module), module)
+    return found
+
+
+def test_only_cli_write_opens_a_file():
+    calls = [scope for path in sorted(PACKAGE.glob("*.py")) for scope in _open_calls(path.stem)]
+    assert calls == ["cli._write"]
 
 
 def test_only_oracle_reads_node_views_outside_market():

@@ -676,6 +676,22 @@ class TestSharedSweepFailure:
             price_american(self.tree, driver, self.obstacle, gamma_check=False)
         assert str(exc.value) == expected
 
+    def test_an_error_of_the_block_alone_is_raised_as_it_is(self):
+        # The driver fails only on more values than the widest row a side solves,
+        # so each side alone passes and the block's own error is raised.
+        widest = max(len(row) for rows in self.tree.s1[:-1] for row in rows)
+
+        def g(t, y, z, k, s):
+            if np.size(y) > widest:
+                raise ValueError("block only")
+            return 0.0 * y
+
+        driver = Driver(name="block", eval=g, lipschitz_C=0.0)
+        seller_price(self.tree, driver, self.obstacle, gamma_check=False)
+        buyer_price(self.tree, driver, self.obstacle, gamma_check=False)
+        with pytest.raises(ValueError, match="^block only$"):
+            price_american(self.tree, driver, self.obstacle, gamma_check=False)
+
     def test_a_driver_error_is_the_seller_first(self):
         def g(t, y, z, k, s):
             if np.any(((y < 0.0) & (t >= 0.5)) | ((y > 0.0) & (t < 0.25))):
