@@ -40,7 +40,14 @@ fixed ``EDGE_JOBS``, which reach what no workload job does:
   sampled paths are seeded from two 32-bit words of the seed (the
   workloads draw seeds below 1000, which take one);
 * the same job with seed 2**200 + 7, whose seven words overflow numpy's
-  four-word entropy pool, so that the words beyond it are mixed in.
+  four-word entropy pool, so that the words beyond it are mixed in;
+* hedge and verify jobs at n = 16, on 10,000 sampled paths, whose intensity
+  steps from 0.25 to 0 or from 0 to 0.25 at t = 0.5, or is 0 throughout, so
+  that the sampler picks branches in alive rows of two branches, which no
+  workload job samples;
+* a ``large_trader`` hedge and verify job at n = 8, on the exact path
+  expansion, whose intensity steps from 0 to 0.25 at t = 0.5, with the
+  superhedge, skorokhod and martingale checks.
 
 Each job runs as
 ``amhedge price job.json --out out --dump-tree`` in a fresh Python
@@ -103,6 +110,12 @@ EDGE_JOBS = [
     edge_job("borrow_lend", {"R": 0.07}, 16, {"values": [0.25, 0.0], "times": [0.0, 0.5]},
              ["verify"], verify=["gamma", "admissible"]),
     *(edge_job("borrow_lend", {"R": 0.07}, 16, seed=seed) for seed in (2**32 + 5, 2**200 + 7)),
+    *(edge_job("borrow_lend", {"R": 0.07}, 16, lam) for lam in (
+        {"values": [0.25, 0.0], "times": [0.0, 0.5]}, {"values": [0.0, 0.25], "times": [0.0, 0.5]},
+        0.0)),
+    edge_job("large_trader", {"alpha": 5e-4, "gamma_bar": 0.2}, 8,
+             {"values": [0.0, 0.25], "times": [0.0, 0.5]},
+             verify=["superhedge", "skorokhod", "martingale"]),
 ]
 
 

@@ -4,7 +4,7 @@ from .bsde import ConvergenceError, Solution
 from .drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                       check_lambda_admissible, large_trader_driver,
                       perfect_driver)
-from .hedging import (WealthField, simulate_wealth, strict_gain_after_nubar,
+from .hedging import (WealthField, path_sample, simulate_wealth, strict_gain_after_nubar,
                       verify_superhedge_buyer, verify_superhedge_seller,
                       wealth_martingale_residual)
 from .market import (MarketParams, PiecewiseConstant, Tree, build_tree,

@@ -5,7 +5,8 @@ check's limit before the lattice is built; ``_run_jobs`` does each part once.
 
 Output is deterministic: report keys are emitted in sorted order and every
 float is rendered with 17 significant digits, so identical configurations
-produce byte-identical files, and ``_write`` replaces each one only whole.
+produce byte-identical files, and ``run`` publishes a run's files together,
+each one whole, once its report is complete.
 
 Exit codes: 0 success, 2 configuration or guard error (an unusable output
 location included), 3 solver failure, 4 failed verification under --strict.
@@ -430,43 +431,36 @@ def _check_admissible(tree, driver):
 # Job runner
 # ---------------------------------------------------------------------------
 
-def _write(path: Path, emit) -> None:
-    """Publish an artifact whole: ``emit(handle)`` fills ``<name>.part``, which then
-    replaces ``path``. Any failure deletes the .part file and leaves ``path`` as it was."""
-    part, handle = path.with_name(path.name + ".part"), None
-    try:
-        with open(part, "w", newline="") as handle:
-            emit(handle)
-        part.replace(path)
-    except BaseException as exc:
-        if handle is not None:
-            part.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename is not None:  # from open or the replace
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
-        raise
+def _write(path: Path, emit, parts: list) -> None:
+    """Fill ``<name>.part`` by ``emit(handle)`` and list it with ``path`` in ``parts``;
+    ``run`` moves a run's parts over their files together, or deletes them all."""
+    part = path.with_name(path.name + ".part")
+    with open(part, "w", newline="") as handle:
+        parts.append((part, path))
+        emit(handle)
 
 
-def _write_csv(path: Path, rows) -> None:
+def _write_csv(path: Path, rows, parts: list) -> None:
     def emit(handle):
         writer = csv.writer(handle)
         writer.writerow(WEALTH_CSV_HEADER)
         writer.writerows([pid, step, node, _fmt_float(v), _fmt_float(xi), _fmt_float(slack)]
                          for pid, step, node, v, xi, slack in rows)
-    _write(path, emit)
+    _write(path, emit, parts)
 
 
 def _hedge(job: dict, obstacle, field, buyer) -> tuple:
     """Superhedge reports of the seller's wealth ``field`` and of the buyer (solved if None)."""
     tree, driver = field.tree, job["driver"]
     buyer = buyer or pricing.buyer_price(tree, driver, obstacle, gamma_check=False)
-    bfield = hedging.simulate_wealth(tree, -buyer.v0, buyer.strategy, driver, seed=job["seed"])
+    bfield = hedging.simulate_wealth(tree, -buyer.v0, buyer.strategy, driver, paths=field.paths)
     return (hedging.verify_superhedge_seller(field, obstacle),
             hedging.verify_superhedge_buyer(bfield, obstacle, buyer.exercise))
 
 
-def _run_jobs(job: dict, tree, obstacle, out: Path) -> dict:
-    """The solve, the seller's wealth, the hedge and its files, then the checks in order;
-    all freed on return but the last tree and paths, which ``hedging._path_sample`` keeps."""
+def _run_jobs(job: dict, tree, obstacle, out: Path, parts: list) -> dict:
+    """The solve, one path sample and the seller's wealth on it, the hedge and its files
+    (listed in ``parts``), then the checks in order; nothing of the job is kept."""
     jobs, checks, driver, seed = job["jobs"], job["checks"], job["driver"], job["seed"]
     report = seller = buyer = field = hedge = None
     if "price" in jobs or "hedge" in jobs:  # both sides in one sweep, the seller's error first
@@ -476,11 +470,12 @@ def _run_jobs(job: dict, tree, obstacle, out: Path) -> dict:
         seller = pricing.seller_price(tree, driver, obstacle, gamma_check=False)
     document = report_to_dict(report) if "price" in jobs else {}
     if "hedge" in jobs or {"superhedge", "martingale"} & set(checks):
-        field = hedging.simulate_wealth(tree, seller.u0, seller.strategy, driver, seed=seed)
+        paths = hedging.path_sample(tree, seed=seed)  # the buyer is simulated on it too
+        field = hedging.simulate_wealth(tree, seller.u0, seller.strategy, driver, paths=paths)
     if "hedge" in jobs:
         hedge = _hedge(job, obstacle, field, buyer)
-        _write_csv(out / "wealth.csv", hedging.violation_rows(hedge[0]))
-        _write_csv(out / "wealth_buyer.csv", hedging.violation_rows(hedge[1]))
+        _write_csv(out / "wealth.csv", hedging.violation_rows(hedge[0]), parts)
+        _write_csv(out / "wealth_buyer.csv", hedging.violation_rows(hedge[1]), parts)
 
     if "verify" in jobs:
         run_check = {  # without a hedge job the buyer is simulated (solved if need be) here
@@ -501,7 +496,9 @@ def _run_jobs(job: dict, tree, obstacle, out: Path) -> dict:
 def run(config: dict, out_dir=None, strict: bool = False,
         dump_tree: bool = False) -> int:
     """Execute one job document; returns the process exit code. Every failure,
-    from the document to the last byte written, maps to its code here."""
+    from the document to the last byte written, maps to its code here. The parts
+    ``_write`` fills are moved over their files once report.json's is complete."""
+    parts = []  # (part, file) of each file written, deleted unmoved on any failure
     try:
         job = parse_config(config)
         out = Path(out_dir or job["output_dir"] or ".")
@@ -510,10 +507,12 @@ def run(config: dict, out_dir=None, strict: bool = False,
             tree = build_tree(job["params"], job["n_steps"])
         except ValueError as exc:
             raise ConfigError(f"market: {exc}") from None
-        document = _run_jobs(job, tree, Obstacle.from_payoff(tree, job["payoff"]), out)
+        document = _run_jobs(job, tree, Obstacle.from_payoff(tree, job["payoff"]), out, parts)
         if dump_tree:
-            _write(out / "tree.json", lambda handle: canonical_json(tree, handle.write))
-        _write(out / "report.json", lambda handle: canonical_json(document, handle.write))
+            _write(out / "tree.json", lambda handle: canonical_json(tree, handle.write), parts)
+        _write(out / "report.json", lambda handle: canonical_json(document, handle.write), parts)
+        for part, path in parts[-1:] + parts[:-1]:  # report.json first
+            part.replace(path)
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -522,8 +521,13 @@ def run(config: dict, out_dir=None, strict: bool = False,
         return EXIT_CONFIG
     except OSError as exc:
         where = "output_dir" if not out_dir and job["output_dir"] else "--out"  # "." by default
+        if exc.filename is not None:  # from an open or a move: named by the file, not its part
+            exc = OSError(exc.errno, exc.strerror, str(exc.filename).removesuffix(".part"))
         print(f"config error: {where}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        for part, _ in parts:  # none left after the moves
+            part.unlink(missing_ok=True)
 
     checks = document.get("verification", {"checks": {}})["checks"]
     failed = sorted(name for name, c in checks.items() if not c["passed"])

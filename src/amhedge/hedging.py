@@ -6,20 +6,21 @@ Wealth is simulated branch by branch with the explicit update
 
 where (z, k) are read off the per-node positions. Through a recombining
 node the arriving wealth depends on the incoming path whenever the driver
-is nonlinear, so states are kept per (node, path): the full path expansion
-is used up to ``MAX_EXACT_STEPS`` steps and a fixed-seed sample of paths
-beyond that. Sampled path p takes its draws from the stream of
-``numpy.random.default_rng([seed, p])``, so results do not depend on
-scheduling or batching; ``_draws`` computes every path's stream in one
-vectorised pass, bit for bit. Every level is stepped at once, with one
-driver call per (alive, defaulted) group.
+is nonlinear, so states are kept per (node, path): ``path_sample`` gives the
+full path expansion up to ``MAX_EXACT_STEPS`` steps and a fixed-seed sample
+of paths beyond that, one per job. Sampled path p takes its draws from the
+stream of ``numpy.random.default_rng([seed, p])``, so results do not depend
+on scheduling or batching; ``_draws`` computes every path's stream in one
+vectorised pass, bit for bit. Branches are picked and followed through flat
+per-step tables. Every level is stepped at once, with one driver call per
+(alive, defaulted) group, and nothing is gathered along a sampled path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, pairwise, repeat
 from typing import NamedTuple
 
@@ -46,16 +47,25 @@ class Paths(NamedTuple):
     node's place ``index`` in the level's (alive, defaulted) rows end to end
     (its up count, plus the alive row's length if defaulted) and its
     defaulted flag ``d``, the parent state one level up and the branch taken
-    from it (-1 at the root level)."""
+    from it (-1 at the root level); and per step the dW and dM of each slot
+    3 * defaulted + branch (0 past a row's last branch)."""
 
+    mode: str  # "exact" | "sampled"
     index: list  # int32
     d: list  # int8
     parent: list  # int32
     branch: list  # int8
+    dw: np.ndarray  # (n_steps, 6)
+    dm: np.ndarray
 
     def at(self, rows: tuple, i: int) -> np.ndarray:
         """Values of step i's (alive, defaulted) ``rows`` at each state of level i."""
-        return np.concatenate(rows)[self.index[i]]
+        return np.concatenate(rows).take(self.index[i])
+
+    def down(self, i: int, values: np.ndarray) -> np.ndarray:
+        """``values`` of level i's states at each state of level i + 1, their parents';
+        a sampled path keeps its slot, so its values come back as they are."""
+        return values if self.mode == "sampled" else values.take(self.parent[i + 1])
 
 
 def _lists(arrays) -> cached_property:
@@ -73,10 +83,10 @@ class WealthField:
 
     tree: Tree
     x0: float
-    mode: str  # "exact" | "sampled"
     paths: Paths
     wealth: list
 
+    mode = property(lambda self: self.paths.mode)  # "exact" | "sampled"
     v = _lists(lambda self: self.wealth)
     parent = _lists(lambda self: self.paths.parent)
     branch = _lists(lambda self: self.paths.branch)
@@ -124,11 +134,6 @@ class GainReport:
     passed: bool
     n_states: int
     min_gain: float = None
-
-
-def _table(branches: tuple, column, pad, dtype=float) -> np.ndarray:
-    """(defaulted, branch) table of ``column(row)`` per row of ``branches``."""
-    return np.array([[*column(row), *[pad] * (3 - len(row))] for row in branches], dtype=dtype)
 
 
 _M32 = 0xFFFFFFFF
@@ -196,43 +201,68 @@ def _draws(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     return draws
 
 
-@lru_cache(maxsize=1)
-def _path_sample(tree: Tree, mode: str, n_paths: int, seed: int) -> Paths:
-    """The full path expansion from one root state (``n_paths`` = 1), or ``n_paths``
-    paths whose path p draws from the stream of ``default_rng([seed, p])`` (see
-    ``_draws``); kept for the last tree."""
-    j = np.zeros(n_paths, np.int32)  # the up counts of level i
-    index, d = [j], [np.zeros(n_paths, np.int8)]
-    parent, branch = [np.full(n_paths, -1, np.int32)], [np.full(n_paths, -1, np.int8)]
-    if mode == "sampled":  # one column of draws per path; one parent index shared by the levels
-        draws, rows = _draws(seed, n_paths, tree.n_steps), np.arange(n_paths, dtype=np.int32)
+def path_sample(tree: Tree, n_paths: int = DEFAULT_SAMPLE_PATHS, seed: int = 0,
+                mode: str = None) -> Paths:
+    """The states to simulate wealth on: the full path expansion from one root state
+    for trees up to ``MAX_EXACT_STEPS`` steps, beyond that ``n_paths`` paths whose
+    path p draws from the stream of ``default_rng([seed, p])`` (see ``_draws``);
+    pass ``mode`` to force either representation."""
+    if mode is None:
+        mode = "exact" if tree.n_steps <= MAX_EXACT_STEPS else "sampled"
+    if mode == "exact":
+        n_paths = 1  # one root state; the expansion draws nothing
+    elif mode != "sampled":
+        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    elif not (_is_int(n_paths) and 1 <= n_paths < 2**32):  # a path index is one uint32 word
+        raise ValueError(f"n_paths must be at least 1 and below 2**32, got {n_paths!r}")
+    elif not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    else:  # one column of draws per path; one parent index shared by the levels
+        draws, rows = _draws(int(seed), n_paths, tree.n_steps), np.arange(n_paths, dtype=np.int32)
+    # Per step and slot 3 * defaulted + branch: the running sum of the probabilities (-inf
+    # past the row's last branch), the child's index less its parent's, the child's
+    # defaulted flag, dW, dM and the row's last branch.
+    slots = []
     for i, branches in enumerate(tree.row_branches):
-        last = np.array([len(row) - 1 for row in branches])[d[i]]
+        n, n_next = len(tree.s1[i][0]), len(tree.s1[i + 1][0])
+        for d, row in enumerate(branches):
+            slots += [(acc, b.child[1] + b.child[2] * n_next - d * n, b.child[2], b.dw, b.dm,
+                       len(row) - 1) for b, acc in zip(row, accumulate(b.prob for b in row))]
+            slots += [(-math.inf, 0, 0, 0.0, 0.0, len(row) - 1)] * (3 - len(row))
+    acc, off, dead, dw, dm, last = np.array(slots).reshape(-1, 6, 6).transpose(2, 0, 1).copy()
+    off, dead, last = off.astype(np.int32), dead.astype(np.int8), last.astype(np.intp)
+    index, d = [np.zeros(n_paths, np.int32)], [np.zeros(n_paths, np.int8)]
+    parent, branch = [np.full(n_paths, -1, np.int32)], [np.full(n_paths, -1, np.int8)]
+    base = np.zeros(n_paths, np.intp)  # 3 * the defaulted flag of each state of level i
+    for i in range(tree.n_steps):
         if mode == "exact":  # each state's branches in template order
-            par = np.repeat(np.arange(len(last), dtype=np.int32), last + 1)
-            br = np.arange(len(par)) - np.repeat(np.cumsum(last + 1) - last - 1, last + 1)
+            count = last[i][base] + 1
+            par = np.repeat(np.arange(len(count), dtype=np.int32), count)
+            br = np.arange(len(par)) - np.repeat(np.cumsum(count) - count, count)
+            at, base = index[i].take(par), base.take(par)
         else:  # the first branch whose running sum of probabilities exceeds the draw
-            acc = _table(branches, lambda row: accumulate(b.prob for b in row), -math.inf)
-            par, br = rows, last
+            par, br, at = rows, last[i][base], index[i]
             for b in (2, 1, 0):
-                br = np.where(draws[i] < acc[d[i], b], b, br)
-        child = _table(branches, lambda row: (b.child[1:] for b in row), (0, 0), np.int32)
-        up, dead = child[d[i][par], br].T
-        j = j[par] + up
-        index.append(np.where(dead, j + len(tree.s1[i + 1][0]), j))
-        d.append(dead.astype(np.int8))
+                br = np.where(draws[i] < acc[i][base + b], b, br)
+        slot = base + br
+        index.append(at + off[i][slot])
+        d.append(dead[i][slot])
         parent.append(par)
         branch.append(br.astype(np.int8))
-    return Paths(index, d, parent, branch)
+        base = d[-1] * np.intp(3)
+    return Paths(mode, index, d, parent, branch, dw, dm)
 
 
 def _groups(tree: Tree, paths: Paths, i: int):
-    """(defaulted, state indices, NodeState with gathered s1/s2) per group of level i."""
-    for g in (0, 1):
-        idx = np.flatnonzero(paths.d[i] == g)
-        if idx.size:
-            j = paths.index[i][idx] - g * len(tree.s1[i][0])
-            yield g, idx, tree.row_state(i, g, tree.s1[i][g][j], tree.s2[i][g][j])
+    """(defaulted, state indices, NodeState at their prices) per group of level i; a
+    level of one group comes whole, its indices ``slice(None)``, so nothing is gathered."""
+    n_dead = np.count_nonzero(paths.d[i])
+    whole = n_dead in (0, len(paths.d[i]))
+    for g in ((int(n_dead > 0),) if whole else (0, 1)):
+        idx = slice(None) if whole else np.flatnonzero(paths.d[i] == g)
+        at = paths.index[i][idx]
+        yield g, idx, tree.row_state(i, g, np.concatenate(tree.s1[i]).take(at),
+                                     np.concatenate(tree.s2[i]).take(at))
 
 
 def _is_int(value) -> bool:
@@ -243,37 +273,23 @@ def _is_int(value) -> bool:
 @np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in one_step
 def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
                     n_paths: int = DEFAULT_SAMPLE_PATHS, seed: int = 0,
-                    mode: str = None) -> WealthField:
-    """Simulate wealth from x0 under the given positions and driver.
-
-    The full path expansion is used for trees up to ``MAX_EXACT_STEPS``
-    steps, a deterministic path sample beyond that; pass ``mode`` to force
-    either representation.
-    """
-    if mode is None:
-        mode = "exact" if tree.n_steps <= MAX_EXACT_STEPS else "sampled"
-    if mode == "exact":
-        n_paths, seed = 1, 0  # one root state; the expansion draws nothing
-    elif mode != "sampled":
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    elif not (_is_int(n_paths) and 1 <= n_paths < 2**32):  # a path index is one uint32 word
-        raise ValueError(f"n_paths must be at least 1 and below 2**32, got {n_paths!r}")
-    elif not (_is_int(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    paths = _path_sample(tree, mode, n_paths, int(seed))
+                    mode: str = None, paths: Paths = None) -> WealthField:
+    """Simulate wealth from x0 under the given positions and driver on ``paths``, a
+    ``path_sample`` of this tree, or else on ``path_sample(tree, n_paths, seed, mode)``."""
+    if paths is None:
+        paths = path_sample(tree, n_paths, seed, mode)
     phi1, phi2 = strategy.phi1_rows, strategy.phi2_rows
     wealth = [np.full(len(paths.index[0]), float(x0))]
-    for i, branches in enumerate(tree.row_branches):
+    for i in range(tree.n_steps):
         c = tree.coef[i]
         z, k = phi_inverse(paths.at(phi1[i], i), paths.at(phi2[i], i), c.sigma1, c.sigma2)
         v, drift = wealth[i], np.empty_like(wealth[i])
         for _, idx, state in _groups(tree, paths, i):
             drift[idx] = v[idx] - driver.eval(state.t, v[idx], z[idx], k[idx], state) * tree.dt
-        p = paths.parent[i + 1]
-        dw, dm = _table(branches, lambda row: (b[2:4] for b in row), (0.0, 0.0))[
-            paths.d[i][p], paths.branch[i + 1]].T
-        wealth.append(drift[p] + z[p] * dw + k[p] * dm)
-    return WealthField(tree=tree, x0=float(x0), mode=mode, paths=paths, wealth=wealth)
+        slot = paths.down(i, paths.d[i]) * np.intp(3) + paths.branch[i + 1]  # see path_sample
+        drift, z, k = (paths.down(i, x) for x in (drift, z, k))
+        wealth.append(drift + z * paths.dw[i][slot] + k * paths.dm[i][slot])
+    return WealthField(tree=tree, x0=float(x0), paths=paths, wealth=wealth)
 
 
 def _slack_report(field: WealthField, obstacle: Obstacle, side: str, states) -> HedgeReport:
@@ -320,7 +336,7 @@ def _first_stops(field: WealthField, rule: StoppingRule):
             raise ValueError(f"rule does not stop by the terminal step at {node}")
         yield level, np.flatnonzero(active & stop)
         if level < last:
-            active = (active & ~stop)[paths.parent[level + 1]]
+            active = paths.down(level, active & ~stop)
 
 
 def verify_superhedge_buyer(field: WealthField, obstacle: Obstacle,
@@ -388,7 +404,7 @@ def strict_gain_after_nubar(field: WealthField, solution: Solution) -> GainRepor
                 f"node {field.node(level, s)}, path {field.path_id(level, s)}")
         gains.append(gain)
         if level < field.tree.n_steps:
-            a_in = (a_in + paths.at(solution.da_rows[level], level))[paths.parent[level + 1]]
+            a_in = paths.down(level, a_in + paths.at(solution.da_rows[level], level))
     gains = np.concatenate(gains)
     if not gains.size:
         return GainReport(passed=True, n_states=0, min_gain=None)

@@ -104,10 +104,15 @@ def call_payoff(rng):
 
 def style_params(style: str, r: float, sigma1: float) -> MarketParams:
     """A market of the differential tests: constant coefficients with an
-    intensity of 0.2 ("const") or 0 ("lam_zero"), or piecewise r and sigma1
-    with an intensity dropping from 0.2 to 0 at t = 0.5 ("piecewise")."""
+    intensity of 0.2 ("const") or 0 ("lam_zero"), piecewise r and sigma1
+    with an intensity dropping from 0.2 to 0 at t = 0.5 ("piecewise"), or
+    constant coefficients but an intensity rising from 0 to 0.2 at t = 0.5
+    ("lam_rises")."""
     base = dict(r=0.05, mu1=0.05, mu2=0.0, sigma1=0.2, sigma2=0.3, lam=0.0,
                 s1_0=100.0, s2_0=90.0, T=1.0)
+    if style == "lam_rises":
+        return MarketParams(**dict(base, r=r, sigma1=sigma1,
+                                   lam=PiecewiseConstant([0.0, 0.2], times=[0.0, 0.5])))
     if style == "piecewise":
         return MarketParams(**dict(base, r=PiecewiseConstant([r, r + 0.02], times=[0.0, 0.4]),
                                    sigma1=PiecewiseConstant([sigma1, 0.2], times=[0.0, 0.6]),

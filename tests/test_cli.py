@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -488,6 +490,20 @@ class TestHedgeOnArrays:
             assert not {"node_ids", "v", "parent", "branch"} & set(vars(field))
         assert not {"nodes", "branches"} & set(vars(fields[0].tree))
 
+    def test_no_module_cache_keeps_a_jobs_tree(self, tmp_path, monkeypatch):
+        trees, build = [], cli.build_tree
+
+        def recording(*args):
+            tree = build(*args)
+            trees.append(weakref.ref(tree))
+            return tree
+
+        monkeypatch.setattr(cli, "build_tree", recording)
+        for n_steps in (8, 13):  # exact and sampled
+            assert run(_hedge_job(n_steps), out_dir=tmp_path) == EXIT_OK
+        gc.collect()
+        assert [ref() is None for ref in trees] == [True, True]
+
     def test_non_finite_wealth_exits_2_naming_the_state(self, tmp_path, capsys, monkeypatch):
         nan = Driver(name="nan", eval=lambda t, y, z, k, s: math.nan, lipschitz_C=0.0)
         simulate = hedging.simulate_wealth
@@ -855,7 +871,7 @@ APRIORI_OUT_OF_RANGE = [
                   ["apriori"], sigma1=1e-160),
      "eta = 1/(C^2 + 1) is 0, so beta = 3/eta + 2C + 1 is infinite "
      "(the driver's lipschitz_C = 6e+158)"),
-    # The wealth files are written before the check fails.
+    # The wealth files are filled before the check fails, and deleted unpublished.
     (_apriori_job({"name": "large_trader", "params": {"alpha": 0.002, "gamma_bar": 0.0}}, 64,
                   ["hedge", "verify"], ["superhedge", "apriori"]),
      "beta = 2556.92 overflows exp(beta t) on [0, 1] (the driver's lipschitz_C = 28.84)"),
@@ -875,6 +891,22 @@ def test_apriori_out_of_range_exits_2_naming_beta_and_C(tmp_path, capsys, cfg, m
     path.write_text(json.dumps(cfg))
     assert main(["price", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: verify: apriori: {message}\n"
+
+
+def test_a_failing_run_publishes_none_of_its_files(tmp_path):
+    # A run whose stability check fails after the hedge leaves the earlier run's
+    # four files in place, on their old inodes, and no .part file.
+    first = {**copy.deepcopy(README_JOB), "jobs": ["price", "hedge"], "verify": []}
+    first["grid"]["n_steps"] = 16
+    out = tmp_path / "out"
+    for cfg, code in ((first, EXIT_OK), (APRIORI_OUT_OF_RANGE[2][0], EXIT_CONFIG)):
+        (tmp_path / "job.json").write_text(json.dumps(cfg))
+        assert main(["price", str(tmp_path / "job.json"), "--out", str(out), "--dump-tree"]) == code
+        if code == EXIT_OK:
+            before = {path.name: (path.stat().st_ino, path.read_bytes())
+                      for path in out.iterdir()}
+    assert sorted(before) == ["report.json", "tree.json", "wealth.csv", "wealth_buyer.csv"]
+    assert {path.name: (path.stat().st_ino, path.read_bytes()) for path in out.iterdir()} == before
 
 
 def test_apriori_still_reports_just_below_the_overflow(tmp_path):

@@ -444,6 +444,23 @@ class TestMatchesScalarReference:
         assert_same_field(field, ref)
         assert {b for level in field.branch[1:] for b in level} == {0, 1, 2}
 
+    @pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader"])
+    def test_a_level_of_defaulted_states_only_is_stepped_whole(self, kind):
+        # lambda * dt = 0.9: at seed 2 all eight paths default at the first step, so
+        # levels 1 and 2 hold defaulted states only and take one driver call each. The
+        # positions hold the defaultable asset after default too, so that a driver
+        # handed the alive rows' intensity there would give other wealth.
+        params = MarketParams(**dict(README_MARKET, lam=1.8))
+        tree = build_tree(params, 2)
+        driver = reference_driver(kind, params)
+        rng = np.random.default_rng(7)
+        nodes = [node for node in tree.nodes if not tree.is_terminal(node)]
+        strategy = Strategy(tree, *(dict_rows(tree, {n: float(rng.uniform(-1, 1)) for n in nodes},
+                                              tree.n_steps) for _ in range(2)))
+        field = simulate_wealth(tree, 1.0, strategy, driver, mode="sampled", n_paths=8, seed=2)
+        assert field.paths.d[1].all()
+        assert_same_field(field, scalar_simulate_sampled(tree, 1.0, strategy, driver, 8, 2))
+
     def test_sampled_field_at_a_two_word_seed(self):
         params = MarketParams(**README_MARKET)
         tree = build_tree(params, 7)
@@ -476,16 +493,17 @@ def test_draws_are_the_default_rng_streams(seed):
 
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(style=st.sampled_from(("const", "piecewise", "lam_zero")),
+@given(style=st.sampled_from(("const", "piecewise", "lam_zero", "lam_rises")),
        kind=st.sampled_from(DRIVER_KINDS), payoff=st.sampled_from(("put", "call", "expr")),
        n_steps=st.integers(1, 6), r=st.floats(0.0, 0.06), sigma1=st.floats(0.1, 0.5),
        strike=st.floats(70.0, 130.0), seed=st.integers(0, 2**16),
        shortfall=st.sampled_from((0.0, 0.01)))
 def test_rows_equal_the_scalar_references_on_random_markets(style, kind, payoff, n_steps, r,
                                                               sigma1, strike, seed, shortfall):
-    """The obstacle rows, both wealth fields (exact and sampled) and both
-    superhedge checks equal their scalar references bit for bit, from each
-    side's price or ``shortfall`` below it."""
+    """The obstacle rows, both wealth fields (exact and sampled), both
+    superhedge checks, the martingale residual (exact) and the strict gain
+    equal their scalar references bit for bit, from each side's price or
+    ``shortfall`` below it."""
     params = style_params(style, r, sigma1)
     tree = build_tree(params, n_steps)
     payoff = named_payoff(payoff, strike)
@@ -510,6 +528,14 @@ def test_rows_equal_the_scalar_references_on_random_markets(style, kind, payoff,
                     == report_bits(scalar_verify_seller(ref, obs)))
             assert (report_bits(verify_superhedge_buyer(field, obs, buyer.exercise))
                     == report_bits(scalar_verify_buyer(ref, obs, buyer.exercise)))
+            if mode == "exact":
+                assert (bits(wealth_martingale_residual(field, driver))
+                        == bits(scalar_martingale_residual(ref, driver)))
+            gain = strict_gain_after_nubar(field, seller.solution)
+            n, min_gain = scalar_strict_gain(ref, seller.solution)
+            assert gain.n_states == n
+            assert (float_bits(gain.min_gain) == float_bits(min_gain) if n
+                    else gain.min_gain is None)
 
 
 class TestBrokenWealth:
