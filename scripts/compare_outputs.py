@@ -15,8 +15,8 @@ fixed ``EDGE_JOBS``, which reach what no workload job does:
   at t = 0.5, so that ``tree.json`` holds alive rows whose branch count
   changes partway down the tree;
 * a verify-only job (skorokhod, apriori, martingale, duality) at n = 4,
-  which solves the seller and the stability check's shifted seller each
-  in a sweep of one side;
+  which solves the seller and the stability check's shifted seller in one
+  sweep of two sides;
 * verify-only ``duality`` jobs at n = 1 and n = 3, and at n = 4 with no
   default (lambda = 0, two branches per node) under ``perfect`` and
   ``large_trader``, so that the rule enumeration meets short trees and
@@ -47,7 +47,16 @@ fixed ``EDGE_JOBS``, which reach what no workload job does:
   workload job samples;
 * a ``large_trader`` hedge and verify job at n = 8, on the exact path
   expansion, whose intensity steps from 0 to 0.25 at t = 0.5, with the
-  superhedge, skorokhod and martingale checks.
+  superhedge, skorokhod and martingale checks;
+* a verify-only superhedge, apriori and skorokhod job at n = 16, on 10,000
+  sampled paths, whose seller, buyer and shifted seller (the apriori check's
+  second driver) are three sides of one sweep;
+* the README put under ``borrow_lend`` R = 40 at n = 4 as a verify-only
+  apriori and superhedge job: the apriori check's beta message comes first,
+  and the buyer's divergence, kept from the sweep, is never raised;
+* a ``large_trader`` hedge and verify job with the apriori check at n = 8,
+  whose intensity steps from 0.25 to 0 at t = 0.5, so that the shifted
+  seller's rows lose their default branch partway down the tree.
 
 Each job runs as
 ``amhedge price job.json --out out --dump-tree`` in a fresh Python
@@ -116,6 +125,11 @@ EDGE_JOBS = [
     edge_job("large_trader", {"alpha": 5e-4, "gamma_bar": 0.2}, 8,
              {"values": [0.0, 0.25], "times": [0.0, 0.5]},
              verify=["superhedge", "skorokhod", "martingale"]),
+    edge_job("borrow_lend", {"R": 0.07}, 16, jobs=["verify"],
+             verify=["superhedge", "apriori", "skorokhod"]),
+    edge_job("borrow_lend", {"R": 40.0}, 4, jobs=["verify"], verify=["apriori", "superhedge"]),
+    edge_job("large_trader", {"alpha": 5e-4, "gamma_bar": 0.2}, 8,
+             {"values": [0.25, 0.0], "times": [0.0, 0.5]}, verify=["superhedge", "apriori"]),
 ]
 
 

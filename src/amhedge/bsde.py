@@ -11,22 +11,23 @@ Picard iteration, which contracts whenever C * dt < 1 for the driver's
 Lipschitz constant C (in practice the relevant constant is the local
 y-sensitivity of g).
 
-``backward_sweep`` runs this step a level row at a time for K sides at
-once: each row is a (K, m) block, side h in block row h, with its own
-terminal rows and, on a reflected side, its own barrier. A price job's two
-reflected solves (the seller's lower and the buyer's upper) share one such
-sweep; a single solve is the case K = 1. Each side's work counts
-(``SolveStats``) are those of its solve on its own.
+``backward_sweep`` runs this step for K sides at once: each level row is a
+(K, m) block, side h in block row h, with its own terminal rows, driver
+and, on a reflected side, its own barrier. A job's reflected solves share
+one such sweep, a step's rows one Picard loop; a single solve is the case
+K = 1. Each side's work counts (``SolveStats``) are those of its solve on
+its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 
 import numpy as np
 
 from .drivers import Driver, split_of
-from .market import NodeState, Tree, row_view
+from .market import Tree, row_view
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
@@ -94,35 +95,38 @@ def coefficients(branches, child_values, sq: float) -> tuple:
     return e + branches[2].prob * f_j[0], z, f_j[0] - 0.5 * (f_u + f_d)
 
 
-def _implicit_row(driver: Driver, state: NodeState, dt: float, e, z, k, row: tuple,
-                  first=None) -> np.ndarray:
-    """``oracle.implicit_value`` over a (K, m) block (or a 1-D row) of the row
-    ``(step, defaulted)``, handed to the driver flattened. Each element keeps
-    the iterate at which it first passes the stopping test, so it equals the
-    scalar result. Returns the block, and counts each element's iterations in
-    ``first`` (flat) if given."""
-    shape = e.shape
-    e = e.ravel()
-    g = split_of(driver)(state.t, z.ravel(), k.ravel(), state)
-    y = e
-    out = np.empty_like(e)
-    pending = np.ones(e.shape, dtype=bool)
+def _picard(segments: list, dt: float, where, first=None) -> np.ndarray:
+    """``oracle.implicit_value`` over the flat concatenation of ``segments``, each the
+    ``(g, e)`` of a row: a driver's split (y -> g(y)) and the row's flat e. A segment's
+    g is called on each iteration while it has an element that has not passed, and each
+    element keeps the iterate at which it first passes, so it equals the scalar result.
+    Counts iterations in ``first`` if given; ``where(j, residual)`` names a failure."""
+    (g, e), *more = segments
+    if more:  # (start, end, g) of each segment that has an element left
+        ends = list(accumulate(len(e) for _, e in segments))
+        live = list(zip([0] + ends, ends, (g for g, _ in segments)))
+        e = np.concatenate([e for _, e in segments])
+        gy = np.empty_like(e)
+    y, out, pending = e, np.empty_like(e), np.ones(e.shape, dtype=bool)
     for _ in range(PICARD_MAX_ITER):
         if first is not None:
             first += pending
-        y_new = e + g(y) * dt
+        for a, b, g_ab in live if more else ():
+            gy[a:b] = g_ab(y[a:b])
+        y_new = e + (gy if more else g(y)) * dt
         residual = np.abs(y_new - y)
         passed = (residual <= PICARD_TOL * (1.0 + np.abs(y_new))) & pending
         np.copyto(out, y_new, where=passed)
         pending ^= passed
         if not np.count_nonzero(pending):
-            return out.reshape(shape)
+            return out
+        if more:
+            live = [seg for seg in live if np.count_nonzero(pending[seg[0]:seg[1]])]
         y = y_new
     j = int(np.argmax(pending))
     raise ConvergenceError(
-        f"implicit step did not converge in {PICARD_MAX_ITER} iterations at node "
-        f"{(row[0], j % shape[-1], row[1])} (t={state.t:.6g}, last residual {residual[j]:.3g}); "
-        "the time step is too large for the driver's Lipschitz constant")
+        f"implicit step did not converge in {PICARD_MAX_ITER} iterations at "
+        f"{where(j, residual[j])}; the time step is too large for the driver's Lipschitz constant")
 
 
 def _side_stats(K: int, rows: list, binds: list) -> list:
@@ -142,62 +146,86 @@ def _side_stats(K: int, rows: list, binds: list) -> list:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in a scalar step
-def backward_sweep(tree: Tree, driver: Driver, sides: list) -> list:
+def backward_sweep(tree: Tree, sides: list) -> list:
     """Backward solve of K sides together, one level row at a time.
 
-    ``sides`` holds one ``(kind, rows)`` pair per side: "bsde" (solved
+    ``sides`` holds one ``(kind, rows, driver)`` per side: "bsde" (solved
     alone) with rows ending in the terminal rows, or "lower"/"upper" with
     the barrier rows of every step, whose last doubles as the terminal
     condition. A row is solved as a (K, m) block, side h in block row h: the
     children are column slices of the next level's blocks, and each element
     follows the arithmetic of the scalar step exactly, then is reflected from
     below ("lower") or above ("upper") at its side's barrier. Returns one
-    ``Solution`` per side, with that side's own work counts. If the block
-    sweep fails, the sides are swept again one at a time, so the error
-    raised is the one of the first side that fails on its own.
+    ``Solution`` per side, with that side's own work counts. If the sweep
+    fails, the sides are swept again one at a time, and a side that fails on
+    its own has its error in its place, for ``rbsde.solved`` to raise where
+    the side is used; an error that no side meets on its own is raised.
     """
     n, K = tree.n_steps, len(sides)
-    kinds = [kind for kind, _ in sides]
+    kinds = [kind for kind, _, _ in sides]
     reflected = kinds != ["bsde"]
     orient = np.array([[1.0 if kind == "lower" else -1.0] for kind in kinds])
+    # (first side, end, split) of each run of adjacent sides with one driver
+    ends = list(accumulate(len(list(run)) for _, run in groupby(d for _, _, d in sides)))
+    runs = [(a, b, split_of(sides[a][2])) for a, b in zip([0] + ends, ends)]
     zero = np.zeros((K, n + 1))  # k without a default branch, delta_a without reflection
     zero.flags.writeable = False
-    y = [None] * n + [tuple(np.array([rows[-1][d] for _, rows in sides]) for d in (0, 1))]
+    y = [None] * n + [tuple(np.array([rows[-1][d] for _, rows, _ in sides]) for d in (0, 1))]
     z, k, da, work, binds = [None] * n, [None] * n, [None] * n, [], []
     try:
         for i in range(n - 1, -1, -1):
-            out = []
+            t, blocks = tree.time(i), []  # (d, m, e, z, k) of each row with nodes
             for d, branches in enumerate(tree.row_branches[i]):
-                s1, m = tree.s1[i][d], len(tree.s1[i][d])
-                if not m:
-                    out.append((zero[:, :0],) * 4)
-                    continue
-                children = [y[i + 1][dead][:, up:up + m]
-                            for _, up, dead in (b.child for b in branches)]
-                e, z_row, k_row = coefficients(branches, children, tree.sq)
-                if len(branches) == 2:
-                    k_row = zero[:, :m]
-                state = tree.row_state(i, d, *(np.concatenate([r] * K)
-                                               for r in (s1, tree.s2[i][d])))
-                first = np.zeros(K * m, dtype=np.int8)  # for the stats
-                y_row = _implicit_row(driver, state, tree.dt, e, z_row, k_row, (i, d), first)
-                work.append((m, first))
+                if m := len(tree.s1[i][d]):
+                    children = [y[i + 1][dead][:, up:up + m]
+                                for _, up, dead in (b.child for b in branches)]
+                    e, z_row, k_row = coefficients(branches, children, tree.sq)
+                    blocks.append((d, m, e, z_row, zero[:, :m] if len(branches) == 2 else k_row))
+
+            def segments(d, _, e, z_row, k_row):  # each run's split on the row's state
+                s1, s2 = tree.s1[i][d], tree.s2[i][d]
+                return [(split(t, z_row[a:b].ravel(), k_row[a:b].ravel(), tree.row_state(
+                    i, d, np.concatenate([s1] * (b - a)), np.concatenate([s2] * (b - a)))),
+                         e[a:b].ravel()) for a, b, split in runs]
+
+            def solve(blocks, first=None):  # the rows of ``blocks`` in one Picard loop
+                def where(j, r):  # element j of their segments end to end
+                    for d, m, *_ in blocks:
+                        if j < K * m:
+                            return f"node {(i, j % m, d)} (t={t:.6g}, last residual {r:.3g})"
+                        j -= K * m
+                return _picard([seg for block in blocks for seg in segments(*block)], tree.dt,
+                               where, first)
+
+            # One loop per step, each run of adjacent sides with one driver a segment of each
+            # row; if it fails, again a row at a time, so the error is the failing row's own.
+            first = np.zeros(K * sum(block[1] for block in blocks), dtype=np.int8)  # for the stats
+            try:
+                flat = solve(blocks, first)
+            except Exception:
+                for block in blocks:
+                    solve([block])
+                raise
+            step, at = [(zero[:, :0],) * 4] * 2, 0  # a row without nodes
+            for d, m, _, z_row, k_row in blocks:
+                y_row = flat[at:at + K * m].reshape(K, m)
+                work.append((m, first[at:at + K * m]))
+                at += K * m
                 da_row = zero[:, :m]
                 if reflected:
-                    b = np.array([rows[i][d] for _, rows in sides])
+                    b = np.array([rows[i][d] for _, rows, _ in sides])
                     gap = b - y_row
                     bind = gap * orient > 0.0  # b > y on a lower side, b < y on an upper one
                     da_row = np.where(bind, np.abs(gap), 0.0)
                     y_row = np.where(bind, b, y_row)
                     binds.append(bind)
-                out.append((y_row, z_row, k_row, da_row))
-            y[i], z[i], k[i], da[i] = zip(*out)
-    except Exception:  # a driver may fail on one side's values alone
-        if K == 1:
+                step[d] = (y_row, z_row, k_row, da_row)
+            y[i], z[i], k[i], da[i] = zip(*step)
+    except Exception as exc:  # a driver may fail on one side's values alone
+        alone = [exc] if K == 1 else [backward_sweep(tree, [side])[0] for side in sides]
+        if not any(isinstance(result, Exception) for result in alone):
             raise
-        for side in sides:
-            backward_sweep(tree, driver, [side])
-        raise
+        return alone
 
     def rows_of(h, blocks):
         return [(alive[h], dead[h]) for alive, dead in blocks]
@@ -205,4 +233,4 @@ def backward_sweep(tree: Tree, driver: Driver, sides: list) -> list:
     return [Solution(tree=tree, driver=driver, kind=kind, y_rows=rows_of(h, y),
                      z_rows=rows_of(h, z), k_rows=rows_of(h, k), da_rows=rows_of(h, da),
                      stats=stats)
-            for h, (kind, stats) in enumerate(zip(kinds, _side_stats(K, work, binds)))]
+            for h, ((kind, _, driver), stats) in enumerate(zip(sides, _side_stats(K, work, binds)))]

@@ -34,7 +34,8 @@ from .drivers import (Driver, admissibility_rows, borrow_lend_driver,
                       split_of)
 from .market import MarketParams, Tree, build_tree, is_finite_number
 from .payoffs import payoff_from_config
-from .rbsde import Obstacle, skorokhod_residual, solve_rbsde_lower
+# solve_rbsde_lower stays a name of this module: the benchmark's tracer wraps it here.
+from .rbsde import Obstacle, skorokhod_residual, solve_rbsde_lower, solved  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -371,23 +372,29 @@ def _check_duality(tree, driver, obstacle, u0):
             "enumerated_value": brute, "gap": gap}
 
 
-def _check_apriori(tree, driver, obstacle, solution):
+def _shifted(driver: Driver) -> Driver:
+    """The apriori check's second driver: g + 0.1, with g's own operations first."""
     delta, split = 0.1, split_of(driver)
 
-    def shifted_split(t, z, k, state):  # g + delta, with g's own operations first
+    def shifted_split(t, z, k, state):
         g = split(t, z, k, state)
         return lambda y: g(y) + delta
-    shifted = Driver(name=f"{driver.name}+shift", lipschitz_C=driver.lipschitz_C,
-                     eval=split_eval(shifted_split, getattr(driver.eval, "times", None)))
+    return Driver(name=f"{driver.name}+shift", lipschitz_C=driver.lipschitz_C,
+                  eval=split_eval(shifted_split, getattr(driver.eval, "times", None)))
+
+
+def _check_apriori(driver, solution, shifted):
+    # ``shifted`` is the shifted seller's entry of the job's sweep: its error, if it
+    # failed, is raised after the eta check.
     c = driver.lipschitz_C
     eta = 1.0 / (c * c + 1.0)
     if eta == 0.0:
         raise ConfigError(f"verify: apriori: eta = 1/(C^2 + 1) is 0, so beta = 3/eta + 2C + 1 "
                           f"is infinite (the driver's lipschitz_C = {c:.6g})")
     beta = 3.0 / eta + 2.0 * c + 1.0
-    shifted_solution = solve_rbsde_lower(tree, shifted, obstacle)
+    shifted = solved(shifted)
     try:
-        report = oracle.apriori_estimate(solution, shifted_solution, eta, beta)
+        report = oracle.apriori_estimate(solution, shifted, eta, beta)
     except ValueError as exc:
         raise ConfigError(f"verify: apriori: {exc}") from None
     return {"passed": report.passed(),
@@ -449,26 +456,29 @@ def _write_csv(path: Path, rows, parts: list) -> None:
     _write(path, emit, parts)
 
 
-def _hedge(job: dict, obstacle, field, buyer) -> tuple:
-    """Superhedge reports of the seller's wealth ``field`` and of the buyer (solved if None)."""
-    tree, driver = field.tree, job["driver"]
-    buyer = buyer or pricing.buyer_price(tree, driver, obstacle, gamma_check=False)
-    bfield = hedging.simulate_wealth(tree, -buyer.v0, buyer.strategy, driver, paths=field.paths)
+def _hedge(job: dict, obstacle, field, buyer: pricing.BuyerPrice) -> tuple:
+    """Superhedge reports of the seller's wealth ``field`` and of the buyer."""
+    bfield = hedging.simulate_wealth(field.tree, -buyer.v0, buyer.strategy, job["driver"],
+                                     paths=field.paths)
     return (hedging.verify_superhedge_seller(field, obstacle),
             hedging.verify_superhedge_buyer(bfield, obstacle, buyer.exercise))
 
 
 def _run_jobs(job: dict, tree, obstacle, out: Path, parts: list) -> dict:
-    """The solve, one path sample and the seller's wealth on it, the hedge and its files
-    (listed in ``parts``), then the checks in order; nothing of the job is kept."""
+    """One sweep of every side the job reads, one path sample and the seller's wealth on
+    it, the hedge and its files (listed in ``parts``), then the checks in order; nothing
+    of the job is kept. A side's error is raised where the side is first used."""
     jobs, checks, driver, seed = job["jobs"], job["checks"], job["driver"], job["seed"]
-    report = seller = buyer = field = hedge = None
-    if "price" in jobs or "hedge" in jobs:  # both sides in one sweep, the seller's error first
-        report = pricing.price_american(tree, driver, obstacle, gamma_check="price" in jobs)
-        seller, buyer = report.seller, report.buyer
-    elif set(checks) - {"gamma", "admissible"}:  # the other checks read the seller
-        seller = pricing.seller_price(tree, driver, obstacle, gamma_check=False)
-    document = report_to_dict(report) if "price" in jobs else {}
+    seller = buyer = field = hedge = None
+    priced = "price" in jobs or "hedge" in jobs
+    if priced or set(checks) - {"gamma", "admissible"}:  # the other checks read the seller
+        kinds = ("lower", "upper") if priced or "superhedge" in checks else ("lower",)
+        sides = pricing.solve_prices(tree, driver, obstacle, "price" in jobs, kinds,
+                                     _shifted(driver) if "apriori" in checks else None)
+        seller = pricing.seller_of(solved(sides[0]))
+        if priced:  # the seller's error first, then the buyer's
+            buyer = pricing.buyer_of(solved(sides[1]), obstacle)
+    document = report_to_dict(pricing.report_of(seller, buyer, obstacle)) if "price" in jobs else {}
     if "hedge" in jobs or {"superhedge", "martingale"} & set(checks):
         paths = hedging.path_sample(tree, seed=seed)  # the buyer is simulated on it too
         field = hedging.simulate_wealth(tree, seller.u0, seller.strategy, driver, paths=paths)
@@ -478,10 +488,11 @@ def _run_jobs(job: dict, tree, obstacle, out: Path, parts: list) -> dict:
         _write_csv(out / "wealth_buyer.csv", hedging.violation_rows(hedge[1]), parts)
 
     if "verify" in jobs:
-        run_check = {  # without a hedge job the buyer is simulated (solved if need be) here
-            "superhedge": lambda: _check_superhedge(*hedge or _hedge(job, obstacle, field, buyer)),
+        run_check = {  # without a hedge job the buyer is simulated here
+            "superhedge": lambda: _check_superhedge(*hedge or _hedge(
+                job, obstacle, field, buyer or pricing.buyer_of(solved(sides[1]), obstacle))),
             "duality": lambda: _check_duality(tree, driver, obstacle, seller.u0),
-            "apriori": lambda: _check_apriori(tree, driver, obstacle, seller.solution),
+            "apriori": lambda: _check_apriori(driver, seller.solution, sides[-1]),
             "skorokhod": lambda: _check_skorokhod(tree, obstacle, seller.solution),
             "martingale": lambda: _check_martingale(driver, field),
             "gamma": lambda: _check_gamma(tree, driver),

@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import PICARD_MAX_ITER, ConvergenceError, Solution, _implicit_row, coefficients
-from .drivers import Driver
+from .bsde import Solution, _picard, coefficients
+from .drivers import Driver, split_of
 from .market import Tree, node_key
 from .pricing import Strategy, phi_inverse
 # solve_rbsde_lower stays a name of this module: the benchmark's tracer wraps it here.
@@ -294,15 +294,16 @@ def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
 
 def _slack_report(field: WealthField, obstacle: Obstacle, side: str, states) -> HedgeReport:
     """Slack V - payoff (seller) or V + payoff (buyer) at ``states``, per level
-    the level and its state indices: the smallest (the first in level order),
-    the largest |slack|, the count and the violations below -SUPERHEDGE_TOL."""
+    the level and its state indices (None: all): the smallest (the first in level
+    order), the largest |slack|, the count and the violations below -SUPERHEDGE_TOL."""
     min_slack, max_abs, n, violations = math.inf, 0.0, 0, []
     for level, idx in states:
-        v, xi = field.wealth[level][idx], field.paths.at(obstacle.rows[level], level)[idx]
+        v, xi = field.wealth[level], field.paths.at(obstacle.rows[level], level)
+        v, xi = (v, xi) if idx is None else (v[idx], xi[idx])
         slack = v - xi if side == "seller" else v + xi
         bad = ~np.isfinite(slack)
         if bad.any():
-            s = int(idx[bad.argmax()])
+            s = int(bad.argmax() if idx is None else idx[bad.argmax()])
             raise ValueError(
                 f"{side} superhedge slack is not finite ({float(slack[bad.argmax()])!r}) at "
                 f"step {level}, node {field.node(level, s)}, path {field.path_id(level, s)}")
@@ -311,7 +312,7 @@ def _slack_report(field: WealthField, obstacle: Obstacle, side: str, states) -> 
         max_abs = max(max_abs, float(np.abs(slack).max(initial=0.0)))
         n += slack.size
         for m in np.flatnonzero(slack < -SUPERHEDGE_TOL).tolist():
-            s = int(idx[m])
+            s = int(m if idx is None else idx[m])
             violations.append((field.path_id(level, s), level, field.node(level, s),
                                float(v[m]), float(xi[m]), float(slack[m])))
     return HedgeReport(side=side, passed=min_slack >= -SUPERHEDGE_TOL, min_slack=min_slack,
@@ -321,7 +322,7 @@ def _slack_report(field: WealthField, obstacle: Obstacle, side: str, states) -> 
 
 def verify_superhedge_seller(field: WealthField, obstacle: Obstacle) -> HedgeReport:
     """Smallest slack V - payoff over every reached state; pass iff >= -SUPERHEDGE_TOL."""
-    states = ((level, np.arange(len(v))) for level, v in enumerate(field.wealth))
+    states = ((level, None) for level in range(len(field.wealth)))  # whole levels
     return _slack_report(field, obstacle, "seller", states)
 
 
@@ -364,19 +365,17 @@ def wealth_martingale_residual(field: WealthField, driver: Driver) -> float:
     vals = field.wealth[-1]
     for i in range(tree.n_steps - 1, -1, -1):
         first = np.flatnonzero(paths.branch[i + 1] == 0)  # each state's first child
-        new_vals = np.empty(len(first))
+        segments, at = [], []  # a segment of the sweep's Picard loop per group
         for g, idx, state in _groups(tree, paths, i):
             branches = tree.row_branches[i][g]
             e, z, k = coefficients(branches, [vals[first[idx] + b] for b in range(len(branches))],
                                    tree.sq)
-            try:
-                new_vals[idx] = _implicit_row(driver, state, tree.dt, e, z,
-                                              np.broadcast_to(k, e.shape), (i, g))
-            except ConvergenceError:  # with the message of the scalar implicit_value
-                raise ConvergenceError(f"implicit step did not converge in {PICARD_MAX_ITER} "
-                                       f"iterations at t={state.t:.6g}; the time step is too large "
-                                       "for the driver's Lipschitz constant") from None
-        vals = new_vals
+            segments.append((split_of(driver)(state.t, z, np.broadcast_to(k, e.shape), state), e))
+            at.append(idx)
+        # A failure names t alone, as the scalar implicit_value does.
+        vals = np.empty(len(first))
+        vals[at[0] if len(at) == 1 else np.concatenate(at)] = _picard(
+            segments, tree.dt, lambda j, r, t=state.t: f"t={t:.6g}")
     return abs(float(vals[0]) - field.x0)
 
 

@@ -11,9 +11,10 @@ the rules' values are built as one table per distinct frontier: its values
 under each of its sub-rules, in enumeration order, from the table of each
 set of children that it continues to. Each distinct (node, child values) is
 stepped once with the scalar ``one_step`` and shared; nodes a rule never
-reaches are never visited. The stability estimate walks the tree once
-backward (driver gap, conditional sums) and once forward (pointwise bound,
-reach probabilities, norms).
+reaches are never visited. The stability estimate is no node walk: it reads
+the level rows of two given solves, once backward (driver gap, conditional
+sums) and once forward (pointwise bound, reach probabilities, norms), in the
+float order of the node walk it replaced.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .bsde import (PICARD_MAX_ITER, PICARD_TOL, ConvergenceError, Solution, backward_sweep,
                    coefficients)
 from .drivers import Driver, split_of
 from .market import MarketParams, NodeId, NodeState, Tree, is_finite_number
-from .rbsde import Obstacle, StoppingRule, solve_rbsde_lower
+from .rbsde import Obstacle, StoppingRule, solve_rbsde_lower, solved
 
 MAX_ENUM_STEPS = 4
 DUALITY_TOL = 1e-12  # largest |u0 - enumerated value| that passes
@@ -86,7 +89,8 @@ def solve_bsde(tree: Tree, driver: Driver, terminal) -> Solution:
     ``values`` mapping covering the last level).
     """
     values = _values_on(terminal, tree.terminal_nodes())
-    return backward_sweep(tree, driver, [("bsde", [tree.level_rows(values, tree.n_steps)])])[0]
+    return solved(backward_sweep(tree, [("bsde", [tree.level_rows(values, tree.n_steps)],
+                                          driver)])[0])
 
 
 def g_evaluation(tree: Tree, driver: Driver, rule, payoff) -> float:
@@ -312,6 +316,7 @@ def apriori_estimate_check(tree: Tree, driver1: Driver, driver2: Driver,
                             solve_rbsde_lower(tree, driver2, obstacle), eta, beta)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in a scalar walk
 def apriori_estimate(sol1: Solution, sol2: Solution, eta: float,
                      beta: float) -> AprioriReport:
     """Numerically verify the weighted stability estimate for two solves.
@@ -339,39 +344,54 @@ def apriori_estimate(sol1: Solution, sol2: Solution, eta: float,
     if beta < 3.0 / eta + 2.0 * c:
         raise ValueError(f"beta = {beta:.6g} violates beta >= 3/eta + 2C = "
                          f"{3.0 / eta + 2.0 * c:.6g}")
+    n, dt, sizes = tree.n_steps, tree.dt, [len(row) for rows in tree.s1 for row in rows]
     try:
-        math.exp(beta * tree.time(tree.n_steps))
+        weight = np.repeat([math.exp(beta * tree.time(i)) for i in range(n + 1)],
+                           [len(alive) + len(dead) for alive, dead in tree.s1])
     except OverflowError:
         raise ValueError(f"beta = {beta:.6g} overflows exp(beta t) on [0, {tree.params.T:.6g}] "
                          f"(the driver's lipschitz_C = {c:.6g})") from None
 
-    dt, y1, z1, k1, y2, z2, k2 = tree.dt, sol1.y, sol1.z, sol1.k, sol2.y, sol2.z, sol2.k
-    # fbar^2, and the conditional sums of exp(beta s) fbar^2 dt from each node to the end.
-    fbar2 = {}
-    rhs = dict.fromkeys(tree.terminal_nodes(), 0.0)
-    for level in reversed(tree.levels[:-1]):
-        for node in level:
-            t = tree.time(node[0])
-            args = y2[node], z2[node], k2[node], tree.nodes[node]
-            fbar2[node] = (driver1.eval(t, *args) - driver2.eval(t, *args)) ** 2
-            rhs[node] = (math.exp(beta * t) * fbar2[node] * dt
-                         + sum(b.prob * rhs[b.child] for b in tree.branches[node]))
+    # Every node in row order: row r = 2 * step + defaulted starts at start[r].
+    start, inner = np.cumsum([0] + sizes).tolist(), sum(sizes[:2 * n])  # inner: below step n
+    states, fbar = [], []  # and the driver gap along the second solution, by row
+    for i in range(n):
+        for d, (s1, s2, *yzk) in enumerate(zip(tree.s1[i], tree.s2[i], sol2.y_rows[i],
+                                                sol2.z_rows[i], sol2.k_rows[i])):
+            states.append(state := tree.row_state(i, d, s1, s2))
+            if len(s1):
+                fbar.append(np.broadcast_to(driver1.eval(state.t, *yzk, state)
+                                            - driver2.eval(state.t, *yzk, state), len(s1)))
+    # Squared as Python squares a float (libm pow); numpy's x ** 2 is x * x.
+    fbar2, dy2, dz2, dk2 = ((x.astype(object) ** 2).astype(float) for x in (np.concatenate(fbar), *(
+        tree.flat(getattr(sol1, rows)) - tree.flat(getattr(sol2, rows))
+        for rows in ("y_rows", "z_rows", "k_rows"))))
 
-    max_violation = y_norm = f_norm = zk_norm = 0.0
-    prob = {tree.root: 1.0}
-    for level in tree.levels:
-        for node in level:
-            weight = math.exp(beta * tree.time(node[0]))
-            dy2 = (y1[node] - y2[node]) ** 2
-            max_violation = max(max_violation, weight * dy2 - eta * rhs[node])
-            if node[0] < tree.n_steps:
-                w = prob[node] * weight * dt
-                y_norm += w * dy2
-                f_norm += w * fbar2[node]
-                zk_norm += w * ((z1[node] - z2[node]) ** 2
-                                + tree.nodes[node].lam * (k1[node] - k2[node]) ** 2)
-                for b in tree.branches[node]:
-                    prob[b.child] = prob.get(b.child, 0.0) + prob[node] * b.prob
+    def moves(i):  # (row, branch probability, child row) of each branch out of step i
+        for d, branches in enumerate(tree.row_branches[i]):
+            row = slice(start[2 * i + d], start[2 * i + d + 1])
+            for b in branches:
+                child = start[2 * i + 2 + b.child[2]] + b.child[1]
+                yield row, b.prob, slice(child, child + row.stop - row.start)
+
+    # The conditional sums of exp(beta s) fbar^2 dt to the end, the children's terms in
+    # branch order as ``sum`` adds them; then the reach probabilities, each child's in
+    # node order (the alive row before the defaulted, j - 1's up move before j's down).
+    rhs, cond, prob = np.zeros(len(dy2)), np.zeros(len(dy2)), np.zeros(len(dy2))
+    for i in range(n - 1, -1, -1):
+        for row, p, child in moves(i):
+            cond[row] += p * rhs[child]
+        step = slice(start[2 * i], start[2 * i + 2])
+        rhs[step] = weight[step] * fbar2[step] * dt + cond[step]
+    prob[0] = 1.0
+    for i in range(n):
+        for row, p, child in moves(i):
+            prob[child] += prob[row] * p
+    max_violation = float(np.fmax.reduce(weight * dy2 - eta * rhs, initial=0.0))  # skips NaN
+    w = prob[:inner] * weight[:inner] * dt
+    lam = np.repeat([s.lam for s in states], sizes[:2 * n])
+    y_norm, f_norm, zk_norm = (float(np.cumsum(np.concatenate(([0.0], w * x)))[-1])  # node order
+                               for x in (dy2[:inner], fbar2, dz2 + lam * dk2))
 
     y_rhs = tree.params.T * eta * f_norm
     zk = {}

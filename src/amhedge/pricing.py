@@ -27,7 +27,9 @@ from .bsde import Solution
 from .drivers import Driver, check_gamma_assumption, gamma_rows
 from .market import NodeId, Tree, row_view
 from .oracle import g_evaluation
-from .rbsde import Obstacle, StoppingRule, solve_rbsde_lower, solve_rbsde_upper, solve_reflected
+# solve_rbsde_lower and _upper stay names of this module: the benchmark's tracer wraps them.
+from .rbsde import (Obstacle, StoppingRule, solve_rbsde_lower, solve_rbsde_upper,  # noqa: F401
+                    solve_reflected, solved)
 
 # Equality of the value and the obstacle is scale aware; the cumulative
 # charge is compared against an absolute floor.
@@ -137,13 +139,16 @@ def _negated(obstacle: Obstacle) -> Obstacle:
     return Obstacle(obstacle.tree, [(-a, -d) for a, d in obstacle.rows])
 
 
-def _seller(solution: Solution) -> SellerPrice:
+def seller_of(solution: Solution) -> SellerPrice:
+    """The seller's price and positions from the lower-reflected solve."""
     return SellerPrice(solution.root_value, solution, strategy_from_solution(solution))
 
 
-def _buyer(solution: Solution, upper: Obstacle) -> BuyerPrice:
+def buyer_of(solution: Solution, obstacle: Obstacle) -> BuyerPrice:
+    """The buyer's price, positions and exercise rule from the upper-reflected solve
+    against the negated ``obstacle``."""
     return BuyerPrice(-solution.root_value, solution, strategy_from_solution(solution),
-                      _rule(solution.tree, operator.eq, solution.y_rows, upper.rows))
+                      _rule(solution.tree, lambda y, xi: y == -xi, solution.y_rows, obstacle.rows))
 
 
 def seller_price(tree: Tree, driver: Driver, obstacle: Obstacle,
@@ -153,9 +158,7 @@ def seller_price(tree: Tree, driver: Driver, obstacle: Obstacle,
     Returns the root value of the lower-reflected solve together with the
     solution and the superhedging positions.
     """
-    if gamma_check:
-        _require_gamma(tree, driver)
-    return _seller(solve_rbsde_lower(tree, driver, obstacle))
+    return seller_of(solved(solve_prices(tree, driver, obstacle, gamma_check, ("lower",))[0]))
 
 
 def buyer_price(tree: Tree, driver: Driver, obstacle: Obstacle,
@@ -166,10 +169,8 @@ def buyer_price(tree: Tree, driver: Driver, obstacle: Obstacle,
     exercise rule stops at the first node where the solution sits on that
     barrier (equality there is structural, so it is tested exactly).
     """
-    if gamma_check:
-        _require_gamma(tree, driver)
-    upper = _negated(obstacle)
-    return _buyer(solve_rbsde_upper(tree, driver, upper), upper)
+    return buyer_of(solved(solve_prices(tree, driver, obstacle, gamma_check, ("upper",))[0]),
+                    obstacle)
 
 
 def rational_exercise_times(solution: Solution, obstacle: Obstacle) -> tuple:
@@ -247,6 +248,24 @@ def epsilon_gap_bound(driver: Driver, T: float, eps: float) -> float:
     return math.exp(c * (1.0 + c) * T) * eps
 
 
+def solve_prices(tree: Tree, driver: Driver, obstacle: Obstacle, gamma_check: bool = True,
+                 kinds=("lower", "upper"), shifted: Driver = None) -> list:
+    """After the precheck, one sweep of the seller's ("lower") and the buyer's ("upper")
+    solves of ``kinds``, then the seller's under ``shifted`` if given: each side's
+    solution, or the error of its solve on its own, which ``rbsde.solved`` raises."""
+    if gamma_check:
+        _require_gamma(tree, driver)
+    sides = [(obstacle if kind == "lower" else _negated(obstacle), kind) for kind in kinds]
+    return solve_reflected(tree, driver, sides + [(obstacle, "lower", shifted)] * bool(shifted))
+
+
+def report_of(seller: SellerPrice, buyer: BuyerPrice, obstacle: Obstacle) -> PricingReport:
+    """Both prices with the rational exercise rules of the seller's solve."""
+    nu_star, nu_bar = rational_exercise_times(seller.solution, obstacle)
+    return PricingReport(seller=seller, buyer=buyer, nu_star=nu_star, nu_bar=nu_bar,
+                         interval_ok=buyer.v0 <= seller.u0 + INTERVAL_TOL)
+
+
 def price_american(tree: Tree, driver: Driver, obstacle: Obstacle,
                    gamma_check: bool = True) -> PricingReport:
     """Full pricing pass: both prices, both strategies, exercise rules.
@@ -256,11 +275,5 @@ def price_american(tree: Tree, driver: Driver, obstacle: Obstacle,
     seller's solve, else the buyer's, as ``seller_price`` then
     ``buyer_price`` would.
     """
-    if gamma_check:
-        _require_gamma(tree, driver)
-    upper = _negated(obstacle)
-    lower_sol, upper_sol = solve_reflected(tree, driver, [(obstacle, "lower"), (upper, "upper")])
-    seller, buyer = _seller(lower_sol), _buyer(upper_sol, upper)
-    nu_star, nu_bar = rational_exercise_times(seller.solution, obstacle)
-    return PricingReport(seller=seller, buyer=buyer, nu_star=nu_star, nu_bar=nu_bar,
-                         interval_ok=buyer.v0 <= seller.u0 + INTERVAL_TOL)
+    lower, upper = map(solved, solve_prices(tree, driver, obstacle, gamma_check))
+    return report_of(seller_of(lower), buyer_of(upper, obstacle), obstacle)

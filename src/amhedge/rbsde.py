@@ -55,12 +55,20 @@ class StoppingRule:
 
 
 def solve_reflected(tree: Tree, driver: Driver, sides: list) -> list:
-    """Reflected solves of one driver against each ``(obstacle, side)`` of
-    ``sides`` ("lower" or "upper"), all in one backward sweep; returns one
-    solution per side, each equal to that side's solve on its own."""
-    if any(obstacle.tree is not tree for obstacle, _ in sides):
+    """Reflected solves against each ``(obstacle, side)`` ("lower" or "upper") of ``sides``
+    under ``driver``, or ``(obstacle, side, own driver)``, all in one backward sweep; one
+    solution per side, each equal to its solve on its own (see ``backward_sweep``)."""
+    if any(obstacle.tree is not tree for obstacle, *_ in sides):
         raise ValueError("the obstacle's rows belong to another tree")
-    return backward_sweep(tree, driver, [(side, obstacle.rows) for obstacle, side in sides])
+    return backward_sweep(tree, [(side, obstacle.rows, own[0] if own else driver)
+                                 for obstacle, side, *own in sides])
+
+
+def solved(result) -> Solution:
+    """A side's entry of a backward sweep: its solution, or its error raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def solve_rbsde_lower(tree: Tree, driver: Driver, obstacle: Obstacle) -> Solution:
@@ -70,12 +78,12 @@ def solve_rbsde_lower(tree: Tree, driver: Driver, obstacle: Obstacle) -> Solutio
     positive only at nodes where y equals the obstacle, so the discrete
     flatness product delta_a * (y - obstacle) vanishes identically.
     """
-    return solve_reflected(tree, driver, [(obstacle, "lower")])[0]
+    return solved(solve_reflected(tree, driver, [(obstacle, "lower")])[0])
 
 
 def solve_rbsde_upper(tree: Tree, driver: Driver, obstacle_upper: Obstacle) -> Solution:
     """Solve with an upper barrier: y = min(obstacle_upper, continuation)."""
-    return solve_reflected(tree, driver, [(obstacle_upper, "upper")])[0]
+    return solved(solve_reflected(tree, driver, [(obstacle_upper, "upper")])[0])
 
 
 def skorokhod_residual(solution: Solution, obstacle: Obstacle) -> float:

@@ -10,7 +10,8 @@ The end of the file keeps the scalar references of the forward wealth
 simulation, of the superhedge checks, of the obstacle, of the sampled
 driver checks, of the eps-triggered exercise rule, of the rule
 enumeration's best value, of the rationality check and of the stability
-estimate, the shipped generators' formulas as single functions of
+estimate (five walks, and the two-walk node walk), the row-by-row backward
+sweep, the shipped generators' formulas as single functions of
 (t, y, z, k, state), the node-dict document of ``tree.json`` and the
 Black-Scholes call, a reference that does not share the lattice.
 """
@@ -24,9 +25,9 @@ from typing import Iterable
 
 import numpy as np
 
-from amhedge.bsde import ConvergenceError, coefficients
+from amhedge.bsde import PICARD_MAX_ITER, PICARD_TOL, ConvergenceError, coefficients
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
-                             gamma_rows, large_trader_driver, perfect_driver)
+                             gamma_rows, large_trader_driver, perfect_driver, split_of)
 from amhedge.hedging import SUPERHEDGE_TOL, HedgeReport
 from amhedge.market import (MarketParams, PiecewiseConstant, as_piecewise, build_tree,
                             node_key)
@@ -657,6 +658,118 @@ def scalar_apriori_estimate(sol1, sol2, eta: float, beta: float) -> AprioriRepor
         report.zk_norm_rhs = zk_rhs
         report.zk_norm_violation = max(0.0, zk_norm - zk_rhs)
     return report
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row reference for the backward sweep: each level row solved on its
+# own, one Picard loop per run of adjacent sides that share a driver, as
+# amhedge.bsde.backward_sweep ran before it solved a step in one loop.
+# ---------------------------------------------------------------------------
+
+def _picard_row(g, e, dt: float):
+    """y = e + g(y) * dt on one row, each element keeping the iterate at which it
+    first passes the stopping test; the row's g is called until its last passes."""
+    y, out, pending = e, np.empty_like(e), np.ones(e.shape, dtype=bool)
+    for _ in range(PICARD_MAX_ITER):
+        y_new = e + g(y) * dt
+        passed = (np.abs(y_new - y) <= PICARD_TOL * (1.0 + np.abs(y_new))) & pending
+        np.copyto(out, y_new, where=passed)
+        pending ^= passed
+        if not pending.any():
+            return out
+        y = y_new
+    raise ConvergenceError("the row did not converge")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def row_by_row_sweep(tree, sides) -> list:
+    """(y_rows, z_rows, k_rows, da_rows) of each reflected ``(kind, rows, driver)``
+    side, solved together a level row at a time."""
+    n, K = tree.n_steps, len(sides)
+    runs = []  # [first side, end, driver] of each run of adjacent sides with one driver
+    for h, (_, _, driver) in enumerate(sides):
+        if runs and runs[-1][2] == driver:
+            runs[-1][1] = h + 1
+        else:
+            runs.append([h, h + 1, driver])
+    y = [None] * n + [tuple(np.array([rows[-1][d] for _, rows, _ in sides]) for d in (0, 1))]
+    z, k, da = ([None] * n for _ in range(3))
+    for i in range(n - 1, -1, -1):
+        step = []
+        for d, branches in enumerate(tree.row_branches[i]):
+            m = len(tree.s1[i][d])
+            children = [y[i + 1][dead][:, up:up + m] for _, up, dead in (b.child for b in branches)]
+            e, z_row, k_row = coefficients(branches, children, tree.sq)
+            k_row = np.broadcast_to(k_row, (K, m))  # 0 without a default branch
+            y_row = np.empty((K, m))
+            for a, b, driver in runs if m else ():
+                state = tree.row_state(i, d, np.tile(tree.s1[i][d], b - a),
+                                       np.tile(tree.s2[i][d], b - a))
+                g = split_of(driver)(state.t, z_row[a:b].ravel(), k_row[a:b].ravel(), state)
+                y_row[a:b] = _picard_row(g, e[a:b].ravel(), tree.dt).reshape(b - a, m)
+            barrier = np.array([rows[i][d] for _, rows, _ in sides])
+            da_row = np.zeros((K, m))
+            for h, (kind, _, _) in enumerate(sides):
+                bind = barrier[h] > y_row[h] if kind == "lower" else barrier[h] < y_row[h]
+                gap = barrier[h] - y_row[h] if kind == "lower" else y_row[h] - barrier[h]
+                da_row[h] = np.where(bind, gap, 0.0)
+                y_row[h] = np.where(bind, barrier[h], y_row[h])
+            step.append((y_row, z_row, k_row, da_row))
+        y[i], z[i], k[i], da[i] = zip(*step)
+    return [tuple([(alive[h], dead[h]) for alive, dead in blocks] for blocks in (y, z, k, da))
+            for h in range(K)]
+
+
+# ---------------------------------------------------------------------------
+# Reference for the stability estimate on level rows: the one backward and one
+# forward node walk that amhedge.oracle.apriori_estimate ran before it read
+# level rows.
+# ---------------------------------------------------------------------------
+
+def walk_apriori_estimate(sol1, sol2, eta: float, beta: float) -> AprioriReport:
+    """Weighted stability estimate for two lower-reflected solves by one backward
+    and one forward walk of the node dicts; the hypotheses on eta and beta are not
+    checked here."""
+    tree, driver1, driver2 = sol1.tree, sol1.driver, sol2.driver
+    c = driver1.lipschitz_C
+    dt, y1, z1, k1, y2, z2, k2 = tree.dt, sol1.y, sol1.z, sol1.k, sol2.y, sol2.z, sol2.k
+    # fbar^2, and the conditional sums of exp(beta s) fbar^2 dt from each node to the end.
+    fbar2 = {}
+    rhs = dict.fromkeys(tree.terminal_nodes(), 0.0)
+    for level in reversed(tree.levels[:-1]):
+        for node in level:
+            t = tree.time(node[0])
+            args = y2[node], z2[node], k2[node], tree.nodes[node]
+            fbar2[node] = (driver1.eval(t, *args) - driver2.eval(t, *args)) ** 2
+            rhs[node] = (math.exp(beta * t) * fbar2[node] * dt
+                         + sum(b.prob * rhs[b.child] for b in tree.branches[node]))
+
+    max_violation = y_norm = f_norm = zk_norm = 0.0
+    prob = {tree.root: 1.0}
+    for level in tree.levels:
+        for node in level:
+            weight = math.exp(beta * tree.time(node[0]))
+            dy2 = (y1[node] - y2[node]) ** 2
+            max_violation = max(max_violation, weight * dy2 - eta * rhs[node])
+            if node[0] < tree.n_steps:
+                w = prob[node] * weight * dt
+                y_norm += w * dy2
+                f_norm += w * fbar2[node]
+                zk_norm += w * ((z1[node] - z2[node]) ** 2
+                                + tree.nodes[node].lam * (k1[node] - k2[node]) ** 2)
+                for b in tree.branches[node]:
+                    prob[b.child] = prob.get(b.child, 0.0) + prob[node] * b.prob
+
+
+    y_rhs = tree.params.T * eta * f_norm
+    zk = {}
+    if c == 0.0 or eta < 1.0 / (c * c):
+        zk_rhs = eta / (1.0 - eta * c * c) * f_norm
+        zk = dict(zk_norm_lhs=zk_norm, zk_norm_rhs=zk_rhs,
+                  zk_norm_violation=max(0.0, zk_norm - zk_rhs))
+    return AprioriReport(eta=eta, beta=beta, max_pointwise_violation=max(0.0, max_violation),
+                         y_norm_lhs=y_norm, y_norm_rhs=y_rhs,
+                         y_norm_violation=max(0.0, y_norm - y_rhs), **zk)
 
 
 # ---------------------------------------------------------------------------

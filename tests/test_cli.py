@@ -21,11 +21,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from amhedge import cli, hedging, oracle, rbsde
+from amhedge.bsde import ConvergenceError
 from amhedge.drivers import Driver
 from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, MAX_STEPS,
                          ConfigError, NodeTable, canonical_json, main,
                          parse_config, run)
 from amhedge.market import MarketParams, build_tree, node_key
+from amhedge.payoffs import put
 from helpers import reference_tree_dict
 
 # The example job document of the README.
@@ -385,10 +387,10 @@ class TestSharedSolves:
         counts = Counter()
         sweep, simulate = rbsde.backward_sweep, hedging.simulate_wealth
 
-        def counted_sweep(tree, driver, sides):
+        def counted_sweep(tree, sides):
             counts["sweeps"] += 1
             counts["sides"] += len(sides)
-            return sweep(tree, driver, sides)
+            return sweep(tree, sides)
 
         def counted_simulate(*args, **kwargs):
             counts["simulations"] += 1
@@ -399,17 +401,19 @@ class TestSharedSolves:
         monkeypatch.setattr(hedging, "simulate_wealth", counted_simulate)
         return counts
 
+    # One sweep solves every side a job reads: the seller and the buyer for a price
+    # or hedge job, the buyer of a verify job for its superhedge check, and the
+    # apriori check's shifted seller; one wealth simulation per hedged side.
     @pytest.mark.parametrize("jobs,checks,sweeps,sides,simulations", [
-        # The seller and the buyer in one sweep, then the apriori check's
-        # shifted seller; one wealth simulation per side.
         (["price", "hedge", "verify"],
-         ["superhedge", "skorokhod", "apriori", "martingale"], 2, 3, 2),
+         ["superhedge", "skorokhod", "apriori", "martingale"], 1, 3, 2),
         (["verify"], ["gamma", "admissible"], 0, 0, 0),
-        # A hedge without a price sweeps both sides at once as well.
-        (["hedge", "verify"], ["superhedge", "skorokhod", "apriori"], 2, 3, 2),
-        # Without a hedge job the buyer is solved alone, at its check.
-        (["verify"], ["skorokhod", "superhedge"], 2, 2, 2),
-    ])
+        (["hedge", "verify"], ["superhedge", "skorokhod", "apriori"], 1, 3, 2),
+        (["verify"], ["skorokhod", "superhedge"], 1, 2, 2),
+        (["verify"], ["superhedge", "apriori"], 1, 3, 2),
+        (["verify"], ["skorokhod", "apriori"], 1, 2, 0),
+    ], ids=["price_hedge_verify", "no_solve", "hedge_verify", "verify_superhedge",
+            "verify_superhedge_apriori", "verify_skorokhod_apriori"])
     def test_each_side_solved_and_simulated_once(self, tmp_path, counts, jobs, checks,
                                                  sweeps, sides, simulations):
         cfg = minimal_config(jobs=jobs, verify=checks)
@@ -907,6 +911,39 @@ def test_a_failing_run_publishes_none_of_its_files(tmp_path):
                       for path in out.iterdir()}
     assert sorted(before) == ["report.json", "tree.json", "wealth.csv", "wealth_buyer.csv"]
     assert {path.name: (path.stat().st_ino, path.read_bytes()) for path in out.iterdir()} == before
+
+
+def test_both_sides_diverge_and_the_sellers_error_is_raised(tmp_path, capsys):
+    # large_trader alpha = 0.018 at n = 2: the seller's solve diverges at the root,
+    # the buyer's at (1, 0, 0); the hedge job exits with the seller's error.
+    cfg = _apriori_job({"name": "large_trader", "params": {"alpha": 0.018, "gamma_bar": 0.0}}, 2,
+                       ["hedge", "verify"], ["superhedge"])
+    cfg["payoff"]["strike"] = 95.0
+    (tmp_path / "job.json").write_text(json.dumps(cfg))
+    assert main(["price", str(tmp_path / "job.json"), "--out", str(tmp_path)]) == EXIT_SOLVER
+    assert capsys.readouterr().err.startswith(
+        "solver error: implicit step did not converge in 50 iterations at node (0, 0, 0) (t=0, ")
+
+
+def test_a_failing_shifted_seller_is_raised_at_the_apriori_check(tmp_path, capsys, monkeypatch):
+    # Only the apriori check reads the shifted seller: its error comes after the checks
+    # named before it and after the eta check, though its sweep is the job's one sweep.
+    diverging = Driver(name="diverging", eval=lambda t, y, z, k, s: -50.0 * y,
+                       lipschitz_C=50.0)  # Picard on y = e - 12.5 y cycles at dt = 0.25
+    monkeypatch.setattr(cli, "_shifted", lambda driver: diverging)
+    ran, skorokhod = [], cli._check_skorokhod
+    monkeypatch.setattr(cli, "_check_skorokhod", lambda *args: ran.append(args) or skorokhod(*args))
+    cfg = _job(jobs=["hedge", "verify"], verify=["skorokhod", "apriori"])
+    tree = build_tree(MarketParams.from_dict(cfg["market"]), 4)
+    with pytest.raises(ConvergenceError) as alone:
+        rbsde.solve_rbsde_lower(tree, diverging, rbsde.Obstacle.from_payoff(tree, put(105.0)))
+    for job, code, message in ((cfg, EXIT_SOLVER, f"solver error: {alone.value}"),
+                               *((job, EXIT_CONFIG, f"config error: verify: apriori: {message}")
+                                 for job, message in APRIORI_OUT_OF_RANGE[1:2])):
+        (tmp_path / "job.json").write_text(json.dumps(job))
+        assert main(["price", str(tmp_path / "job.json"), "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == message + "\n"
+    assert len(ran) == 1
 
 
 def test_apriori_still_reports_just_below_the_overflow(tmp_path):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from amhedge.bsde import ConvergenceError
+from amhedge.bsde import ConvergenceError, Solution
 from amhedge.drivers import Driver, borrow_lend_driver, perfect_driver
-from amhedge.market import MarketParams, PiecewiseConstant, build_tree
+from amhedge.market import MarketParams, PiecewiseConstant, Tree, build_tree
 from amhedge.oracle import (_frontier_tables, _stop_flags, apriori_estimate,
                             apriori_estimate_check, brute_force_seller_value,
                             crr_american_oracle, enumerate_stopping_rules, g_evaluation,
@@ -18,7 +18,7 @@ from amhedge.pricing import seller_price
 from amhedge.rbsde import Obstacle, solve_rbsde_lower
 from helpers import (DRIVER_KINDS, dict_rows, duality_instances, float_bits, make_driver,
                      make_instance, named_payoff, scalar_apriori_estimate,
-                     scalar_brute_force_seller_value, style_params)
+                     scalar_brute_force_seller_value, style_params, walk_apriori_estimate)
 
 # y = e + (-0.0) * dt is e itself, so a child value's zero sign reaches the root.
 SIGNED_ZERO = Driver(name="signed zero", eval=lambda t, y, z, k, s: -0.0, lipschitz_C=0.0)
@@ -458,3 +458,92 @@ def test_apriori_equals_the_five_walk_reference_on_random_markets(
     report = assert_apriori_equals_the_reference(tree, make_driver(kind, params), obstacle,
                                                  delta)
     event("out of range" if report is None else "passed" if report.passed() else "failed")
+
+
+def same_float(a, b) -> bool:
+    """Equal bits, except that a NaN equals any NaN: Python float arithmetic may
+    return either operand's NaN (CPython 3.11 specialises a float addition after a
+    few calls), so a NaN's sign in the node walk does not follow from its formula."""
+    return (a is None) == (b is None) and (a is None or float_bits(a) == float_bits(b)
+                                          or math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lam=st.sampled_from((0.0, 0.25, "to_zero", "from_zero")),
+       kind=st.sampled_from(DRIVER_KINDS), payoff=st.sampled_from(("put", "call", "expr")),
+       n_steps=st.integers(1, 14), r=st.floats(0.0, 0.06), sigma1=st.floats(0.1, 0.5),
+       strike=st.floats(70.0, 130.0), delta=st.sampled_from((0.1, 0.5, 3.0)),
+       edge=st.booleans())
+def test_apriori_equals_the_node_walk_on_random_markets(lam, kind, payoff, n_steps, r, sigma1,
+                                                        strike, delta, edge):
+    # Every field of the row form against the one backward and one forward node
+    # walk it replaced, on the seller and a seller under the driver plus delta.
+    steps = {"to_zero": [0.25, 0.0], "from_zero": [0.0, 0.25]}
+    params = dataclasses.replace(style_params("const", r, sigma1), lam=PiecewiseConstant(
+        steps[lam], times=[0.0, 0.5]) if lam in steps else lam)
+    tree = build_tree(params, n_steps)
+    obstacle = Obstacle.from_payoff(tree, named_payoff(payoff, strike))
+    driver = make_driver(kind, params)
+    c = driver.lipschitz_C
+    eta = 1.0 / (c * c) if edge else 1.0 / (c * c + 1.0)  # at 1 / C^2 no (z, k) bound
+    beta = 3.0 / eta + 2.0 * c + 1.0
+    sol1 = solve_rbsde_lower(tree, driver, obstacle)
+    sol2 = solve_rbsde_lower(tree, shifted(driver, delta), obstacle)
+    try:
+        want = walk_apriori_estimate(sol1, sol2, eta, beta)
+    except OverflowError:  # exp(beta t) out of range: the named error instead
+        with pytest.raises(ValueError, match="overflows exp"):
+            apriori_estimate(sol1, sol2, eta, beta)
+        return
+    got = apriori_estimate(sol1, sol2, eta, beta)
+    for field in dataclasses.fields(got):
+        assert same_float(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+def test_apriori_reads_no_node_view(monkeypatch):
+    params = style_params("const", 0.05, 0.2)
+    tree = build_tree(params, 8)
+    obstacle = Obstacle.from_payoff(tree, put(105.0))
+    driver = make_driver("borrow_lend", params)
+    sol1 = solve_rbsde_lower(tree, driver, obstacle)
+    sol2 = solve_rbsde_lower(tree, shifted(driver, 0.1), obstacle)
+    want = walk_apriori_estimate(sol1, sol2, *hypothesis_box(driver))
+
+    def refuse(self):
+        raise AssertionError("a node view was read")
+
+    # A property on the class comes before a view cached on the instance.
+    for owner, names in ((Tree, ("nodes", "branches", "levels")),
+                         (Solution, ("y", "z", "k", "delta_a"))):
+        for name in names:
+            monkeypatch.setattr(owner, name, property(refuse))
+    assert apriori_estimate(sol1, sol2, *hypothesis_box(driver)) == want
+
+
+def test_apriori_squares_each_gap_as_python_does():
+    # numpy's x ** 2 is x * x, which for these y gaps differs in the last bit from
+    # Python's float ** 2 (libm pow), the square of the node walk. Under one driver
+    # the driver gap is 0, so the pointwise bound and the y norm are the squares'.
+    # The last gap is NaN: the largest violation skips it, as Python's max does.
+    gaps = [x for x in np.random.default_rng(1).standard_normal(10_000).tolist()
+            if x * x != x ** 2] + [math.nan]
+    assert (np.square(gaps[:-1]) != np.array([x ** 2 for x in gaps[:-1]])).all()
+    params = flat_params(lam=0.3)
+    tree = build_tree(params, 3)
+    driver = perfect_driver(params)
+    zero = dict.fromkeys(tree.nodes, 0.0)
+    planted = {node: -x for node, x in zip(tree.nodes, gaps)}  # the gap y1 - y2 is x
+
+    def solution(y):
+        zero_rows = dict_rows(tree, zero, tree.n_steps)
+        return Solution(tree, driver, "lower", dict_rows(tree, {**zero, **y}), zero_rows,
+                        zero_rows, zero_rows, stats=None)
+
+    sol1, sol2 = solution({}), solution(planted)
+    eta, beta = hypothesis_box(driver)
+    got, want = apriori_estimate(sol1, sol2, eta, beta), walk_apriori_estimate(sol1, sol2, eta,
+                                                                                 beta)
+    assert got.max_pointwise_violation > 0.0 and math.isnan(got.y_norm_lhs)
+    for field in dataclasses.fields(got):
+        assert same_float(getattr(got, field.name), getattr(want, field.name)), field.name

@@ -622,9 +622,9 @@ def test_shared_sweep_equals_the_standalone_solves_on_random_markets(
 def test_price_american_solves_both_sides_in_one_sweep(monkeypatch):
     sweep, calls = rbsde.backward_sweep, []
 
-    def recording(tree, driver, sides):
-        calls.append([kind for kind, _ in sides])
-        return sweep(tree, driver, sides)
+    def recording(tree, sides):
+        calls.append([kind for kind, _, _ in sides])
+        return sweep(tree, sides)
 
     monkeypatch.setattr(rbsde, "backward_sweep", recording)
     params = MarketParams(**README_MARKET)

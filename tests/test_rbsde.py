@@ -1,23 +1,25 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amhedge.bsde import ConvergenceError
+from amhedge.bsde import ConvergenceError, backward_sweep
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver)
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.oracle import implicit_value, one_step, solve_bsde
 from amhedge.pricing import rational_exercise_times
+from amhedge.payoffs import put
 from amhedge.rbsde import (Obstacle, skorokhod_residual, solve_rbsde_lower,
-                           solve_rbsde_upper, solve_reflected)
+                           solve_rbsde_upper, solve_reflected, solved)
 from helpers import (DRIVER_KINDS, assert_plain_stats, at_times, dict_rows, float_bits,
                      make_driver, make_instance, named_payoff, negated, random_payoff,
-                     scalar_cumulative_charge, scalar_gamma_scan, scalar_is_rational,
-                     style_params)
+                     row_by_row_sweep, scalar_cumulative_charge, scalar_gamma_scan,
+                     scalar_is_rational, style_params)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 
@@ -428,6 +430,94 @@ def assert_stats_match_scalar_counts(kind, side):
         assert_plain_stats(solution.stats)
     for solution, side in zip(shared, sides, strict=True):
         assert solution.stats == solve_reflected(tree, driver, [side])[0].stats
+
+
+def _counting(driver, calls):
+    """``driver`` with an eval that records the elements of each call (its split
+    form dropped, so the sweep calls eval on each iterate)."""
+    def counted(t, y, z, k, state):
+        calls.append(np.size(y))
+        return driver.eval(t, y, z, k, state)
+    return dataclasses.replace(driver, eval=counted)
+
+
+def _rows_bits(solution) -> list:
+    return [[float_bits(row) for row in pair] for name in ("y_rows", "z_rows", "k_rows", "da_rows")
+            for pair in getattr(solution, name)]
+
+
+# The intensity of the step-loop differential: none, constant, or stepping to 0 at
+# t = 0.5, so that a step holds one row, two rows, or alive rows losing their default
+# branch beside defaulted rows that keep stepping.
+STEP_LAMBDAS = {"lam_zero": 0.0, "lam_const": 0.25,
+                "lam_to_zero": PiecewiseConstant([0.25, 0.0], times=[0.0, 0.5])}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lam=st.sampled_from(sorted(STEP_LAMBDAS)), kind=st.sampled_from(DRIVER_KINDS),
+       kinds=st.lists(st.sampled_from(("lower", "upper")), min_size=1, max_size=3),
+       n_steps=st.integers(1, 10), payoff=st.sampled_from(("put", "call", "expr")),
+       strike=st.floats(80.0, 120.0))
+def test_one_loop_per_step_equals_the_row_by_row_reference(lam, kind, kinds, n_steps, payoff,
+                                                           strike):
+    # K = 1, 2 or 3 sides; at K = 3 the last side has a driver of its own.
+    params = dataclasses.replace(row_test_params("const"), lam=STEP_LAMBDAS[lam])
+    tree = build_tree(params, n_steps)
+    obstacle = Obstacle.from_payoff(tree, named_payoff(payoff, strike))
+    calls = []
+    driver = _counting(make_driver(kind, params), calls)
+    second = _counting(make_driver("perfect" if kind != "perfect" else "borrow_lend", params),
+                       calls)
+    sides = [(side, (obstacle if side == "lower" else negated(obstacle)).rows,
+              second if h == 2 else driver) for h, side in enumerate(kinds)]
+    got = backward_sweep(tree, sides)
+    evals = sum(calls)
+    calls.clear()
+    want = row_by_row_sweep(tree, sides)
+    assert sum(calls) == evals > 0
+    for solution, rows, side in zip(got, want, sides, strict=True):
+        assert _rows_bits(solution) == [[float_bits(row) for row in pair]
+                                        for part in rows for pair in part]
+        assert solution.stats == backward_sweep(tree, [side])[0].stats
+
+
+def test_only_the_third_sides_driver_diverges():
+    # Picard on y = e - 12.5 y cycles: the third side alone fails, and the first
+    # two come out as they do on their own.
+    params = row_test_params("lam_drop")
+    tree = build_tree(params, 4)  # dt = 0.25
+    obstacle = Obstacle.from_payoff(tree, put(105.0))
+    driver = row_test_driver("borrow_lend", params)
+    diverging = Driver(name="diverging", eval=lambda t, y, z, k, s: -50.0 * y,
+                       lipschitz_C=50.0)
+    sides = [("lower", obstacle.rows, driver), ("upper", negated(obstacle).rows, driver),
+             ("lower", obstacle.rows, diverging)]
+    alone = backward_sweep(tree, sides[2:])[0]
+    assert type(alone) is ConvergenceError
+    *solutions, error = backward_sweep(tree, sides)
+    assert type(error) is ConvergenceError and str(error) == str(alone)
+    with pytest.raises(ConvergenceError, match=f"^{re.escape(str(alone))}$"):
+        solved(error)
+    for solution, side in zip(solutions, sides, strict=False):
+        own = backward_sweep(tree, [side])[0]
+        assert _rows_bits(solution) == _rows_bits(own) and solution.stats == own.stats
+
+
+def test_a_failing_step_is_solved_again_a_row_at_a_time():
+    # The defaulted row's driver raises on its first call and the alive row's Picard
+    # cycles: in one loop the defaulted row's error comes first, but the error raised
+    # is the alive row's, the first row of the step, as a row at a time gives it.
+    def g(t, y, z, k, state):
+        if state.defaulted:
+            raise ValueError("defaulted row")
+        return -50.0 * y
+
+    tree = build_tree(row_test_params("const"), 4)
+    obstacle = Obstacle.from_payoff(tree, put(105.0))
+    driver = Driver(name="alive cycles", eval=g, lipschitz_C=50.0)
+    with pytest.raises(ConvergenceError, match=r"at node \(3, \d+, 0\) \(t=0\.75, "):
+        solve_rbsde_lower(tree, driver, obstacle)
 
 
 @pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader_alpha"])
