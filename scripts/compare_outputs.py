@@ -56,7 +56,12 @@ fixed ``EDGE_JOBS``, which reach what no workload job does:
   and the buyer's divergence, kept from the sweep, is never raised;
 * a ``large_trader`` hedge and verify job with the apriori check at n = 8,
   whose intensity steps from 0.25 to 0 at t = 0.5, so that the shifted
-  seller's rows lose their default branch partway down the tree.
+  seller's rows lose their default branch partway down the tree;
+* a price and hedge job at n = 96 whose intensity steps from 0.25 to 0 at
+  t = 0.5: its strategy tables and ``tree.json`` span three pieces of
+  ``cli._CHUNK`` keys, so the node orders and the keys made a piece at a
+  time are compared across pieces, on alive and defaulted rows of unequal
+  length, with branch lists that change partway down the tree.
 
 Each job runs as
 ``amhedge price job.json --out out --dump-tree`` in a fresh Python
@@ -130,6 +135,8 @@ EDGE_JOBS = [
     edge_job("borrow_lend", {"R": 40.0}, 4, jobs=["verify"], verify=["apriori", "superhedge"]),
     edge_job("large_trader", {"alpha": 5e-4, "gamma_bar": 0.2}, 8,
              {"values": [0.25, 0.0], "times": [0.0, 0.5]}, verify=["superhedge", "apriori"]),
+    edge_job("borrow_lend", {"R": 0.07}, 96, {"values": [0.25, 0.0], "times": [0.0, 0.5]},
+             ["price", "hedge"]),
 ]
 
 

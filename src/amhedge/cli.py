@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import math
+import os
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -30,8 +32,8 @@ from . import hedging, oracle, pricing
 from .bsde import ConvergenceError
 from .drivers import (Driver, admissibility_rows, borrow_lend_driver,
                       check_gamma_assumption, check_lambda_admissible,
-                      gamma_rows, large_trader_driver, perfect_driver, split_eval,
-                      split_of)
+                      gamma_rows, large_trader_driver, perfect_driver, piece_steps,
+                      split_eval, split_of)
 from .market import MarketParams, Tree, build_tree, is_finite_number
 from .payoffs import payoff_from_config
 # solve_rbsde_lower stays a name of this module: the benchmark's tracer wraps it here.
@@ -84,30 +86,58 @@ def _require_finite(values: np.ndarray) -> None:
         _fmt_float(float(bad))  # raises, naming the first one
 
 
-class NodeTable(NamedTuple):
-    """Written as the dict {key: {column: value}}; keys and values in key order.
-    The keys are node keys (digits and commas), written without escaping."""
+class Nodes(NamedTuple):
+    """The nodes at row-order positions ``at`` in rows that start at ``starts``
+    (``_orders``), written as the list of their keys or, with ``columns`` (values in
+    row order), as the dict {key: {column: value}}. A key is digits and commas, so it
+    is written without escaping."""
 
-    keys: list
-    columns: dict
+    starts: np.ndarray
+    at: np.ndarray
+    columns: dict = None
 
 
-class NodeKeys(list):
-    """A list of node keys, written without escaping like a ``NodeTable``'s."""
+def _locate(starts: np.ndarray, at: np.ndarray) -> tuple:
+    """Row (2 * step + defaulted) and up count of the nodes at row-order positions ``at``."""
+    row = np.searchsorted(starts, at, side="right") - 1
+    return row, at - starts[row]
 
 
-def _keyed_json(keys: list, write, columns=None) -> None:
-    """A node-key list, or with ``columns`` the table {key: {name: value}}, written
-    _CHUNK keys per piece: each piece one format string and one % over its values."""
+def _orders(tree: Tree) -> tuple:
+    """Where each row's nodes start in row order (the node count last), and the
+    row-order positions of every node sorted by node id and by node key: one argsort
+    each of (step * (n + 1) + up) * 2 + defaulted, step and up ranked as strings for
+    the keys ("10" sorts before "9")."""
+    starts = np.cumsum([0] + [len(row) for rows in tree.s1 for row in rows])
+    row, up = _locate(starts, np.arange(starts[-1]))
+    step, d, size = row >> 1, row & 1, tree.n_steps + 1
+    rank = np.argsort(sorted(range(size), key=str))  # place of each number in key order
+    return starts, *(np.argsort((s * size + j) * 2 + d, kind="stable")
+                     for s, j in ((step, up), (rank[step], rank[up])))
+
+
+def _keyed_json(nodes: Nodes, write) -> None:
+    """``nodes`` written _CHUNK per piece: each piece's text joined from its nodes'
+    steps and up counts, then one % over its values."""
+    columns = nodes.columns
     names = sorted(columns or ())
     # "%.17g" formats as _fmt_float does; adding 0.0 turns -0.0 into 0.
     tail = ('"' if columns is None
             else '": {' + ", ".join(f"{_encode_str(name)}: %.17g" for name in names) + "}")
+    # A node's text is steps[step] + tails[defaulted, up]: its key between the separator
+    # before it and the text after it; joined a piece at a time, no key string is made.
+    starts, size = nodes.starts, len(nodes.starts) // 2  # two rows a step: n + 1
+    steps = np.array([f', "{i}' for i in range(size)], dtype=object)
+    tails = np.array([[f",{j},{d}{tail}" for j in range(size)] for d in (0, 1)], dtype=object)
     write("[" if columns is None else "{")
-    for a in range(0, len(keys), _CHUNK):
-        text = (', "' if a else '"') + (tail + ', "').join(keys[a:a + _CHUNK]) + tail
+    for a in range(0, len(nodes.at), _CHUNK):
+        at = nodes.at[a:a + _CHUNK]
+        row, up = _locate(starts, at)
+        text = np.empty((len(at), 2), dtype=object)
+        text[:, 0], text[:, 1] = steps[row >> 1], tails[row & 1, up]
+        text = "".join(text.ravel().tolist())[0 if a else 2:]  # no separator before the first
         if names:
-            values = np.column_stack([columns[name][a:a + _CHUNK] for name in names]).ravel()
+            values = np.column_stack([columns[name][at] for name in names]).ravel()
             _require_finite(values)
             text %= tuple((values + 0.0).tolist())
         write(text)
@@ -129,21 +159,20 @@ def _tree_json(tree: Tree, write) -> None:
                            _fmt_float(tree.s0[i])))
             ups.append([b.child[1] for b in branches])
             _require_finite(np.concatenate((tree.s1[i][d], tree.s2[i][d])))
-    columns = (*tree.row_index(), tree.flat(tree.s1) + 0.0, tree.flat(tree.s2) + 0.0)
-    by_key = tree.orders[1]
+    starts, _, by_key = _orders(tree)
+    s1, s2 = tree.flat(tree.s1) + 0.0, tree.flat(tree.s2) + 0.0
     write(f'{{"dt": {_fmt_float(tree.dt)}, "n_steps": {tree.n_steps}, "nodes": {{')
     for a in range(0, len(by_key), _CHUNK):
         at = by_key[a:a + _CHUNK]
         write((", " if a else "") + ", ".join([
             entries[r] % (j, *[j + up for up in ups[r]], x, y)
-            for r, j, x, y in zip(*(column[at].tolist() for column in columns))]))
+            for r, j, x, y in zip(*(column.tolist() for column in
+                                    (*_locate(starts, at), s1[at], s2[at])))]))
     write("}}")
 
 
 def _emit(value, write) -> None:
-    if isinstance(value, NodeTable):  # before the tuples
-        _keyed_json(value.keys, write, value.columns)
-    elif isinstance(value, NodeKeys):  # before the lists
+    if isinstance(value, Nodes):  # before the tuples
         _keyed_json(value, write)
     elif isinstance(value, Tree):
         _tree_json(value, write)
@@ -315,40 +344,27 @@ def _is_whole(value) -> bool:
 # Serialization of pricing results
 # ---------------------------------------------------------------------------
 
-def _row_keys(tree) -> np.ndarray:
-    """Every node key in row order, as an object array to select from."""
-    row, up = tree.row_index()
-    steps = np.array([str(i) for i in range(tree.n_steps + 1)], dtype=object)
-    tails = np.array([[f",{j},{d}" for j in range(tree.n_steps + 1)] for d in (0, 1)], dtype=object)
-    return steps[row >> 1] + tails[row & 1, up]
-
-
-def _strategy_table(tree, keys, strategy: pricing.Strategy) -> NodeTable:
-    # Serialised like {key: {"phi1": .., "phi2": ..}} over the non-terminal nodes.
-    by_key = tree.orders[1]
-    order = by_key[by_key < len(by_key) - sum(map(len, tree.s1[-1]))]  # below the last step
-    phi1, phi2 = (tree.flat(rows)[order] for rows in (strategy.phi1_rows, strategy.phi2_rows))
-    return NodeTable(keys[order].tolist(), {"phi1": phi1, "phi2": phi2})
-
-
-def _rule_dict(tree, keys, rule: pricing.StoppingRule) -> dict:
-    by_id = tree.orders[0]
-    return {"stopped": NodeKeys(keys[by_id[tree.flat(rule.rows)[by_id]]].tolist())}
-
-
 def report_to_dict(report: pricing.PricingReport) -> dict:
     seller, buyer = report.seller, report.buyer
     tree = seller.solution.tree
-    keys = _row_keys(tree)
+    starts, by_id, by_key = _orders(tree)
+    inner = by_key[by_key < starts[2 * tree.n_steps]]  # below step n, in key order
+
+    def table(strategy: pricing.Strategy) -> Nodes:  # {key: {"phi1": .., "phi2": ..}}
+        return Nodes(starts, inner, {"phi1": tree.flat(strategy.phi1_rows),
+                                     "phi2": tree.flat(strategy.phi2_rows)})
+
+    def stopped(rule: pricing.StoppingRule) -> dict:  # in node id order
+        return {"stopped": Nodes(starts, by_id[tree.flat(rule.rows)[by_id]])}
     return {
         "u0": seller.u0,
         "v0": buyer.v0,
         "interval_ok": report.interval_ok,
-        "seller_strategy": _strategy_table(tree, keys, seller.strategy),
-        "buyer_strategy": _strategy_table(tree, keys, buyer.strategy),
-        "buyer_exercise": _rule_dict(tree, keys, buyer.exercise),
-        "nu_star": _rule_dict(tree, keys, report.nu_star),
-        "nu_bar": _rule_dict(tree, keys, report.nu_bar),
+        "seller_strategy": table(seller.strategy),
+        "buyer_strategy": table(buyer.strategy),
+        "buyer_exercise": stopped(buyer.exercise),
+        "nu_star": stopped(report.nu_star),
+        "nu_bar": stopped(report.nu_bar),
     }
 
 
@@ -428,8 +444,9 @@ def _check_gamma(tree, driver):
 
 
 def _check_admissible(tree, driver):
-    steps = [(tree.time(i), tree.coef[i]) for i in range(tree.n_steps)]
-    report = check_lambda_admissible(driver, admissibility_rows(tree.params, steps=steps))
+    # A piece's states differ only in t, so its first step gives every bit of the report.
+    report = check_lambda_admissible(
+        driver, admissibility_rows(tree.params, steps=piece_steps(tree, driver)))
     return {"passed": report.passed, "max_ratio": report.max_ratio,
             "declared_C": report.lipschitz_C}
 
@@ -522,6 +539,9 @@ def run(config: dict, out_dir=None, strict: bool = False,
         if dump_tree:
             _write(out / "tree.json", lambda handle: canonical_json(tree, handle.write), parts)
         _write(out / "report.json", lambda handle: canonical_json(document, handle.write), parts)
+        for _, path in parts:  # a move onto a directory fails: refuse it before the first move
+            if path.is_dir() and not path.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for part, path in parts[-1:] + parts[:-1]:  # report.json first
             part.replace(path)
     except ConvergenceError as exc:

@@ -16,13 +16,15 @@ called twice per state.
 
 from __future__ import annotations
 
+import bisect
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .market import (MarketParams, NodeState, as_piecewise,
+from .market import (MarketParams, NodeState, Tree, as_piecewise,
                      merged_breakpoints)
 
 RATIO_TOL = 1e-10
@@ -276,6 +278,18 @@ def sample_states(params: MarketParams, steps: Sequence) -> list:
         states.append(NodeState(t, 1.0, params.s1_0, params.s2_0, coef.lam, False, coef))
         states.append(NodeState(t, 1.0, params.s1_0, 0.0, 0.0, True, coef))
     return states
+
+
+def piece_steps(tree: Tree, driver: Driver) -> list:
+    """The ``(t, Coefs)`` of each step of ``tree`` below the last or, when the driver
+    declares ``eval.times``, of the first step of each distinct (``Coefs`` record, piece
+    of ``times``): g moves with t only through those, so a piece's states give the
+    same values. The record is keyed on its exact bits."""
+    steps = [(tree.time(i), tree.coef[i]) for i in range(tree.n_steps)]
+    if (times := getattr(driver.eval, "times", None)) is not None:
+        steps = sorted({(struct.pack("6d", *c), bisect.bisect_right(times, t)): (t, c)
+                        for t, c in reversed(steps)}.values())
+    return steps
 
 
 def _columns(pairs: list, width: int) -> tuple:

@@ -293,20 +293,6 @@ class Tree:
         return tuple(np.array([values[(step, j, d)] for j in range(len(row))], dtype=float)
                      for d, row in enumerate(self.s1[step]))
 
-    def row_index(self) -> tuple:
-        """Row (2 * step + defaulted) and up count of every node, in row order."""
-        sizes = [len(row) for rows in self.s1 for row in rows]
-        row = np.repeat(np.arange(len(sizes)), sizes)
-        return row, np.arange(len(row)) - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-
-    @cached_property
-    def orders(self) -> tuple:
-        """Row-order positions of every node, sorted by node id and by node key."""
-        row, up = self.row_index()
-        rank = np.argsort(sorted(range(self.n_steps + 1), key=str))  # place in key order
-        return (np.lexsort((row % 2, up, row // 2)),
-                np.lexsort((row % 2, rank[up], rank[row // 2])))
-
 
 def node_key(node: NodeId) -> str:
     return f"{node[0]},{node[1]},{node[2]}"

@@ -14,17 +14,15 @@ convention (flags below a stopped node are never consulted).
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .bsde import Solution
-from .drivers import Driver, check_gamma_assumption, gamma_rows
+from .drivers import Driver, check_gamma_assumption, gamma_rows, piece_steps
 from .market import NodeId, Tree, row_view
 from .oracle import g_evaluation
 # solve_rbsde_lower and _upper stay names of this module: the benchmark's tracer wraps them.
@@ -120,14 +118,10 @@ def _require_gamma(tree: Tree, driver: Driver) -> None:
     # Sample out to the price scale: a driver whose jump sensitivity is
     # state dependent can satisfy the floor near the origin yet breach it
     # at the wealth and exposure levels the solver actually visits.
-    steps = [(tree.time(i), tree.coef[i]) for i in range(tree.n_steps)]
-    if (times := getattr(driver.eval, "times", None)) is not None:
-        # g moves with t only through the Coefs record and ``times``: sample each piece once
-        steps = sorted({(struct.pack("6d", *c), bisect.bisect_right(times, t)): (t, c)
-                        for t, c in reversed(steps)}.values())
     scale = 1.0 + max(abs(tree.params.s1_0), abs(tree.params.s2_0))
     points = (-scale, -1.0, 0.0, 1.0, scale)
-    samples = gamma_rows(tree.params, steps=steps, ys=points, zs=points, ks=points)
+    samples = gamma_rows(tree.params, steps=piece_steps(tree, driver), ys=points, zs=points,
+                         ks=points)
     report = check_gamma_assumption(driver, samples)
     if not report.passed:
         raise ValueError(

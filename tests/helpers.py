@@ -829,6 +829,22 @@ def reference_large_trader_g(params: MarketParams, alpha: float, gamma_bar: floa
 
 
 # ---------------------------------------------------------------------------
+# Reference for the node orders of report.json and tree.json: the two 3-key
+# lexsorts that amhedge.cli replaced with one argsort each.
+# ---------------------------------------------------------------------------
+
+def lexsort_orders(tree) -> tuple:
+    """Row-order positions of every node sorted by node id (step, up count,
+    defaulted) and by node key (the same, step and up count ranked as strings)."""
+    sizes = [len(row) for rows in tree.s1 for row in rows]
+    row = np.repeat(np.arange(len(sizes)), sizes)
+    up = np.arange(len(row)) - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    rank = np.argsort(sorted(range(tree.n_steps + 1), key=str))  # place in key order
+    return (np.lexsort((row % 2, up, row // 2)),
+            np.lexsort((row % 2, rank[up], rank[row // 2])))
+
+
+# ---------------------------------------------------------------------------
 # Reference for tree.json: the node-dict document that ``canonical_json``
 # serialised before amhedge.cli wrote the file from the level rows. The two
 # must give the same bytes.

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -24,11 +25,12 @@ from amhedge import cli, hedging, oracle, rbsde
 from amhedge.bsde import ConvergenceError
 from amhedge.drivers import Driver
 from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, MAX_STEPS,
-                         ConfigError, NodeTable, canonical_json, main,
+                         ConfigError, Nodes, canonical_json, main,
                          parse_config, run)
 from amhedge.market import MarketParams, build_tree, node_key
 from amhedge.payoffs import put
-from helpers import reference_tree_dict
+from amhedge.pricing import price_american
+from helpers import lexsort_orders, reference_tree_dict
 
 # The example job document of the README.
 README_JOB = {
@@ -95,16 +97,32 @@ class TestCanonicalJson:
         ([], [], []),
     ])
     def test_node_table_writes_like_its_dict(self, keys, phi1, phi2):
-        table = NodeTable(keys, {"phi2": np.array(phi2), "phi1": np.array(phi1)})
+        table = _table(keys, phi1=phi1, phi2=phi2)
         as_dict = {key: {"phi1": a, "phi2": b} for key, a, b in zip(keys, phi1, phi2)}
         assert canonical_json({"t": table, "u": [table]}) == canonical_json(
             {"t": as_dict, "u": [as_dict]})
 
     def test_node_table_rejects_non_finite(self):
-        table = NodeTable(["0,0,0", "1,0,0"], {"phi1": np.array([1.0, math.inf]),
-                                               "phi2": np.array([math.nan, 0.0])})
+        table = _table(["0,0,0", "1,0,0"], phi1=[1.0, math.inf], phi2=[math.nan, 0.0])
         with pytest.raises(ValueError, match="non-finite value nan"):
             canonical_json(table)
+
+
+def _row_keys(tree) -> list:
+    """Every node key of ``tree`` in row order."""
+    return [node_key(node) for level in tree.levels for node in level]
+
+
+def _table(keys, **columns) -> Nodes:
+    """The README lattice's nodes of ``keys`` in their order, with each column's
+    values at those nodes (0 elsewhere), or a key list without columns."""
+    tree = build_tree(MarketParams.from_dict(README_JOB["market"]), 12)
+    row_keys = _row_keys(tree)
+    at = np.array([row_keys.index(key) for key in keys], dtype=np.intp)
+    rows = {name: np.zeros(len(row_keys)) for name in columns}
+    for name, values in columns.items():
+        rows[name][at] = values
+    return Nodes(cli._orders(tree)[0], at, rows or None)
 
 
 # The intensity of a tree.json market: none, constant, or a step at t = 0.5
@@ -170,18 +188,50 @@ class TestChunks:
     @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     def test_pieces_join_to_the_text_and_the_json_module_document(self, monkeypatch, size):
         monkeypatch.setattr(cli, "_CHUNK", self.CHUNK)
-        keys = [f"{i},{i % 3},{i % 2}" for i in range(size)]
+        # Lattice keys in key order from the fourth on, where "10,..." sorts before "2,..."
+        keys = sorted(_row_keys(build_tree(MarketParams.from_dict(README_JOB["market"]), 12)))
+        keys = keys[3:3 + size]
         # Dyadic, nonzero floats: "%.17g" and json.dumps write them alike.
         phi1, phi2 = np.arange(size) + 0.5, -np.arange(size) - 0.25
         pieces = -(-size // self.CHUNK)
-        for obj, plain in ((NodeTable(keys, {"phi2": phi2, "phi1": phi1}),
+        for obj, plain in ((_table(keys, phi2=phi2, phi1=phi1),
                             {k: {"phi1": a, "phi2": b} for k, a, b in zip(keys, phi1, phi2)}),
-                           (cli.NodeKeys(keys), keys)):
+                           (_table(keys), keys)):
             parts = []
             assert canonical_json(obj, parts.append) is None
             assert len(parts) == pieces + 3  # the brackets, the pieces, the newline
             assert "".join(parts) == canonical_json(obj) == canonical_json(plain)
             assert canonical_json(obj) == json.dumps(plain, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("lam", sorted(DUMP_LAMBDAS))
+    def test_report_tables_in_pieces_equal_the_node_dict_document(self, monkeypatch, lam):
+        # Every node table and stopped list of an n = 12 report spans 3 or more pieces
+        params = MarketParams(r=0.05, mu1=0.07, mu2=-0.02, sigma1=0.2, sigma2=0.25,
+                              lam=DUMP_LAMBDAS[lam], s1_0=100.0, s2_0=90.0, T=1.0)
+        tree = build_tree(params, 12)
+        report = price_american(tree, cli.borrow_lend_driver(params, 0.07),
+                                rbsde.Obstacle.from_payoff(tree, put(105.0)))
+        monkeypatch.setattr(cli, "_CHUNK", self.CHUNK)
+        document, parts = cli.report_to_dict(report), []
+        canonical_json(document, parts.append)
+        tables = {key: value["stopped"] if isinstance(value, dict) else value
+                  for key, value in document.items() if isinstance(value, (dict, Nodes))}
+        assert len(tables) == 5 and min(len(t.at) for t in tables.values()) > 2 * self.CHUNK
+
+        def strategy(s):
+            return {node_key(node): {"phi1": s.phi1[node], "phi2": s.phi2[node]}
+                    for node in s.phi1}
+
+        def stopped(rule):
+            return {"stopped": [node_key(node) for node in sorted(rule.stop) if rule.stop[node]]}
+        plain = {"u0": report.seller.u0, "v0": report.buyer.v0,
+                 "interval_ok": report.interval_ok,
+                 "seller_strategy": strategy(report.seller.strategy),
+                 "buyer_strategy": strategy(report.buyer.strategy),
+                 "buyer_exercise": stopped(report.buyer.exercise),
+                 "nu_star": stopped(report.nu_star), "nu_bar": stopped(report.nu_bar)}
+        monkeypatch.setattr(cli, "_CHUNK", 10**9)  # each table whole, in one piece
+        assert "".join(parts) == canonical_json(document) == canonical_json(plain)
 
     @pytest.mark.parametrize("chunk", [1, 5, 24, 25, 26])
     def test_tree_json_in_pieces_equals_the_node_dict_document(self, monkeypatch, chunk):
@@ -198,8 +248,9 @@ class TestChunks:
         # Steps and up counts of two digits reach every digit.
         params = MarketParams.from_dict(README_JOB["market"])
         tree = build_tree(params, 12)
-        keys = cli._row_keys(tree).tolist()
-        assert keys == [node_key(node) for level in tree.levels for node in level]
+        starts = cli._orders(tree)[0]
+        keys = json.loads(canonical_json(Nodes(starts, np.arange(starts[-1]))))
+        assert keys == _row_keys(tree)
         assert all(cli._encode_str(key) == '"' + key + '"' for key in keys)
 
     # How the write fails: a NaN in the last piece of a table, or ENOSPC after the
@@ -212,12 +263,13 @@ class TestChunks:
                                                               failure, artifact, earlier):
         monkeypatch.setattr(cli, "_CHUNK", 5)
         full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        table = cli._strategy_table
+        to_dict = cli.report_to_dict
 
-        def poisoned(tree, keys, strategy):
-            out = table(tree, keys, strategy)
-            out.columns["phi2"][-1] = math.nan  # in the last piece
-            return out
+        def poisoned(report):
+            document = to_dict(report)
+            table = document["seller_strategy"]
+            table.columns["phi2"][table.at[-1]] = math.nan  # in the last piece
+            return document
 
         def after_first_piece(emit):  # an emitter whose second write raises ENOSPC
             def failing(value, write, *args):
@@ -236,7 +288,7 @@ class TestChunks:
             raise full
 
         if failure == "nan":
-            monkeypatch.setattr(cli, "_strategy_table", poisoned)
+            monkeypatch.setattr(cli, "report_to_dict", poisoned)
         elif artifact == "wealth.csv":
             monkeypatch.setattr(hedging, "violation_rows", rows)
         else:
@@ -252,6 +304,43 @@ class TestChunks:
         assert capsys.readouterr().err == f"config error: {message}\n"
         # The earlier file, or its absence, as it was, and no .part file left
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+class TestOrders:
+    """``cli._orders`` against the 3-key lexsorts it replaced, and the report it feeds."""
+
+    @pytest.mark.parametrize("lam", ["const", "lam_zero", "lam_to_zero"])
+    def test_orders_equal_the_lexsort_reference(self, lam):
+        lam = {"const": 0.25, "lam_zero": 0.0, "lam_to_zero": DUMP_LAMBDAS["to_zero"]}[lam]
+        params = MarketParams.from_dict({**README_JOB["market"], "lambda": lam})
+        for n_steps in [*range(1, 41), 256]:
+            tree = build_tree(params, n_steps)
+            starts, by_id, by_key = cli._orders(tree)
+            want_id, want_key = lexsort_orders(tree)
+            assert by_id.tolist() == want_id.tolist() and by_key.tolist() == want_key.tolist()
+            assert starts.tolist() == np.cumsum([0] + [len(r) for rows in tree.s1
+                                                       for r in rows]).tolist()
+            if n_steps <= 12:  # and against Python's sort of the nodes and of their keys
+                nodes = [node for level in tree.levels for node in level]
+                assert by_id.tolist() == sorted(range(len(nodes)), key=nodes.__getitem__)
+                keys = list(map(node_key, nodes))
+                assert by_key.tolist() == sorted(range(len(keys)), key=keys.__getitem__)
+
+    def test_the_report_document_holds_no_node_keys(self):
+        # The n = 256 README put: the document holds positions and row-order values,
+        # about 3 MB, where one string per node and the tables' key lists took 9 MB.
+        params = MarketParams.from_dict(README_JOB["market"])
+        tree = build_tree(params, 256)
+        report = price_american(tree, cli.borrow_lend_driver(params, 0.07),
+                                rbsde.Obstacle.from_payoff(tree, put(105.0)))
+        tracemalloc.start()
+        try:
+            document = cli.report_to_dict(report)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert document["seller_strategy"].columns["phi1"].size == 65_536
+        assert held < 6e6
 
 
 class TestRun:
@@ -911,6 +1000,25 @@ def test_a_failing_run_publishes_none_of_its_files(tmp_path):
                       for path in out.iterdir()}
     assert sorted(before) == ["report.json", "tree.json", "wealth.csv", "wealth_buyer.csv"]
     assert {path.name: (path.stat().st_ino, path.read_bytes()) for path in out.iterdir()} == before
+
+
+def test_a_directory_in_the_way_publishes_nothing(tmp_path, capsys):
+    # A directory at wealth_buyer.csv would fail its move after report.json and
+    # wealth.csv were published: the run refuses it first, with the move's error.
+    job = {**copy.deepcopy(README_JOB), "jobs": ["price", "hedge"], "verify": []}
+    job["grid"]["n_steps"] = 4
+    assert run(copy.deepcopy(job), out_dir=tmp_path) == EXIT_OK
+    (tmp_path / "wealth_buyer.csv").unlink()
+    (tmp_path / "wealth_buyer.csv").mkdir()
+    before = {path.name: (path.stat().st_ino, path.is_dir() or path.read_bytes())
+              for path in tmp_path.iterdir()}
+    job["grid"]["n_steps"] = 6
+    assert run(job, out_dir=tmp_path) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: --out: [Errno 21] Is a directory: "
+                                       f"'{tmp_path / 'wealth_buyer.csv'}'\n")
+    assert sorted(before) == ["report.json", "wealth.csv", "wealth_buyer.csv"]
+    assert {path.name: (path.stat().st_ino, path.is_dir() or path.read_bytes())
+            for path in tmp_path.iterdir()} == before
 
 
 def test_both_sides_diverge_and_the_sellers_error_is_raised(tmp_path, capsys):

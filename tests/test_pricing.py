@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amhedge import hedging, pricing, rbsde
+from amhedge import cli, hedging, pricing, rbsde
 from amhedge.bsde import ConvergenceError
 from amhedge.cli import canonical_json, report_to_dict
 from amhedge.drivers import (Driver, borrow_lend_driver, large_trader_driver, perfect_driver,
@@ -194,6 +194,58 @@ class TestPrecheckSampling:
             samples, error = self.precheck(monkeypatch, tree, driver)
             assert len(samples) == count
             assert "min sampled ratio -2 <= -1" in str(error)
+
+
+class TestAdmissibleSampling:
+    """The ``admissible`` check samples the states the price precheck does: the first
+    step of each (coefficient record, piece of ``eval.times``); its report keeps the
+    bits of sampling every step."""
+
+    STEPWISE_R = PiecewiseConstant([0.07, 0.08, 0.09], times=[0.0, 0.25, 0.75])
+
+    @staticmethod
+    def check(monkeypatch, tree, driver) -> tuple:
+        """The ``admissible`` entry of report.json and the sampled states' steps."""
+        handed = []
+
+        def spy(d, samples):
+            handed.extend(round(state.t / tree.dt) for state, *_ in samples)
+            return check(d, samples)
+
+        check = cli.check_lambda_admissible
+        monkeypatch.setattr(cli, "check_lambda_admissible", spy)
+        return canonical_json(cli._check_admissible(tree, driver)), handed
+
+    @pytest.mark.parametrize("market,first_steps", [
+        ("const", [0]), ("piecewise", [0, 4, 5, 6]), ("stepwise_R", [0, 3, 8]),
+        ("lam_to_zero", [0, 5])])
+    @pytest.mark.parametrize("kind", ["perfect", "borrow_lend", "large_trader"])
+    def test_one_step_per_piece_gives_the_every_step_report(self, monkeypatch, market, kind,
+                                                             first_steps):
+        params = (style_params(market, 0.05, 0.25) if market in ("const", "piecewise")
+                  else MarketParams(**dict(README_MARKET, lam=PiecewiseConstant(
+                      [0.25, 0.0], times=[0.0, 0.5]) if market == "lam_to_zero" else 0.25)))
+        R = self.STEPWISE_R if market == "stepwise_R" else 0.08
+        driver = {"perfect": lambda: perfect_driver(params),
+                  "borrow_lend": lambda: borrow_lend_driver(params, R),
+                  "large_trader": lambda: large_trader_driver(params, 5e-4, 0.3)}[kind]()
+        tree = build_tree(params, 10)
+        report, steps = self.check(monkeypatch, tree, driver)
+        if kind != "borrow_lend" and market == "stepwise_R":  # R's pieces are borrow_lend's
+            first_steps = [0]
+        assert steps == [i for i in first_steps for _ in (0, 1)]  # alive and defaulted
+        every = dataclasses.replace(driver, eval=split_eval(driver.eval.split, None))
+        want, every_steps = self.check(monkeypatch, tree, every)
+        assert every_steps == [i for i in range(10) for _ in (0, 1)]
+        assert report == want
+
+    def test_a_driver_without_times_is_sampled_at_every_step(self, monkeypatch):
+        params = style_params("const", 0.05, 0.25)
+        tree = build_tree(params, 10)
+        plain = Driver(name="plain", eval=lambda t, y, z, k, s: -0.5 * s.lam * k + 0.0 * y,
+                       lipschitz_C=1.0)
+        _, steps = self.check(monkeypatch, tree, plain)
+        assert steps == [i for i in range(10) for _ in (0, 1)]
 
 
 class TestBuyerPrice:
