@@ -1,4 +1,4 @@
-"""The backward sweep on the lattice's level rows.
+"""The backward sweep on the lattice's row-order arrays.
 
 The backward step at a node with child values f is exact in (z, k): the
 branch increments make the system
@@ -11,12 +11,13 @@ Picard iteration, which contracts whenever C * dt < 1 for the driver's
 Lipschitz constant C (in practice the relevant constant is the local
 y-sensitivity of g).
 
-``backward_sweep`` runs this step for K sides at once: each level row is a
-(K, m) block, side h in block row h, with its own terminal rows, driver
-and, on a reflected side, its own barrier. A job's reflected solves share
-one such sweep, a step's rows one Picard loop; a single solve is the case
-K = 1. Each side's work counts (``SolveStats``) are those of its solve on
-its own.
+``backward_sweep`` runs this step for K sides at once on (K, N) arrays in
+the tree's row order, side h in row h, each side with its own terminal rows,
+driver and, on a reflected side, its own barrier. A level row and its
+children are column slices, and results are written in place. A job's
+reflected solves share one such sweep, a step's rows one Picard loop; a
+single solve is the case K = 1. Each side's work counts (``SolveStats``) are
+those of its solve on its own.
 """
 
 from __future__ import annotations
@@ -57,29 +58,30 @@ class SolveStats:
 
 @dataclass(eq=False)
 class Solution:
-    """Level rows of a backward solve: y at every step, z, k (0 without a
-    default branch) and the outgoing reflection charge delta_a below the
-    last. Their node views are built on first read; delta_a is identically
-    zero for plain (non-reflected) solves.
+    """A backward solve in the tree's row order: y at every node, z, k (0
+    without a default branch) and the outgoing reflection charge delta_a below
+    the last step (0 on the terminal rows), each a row of the sweep's (K, N)
+    array, which it keeps alive. Their node views are built on first read;
+    delta_a is identically zero for plain (non-reflected) solves.
     """
 
     tree: Tree
     driver: Driver
     kind: str  # "bsde" | "lower" | "upper"
-    y_rows: list
-    z_rows: list
-    k_rows: list
-    da_rows: list
+    y_rows: np.ndarray
+    z_rows: np.ndarray
+    k_rows: np.ndarray
+    da_rows: np.ndarray
     stats: SolveStats
 
     y = row_view("y_rows", backward=True)
-    z = row_view("z_rows", backward=True)
-    k = row_view("k_rows", backward=True)
-    delta_a = row_view("da_rows", backward=True)
+    z = row_view("z_rows", backward=True, terminal=False)
+    k = row_view("k_rows", backward=True, terminal=False)
+    delta_a = row_view("da_rows", backward=True, terminal=False)
 
     @property
     def root_value(self) -> float:
-        return float(self.y_rows[0][0][0])
+        return float(self.y_rows[0])
 
 
 def coefficients(branches, child_values, sq: float) -> tuple:
@@ -129,68 +131,69 @@ def _picard(segments: list, dt: float, where, first=None) -> np.ndarray:
         f"{where(j, residual[j])}; the time step is too large for the driver's Lipschitz constant")
 
 
-def _side_stats(K: int, rows: list, binds: list) -> list:
-    """``SolveStats`` of each of K sides from the ``(width, first)`` of every
-    swept row and, on reflected sides, where the barrier bound. ``first``
-    holds the iteration at which each element of the row's (K, m) block
-    passed, so each side's counts are read from its block row."""
-    widths, firsts = zip(*rows)
-    widths = np.array(widths)
-    first = np.concatenate([block.reshape(K, -1) for block in firsts], axis=1)
-    bound = np.concatenate(binds, axis=1).sum(axis=1) if binds else [0] * K
-    row_iters = np.maximum.reduceat(first, np.cumsum(widths) - widths, axis=1)
+def _side_stats(starts: np.ndarray, first: np.ndarray, da: np.ndarray) -> list:
+    """``SolveStats`` of each of K sides from ``first``, the (K, nodes below the
+    last step) iterations at which each element passed, and the charges ``da``:
+    a row's driver evaluations are its width times its slowest element's count."""
+    widths = np.diff(starts[:-2])
+    swept = widths > 0
+    row_iters = np.maximum.reduceat(first, starts[:-3][swept], axis=1)
     nodes = first.shape[1]
     return [SolveStats(nodes, int(top), int(total) / nodes, int(work), int(count))
             for top, total, work, count in zip(first.max(axis=1), first.sum(axis=1),
-                                               row_iters @ widths, bound)]
+                                               row_iters @ widths[swept],
+                                               np.count_nonzero(da > 0.0, axis=1))]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # float arithmetic, as in a scalar step
 def backward_sweep(tree: Tree, sides: list) -> list:
     """Backward solve of K sides together, one level row at a time.
 
-    ``sides`` holds one ``(kind, rows, driver)`` per side: "bsde" (solved
-    alone) with rows ending in the terminal rows, or "lower"/"upper" with
-    the barrier rows of every step, whose last doubles as the terminal
-    condition. A row is solved as a (K, m) block, side h in block row h: the
-    children are column slices of the next level's blocks, and each element
-    follows the arithmetic of the scalar step exactly, then is reflected from
-    below ("lower") or above ("upper") at its side's barrier. Returns one
-    ``Solution`` per side, with that side's own work counts. If the sweep
-    fails, the sides are swept again one at a time, and a side that fails on
-    its own has its error in its place, for ``rbsde.solved`` to raise where
-    the side is used; an error that no side meets on its own is raised.
+    ``sides`` holds one ``(kind, rows, driver)`` per side, ``rows`` a row-order
+    array: "bsde" (solved alone), of which only the terminal rows are read, or
+    "lower"/"upper", the barrier at every node, whose terminal rows double as
+    the terminal condition. The results are (K, N) arrays in row order, side h
+    in row h, written in place: a level row is a column slice, its children
+    are column slices of the next level's rows, and each element follows the
+    arithmetic of the scalar step exactly, then is reflected from below
+    ("lower") or above ("upper") at its side's barrier.
+    Returns one ``Solution`` per side, with that side's own work counts. If
+    the sweep fails, the sides are swept again one at a time, and a side that
+    fails on its own has its error in its place, for ``rbsde.solved`` to raise
+    where the side is used; an error that no side meets on its own is raised.
     """
-    n, K = tree.n_steps, len(sides)
+    n, K, starts = tree.n_steps, len(sides), tree.starts.tolist()
     kinds = [kind for kind, _, _ in sides]
     reflected = kinds != ["bsde"]
     orient = np.array([[1.0 if kind == "lower" else -1.0] for kind in kinds])
     # (first side, end, split) of each run of adjacent sides with one driver
     ends = list(accumulate(len(list(run)) for _, run in groupby(d for _, _, d in sides)))
     runs = [(a, b, split_of(sides[a][2])) for a, b in zip([0] + ends, ends)]
-    zero = np.zeros((K, n + 1))  # k without a default branch, delta_a without reflection
-    zero.flags.writeable = False
-    y = [None] * n + [tuple(np.array([rows[-1][d] for _, rows, _ in sides]) for d in (0, 1))]
-    z, k, da, work, binds = [None] * n, [None] * n, [None] * n, [], []
+    y, (z, k, da) = np.empty((K, starts[-1])), (np.zeros((K, starts[-1])) for _ in range(3))
+    y[:, starts[-3]:] = [rows[starts[-3]:] for _, rows, _ in sides]
+    first = np.zeros((K, starts[-3]), dtype=np.int8)  # for the stats
     try:
         for i in range(n - 1, -1, -1):
-            t, blocks = tree.time(i), []  # (d, m, e, z, k) of each row with nodes
+            t, blocks = tree.time(i), []  # (d, row slice, e) of each row with nodes
             for d, branches in enumerate(tree.row_branches[i]):
-                if m := len(tree.s1[i][d]):
-                    children = [y[i + 1][dead][:, up:up + m]
-                                for _, up, dead in (b.child for b in branches)]
-                    e, z_row, k_row = coefficients(branches, children, tree.sq)
-                    blocks.append((d, m, e, z_row, zero[:, :m] if len(branches) == 2 else k_row))
+                row = slice(starts[2 * i + d], starts[2 * i + d + 1])
+                if m := row.stop - row.start:
+                    children = [y[:, c:c + m] for c in (starts[2 * i + 2 + b.child[2]] + b.child[1]
+                                                        for b in branches)]
+                    e, z[:, row], k_row = coefficients(branches, children, tree.sq)
+                    if len(branches) == 3:
+                        k[:, row] = k_row
+                    blocks.append((d, row, e))
 
-            def segments(d, _, e, z_row, k_row):  # each run's split on the row's state
-                s1, s2 = tree.s1[i][d], tree.s2[i][d]
-                return [(split(t, z_row[a:b].ravel(), k_row[a:b].ravel(), tree.row_state(
-                    i, d, np.concatenate([s1] * (b - a)), np.concatenate([s2] * (b - a)))),
+            def segments(d, row, e):  # each run's split on the row's state, once per side
+                return [(split(t, z[a:b, row].ravel(), k[a:b, row].ravel(), tree.row_state(
+                    i, d, np.tile(tree.s1[row], b - a), np.tile(tree.s2[row], b - a))),
                          e[a:b].ravel()) for a, b, split in runs]
 
             def solve(blocks, first=None):  # the rows of ``blocks`` in one Picard loop
                 def where(j, r):  # element j of their segments end to end
-                    for d, m, *_ in blocks:
+                    for d, row, _ in blocks:
+                        m = row.stop - row.start
                         if j < K * m:
                             return f"node {(i, j % m, d)} (t={t:.6g}, last residual {r:.3g})"
                         j -= K * m
@@ -199,38 +202,33 @@ def backward_sweep(tree: Tree, sides: list) -> list:
 
             # One loop per step, each run of adjacent sides with one driver a segment of each
             # row; if it fails, again a row at a time, so the error is the failing row's own.
-            first = np.zeros(K * sum(block[1] for block in blocks), dtype=np.int8)  # for the stats
+            count = np.zeros(K * (starts[2 * i + 2] - starts[2 * i]), dtype=np.int8)
             try:
-                flat = solve(blocks, first)
+                flat = solve(blocks, count)
             except Exception:
                 for block in blocks:
                     solve([block])
                 raise
-            step, at = [(zero[:, :0],) * 4] * 2, 0  # a row without nodes
-            for d, m, _, z_row, k_row in blocks:
+            at = 0
+            for _, row, _ in blocks:
+                m = row.stop - row.start
+                first[:, row] = count[at:at + K * m].reshape(K, m)
                 y_row = flat[at:at + K * m].reshape(K, m)
-                work.append((m, first[at:at + K * m]))
                 at += K * m
-                da_row = zero[:, :m]
                 if reflected:
-                    b = np.array([rows[i][d] for _, rows, _ in sides])
+                    b = np.array([rows[row] for _, rows, _ in sides])
                     gap = b - y_row
                     bind = gap * orient > 0.0  # b > y on a lower side, b < y on an upper one
-                    da_row = np.where(bind, np.abs(gap), 0.0)
+                    da[:, row] = np.where(bind, np.abs(gap), 0.0)
                     y_row = np.where(bind, b, y_row)
-                    binds.append(bind)
-                step[d] = (y_row, z_row, k_row, da_row)
-            y[i], z[i], k[i], da[i] = zip(*step)
+                y[:, row] = y_row
     except Exception as exc:  # a driver may fail on one side's values alone
         alone = [exc] if K == 1 else [backward_sweep(tree, [side])[0] for side in sides]
         if not any(isinstance(result, Exception) for result in alone):
             raise
         return alone
 
-    def rows_of(h, blocks):
-        return [(alive[h], dead[h]) for alive, dead in blocks]
-
-    return [Solution(tree=tree, driver=driver, kind=kind, y_rows=rows_of(h, y),
-                     z_rows=rows_of(h, z), k_rows=rows_of(h, k), da_rows=rows_of(h, da),
-                     stats=stats)
-            for h, ((kind, _, driver), stats) in enumerate(zip(sides, _side_stats(K, work, binds)))]
+    return [Solution(tree=tree, driver=driver, kind=kind, y_rows=y[h], z_rows=z[h],
+                     k_rows=k[h], da_rows=da[h], stats=stats)
+            for h, ((kind, _, driver), stats) in enumerate(
+                zip(sides, _side_stats(tree.starts, first, da[:, :starts[-3]])))]

@@ -34,7 +34,7 @@ from .drivers import (Driver, admissibility_rows, borrow_lend_driver,
                       check_gamma_assumption, check_lambda_admissible,
                       gamma_rows, large_trader_driver, perfect_driver, piece_steps,
                       split_eval, split_of)
-from .market import MarketParams, Tree, build_tree, is_finite_number
+from .market import MarketParams, Tree, build_tree, is_finite_number, locate
 from .payoffs import payoff_from_config
 # solve_rbsde_lower stays a name of this module: the benchmark's tracer wraps it here.
 from .rbsde import Obstacle, skorokhod_residual, solve_rbsde_lower, solved  # noqa: F401
@@ -88,7 +88,7 @@ def _require_finite(values: np.ndarray) -> None:
 
 class Nodes(NamedTuple):
     """The nodes at row-order positions ``at`` in rows that start at ``starts``
-    (``_orders``), written as the list of their keys or, with ``columns`` (values in
+    (``Tree.starts``), written as the list of their keys or, with ``columns`` (values in
     row order), as the dict {key: {column: value}}. A key is digits and commas, so it
     is written without escaping."""
 
@@ -97,23 +97,17 @@ class Nodes(NamedTuple):
     columns: dict = None
 
 
-def _locate(starts: np.ndarray, at: np.ndarray) -> tuple:
-    """Row (2 * step + defaulted) and up count of the nodes at row-order positions ``at``."""
-    row = np.searchsorted(starts, at, side="right") - 1
-    return row, at - starts[row]
-
-
 def _orders(tree: Tree) -> tuple:
-    """Where each row's nodes start in row order (the node count last), and the
-    row-order positions of every node sorted by node id and by node key: one argsort
-    each of (step * (n + 1) + up) * 2 + defaulted, step and up ranked as strings for
-    the keys ("10" sorts before "9")."""
-    starts = np.cumsum([0] + [len(row) for rows in tree.s1 for row in rows])
-    row, up = _locate(starts, np.arange(starts[-1]))
-    step, d, size = row >> 1, row & 1, tree.n_steps + 1
+    """The row-order positions of every node sorted by node id and by node key: one
+    argsort each of (step * (n + 1) + up) * 2 + defaulted, step and up ranked as
+    strings for the keys ("10" sorts before "9")."""
+    row, up = locate(tree.starts, np.arange(tree.starts[-1]))
+    size = tree.n_steps + 1
     rank = np.argsort(sorted(range(size), key=str))  # place of each number in key order
-    return starts, *(np.argsort((s * size + j) * 2 + d, kind="stable")
-                     for s, j in ((step, up), (rank[step], rank[up])))
+    # Step and defaulted flag taken from the row where they are read: at the report's
+    # memory peak, so no further node-sized array is held.
+    by_id = np.argsort(((row >> 1) * size + up) * 2 + (row & 1), kind="stable")
+    return by_id, np.argsort((rank[row >> 1] * size + rank[up]) * 2 + (row & 1), kind="stable")
 
 
 def _keyed_json(nodes: Nodes, write) -> None:
@@ -132,7 +126,7 @@ def _keyed_json(nodes: Nodes, write) -> None:
     write("[" if columns is None else "{")
     for a in range(0, len(nodes.at), _CHUNK):
         at = nodes.at[a:a + _CHUNK]
-        row, up = _locate(starts, at)
+        row, up = locate(starts, at)
         text = np.empty((len(at), 2), dtype=object)
         text[:, 0], text[:, 1] = steps[row >> 1], tails[row & 1, up]
         text = "".join(text.ravel().tolist())[0 if a else 2:]  # no separator before the first
@@ -145,7 +139,7 @@ def _keyed_json(nodes: Nodes, write) -> None:
 
 
 def _tree_json(tree: Tree, write) -> None:
-    """tree.json from the level rows: each row's constants formatted once, then
+    """tree.json from the row-order arrays: each row's constants formatted once, then
     the nodes in key order, _CHUNK per piece."""
     entries, ups = [], []  # per row; %d and %.17g: a node's up count, its children's, s1, s2
     for i, rows in enumerate(tree.row_branches + [((), ())]):
@@ -158,16 +152,17 @@ def _tree_json(tree: Tree, write) -> None:
                            "true" if d else "false", _fmt_float(0.0 if d else tree.coef[i].lam),
                            _fmt_float(tree.s0[i])))
             ups.append([b.child[1] for b in branches])
-            _require_finite(np.concatenate((tree.s1[i][d], tree.s2[i][d])))
-    starts, _, by_key = _orders(tree)
-    s1, s2 = tree.flat(tree.s1) + 0.0, tree.flat(tree.s2) + 0.0
+    _require_finite(tree.s1)
+    _require_finite(tree.s2)
+    _, by_key = _orders(tree)
+    s1, s2 = tree.s1 + 0.0, tree.s2 + 0.0
     write(f'{{"dt": {_fmt_float(tree.dt)}, "n_steps": {tree.n_steps}, "nodes": {{')
     for a in range(0, len(by_key), _CHUNK):
         at = by_key[a:a + _CHUNK]
         write((", " if a else "") + ", ".join([
             entries[r] % (j, *[j + up for up in ups[r]], x, y)
             for r, j, x, y in zip(*(column.tolist() for column in
-                                    (*_locate(starts, at), s1[at], s2[at])))]))
+                                    (*locate(tree.starts, at), s1[at], s2[at])))]))
     write("}}")
 
 
@@ -347,15 +342,14 @@ def _is_whole(value) -> bool:
 def report_to_dict(report: pricing.PricingReport) -> dict:
     seller, buyer = report.seller, report.buyer
     tree = seller.solution.tree
-    starts, by_id, by_key = _orders(tree)
+    starts, (by_id, by_key) = tree.starts, _orders(tree)
     inner = by_key[by_key < starts[2 * tree.n_steps]]  # below step n, in key order
 
     def table(strategy: pricing.Strategy) -> Nodes:  # {key: {"phi1": .., "phi2": ..}}
-        return Nodes(starts, inner, {"phi1": tree.flat(strategy.phi1_rows),
-                                     "phi2": tree.flat(strategy.phi2_rows)})
+        return Nodes(starts, inner, {"phi1": strategy.phi1_rows, "phi2": strategy.phi2_rows})
 
     def stopped(rule: pricing.StoppingRule) -> dict:  # in node id order
-        return {"stopped": Nodes(starts, by_id[tree.flat(rule.rows)[by_id]])}
+        return {"stopped": Nodes(starts, by_id[rule.rows[by_id]])}
     return {
         "u0": seller.u0,
         "v0": buyer.v0,
@@ -422,8 +416,8 @@ def _check_apriori(driver, solution, shifted):
 
 def _check_skorokhod(tree, obstacle, solution):
     residual = skorokhod_residual(solution, obstacle)
-    min_da = float(tree.flat(solution.da_rows).min())
-    min_gap = float((tree.flat(solution.y_rows) - tree.flat(obstacle.rows)).min())
+    min_da = float(solution.da_rows[:tree.starts[-3]].min())  # below the last step
+    min_gap = float((solution.y_rows - obstacle.rows).min())
     passed = residual == 0.0 and min_da >= 0.0 and min_gap >= 0.0
     return {"passed": passed, "flatness_residual": residual,
             "min_charge": min_da, "min_gap_to_obstacle": min_gap}

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bsde import Solution, _picard, coefficients
 from .drivers import Driver, split_of
-from .market import Tree, node_key
+from .market import Tree, locate, node_key
 from .pricing import Strategy, phi_inverse
 # solve_rbsde_lower stays a name of this module: the benchmark's tracer wraps it here.
 from .rbsde import Obstacle, StoppingRule, solve_rbsde_lower  # noqa: F401
@@ -44,23 +44,21 @@ _KIND_LETTER = {"up": "u", "down": "d", "default": "j"}
 
 class Paths(NamedTuple):
     """Per-level arrays of the states of a path expansion or sample: the
-    node's place ``index`` in the level's (alive, defaulted) rows end to end
-    (its up count, plus the alive row's length if defaulted) and its
-    defaulted flag ``d``, the parent state one level up and the branch taken
-    from it (-1 at the root level); and per step the dW and dM of each slot
-    3 * defaulted + branch (0 past a row's last branch)."""
+    node's position ``index`` in the tree's row order (``Tree.starts``), which
+    also says whether it is defaulted, the parent state one level up and the
+    branch taken from it (-1 at the root level); and per step the dW and dM
+    of each slot 3 * defaulted + branch (0 past a row's last branch)."""
 
     mode: str  # "exact" | "sampled"
     index: list  # int32
-    d: list  # int8
     parent: list  # int32
     branch: list  # int8
     dw: np.ndarray  # (n_steps, 6)
     dm: np.ndarray
 
-    def at(self, rows: tuple, i: int) -> np.ndarray:
-        """Values of step i's (alive, defaulted) ``rows`` at each state of level i."""
-        return np.concatenate(rows).take(self.index[i])
+    def at(self, values: np.ndarray, i: int) -> np.ndarray:
+        """The row-order array ``values`` at each state of level i."""
+        return values.take(self.index[i])
 
     def down(self, i: int, values: np.ndarray) -> np.ndarray:
         """``values`` of level i's states at each state of level i + 1, their parents';
@@ -93,17 +91,18 @@ class WealthField:
 
     @cached_property
     def node_ids(self) -> list:
-        paths = self.paths
-        return [list(zip([i] * len(d), np.where(d, index - len(alive), index).tolist(),
-                         d.tolist()))
-                for i, (index, d, (alive, _)) in enumerate(zip(paths.index, paths.d, self.tree.s1))]
+        ids = []
+        for i, index in enumerate(self.paths.index):
+            row, up = locate(self.tree.starts, index)
+            ids.append(list(zip([i] * len(index), up.tolist(), (row & 1).tolist())))
+        return ids
 
     def n_states(self, level: int) -> int:
         return len(self.paths.index[level])
 
     def node(self, level: int, idx: int) -> tuple:
-        d = int(self.paths.d[level][idx])
-        return (level, int(self.paths.index[level][idx]) - d * len(self.tree.s1[level][0]), d)
+        row, up = map(int, locate(self.tree.starts, self.paths.index[level][idx]))
+        return (level, up, row & 1)
 
     def path_id(self, level: int, idx: int) -> str:
         """Branch-letter path into a state, e.g. 'udj'; sampled paths use their row."""
@@ -113,7 +112,7 @@ class WealthField:
         i, j = level, idx
         while i > 0:
             p = paths.parent[i][j]
-            kind = self.tree.row_branches[i - 1][paths.d[i - 1][p]][paths.branch[i][j]].kind
+            kind = self.tree.row_branches[i - 1][self.node(i - 1, p)[2]][paths.branch[i][j]].kind
             letters.append(_KIND_LETTER[kind])
             i, j = i - 1, p
         return "".join(reversed(letters)) or "(root)"
@@ -220,18 +219,18 @@ def path_sample(tree: Tree, n_paths: int = DEFAULT_SAMPLE_PATHS, seed: int = 0,
     else:  # one column of draws per path; one parent index shared by the levels
         draws, rows = _draws(int(seed), n_paths, tree.n_steps), np.arange(n_paths, dtype=np.int32)
     # Per step and slot 3 * defaulted + branch: the running sum of the probabilities (-inf
-    # past the row's last branch), the child's index less its parent's, the child's
-    # defaulted flag, dW, dM and the row's last branch.
-    slots = []
+    # past the row's last branch), the child's row-order position less its parent's, the
+    # child's defaulted flag, dW, dM and the row's last branch.
+    slots, starts = [], tree.starts.tolist()
     for i, branches in enumerate(tree.row_branches):
-        n, n_next = len(tree.s1[i][0]), len(tree.s1[i + 1][0])
         for d, row in enumerate(branches):
-            slots += [(acc, b.child[1] + b.child[2] * n_next - d * n, b.child[2], b.dw, b.dm,
-                       len(row) - 1) for b, acc in zip(row, accumulate(b.prob for b in row))]
+            slots += [(acc, starts[2 * i + 2 + b.child[2]] + b.child[1] - starts[2 * i + d],
+                       b.child[2], b.dw, b.dm, len(row) - 1)
+                      for b, acc in zip(row, accumulate(b.prob for b in row))]
             slots += [(-math.inf, 0, 0, 0.0, 0.0, len(row) - 1)] * (3 - len(row))
     acc, off, dead, dw, dm, last = np.array(slots).reshape(-1, 6, 6).transpose(2, 0, 1).copy()
     off, dead, last = off.astype(np.int32), dead.astype(np.int8), last.astype(np.intp)
-    index, d = [np.zeros(n_paths, np.int32)], [np.zeros(n_paths, np.int8)]
+    index = [np.zeros(n_paths, np.int32)]
     parent, branch = [np.full(n_paths, -1, np.int32)], [np.full(n_paths, -1, np.int8)]
     base = np.zeros(n_paths, np.intp)  # 3 * the defaulted flag of each state of level i
     for i in range(tree.n_steps):
@@ -246,23 +245,22 @@ def path_sample(tree: Tree, n_paths: int = DEFAULT_SAMPLE_PATHS, seed: int = 0,
                 br = np.where(draws[i] < acc[i][base + b], b, br)
         slot = base + br
         index.append(at + off[i][slot])
-        d.append(dead[i][slot])
         parent.append(par)
         branch.append(br.astype(np.int8))
-        base = d[-1] * np.intp(3)
-    return Paths(mode, index, d, parent, branch, dw, dm)
+        base = dead[i][slot] * np.intp(3)
+    return Paths(mode, index, parent, branch, dw, dm)
 
 
 def _groups(tree: Tree, paths: Paths, i: int):
     """(defaulted, state indices, NodeState at their prices) per group of level i; a
     level of one group comes whole, its indices ``slice(None)``, so nothing is gathered."""
-    n_dead = np.count_nonzero(paths.d[i])
-    whole = n_dead in (0, len(paths.d[i]))
+    dead = paths.index[i] >= tree.starts[2 * i + 1]  # in the step's defaulted row
+    n_dead = np.count_nonzero(dead)
+    whole = n_dead in (0, len(dead))
     for g in ((int(n_dead > 0),) if whole else (0, 1)):
-        idx = slice(None) if whole else np.flatnonzero(paths.d[i] == g)
+        idx = slice(None) if whole else np.flatnonzero(dead == g)
         at = paths.index[i][idx]
-        yield g, idx, tree.row_state(i, g, np.concatenate(tree.s1[i]).take(at),
-                                     np.concatenate(tree.s2[i]).take(at))
+        yield g, idx, tree.row_state(i, g, tree.s1.take(at), tree.s2.take(at))
 
 
 def _is_int(value) -> bool:
@@ -282,11 +280,12 @@ def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
     wealth = [np.full(len(paths.index[0]), float(x0))]
     for i in range(tree.n_steps):
         c = tree.coef[i]
-        z, k = phi_inverse(paths.at(phi1[i], i), paths.at(phi2[i], i), c.sigma1, c.sigma2)
-        v, drift = wealth[i], np.empty_like(wealth[i])
-        for _, idx, state in _groups(tree, paths, i):
+        z, k = phi_inverse(paths.at(phi1, i), paths.at(phi2, i), c.sigma1, c.sigma2)
+        v, drift, base = wealth[i], np.empty_like(wealth[i]), np.empty(len(wealth[i]), np.intp)
+        for g, idx, state in _groups(tree, paths, i):
             drift[idx] = v[idx] - driver.eval(state.t, v[idx], z[idx], k[idx], state) * tree.dt
-        slot = paths.down(i, paths.d[i]) * np.intp(3) + paths.branch[i + 1]  # see path_sample
+            base[idx] = 3 * g
+        slot = paths.down(i, base) + paths.branch[i + 1]  # see path_sample
         drift, z, k = (paths.down(i, x) for x in (drift, z, k))
         wealth.append(drift + z * paths.dw[i][slot] + k * paths.dm[i][slot])
     return WealthField(tree=tree, x0=float(x0), paths=paths, wealth=wealth)
@@ -298,7 +297,7 @@ def _slack_report(field: WealthField, obstacle: Obstacle, side: str, states) -> 
     order), the largest |slack|, the count and the violations below -SUPERHEDGE_TOL."""
     min_slack, max_abs, n, violations = math.inf, 0.0, 0, []
     for level, idx in states:
-        v, xi = field.wealth[level], field.paths.at(obstacle.rows[level], level)
+        v, xi = field.wealth[level], field.paths.at(obstacle.rows, level)
         v, xi = (v, xi) if idx is None else (v[idx], xi[idx])
         slack = v - xi if side == "seller" else v + xi
         bad = ~np.isfinite(slack)
@@ -331,7 +330,7 @@ def _first_stops(field: WealthField, rule: StoppingRule):
     paths, last = field.paths, len(field.wealth) - 1
     active = np.ones(field.n_states(0), dtype=bool)
     for level in range(last + 1):
-        stop = paths.at(rule.rows[level], level)
+        stop = paths.at(rule.rows, level)
         if level == last and not stop[active].all():
             node = field.node(level, int(np.flatnonzero(active & ~stop)[0]))
             raise ValueError(f"rule does not stop by the terminal step at {node}")
@@ -394,7 +393,7 @@ def strict_gain_after_nubar(field: WealthField, solution: Solution) -> GainRepor
     a_in = np.zeros(field.n_states(0))  # charge accrued along each path before its state
     for level, v in enumerate(field.wealth):
         charged = np.flatnonzero(a_in > 0.0)
-        gain = (v - paths.at(solution.y_rows[level], level))[charged]
+        gain = (v - paths.at(solution.y_rows, level))[charged]
         bad = ~np.isfinite(gain)
         if bad.any():
             s = int(charged[bad.argmax()])
@@ -403,7 +402,7 @@ def strict_gain_after_nubar(field: WealthField, solution: Solution) -> GainRepor
                 f"node {field.node(level, s)}, path {field.path_id(level, s)}")
         gains.append(gain)
         if level < field.tree.n_steps:
-            a_in = paths.down(level, a_in + paths.at(solution.da_rows[level], level))
+            a_in = paths.down(level, a_in + paths.at(solution.da_rows, level))
     gains = np.concatenate(gains)
     if not gains.size:
         return GainReport(passed=True, n_states=0, min_gain=None)

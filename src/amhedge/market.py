@@ -214,23 +214,27 @@ class NodeState(NamedTuple):
     coef: Coefs
 
 
-def row_view(rows: str, backward: bool = False) -> cached_property:
-    """Node dict of the level rows in attribute ``rows`` (on ``self.tree``),
-    built on first read; ``backward`` keys the levels last row first."""
+def row_view(values: str, backward: bool = False, terminal: bool = True) -> cached_property:
+    """Node dict of the row-order array in attribute ``values`` (on ``self.tree``),
+    built on first read: over every step, or without ``terminal`` the steps below
+    the last; ``backward`` keys the levels last first."""
     def build(self):
-        values = getattr(self, rows)
-        return self.tree.node_dict(values, range(len(values))[::-1] if backward else None)
+        steps = range(self.tree.n_steps + terminal)
+        return self.tree.node_dict(getattr(self, values), steps[::-1] if backward else steps)
     return cached_property(build)
 
 
 @dataclass(eq=False)
 class Tree:
-    """Recombining lattice of level rows: step i has the coefficients
-    ``coef[i]``, prices ``s1[i]``, ``s2[i]`` on its (alive, defaulted)
-    rows, and ``row_branches[i]`` holds the branches out of each row's first
-    node; node (i, j, d) has the same ones with children j up counts higher.
-    ``levels``, ``nodes`` (node -> ``NodeState``) and ``branches`` are views
-    built on first read. Immutable after construction; safe to share."""
+    """Recombining lattice in row order: row r = 2 * step + defaulted holds one
+    step's alive or defaulted nodes, up counts 0, 1, ..., at positions
+    ``starts[r]`` to ``starts[r + 1]`` of every per-node array (the prices
+    ``s1``, ``s2`` and what is built on the tree); ``step_rows`` gives one
+    step's two rows as views. Step i has the coefficients ``coef[i]``, and
+    ``row_branches[i]`` the branches out of each row's first node; node
+    (i, j, d) has the same ones with children j up counts higher. ``levels``,
+    ``nodes`` (node -> ``NodeState``) and ``branches`` are views built on first
+    read. Immutable after construction; safe to share."""
 
     params: MarketParams
     n_steps: int
@@ -238,8 +242,9 @@ class Tree:
     sq: float  # sqrt(dt)
     s0: list  # riskless price per step
     coef: list  # Coefs of each step
-    s1: list
-    s2: list
+    starts: np.ndarray  # 2 * (n_steps + 1) + 1 row starts, the node count last
+    s1: np.ndarray
+    s2: np.ndarray
     row_branches: list
 
     @property
@@ -255,6 +260,11 @@ class Tree:
     def terminal_nodes(self) -> list:
         return self.levels[self.n_steps]
 
+    def step_rows(self, values: np.ndarray, step: int) -> tuple:
+        """The (alive, defaulted) rows of ``step``: views of the row-order array ``values``."""
+        a, b, c = self.starts[2 * step:2 * step + 3].tolist()
+        return values[a:b], values[b:c]
+
     def row_state(self, step: int, defaulted: int, s1, s2) -> NodeState:
         """State of one step's alive or defaulted row at prices s1, s2."""
         coef = self.coef[step]
@@ -263,8 +273,9 @@ class Tree:
 
     @cached_property
     def levels(self) -> list:
-        return [[(i, j, d) for d, row in enumerate(rows) for j in range(len(row))]
-                for i, rows in enumerate(self.s1)]
+        widths = np.diff(self.starts).tolist()
+        return [[(i, j, d) for d in (0, 1) for j in range(widths[2 * i + d])]
+                for i in range(self.n_steps + 1)]
 
     @cached_property
     def nodes(self) -> dict:
@@ -277,25 +288,23 @@ class Tree:
                                  for b in self.row_branches[i][d])
                 for i in range(self.n_steps) for _, j, d in self.levels[i]}
 
-    def flat(self, rows, steps=None) -> np.ndarray:
-        """The (alive, defaulted) rows of ``steps`` (default: all) end to end."""
-        parts = [row for i in (range(len(rows)) if steps is None else steps) for row in rows[i]]
-        return np.concatenate(parts)
-
-    def node_dict(self, rows, steps=None) -> dict:
-        """Node -> value dict of the level rows of ``steps`` (default: all)."""
-        steps = range(len(rows)) if steps is None else steps
+    def node_dict(self, values: np.ndarray, steps=None) -> dict:
+        """Node -> value dict of the row-order array ``values`` at ``steps`` (default: all)."""
+        steps = range(self.n_steps + 1) if steps is None else steps
+        at = self.starts[::2].tolist()
         return dict(zip([node for i in steps for node in self.levels[i]],
-                        self.flat(rows, steps).tolist()))
-
-    def level_rows(self, values, step: int) -> tuple:
-        """The (alive, defaulted) rows of one step read from a node mapping."""
-        return tuple(np.array([values[(step, j, d)] for j in range(len(row))], dtype=float)
-                     for d, row in enumerate(self.s1[step]))
+                        [x for i in steps for x in values[at[i]:at[i + 1]].tolist()]))
 
 
 def node_key(node: NodeId) -> str:
     return f"{node[0]},{node[1]},{node[2]}"
+
+
+def locate(starts: np.ndarray, at) -> tuple:
+    """Row (2 * step + defaulted) and up count of the nodes at row-order positions ``at``
+    in rows that start at ``starts`` (``Tree.starts``)."""
+    row = np.searchsorted(starts, at, side="right") - 1
+    return row, at - starts[row]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing prices are rejected below
@@ -325,8 +334,8 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
                 f"n_steps = {n_steps} is too coarse for this intensity")
 
     s0 = [1.0]
-    s1 = [(np.array([params.s1_0]), np.empty(0))]
-    s2 = [(np.array([params.s2_0]), np.empty(0))]
+    s1 = [np.array([params.s1_0]), np.empty(0)]  # row by row, then end to end
+    s2 = [np.array([params.s2_0]), np.empty(0)]
     row_branches = []
 
     for i, c in enumerate(coef[:-1]):
@@ -356,19 +365,19 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
                                      Branch((i + 1, 0, 1), 0.5, -sq, 0.0, "down"))))
 
         # Next-level prices along the canonical edges.
-        (a1, d1), (a2, _) = s1[i], s2[i]
+        a1, d1, a2 = s1[-2], s1[-1], s2[-2]
         next_d1 = a1 * flat1 if lam_dt > 0.0 else np.concatenate((d1[:1] * dn1, d1 * up1))
-        s1.append((np.concatenate((a1[:1] * dn1, a1 * up1)), next_d1))
-        s2.append((np.concatenate((a2[:1] * dn2, a2 * up2)), np.zeros(len(next_d1))))
+        s1 += [np.concatenate((a1[:1] * dn1, a1 * up1)), next_d1]
+        s2 += [np.concatenate((a2[:1] * dn2, a2 * up2)), np.zeros(len(next_d1))]
         s0.append(s0[i] * (1.0 + c.r * dt))
 
-    if not np.isfinite(np.concatenate([s0, *(part for row in s1 + s2 for part in row)])).all():
-        for name, fields, rows in (("s0", "r", [(x,) for x in s0]),
-                                   ("s1", "s1_0, mu1 and sigma1", s1),
-                                   ("s2", "s2_0, mu2 and sigma2", s2)):
-            bad = [i for i, row in enumerate(rows) if not np.isfinite(np.hstack(row)).all()]
-            if bad:
-                raise ValueError(f"{name}: the price built from {fields} overflows at step "
-                                 f"{bad[0]}")
+    starts = np.cumsum([0] + [len(row) for row in s1])
+    s1, s2 = np.concatenate(s1), np.concatenate(s2)
+    for name, fields, values, ends in (("s0", "r", np.array(s0), np.arange(1, n_steps + 2)),
+                                       ("s1", "s1_0, mu1 and sigma1", s1, starts[2::2]),
+                                       ("s2", "s2_0, mu2 and sigma2", s2, starts[2::2])):
+        for at in np.flatnonzero(~np.isfinite(values))[:1]:  # ends: where each step ends
+            raise ValueError(f"{name}: the price built from {fields} overflows at step "
+                             f"{np.searchsorted(ends, at, side='right')}")
     return Tree(params=params, n_steps=n_steps, dt=dt, sq=sq, s0=s0, coef=coef,
-                s1=s1, s2=s2, row_branches=row_branches)
+                starts=starts, s1=s1, s2=s2, row_branches=row_branches)

@@ -12,7 +12,7 @@ under each of its sub-rules, in enumeration order, from the table of each
 set of children that it continues to. Each distinct (node, child values) is
 stepped once with the scalar ``one_step`` and shared; nodes a rule never
 reaches are never visited. The stability estimate is no node walk: it reads
-the level rows of two given solves, once backward (driver gap, conditional
+the row-order arrays of two given solves, once backward (driver gap, conditional
 sums) and once forward (pointwise bound, reach probabilities, norms), in the
 float order of the node walk it replaced.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import pairwise, repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -88,9 +88,9 @@ def solve_bsde(tree: Tree, driver: Driver, terminal) -> Solution:
     ``terminal`` maps terminal nodes to values (a dict, or any object with a
     ``values`` mapping covering the last level).
     """
-    values = _values_on(terminal, tree.terminal_nodes())
-    return solved(backward_sweep(tree, [("bsde", [tree.level_rows(values, tree.n_steps)],
-                                          driver)])[0])
+    values = np.zeros(len(tree.s1))  # only the terminal rows are read
+    values[tree.starts[-3]:] = list(_values_on(terminal, tree.terminal_nodes()).values())
+    return solved(backward_sweep(tree, [("bsde", values, driver)])[0])
 
 
 def g_evaluation(tree: Tree, driver: Driver, rule, payoff) -> float:
@@ -140,8 +140,7 @@ def enumerate_stopping_rules(tree: Tree) -> Iterator[StoppingRule]:
     never reaches are filled with True and carry no meaning.
     """
     for stop in _stop_flags(tree):
-        yield StoppingRule(tree, [tuple(row != 0.0 for row in tree.level_rows(stop, i))
-                                  for i in range(tree.n_steps + 1)])
+        yield StoppingRule(tree, np.array([stop[node] for node in tree.nodes]))
 
 
 def _require_depth(tree: Tree) -> None:
@@ -344,28 +343,26 @@ def apriori_estimate(sol1: Solution, sol2: Solution, eta: float,
     if beta < 3.0 / eta + 2.0 * c:
         raise ValueError(f"beta = {beta:.6g} violates beta >= 3/eta + 2C = "
                          f"{3.0 / eta + 2.0 * c:.6g}")
-    n, dt, sizes = tree.n_steps, tree.dt, [len(row) for rows in tree.s1 for row in rows]
+    n, dt, start = tree.n_steps, tree.dt, tree.starts.tolist()
+    inner = start[2 * n]  # the nodes below step n
     try:
         weight = np.repeat([math.exp(beta * tree.time(i)) for i in range(n + 1)],
-                           [len(alive) + len(dead) for alive, dead in tree.s1])
+                           np.diff(start[::2]))
     except OverflowError:
         raise ValueError(f"beta = {beta:.6g} overflows exp(beta t) on [0, {tree.params.T:.6g}] "
                          f"(the driver's lipschitz_C = {c:.6g})") from None
 
     # Every node in row order: row r = 2 * step + defaulted starts at start[r].
-    start, inner = np.cumsum([0] + sizes).tolist(), sum(sizes[:2 * n])  # inner: below step n
-    states, fbar = [], []  # and the driver gap along the second solution, by row
-    for i in range(n):
-        for d, (s1, s2, *yzk) in enumerate(zip(tree.s1[i], tree.s2[i], sol2.y_rows[i],
-                                                sol2.z_rows[i], sol2.k_rows[i])):
-            states.append(state := tree.row_state(i, d, s1, s2))
-            if len(s1):
-                fbar.append(np.broadcast_to(driver1.eval(state.t, *yzk, state)
-                                            - driver2.eval(state.t, *yzk, state), len(s1)))
+    states, fbar = [], np.empty(inner)  # and the driver gap along the second solution
+    for r, (a, b) in enumerate(pairwise(start[:2 * n + 1])):
+        states.append(state := tree.row_state(r >> 1, r & 1, tree.s1[a:b], tree.s2[a:b]))
+        if b > a:
+            yzk = sol2.y_rows[a:b], sol2.z_rows[a:b], sol2.k_rows[a:b]
+            fbar[a:b] = driver1.eval(state.t, *yzk, state) - driver2.eval(state.t, *yzk, state)
     # Squared as Python squares a float (libm pow); numpy's x ** 2 is x * x.
-    fbar2, dy2, dz2, dk2 = ((x.astype(object) ** 2).astype(float) for x in (np.concatenate(fbar), *(
-        tree.flat(getattr(sol1, rows)) - tree.flat(getattr(sol2, rows))
-        for rows in ("y_rows", "z_rows", "k_rows"))))
+    fbar2, dy2, dz2, dk2 = ((x.astype(object) ** 2).astype(float) for x in (
+        fbar, sol1.y_rows - sol2.y_rows, *(getattr(sol1, rows)[:inner] - getattr(sol2, rows)[:inner]
+                                           for rows in ("z_rows", "k_rows"))))
 
     def moves(i):  # (row, branch probability, child row) of each branch out of step i
         for d, branches in enumerate(tree.row_branches[i]):
@@ -389,7 +386,7 @@ def apriori_estimate(sol1: Solution, sol2: Solution, eta: float,
             prob[child] += prob[row] * p
     max_violation = float(np.fmax.reduce(weight * dy2 - eta * rhs, initial=0.0))  # skips NaN
     w = prob[:inner] * weight[:inner] * dt
-    lam = np.repeat([s.lam for s in states], sizes[:2 * n])
+    lam = np.repeat([s.lam for s in states], np.diff(start[:2 * n + 1]))
     y_norm, f_norm, zk_norm = (float(np.cumsum(np.concatenate(([0.0], w * x)))[-1])  # node order
                                for x in (dy2[:inner], fbar2, dz2 + lam * dk2))
 

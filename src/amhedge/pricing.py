@@ -23,7 +23,7 @@ import numpy as np
 
 from .bsde import Solution
 from .drivers import Driver, check_gamma_assumption, gamma_rows, piece_steps
-from .market import NodeId, Tree, row_view
+from .market import NodeId, Tree, locate, row_view
 from .oracle import g_evaluation
 # solve_rbsde_lower and _upper stay names of this module: the benchmark's tracer wraps them.
 from .rbsde import (Obstacle, StoppingRule, solve_rbsde_lower, solve_rbsde_upper,  # noqa: F401
@@ -38,22 +38,24 @@ INTERVAL_TOL = 1e-10
 
 @dataclass(eq=False)
 class Strategy:
-    """Amounts held in the two risky assets: level rows of the steps below
-    the last of one tree, with the node dicts built on first read."""
+    """Amounts held in the two risky assets in the row order of one tree, at
+    the nodes below the last step (0 on the terminal rows), with the node
+    dicts built on first read."""
 
     tree: Tree
-    phi1_rows: list
-    phi2_rows: list
+    phi1_rows: np.ndarray
+    phi2_rows: np.ndarray
 
-    phi1 = row_view("phi1_rows", backward=True)
-    phi2 = row_view("phi2_rows", backward=True)
+    phi1 = row_view("phi1_rows", backward=True, terminal=False)
+    phi2 = row_view("phi2_rows", backward=True, terminal=False)
 
 
-def _rule(tree: Tree, flag, *rows) -> StoppingRule:
-    """Rule stopping where ``flag`` holds elementwise on ``rows`` (level rows)
+def _rule(tree: Tree, flag, *arrays) -> StoppingRule:
+    """Rule stopping where ``flag`` holds elementwise on the row-order ``arrays``
     at the steps below n; terminal nodes stop."""
-    flags = [tuple(map(flag, *step)) for step in zip(*(r[:tree.n_steps] for r in rows))]
-    return StoppingRule(tree, [*flags, tuple(np.ones(len(r), dtype=bool) for r in tree.s1[-1])])
+    stop = flag(*arrays)
+    stop[tree.starts[-3]:] = True
+    return StoppingRule(tree, stop)
 
 
 class SellerPrice(NamedTuple):
@@ -104,13 +106,12 @@ def phi_inverse(phi1: float, phi2: float, sigma1: float, sigma2: float) -> tuple
 
 
 def strategy_from_solution(solution: Solution) -> Strategy:
-    """Apply the position map to the (z, k) rows with each step's volatilities."""
-    tree = solution.tree
-    phi1, phi2 = [], []
-    for z, k, c in zip(solution.z_rows, solution.k_rows, tree.coef):
-        p1, p2 = zip(*(phi_map(z_d, k_d, c.sigma1, c.sigma2) for z_d, k_d in zip(z, k)))
-        phi1.append(p1)
-        phi2.append(p2)
+    """Apply the position map to z and k, a step at a time with its volatilities."""
+    tree, starts = solution.tree, solution.tree.starts.tolist()
+    phi1, phi2 = np.zeros(len(tree.s1)), np.zeros(len(tree.s1))
+    for i, c in enumerate(tree.coef[:-1]):
+        at = slice(starts[2 * i], starts[2 * i + 2])  # the step's two rows
+        phi1[at], phi2[at] = phi_map(solution.z_rows[at], solution.k_rows[at], c.sigma1, c.sigma2)
     return Strategy(tree, phi1, phi2)
 
 
@@ -130,7 +131,7 @@ def _require_gamma(tree: Tree, driver: Driver) -> None:
 
 
 def _negated(obstacle: Obstacle) -> Obstacle:
-    return Obstacle(obstacle.tree, [(-a, -d) for a, d in obstacle.rows])
+    return Obstacle(obstacle.tree, -obstacle.rows)
 
 
 def seller_of(solution: Solution) -> SellerPrice:
@@ -188,37 +189,36 @@ def is_rational(solution: Solution, obstacle: Obstacle, rule: StoppingRule) -> R
     the largest charge accrued before arrival over the incoming paths; the
     children of a row are slices of the next level's rows. At each reached
     stop the value must equal the payoff within a scale-aware tolerance and
-    the charge on arrival must be zero within an absolute floor. The first
-    violating node in level order is returned as a witness.
+    the charge on arrival must be zero within an absolute floor; a reached
+    terminal node must stop. The first violating node in level order (the
+    row order) is returned as a witness.
     """
-    tree = solution.tree
-    reached, a_in = [np.ones(1, dtype=bool), np.zeros(0, dtype=bool)], [np.zeros(1), np.zeros(0)]
-    for i in range(tree.n_steps + 1):
-        stops = rule.rows[i]
-        for d, (stop, y, xi) in enumerate(zip(stops, solution.y_rows[i], obstacle.rows[i])):
-            gap = y - xi
-            off = np.abs(gap) > EQUALITY_RTOL * (1.0 + np.abs(xi))
-            bad = reached[d] & np.where(stop, off | (a_in[d] > A_ZERO_TOL), i == tree.n_steps)
-            if bad.any():
-                j = int(bad.argmax())
-                reason = ("rule does not stop at the terminal step" if not stop[j]
-                          else f"value off the payoff by {gap[j]:.3g}" if off[j]
-                          else f"cumulative charge {a_in[d][j]:.3g} on arrival")
-                return RationalityReport(ok=False, witness=(i, j, d), reason=reason)
-        if i == tree.n_steps:
-            break
-        # Each child takes the first arrival in level order, then any strictly larger one.
-        reached_next = [np.zeros(len(row), dtype=bool) for row in tree.s1[i + 1]]
-        a_next = [np.zeros(len(row)) for row in tree.s1[i + 1]]
+    tree, starts = solution.tree, solution.tree.starts.tolist()
+    reached, a_in = np.zeros(len(tree.s1), dtype=bool), np.zeros(len(tree.s1))
+    reached[0] = True
+    # Each child takes the first arrival in level order, then any strictly larger one.
+    for i in range(tree.n_steps):
         for d, branches in enumerate(tree.row_branches[i]):
-            go, incoming = reached[d] & ~stops[d], a_in[d] + solution.da_rows[i][d]
+            row = slice(starts[2 * i + d], starts[2 * i + d + 1])
+            go, incoming = reached[row] & ~rule.rows[row], a_in[row] + solution.da_rows[row]
             for _, up, dead in (b.child for b in branches):
-                seen, a = reached_next[dead][up:up + len(go)], a_next[dead][up:up + len(go)]
+                c = starts[2 * i + 2 + dead] + up
+                seen, a = reached[c:c + len(go)], a_in[c:c + len(go)]
                 take = go & (~seen | (incoming > a))
                 a[take] = incoming[take]
                 seen |= go
-        reached, a_in = reached_next, a_next
-    return RationalityReport(ok=True)
+    gap = solution.y_rows - obstacle.rows
+    off = np.abs(gap) > EQUALITY_RTOL * (1.0 + np.abs(obstacle.rows))
+    terminal = np.arange(len(gap)) >= starts[-3]
+    bad = reached & np.where(rule.rows, off | (a_in > A_ZERO_TOL), terminal)
+    if not bad.any():
+        return RationalityReport(ok=True)
+    at = int(bad.argmax())
+    row, up = map(int, locate(tree.starts, at))
+    reason = ("rule does not stop at the terminal step" if not rule.rows[at]
+              else f"value off the payoff by {gap[at]:.3g}" if off[at]
+              else f"cumulative charge {a_in[at]:.3g} on arrival")
+    return RationalityReport(ok=False, witness=(row >> 1, up, row & 1), reason=reason)
 
 
 def epsilon_rational(solution: Solution, obstacle: Obstacle, eps: float) -> tuple:

@@ -13,6 +13,7 @@ the minimality condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable
 
 import numpy as np
@@ -24,12 +25,12 @@ from .market import Tree, row_view
 
 @dataclass(eq=False)
 class Obstacle:
-    """Payoff values as the (alive, defaulted) level rows of every step of
-    one tree; the terminal rows double as the terminal condition. The node
-    dict ``values`` is built on first read."""
+    """Payoff values of one tree in its row order (``Tree.starts``), at every
+    node; the terminal rows double as the terminal condition. The node dict
+    ``values`` is built on first read."""
 
     tree: Tree
-    rows: list
+    rows: np.ndarray
 
     values = row_view("rows")
 
@@ -39,17 +40,19 @@ class Obstacle:
         node order, a whole row per call through its ``row`` form if it has one."""
         row = getattr(payoff, "row", None) or (lambda t, s1, s2, d: np.array(
             [float(payoff(t, x1, x2, d)) for x1, x2 in zip(s1.tolist(), s2.tolist())]))
-        return cls(tree, [tuple(row(tree.time(i), s1[d], s2[d], bool(d)) for d in (0, 1))
-                          for i, (s1, s2) in enumerate(zip(tree.s1, tree.s2))])
+        values = np.empty(len(tree.s1))
+        for r, (a, b) in enumerate(pairwise(tree.starts.tolist())):  # r = 2 * step + defaulted
+            values[a:b] = row(tree.time(r >> 1), tree.s1[a:b], tree.s2[a:b], bool(r & 1))
+        return cls(tree, values)
 
 
 @dataclass(eq=False)
 class StoppingRule:
-    """Stop flags as level rows of every step of one tree, with the node dict
-    built on first read; descendants of a stopped node are irrelevant."""
+    """Stop flags of one tree in its row order, at every node, with the node
+    dict built on first read; descendants of a stopped node are irrelevant."""
 
     tree: Tree
-    rows: list
+    rows: np.ndarray
 
     stop = row_view("rows")
 
@@ -95,8 +98,6 @@ def skorokhod_residual(solution: Solution, obstacle: Obstacle) -> float:
     """
     if solution.kind not in ("lower", "upper"):
         raise ValueError(f"solution must be reflected ('lower' or 'upper'), got {solution.kind!r}")
-    worst = 0.0
-    for y, da, xi in zip(solution.y_rows, solution.da_rows, obstacle.rows):
-        for y_d, da_d, xi_d in zip(y, da, xi):
-            worst = np.fmax.reduce(np.abs(y_d - xi_d) * da_d, initial=worst)  # skips NaN
-    return float(worst)
+    # fmax skips NaN; the terminal rows add nothing, their charge being 0.
+    return float(np.fmax.reduce(np.abs(solution.y_rows - obstacle.rows) * solution.da_rows,
+                                initial=0.0))

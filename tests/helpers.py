@@ -145,17 +145,19 @@ def make_driver(kind: str, params: MarketParams, rng=None, spread: float = 0.02)
     raise ValueError(kind)
 
 
-def dict_rows(tree, values: dict, n_steps: int = None) -> list:
-    """The level rows of a node dict through ``tree.level_rows``, of every step
-    or of the first ``n_steps`` (a strategy's); boolean rows for stop flags."""
+def dict_rows(tree, values: dict, n_steps: int = None) -> np.ndarray:
+    """The row-order array of a node dict, over every step or over the first
+    ``n_steps`` (a strategy's: 0 on the rows past them); a boolean array for
+    stop flags."""
     flags = all(isinstance(v, (bool, np.bool_)) for v in values.values())
-    return [tuple(row != 0.0 if flags else row for row in tree.level_rows(values, i))
-            for i in range(tree.n_steps + 1 if n_steps is None else n_steps)]
+    steps = tree.n_steps + 1 if n_steps is None else n_steps
+    return np.array([values[node] if node[0] < steps else 0.0
+                     for level in tree.levels for node in level], dtype=bool if flags else float)
 
 
 def negated(obstacle: Obstacle) -> Obstacle:
     """The obstacle -xi of the buyer's upper-reflected solve."""
-    return Obstacle(obstacle.tree, [(-a, -d) for a, d in obstacle.rows])
+    return Obstacle(obstacle.tree, -obstacle.rows)
 
 
 def assert_plain_stats(stats) -> None:
@@ -460,16 +462,11 @@ def scalar_strict_gain(field, solution) -> tuple:
 # kept so the two can be compared bit for bit.
 # ---------------------------------------------------------------------------
 
-def scalar_obstacle_rows(tree, payoff) -> list:
-    """The (alive, defaulted) payoff rows of every step, the payoff called
-    with floats once per node in node order."""
-    rows = []
-    for i, (s1, s2) in enumerate(zip(tree.s1, tree.s2)):
-        t = tree.time(i)
-        rows.append(tuple(np.array([float(payoff(t, x1, x2, bool(d)))
-                                    for x1, x2 in zip(s1[d].tolist(), s2[d].tolist())])
-                          for d in (0, 1)))
-    return rows
+def scalar_obstacle_rows(tree, payoff) -> np.ndarray:
+    """The payoff at every node in row order, the payoff called with floats
+    once per node in node order."""
+    return np.array([float(payoff(state.t, state.s1, state.s2, state.defaulted))
+                     for state in tree.nodes.values()])
 
 
 def _points(rows) -> list:
@@ -684,7 +681,8 @@ def _picard_row(g, e, dt: float):
 @np.errstate(over="ignore", invalid="ignore")
 def row_by_row_sweep(tree, sides) -> list:
     """(y_rows, z_rows, k_rows, da_rows) of each reflected ``(kind, rows, driver)``
-    side, solved together a level row at a time."""
+    side as row-order arrays (0 where a quantity has no value), solved together a
+    level row at a time on lists of (alive, defaulted) rows."""
     n, K = tree.n_steps, len(sides)
     runs = []  # [first side, end, driver] of each run of adjacent sides with one driver
     for h, (_, _, driver) in enumerate(sides):
@@ -692,22 +690,23 @@ def row_by_row_sweep(tree, sides) -> list:
             runs[-1][1] = h + 1
         else:
             runs.append([h, h + 1, driver])
-    y = [None] * n + [tuple(np.array([rows[-1][d] for _, rows, _ in sides]) for d in (0, 1))]
+    y = [None] * n + [tuple(np.array([tree.step_rows(rows, n)[d] for _, rows, _ in sides])
+                            for d in (0, 1))]
     z, k, da = ([None] * n for _ in range(3))
     for i in range(n - 1, -1, -1):
         step = []
         for d, branches in enumerate(tree.row_branches[i]):
-            m = len(tree.s1[i][d])
+            s1, s2 = (tree.step_rows(x, i)[d] for x in (tree.s1, tree.s2))
+            m = len(s1)
             children = [y[i + 1][dead][:, up:up + m] for _, up, dead in (b.child for b in branches)]
             e, z_row, k_row = coefficients(branches, children, tree.sq)
             k_row = np.broadcast_to(k_row, (K, m))  # 0 without a default branch
             y_row = np.empty((K, m))
             for a, b, driver in runs if m else ():
-                state = tree.row_state(i, d, np.tile(tree.s1[i][d], b - a),
-                                       np.tile(tree.s2[i][d], b - a))
+                state = tree.row_state(i, d, np.tile(s1, b - a), np.tile(s2, b - a))
                 g = split_of(driver)(state.t, z_row[a:b].ravel(), k_row[a:b].ravel(), state)
                 y_row[a:b] = _picard_row(g, e[a:b].ravel(), tree.dt).reshape(b - a, m)
-            barrier = np.array([rows[i][d] for _, rows, _ in sides])
+            barrier = np.array([tree.step_rows(rows, i)[d] for _, rows, _ in sides])
             da_row = np.zeros((K, m))
             for h, (kind, _, _) in enumerate(sides):
                 bind = barrier[h] > y_row[h] if kind == "lower" else barrier[h] < y_row[h]
@@ -716,8 +715,13 @@ def row_by_row_sweep(tree, sides) -> list:
                 y_row[h] = np.where(bind, barrier[h], y_row[h])
             step.append((y_row, z_row, k_row, da_row))
         y[i], z[i], k[i], da[i] = zip(*step)
-    return [tuple([(alive[h], dead[h]) for alive, dead in blocks] for blocks in (y, z, k, da))
-            for h in range(K)]
+
+    def whole(blocks, h):  # side h's rows end to end, 0 on the rows past them
+        out = np.zeros(len(tree.s1))
+        out[:tree.starts[2 * len(blocks)]] = np.concatenate([row[h] for pair in blocks
+                                                             for row in pair])
+        return out
+    return [tuple(whole(blocks, h) for blocks in (y, z, k, da)) for h in range(K)]
 
 
 # ---------------------------------------------------------------------------
@@ -833,10 +837,21 @@ def reference_large_trader_g(params: MarketParams, alpha: float, gamma_bar: floa
 # lexsorts that amhedge.cli replaced with one argsort each.
 # ---------------------------------------------------------------------------
 
+def row_lengths(tree) -> list:
+    """The node count of each row 2 * step + defaulted: the nodes reached from the
+    root through ``tree.row_branches`` alone."""
+    level, counts = {(0, 0)}, []  # (up count, defaulted) of the nodes of a step
+    for i in range(tree.n_steps + 1):
+        counts += [sum(1 for _, d in level if d == dead) for dead in (0, 1)]
+        level = {(j + b.child[1], b.child[2]) for j, d in level
+                 for b in (tree.row_branches[i][d] if i < tree.n_steps else ())}
+    return counts
+
+
 def lexsort_orders(tree) -> tuple:
     """Row-order positions of every node sorted by node id (step, up count,
     defaulted) and by node key (the same, step and up count ranked as strings)."""
-    sizes = [len(row) for rows in tree.s1 for row in rows]
+    sizes = np.diff(tree.starts).tolist()
     row = np.repeat(np.arange(len(sizes)), sizes)
     up = np.arange(len(row)) - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
     rank = np.argsort(sorted(range(tree.n_steps + 1), key=str))  # place in key order

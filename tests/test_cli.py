@@ -30,7 +30,7 @@ from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, MAX_STE
 from amhedge.market import MarketParams, build_tree, node_key
 from amhedge.payoffs import put
 from amhedge.pricing import price_american
-from helpers import lexsort_orders, reference_tree_dict
+from helpers import lexsort_orders, reference_tree_dict, row_lengths
 
 # The example job document of the README.
 README_JOB = {
@@ -122,7 +122,7 @@ def _table(keys, **columns) -> Nodes:
     rows = {name: np.zeros(len(row_keys)) for name in columns}
     for name, values in columns.items():
         rows[name][at] = values
-    return Nodes(cli._orders(tree)[0], at, rows or None)
+    return Nodes(tree.starts, at, rows or None)
 
 
 # The intensity of a tree.json market: none, constant, or a step at t = 0.5
@@ -163,7 +163,7 @@ class TestTreeJson:
 
     def test_rejects_non_finite(self):
         tree = build_tree(MarketParams.from_dict(minimal_config()["market"]), 2)
-        tree.s2[2][0][1] = math.inf
+        tree.s2[tree.starts[2 * 2] + 1] = math.inf  # node (2, 1, 0)
         with pytest.raises(ValueError, match="non-finite value inf"):
             canonical_json(tree)
 
@@ -248,8 +248,7 @@ class TestChunks:
         # Steps and up counts of two digits reach every digit.
         params = MarketParams.from_dict(README_JOB["market"])
         tree = build_tree(params, 12)
-        starts = cli._orders(tree)[0]
-        keys = json.loads(canonical_json(Nodes(starts, np.arange(starts[-1]))))
+        keys = json.loads(canonical_json(Nodes(tree.starts, np.arange(tree.starts[-1]))))
         assert keys == _row_keys(tree)
         assert all(cli._encode_str(key) == '"' + key + '"' for key in keys)
 
@@ -315,11 +314,10 @@ class TestOrders:
         params = MarketParams.from_dict({**README_JOB["market"], "lambda": lam})
         for n_steps in [*range(1, 41), 256]:
             tree = build_tree(params, n_steps)
-            starts, by_id, by_key = cli._orders(tree)
+            by_id, by_key = cli._orders(tree)
             want_id, want_key = lexsort_orders(tree)
             assert by_id.tolist() == want_id.tolist() and by_key.tolist() == want_key.tolist()
-            assert starts.tolist() == np.cumsum([0] + [len(r) for rows in tree.s1
-                                                       for r in rows]).tolist()
+            assert tree.starts.tolist() == np.cumsum([0] + row_lengths(tree)).tolist()
             if n_steps <= 12:  # and against Python's sort of the nodes and of their keys
                 nodes = [node for level in tree.levels for node in level]
                 assert by_id.tolist() == sorted(range(len(nodes)), key=nodes.__getitem__)
@@ -339,7 +337,7 @@ class TestOrders:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert document["seller_strategy"].columns["phi1"].size == 65_536
+        assert document["seller_strategy"].columns["phi1"] is report.seller.strategy.phi1_rows
         assert held < 6e6
 
 

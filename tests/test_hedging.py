@@ -184,8 +184,7 @@ class TestBuyerSuperhedge:
         g = perfect_driver(params)
         buyer = buyer_price(tree, g, obs)
         field = simulate_wealth(tree, -buyer.v0, buyer.strategy, g)
-        never = StoppingRule(tree, [tuple(np.zeros(len(row), dtype=bool) for row in rows)
-                                    for rows in tree.s1])
+        never = StoppingRule(tree, np.zeros(len(tree.s1), dtype=bool))
         with pytest.raises(ValueError) as failure:
             verify_superhedge_buyer(field, obs, never)
         assert str(failure.value) == "rule does not stop by the terminal step at (3, 3, 0)"
@@ -458,8 +457,23 @@ class TestMatchesScalarReference:
         strategy = Strategy(tree, *(dict_rows(tree, {n: float(rng.uniform(-1, 1)) for n in nodes},
                                               tree.n_steps) for _ in range(2)))
         field = simulate_wealth(tree, 1.0, strategy, driver, mode="sampled", n_paths=8, seed=2)
-        assert field.paths.d[1].all()
+        assert all(d == 1 for _, _, d in field.node_ids[1])
         assert_same_field(field, scalar_simulate_sampled(tree, 1.0, strategy, driver, 8, 2))
+
+    def test_sampled_field_past_step_64(self):
+        # Node ids of defaulted states where 2 * step + 1, the row of their position,
+        # no longer fits in the int8 of a defaulted flag.
+        params = MarketParams(**README_MARKET)
+        tree = build_tree(params, 80)
+        driver = borrow_lend_driver(params, 0.08)
+        seller = seller_price(tree, driver, Obstacle.from_payoff(tree, put(105.0)),
+                              gamma_check=False)
+        field = simulate_wealth(tree, seller.u0, seller.strategy, driver, mode="sampled",
+                                n_paths=40, seed=3)
+        assert_same_field(field, scalar_simulate_sampled(tree, seller.u0, seller.strategy,
+                                                         driver, 40, 3))
+        assert any(d for _, _, d in field.node_ids[80])
+        assert [field.node(80, p) for p in range(40)] == field.node_ids[80]
 
     def test_sampled_field_at_a_two_word_seed(self):
         params = MarketParams(**README_MARKET)
@@ -508,8 +522,7 @@ def test_rows_equal_the_scalar_references_on_random_markets(style, kind, payoff,
     tree = build_tree(params, n_steps)
     payoff = named_payoff(payoff, strike)
     obs = Obstacle.from_payoff(tree, payoff)
-    assert [[row.tobytes() for row in pair] for pair in obs.rows] == \
-        [[row.tobytes() for row in pair] for pair in scalar_obstacle_rows(tree, payoff)]
+    assert obs.rows.tobytes() == scalar_obstacle_rows(tree, payoff).tobytes()
     driver = make_driver(kind, params)
     try:
         seller = seller_price(tree, driver, obs, gamma_check=False)

@@ -184,7 +184,7 @@ class TestBuildTree:
                 build_tree(flat_params(**overrides), 8)
         assert str(failure.value) == message
         tree = build_tree(flat_params(s2_0=1e307), 8)  # large but finite
-        assert max(tree.s2[-1][0]) < float("inf")
+        assert max(tree.step_rows(tree.s2, 8)[0]) < float("inf")
 
     def test_down_factor_guard_names_the_step(self):
         params = flat_params(sigma1=PiecewiseConstant([0.2, 5.0], times=[0.0, 0.5]))

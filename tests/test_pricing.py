@@ -463,9 +463,9 @@ def test_frictionless_call_is_near_black_scholes(market, n_steps, bound, strike)
     assert abs(report.buyer.v0 - reference) <= bound
 
 
-def _row_items(rows, steps, cast=float):
-    """(node, value) pairs of level rows, level by level, alive row first."""
-    return [((i, j, d), cast(v)) for i in steps for d, row in enumerate(rows[i])
+def _row_items(tree, values, steps, cast=float):
+    """(node, value) pairs of a row-order array, level by level, alive row first."""
+    return [((i, j, d), cast(v)) for i in steps for d, row in enumerate(tree.step_rows(values, i))
             for j, v in enumerate(row.tolist())]
 
 
@@ -495,18 +495,19 @@ def test_price_path_stays_on_rows():
         (node, NodeState(tree.time(node[0]), tree.s0[node[0]], s1, s2,
                          tree.coef[node[0]].lam if not node[2] else 0.0, bool(node[2]),
                          tree.coef[node[0]]))
-        for (node, s1), (_, s2) in zip(_row_items(tree.s1, every), _row_items(tree.s2, every))]
-    assert list(obstacle.values.items()) == _row_items(obstacle.rows, every)
+        for (node, s1), (_, s2) in zip(_row_items(tree, tree.s1, every),
+                                          _row_items(tree, tree.s2, every))]
+    assert list(obstacle.values.items()) == _row_items(tree, obstacle.rows, every)
     for sol in solutions:
-        assert list(sol.y.items()) == _row_items(sol.y_rows, range(n, -1, -1))
+        assert list(sol.y.items()) == _row_items(tree, sol.y_rows, range(n, -1, -1))
         for view, rows in ((sol.z, sol.z_rows), (sol.k, sol.k_rows),
                            (sol.delta_a, sol.da_rows)):
-            assert list(view.items()) == _row_items(rows, down)
+            assert list(view.items()) == _row_items(tree, rows, down)
     for strategy in strategies:
-        assert list(strategy.phi1.items()) == _row_items(strategy.phi1_rows, down)
-        assert list(strategy.phi2.items()) == _row_items(strategy.phi2_rows, down)
+        assert list(strategy.phi1.items()) == _row_items(tree, strategy.phi1_rows, down)
+        assert list(strategy.phi2.items()) == _row_items(tree, strategy.phi2_rows, down)
     for rule in rules:
-        assert list(rule.stop.items()) == _row_items(rule.rows, every, bool)
+        assert list(rule.stop.items()) == _row_items(tree, rule.rows, every, bool)
         assert all(rule.stop[node] for node in tree.terminal_nodes())
 
 
@@ -555,8 +556,7 @@ def assert_rational_matches_scalar(solution, obstacle, rule):
 def random_rule(tree, rng, p_stop):
     """Stop flags drawn independently per node, terminal nodes included, so
     the rule can also fail to stop at the terminal step."""
-    return StoppingRule(tree, [tuple(rng.random(len(row)) < p_stop for row in rows)
-                               for rows in tree.s1])
+    return StoppingRule(tree, rng.random(len(tree.s1)) < p_stop)
 
 
 def test_row_is_rational_equals_the_scalar_walk_on_every_enumerated_rule():
@@ -604,13 +604,13 @@ def test_row_is_rational_equals_the_scalar_walk_on_nan_charges(seed):
     solution = solve_rbsde_lower(tree, make_driver("borrow_lend", params), obstacle)
     nu_star, nu_bar = rational_exercise_times(solution, obstacle)
     # Stops on the payoff but not where a charge leaves, so charges accrue.
-    through = StoppingRule(tree, [tuple((y == xi) & ~(a > 0.0) for y, xi, a in zip(*rows))
-                                  for rows in zip(solution.y_rows, obstacle.rows,
-                                                  solution.da_rows)] + [nu_bar.rows[-1]])
-    da = [tuple(np.where(rng.random(len(row)) < 0.3, math.nan, row) for row in rows)
-          for rows in solution.da_rows]
-    nan_y = [tuple(np.where(rng.random(len(row)) < 0.1, math.nan, row) for row in rows)
-             for rows in solution.y_rows]
+    inner = tree.starts[-3]  # the nodes below the last step
+    through = (solution.y_rows == obstacle.rows) & ~(solution.da_rows > 0.0)
+    through[inner:] = nu_bar.rows[inner:]
+    through = StoppingRule(tree, through)
+    da = solution.da_rows.copy()
+    da[:inner] = np.where(rng.random(inner) < 0.3, math.nan, da[:inner])
+    nan_y = np.where(rng.random(len(tree.s1)) < 0.1, math.nan, solution.y_rows)
     for changes in ({"da_rows": da}, {"da_rows": da, "y_rows": nan_y}):
         broken = dataclasses.replace(solution, **changes)
         for rule in (nu_star, nu_bar, through, random_rule(tree, rng, 0.1),
@@ -618,12 +618,12 @@ def test_row_is_rational_equals_the_scalar_walk_on_nan_charges(seed):
             assert_rational_matches_scalar(broken, obstacle, rule)
 
 
-def _rows_bits(rows):
-    return [[[float_bits(v) for v in row] for row in step] for step in rows]
+def _rows_bits(values):
+    return [float_bits(v) for v in values]
 
 
 def _rule_rows(rule):
-    return [[row.tolist() for row in step] for step in rule.rows]
+    return rule.rows.tolist()
 
 
 def _side(solution, strategy):
@@ -731,7 +731,8 @@ class TestSharedSweepFailure:
     def test_an_error_of_the_block_alone_is_raised_as_it_is(self):
         # The driver fails only on more values than the widest row a side solves,
         # so each side alone passes and the block's own error is raised.
-        widest = max(len(row) for rows in self.tree.s1[:-1] for row in rows)
+        widest = max(len(row) for i in range(self.tree.n_steps)
+                     for row in self.tree.step_rows(self.tree.s1, i))
 
         def g(t, y, z, k, s):
             if np.size(y) > widest:

@@ -141,7 +141,7 @@ class TestSkorokhod:
         node = max(sol.delta_a, key=lambda n: sol.y[n] - inst.obstacle.values[n])
         assert sol.y[node] > inst.obstacle.values[node]
         i, j, d = node
-        sol.da_rows[i][d][j] = 0.5
+        sol.da_rows[inst.tree.starts[2 * i + d] + j] = 0.5
         expected = 0.5 * (sol.y[node] - inst.obstacle.values[node])
         assert skorokhod_residual(sol, inst.obstacle) == pytest.approx(expected)
 
@@ -442,8 +442,8 @@ def _counting(driver, calls):
 
 
 def _rows_bits(solution) -> list:
-    return [[float_bits(row) for row in pair] for name in ("y_rows", "z_rows", "k_rows", "da_rows")
-            for pair in getattr(solution, name)]
+    return [float_bits(getattr(solution, name)) for name in ("y_rows", "z_rows", "k_rows",
+                                                             "da_rows")]
 
 
 # The intensity of the step-loop differential: none, constant, or stepping to 0 at
@@ -477,8 +477,7 @@ def test_one_loop_per_step_equals_the_row_by_row_reference(lam, kind, kinds, n_s
     want = row_by_row_sweep(tree, sides)
     assert sum(calls) == evals > 0
     for solution, rows, side in zip(got, want, sides, strict=True):
-        assert _rows_bits(solution) == [[float_bits(row) for row in pair]
-                                        for part in rows for pair in part]
+        assert _rows_bits(solution) == [float_bits(part) for part in rows]
         assert solution.stats == backward_sweep(tree, [side])[0].stats
 
 
@@ -545,8 +544,7 @@ def test_a_replaced_eval_is_the_one_the_solvers_call(kind):
         for sol, ref in zip(got, solve(driver), strict=True):
             assert sol.stats == ref.stats and sum(calls) >= sol.stats.driver_evals
             for name in ("y_rows", "z_rows", "k_rows", "da_rows"):
-                for pair, ref_pair in zip(getattr(sol, name), getattr(ref, name), strict=True):
-                    assert [row.tobytes() for row in pair] == [row.tobytes() for row in ref_pair]
+                assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes()
     calls.clear()
     state = tree.nodes[(2, 1, 0)]
     got = implicit_value(replaced, state, tree.dt, 1.5, 0.3, -0.2)

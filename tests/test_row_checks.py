@@ -46,10 +46,8 @@ def driver_of(kind, params) -> Driver:
 
 
 def assert_same_rows(got, want):
-    assert len(got) == len(want)
-    for pair, ref in zip(got, want):
-        for row, ref_row in zip(pair, ref):
-            assert row.dtype == ref_row.dtype and row.tobytes() == ref_row.tobytes()
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def assert_same_worst(got, want):
@@ -74,7 +72,7 @@ def assert_same_worst(got, want):
 def test_obstacle_rows_equal_the_scalar_payoff(style, make):
     tree = build_tree(market(style), 12)
     # A strike equal to lattice prices: the root's and an inner node's.
-    for strike in (100.0, float(tree.s1[6][0][2]), 93.7):
+    for strike in (100.0, float(tree.step_rows(tree.s1, 6)[0][2]), 93.7):
         payoff = make(strike)
         obstacle = Obstacle.from_payoff(tree, payoff)
         assert_same_rows(obstacle.rows, scalar_obstacle_rows(tree, payoff))
@@ -107,7 +105,7 @@ def test_row_payoffs_keep_the_zero_sign_and_nan_of_max():
     # -0.0 - 0.0 is -0.0 and max(-0.0, 0.0) keeps it: a put struck at -0.0
     # on a lattice whose lowest price underflows to 0.
     tree = build_tree(market("const", s1_0=5e-324, sigma1=0.9, mu1=0.0), 1)
-    assert tree.s1[1][0][0] == 0.0
+    assert tree.step_rows(tree.s1, 1)[0][0] == 0.0
     obstacle = Obstacle.from_payoff(tree, put(-0.0))
     assert math.copysign(1.0, obstacle.values[(1, 0, 0)]) == -1.0
     assert_same_rows(obstacle.rows, scalar_obstacle_rows(tree, put(-0.0)))
@@ -260,7 +258,7 @@ def test_rows_equal_the_scalar_references_on_random_markets(style, kind, r, sigm
     tree = build_tree(params, n_steps)
     if strike is None:  # a strike equal to a lattice price
         i = node % (n_steps + 1)
-        strike = float(tree.s1[i][0][node % (i + 1)])
+        strike = float(tree.step_rows(tree.s1, i)[0][node % (i + 1)])
     for make in (put, call):
         payoff = make(strike)
         assert_same_rows(Obstacle.from_payoff(tree, payoff).rows,
