@@ -61,7 +61,11 @@ fixed ``EDGE_JOBS``, which reach what no workload job does:
   t = 0.5: its strategy tables and ``tree.json`` span three pieces of
   ``cli._CHUNK`` keys, so the node orders and the keys made a piece at a
   time are compared across pieces, on alive and defaulted rows of unequal
-  length, with branch lists that change partway down the tree.
+  length, with branch lists that change partway down the tree;
+* a hedge-only job at n = 16 (10,000 sampled paths) and a hedge and verify
+  job at n = 12 (the exact path expansion) with the martingale and gamma
+  checks: no check reads a solve, so the job drops its solves before the
+  forward pass.
 
 Each job runs as
 ``amhedge price job.json --out out --dump-tree`` in a fresh Python
@@ -137,6 +141,8 @@ EDGE_JOBS = [
              {"values": [0.25, 0.0], "times": [0.0, 0.5]}, verify=["superhedge", "apriori"]),
     edge_job("borrow_lend", {"R": 0.07}, 96, {"values": [0.25, 0.0], "times": [0.0, 0.5]},
              ["price", "hedge"]),
+    edge_job("borrow_lend", {"R": 0.07}, 16, jobs=["hedge"]),
+    edge_job("borrow_lend", {"R": 0.07}, 12, verify=["martingale", "gamma"]),
 ]
 
 

@@ -28,7 +28,7 @@ from itertools import accumulate, groupby
 import numpy as np
 
 from .drivers import Driver, split_of
-from .market import Tree, row_view
+from .market import Tree
 
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
@@ -61,8 +61,8 @@ class Solution:
     """A backward solve in the tree's row order: y at every node, z, k (0
     without a default branch) and the outgoing reflection charge delta_a below
     the last step (0 on the terminal rows), each a row of the sweep's (K, N)
-    array, which it keeps alive. Their node views are built on first read;
-    delta_a is identically zero for plain (non-reflected) solves.
+    array, which it keeps alive; delta_a is identically zero for plain
+    (non-reflected) solves.
     """
 
     tree: Tree
@@ -73,11 +73,6 @@ class Solution:
     k_rows: np.ndarray
     da_rows: np.ndarray
     stats: SolveStats
-
-    y = row_view("y_rows", backward=True)
-    z = row_view("z_rows", backward=True, terminal=False)
-    k = row_view("k_rows", backward=True, terminal=False)
-    delta_a = row_view("da_rows", backward=True, terminal=False)
 
     @property
     def root_value(self) -> float:

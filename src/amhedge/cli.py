@@ -478,7 +478,8 @@ def _hedge(job: dict, obstacle, field, buyer: pricing.BuyerPrice) -> tuple:
 def _run_jobs(job: dict, tree, obstacle, out: Path, parts: list) -> dict:
     """One sweep of every side the job reads, one path sample and the seller's wealth on
     it, the hedge and its files (listed in ``parts``), then the checks in order; nothing
-    of the job is kept. A side's error is raised where the side is first used."""
+    of the job is kept, and the sweep's arrays are freed before the forward pass unless a
+    check reads a solve. A side's error is raised where the side is first used."""
     jobs, checks, driver, seed = job["jobs"], job["checks"], job["driver"], job["seed"]
     seller = buyer = field = hedge = None
     priced = "price" in jobs or "hedge" in jobs
@@ -490,6 +491,8 @@ def _run_jobs(job: dict, tree, obstacle, out: Path, parts: list) -> dict:
         if priced:  # the seller's error first, then the buyer's
             buyer = pricing.buyer_of(solved(sides[1]), obstacle)
     document = report_to_dict(pricing.report_of(seller, buyer, obstacle)) if "price" in jobs else {}
+    if not {"apriori", "skorokhod", "superhedge"} & set(checks):  # no solve is read again
+        sides, seller, buyer = None, *(p and p._replace(solution=None) for p in (seller, buyer))
     if "hedge" in jobs or {"superhedge", "martingale"} & set(checks):
         paths = hedging.path_sample(tree, seed=seed)  # the buyer is simulated on it too
         field = hedging.simulate_wealth(tree, seller.u0, seller.strategy, driver, paths=paths)

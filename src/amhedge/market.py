@@ -172,12 +172,13 @@ class MarketParams:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MarketParams":
-        """Build from a mapping; the intensity key may be 'lam' or 'lambda'."""
+        """Build from a mapping; the intensity key may be 'lam' or 'lambda', and an
+        error names the one given."""
         if not isinstance(data, Mapping):
             raise ValueError("must be an object")
-        d = dict(data)
-        if "lambda" in d and "lam" not in d:
-            d["lam"] = d.pop("lambda")
+        if {"lam", "lambda"} <= data.keys():
+            raise ValueError("'lam' and 'lambda' both given; they name one field")
+        d = {"lam" if k == "lambda" else k: v for k, v in data.items()}
         required = ["r", "mu1", "mu2", "sigma1", "sigma2", "lam", "s1_0", "s2_0", "T"]
         missing = [k for k in required if k not in d]
         if missing:
@@ -185,7 +186,12 @@ class MarketParams:
         extra = [k for k in d if k not in required]
         if extra:
             raise ValueError(f"unknown field(s) {extra}")
-        return cls(**{k: d[k] for k in required})
+        try:
+            return cls(**{k: d[k] for k in required})
+        except ValueError as exc:  # the messages about lam start with its name
+            if "lambda" in data and str(exc).startswith("lam"):
+                raise ValueError("lambda" + str(exc)[3:]) from None
+            raise
 
     def at(self, t: float) -> Coefs:
         """The coefficients in force at time t."""
@@ -212,16 +218,6 @@ class NodeState(NamedTuple):
     lam: float
     defaulted: bool
     coef: Coefs
-
-
-def row_view(values: str, backward: bool = False, terminal: bool = True) -> cached_property:
-    """Node dict of the row-order array in attribute ``values`` (on ``self.tree``),
-    built on first read: over every step, or without ``terminal`` the steps below
-    the last; ``backward`` keys the levels last first."""
-    def build(self):
-        steps = range(self.tree.n_steps + terminal)
-        return self.tree.node_dict(getattr(self, values), steps[::-1] if backward else steps)
-    return cached_property(build)
 
 
 @dataclass(eq=False)

@@ -69,12 +69,18 @@ def one_step(tree: Tree, driver: Driver, node: NodeId, values: Mapping) -> tuple
     return y, z, k
 
 
-def _values_on(source, nodes: Iterable) -> dict:
-    """Node -> value dict of a mapping, or of an object's ``values`` mapping."""
-    values = source if isinstance(source, Mapping) else getattr(source, "values", None)
-    if not isinstance(values, Mapping):
+def _node_map(source) -> Mapping:
+    """``source`` if it is a node mapping, else the node dict of its ``rows`` on its ``tree``."""
+    if isinstance(source, Mapping):
+        return source
+    if not hasattr(source, "rows"):
         raise TypeError(f"cannot read node values from {type(source).__name__}")
-    out = {}
+    return source.tree.node_dict(source.rows)
+
+
+def _values_on(source, nodes: Iterable) -> dict:
+    """Node -> value dict of ``_node_map(source)`` on ``nodes``."""
+    values, out = _node_map(source), {}
     for node in nodes:
         if node not in values:
             raise ValueError(f"value missing at node {node}")
@@ -85,8 +91,8 @@ def _values_on(source, nodes: Iterable) -> dict:
 def solve_bsde(tree: Tree, driver: Driver, terminal) -> Solution:
     """Backward solve with a terminal condition and no reflection.
 
-    ``terminal`` maps terminal nodes to values (a dict, or any object with a
-    ``values`` mapping covering the last level).
+    ``terminal`` maps terminal nodes to values (a dict covering the last
+    level, or an ``Obstacle``).
     """
     values = np.zeros(len(tree.s1))  # only the terminal rows are read
     values[tree.starts[-3]:] = list(_values_on(terminal, tree.terminal_nodes()).values())
@@ -96,14 +102,14 @@ def solve_bsde(tree: Tree, driver: Driver, terminal) -> Solution:
 def g_evaluation(tree: Tree, driver: Driver, rule, payoff) -> float:
     """Root value of the payoff collected at an adapted stopping rule.
 
-    The rule is a per-node boolean flag (anything with a ``stop`` mapping,
-    or the mapping itself); adaptedness is structural since flags are
+    The rule is a per-node boolean flag (a ``StoppingRule`` or a node ->
+    flag mapping); adaptedness is structural since flags are
     functions of the node alone. Every terminal node must be flagged.
     At stopped nodes the value is the payoff; elsewhere it is the backward
     step through the children.
     """
     pay = _values_on(payoff, tree.nodes)
-    stops = getattr(rule, "stop", rule)
+    stops = _node_map(rule)
     for node in tree.terminal_nodes():
         if not stops.get(node, False):
             raise ValueError(f"stopping rule must stop at terminal node {node}")

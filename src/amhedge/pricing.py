@@ -23,7 +23,7 @@ import numpy as np
 
 from .bsde import Solution
 from .drivers import Driver, check_gamma_assumption, gamma_rows, piece_steps
-from .market import NodeId, Tree, locate, row_view
+from .market import NodeId, Tree, locate
 from .oracle import g_evaluation
 # solve_rbsde_lower and _upper stay names of this module: the benchmark's tracer wraps them.
 from .rbsde import (Obstacle, StoppingRule, solve_rbsde_lower, solve_rbsde_upper,  # noqa: F401
@@ -39,15 +39,11 @@ INTERVAL_TOL = 1e-10
 @dataclass(eq=False)
 class Strategy:
     """Amounts held in the two risky assets in the row order of one tree, at
-    the nodes below the last step (0 on the terminal rows), with the node
-    dicts built on first read."""
+    the nodes below the last step (0 on the terminal rows)."""
 
     tree: Tree
     phi1_rows: np.ndarray
     phi2_rows: np.ndarray
-
-    phi1 = row_view("phi1_rows", backward=True, terminal=False)
-    phi2 = row_view("phi2_rows", backward=True, terminal=False)
 
 
 def _rule(tree: Tree, flag, *arrays) -> StoppingRule:

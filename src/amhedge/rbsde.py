@@ -20,19 +20,16 @@ import numpy as np
 
 from .bsde import Solution, backward_sweep
 from .drivers import Driver
-from .market import Tree, row_view
+from .market import Tree
 
 
 @dataclass(eq=False)
 class Obstacle:
     """Payoff values of one tree in its row order (``Tree.starts``), at every
-    node; the terminal rows double as the terminal condition. The node dict
-    ``values`` is built on first read."""
+    node; the terminal rows double as the terminal condition."""
 
     tree: Tree
     rows: np.ndarray
-
-    values = row_view("rows")
 
     @classmethod
     def from_payoff(cls, tree: Tree, payoff: Callable) -> "Obstacle":
@@ -48,13 +45,11 @@ class Obstacle:
 
 @dataclass(eq=False)
 class StoppingRule:
-    """Stop flags of one tree in its row order, at every node, with the node
-    dict built on first read; descendants of a stopped node are irrelevant."""
+    """Stop flags of one tree in its row order, at every node; descendants of
+    a stopped node are irrelevant."""
 
     tree: Tree
     rows: np.ndarray
-
-    stop = row_view("rows")
 
 
 def solve_reflected(tree: Tree, driver: Driver, sides: list) -> list:

@@ -29,7 +29,7 @@ from amhedge.bsde import PICARD_MAX_ITER, PICARD_TOL, ConvergenceError, coeffici
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
                              gamma_rows, large_trader_driver, perfect_driver, split_of)
 from amhedge.hedging import SUPERHEDGE_TOL, HedgeReport
-from amhedge.market import (MarketParams, PiecewiseConstant, as_piecewise, build_tree,
+from amhedge.market import (MarketParams, PiecewiseConstant, Tree, as_piecewise, build_tree,
                             node_key)
 from amhedge.oracle import AprioriReport, _stop_flags, g_evaluation, implicit_value, one_step
 from amhedge.payoffs import call, payoff_from_config, put
@@ -155,6 +155,17 @@ def dict_rows(tree, values: dict, n_steps: int = None) -> np.ndarray:
                      for level in tree.levels for node in level], dtype=bool if flags else float)
 
 
+def refuse_node_views(monkeypatch) -> None:
+    """Make ``Tree.node_dict`` and the tree's node views raise when read; a
+    property on the class comes before a view cached on the instance."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a node view was read")
+
+    for name in ("nodes", "branches", "levels"):
+        monkeypatch.setattr(Tree, name, property(refuse))
+    monkeypatch.setattr(Tree, "node_dict", refuse)
+
+
 def negated(obstacle: Obstacle) -> Obstacle:
     """The obstacle -xi of the buyer's upper-reflected solve."""
     return Obstacle(obstacle.tree, -obstacle.rows)
@@ -191,8 +202,8 @@ def _monotone_at_solution(tree, driver, obstacle) -> bool:
         up = solve_rbsde_upper(tree, driver, negated(obstacle))
     except ConvergenceError:
         return False
-    return (min_one_step_weight(tree, driver, low.y) > WEIGHT_MARGIN
-            and min_one_step_weight(tree, driver, up.y) > WEIGHT_MARGIN)
+    return (min_one_step_weight(tree, driver, tree.node_dict(low.y_rows)) > WEIGHT_MARGIN
+            and min_one_step_weight(tree, driver, tree.node_dict(up.y_rows)) > WEIGHT_MARGIN)
 
 
 def make_instance(rng, kind: str, n_steps: int, lam=None, T=None,
@@ -280,8 +291,10 @@ def _node_exposures(tree, strategy, level: int) -> dict:
     s1 = params.sigma1.at(t)
     s2 = params.sigma2.at(t)
     out = {}
+    phi1, phi2 = (tree.node_dict(rows, [level]) for rows in (strategy.phi1_rows,
+                                                             strategy.phi2_rows))
     for node in tree.levels[level]:
-        out[node] = phi_inverse(strategy.phi1[node], strategy.phi2[node], s1, s2)
+        out[node] = phi_inverse(phi1[node], phi2[node], s1, s2)
     return out
 
 
@@ -357,8 +370,8 @@ def scalar_verify_seller(field, obstacle) -> HedgeReport:
     min_slack = math.inf
     n = 0
     violations = []
+    xi = obstacle.tree.node_dict(obstacle.rows)
     for level in range(len(field.node_ids)):
-        xi = obstacle.values
         for idx, node in enumerate(field.node_ids[level]):
             slack = field.v[level][idx] - xi[node]
             n += 1
@@ -373,7 +386,7 @@ def scalar_verify_seller(field, obstacle) -> HedgeReport:
 
 def _stopped_states(field, rule) -> Iterable:
     """Yield (level, idx, node, v) at the first stop along each path."""
-    stops = getattr(rule, "stop", rule)
+    stops = rule if isinstance(rule, dict) else rule.tree.node_dict(rule.rows)
     active = [True] * field.n_states(0)
     n_levels = len(field.node_ids)
     for level in range(n_levels):
@@ -399,14 +412,14 @@ def scalar_verify_buyer(field, obstacle, rule) -> HedgeReport:
     max_abs = 0.0
     n = 0
     violations = []
+    xi = obstacle.tree.node_dict(obstacle.rows)
     for level, idx, node, v in _stopped_states(field, rule):
-        slack = v + obstacle.values[node]
+        slack = v + xi[node]
         n += 1
         min_slack = min(min_slack, slack)
         max_abs = max(max_abs, abs(slack))
         if slack < -SUPERHEDGE_TOL:
-            violations.append((field.path_id(level, idx), level, node, v,
-                               obstacle.values[node], slack))
+            violations.append((field.path_id(level, idx), level, node, v, xi[node], slack))
     if n == 0:
         min_slack = 0.0
     return HedgeReport(side="buyer", passed=min_slack >= -SUPERHEDGE_TOL, min_slack=min_slack,
@@ -433,13 +446,16 @@ def scalar_martingale_residual(field, driver) -> float:
 def scalar_strict_gain(field, solution) -> tuple:
     """(count, smallest V - Y) over the path states whose cumulative incoming
     charge is positive; a gain that is not finite raises, naming its state."""
+    tree = solution.tree
+    y = tree.node_dict(solution.y_rows)
+    delta_a = tree.node_dict(solution.da_rows, range(tree.n_steps))
     min_gain = math.inf
     n = 0
     a_in = [0.0] * field.n_states(0)
     for level in range(len(field.node_ids)):
         for idx, node in enumerate(field.node_ids[level]):
             if a_in[idx] > 0.0:
-                gain = field.v[level][idx] - solution.y[node]
+                gain = field.v[level][idx] - y[node]
                 if not math.isfinite(gain):
                     raise ValueError(f"strict gain is not finite ({gain!r}) at step {level}, "
                                      f"node {node}, path {field.path_id(level, idx)}")
@@ -450,7 +466,7 @@ def scalar_strict_gain(field, solution) -> tuple:
             for jdx in range(field.n_states(level + 1)):
                 pidx = field.parent[level + 1][jdx]
                 pnode = field.node_ids[level][pidx]
-                nxt[jdx] = a_in[pidx] + solution.delta_a[pnode]
+                nxt[jdx] = a_in[pidx] + delta_a[pnode]
             a_in = nxt
     return n, min_gain
 
@@ -512,10 +528,10 @@ def scalar_epsilon_rational(solution, obstacle, eps: float) -> tuple:
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     tree = solution.tree
+    y, xi = tree.node_dict(solution.y_rows), tree.node_dict(obstacle.rows)
     stop = {}
     for node in tree.nodes:
-        stop[node] = (tree.is_terminal(node)
-                      or solution.y[node] <= obstacle.values[node] + eps)
+        stop[node] = tree.is_terminal(node) or y[node] <= xi[node] + eps
     value = g_evaluation(tree, solution.driver, stop, obstacle)
     return stop, solution.root_value - value
 
@@ -566,16 +582,18 @@ def scalar_is_rational(solution, obstacle, rule) -> RationalityReport:
     absolute floor. The first violating node is returned as a witness.
     """
     tree = solution.tree
-    stops = getattr(rule, "stop", rule)
-    reached = scalar_cumulative_charge(tree, solution.delta_a, stops)
+    stops = rule if isinstance(rule, dict) else tree.node_dict(rule.rows)
+    y, xi = tree.node_dict(solution.y_rows), tree.node_dict(obstacle.rows)
+    reached = scalar_cumulative_charge(tree, tree.node_dict(solution.da_rows,
+                                                            range(tree.n_steps)), stops)
     for level in tree.levels:
         for node in level:
             if node not in reached:
                 continue
             a_in = reached[node]
             if stops[node]:
-                gap = solution.y[node] - obstacle.values[node]
-                scale = 1.0 + abs(obstacle.values[node])
+                gap = y[node] - xi[node]
+                scale = 1.0 + abs(xi[node])
                 if abs(gap) > EQUALITY_RTOL * scale:
                     return RationalityReport(ok=False, witness=node,
                                              reason=f"value off the payoff by {gap:.3g}")
@@ -600,16 +618,18 @@ def scalar_apriori_estimate(sol1, sol2, eta: float, beta: float) -> AprioriRepor
     per quantity; the hypotheses on eta and beta are not checked here."""
     tree, driver1, driver2 = sol1.tree, sol1.driver, sol2.driver
     c = driver1.lipschitz_C
-    dt = tree.dt
+    dt, below = tree.dt, range(tree.n_steps)
+    y1, y2 = (tree.node_dict(sol.y_rows) for sol in (sol1, sol2))
+    z1, z2 = (tree.node_dict(sol.z_rows, below) for sol in (sol1, sol2))
+    k1, k2 = (tree.node_dict(sol.k_rows, below) for sol in (sol1, sol2))
 
     fbar = {}
     for level in tree.levels[:-1]:
         for node in level:
             t = tree.time(node[0])
             state = tree.nodes[node]
-            y2, z2, k2 = sol2.y[node], sol2.z[node], sol2.k[node]
-            fbar[node] = (driver1.eval(t, y2, z2, k2, state)
-                          - driver2.eval(t, y2, z2, k2, state))
+            args = y2[node], z2[node], k2[node], state
+            fbar[node] = driver1.eval(t, *args) - driver2.eval(t, *args)
 
     # Conditional sums of exp(beta s) fbar^2 dt from each node to the end.
     rhs = {node: 0.0 for node in tree.terminal_nodes()}
@@ -621,7 +641,7 @@ def scalar_apriori_estimate(sol1, sol2, eta: float, beta: float) -> AprioriRepor
 
     max_violation = 0.0
     for node in tree.nodes:
-        lhs = math.exp(beta * tree.time(node[0])) * (sol1.y[node] - sol2.y[node]) ** 2
+        lhs = math.exp(beta * tree.time(node[0])) * (y1[node] - y2[node]) ** 2
         max_violation = max(max_violation, lhs - eta * rhs[node])
 
     prob = {tree.root: 1.0}
@@ -637,10 +657,10 @@ def scalar_apriori_estimate(sol1, sol2, eta: float, beta: float) -> AprioriRepor
     for level in tree.levels[:-1]:
         for node in level:
             w = prob[node] * math.exp(beta * tree.time(node[0])) * dt
-            y_norm += w * (sol1.y[node] - sol2.y[node]) ** 2
+            y_norm += w * (y1[node] - y2[node]) ** 2
             f_norm += w * fbar[node] ** 2
-            zbar = sol1.z[node] - sol2.z[node]
-            kbar = sol1.k[node] - sol2.k[node]
+            zbar = z1[node] - z2[node]
+            kbar = k1[node] - k2[node]
             zk_norm += w * (zbar ** 2 + tree.nodes[node].lam * kbar ** 2)
 
     y_rhs = tree.params.T * eta * f_norm
@@ -736,7 +756,10 @@ def walk_apriori_estimate(sol1, sol2, eta: float, beta: float) -> AprioriReport:
     checked here."""
     tree, driver1, driver2 = sol1.tree, sol1.driver, sol2.driver
     c = driver1.lipschitz_C
-    dt, y1, z1, k1, y2, z2, k2 = tree.dt, sol1.y, sol1.z, sol1.k, sol2.y, sol2.z, sol2.k
+    dt, below = tree.dt, range(tree.n_steps)
+    y1, y2 = (tree.node_dict(sol.y_rows) for sol in (sol1, sol2))
+    z1, z2 = (tree.node_dict(sol.z_rows, below) for sol in (sol1, sol2))
+    k1, k2 = (tree.node_dict(sol.k_rows, below) for sol in (sol1, sol2))
     # fbar^2, and the conditional sums of exp(beta s) fbar^2 dt from each node to the end.
     fbar2 = {}
     rhs = dict.fromkeys(tree.terminal_nodes(), 0.0)

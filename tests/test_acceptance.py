@@ -191,8 +191,8 @@ def test_c06_rational_exercise_characterization():
     for tree, driver, obstacle in binding_instances():
         result = seller_price(tree, driver, obstacle)
         solution = result.solution
-        interior = any(da > 0.0 for node, da in solution.delta_a.items()
-                       if node[0] > 0)
+        interior = any(da > 0.0 for node, da in tree.node_dict(
+            solution.da_rows, range(1, tree.n_steps)).items())
         nu_star, nu_bar = rational_exercise_times(solution, obstacle)
         r_star = is_rational(solution, obstacle, nu_star)
         r_bar = is_rational(solution, obstacle, nu_bar)
@@ -238,15 +238,18 @@ def test_c08_skorokhod_and_structure():
         low = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle)
         neg = negated(inst.obstacle)
         up = solve_rbsde_upper(inst.tree, inst.driver, neg)
-        for node in inst.tree.nodes:
-            ok = ok and low.y[node] >= inst.obstacle.values[node]
-            ok = ok and up.y[node] <= neg.values[node]
-        for node, da in low.delta_a.items():
+        tree, below = inst.tree, range(inst.tree.n_steps)
+        xi, neg_xi = tree.node_dict(inst.obstacle.rows), tree.node_dict(neg.rows)
+        low_y, up_y = tree.node_dict(low.y_rows), tree.node_dict(up.y_rows)
+        for node in tree.nodes:
+            ok = ok and low_y[node] >= xi[node]
+            ok = ok and up_y[node] <= neg_xi[node]
+        for node, da in tree.node_dict(low.da_rows, below).items():
             ok = ok and da >= 0.0
-            ok = ok and da * (low.y[node] - inst.obstacle.values[node]) == 0.0
-        for node, da in up.delta_a.items():
+            ok = ok and da * (low_y[node] - xi[node]) == 0.0
+        for node, da in tree.node_dict(up.da_rows, below).items():
             ok = ok and da >= 0.0
-            ok = ok and da * (neg.values[node] - up.y[node]) == 0.0
+            ok = ok and da * (neg_xi[node] - up_y[node]) == 0.0
     _criterion("C8 flatness products vanish exactly and barriers are respected",
                ok, f"{count} instances, both reflections")
 
@@ -286,9 +289,10 @@ def test_c10_comparison_and_wealth_martingale():
         kind = "perfect" if i % 2 == 0 else "borrow_lend"
         inst = make_instance(rng, kind, int(rng.integers(3, 6)))
         bumped = Obstacle(inst.tree, dict_rows(inst.tree, {
-            n: v + float(rng.uniform(0.0, 2.0)) for n, v in inst.obstacle.values.items()}))
-        y1 = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle).y
-        y2 = solve_rbsde_lower(inst.tree, inst.driver, bumped).y
+            n: v + float(rng.uniform(0.0, 2.0))
+            for n, v in inst.tree.node_dict(inst.obstacle.rows).items()}))
+        y1, y2 = (inst.tree.node_dict(solve_rbsde_lower(inst.tree, inst.driver, obs).y_rows)
+                  for obs in (inst.obstacle, bumped))
         ok = ok and all(y1[node] <= y2[node] + 1e-12 for node in y1)
     worst_residual = 0.0
     for i in range(5):

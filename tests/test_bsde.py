@@ -56,9 +56,10 @@ class TestSolveBsde:
     def test_zero_terminal_zero_everything(self):
         tree = build_tree(flat_params(), 4)
         sol = solve_bsde(tree, ZERO, {node: 0.0 for node in tree.terminal_nodes()})
-        assert all(v == 0.0 for v in sol.y.values())
-        assert all(v == 0.0 for v in sol.z.values())
-        assert all(v == 0.0 for v in sol.k.values())
+        below = range(tree.n_steps)
+        assert all(v == 0.0 for v in tree.node_dict(sol.y_rows).values())
+        assert all(v == 0.0 for v in tree.node_dict(sol.z_rows, below).values())
+        assert all(v == 0.0 for v in tree.node_dict(sol.k_rows, below).values())
 
     def test_comparison_in_terminal_condition(self):
         rng = np.random.default_rng(11)
@@ -66,8 +67,7 @@ class TestSolveBsde:
         tree = inst.tree
         t1 = {node: float(rng.uniform(-5, 5)) for node in tree.terminal_nodes()}
         t2 = {node: t1[node] + float(rng.uniform(0, 3)) for node in t1}
-        y1 = solve_bsde(tree, inst.driver, t1).y
-        y2 = solve_bsde(tree, inst.driver, t2).y
+        y1, y2 = (tree.node_dict(solve_bsde(tree, inst.driver, t).y_rows) for t in (t1, t2))
         assert all(y1[node] <= y2[node] + 1e-12 for node in y1)
 
     def test_flow_property_exact(self):
@@ -81,7 +81,8 @@ class TestSolveBsde:
         split = 2
         params_short = flat_params(lam=0.25, T=split * tree.dt)
         tree_short = build_tree(params_short, split)
-        mid = {node: full.y[node] for node in tree_short.terminal_nodes()}
+        y = tree.node_dict(full.y_rows)
+        mid = {node: y[node] for node in tree_short.terminal_nodes()}
         g_short = perfect_driver(params_short)
         restarted = solve_bsde(tree_short, g_short, mid)
         assert restarted.root_value == full.root_value
@@ -120,7 +121,8 @@ class TestGEvaluation:
         tree = inst.tree
         value = g_evaluation(tree, inst.driver, stop_everywhere_at(tree, tree.n_steps),
                              inst.obstacle)
-        terminal = {node: inst.obstacle.values[node] for node in tree.terminal_nodes()}
+        xi = tree.node_dict(inst.obstacle.rows)
+        terminal = {node: xi[node] for node in tree.terminal_nodes()}
         assert value == solve_bsde(tree, inst.driver, terminal).root_value
 
     def test_stop_at_root_returns_root_payoff(self):
@@ -128,7 +130,7 @@ class TestGEvaluation:
         inst = make_instance(rng, "borrow_lend", 3)
         value = g_evaluation(inst.tree, inst.driver,
                              stop_everywhere_at(inst.tree, 0), inst.obstacle)
-        assert value == inst.obstacle.values[inst.tree.root]
+        assert value == inst.obstacle.rows[0]  # the root's payoff
 
     def test_two_step_mixture_by_hand(self):
         params = flat_params(lam=0.0, T=1.0)
@@ -184,10 +186,10 @@ class TestMartingaleCheck:
     def test_solution_has_tiny_residual(self):
         rng = np.random.default_rng(41)
         inst = make_instance(rng, "borrow_lend", 4)
-        terminal = {node: inst.obstacle.values[node]
-                    for node in inst.tree.terminal_nodes()}
+        xi = inst.tree.node_dict(inst.obstacle.rows)
+        terminal = {node: xi[node] for node in inst.tree.terminal_nodes()}
         sol = solve_bsde(inst.tree, inst.driver, terminal)
-        assert martingale_check(inst.tree, inst.driver, sol.y) <= 1e-12
+        assert martingale_check(inst.tree, inst.driver, inst.tree.node_dict(sol.y_rows)) <= 1e-12
 
     def test_perturbation_is_detected(self):
         params = flat_params(lam=0.2)
@@ -195,7 +197,7 @@ class TestMartingaleCheck:
         g = perfect_driver(params)
         sol = solve_bsde(tree, g, {node: 5.0 for node in tree.terminal_nodes()})
         eps = 0.01
-        bumped = dict(sol.y)
+        bumped = tree.node_dict(sol.y_rows)
         bumped[(1, 0, 0)] += eps
         residual = martingale_check(tree, g, bumped)
         assert residual >= eps * (1.0 - g.lipschitz_C * tree.dt)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from amhedge import cli, hedging, oracle, rbsde
+from amhedge import cli, hedging, oracle, pricing, rbsde
 from amhedge.bsde import ConvergenceError
 from amhedge.drivers import Driver
 from amhedge.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, MAX_STEPS,
@@ -219,11 +219,13 @@ class TestChunks:
         assert len(tables) == 5 and min(len(t.at) for t in tables.values()) > 2 * self.CHUNK
 
         def strategy(s):
-            return {node_key(node): {"phi1": s.phi1[node], "phi2": s.phi2[node]}
-                    for node in s.phi1}
+            phi1, phi2 = (tree.node_dict(rows, range(tree.n_steps))
+                          for rows in (s.phi1_rows, s.phi2_rows))
+            return {node_key(node): {"phi1": phi1[node], "phi2": phi2[node]} for node in phi1}
 
         def stopped(rule):
-            return {"stopped": [node_key(node) for node in sorted(rule.stop) if rule.stop[node]]}
+            stop = tree.node_dict(rule.rows)
+            return {"stopped": [node_key(node) for node in sorted(stop) if stop[node]]}
         plain = {"u0": report.seller.u0, "v0": report.buyer.v0,
                  "interval_ok": report.interval_ok,
                  "seller_strategy": strategy(report.seller.strategy),
@@ -595,6 +597,28 @@ class TestHedgeOnArrays:
         gc.collect()
         assert [ref() is None for ref in trees] == [True, True]
 
+    @pytest.mark.parametrize("jobs,checks,freed", [
+        (["hedge"], [], True), (["price", "hedge"], [], True),
+        (["hedge", "verify"], ["martingale", "duality"], True),
+        (["hedge", "verify"], ["skorokhod"], False)])  # the check reads the seller's solve
+    def test_the_forward_pass_runs_without_the_sweeps_arrays(self, tmp_path, monkeypatch,
+                                                              jobs, checks, freed):
+        refs, alive, seller_of, simulate = [], [], pricing.seller_of, hedging.simulate_wealth
+
+        def recording(solution):  # the seller's solve and the sweep's (K, N) values
+            refs.extend([weakref.ref(solution), weakref.ref(solution.y_rows.base)])
+            return seller_of(solution)
+
+        def checking(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(pricing, "seller_of", recording)
+        monkeypatch.setattr(hedging, "simulate_wealth", checking)
+        cfg = {**_hedge_job(4), "jobs": jobs, "verify": checks}
+        assert run(cfg, out_dir=tmp_path) == EXIT_OK
+        assert alive == [[not freed] * 2] * 2  # the seller's wealth, then the buyer's
+
     def test_non_finite_wealth_exits_2_naming_the_state(self, tmp_path, capsys, monkeypatch):
         nan = Driver(name="nan", eval=lambda t, y, z, k, s: math.nan, lipschitz_C=0.0)
         simulate = hedging.simulate_wealth
@@ -685,7 +709,15 @@ class TestMain:
         (None, "must be an object"),
         ({k: v for k, v in README_JOB["market"].items() if k != "T"}, "missing field(s) ['T']"),
         ({**README_JOB["market"], "rate": 0.05}, "unknown field(s) ['rate']"),
-    ], ids=["pairs", "string", "number", "null", "missing", "unknown"])
+        # The intensity is named as the document spells it.
+        ({**README_JOB["market"], "lambda": -0.1}, "lambda must be nonnegative"),
+        ({**README_JOB["market"], "lambda": "x"},
+         "lambda: expected a number or a list of numbers, got 'x'"),
+        ({**README_JOB["market"], "lam": 0.25}, "'lam' and 'lambda' both given; they name one field"),
+        ({**{k: v for k, v in README_JOB["market"].items() if k != "lambda"}, "lam": -0.1},
+         "lam must be nonnegative"),
+    ], ids=["pairs", "string", "number", "null", "missing", "unknown", "lambda", "lambda-type",
+            "both", "lam"])
     def test_bad_market_block_exits_2_naming_it_once(self, tmp_path, capsys, market, message):
         config_path = tmp_path / "job.json"
         config_path.write_text(json.dumps({**README_JOB, "market": market}))

@@ -162,7 +162,8 @@ class TestBuyerSuperhedge:
         obs = Obstacle.from_payoff(tree, lambda t, s1, s2, d: max(110.0 - s1, 0.0))
         g = perfect_driver(params)
         result = buyer_price(tree, g, obs)
-        assert any(da > 0.0 for da in result.solution.delta_a.values())
+        assert any(da > 0.0 for da in tree.node_dict(result.solution.da_rows,
+                                                     range(tree.n_steps)).values())
         field = simulate_wealth(tree, -result.v0, result.strategy, g)
         late = terminal_rule(tree)
         report = verify_superhedge_buyer(field, obs, late)
@@ -263,10 +264,12 @@ class TestForwardBackwardConsistency:
         result = seller_price(inst.tree, inst.driver, inst.obstacle)
         field = simulate_wealth(inst.tree, result.u0, result.strategy, inst.driver)
         sol = result.solution
+        y = inst.tree.node_dict(sol.y_rows)
+        delta_a = inst.tree.node_dict(sol.da_rows, range(inst.tree.n_steps))
         a_in = [0.0]
         for level in range(len(field.node_ids)):
             for idx, node in enumerate(field.node_ids[level]):
-                gap = field.v[level][idx] - sol.y[node]
+                gap = field.v[level][idx] - y[node]
                 assert gap >= -1e-11
                 if a_in[idx] == 0.0:
                     assert abs(gap) <= 1e-11
@@ -275,7 +278,7 @@ class TestForwardBackwardConsistency:
                 for jdx in range(field.n_states(level + 1)):
                     pidx = field.parent[level + 1][jdx]
                     pnode = field.node_ids[level][pidx]
-                    nxt[jdx] = a_in[pidx] + sol.delta_a[pnode]
+                    nxt[jdx] = a_in[pidx] + delta_a[pnode]
                 a_in = nxt
 
 
@@ -291,9 +294,9 @@ class TestStrictGain:
     def test_vacuous_without_binding(self):
         rng = np.random.default_rng(351)
         inst = make_instance(rng, "perfect", 3)
+        xi = inst.tree.node_dict(inst.obstacle.rows)
         low = Obstacle(inst.tree, dict_rows(inst.tree, {
-            n: inst.obstacle.values[n] if inst.tree.is_terminal(n) else -1e9
-            for n in inst.tree.nodes}))
+            n: xi[n] if inst.tree.is_terminal(n) else -1e9 for n in inst.tree.nodes}))
         report = strict_gain(inst.tree, inst.driver, low)
         assert report.passed and report.n_states == 0 and report.min_gain is None
 

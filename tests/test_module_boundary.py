@@ -4,12 +4,20 @@ fast-path modules import nothing from ``oracle``, and ``oracle`` imports
 nothing from the layers that consume it. One writer, ``cli._write``, opens
 every file the package writes. The row layout is decided in ``market`` alone:
 only it builds row starts from row lengths, no module joins a quantity's rows
-with a ``flat``, and the forward pass reads its arrays without joining rows."""
+with a ``flat``, and the forward pass reads its arrays without joining rows.
+The result types hold their row-order arrays only: no module defines a
+``row_view``, and no node dict hangs off a solve, an obstacle, a strategy or
+a rule (``Tree.node_dict`` builds one where a reference needs it)."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from amhedge.bsde import Solution
+from amhedge.pricing import Strategy
+from amhedge.rbsde import Obstacle, StoppingRule
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "amhedge"
 NODE_VIEWS = {"nodes", "branches", "levels", "terminal_nodes", "level_rows", "node_dict",
@@ -121,3 +129,27 @@ def test_the_forward_pass_reads_rows_without_joining_them():
     assert _calls(_function("hedging", "Paths", "at"), "concatenate") == []
     assert _calls(_function("hedging", "_groups"), "concatenate") == []
     assert _calls(_parse("hedging"), "concatenate")  # the walk finds the calls it looks for
+
+
+def _names(tree: ast.AST, name: str) -> list:
+    """The line of every definition of, assignment to or read of ``name`` in ``tree``."""
+    return [node.lineno for node in ast.walk(tree)
+            if name in (getattr(node, "name", None), getattr(node, "id", None),
+                        getattr(node, "attr", None))]
+
+
+def test_no_module_defines_row_view():
+    found = {path.stem: _names(_parse(path.stem), "row_view")
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+    # The walk finds a definition and its uses, as ``market`` once held them.
+    assert len(_names(ast.parse("def row_view(v):\n    pass\ny = row_view('y_rows')\n"
+                                "from .market import row_view\nz = market.row_view('z')"),
+                      "row_view")) == 4
+
+
+@pytest.mark.parametrize("cls,methods", [(Solution, {"root_value"}), (Obstacle, {"from_payoff"}),
+                                         (Strategy, set()), (StoppingRule, set())])
+def test_the_result_types_hold_rows_only(cls, methods):
+    extra = {name for name in vars(cls) if not (name.startswith("__") and name.endswith("__"))}
+    assert extra - {field.name for field in dataclasses.fields(cls)} == methods

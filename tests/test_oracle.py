@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from amhedge.bsde import ConvergenceError, Solution
 from amhedge.drivers import Driver, borrow_lend_driver, perfect_driver
-from amhedge.market import MarketParams, PiecewiseConstant, Tree, build_tree
+from amhedge.market import MarketParams, PiecewiseConstant, build_tree
 from amhedge.oracle import (_frontier_tables, _stop_flags, apriori_estimate,
                             apriori_estimate_check, brute_force_seller_value,
                             crr_american_oracle, enumerate_stopping_rules, g_evaluation,
@@ -17,7 +17,7 @@ from amhedge.payoffs import call, payoff_from_config, put
 from amhedge.pricing import seller_price
 from amhedge.rbsde import Obstacle, solve_rbsde_lower
 from helpers import (DRIVER_KINDS, dict_rows, duality_instances, float_bits, make_driver,
-                     make_instance, named_payoff, scalar_apriori_estimate,
+                     make_instance, named_payoff, refuse_node_views, scalar_apriori_estimate,
                      scalar_brute_force_seller_value, style_params, walk_apriori_estimate)
 
 # y = e + (-0.0) * dt is e itself, so a child value's zero sign reaches the root.
@@ -33,13 +33,13 @@ def flat_params(**overrides):
 
 def reached_signature(tree, rule):
     """Behaviour of a rule on the nodes it actually reaches."""
-    sig = []
+    sig, stop = [], tree.node_dict(rule.rows)
     frontier = [tree.root]
     while frontier:
         nxt = []
         for node in frontier:
-            sig.append((node, rule.stop[node]))
-            if not rule.stop[node]:
+            sig.append((node, stop[node]))
+            if not stop[node]:
                 nxt.extend(b.child for b in tree.branches[node])
         frontier = list(dict.fromkeys(nxt))
     return frozenset(sig)
@@ -81,11 +81,11 @@ class TestBruteForce:
         rng = np.random.default_rng(401)
         inst = make_instance(rng, "perfect", 3)
         tree = inst.tree
-        low = {node: -1e9 for node in tree.nodes}
+        low, xi = {node: -1e9 for node in tree.nodes}, tree.node_dict(inst.obstacle.rows)
         for node in tree.terminal_nodes():
-            low[node] = inst.obstacle.values[node]
+            low[node] = xi[node]
         value = brute_force_seller_value(tree, inst.driver, Obstacle(tree, dict_rows(tree, low)))
-        terminal = {node: inst.obstacle.values[node] for node in tree.terminal_nodes()}
+        terminal = {node: xi[node] for node in tree.terminal_nodes()}
         plain = solve_bsde(tree, inst.driver, terminal)
         assert value == pytest.approx(plain.root_value, abs=1e-12)
 
@@ -144,7 +144,7 @@ class TestFrontierTables:
         tree = build_tree(self.README_MARKET, 3)
         payoff = payoff_from_config({"kind": "expr", "expr": "0 * (S1 - 120)"})
         obstacle = Obstacle.from_payoff(tree, payoff)
-        assert ({float_bits(v) for v in obstacle.values.values()}
+        assert ({float_bits(v) for v in tree.node_dict(obstacle.rows).values()}
                 == {float_bits(0.0), float_bits(-0.0)})
         driver = SIGNED_ZERO if kind == "signed_zero" else make_driver(kind, self.README_MARKET)
         assert_tables_equal_per_rule(tree, driver, obstacle)
@@ -510,14 +510,7 @@ def test_apriori_reads_no_node_view(monkeypatch):
     sol2 = solve_rbsde_lower(tree, shifted(driver, 0.1), obstacle)
     want = walk_apriori_estimate(sol1, sol2, *hypothesis_box(driver))
 
-    def refuse(self):
-        raise AssertionError("a node view was read")
-
-    # A property on the class comes before a view cached on the instance.
-    for owner, names in ((Tree, ("nodes", "branches", "levels")),
-                         (Solution, ("y", "z", "k", "delta_a"))):
-        for name in names:
-            monkeypatch.setattr(owner, name, property(refuse))
+    refuse_node_views(monkeypatch)
     assert apriori_estimate(sol1, sol2, *hypothesis_box(driver)) == want
 
 

@@ -21,8 +21,8 @@ from amhedge.pricing import (StoppingRule, buyer_price, epsilon_gap_bound,
 from amhedge.rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
 from helpers import (DRIVER_KINDS, assert_plain_stats, black_scholes_call, dict_rows,
                      duality_instances, eight_steps, float_bits, make_driver, make_instance,
-                     named_payoff, negated, scalar_epsilon_rational, scalar_is_rational,
-                     style_params)
+                     named_payoff, negated, refuse_node_views, scalar_epsilon_rational,
+                     scalar_is_rational, style_params)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 README_MARKET = dict(r=0.05, mu1=0.07, mu2=-0.02, sigma1=0.2, sigma2=0.25, lam=0.25,
@@ -66,15 +66,15 @@ class TestSellerPrice:
         obs = Obstacle(tree, dict_rows(tree, {node: 0.0 for node in tree.nodes}))
         result = seller_price(tree, ZERO, obs)
         assert result.u0 == 0.0
-        assert all(v == 0.0 for v in result.strategy.phi1.values())
-        assert all(v == 0.0 for v in result.strategy.phi2.values())
+        for rows in (result.strategy.phi1_rows, result.strategy.phi2_rows):
+            assert all(v == 0.0 for v in tree.node_dict(rows, range(tree.n_steps)).values())
 
     def test_price_dominates_immediate_exercise(self):
         rng = np.random.default_rng(201)
         for kind in ("perfect", "borrow_lend", "large_trader"):
             inst = make_instance(rng, kind, 3)
             result = seller_price(inst.tree, inst.driver, inst.obstacle)
-            assert result.u0 >= inst.obstacle.values[inst.tree.root] - 1e-12
+            assert result.u0 >= inst.obstacle.rows[0] - 1e-12  # the root's payoff
 
     def test_matches_rule_enumeration(self):
         rng = np.random.default_rng(202)
@@ -111,7 +111,8 @@ class TestSellerPrice:
         rng = np.random.default_rng(203)
         inst = make_instance(rng, "perfect", 4)
         result = seller_price(inst.tree, inst.driver, inst.obstacle)
-        for node, phi2 in result.strategy.phi2.items():
+        for node, phi2 in inst.tree.node_dict(result.strategy.phi2_rows,
+                                              range(inst.tree.n_steps)).items():
             if inst.tree.nodes[node].defaulted:
                 assert phi2 == 0.0
 
@@ -261,7 +262,7 @@ class TestBuyerPrice:
         obs = Obstacle(tree, dict_rows(tree, {node: 7.0 for node in tree.nodes}))
         result = buyer_price(tree, ZERO, obs)
         assert result.v0 == 7.0
-        assert result.exercise.stop[tree.root]
+        assert result.exercise.rows[0]  # stops at the root
 
     def test_matches_rule_enumeration(self):
         rng = np.random.default_rng(212)
@@ -293,35 +294,37 @@ class TestRationalExercise:
         obs = Obstacle.from_payoff(tree, lambda t, s1, s2, d: 50.0 - 40.0 * t)
         sol = seller_price(tree, ZERO, obs).solution
         nu_star, nu_bar = rational_exercise_times(sol, obs)
-        assert nu_star.stop[tree.root]
-        assert nu_bar.stop[tree.root] == (sol.delta_a[tree.root] > 0.0)
+        assert nu_star.rows[0]  # the root
+        assert nu_bar.rows[0] == (sol.da_rows[0] > 0.0)
 
     def test_non_binding_stops_only_at_terminal(self):
         rng = np.random.default_rng(221)
         inst = make_instance(rng, "perfect", 3)
+        xi = inst.tree.node_dict(inst.obstacle.rows)
         low = Obstacle(inst.tree, dict_rows(inst.tree, {
-            n: inst.obstacle.values[n] if inst.tree.is_terminal(n) else -1e9
-            for n in inst.tree.nodes}))
+            n: xi[n] if inst.tree.is_terminal(n) else -1e9 for n in inst.tree.nodes}))
         sol = seller_price(inst.tree, inst.driver, low).solution
-        nu_star, nu_bar = rational_exercise_times(sol, low)
+        nu_star, nu_bar = (inst.tree.node_dict(rule.rows)
+                           for rule in rational_exercise_times(sol, low))
         for node in inst.tree.nodes:
             expect = inst.tree.is_terminal(node)
-            assert nu_star.stop[node] == expect
-            assert nu_bar.stop[node] == expect
+            assert nu_star[node] == expect
+            assert nu_bar[node] == expect
 
     def test_late_rule_stops_no_earlier_than_early_rule(self):
         params, tree, obs = binding_put_instance()
         sol = seller_price(tree, perfect_driver(params), obs).solution
-        nu_star, nu_bar = rational_exercise_times(sol, obs)
+        nu_star, nu_bar = (tree.node_dict(rule.rows) for rule in rational_exercise_times(sol, obs))
         for node in tree.nodes:
-            if nu_bar.stop[node] and not tree.is_terminal(node):
-                assert nu_star.stop[node]
+            if nu_bar[node] and not tree.is_terminal(node):
+                assert nu_star[node]
 
     def test_both_rules_rational_and_optimal(self):
         params, tree, obs = binding_put_instance()
         g = perfect_driver(params)
         result = seller_price(tree, g, obs)
-        assert any(da > 0.0 for da in result.solution.delta_a.values())
+        assert any(da > 0.0 for da in tree.node_dict(result.solution.da_rows,
+                                                     range(tree.n_steps)).values())
         nu_star, nu_bar = rational_exercise_times(result.solution, obs)
         assert is_rational(result.solution, obs, nu_star).ok
         assert is_rational(result.solution, obs, nu_bar).ok
@@ -342,7 +345,7 @@ class TestRationalExercise:
     def test_stopping_off_the_payoff_rejected(self):
         params, tree, obs = binding_put_instance()
         result = seller_price(tree, perfect_driver(params), obs)
-        assert result.solution.y[tree.root] > obs.values[tree.root]
+        assert result.solution.y_rows[0] > obs.rows[0]  # at the root
         rule = StoppingRule(tree, dict_rows(tree, {node: True for node in tree.nodes}))
         report = is_rational(result.solution, obs, rule)
         assert not report.ok
@@ -356,8 +359,8 @@ class TestEpsilonRational:
         g = perfect_driver(params)
         result = seller_price(tree, g, obs)
         rule, gap = epsilon_rational(result.solution, obs, 1e6)
-        assert rule.stop[tree.root]
-        assert gap == pytest.approx(result.u0 - obs.values[tree.root], abs=1e-12)
+        assert rule.rows[0]  # stops at the root
+        assert gap == pytest.approx(result.u0 - obs.rows[0], abs=1e-12)
         assert gap <= epsilon_gap_bound(g, params.T, 1e6)
 
     def test_small_eps_recovers_early_rule(self):
@@ -366,7 +369,7 @@ class TestEpsilonRational:
         result = seller_price(tree, g, obs)
         nu_star, _ = rational_exercise_times(result.solution, obs)
         rule, gap = epsilon_rational(result.solution, obs, 1e-13)
-        assert rule.stop == nu_star.stop
+        assert tree.node_dict(rule.rows) == tree.node_dict(nu_star.rows)
         assert abs(gap) <= 1e-10
 
     def test_gap_bounded_and_monotone(self):
@@ -398,15 +401,16 @@ class TestEpsilonRational:
         sol = seller_price(tree, driver, obs, gamma_check=False).solution
         # Gaps y - payoff of inner nodes that, added back to the payoff,
         # give y exactly, so that the rule's comparison ties there.
-        ties = sorted({y - obs.values[node] for node, y in sol.y.items()
-                       if not tree.is_terminal(node) and y > obs.values[node]
-                       and obs.values[node] + (y - obs.values[node]) == y})
+        xi = tree.node_dict(obs.rows)
+        ties = sorted({y - xi[node] for node, y in tree.node_dict(sol.y_rows).items()
+                       if not tree.is_terminal(node) and y > xi[node]
+                       and xi[node] + (y - xi[node]) == y})
         assert len(ties) >= 3
         for eps in (*ties[::max(1, len(ties) // 4)], 1e-13, 0.1, 1e6):
             rule, gap = epsilon_rational(sol, obs, eps)
             stop, want = scalar_epsilon_rational(sol, obs, eps)
-            assert list(rule.stop.items()) == list(stop.items())
-            assert all(type(flag) is bool for flag in rule.stop.values())
+            assert rule.rows.dtype == bool
+            assert list(tree.node_dict(rule.rows).items()) == list(stop.items())
             assert float_bits(gap) == float_bits(want)
 
     def test_rejects_nonpositive_eps(self):
@@ -427,12 +431,13 @@ class TestPriceAmerican:
         assert report.interval_ok == (v0 <= u0 + 1e-10)
         n_nonterminal = sum(1 for n in inst.tree.nodes
                             if not inst.tree.is_terminal(n))
-        assert len(report.seller.strategy.phi1) == n_nonterminal
-        assert len(report.buyer.strategy.phi1) == n_nonterminal
-        for node in inst.tree.terminal_nodes():
-            assert report.nu_star.stop[node]
-            assert report.nu_bar.stop[node]
-            assert report.buyer.exercise.stop[node]
+        terminal = inst.tree.starts[-3]  # the first terminal node
+        assert terminal == n_nonterminal
+        for strategy in (report.seller.strategy, report.buyer.strategy):
+            assert len(strategy.phi1_rows) == len(inst.tree.s1)
+            assert not strategy.phi1_rows[terminal:].any()
+        for rule in (report.nu_star, report.nu_bar, report.buyer.exercise):
+            assert rule.rows[terminal:].all()
 
 
 # The README market's default-free asset without default, with its rate or its
@@ -469,46 +474,41 @@ def _row_items(tree, values, steps, cast=float):
             for j, v in enumerate(row.tolist())]
 
 
-def test_price_path_stays_on_rows():
+def test_price_path_stays_on_rows(monkeypatch):
     params = flat_params(mu1=0.07, mu2=-0.02, sigma2=0.25,
                          lam=PiecewiseConstant([0.25, 0.0], times=[0.0, 0.5]))
     tree = build_tree(params, 6)
-    obstacle = Obstacle.from_payoff(tree, put(105.0))
-    report = price_american(tree, borrow_lend_driver(params, 0.07), obstacle)
-    canonical_json(report_to_dict(report))
+    with monkeypatch.context() as patch:
+        refuse_node_views(patch)
+        obstacle = Obstacle.from_payoff(tree, put(105.0))
+        report = price_american(tree, borrow_lend_driver(params, 0.07), obstacle)
+        canonical_json(report_to_dict(report))
 
     solutions = (report.seller.solution, report.buyer.solution)
     strategies = (report.seller.strategy, report.buyer.strategy)
     rules = (report.buyer.exercise, report.nu_star, report.nu_bar)
-    assert not {"nodes", "branches", "levels"} & set(vars(tree))
-    assert "values" not in vars(obstacle)
-    for sol in solutions:
-        assert not {"y", "z", "k", "delta_a"} & set(vars(sol))
-    for strategy in strategies:
-        assert not {"phi1", "phi2"} & set(vars(strategy))
-    assert all("stop" not in vars(rule) for rule in rules)
-
-    # Each view, once read, holds its rows in the node-by-node order.
+    # The tree's view and the node dict of each array, at every step or below the
+    # last, hold the rows in the node-by-node order.
     n = tree.n_steps
-    every, down = range(n + 1), range(n - 1, -1, -1)
+    every, below = range(n + 1), range(n)
     assert list(tree.nodes.items()) == [
         (node, NodeState(tree.time(node[0]), tree.s0[node[0]], s1, s2,
                          tree.coef[node[0]].lam if not node[2] else 0.0, bool(node[2]),
                          tree.coef[node[0]]))
         for (node, s1), (_, s2) in zip(_row_items(tree, tree.s1, every),
                                           _row_items(tree, tree.s2, every))]
-    assert list(obstacle.values.items()) == _row_items(tree, obstacle.rows, every)
+    arrays = [(obstacle.rows, every)]
     for sol in solutions:
-        assert list(sol.y.items()) == _row_items(tree, sol.y_rows, range(n, -1, -1))
-        for view, rows in ((sol.z, sol.z_rows), (sol.k, sol.k_rows),
-                           (sol.delta_a, sol.da_rows)):
-            assert list(view.items()) == _row_items(tree, rows, down)
+        arrays += [(sol.y_rows, every), (sol.z_rows, below), (sol.k_rows, below),
+                   (sol.da_rows, below)]
     for strategy in strategies:
-        assert list(strategy.phi1.items()) == _row_items(tree, strategy.phi1_rows, down)
-        assert list(strategy.phi2.items()) == _row_items(tree, strategy.phi2_rows, down)
+        arrays += [(strategy.phi1_rows, below), (strategy.phi2_rows, below)]
+    for rows, steps in arrays:
+        assert list(tree.node_dict(rows, steps).items()) == _row_items(tree, rows, steps)
     for rule in rules:
-        assert list(rule.stop.items()) == _row_items(tree, rule.rows, every, bool)
-        assert all(rule.stop[node] for node in tree.terminal_nodes())
+        stop = tree.node_dict(rule.rows)
+        assert list(stop.items()) == _row_items(tree, rule.rows, every, bool)
+        assert all(stop[node] for node in tree.terminal_nodes())
 
 
 def test_rationality_and_strict_gain_stay_on_rows(monkeypatch):
@@ -525,17 +525,12 @@ def test_rationality_and_strict_gain_stay_on_rows(monkeypatch):
 
     for name in ("solve_rbsde_lower", "simulate_wealth"):
         monkeypatch.setattr(hedging, name, no_call)
+    refuse_node_views(monkeypatch)
     rules = (report.nu_star, report.nu_bar, report.buyer.exercise)
     assert [is_rational(seller.solution, obstacle, rule).ok for rule in rules[:2]] == [True, True]
     assert is_rational(report.buyer.solution, negated(obstacle), report.buyer.exercise).ok
     gain = hedging.strict_gain_after_nubar(field, seller.solution)
     assert gain.passed and gain.n_states > 0
-
-    assert not {"nodes", "branches", "levels"} & set(vars(tree))
-    assert "values" not in vars(obstacle)
-    for sol in (seller.solution, report.buyer.solution):
-        assert not {"y", "delta_a"} & set(vars(sol))
-    assert all("stop" not in vars(rule) for rule in rules)
     assert "node_ids" not in vars(field)
 
 

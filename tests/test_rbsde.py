@@ -55,23 +55,26 @@ class TestLowerReflection:
         rng = np.random.default_rng(61)
         inst = make_instance(rng, "perfect", 4)
         tree = inst.tree
-        low = {node: -1e9 for node in tree.nodes}
+        low, xi = {node: -1e9 for node in tree.nodes}, tree.node_dict(inst.obstacle.rows)
         for node in tree.terminal_nodes():
-            low[node] = inst.obstacle.values[node]
+            low[node] = xi[node]
         sol = solve_rbsde_lower(tree, inst.driver, Obstacle(tree, dict_rows(tree, low)))
-        terminal = {node: inst.obstacle.values[node] for node in tree.terminal_nodes()}
+        terminal = {node: xi[node] for node in tree.terminal_nodes()}
         plain = solve_bsde(tree, inst.driver, terminal)
-        assert all(sol.y[node] == plain.y[node] for node in tree.nodes)
-        assert all(v == 0.0 for v in sol.delta_a.values())
+        y, plain_y = tree.node_dict(sol.y_rows), tree.node_dict(plain.y_rows)
+        assert all(y[node] == plain_y[node] for node in tree.nodes)
+        assert all(v == 0.0 for v in tree.node_dict(sol.da_rows, range(tree.n_steps)).values())
 
     def test_decreasing_deterministic_obstacle(self):
         tree = build_tree(flat_params(T=1.0), 2)  # dt = 0.5
         obs = Obstacle.from_payoff(tree, lambda t, s1, s2, d: 10.0 - t)
         sol = solve_rbsde_lower(tree, ZERO, obs)
+        y, xi = tree.node_dict(sol.y_rows), tree.node_dict(obs.rows)
+        delta_a = tree.node_dict(sol.da_rows, range(tree.n_steps))
         for node in tree.nodes:
-            assert sol.y[node] == obs.values[node]
+            assert y[node] == xi[node]
         for node in tree.levels[0] + tree.levels[1]:
-            assert sol.delta_a[node] == pytest.approx(0.5, abs=1e-15)
+            assert delta_a[node] == pytest.approx(0.5, abs=1e-15)
 
     def test_american_put_matches_independent_snell_program(self):
         params = flat_params()
@@ -85,8 +88,9 @@ class TestLowerReflection:
         rng = np.random.default_rng(67)
         inst = make_instance(rng, "borrow_lend", 3)
         sol = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle)
+        y, xi = inst.tree.node_dict(sol.y_rows), inst.tree.node_dict(inst.obstacle.rows)
         for node in inst.tree.terminal_nodes():
-            assert sol.y[node] == inst.obstacle.values[node]
+            assert y[node] == xi[node]
 
 
 class TestUpperReflection:
@@ -94,14 +98,15 @@ class TestUpperReflection:
         rng = np.random.default_rng(71)
         inst = make_instance(rng, "perfect", 3)
         tree = inst.tree
-        high = {node: 1e9 for node in tree.nodes}
+        high, xi = {node: 1e9 for node in tree.nodes}, tree.node_dict(inst.obstacle.rows)
         for node in tree.terminal_nodes():
-            high[node] = inst.obstacle.values[node]
+            high[node] = xi[node]
         sol = solve_rbsde_upper(tree, inst.driver, Obstacle(tree, dict_rows(tree, high)))
-        terminal = {node: inst.obstacle.values[node] for node in tree.terminal_nodes()}
+        terminal = {node: xi[node] for node in tree.terminal_nodes()}
         plain = solve_bsde(tree, inst.driver, terminal)
-        assert all(sol.y[node] == plain.y[node] for node in tree.nodes)
-        assert all(v == 0.0 for v in sol.delta_a.values())
+        y, plain_y = tree.node_dict(sol.y_rows), tree.node_dict(plain.y_rows)
+        assert all(y[node] == plain_y[node] for node in tree.nodes)
+        assert all(v == 0.0 for v in tree.node_dict(sol.da_rows, range(tree.n_steps)).values())
 
     def test_sign_symmetry_against_lower_for_linear_driver(self):
         rng = np.random.default_rng(73)
@@ -110,20 +115,24 @@ class TestUpperReflection:
         lower = solve_rbsde_lower(tree, inst.driver, inst.obstacle)
         neg = negated(inst.obstacle)
         upper = solve_rbsde_upper(tree, inst.driver, neg)
+        upper_y, lower_y = tree.node_dict(upper.y_rows), tree.node_dict(lower.y_rows)
         for node in tree.nodes:
-            assert upper.y[node] == -lower.y[node]
-        for node in lower.delta_a:
-            assert upper.delta_a[node] == lower.delta_a[node]
+            assert upper_y[node] == -lower_y[node]
+        below = range(tree.n_steps)
+        upper_da, lower_da = tree.node_dict(upper.da_rows, below), tree.node_dict(lower.da_rows, below)
+        for node in lower_da:
+            assert upper_da[node] == lower_da[node]
 
     def test_binding_upper_two_step_by_hand(self):
         tree = build_tree(flat_params(T=1.0), 2)
         values = {(2, 0, 0): 4.0, (2, 1, 0): 6.0, (2, 2, 0): 8.0,
                   (1, 0, 0): 3.0, (1, 1, 0): 100.0, (0, 0, 0): 100.0}
         sol = solve_rbsde_upper(tree, ZERO, Obstacle(tree, dict_rows(tree, values)))
-        assert sol.y[(1, 1, 0)] == 7.0
-        assert sol.y[(1, 0, 0)] == 3.0
-        assert sol.delta_a[(1, 0, 0)] == 2.0
-        assert sol.y[tree.root] == 5.0
+        y = tree.node_dict(sol.y_rows)
+        assert y[(1, 1, 0)] == 7.0
+        assert y[(1, 0, 0)] == 3.0
+        assert tree.node_dict(sol.da_rows, [1])[(1, 0, 0)] == 2.0
+        assert y[tree.root] == 5.0
 
 
 class TestSkorokhod:
@@ -138,11 +147,15 @@ class TestSkorokhod:
         rng = np.random.default_rng(89)
         inst = make_instance(rng, "perfect", 3)
         sol = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle)
-        node = max(sol.delta_a, key=lambda n: sol.y[n] - inst.obstacle.values[n])
-        assert sol.y[node] > inst.obstacle.values[node]
+        tree = inst.tree
+        y, xi = tree.node_dict(sol.y_rows), tree.node_dict(inst.obstacle.rows)
+        # The nodes below the last step, the last of them first.
+        node = max(tree.node_dict(sol.da_rows, range(tree.n_steps - 1, -1, -1)),
+                   key=lambda n: y[n] - xi[n])
+        assert y[node] > xi[node]
         i, j, d = node
-        sol.da_rows[inst.tree.starts[2 * i + d] + j] = 0.5
-        expected = 0.5 * (sol.y[node] - inst.obstacle.values[node])
+        sol.da_rows[tree.starts[2 * i + d] + j] = 0.5
+        expected = 0.5 * (y[node] - xi[node])
         assert skorokhod_residual(sol, inst.obstacle) == pytest.approx(expected)
 
     def test_rejects_plain_solve(self):
@@ -161,38 +174,44 @@ class TestStructuralInvariants:
         rng = np.random.default_rng(seed)
         inst = make_instance(rng, kind, 4)
         sol = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle)
-        for node in inst.tree.nodes:
-            assert sol.y[node] >= inst.obstacle.values[node]
-        for node, da in sol.delta_a.items():
+        tree = inst.tree
+        y, xi = tree.node_dict(sol.y_rows), tree.node_dict(inst.obstacle.rows)
+        delta_a = tree.node_dict(sol.da_rows, range(tree.n_steps))
+        for node in tree.nodes:
+            assert y[node] >= xi[node]
+        for node, da in delta_a.items():
             assert da >= 0.0
-            assert da * (sol.y[node] - inst.obstacle.values[node]) == 0.0
+            assert da * (y[node] - xi[node]) == 0.0
         # The latest rational rule of the solve is rational, and the charge
         # accrued on arrival never falls along a branch.
         nu_bar = rational_exercise_times(sol, inst.obstacle)[1]
         assert scalar_is_rational(sol, inst.obstacle, nu_bar).ok
-        charge = scalar_cumulative_charge(inst.tree, sol.delta_a)
-        for node, branches in inst.tree.branches.items():
+        charge = scalar_cumulative_charge(tree, delta_a)
+        for node, branches in tree.branches.items():
             for b in branches:
-                assert charge[b.child] >= charge[node] + sol.delta_a[node] >= charge[node]
+                assert charge[b.child] >= charge[node] + delta_a[node] >= charge[node]
 
     def test_upper_structure(self, seed, kind):
         rng = np.random.default_rng(seed)
         inst = make_instance(rng, kind, 4)
         neg = negated(inst.obstacle)
         sol = solve_rbsde_upper(inst.tree, inst.driver, neg)
-        for node in inst.tree.nodes:
-            assert sol.y[node] <= neg.values[node]
-        for node, da in sol.delta_a.items():
+        tree = inst.tree
+        y, neg_xi = tree.node_dict(sol.y_rows), tree.node_dict(neg.rows)
+        for node in tree.nodes:
+            assert y[node] <= neg_xi[node]
+        for node, da in tree.node_dict(sol.da_rows, range(tree.n_steps)).items():
             assert da >= 0.0
-            assert da * (neg.values[node] - sol.y[node]) == 0.0
+            assert da * (neg_xi[node] - y[node]) == 0.0
 
     def test_monotone_in_obstacle(self, seed, kind):
         rng = np.random.default_rng(seed)
         inst = make_instance(rng, kind, 3)
         bumped = Obstacle(inst.tree, dict_rows(inst.tree, {
-            n: v + float(rng.uniform(0, 2)) for n, v in inst.obstacle.values.items()}))
-        y1 = solve_rbsde_lower(inst.tree, inst.driver, inst.obstacle).y
-        y2 = solve_rbsde_lower(inst.tree, inst.driver, bumped).y
+            n: v + float(rng.uniform(0, 2))
+            for n, v in inst.tree.node_dict(inst.obstacle.rows).items()}))
+        y1, y2 = (inst.tree.node_dict(solve_rbsde_lower(inst.tree, inst.driver, obs).y_rows)
+                  for obs in (inst.obstacle, bumped))
         for node in inst.tree.nodes:
             assert y1[node] <= y2[node] + 1e-12
 
@@ -225,13 +244,15 @@ def row_test_driver(kind, params):
 
 
 def scalar_reflected(tree, driver, obstacle, side):
-    """Node-by-node reference: the scalar one_step, then the reflection."""
-    y = {node: float(obstacle.values[node]) for node in tree.terminal_nodes()}
+    """Node-by-node reference: the scalar one_step, then the reflection; the
+    dicts hold the levels last first."""
+    xi = tree.node_dict(obstacle.rows)
+    y = {node: float(xi[node]) for node in tree.terminal_nodes()}
     z, k, delta_a = {}, {}, {}
     for level in reversed(tree.levels[:-1]):
         for node in level:
             y_c, z[node], k[node] = one_step(tree, driver, node, y)
-            b = obstacle.values[node]
+            b = xi[node]
             if side == "lower" and b > y_c:
                 y[node], delta_a[node] = b, b - y_c
             elif side == "upper" and b < y_c:
@@ -257,7 +278,8 @@ class TestRowSweepMatchesScalar:
                                          ("upper", solve_rbsde_upper, upper)):
                 sol = solve(tree, driver, barrier)
                 expected = scalar_reflected(tree, driver, barrier, side)
-                for got, want in zip((sol.y, sol.z, sol.k, sol.delta_a), expected):
+                for got, want in zip(last_first(tree, sol.y_rows, sol.z_rows, sol.k_rows,
+                                                sol.da_rows), expected):
                     assert list(got) == list(want)  # same nodes, same order
                     assert all(got[node] == want[node] for node in want)
 
@@ -268,13 +290,22 @@ class TestRowSweepMatchesScalar:
         terminal = {node: float(i % 7) - 2.0
                     for i, node in enumerate(tree.terminal_nodes())}
         sol = solve_bsde(tree, driver, terminal)
+        sol_y, sol_z, sol_k = last_first(tree, sol.y_rows, sol.z_rows, sol.k_rows)
         y = dict(terminal)
         for level in reversed(tree.levels[:-1]):
             for node in level:
                 y[node], z, k = one_step(tree, driver, node, y)
-                assert (sol.z[node], sol.k[node]) == (z, k)
-        assert list(sol.y) == list(y)
-        assert all(sol.y[node] == y[node] for node in y)
+                assert (sol_z[node], sol_k[node]) == (z, k)
+        assert list(sol_y) == list(y)
+        assert all(sol_y[node] == y[node] for node in y)
+
+
+def last_first(tree, y_rows, *below):
+    """Node dicts of row-order arrays in the scalar references' order, the levels
+    last first: ``y_rows`` at every step, the arrays of ``below`` below the last."""
+    n = tree.n_steps
+    return (tree.node_dict(y_rows, range(n, -1, -1)),
+            *(tree.node_dict(rows, range(n - 1, -1, -1)) for rows in below))
 
 
 def node_bits(*views):
@@ -305,15 +336,16 @@ def test_row_sweep_equals_the_scalar_kernel_on_random_markets(
                                  ("upper", solve_rbsde_upper, negated(obstacle))):
         def rows():
             sol = solve(tree, driver, barrier)
-            return node_bits(sol.y, sol.z, sol.k, sol.delta_a)
+            return node_bits(*last_first(tree, sol.y_rows, sol.z_rows, sol.k_rows, sol.da_rows))
         assert (_bits_or_error(rows)
                 == _bits_or_error(lambda: node_bits(*scalar_reflected(tree, driver, barrier, side))))
 
-    terminal = {node: obstacle.values[node] for node in tree.terminal_nodes()}
+    xi = tree.node_dict(obstacle.rows)
+    terminal = {node: xi[node] for node in tree.terminal_nodes()}
 
     def plain():
         sol = solve_bsde(tree, driver, terminal)
-        return node_bits(sol.y, sol.z, sol.k)
+        return node_bits(*last_first(tree, sol.y_rows, sol.z_rows, sol.k_rows))
 
     def scalar_plain():
         y, z, k = dict(terminal), {}, {}
@@ -409,19 +441,21 @@ def assert_stats_match_scalar_counts(kind, side):
            else solve_rbsde_upper(tree, counting, negated(obstacle)))
     evals = sum(calls)
     # Picard iterations of each node, counted on the scalar reference sweep.
-    per_node = []
+    per_node, y = [], tree.node_dict(sol.y_rows)
     for level in reversed(tree.levels[:-1]):
         for node in level:
             calls.clear()
-            one_step(tree, counting, node, sol.y)
+            one_step(tree, counting, node, y)
             per_node.append(len(calls))
     stats = sol.stats
-    assert stats.nodes == len(sol.delta_a) == len(per_node)
+    delta_a = tree.node_dict(sol.da_rows, range(tree.n_steps))
+    assert stats.nodes == len(delta_a) == len(per_node)
     assert stats.picard_max == max(per_node)
     assert stats.picard_mean == sum(per_node) / len(per_node)
     assert stats.driver_evals == evals
-    assert stats.bound == sum(1 for charge in sol.delta_a.values() if charge > 0.0) > 0
-    plain = solve_bsde(tree, driver, {n: obstacle.values[n] for n in tree.terminal_nodes()})
+    assert stats.bound == sum(1 for charge in delta_a.values() if charge > 0.0) > 0
+    xi = tree.node_dict(obstacle.rows)
+    plain = solve_bsde(tree, driver, {n: xi[n] for n in tree.terminal_nodes()})
     assert plain.stats.nodes == stats.nodes and plain.stats.bound == 0
     # The same types at K = 1 and in a K = 3 sweep, whose sides count as on their own.
     sides = [(obstacle, "lower"), (negated(obstacle), "upper"), (negated(obstacle), "lower")]

@@ -107,7 +107,7 @@ def test_row_payoffs_keep_the_zero_sign_and_nan_of_max():
     tree = build_tree(market("const", s1_0=5e-324, sigma1=0.9, mu1=0.0), 1)
     assert tree.step_rows(tree.s1, 1)[0][0] == 0.0
     obstacle = Obstacle.from_payoff(tree, put(-0.0))
-    assert math.copysign(1.0, obstacle.values[(1, 0, 0)]) == -1.0
+    assert math.copysign(1.0, tree.node_dict(obstacle.rows)[(1, 0, 0)]) == -1.0
     assert_same_rows(obstacle.rows, scalar_obstacle_rows(tree, put(-0.0)))
 
 
