@@ -92,33 +92,35 @@ def coefficients(branches, child_values, sq: float) -> tuple:
     return e + branches[2].prob * f_j[0], z, f_j[0] - 0.5 * (f_u + f_d)
 
 
-def _picard(segments: list, dt: float, where, first=None) -> np.ndarray:
+def _picard(segments: list, dt: float, where) -> tuple:
     """``oracle.implicit_value`` over the flat concatenation of ``segments``, each the
     ``(g, e)`` of a row: a driver's split (y -> g(y)) and the row's flat e. A segment's
     g is called on each iteration while it has an element that has not passed, and each
     element keeps the iterate at which it first passes, so it equals the scalar result.
-    Counts iterations in ``first`` if given; ``where(j, residual)`` names a failure."""
+    Returns the values and the iteration at which each passed; ``where(j, residual)``
+    names a failure."""
     (g, e), *more = segments
-    if more:  # (start, end, g) of each segment that has an element left
+    if more:  # (start, end, g) of each segment, and of those with an element left
         ends = list(accumulate(len(e) for _, e in segments))
-        live = list(zip([0] + ends, ends, (g for g, _ in segments)))
-        e = np.concatenate([e for _, e in segments])
+        spans = live = list(zip([0] + ends, ends, (g for g, _ in segments)))
+        heads, e = np.array([0] + ends[:-1]), np.concatenate([e for _, e in segments])
         gy = np.empty_like(e)
-    y, out, pending = e, np.empty_like(e), np.ones(e.shape, dtype=bool)
-    for _ in range(PICARD_MAX_ITER):
-        if first is not None:
-            first += pending
+    y, out, pending, left = e, np.empty_like(e), np.ones(e.shape, dtype=bool), e.size
+    first = np.empty(e.shape, dtype=np.int8)  # the iteration at which each element passed
+    for it in range(1, PICARD_MAX_ITER + 1):
         for a, b, g_ab in live if more else ():
             gy[a:b] = g_ab(y[a:b])
         y_new = e + (gy if more else g(y)) * dt
         residual = np.abs(y_new - y)
         passed = (residual <= PICARD_TOL * (1.0 + np.abs(y_new))) & pending
-        np.copyto(out, y_new, where=passed)
-        pending ^= passed
-        if not np.count_nonzero(pending):
-            return out
-        if more:
-            live = [seg for seg in live if np.count_nonzero(pending[seg[0]:seg[1]])]
+        if count := np.count_nonzero(passed):
+            np.copyto(out, y_new, where=passed)
+            np.copyto(first, it, where=passed)
+            if not (left := left - count):
+                return out, first
+            pending ^= passed
+            if more:
+                live = [s for s, on in zip(spans, np.logical_or.reduceat(pending, heads)) if on]
         y = y_new
     j = int(np.argmax(pending))
     raise ConvergenceError(
@@ -158,65 +160,60 @@ def backward_sweep(tree: Tree, sides: list) -> list:
     where the side is used; an error that no side meets on its own is raised.
     """
     n, K, starts = tree.n_steps, len(sides), tree.starts.tolist()
-    kinds = [kind for kind, _, _ in sides]
-    reflected = kinds != ["bsde"]
-    orient = np.array([[1.0 if kind == "lower" else -1.0] for kind in kinds])
+    reflected = [kind for kind, _, _ in sides] != ["bsde"]
+    orient = np.array([[1.0 if kind == "lower" else -1.0] for kind, _, _ in sides])
     # (first side, end, split) of each run of adjacent sides with one driver
     ends = list(accumulate(len(list(run)) for _, run in groupby(d for _, _, d in sides)))
     runs = [(a, b, split_of(sides[a][2])) for a, b in zip([0] + ends, ends)]
     y, (z, k, da) = np.empty((K, starts[-1])), (np.zeros((K, starts[-1])) for _ in range(3))
     y[:, starts[-3]:] = [rows[starts[-3]:] for _, rows, _ in sides]
     first = np.zeros((K, starts[-3]), dtype=np.int8)  # for the stats
+    zero = np.frombuffer(bytes(8 * K * n))  # read-only zeros: a two-branch row's k is a view
     try:
         for i in range(n - 1, -1, -1):
-            t, blocks = tree.time(i), []  # (d, row slice, e) of each row with nodes
+            t, blocks = tree.time(i), []  # (d, row slice, e, z, k) of each row with nodes
             for d, branches in enumerate(tree.row_branches[i]):
                 row = slice(starts[2 * i + d], starts[2 * i + d + 1])
                 if m := row.stop - row.start:
                     children = [y[:, c:c + m] for c in (starts[2 * i + 2 + b.child[2]] + b.child[1]
                                                         for b in branches)]
-                    e, z[:, row], k_row = coefficients(branches, children, tree.sq)
-                    if len(branches) == 3:
-                        k[:, row] = k_row
-                    blocks.append((d, row, e))
+                    e, z_row, k_row = coefficients(branches, children, tree.sq)
+                    z[:, row], k[:, row] = z_row, k_row  # k_row is 0.0 on a two-branch row
+                    blocks.append((d, row, e, z_row, k_row if len(branches) == 3
+                                   else zero[:K * m].reshape(K, m)))
 
-            def segments(d, row, e):  # each run's split on the row's state, once per side
-                return [(split(t, z[a:b, row].ravel(), k[a:b, row].ravel(), tree.row_state(
-                    i, d, np.tile(tree.s1[row], b - a), np.tile(tree.s2[row], b - a))),
+            def segments(d, row, e, z_row, k_row):  # each run's split on the row, once per side
+                s1, s2 = tree.s1[row], tree.s2[row]
+                return [(split(t, z_row[a:b].ravel(), k_row[a:b].ravel(), tree.row_state(
+                    i, d, np.concatenate((s1,) * (b - a)), np.concatenate((s2,) * (b - a)))),
                          e[a:b].ravel()) for a, b, split in runs]
 
-            def solve(blocks, first=None):  # the rows of ``blocks`` in one Picard loop
+            def solve(blocks):  # the rows of ``blocks`` in one Picard loop
                 def where(j, r):  # element j of their segments end to end
-                    for d, row, _ in blocks:
-                        m = row.stop - row.start
-                        if j < K * m:
+                    for d, row, *_ in blocks:
+                        if j < K * (m := row.stop - row.start):
                             return f"node {(i, j % m, d)} (t={t:.6g}, last residual {r:.3g})"
                         j -= K * m
-                return _picard([seg for block in blocks for seg in segments(*block)], tree.dt,
-                               where, first)
+                return _picard([seg for blk in blocks for seg in segments(*blk)], tree.dt, where)
 
             # One loop per step, each run of adjacent sides with one driver a segment of each
             # row; if it fails, again a row at a time, so the error is the failing row's own.
-            count = np.zeros(K * (starts[2 * i + 2] - starts[2 * i]), dtype=np.int8)
             try:
-                flat = solve(blocks, count)
+                flat, count = solve(blocks)
             except Exception:
                 for block in blocks:
                     solve([block])
                 raise
-            at = 0
-            for _, row, _ in blocks:
-                m = row.stop - row.start
-                first[:, row] = count[at:at + K * m].reshape(K, m)
-                y_row = flat[at:at + K * m].reshape(K, m)
-                at += K * m
-                if reflected:
-                    b = np.array([rows[row] for _, rows, _ in sides])
-                    gap = b - y_row
-                    bind = gap * orient > 0.0  # b > y on a lower side, b < y on an upper one
-                    da[:, row] = np.where(bind, np.abs(gap), 0.0)
-                    y_row = np.where(bind, b, y_row)
-                y[:, row] = y_row
+            for _, row, *_ in blocks:  # at K times the row's offset: the alive row comes first
+                at, m = K * (row.start - starts[2 * i]), row.stop - row.start
+                first[:, row], y[:, row] = (x[at:at + K * m].reshape(K, m) for x in (count, flat))
+            if reflected:  # the step's rows are adjacent: reflect them as one block
+                step = slice(starts[2 * i], starts[2 * i + 2])
+                y_step, b = y[:, step], np.array([rows[step] for _, rows, _ in sides])
+                gap = b - y_step
+                bind = gap * orient > 0.0  # b > y on a lower side, b < y on an upper one
+                da[:, step] = np.where(bind, np.abs(gap), 0.0)
+                np.copyto(y_step, b, where=bind)
     except Exception as exc:  # a driver may fail on one side's values alone
         alone = [exc] if K == 1 else [backward_sweep(tree, [side])[0] for side in sides]
         if not any(isinstance(result, Exception) for result in alone):

@@ -374,7 +374,7 @@ def wealth_martingale_residual(field: WealthField, driver: Driver) -> float:
         # A failure names t alone, as the scalar implicit_value does.
         vals = np.empty(len(first))
         vals[at[0] if len(at) == 1 else np.concatenate(at)] = _picard(
-            segments, tree.dt, lambda j, r, t=state.t: f"t={t:.6g}")
+            segments, tree.dt, lambda j, r, t=state.t: f"t={t:.6g}")[0]
     return abs(float(vals[0]) - field.x0)
 
 

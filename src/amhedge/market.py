@@ -329,10 +329,13 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
                 f"lambda*dt = {coef[i].lam * dt:.6g} >= 1 at step {i}; "
                 f"n_steps = {n_steps} is too coarse for this intensity")
 
-    s0 = [1.0]
-    s1 = [np.array([params.s1_0]), np.empty(0)]  # row by row, then end to end
-    s2 = [np.array([params.s2_0]), np.empty(0)]
-    row_branches = []
+    # Step i has i + 1 alive nodes, and i defaulted ones once a step before it could default.
+    onset = next((i for i, c in enumerate(coef[:-1]) if c.lam * dt > 0.0), n_steps)
+    starts = np.cumsum([0] + [w for i in range(n_steps + 1) for w in (i + 1, i * (i > onset))])
+    start = starts.tolist()
+    s1, s2 = np.empty(start[-1]), np.zeros(start[-1])  # the defaulted rows' s2 stay 0
+    s1[0], s2[0] = params.s1_0, params.s2_0
+    s0, row_branches = [1.0], []
 
     for i, c in enumerate(coef[:-1]):
         lam_dt = c.lam * dt
@@ -360,15 +363,18 @@ def build_tree(params: MarketParams, n_steps: int) -> Tree:
         row_branches.append((alive, (Branch((i + 1, 1, 1), 0.5, sq, 0.0, "up"),
                                      Branch((i + 1, 0, 1), 0.5, -sq, 0.0, "down"))))
 
-        # Next-level prices along the canonical edges.
-        a1, d1, a2 = s1[-2], s1[-1], s2[-2]
-        next_d1 = a1 * flat1 if lam_dt > 0.0 else np.concatenate((d1[:1] * dn1, d1 * up1))
-        s1 += [np.concatenate((a1[:1] * dn1, a1 * up1)), next_d1]
-        s2 += [np.concatenate((a2[:1] * dn2, a2 * up2)), np.zeros(len(next_d1))]
+        # Next-level prices along the canonical edges, written in place.
+        a, d, a_next, d_next, end = start[2 * i:2 * i + 5]
+        for s, dn, up in ((s1, dn1, up1), (s2, dn2, up2)):
+            np.multiply(s[a], dn, out=s[a_next:a_next + 1])
+            np.multiply(s[a:d], up, out=s[a_next + 1:d_next])
+        if lam_dt > 0.0:
+            np.multiply(s1[a:d], flat1, out=s1[d_next:end])
+        elif d_next < end:
+            np.multiply(s1[d], dn1, out=s1[d_next:d_next + 1])
+            np.multiply(s1[d:a_next], up1, out=s1[d_next + 1:end])
         s0.append(s0[i] * (1.0 + c.r * dt))
 
-    starts = np.cumsum([0] + [len(row) for row in s1])
-    s1, s2 = np.concatenate(s1), np.concatenate(s2)
     for name, fields, values, ends in (("s0", "r", np.array(s0), np.arange(1, n_steps + 2)),
                                        ("s1", "s1_0, mu1 and sigma1", s1, starts[2::2]),
                                        ("s2", "s2_0, mu2 and sigma2", s2, starts[2::2])):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -102,12 +103,14 @@ def phi_inverse(phi1: float, phi2: float, sigma1: float, sigma2: float) -> tuple
 
 
 def strategy_from_solution(solution: Solution) -> Strategy:
-    """Apply the position map to z and k, a step at a time with its volatilities."""
+    """Apply the position map to z and k, once per run of steps with equal volatilities."""
     tree, starts = solution.tree, solution.tree.starts.tolist()
     phi1, phi2 = np.zeros(len(tree.s1)), np.zeros(len(tree.s1))
-    for i, c in enumerate(tree.coef[:-1]):
-        at = slice(starts[2 * i], starts[2 * i + 2])  # the step's two rows
-        phi1[at], phi2[at] = phi_map(solution.z_rows[at], solution.k_rows[at], c.sigma1, c.sigma2)
+    for (sigma1, sigma2), run in groupby(range(tree.n_steps),
+                                         lambda i: (tree.coef[i].sigma1, tree.coef[i].sigma2)):
+        steps = list(run)
+        at = slice(starts[2 * steps[0]], starts[2 * steps[-1] + 2])  # the run's rows
+        phi1[at], phi2[at] = phi_map(solution.z_rows[at], solution.k_rows[at], sigma1, sigma2)
     return Strategy(tree, phi1, phi2)
 
 

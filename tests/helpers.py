@@ -11,9 +11,10 @@ simulation, of the superhedge checks, of the obstacle, of the sampled
 driver checks, of the eps-triggered exercise rule, of the rule
 enumeration's best value, of the rationality check and of the stability
 estimate (five walks, and the two-walk node walk), the row-by-row backward
-sweep, the shipped generators' formulas as single functions of
-(t, y, z, k, state), the node-dict document of ``tree.json`` and the
-Black-Scholes call, a reference that does not share the lattice.
+sweep, the lattice's price rows and the positions a step at a time, the
+shipped generators' formulas as single functions of (t, y, z, k, state),
+the node-dict document of ``tree.json`` and the Black-Scholes call, a
+reference that does not share the lattice.
 """
 
 import dataclasses
@@ -33,7 +34,8 @@ from amhedge.market import (MarketParams, PiecewiseConstant, Tree, as_piecewise,
                             node_key)
 from amhedge.oracle import AprioriReport, _stop_flags, g_evaluation, implicit_value, one_step
 from amhedge.payoffs import call, payoff_from_config, put
-from amhedge.pricing import A_ZERO_TOL, EQUALITY_RTOL, RationalityReport, phi_inverse
+from amhedge.pricing import (A_ZERO_TOL, EQUALITY_RTOL, RationalityReport, phi_inverse,
+                             phi_map)
 from amhedge.rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
 
 DRIVER_KINDS = ("perfect", "borrow_lend", "large_trader")
@@ -742,6 +744,45 @@ def row_by_row_sweep(tree, sides) -> list:
                                                              for row in pair])
         return out
     return [tuple(whole(blocks, h) for blocks in (y, z, k, da)) for h in range(K)]
+
+
+# ---------------------------------------------------------------------------
+# Per-step references for the lattice's prices and for the positions: the
+# price rows that amhedge.market.build_tree concatenated before it wrote each
+# row in place, and the position map applied a step at a time, as
+# amhedge.pricing.strategy_from_solution did before it applied it once per
+# run of steps with equal volatilities.
+# ---------------------------------------------------------------------------
+
+def concatenated_prices(params: MarketParams, n_steps: int) -> tuple:
+    """(starts, s1, s2) of the lattice, each step's rows built from the last and
+    joined end to end."""
+    dt = params.T / n_steps
+    sq = math.sqrt(dt)
+    s1 = [np.array([params.s1_0]), np.empty(0)]
+    s2 = [np.array([params.s2_0]), np.empty(0)]
+    for i in range(n_steps):
+        c = params.at(i * dt)
+        up1, dn1 = 1.0 + c.mu1 * dt + c.sigma1 * sq, 1.0 + c.mu1 * dt - c.sigma1 * sq
+        up2 = 1.0 + (c.mu2 + c.lam) * dt + c.sigma2 * sq
+        dn2 = 1.0 + (c.mu2 + c.lam) * dt - c.sigma2 * sq
+        a1, d1, a2 = s1[-2], s1[-1], s2[-2]
+        next_d1 = (a1 * (1.0 + c.mu1 * dt) if c.lam * dt > 0.0
+                   else np.concatenate((d1[:1] * dn1, d1 * up1)))
+        s1 += [np.concatenate((a1[:1] * dn1, a1 * up1)), next_d1]
+        s2 += [np.concatenate((a2[:1] * dn2, a2 * up2)), np.zeros(len(next_d1))]
+    return np.cumsum([0] + [len(row) for row in s1]), np.concatenate(s1), np.concatenate(s2)
+
+
+def per_step_strategy(solution) -> tuple:
+    """(phi1, phi2) row-order arrays: the position map on each step's two rows with
+    that step's volatilities, 0 on the terminal rows."""
+    tree, starts = solution.tree, solution.tree.starts.tolist()
+    phi1, phi2 = np.zeros(len(tree.s1)), np.zeros(len(tree.s1))
+    for i, c in enumerate(tree.coef[:-1]):
+        at = slice(starts[2 * i], starts[2 * i + 2])
+        phi1[at], phi2[at] = phi_map(solution.z_rows[at], solution.k_rows[at], c.sigma1, c.sigma2)
+    return phi1, phi2
 
 
 # ---------------------------------------------------------------------------

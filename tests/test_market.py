@@ -4,6 +4,7 @@ import pytest
 
 from amhedge.market import (MarketParams, PiecewiseConstant, as_piecewise,
                             build_tree, is_finite_number)
+from helpers import concatenated_prices
 
 
 def flat_params(**overrides):
@@ -240,3 +241,22 @@ class TestNodePrices:
     def test_defaulted_price_is_zero(self):
         tree = build_tree(flat_params(lam=0.3), 3)
         assert tree.nodes[(2, 1, 1)].s2 == 0.0
+
+
+# The intensity: none, constant, or stepping to or from 0 at t = 0.5, so that the
+# defaulted rows start at once, never, grow from one alive row, or start late.
+PRICE_LAMBDAS = {"lam_zero": 0.0, "lam_const": 0.25,
+                 "lam_to_zero": PiecewiseConstant([0.25, 0.0], times=[0.0, 0.5]),
+                 "lam_from_zero": PiecewiseConstant([0.0, 0.25], times=[0.0, 0.5])}
+
+
+@pytest.mark.parametrize("lam", sorted(PRICE_LAMBDAS))
+@pytest.mark.parametrize("sigma1", [0.2, PiecewiseConstant([0.2, 0.35], times=[0.0, 0.4])])
+def test_prices_written_in_place_equal_the_concatenated_rows(lam, sigma1):
+    params = flat_params(mu1=0.07, mu2=-0.02, sigma1=sigma1, sigma2=0.25,
+                         lam=PRICE_LAMBDAS[lam])
+    for n_steps in [*range(1, 18), 64, 256]:
+        tree = build_tree(params, n_steps)
+        starts, s1, s2 = concatenated_prices(params, n_steps)
+        assert tree.starts.tobytes() == starts.tobytes()
+        assert tree.s1.tobytes() == s1.tobytes() and tree.s2.tobytes() == s2.tobytes()

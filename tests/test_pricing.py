@@ -21,8 +21,8 @@ from amhedge.pricing import (StoppingRule, buyer_price, epsilon_gap_bound,
 from amhedge.rbsde import Obstacle, solve_rbsde_lower, solve_rbsde_upper
 from helpers import (DRIVER_KINDS, assert_plain_stats, black_scholes_call, dict_rows,
                      duality_instances, eight_steps, float_bits, make_driver, make_instance,
-                     named_payoff, negated, refuse_node_views, scalar_epsilon_rational,
-                     scalar_is_rational, style_params)
+                     named_payoff, negated, per_step_strategy, refuse_node_views,
+                     scalar_epsilon_rational, scalar_is_rational, style_params)
 
 ZERO = Driver(name="zero", eval=lambda t, y, z, k, s: 0.0, lipschitz_C=0.0)
 README_MARKET = dict(r=0.05, mu1=0.07, mu2=-0.02, sigma1=0.2, sigma2=0.25, lam=0.25,
@@ -751,3 +751,21 @@ class TestSharedSweepFailure:
             buyer_price(self.tree, driver, self.obstacle, gamma_check=False)
         with pytest.raises(ValueError, match="driver refuses t=0.0$"):
             price_american(self.tree, driver, self.obstacle, gamma_check=False)
+
+
+@pytest.mark.parametrize("market", [
+    dict(sigma1=PiecewiseConstant([0.2, 0.35, 0.2], times=[0.0, 0.3, 0.6])),
+    dict(sigma2=PiecewiseConstant([0.25, 0.15], times=[0.0, 0.45])),
+    dict(lam=PiecewiseConstant([0.25, 0.0], times=[0.0, 0.5]),
+         sigma1=PiecewiseConstant([0.2, 0.3], times=[0.0, 0.7])),
+    dict(lam=0.0), dict()])
+def test_positions_per_volatility_run_equal_the_per_step_map(market):
+    params = MarketParams(**dict(README_MARKET, **market))
+    for n_steps in (1, 2, 5, 16, 33):
+        tree = build_tree(params, n_steps)
+        obstacle = Obstacle.from_payoff(tree, put(105.0))
+        for solution in pricing.solve_prices(tree, borrow_lend_driver(params, 0.07), obstacle):
+            strategy = strategy_from_solution(solution)
+            phi1, phi2 = per_step_strategy(solution)
+            assert float_bits(strategy.phi1_rows) == float_bits(phi1)
+            assert float_bits(strategy.phi2_rows) == float_bits(phi2)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from amhedge.bsde import ConvergenceError, backward_sweep
 from amhedge.drivers import (Driver, borrow_lend_driver, check_gamma_assumption,
-                             gamma_rows, large_trader_driver, perfect_driver)
+                             gamma_rows, large_trader_driver, perfect_driver, split_eval,
+                             split_of)
 from amhedge.market import MarketParams, NodeState, PiecewiseConstant, build_tree
 from amhedge.oracle import implicit_value, one_step, solve_bsde
 from amhedge.pricing import rational_exercise_times
@@ -513,6 +514,53 @@ def test_one_loop_per_step_equals_the_row_by_row_reference(lam, kind, kinds, n_s
     for solution, rows, side in zip(got, want, sides, strict=True):
         assert _rows_bits(solution) == [float_bits(part) for part in rows]
         assert solution.stats == backward_sweep(tree, [side])[0].stats
+
+
+def _recording(driver, tree, calls):
+    """``driver`` with a split form that checks each call against the tree: the state's
+    s1 and s2 are the row's prices repeated once per side, z and k as long, and k all
+    zeros on a two-branch row; each call of the g it returns is recorded as (driver
+    name, t, defaulted, length)."""
+    split, step = split_of(driver), {tree.time(i): i for i in range(tree.n_steps)}
+
+    def recorded(t, z, k, state):
+        i, d = step[t], int(state.defaulted)
+        s1, s2 = (tree.step_rows(prices, i)[d] for prices in (tree.s1, tree.s2))
+        sides = len(z) // len(s1)
+        assert sides >= 1 and len(z) == len(k) == len(state.s1) == sides * len(s1)
+        assert float_bits(state.s1) == float_bits(np.tile(s1, sides))
+        assert float_bits(state.s2) == float_bits(np.tile(s2, sides))
+        if len(tree.row_branches[i][d]) == 2:
+            assert float_bits(k) == float_bits(np.zeros(len(k)))
+        g = split(t, z, k, state)
+
+        def g_recorded(y):
+            calls.append((driver.name, t, d, len(y)))
+            return g(y)
+        return g_recorded
+    return dataclasses.replace(driver, eval=split_eval(recorded, driver.eval.times))
+
+
+@pytest.mark.parametrize("lam", sorted(STEP_LAMBDAS))
+@pytest.mark.parametrize("kinds", [("lower",), ("lower", "upper"), ("lower", "upper", "lower")])
+def test_every_sweep_call_keeps_the_driver_contract(lam, kinds):
+    # At K = 3 the last side has a driver of its own, so a row has two runs. One loop
+    # per step interleaves the iterations of a step's segments, so the calls are
+    # compared with the row-by-row reference's as a multiset, each tagged with its step.
+    params = dataclasses.replace(row_test_params("const"), lam=STEP_LAMBDAS[lam])
+    tree = build_tree(params, 7)
+    obstacle = Obstacle.from_payoff(tree, put(105.0))
+    calls = []
+    drivers = [_recording(make_driver(kind, params), tree, calls)
+               for kind in ("borrow_lend", "perfect")]
+    sides = [(side, (obstacle if side == "lower" else negated(obstacle)).rows,
+              drivers[1] if h == 2 else drivers[0]) for h, side in enumerate(kinds)]
+    for solution in backward_sweep(tree, sides):
+        assert not isinstance(solution, Exception)
+    swept = sorted(calls)
+    calls.clear()
+    row_by_row_sweep(tree, sides)
+    assert swept == sorted(calls) and len({name for name, *_ in swept}) == 1 + (len(kinds) == 3)
 
 
 def test_only_the_third_sides_driver_diverges():
