@@ -21,6 +21,12 @@ fixed ``EDGE_JOBS``, which reach what no workload job does:
   default (lambda = 0, two branches per node) under ``perfect`` and
   ``large_trader``, so that the rule enumeration meets short trees and
   two-branch frontiers (the workloads run it only at n = 4 with default);
+* a verify-only ``duality`` job at n = 3 on the payoff ``0 * (S1 - 120)``,
+  which is -0.0 below the strike and 0.0 above it, so that the rule values
+  of steps from child values of either zero sign are compared by their bits;
+* a verify-only ``duality`` job at n = 4 whose intensity steps from 0.25 to
+  0 at t = 0.5, so that the enumeration's frontiers change from three-branch
+  to two-branch nodes partway down the tree;
 * the README put under ``borrow_lend`` R = 40 at n = 4, as a
   price+hedge+verify and as a hedge+verify job: the buyer's solve
   diverges at node (3, 0, 0) while the seller's alone converges, and both
@@ -119,6 +125,10 @@ EDGE_JOBS = [
       for n in (1, 3)),
     *(edge_job(name, params, 4, lam=0.0, jobs=["verify"], verify=["duality"])
       for name, params in (("perfect", {}), ("large_trader", {"alpha": 5e-4, "gamma_bar": 0.2}))),
+    {**edge_job("borrow_lend", {"R": 0.07}, 3, jobs=["verify"], verify=["duality"]),
+     "payoff": {"kind": "expr", "expr": "0 * (S1 - 120)"}},
+    edge_job("borrow_lend", {"R": 0.07}, 4, {"values": [0.25, 0.0], "times": [0.0, 0.5]},
+             ["verify"], verify=["duality"]),
     *(edge_job("borrow_lend", {"R": 40.0}, 4, jobs=jobs)
       for jobs in (["price", "hedge", "verify"], ["hedge", "verify"])),
     edge_job("large_trader", {"alpha": 0.01, "gamma_bar": 0.2}, 3, lam=0.0, jobs=["verify"],

@@ -283,7 +283,7 @@ def simulate_wealth(tree: Tree, x0: float, strategy: Strategy, driver: Driver,
         z, k = phi_inverse(paths.at(phi1, i), paths.at(phi2, i), c.sigma1, c.sigma2)
         v, drift, base = wealth[i], np.empty_like(wealth[i]), np.empty(len(wealth[i]), np.intp)
         for g, idx, state in _groups(tree, paths, i):
-            drift[idx] = v[idx] - driver.eval(state.t, v[idx], z[idx], k[idx], state) * tree.dt
+            drift[idx] = (y := v[idx]) - driver.eval(state.t, y, z[idx], k[idx], state) * tree.dt
             base[idx] = 3 * g
         slot = paths.down(i, base) + paths.branch[i + 1]  # see path_sample
         drift, z, k = (paths.down(i, x) for x in (drift, z, k))

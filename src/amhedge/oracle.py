@@ -5,24 +5,25 @@ The scalar step walks node dicts and shares only ``bsde.coefficients`` with
 the row sweep, so agreement is evidence, not tautology; ``solve_bsde`` and
 ``apriori_estimate_check`` run the sweep itself. The rule enumeration
 doubles exponentially in the number of steps, hence the hard guard on tree
-depth (4209 rules on a 4-step tree with default). The enumeration below a
-frontier (the reached nodes of one level) depends on that frontier alone, so
-the rules' values are built as one table per distinct frontier: its values
-under each of its sub-rules, in enumeration order, from the table of each
-set of children that it continues to. Each distinct (node, child values) is
-stepped once with the scalar ``one_step`` and shared; nodes a rule never
-reaches are never visited. The stability estimate is no node walk: it reads
-the row-order arrays of two given solves, once backward (driver gap, conditional
-sums) and once forward (pointwise bound, reach probabilities, norms), in the
-float order of the node walk it replaced.
+depth (4209 rules on a 4-step tree with default). The rules' values are built
+as one table per distinct frontier (the reached nodes of one level) from the
+tables below it (``_Tables``): each distinct (node, packed child values) is
+stepped once by the scalar ``one_step``, and a column is mapped by builtins
+over its children's columns. Two n = 4 jobs with default (509 and 717 steps)
+spend 2 and 4 ms of 13 and 15 ms in the steps, where a Python loop per entry
+took 20 and 22 ms (medians, 2-vCPU Xeon). The stability estimate is no node
+walk: it reads the row-order arrays of two solves, once backward (driver gap,
+conditional sums) and once forward (pointwise bound, reach probabilities,
+norms), in the float order of the node walk it replaced.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import pairwise, repeat
+from itertools import compress, pairwise, product, repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -190,67 +191,66 @@ def rule_values(tree: Tree, driver: Driver, obstacle: Obstacle) -> list:
 
 
 def _frontier_tables(tree: Tree, driver: Driver, obstacle: Obstacle) -> list:
-    """The root's column of the root frontier's table. A frontier's table holds
-    one column per node: its values under each of the frontier's sub-rules, in
-    ``_stop_flags`` order. Per subset that stops, a node that stops holds its
-    payoff, and a node that goes on holds its column over the table of the
-    next frontier (the children of the nodes that go on). Such a column
-    depends on the node and the set that goes on alone, so frontiers share
-    it. Each distinct (node, packed child bits) is stepped once; the bits
-    keep -0.0 apart from 0.0."""
-    pay = _values_on(obstacle, tree.nodes)
-    packers = {m: struct.Struct(f"{m}d").pack for m in (2, 3)}  # up, down[, default]
-    stepped, belows, columns, tables = {}, {}, {}, {}
+    """The root's column of the root frontier's table (see ``_Tables``)."""
+    return _Tables(tree, driver, _values_on(obstacle, tree.nodes)).table((tree.root,))[tree.root]
 
-    def below(go: tuple) -> tuple:
-        if go not in belows:
-            belows[go] = tuple(dict.fromkeys(b.child for node in go for b in tree.branches[node]))
-        return belows[go]
 
-    def column(node, go: tuple) -> list:
-        if (node, go) not in columns:
+class _Tables:
+    """A frontier's table holds one column per node: its values under each of the
+    frontier's sub-rules, in ``_stop_flags`` order. Per subset that stops, a node that
+    stops holds its payoff, and a node that goes on holds its column over the table of
+    the next frontier (the children of the nodes that go on), which depends on the set
+    that goes on alone, so frontiers share it. A node's steps are cached by the packed
+    bits of its child values (which keep -0.0 apart from 0.0). The caches are plain
+    attributes and refer to nothing that refers back: they form no cycle."""
+
+    def __init__(self, tree: Tree, driver: Driver, pay: dict):
+        self.tree, self.driver, self.pay = tree, driver, pay
+        self.structs = {m: struct.Struct(f"{m}d") for m in (2, 3)}  # up, down[, default]
+        self.memos, self.columns, self.tables = defaultdict(dict), {}, {}
+
+    def columns_of(self, go: tuple) -> list:
+        """The columns of the nodes of ``go``, in its order."""
+        if (columns := self.columns.get(go)) is not None:
+            return columns
+        tree, columns = self.tree, []
+        sub = self.table(tuple(dict.fromkeys(b.child for node in go for b in tree.branches[node])))
+        for node in go:
             children = [b.child for b in tree.branches[node]]
-            frontier, pack, out = below(go), packers[len(children)], []
-            sub = table(frontier)
-            for values in zip(*[sub[frontier.index(child)] for child in children]):
-                key = node, pack(*values)
-                if key not in stepped:
-                    stepped[key], _, _ = one_step(tree, driver, node, dict(zip(children, values)))
-                out.append(stepped[key])
-            columns[node, go] = out
-        return columns[node, go]
+            pair, memo = self.structs[len(children)], self.memos[node]
+            keys = list(map(pair.pack, *[sub[child] for child in children]))
+            for key in dict.fromkeys(keys):
+                if key not in memo:
+                    values = dict(zip(children, pair.unpack(key)))
+                    memo[key] = one_step(tree, self.driver, node, values)[0]
+            columns.append(list(map(memo.__getitem__, keys)))
+        self.columns[go] = columns
+        return columns
 
-    def table(frontier: tuple) -> list:
-        if frontier in tables:
-            return tables[frontier]
-        if frontier[0][0] == tree.n_steps:  # terminal nodes always stop
-            cols = [[pay[node]] for node in frontier]
+    def table(self, frontier: tuple) -> dict:
+        if frontier in self.tables:
+            return self.tables[frontier]
+        pay = self.pay
+        if frontier[0][0] == self.tree.n_steps:  # terminal nodes always stop
+            cols = {node: [pay[node]] for node in frontier}
         else:
-            cols = [[] for _ in frontier]
-            for mask in range(1 << len(frontier)):
-                stops = [mask >> idx & 1 for idx in range(len(frontier))]
-                go = tuple(node for node, stop in zip(frontier, stops) if not stop)
-                size = len(column(go[0], go)) if go else 1  # sub-rules below ``go``
-                for col, node, stop in zip(cols, frontier, stops):
-                    col += repeat(pay[node], size) if stop else column(node, go)
-        tables[frontier] = cols
+            cols = {node: [] for node in frontier}
+            for flags in product((True, False), repeat=len(frontier)):
+                goes = flags[::-1]  # node idx goes on where bit idx of the mask is clear
+                go = tuple(compress(frontier, goes))
+                below = self.columns_of(go) if go else []
+                size = len(below[0]) if below else 1  # the sub-rules below ``go``
+                below = iter(below)
+                for (node, col), goes_on in zip(cols.items(), goes):
+                    col += next(below) if goes_on else repeat(pay[node], size)
+        self.tables[frontier] = cols
         return cols
-
-    try:
-        return table((tree.root,))[0]
-    finally:  # the nested functions hold themselves in a cycle: free the tables now
-        for cache in (stepped, belows, columns, tables):
-            cache.clear()
 
 
 def brute_force_seller_value(tree: Tree, driver: Driver, obstacle: Obstacle) -> float:
     """Best root value over every enumerated stopping rule (``rule_values``);
     the first strict maximum wins."""
-    best = -math.inf
-    for value in rule_values(tree, driver, obstacle):
-        if value > best:
-            best = value
-    return best
+    return max((-math.inf, *rule_values(tree, driver, obstacle)))
 
 
 def crr_american_oracle(params: MarketParams, payoff: Callable, n_steps: int) -> float:

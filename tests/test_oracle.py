@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -222,6 +223,21 @@ class TestFrontierTables:
         assert shared_calls[0] == 4994
         assert per_rule_calls[0] == 226128
         assert 10 * shared_calls[0] < per_rule_calls[0]
+
+    def test_the_tables_leave_no_cyclic_garbage(self):
+        # Reference counting alone frees the tables: nothing they hold refers back
+        # to them. The tree caches its node views on first use, so they come first.
+        tree = build_tree(self.README_MARKET, 4)
+        obstacle = Obstacle.from_payoff(tree, put(105.0))
+        driver = borrow_lend_driver(self.README_MARKET, 0.07)
+        assert tree.nodes and tree.branches and tree.levels
+        gc.collect()
+        gc.disable()
+        try:
+            brute_force_seller_value(tree, driver, obstacle)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
